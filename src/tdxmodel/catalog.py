@@ -4,11 +4,14 @@ The shipped catalog is a curated desk-scale subset loaded from a versioned
 data file; every field a reproduced finding touches is present with its
 published masks and flags.  Entries within a class are ordered by field code,
 which the next-entry iteration relies on.
+
+Each entry's raw field id is decoded once, when the entry is built, so a
+lookup compares plain integer codes and walks never decode catalog ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from importlib import resources
 from typing import Optional, Union
@@ -64,18 +67,15 @@ class FieldEntry:
     special_wr_handling: bool
     mig_export: MigClass
     mig_import: MigClass
+    # Decoded from field_id_raw once, in __post_init__; derived, so they take
+    # no part in equality, hashing or repr.
+    class_code: int = dc_field(init=False, compare=False, repr=False)
+    field_code: int = dc_field(init=False, compare=False, repr=False)
 
-    @property
-    def decoded(self) -> MdFieldId:
-        return decode_field_id(self.field_id_raw)
-
-    @property
-    def class_code(self) -> int:
-        return self.decoded.class_code
-
-    @property
-    def field_code(self) -> int:
-        return self.decoded.field_code
+    def __post_init__(self) -> None:
+        fid = decode_field_id(self.field_id_raw)
+        object.__setattr__(self, "class_code", fid.class_code)
+        object.__setattr__(self, "field_code", fid.field_code)
 
     @property
     def code_span(self) -> int:
@@ -98,9 +98,6 @@ class FieldEntry:
 
     def field_index_of(self, field_code: int) -> int:
         return (field_code - self.field_code) // self.num_of_elem
-
-    def element_index_of(self, field_code: int) -> int:
-        return (field_code - self.field_code) % self.num_of_elem
 
     def field_id_for(self, field_index: int) -> int:
         """Canonical raw id addressing one field of this entry."""

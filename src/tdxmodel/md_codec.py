@@ -294,6 +294,12 @@ class ParseArena:
     flagged out-of-bounds and served from the sentinel regions, mirroring the
     fact that adjacent stack data is readable rather than faulting.  Reads past
     the arena itself return zeros.
+
+    The log is stored compactly, one ``(offset, length)`` tuple per read in
+    read order.  ``reads`` is a read-only property that builds a fresh
+    ``ReadRecord`` list from it on each access; ``read_count``, ``oob_reads``
+    and ``max_oob_span`` use the tuples directly.  The sentinel regions are
+    hashed once, at import, and each arena copies that image.
     """
 
     REGIONS = (
@@ -306,11 +312,10 @@ class ParseArena:
     def __init__(self, list_bytes: bytes, plants: Optional[dict[int, int]] = None):
         if len(list_bytes) > LIST_BYTES:
             raise ValueError("list larger than 4KB")
-        buf = bytearray(list_bytes) + bytearray(LIST_BYTES - len(list_bytes))
-        for name, size in self.REGIONS:
-            buf += self.region_pattern(name, size)
+        buf = bytearray(_BLANK_ARENA)
+        buf[: len(list_bytes)] = list_bytes
         self.buffer = buf
-        self.reads: list[ReadRecord] = []
+        self._log: list[tuple[int, int]] = []
         for offset, value in (plants or {}).items():
             self.plant(offset, value)
 
@@ -336,11 +341,20 @@ class ParseArena:
         self.buffer[offset:end] = value.to_bytes(8, "little")
 
     def read(self, offset: int, length: int) -> bytes:
-        self.reads.append(ReadRecord(offset, length, oob=offset >= LIST_BYTES))
+        self._log.append((offset, length))
         chunk = bytes(self.buffer[offset : offset + length])
         if len(chunk) < length:
             chunk += b"\x00" * (length - len(chunk))
         return chunk
+
+    @property
+    def reads(self) -> list[ReadRecord]:
+        """Every logged read, in read order."""
+        return [ReadRecord(offset, length, offset >= LIST_BYTES) for offset, length in self._log]
+
+    @property
+    def read_count(self) -> int:
+        return len(self._log)
 
     def read_u64(self, offset: int) -> int:
         return int.from_bytes(self.read(offset, 8), "little")
@@ -351,14 +365,25 @@ class ParseArena:
         return int.from_bytes(chunk + b"\x00" * (8 - len(chunk)), "little")
 
     def oob_reads(self) -> list[ReadRecord]:
-        return [r for r in self.reads if r.oob]
+        return [
+            ReadRecord(offset, length, True)
+            for offset, length in self._log
+            if offset >= LIST_BYTES
+        ]
 
     def max_oob_span(self) -> int:
         """Bytes past the list end reached by the farthest out-of-bounds read."""
-        oob = self.oob_reads()
-        if not oob:
+        ends = [offset + length for offset, length in self._log if offset >= LIST_BYTES]
+        if not ends:
             return 0
-        return max(r.offset + r.length for r in oob) - LIST_BYTES
+        return max(ends) - LIST_BYTES
+
+
+# An arena image before any list is copied in: a zero list region, then the
+# sentinel regions.
+_BLANK_ARENA = bytes(LIST_BYTES) + b"".join(
+    ParseArena.region_pattern(name, size) for name, size in ParseArena.REGIONS
+)
 
 
 @dataclass

@@ -527,7 +527,7 @@ def _scenario_bug1() -> Scenario:
         ),
         Check(
             "rejected before any sequence read (header read only)",
-            lambda m, e: len(e["arenas"][0].reads) == 1,
+            lambda m, e: e["arenas"][0].read_count == 1,
             {"vulnerable": False, "fixed": True},
         ),
     ]

@@ -5,15 +5,23 @@ from importlib import resources
 import pytest
 
 from tdxmodel.catalog import (
+    CONTEXT_NAMES,
     MAX_NUM_CPUID_LOOKUP,
     CpuidLookup,
     FieldCatalog,
     MigClass,
     next_cpuid_entry,
 )
-from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, MD_FIELD_ID_NA
+from tdxmodel.md_codec import (
+    MD_CTX_SYS,
+    MD_CTX_TD,
+    MD_CTX_VP,
+    MD_FIELD_ID_NA,
+    decode_field_id,
+)
 
 FULL = 0xFFFFFFFFFFFFFFFF
+CONTEXTS = (MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP)
 
 
 def test_find_attributes_entry(catalog):
@@ -130,6 +138,30 @@ def test_catalog_rejects_unordered_entries():
     ]
     with pytest.raises(ValueError, match="ordered"):
         FieldCatalog.load("\n".join(lines))
+
+
+# --- load-time entry codes -------------------------------------------------------
+
+def _catalog_lines() -> list[str]:
+    text = resources.files("tdxmodel.data").joinpath("field_catalog.txt").read_text()
+    return [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+
+
+def test_entry_codes_are_the_decoded_raw_id(catalog):
+    for ctx in CONTEXTS:
+        for entry in catalog.entries_for(ctx):
+            fid = decode_field_id(entry.field_id_raw)
+            assert (entry.class_code, entry.field_code) == (fid.class_code, fid.field_code)
+
+
+def test_entry_built_twice_is_equal_and_hashes_equal():
+    for line in _catalog_lines():
+        ctx = CONTEXT_NAMES[line.split()[0]]
+        first = FieldCatalog.load(line).entries_for(ctx)[0]
+        second = FieldCatalog.load(line).entries_for(ctx)[0]
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
 
 
 # --- CPUID lookup ---------------------------------------------------------------

@@ -220,7 +220,7 @@ def _oracle_read_offsets(num_fields: int) -> list[tuple[int, int]]:
     return reads
 
 
-@pytest.mark.parametrize("num_fields", [1, 7, 512])
+@pytest.mark.parametrize("num_fields", range(1, 513))
 def test_vulnerable_walk_matches_wrap_oracle_bit_for_bit(catalog, num_fields):
     sink = DictSink()
     data = crafted_vp_list(extra_oob_header=True, num_fields=num_fields)
@@ -233,6 +233,12 @@ def test_vulnerable_walk_matches_wrap_oracle_bit_for_bit(catalog, num_fields):
     assert S.status_class(result.status) == S.TDX_METADATA_FIELD_ID_INCORRECT
     assert result.status & 0xFFFF0000 == 0xFFFF0000  # operand 0xffff
     assert arena.max_oob_span() == 16 * num_fields
+    reads = arena.reads
+    assert reads == [md.ReadRecord(o, n, o >= md.LIST_BYTES)
+                     for o, n in _oracle_read_offsets(num_fields)]
+    assert arena.read_count == len(reads)
+    assert arena.oob_reads() == [r for r in reads if r.oob]
+    assert arena.max_oob_span() == max(r.offset + r.length for r in reads) - md.LIST_BYTES
 
 
 def test_fixed_mode_stops_crafted_walk_without_oob(catalog, sink):
@@ -279,6 +285,25 @@ def test_fixed_mode_never_reads_oob_on_fuzzed_lists(catalog):
         arena = ParseArena(data)
         md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, DictSink(), WriteMode.fixed())
         assert not arena.oob_reads()
+        reads = arena.reads
+        assert reads[0] == md.ReadRecord(0, 8, False)  # the list header comes first
+        assert arena.read_count == len(reads)
+        assert arena.oob_reads() == [r for r in reads if r.oob]
+        assert arena.max_oob_span() == 0
+
+
+# --- arena image copies -------------------------------------------------------
+
+def test_planting_in_one_arena_leaves_others_untouched():
+    first = ParseArena(b"")
+    second = ParseArena(b"")
+    offsets = [first.region_span(name)[0] for name, _ in ParseArena.REGIONS]
+    before = [second.peek_u64(offset) for offset in offsets]
+    for offset in offsets:
+        first.plant(offset, LEAK_SENTINEL)
+    assert [first.peek_u64(offset) for offset in offsets] == [LEAK_SENTINEL] * len(offsets)
+    assert [second.peek_u64(offset) for offset in offsets] == before
+    assert [ParseArena(b"").peek_u64(offset) for offset in offsets] == before
 
 
 # --- dump side -------------------------------------------------------------------
