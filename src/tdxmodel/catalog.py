@@ -11,6 +11,7 @@ lookup compares plain integer codes and walks never decode catalog ids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from importlib import resources
@@ -223,6 +224,12 @@ class FieldCatalog:
             elif entry.mig_import is MigClass.MBO and entry.class_code in classes_present:
                 out.append(entry)
         return out
+
+
+@functools.cache
+def bundled_catalog() -> FieldCatalog:
+    """The packaged catalog, parsed on first use and then shared by every module."""
+    return FieldCatalog.load()
 
 
 # --- CPUID lookup array -----------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 
 from . import md_codec as md
 from . import status as S
-from .catalog import FieldCatalog
+from .catalog import FieldCatalog, bundled_catalog
 from .envelope import (
     Mbmd,
     MigrationSessionKey,
@@ -21,7 +21,7 @@ from .envelope import (
     encrypt_bundle,
 )
 from .scenarios import all_scenarios, run_scenario
-from .states import APPENDIX_STATES, PermissionMatrix
+from .states import APPENDIX_STATES, bundled_matrix
 
 
 class CliError(Exception):
@@ -99,7 +99,7 @@ def print_lists(lists: list[bytes], catalog: FieldCatalog, out) -> None:
 
 
 def cmd_bundle(args, out) -> int:
-    catalog = FieldCatalog.load()
+    catalog = bundled_catalog()
     if args.action == "parse":
         print_lists(_split_lists(_read(args.data)), catalog, out)
         return 0
@@ -200,7 +200,7 @@ def cmd_scenario(args, out) -> int:
 
 def cmd_state(args, out) -> int:
     if args.action == "matrix":
-        matrix = PermissionMatrix.load()
+        matrix = bundled_matrix()
         for state in APPENDIX_STATES:
             leaves = sorted(leaf.name for leaf in matrix.allowed_leaves(state))
             out.write(f"OP_STATE_{state.value}: {' '.join(leaves)}\n")

@@ -13,6 +13,7 @@ which scenario runs validate against the permission-matrix fixture.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import struct
@@ -20,17 +21,24 @@ from dataclasses import dataclass, fields as dc_fields
 from typing import Optional
 
 from . import md_codec as md
-from .catalog import CpuidLookup, FieldCatalog, MigClass, next_cpuid_entry
+from .catalog import CpuidLookup, MigClass, bundled_catalog, next_cpuid_entry
 from .envelope import (
     BundleType,
     Mbmd,
-    MigrationSessionKey,
     MigStreamContext,
     decrypt_bundle,
     encrypt_bundle,
 )
 from .md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, MD_FIELD_ID_NA, ParseArena, WriteMode
-from .states import Leaf, LifecycleState, OpState, PermissionMatrix, TraceStep, transition
+from .states import (
+    Leaf,
+    LifecycleState,
+    OpState,
+    PermissionMatrix,
+    TraceStep,
+    bundled_matrix,
+    transition,
+)
 from .status import (
     OPERAND_ID_MIGSC,
     OPERAND_ID_RCX,
@@ -81,7 +89,7 @@ U64 = 0xFFFFFFFFFFFFFFFF
 FINDING_TOGGLES = ("v1", "v2", "bug1", "bug2", "bug3", "bug4", "bug6", "bug8", "bug9")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineMode:
     """Per-finding vulnerable/fixed switches; everything defaults to fixed."""
 
@@ -131,7 +139,7 @@ class InterruptPolicy:
     def after(cls, *indexes: int) -> "InterruptPolicy":
         return cls(frozenset(indexes))
 
-    def pending(self, call_site: str, last_list_index: int) -> bool:
+    def pending(self, last_list_index: int) -> bool:
         return last_list_index in self.fire_after_lists
 
 
@@ -153,6 +161,24 @@ class Servtd:
     info_hash: int = 0
 
 
+OUTCOMES = ("success", "failure", "interrupted")
+
+
+@functools.cache
+def _edge_table(matrix: PermissionMatrix, state_mode: str) -> dict:
+    """The matrix compiled for the gate, once per (matrix, state mode).
+
+    Each allowed (interface, op_state, leaf) maps every outcome to the next
+    op_state that transition() gives for it, so one dict lookup both admits a
+    call and fixes where each of its outcomes lands.
+    """
+    return {
+        key: {outcome: transition(matrix, key[1], key[2], outcome, state_mode, key[0])
+              for outcome in OUTCOMES}
+        for key, _ in matrix.items()
+    }
+
+
 SYS_DEFAULTS = {
     "BUILD_DATE": 20260210,
     "BUILD_NUM": 0x32C,
@@ -167,8 +193,10 @@ class TdxModule:
 
     def __init__(self, mode: Optional[EngineMode] = None, seed: int = 0, kot_size: int = 64):
         self.mode = mode or EngineMode()
-        self.catalog = FieldCatalog.load()
-        self.matrix = PermissionMatrix.load()
+        self.catalog = bundled_catalog()
+        self.matrix = bundled_matrix()
+        self._edges = _edge_table(self.matrix, self.mode.state_mode)
+        self._admitted: dict = {}
         self.kot = Kot(kot_size)
         self.cpuid = CpuidLookup()
         self.rng = random.Random(seed)
@@ -199,19 +227,25 @@ class TdxModule:
         return servtd
 
     def _gate(self, td: TdComplex, leaf: Leaf, interface: str = "host") -> Optional[int]:
+        """The refusing status, or None to admit the call.
+
+        An admitted call's compiled matrix row is kept for the _finish of the
+        same call, so a leaf costs one matrix lookup.
+        """
         if td.fatal:
             return TDX_TD_FATAL
         if td.locked:
             return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
-        if not self.matrix.is_allowed(td.op_state, leaf, interface):
+        edges = self._edges.get((interface, td.op_state, leaf))
+        if edges is None:
             return TDX_OP_STATE_INCORRECT
+        self._admitted = edges
         return None
 
     def _finish(self, td: TdComplex, leaf: Leaf, before: OpState,
                 status: int, outcome: Optional[str]) -> int:
-        after = before
-        if outcome is not None:
-            after = transition(self.matrix, before, leaf, outcome, self.mode.state_mode)
+        """Record the call; an outcome moves the op_state along the row _gate admitted."""
+        after = before if outcome is None else self._admitted[outcome]
         td.op_state = after
         td.trace.append(TraceStep(leaf, before, after, status))
         return status
@@ -492,13 +526,13 @@ class TdxModule:
             return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), 0
         if not self.matrix.is_allowed(td.op_state, Leaf.TDG_SERVTD_RD, "guest"):
             return TDX_OP_STATE_INCORRECT, 0
-        entry = self.catalog.find_entry(MD_CTX_TD, field_id_raw)
+        fid = md.decode_field_id(field_id_raw)
+        entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
             return with_operand(TDX_OPERAND_INVALID, 0), 0
         if entry.migtd_rd_mask == 0:
             return TDX_METADATA_FIELD_NOT_READABLE, 0
-        code = md.decode_field_id(field_id_raw).field_code
-        position = code - entry.field_code
+        position = fid.field_code - entry.field_code
         return TDX_SUCCESS, td.read_element(entry, position) & entry.migtd_rd_mask
 
     def tdg_servtd_wr(
@@ -512,14 +546,14 @@ class TdxModule:
             return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), 0
         if not self.matrix.is_allowed(td.op_state, Leaf.TDG_SERVTD_WR, "guest"):
             return TDX_OP_STATE_INCORRECT, 0
-        entry = self.catalog.find_entry(MD_CTX_TD, field_id_raw)
+        fid = md.decode_field_id(field_id_raw)
+        entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
             return with_operand(TDX_OPERAND_INVALID, 0), 0
         combined = mask & entry.migtd_wr_mask
         if combined == 0:
             return TDX_METADATA_FIELD_NOT_WRITABLE, 0
-        code = md.decode_field_id(field_id_raw).field_code
-        position = code - entry.field_code
+        position = fid.field_code - entry.field_code
         previous = td.read_element(entry, position)
         td.write_element_raw(entry, position, (value & combined) | (previous & ~combined & U64))
         return TDX_SUCCESS, previous
@@ -533,8 +567,8 @@ class TdxModule:
             self._finish(td, Leaf.TDH_MNG_RD, before, blocked, None)
             return blocked, []
         values = []
-        code = md.decode_field_id(field_id_raw).field_code
         fid = md.decode_field_id(field_id_raw)
+        code = fid.field_code
         for i in range(count):
             probe = md.MdFieldId(
                 field_code=code + i, context_code=fid.context_code, class_code=fid.class_code,
@@ -557,16 +591,16 @@ class TdxModule:
         blocked = self._gate(td, Leaf.TDH_MNG_WR)
         if blocked is not None:
             return self._finish(td, Leaf.TDH_MNG_WR, before, blocked, None)
-        entry = self.catalog.find_entry(MD_CTX_TD, field_id_raw)
+        fid = md.decode_field_id(field_id_raw)
+        entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
             return self._finish(td, Leaf.TDH_MNG_WR, before, with_operand(TDX_OPERAND_INVALID, 0), None)
         wr_mask = entry.dbg_wr_mask if td.attributes.debug else entry.prod_wr_mask
         combined = mask & wr_mask
         if combined == 0:
             return self._finish(td, Leaf.TDH_MNG_WR, before, TDX_METADATA_FIELD_NOT_WRITABLE, None)
-        code = md.decode_field_id(field_id_raw).field_code
         sink = TdImportSink(td, self.catalog, is_import=False, gpa_checks=True, track=False)
-        status = sink.write_field(entry, entry.field_index_of(code), [value], combined)
+        status = sink.write_field(entry, entry.field_index_of(fid.field_code), [value], combined)
         outcome = "success" if status == TDX_SUCCESS else None
         return self._finish(td, Leaf.TDH_MNG_WR, before, status, outcome)
 
@@ -576,7 +610,8 @@ class TdxModule:
         if blocked is not None:
             self._finish(td, Leaf.TDH_VP_RD, before, blocked, None)
             return blocked, 0
-        entry = self.catalog.find_entry(MD_CTX_VP, field_id_raw)
+        fid = md.decode_field_id(field_id_raw)
+        entry = self.catalog.find_entry(MD_CTX_VP, fid)
         if entry is None:
             self._finish(td, Leaf.TDH_VP_RD, before, with_operand(TDX_OPERAND_INVALID, 0), None)
             return with_operand(TDX_OPERAND_INVALID, 0), 0
@@ -584,8 +619,7 @@ class TdxModule:
         if mask == 0:
             self._finish(td, Leaf.TDH_VP_RD, before, TDX_METADATA_FIELD_NOT_READABLE, None)
             return TDX_METADATA_FIELD_NOT_READABLE, 0
-        code = md.decode_field_id(field_id_raw).field_code
-        value = td.read_element(entry, code - entry.field_code, vp_index) & mask
+        value = td.read_element(entry, fid.field_code - entry.field_code, vp_index) & mask
         self._finish(td, Leaf.TDH_VP_RD, before, TDX_SUCCESS, "success")
         return TDX_SUCCESS, value
 
@@ -601,7 +635,7 @@ class TdxModule:
 
     def _seal(self, td: TdComplex, migsc: MigStreamContext, bundle_type: BundleType,
               lists: list[md.MdList]) -> Bundle:
-        migsc.key = MigrationSessionKey.from_quadwords(td.mig_dec_key)
+        migsc.key = td.session_key
         mbmd, ciphertext = encrypt_bundle(migsc, bundle_type, [l.to_bytes() for l in lists])
         return Bundle(mbmd, ciphertext)
 
@@ -670,9 +704,17 @@ class TdxModule:
             return self._finish(
                 td, Leaf.TDH_EXPORT_STATE_TD, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None
             ), None
-        entries = self._entries_by_mig(MD_CTX_TD, (MigClass.ME,))
-        lists = md.dump_lists(self.catalog, MD_CTX_TD, entries, TdExportSource(td))
-        bundle = self._seal(td, migsc, BundleType.TD, lists)
+        if not migsc.acquire():
+            return self._finish(
+                td, Leaf.TDH_EXPORT_STATE_TD, before,
+                with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None,
+            ), None
+        try:
+            entries = self._entries_by_mig(MD_CTX_TD, (MigClass.ME,))
+            lists = md.dump_lists(self.catalog, MD_CTX_TD, entries, TdExportSource(td))
+            bundle = self._seal(td, migsc, BundleType.TD, lists)
+        finally:
+            migsc.release()
         return self._finish(td, Leaf.TDH_EXPORT_STATE_TD, before, TDX_SUCCESS, "success"), bundle
 
     def tdh_export_state_vp(
@@ -692,11 +734,19 @@ class TdxModule:
             return self._finish(
                 td, Leaf.TDH_EXPORT_STATE_VP, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None
             ), None
-        entries = self._entries_by_mig(MD_CTX_VP, (MigClass.ME,))
-        lists = md.dump_lists(
-            self.catalog, MD_CTX_VP, entries, TdExportSource(td, vp_index=vp_index)
-        )
-        bundle = self._seal(td, migsc, BundleType.VP, lists)
+        if not migsc.acquire():
+            return self._finish(
+                td, Leaf.TDH_EXPORT_STATE_VP, before,
+                with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None,
+            ), None
+        try:
+            entries = self._entries_by_mig(MD_CTX_VP, (MigClass.ME,))
+            lists = md.dump_lists(
+                self.catalog, MD_CTX_VP, entries, TdExportSource(td, vp_index=vp_index)
+            )
+            bundle = self._seal(td, migsc, BundleType.VP, lists)
+        finally:
+            migsc.release()
         return self._finish(td, Leaf.TDH_EXPORT_STATE_VP, before, TDX_SUCCESS, "success"), bundle
 
     def tdh_export_mem(
@@ -720,7 +770,7 @@ class TdxModule:
             ), None
         token = td.pages.get(gpa, 0)
         payload = struct.pack("<QQ", gpa, token).ljust(md.LIST_BYTES, b"\x00")
-        migsc.key = MigrationSessionKey.from_quadwords(td.mig_dec_key)
+        migsc.key = td.session_key
         mbmd, ciphertext = encrypt_bundle(migsc, BundleType.MEM, [payload])
         return self._finish(
             td, Leaf.TDH_EXPORT_MEM, before, TDX_SUCCESS, "success"
@@ -792,7 +842,7 @@ class TdxModule:
                 td, leaf, before, with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None
             )
         try:
-            migsc.key = MigrationSessionKey.from_quadwords(td.mig_dec_key)
+            migsc.key = td.session_key
             status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
             if status != TDX_SUCCESS:
                 return self._finish(td, leaf, before, status, None)
@@ -820,7 +870,7 @@ class TdxModule:
                 self.last_write_results.append(result)
                 if result.status != TDX_SUCCESS:
                     migsc.interrupted_state.latch(result.status, result.ext_err_info)
-                if i + 1 <= len(lists) - 1 and policy and policy.pending(leaf.name, i):
+                if i + 1 <= len(lists) - 1 and policy and policy.pending(i):
                     migsc.interrupted_state.cursor = i + 1
                     migsc.interrupted_state.valid = True
                     return self._finish(td, leaf, before, TDX_INTERRUPTED_RESUMABLE, "interrupted")
@@ -944,7 +994,7 @@ class TdxModule:
             return self._finish(td, Leaf.TDH_IMPORT_MEM, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
         if not sept_walk_ok(td):
             return self._mark_fatal(td, Leaf.TDH_IMPORT_MEM, before)
-        migsc.key = MigrationSessionKey.from_quadwords(td.mig_dec_key)
+        migsc.key = td.session_key
         status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
         if status != TDX_SUCCESS:
             return self._finish(td, Leaf.TDH_IMPORT_MEM, before, status, "failure")

@@ -29,6 +29,10 @@ MBMD_VERSION = 1
 MBMD_BYTES = 40
 MSK_BYTES = 32
 LIST_BYTES = 4096
+ZERO_MAC = bytes(16)
+
+# The record up to its MAC: magic, version, type, payload size, stream, counter.
+_RECORD_HEAD = struct.Struct("<4sHHIIQ")
 
 
 class BundleType(Enum):
@@ -38,15 +42,21 @@ class BundleType(Enum):
     MEM = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class MigrationSessionKey:
-    """256-bit AES-GCM key addressed as four little-endian quadwords."""
+    """256-bit AES-GCM key addressed as four little-endian quadwords.
+
+    The cipher object is built once with the key and reused for every bundle
+    sealed or opened under it.
+    """
 
     key: bytes
+    aead: AESGCM = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.key) != MSK_BYTES:
             raise ValueError("session key must be 32 bytes")
+        object.__setattr__(self, "aead", AESGCM(self.key))
 
     @classmethod
     def from_quadwords(cls, quadwords: list[int]) -> "MigrationSessionKey":
@@ -68,35 +78,31 @@ class Mbmd:
     payload_size: int
     stream_index: int
     iv_counter: int
-    mac: bytes = b"\x00" * 16
+    mac: bytes = ZERO_MAC
     version: int = MBMD_VERSION
 
-    def to_bytes(self) -> bytes:
-        return (
-            MBMD_MAGIC
-            + struct.pack(
-                "<HHIIQ",
-                self.version,
-                self.bundle_type.value,
-                self.payload_size,
-                self.stream_index,
-                self.iv_counter,
-            )
-            + self.mac
+    def _head(self) -> bytes:
+        return _RECORD_HEAD.pack(
+            MBMD_MAGIC,
+            self.version,
+            self.bundle_type.value,
+            self.payload_size,
+            self.stream_index,
+            self.iv_counter,
         )
+
+    def to_bytes(self) -> bytes:
+        return self._head() + self.mac
 
     def aad(self) -> bytes:
         """The authenticated view: the record with its MAC field zeroed."""
-        body = self.to_bytes()
-        return body[:-16] + b"\x00" * 16
+        return self._head() + ZERO_MAC
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Mbmd":
         if len(data) != MBMD_BYTES or data[:4] != MBMD_MAGIC:
             raise ValueError("not a metadata record")
-        version, btype, payload_size, stream_index, iv_counter = struct.unpack(
-            "<HHIIQ", data[4:24]
-        )
+        _, version, btype, payload_size, stream_index, iv_counter = _RECORD_HEAD.unpack_from(data)
         return cls(
             bundle_type=BundleType(btype),
             payload_size=payload_size,
@@ -203,7 +209,7 @@ def encrypt_bundle(
         stream_index=ctx.stream_index,
         iv_counter=ctx.iv_counter if ctx.counter_policy == "per_bundle" else ctx.iv_counter - len(lists) + 1,
     )
-    sealed = AESGCM(ctx.key.key).encrypt(iv, plaintext, mbmd.aad())
+    sealed = ctx.key.aead.encrypt(iv, plaintext, mbmd.aad())
     ciphertext, tag = sealed[:-16], sealed[-16:]
     mbmd.mac = tag
     return mbmd, ciphertext
@@ -225,7 +231,7 @@ def decrypt_bundle(
         return TDX_INVALID_MBMD, None
     iv = make_iv(mbmd.stream_index, mbmd.iv_counter)
     try:
-        plaintext = AESGCM(ctx.key.key).decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
+        plaintext = ctx.key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
     except InvalidTag:
         return TDX_INCORRECT_MBMD_MAC, None
     lists = [plaintext[i : i + LIST_BYTES] for i in range(0, len(plaintext), LIST_BYTES)]

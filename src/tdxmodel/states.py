@@ -8,6 +8,7 @@ only when the engine runs with the fix enabled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -51,6 +52,11 @@ class OpState(Enum):
     LIVE_IMPORT = "LIVE_IMPORT"
     FAILED_IMPORT = "FAILED_IMPORT"
     START_IMPORT = "START_IMPORT"
+
+    # Identity hash in C: Enum's own __hash__ is Python code, and the engine
+    # hashes an op_state on every leaf.  Members are singletons, so equality
+    # is identity either way; nothing iterates a set of them into output.
+    __hash__ = object.__hash__
 
 
 # The states the transcribed host table enumerates (START_IMPORT excluded).
@@ -114,6 +120,8 @@ class Leaf(Enum):
     TDG_SERVTD_RD = 118
     TDG_SERVTD_WR = 120
 
+    __hash__ = object.__hash__  # as OpState: a C-level hash for the gate lookup
+
 
 @dataclass(frozen=True)
 class MatrixRow:
@@ -123,7 +131,10 @@ class MatrixRow:
 
 
 class PermissionMatrix:
-    """Boolean (op_state x leaf) tables for the host and guest interfaces."""
+    """Boolean (op_state x leaf) tables for the host and guest interfaces.
+
+    Immutable after load, so one instance is freely shared between modules.
+    """
 
     def __init__(self, rows: dict[tuple[str, OpState, Leaf], MatrixRow]):
         self._rows = rows
@@ -169,6 +180,12 @@ class PermissionMatrix:
         return self._rows.items()
 
 
+@functools.cache
+def bundled_matrix() -> PermissionMatrix:
+    """The packaged matrix, parsed on first use and then shared by every module."""
+    return PermissionMatrix.load()
+
+
 _IMPORT_TOUCH_LEAF = Leaf.TDH_IMPORT_STATE_IMMUTABLE
 
 
@@ -203,7 +220,7 @@ def transition(
     raise ValueError(f"unknown outcome: {outcome!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     leaf: Leaf
     before: OpState

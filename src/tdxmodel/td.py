@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .catalog import FieldCatalog, FieldEntry, MigClass
+from .envelope import MigrationSessionKey
 from .md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP
 from .states import LifecycleState, OpState
 from .status import (
@@ -214,10 +215,7 @@ class Kot:
         return sum(1 for e in self.entries if e.state is KotState.HKID_FREE)
 
     def free_hkids(self) -> list[int]:
-        return [i for i, e in self.entries_with_index() if e.state is KotState.HKID_FREE]
-
-    def entries_with_index(self):
-        return enumerate(self.entries)
+        return [i for i, e in enumerate(self.entries) if e.state is KotState.HKID_FREE]
 
 
 def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int], mode: str) -> int:
@@ -314,6 +312,8 @@ class TdComplex:
         self.td_uuid: tuple[int, int, int, int] = (0, 0, 0, 0)
         self.mig_dec_key: list[int] = [0, 0, 0, 0]
         self._mig_dec_key_written: set[int] = set()
+        self._session_key: Optional[MigrationSessionKey] = None
+        self._session_key_from: list[int] = []
         self.event_filters: list[int] = [0] * MAX_EVENT_FILTERS
         self.event_filters_num = 0
         self.servtd_bindings: dict[int, ServtdBinding] = {}
@@ -419,6 +419,18 @@ class TdComplex:
     def mig_dec_key_set(self) -> bool:
         return len(self._mig_dec_key_written) == 4
 
+    @property
+    def session_key(self) -> MigrationSessionKey:
+        """The session key of the current MIG_DEC_KEY quadwords.
+
+        Built once per key value and compared against the quadwords on every
+        use, so a rekey between two bundles takes effect on the next bundle.
+        """
+        if self._session_key is None or self._session_key_from != self.mig_dec_key:
+            self._session_key = MigrationSessionKey.from_quadwords(self.mig_dec_key)
+            self._session_key_from = list(self.mig_dec_key)
+        return self._session_key
+
     # -- import accounting -------------------------------------------------
 
     def reset_import_accounting(self) -> None:
@@ -481,10 +493,11 @@ def sept_walk_ok(td: TdComplex) -> bool:
 
     A zeroed controls value walks from physical page 0 at depth LVL_PT, which
     dereferences uninitialized private memory; the model surfaces that as the
-    machine-check analog instead of crashing.
+    machine-check analog instead of crashing.  The walk level and root page
+    are read straight from the packed value (EptpControls' layout).
     """
-    controls = EptpControls.from_raw(td.eptp_raw)
-    return controls.ept_pwl in (LVL_PML4, LVL_PML5) and controls.base_pa != 0
+    raw = td.eptp_raw
+    return ((raw >> 3) & 0x7) in (LVL_PML4, LVL_PML5) and (raw >> 12) & ((1 << 40) - 1) != 0
 
 
 def read_and_set_td_configurations(td: TdComplex, params: TdParams, mode: str) -> int:

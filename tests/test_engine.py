@@ -2,8 +2,12 @@
 
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from tdxmodel import status as S
-from tdxmodel.engine import EngineMode, EpochToken, InterruptPolicy, TdxModule
+from tdxmodel.catalog import FieldCatalog
+from tdxmodel.engine import OUTCOMES, EngineMode, EpochToken, InterruptPolicy, TdxModule
+from tdxmodel.envelope import MigrationSessionKey, MigStreamContext, decrypt_bundle
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
     export_blackout,
@@ -11,8 +15,15 @@ from tdxmodel.scenarios import (
     import_to_state_import,
     standard_setup,
 )
-from tdxmodel.states import OpState, validate_trace
-from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, TdParams
+from tdxmodel.states import (
+    Leaf,
+    OpState,
+    PermissionMatrix,
+    TraceStep,
+    transition,
+    validate_trace,
+)
+from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, TdComplex, TdParams
 
 
 def test_build_reaches_runnable():
@@ -364,3 +375,141 @@ def test_vp_index_bounds_are_status_errors():
     assert m.tdh_vp_init(env["src"], 9) == S.TDX_OP_STATE_INCORRECT  # src is paused
     status, src2 = m.build_td(TdParams(attributes=ATTR_MIGRATABLE))
     assert m.tdh_vp_enter(src2, 9) == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
+
+
+# --- the compiled gate and the cached session key -------------------------------
+
+INTERFACES = ("host", "guest")
+V1_MODES = ("vulnerable", "fixed")
+_MODULES = {v1: TdxModule(EngineMode(v1=v1)) for v1 in V1_MODES}
+
+
+def _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1):
+    m = _MODULES[v1]
+    td = TdComplex(tdr_page=1, hkid=0)
+    td.op_state = state
+    allowed = matrix.is_allowed(state, leaf, interface)
+    assert (m._gate(td, leaf, interface) is None) is allowed
+    if allowed:
+        m._finish(td, leaf, state, S.TDX_SUCCESS, outcome)
+        expected = transition(matrix, state, leaf, outcome, m.mode.state_mode, interface)
+        assert td.op_state is expected
+        assert td.trace == [TraceStep(leaf, state, expected, S.TDX_SUCCESS)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    interface=st.sampled_from(INTERFACES),
+    state=st.sampled_from(list(OpState)),
+    leaf=st.sampled_from(list(Leaf)),
+    outcome=st.sampled_from(OUTCOMES),
+    v1=st.sampled_from(V1_MODES),
+)
+@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted", "fixed")
+@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "failure", "fixed")
+@example("host", OpState.START_IMPORT, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "success", "fixed")
+def test_gate_and_next_state_agree_with_matrix(matrix, interface, state, leaf, outcome, v1):
+    _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1)
+
+
+def test_gate_and_next_state_agree_with_matrix_everywhere(matrix):
+    for interface in INTERFACES:
+        for state in OpState:
+            for leaf in Leaf:
+                for outcome in OUTCOMES:
+                    for v1 in V1_MODES:
+                        _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1)
+
+
+def test_modules_share_one_parse_of_each_fixture():
+    first, second = TdxModule(seed=1), TdxModule(EngineMode.all_vulnerable(), seed=2)
+    assert first.catalog is second.catalog
+    assert first.matrix is second.matrix
+    # An explicit load is still a fresh parse.
+    assert FieldCatalog.load() is not first.catalog
+    assert PermissionMatrix.load() is not first.matrix
+
+
+def _open(key: list[int], bundle):
+    return decrypt_bundle(MigStreamContext(0, MigrationSessionKey.from_quadwords(key)),
+                          bundle.mbmd, bundle.data)
+
+
+def test_rekey_between_mem_exports_seals_next_bundle_under_new_key():
+    m = TdxModule(seed=26)
+    env = standard_setup(m, num_vcpus=1, num_pages=2)
+    src, old_key = env["src"], env["key"]
+    status, first = m.tdh_export_mem(src, 0x1000)
+    assert status == S.TDX_SUCCESS
+    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    new_key = list(old_key)
+    new_key[2] ^= 0xFF
+    status, _ = m.tdg_servtd_wr(env["migtd"], env["src_handle"],
+                                key_entry.field_id_for(0) + 2, new_key[2])
+    assert status == S.TDX_SUCCESS
+    status, second = m.tdh_export_mem(src, 0x2000)
+    assert status == S.TDX_SUCCESS
+    assert _open(old_key, first)[0] == S.TDX_SUCCESS
+    assert _open(new_key, first)[0] == S.TDX_INCORRECT_MBMD_MAC
+    status, lists = _open(new_key, second)
+    assert status == S.TDX_SUCCESS and lists[0][:8] == (0x2000).to_bytes(8, "little")
+    assert _open(old_key, second)[0] == S.TDX_INCORRECT_MBMD_MAC
+
+
+def test_rekey_on_destination_applies_to_next_import():
+    m = TdxModule(seed=27)
+    env = standard_setup(m, num_vcpus=1, num_pages=2)
+    src, dst = env["src"], env["dst"]
+    _, first = m.tdh_export_mem(src, 0x1000)
+    _, second = m.tdh_export_mem(src, 0x2000)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    assert m.tdh_import_mem(dst, first) == S.TDX_SUCCESS
+    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    status, _ = m.tdg_servtd_wr(env["migtd"], env["dst_handle"],
+                                key_entry.field_id_for(0), env["key"][0] ^ 1)
+    assert status == S.TDX_SUCCESS
+    assert m.tdh_import_mem(dst, second) == S.TDX_INCORRECT_MBMD_MAC
+
+
+def test_partly_written_key_is_stream_state_incorrect():
+    m = TdxModule(seed=28)
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1)
+    assert status == S.TDX_SUCCESS
+    migtd = m.new_servtd()
+    m.tdh_mig_stream_create(td)
+    _, handle = m.tdh_servtd_bind(td, 0, migtd)
+    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    for i in range(3):
+        status, _ = m.tdg_servtd_wr(migtd, handle, key_entry.field_id_for(0) + i, 0x11 * (i + 1))
+        assert status == S.TDX_SUCCESS
+    assert not td.mig_dec_key_set
+    status, _ = m.tdh_export_state_immutable(td)
+    assert status == S.TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
+    migsc = td.migsc[0]
+    td.op_state = OpState.LIVE_EXPORT  # direct placement: the key check follows the gate
+    assert m.tdh_export_mem(td, 0x1000) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+    td.op_state = OpState.PAUSED_EXPORT
+    assert m.tdh_export_state_td(td) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+    assert m.tdh_export_state_vp(td, 0) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+    assert migsc.iv_counter == 0 and migsc.key is None
+
+
+def test_export_state_td_and_vp_busy_when_stream_held():
+    m = TdxModule(seed=29)
+    env = standard_setup(m, num_vcpus=1)
+    src = env["src"]
+    assert m.tdh_export_pause(src) == S.TDX_SUCCESS
+    migsc = src.migsc[0]
+    counter = migsc.iv_counter
+    busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
+    assert migsc.acquire()
+    assert m.tdh_export_state_td(src) == (busy, None)
+    assert m.tdh_export_state_vp(src, 0) == (busy, None)
+    assert migsc.iv_counter == counter and src.op_state is OpState.PAUSED_EXPORT
+    migsc.release()
+    status, bundle = m.tdh_export_state_td(src)
+    assert status == S.TDX_SUCCESS and bundle.mbmd.iv_counter == counter + 1
+    status, bundle = m.tdh_export_state_vp(src, 0)
+    assert status == S.TDX_SUCCESS and bundle.mbmd.iv_counter == counter + 2
+    assert not migsc.locked

@@ -1,8 +1,10 @@
 """Envelope sealing: AEAD round-trips, tamper detection, and IV discipline."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tdxmodel import status as S
 from tdxmodel.envelope import (
@@ -45,6 +47,30 @@ def test_mbmd_record_layout():
     assert len(raw) == MBMD_BYTES
     assert raw[:4] == b"MBMD"
     assert Mbmd.from_bytes(raw) == mbmd
+
+
+@given(
+    bundle_type=st.sampled_from(list(BundleType)),
+    payload_size=st.integers(min_value=0, max_value=2**32 - 1),
+    stream_index=st.integers(min_value=0, max_value=2**32 - 1),
+    iv_counter=st.integers(min_value=0, max_value=2**64 - 1),
+    mac=st.binary(min_size=16, max_size=16),
+)
+def test_aad_is_the_record_with_its_mac_zeroed(
+    bundle_type, payload_size, stream_index, iv_counter, mac
+):
+    mbmd = Mbmd(bundle_type, payload_size, stream_index, iv_counter, mac=mac)
+    raw = mbmd.to_bytes()
+    assert mbmd.aad() == raw[:-16] + bytes(16)
+    assert Mbmd.from_bytes(raw) == mbmd
+
+
+def test_session_key_is_immutable():
+    key = MigrationSessionKey.from_quadwords([1, 2, 3, 4])
+    # The cipher is built with the key, so the key must not change under it.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        key.key = bytes(32)
+    assert key == MigrationSessionKey.from_quadwords([1, 2, 3, 4])
 
 
 def test_roundtrip():

@@ -119,6 +119,29 @@ def test_eptp_raw_roundtrip():
     assert EptpControls.from_raw(controls.raw) == controls
 
 
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_walk_precheck_reads_the_packed_controls(raw):
+    td = _fresh_td()
+    td.eptp_raw = raw
+    controls = EptpControls.from_raw(raw)
+    expected = controls.ept_pwl in (LVL_PML4, LVL_PML5) and controls.base_pa != 0
+    assert sept_walk_ok(td) is expected
+
+
+def test_session_key_follows_every_mig_dec_key_change(catalog):
+    td = _fresh_td()
+    key_entry = catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    for i, quadword in enumerate((1, 2, 3, 4)):
+        td.write_element_raw(key_entry, i, quadword)
+    key = td.session_key
+    assert key.to_quadwords() == [1, 2, 3, 4]
+    assert td.session_key is key  # built once per key value
+    td.write_element_raw(key_entry, 3, 5)
+    assert td.session_key.to_quadwords() == [1, 2, 3, 5]
+    td.mig_dec_key[0] = 9  # a direct store is seen too
+    assert td.session_key.to_quadwords() == [9, 2, 3, 5]
+
+
 # --- gpa checks ----------------------------------------------------------------------
 
 def test_gpa_validity():
