@@ -155,6 +155,8 @@ class FieldCatalog:
             self._by_context.setdefault(entry.context_code, []).append(entry)
         self._validate()
         self._by_name = {(e.context_code, e.name): e for e in entries}
+        if len(self._by_name) != len(entries):
+            raise ValueError("catalog names a field twice in one context")
 
     @classmethod
     def load(cls, text: Optional[str] = None) -> "FieldCatalog":
@@ -326,15 +328,16 @@ class CpuidLookup:
         return fid.field_code
 
 
-def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, mode: str) -> int:
+def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, read_before_check: bool) -> int:
     """Next valid CPUID lookup position after field_id, or MD_FIELD_ID_NA.
 
-    The pre-fix loop increments and dereferences before the bounds check, so a
-    search starting at the final table slot touches one index past the array.
+    The pre-fix loop (read_before_check) increments and dereferences before
+    the bounds check, so a search starting at the final table slot touches one
+    index past the array.
     The fixed loop bounds-checks inside and never reads out of range.
     """
     index = lookup.index_of_field_id(field_id_raw)
-    if mode == "vulnerable":
+    if read_before_check:
         while True:
             index += 1
             if lookup.read(index).valid_entry:

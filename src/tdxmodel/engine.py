@@ -71,14 +71,17 @@ from .td import (
     MAX_VCPUS_PER_TD,
     Kot,
     KotState,
+    ServtdBinding,
     TdComplex,
     TdExportSource,
     TdImportSink,
     TdParams,
+    VcpuState,
     XCR0_X87,
     init_event_filters,
     make_binding_handle,
     break_binding_handle,
+    missing_required_fields,
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
@@ -91,42 +94,39 @@ FINDING_TOGGLES = ("v1", "v2", "bug1", "bug2", "bug3", "bug4", "bug6", "bug8", "
 
 @dataclass(frozen=True)
 class EngineMode:
-    """Per-finding vulnerable/fixed switches; everything defaults to fixed."""
+    """Per-finding switches, all fixed by default; True runs the pre-fix code."""
 
-    v1: str = "fixed"
-    v2: str = "fixed"
-    bug1: str = "fixed"
-    bug2: str = "fixed"
-    bug3: str = "fixed"
-    bug4: str = "fixed"
-    bug6: str = "fixed"
-    bug8: str = "fixed"
-    bug9: str = "fixed"
+    v1: bool = False
+    v2: bool = False
+    bug1: bool = False
+    bug2: bool = False
+    bug3: bool = False
+    bug4: bool = False
+    bug6: bool = False
+    bug8: bool = False
+    bug9: bool = False
 
     def __post_init__(self):
         for f in dc_fields(self):
             value = getattr(self, f.name)
-            if value not in ("vulnerable", "fixed"):
-                raise ValueError(f"{f.name} must be vulnerable or fixed, not {value!r}")
+            if not isinstance(value, bool):
+                raise TypeError(f"{f.name} must be a bool, not {value!r}")
 
     @classmethod
     def all_vulnerable(cls) -> "EngineMode":
-        return cls(**{name: "vulnerable" for name in FINDING_TOGGLES})
+        return cls(**dict.fromkeys(FINDING_TOGGLES, True))
 
     @classmethod
     def with_toggles(cls, toggles: dict[str, str]) -> "EngineMode":
-        return cls(**toggles)
+        """The mode named by scenario/CLI words: each toggle vulnerable or fixed."""
+        words = {"vulnerable": True, "fixed": False}
+        for name, word in toggles.items():
+            if word not in words:
+                raise ValueError(f"{name} must be vulnerable or fixed, not {word!r}")
+        return cls(**{name: words[word] for name, word in toggles.items()})
 
     def codec_mode(self) -> WriteMode:
-        return WriteMode(
-            header_underflow=self.bug1 == "vulnerable",
-            loop_underflow=self.v2 == "vulnerable",
-            silent_skip=self.bug2 == "vulnerable",
-        )
-
-    @property
-    def state_mode(self) -> str:
-        return "fixed" if self.v1 == "fixed" else "vulnerable"
+        return WriteMode(header_underflow=self.bug1, loop_underflow=self.v2, silent_skip=self.bug2)
 
 
 @dataclass
@@ -165,18 +165,75 @@ OUTCOMES = ("success", "failure", "interrupted")
 
 
 @functools.cache
-def _edge_table(matrix: PermissionMatrix, state_mode: str) -> dict:
-    """The matrix compiled for the gate, once per (matrix, state mode).
+def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
+    """The matrix compiled for the gate, once per (matrix, START_IMPORT rule).
 
     Each allowed (interface, op_state, leaf) maps every outcome to the next
     op_state that transition() gives for it, so one dict lookup both admits a
     call and fixes where each of its outcomes lands.
     """
     return {
-        key: {outcome: transition(matrix, key[1], key[2], outcome, state_mode, key[0])
+        key: {outcome: transition(matrix, key[1], key[2], outcome, start_import, key[0])
               for outcome in OUTCOMES}
         for key, _ in matrix.items()
     }
+
+
+def _nothing() -> None:
+    """The value a (status, value) leaf returns with a bare status."""
+
+
+def _leaf(leaf: Leaf, returns=None):
+    """Dispatch one host leaf: the gate, the body, and one trace step.
+
+    The body runs only when _gate admits the call.  It returns a bare status,
+    (status, outcome) or, for a leaf given ``returns``, (status, outcome,
+    value); an outcome moves the op_state along the admitted matrix row, and
+    a bare status leaves it in place.  A leaf given ``returns`` answers
+    (status, value), where ``returns()`` is the value that goes with a bare
+    status, a refused call's included.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def dispatch(self, td, *args, **kwargs):
+            before = td.op_state
+            result = self._gate(td, leaf)
+            if result is None:
+                result = body(self, td, *args, **kwargs)
+            if type(result) is not tuple:
+                self._finish(td, leaf, before, result, None)
+                return result if returns is None else (result, returns())
+            self._finish(td, leaf, before, result[0], result[1])
+            return result[0] if returns is None else (result[0], result[2])
+        return dispatch
+    return wrap
+
+
+def _guest_leaf(leaf: Leaf):
+    """Dispatch one service-TD leaf on the TD its binding handle names.
+
+    A handle that names no bound TD returns its status with no trace step.
+    Once the target TD is found, the call is refused as a host leaf would be
+    (a busy TD, no guest matrix row) or runs the body, which returns
+    (status, value); either way the TD's trace gets one step that leaves the
+    op_state in place.
+    """
+    def wrap(body):
+        def dispatch(self, caller: "Servtd", handle: int, *args, **kwargs) -> tuple[int, int]:
+            status, td = self._servtd_locate(handle, caller.uuid)
+            if td is None:
+                return status, 0
+            if td.locked:
+                status, value = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), 0
+            elif not self.matrix.is_allowed(td.op_state, leaf, "guest"):
+                status, value = TDX_OP_STATE_INCORRECT, 0
+            else:
+                status, value = body(self, td, *args, **kwargs)
+            td.trace.append(TraceStep(leaf, td.op_state, td.op_state, status))
+            return status, value
+        dispatch.__doc__ = body.__doc__
+        return dispatch
+    return wrap
 
 
 SYS_DEFAULTS = {
@@ -195,17 +252,14 @@ class TdxModule:
         self.mode = mode or EngineMode()
         self.catalog = bundled_catalog()
         self.matrix = bundled_matrix()
-        self._edges = _edge_table(self.matrix, self.mode.state_mode)
+        self._edges = _edge_table(self.matrix, not self.mode.v1)
         self._admitted: dict = {}
         self.kot = Kot(kot_size)
         self.cpuid = CpuidLookup()
         self.rng = random.Random(seed)
         self.tds: dict[int, TdComplex] = {}
         self.servtds: dict[tuple, Servtd] = {}
-        self.sys_store: dict = {}
-        for name, value in SYS_DEFAULTS.items():
-            entry = self.catalog.by_name(MD_CTX_SYS, name)
-            self.sys_store[(entry.class_code, entry.field_code)] = [value]
+        self.sys_store: dict = {name: [value] for name, value in SYS_DEFAULTS.items()}
         self._next_page = 0x100
         self._next_epoch = 0
         self.vmm_regs = {"rcx": 0, "rdx": 0}
@@ -250,10 +304,9 @@ class TdxModule:
         td.trace.append(TraceStep(leaf, before, after, status))
         return status
 
-    def _mark_fatal(self, td: TdComplex, leaf: Leaf, before: OpState) -> int:
-        td.fatal = True
-        td.trace.append(TraceStep(leaf, before, before, TDX_TD_FATAL))
-        return TDX_TD_FATAL
+    def _succeed(self, td: TdComplex) -> tuple[int, str]:
+        """A leaf with no desk-scale state of its own: the gate and the edge are the call."""
+        return TDX_SUCCESS, "success"
 
     # -- lifecycle and build -------------------------------------------------
 
@@ -263,33 +316,23 @@ class TdxModule:
         self.kot.entries[hkid].state = KotState.HKID_ASSIGNED
         td = TdComplex(tdr_page=self.alloc_page(), hkid=hkid)
         td.sept_root_pa = self.alloc_page()
-        td.td_uuid = tuple(self.rng.getrandbits(64) for _ in range(4))
-        uuid_entry = self.catalog.by_name(MD_CTX_TD, "TD_UUID")
-        for i, q in enumerate(td.td_uuid):
-            td.write_element_raw(uuid_entry, i, q)
+        td.td_uuid[:] = [self.rng.getrandbits(64) for _ in range(4)]
         self.tds[td.tdr_page] = td
         return TDX_SUCCESS, td
 
+    @_leaf(Leaf.TDH_MNG_KEY_CONFIG)
     def tdh_mng_key_config(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MNG_KEY_CONFIG)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MNG_KEY_CONFIG, before, blocked, None)
         if td.lifecycle is not LifecycleState.TD_HKID_ASSIGNED:
-            return self._finish(
-                td, Leaf.TDH_MNG_KEY_CONFIG, before, TDX_LIFECYCLE_STATE_INCORRECT, None
-            )
+            return TDX_LIFECYCLE_STATE_INCORRECT
         td.lifecycle = LifecycleState.TD_KEYS_CONFIGURED
-        return self._finish(td, Leaf.TDH_MNG_KEY_CONFIG, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_MNG_ADDCX)
     def tdh_mng_addcx(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MNG_ADDCX)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MNG_ADDCX, before, blocked, None)
         td.tdcx_count += 1
-        return self._finish(td, Leaf.TDH_MNG_ADDCX, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_MNG_INIT)
     def tdh_mng_init(
         self,
         td: TdComplex,
@@ -298,132 +341,88 @@ class TdxModule:
         event_filters_num: int = 0,
         event_filters: Optional[list[int]] = None,
     ) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MNG_INIT)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MNG_INIT, before, blocked, None)
         if td.tdcx_count < TdComplex.MIN_TDCX_PAGES:
-            return self._finish(td, Leaf.TDH_MNG_INIT, before, TDX_TDCX_NUM_INCORRECT, None)
+            return TDX_TDCX_NUM_INCORRECT
         status = read_and_set_td_configurations(td, params, self.mode.v1)
         if status != TDX_SUCCESS:
-            return self._finish(td, Leaf.TDH_MNG_INIT, before, status, "failure")
+            return status, "failure"
         status = init_event_filters(
             td, event_filtering, event_filters_num, event_filters or [], self.mode.bug3
         )
         if status != TDX_SUCCESS:
-            return self._finish(td, Leaf.TDH_MNG_INIT, before, status, "failure")
+            return status, "failure"
         virtual_tsc = self.catalog.by_name(MD_CTX_TD, "VIRTUAL_TSC")
         td.write_element_raw(virtual_tsc, 0, td.tsc_frequency * 0x40)
         td.write_element_raw(virtual_tsc, 1, 0)
-        return self._finish(td, Leaf.TDH_MNG_INIT, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_VP_CREATE, _nothing)
     def tdh_vp_create(self, td: TdComplex) -> tuple[int, Optional[int]]:
-        from .td import VcpuState
-
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_VP_CREATE)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_VP_CREATE, before, blocked, None), None
         index = len(td.vps)
-        if before is OpState.INITIALIZED:
+        if td.op_state is OpState.INITIALIZED:
             # Build path: the vcpu counter tracks created VPs.
             if td.num_vcpus + 1 > MAX_VCPUS_PER_TD:
-                return self._finish(
-                    td, Leaf.TDH_VP_CREATE, before,
-                    with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR), None,
-                ), None
+                return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
             td.num_vcpus += 1
             x2apic = self.catalog.by_name(MD_CTX_TD, "X2APIC_IDS")
             td.write_element_raw(x2apic, index, index)
         td.vps.append(VcpuState(index=index))
-        self._finish(td, Leaf.TDH_VP_CREATE, before, TDX_SUCCESS, "success")
-        return TDX_SUCCESS, index
+        return TDX_SUCCESS, "success", index
 
+    @_leaf(Leaf.TDH_VP_ADDCX)
     def tdh_vp_addcx(self, td: TdComplex, vp_index: int) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_VP_ADDCX)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_VP_ADDCX, before, blocked, None)
         if vp_index >= len(td.vps):
-            return self._finish(
-                td, Leaf.TDH_VP_ADDCX, before,
-                with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR), None,
-            )
-        return self._finish(td, Leaf.TDH_VP_ADDCX, before, TDX_SUCCESS, "success")
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_VP_INIT)
     def tdh_vp_init(self, td: TdComplex, vp_index: int) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_VP_INIT)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_VP_INIT, before, blocked, None)
         if vp_index >= len(td.vps):
-            return self._finish(
-                td, Leaf.TDH_VP_INIT, before,
-                with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR), None,
-            )
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         vp = td.vps[vp_index]
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         vp.values(xcr0)[0] = td.xfam | XCR0_X87
         deadline = self.catalog.by_name(MD_CTX_VP, "TSC_DEADLINE")
         vp.values(deadline)[0] = 0
-        return self._finish(td, Leaf.TDH_VP_INIT, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_MEM_SEPT_ADD)
     def tdh_mem_sept_add(self, td: TdComplex, gpa: int) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MEM_SEPT_ADD)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MEM_SEPT_ADD, before, blocked, None)
         if not sept_walk_ok(td):
-            return self._mark_fatal(td, Leaf.TDH_MEM_SEPT_ADD, before)
-        return self._finish(td, Leaf.TDH_MEM_SEPT_ADD, before, TDX_SUCCESS, "success")
+            td.fatal = True
+            return TDX_TD_FATAL
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_MEM_PAGE_ADD)
     def tdh_mem_page_add(self, td: TdComplex, gpa: int, token: int) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MEM_PAGE_ADD)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MEM_PAGE_ADD, before, blocked, None)
         if not sept_walk_ok(td):
-            return self._mark_fatal(td, Leaf.TDH_MEM_PAGE_ADD, before)
+            td.fatal = True
+            return TDX_TD_FATAL
         td.pages[gpa] = token
-        return self._finish(td, Leaf.TDH_MEM_PAGE_ADD, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_MR_EXTEND)
     def tdh_mr_extend(self, td: TdComplex, gpa: int) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MR_EXTEND)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MR_EXTEND, before, blocked, None)
         token = td.pages.get(gpa, 0)
         td.measurement = hashlib.sha384(
             td.measurement + struct.pack("<QQ", gpa, token)
         ).digest()
-        return self._finish(td, Leaf.TDH_MR_EXTEND, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
-    def tdh_mr_finalize(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MR_FINALIZE)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MR_FINALIZE, before, blocked, None)
-        return self._finish(td, Leaf.TDH_MR_FINALIZE, before, TDX_SUCCESS, "success")
+    tdh_mr_finalize = _leaf(Leaf.TDH_MR_FINALIZE)(_succeed)
 
+    @_leaf(Leaf.TDH_VP_ENTER)
     def tdh_vp_enter(self, td: TdComplex, vp_index: int) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_VP_ENTER)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_VP_ENTER, before, blocked, None)
         if vp_index >= len(td.vps):
-            return self._finish(
-                td, Leaf.TDH_VP_ENTER, before,
-                with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR), None,
-            )
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         vp = td.vps[vp_index]
-        if not sept_walk_ok(td):
-            return self._mark_fatal(td, Leaf.TDH_VP_ENTER, before)
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
-        if not vp.values(xcr0)[0] & XCR0_X87:
-            # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
-            return self._mark_fatal(td, Leaf.TDH_VP_ENTER, before)
+        # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
+        if not sept_walk_ok(td) or not vp.values(xcr0)[0] & XCR0_X87:
+            td.fatal = True
+            return TDX_TD_FATAL
         vp.entered = True
-        return self._finish(td, Leaf.TDH_VP_ENTER, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
     def build_td(
         self,
@@ -441,10 +440,9 @@ class TdxModule:
         status, td = self.tdh_mng_create(hkid)
         if status != TDX_SUCCESS:
             return status, None
-        for step in (self.tdh_mng_key_config,):
-            status = step(td)
-            if status != TDX_SUCCESS:
-                return status, td
+        status = self.tdh_mng_key_config(td)
+        if status != TDX_SUCCESS:
+            return status, td
         for _ in range(TdComplex.MIN_TDCX_PAGES):
             status = self.tdh_mng_addcx(td)
             if status != TDX_SUCCESS:
@@ -476,56 +474,40 @@ class TdxModule:
 
     # -- streams and service TDs --------------------------------------------
 
+    @_leaf(Leaf.TDH_MIG_STREAM_CREATE)
     def tdh_mig_stream_create(self, td: TdComplex, stream_index: Optional[int] = None) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MIG_STREAM_CREATE)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MIG_STREAM_CREATE, before, blocked, None)
         index = stream_index if stream_index is not None else len(td.migsc)
         td.migsc.append(MigStreamContext(stream_index=index))
-        return self._finish(td, Leaf.TDH_MIG_STREAM_CREATE, before, TDX_SUCCESS, "success")
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_SERVTD_BIND, _nothing)
     def tdh_servtd_bind(
         self, td: TdComplex, slot: int, servtd: Servtd
     ) -> tuple[int, Optional[int]]:
-        from .td import ServtdBinding
-
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_SERVTD_BIND)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_SERVTD_BIND, before, blocked, None), None
         td.servtd_bindings[slot] = ServtdBinding(
             slot=slot, servtd_uuid=servtd.uuid, info_hash=servtd.info_hash
         )
         handle = make_binding_handle(slot, td.tdr_page, servtd.uuid[0])
-        self._finish(td, Leaf.TDH_SERVTD_BIND, before, TDX_SUCCESS, "success")
-        return TDX_SUCCESS, handle
+        return TDX_SUCCESS, "success", handle
 
-    def _servtd_locate(self, handle: int, caller_uuid: tuple) -> tuple[int, Optional[TdComplex], int]:
+    def _servtd_locate(self, handle: int, caller_uuid: tuple) -> tuple[int, Optional[TdComplex]]:
         """Break the handle and find the target; statuses follow the bug6 toggle."""
         tdr_page, slot = break_binding_handle(handle, caller_uuid[0])
         generic = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDR)
         td = self.tds.get(tdr_page)
         if td is None:
-            return generic, None, slot
+            return generic, None
         binding = td.servtd_bindings.get(slot)
         if binding is None or binding.servtd_uuid != caller_uuid:
-            if self.mode.bug6 == "vulnerable":
+            if self.mode.bug6:
                 # Distinguishable from the no-TDR case: an HPA oracle.
-                return TDX_SERVTD_UUID_MISMATCH, None, slot
-            return generic, None, slot
-        return TDX_SUCCESS, td, slot
+                return TDX_SERVTD_UUID_MISMATCH, None
+            return generic, None
+        return TDX_SUCCESS, td
 
-    def tdg_servtd_rd(
-        self, caller: Servtd, handle: int, field_id_raw: int
-    ) -> tuple[int, int]:
-        status, td, _ = self._servtd_locate(handle, caller.uuid)
-        if status != TDX_SUCCESS:
-            return status, 0
-        if td.locked:
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), 0
-        if not self.matrix.is_allowed(td.op_state, Leaf.TDG_SERVTD_RD, "guest"):
-            return TDX_OP_STATE_INCORRECT, 0
+    @_guest_leaf(Leaf.TDG_SERVTD_RD)
+    def tdg_servtd_rd(self, td: TdComplex, field_id_raw: int) -> tuple[int, int]:
+        """Read target-TD metadata from a bound service TD."""
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
@@ -535,17 +517,11 @@ class TdxModule:
         position = fid.field_code - entry.field_code
         return TDX_SUCCESS, td.read_element(entry, position) & entry.migtd_rd_mask
 
+    @_guest_leaf(Leaf.TDG_SERVTD_WR)
     def tdg_servtd_wr(
-        self, caller: Servtd, handle: int, field_id_raw: int, value: int, mask: int = U64
+        self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64
     ) -> tuple[int, int]:
         """Write target-TD metadata from a bound service TD; returns old contents."""
-        status, td, _ = self._servtd_locate(handle, caller.uuid)
-        if status != TDX_SUCCESS:
-            return status, 0
-        if td.locked:
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), 0
-        if not self.matrix.is_allowed(td.op_state, Leaf.TDG_SERVTD_WR, "guest"):
-            return TDX_OP_STATE_INCORRECT, 0
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
@@ -560,12 +536,8 @@ class TdxModule:
 
     # -- host metadata access -------------------------------------------------
 
+    @_leaf(Leaf.TDH_MNG_RD, list)
     def tdh_mng_rd(self, td: TdComplex, field_id_raw: int, count: int = 1) -> tuple[int, list[int]]:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MNG_RD)
-        if blocked is not None:
-            self._finish(td, Leaf.TDH_MNG_RD, before, blocked, None)
-            return blocked, []
         values = []
         fid = md.decode_field_id(field_id_raw)
         code = fid.field_code
@@ -576,52 +548,38 @@ class TdxModule:
             )
             entry = self.catalog.find_entry(MD_CTX_TD, probe)
             if entry is None:
-                self._finish(td, Leaf.TDH_MNG_RD, before, with_operand(TDX_OPERAND_INVALID, 0), None)
-                return with_operand(TDX_OPERAND_INVALID, 0), values
+                return with_operand(TDX_OPERAND_INVALID, 0), None, values
             mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
             if mask == 0:
-                self._finish(td, Leaf.TDH_MNG_RD, before, TDX_METADATA_FIELD_NOT_READABLE, None)
-                return TDX_METADATA_FIELD_NOT_READABLE, values
+                return TDX_METADATA_FIELD_NOT_READABLE, None, values
             values.append(td.read_element(entry, (code + i) - entry.field_code) & mask)
-        self._finish(td, Leaf.TDH_MNG_RD, before, TDX_SUCCESS, "success")
-        return TDX_SUCCESS, values
+        return TDX_SUCCESS, "success", values
 
+    @_leaf(Leaf.TDH_MNG_WR)
     def tdh_mng_wr(self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_MNG_WR)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_MNG_WR, before, blocked, None)
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return self._finish(td, Leaf.TDH_MNG_WR, before, with_operand(TDX_OPERAND_INVALID, 0), None)
+            return with_operand(TDX_OPERAND_INVALID, 0)
         wr_mask = entry.dbg_wr_mask if td.attributes.debug else entry.prod_wr_mask
         combined = mask & wr_mask
         if combined == 0:
-            return self._finish(td, Leaf.TDH_MNG_WR, before, TDX_METADATA_FIELD_NOT_WRITABLE, None)
+            return TDX_METADATA_FIELD_NOT_WRITABLE
         sink = TdImportSink(td, self.catalog, is_import=False, gpa_checks=True, track=False)
         status = sink.write_field(entry, entry.field_index_of(fid.field_code), [value], combined)
-        outcome = "success" if status == TDX_SUCCESS else None
-        return self._finish(td, Leaf.TDH_MNG_WR, before, status, outcome)
+        return status, "success" if status == TDX_SUCCESS else None
 
+    @_leaf(Leaf.TDH_VP_RD, int)
     def tdh_vp_rd(self, td: TdComplex, vp_index: int, field_id_raw: int) -> tuple[int, int]:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_VP_RD)
-        if blocked is not None:
-            self._finish(td, Leaf.TDH_VP_RD, before, blocked, None)
-            return blocked, 0
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_VP, fid)
         if entry is None:
-            self._finish(td, Leaf.TDH_VP_RD, before, with_operand(TDX_OPERAND_INVALID, 0), None)
-            return with_operand(TDX_OPERAND_INVALID, 0), 0
+            return with_operand(TDX_OPERAND_INVALID, 0)
         mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
         if mask == 0:
-            self._finish(td, Leaf.TDH_VP_RD, before, TDX_METADATA_FIELD_NOT_READABLE, None)
-            return TDX_METADATA_FIELD_NOT_READABLE, 0
+            return TDX_METADATA_FIELD_NOT_READABLE
         value = td.read_element(entry, fid.field_code - entry.field_code, vp_index) & mask
-        self._finish(td, Leaf.TDH_VP_RD, before, TDX_SUCCESS, "success")
-        return TDX_SUCCESS, value
+        return TDX_SUCCESS, "success", value
 
     # -- export side -----------------------------------------------------------
 
@@ -639,37 +597,21 @@ class TdxModule:
         mbmd, ciphertext = encrypt_bundle(migsc, bundle_type, [l.to_bytes() for l in lists])
         return Bundle(mbmd, ciphertext)
 
+    @_leaf(Leaf.TDH_EXPORT_STATE_IMMUTABLE, _nothing)
     def tdh_export_state_immutable(
         self, td: TdComplex, migsc_index: int = 0
     ) -> tuple[int, Optional[Bundle]]:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_STATE_IMMUTABLE)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before, blocked, None), None
         if not td.attributes.migratable:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before, TDX_TD_NOT_MIGRATABLE, None
-            ), None
+            return TDX_TD_NOT_MIGRATABLE
         if td.export_count >= MAX_EXPORT_COUNT:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before, TDX_MAX_EXPORTS_EXCEEDED, None
-            ), None
+            return TDX_MAX_EXPORTS_EXCEEDED
         migsc = self._stream(td, migsc_index)
         if migsc is None:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before,
-                TDX_MIGRATION_STREAM_STATE_INCORRECT, None,
-            ), None
+            return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if not td.mig_dec_key_set:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before,
-                TDX_MIGRATION_DECRYPTION_KEY_NOT_SET, None,
-            ), None
+            return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
         if not migsc.acquire():
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before,
-                with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None,
-            ), None
+            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
         try:
             # Counted before the dump so the bundle carries the lineage's tally.
             td.export_count += 1
@@ -683,62 +625,36 @@ class TdxModule:
             bundle = self._seal(td, migsc, BundleType.IMMUTABLE, sys_lists + td_lists)
         finally:
             migsc.release()
-        return self._finish(
-            td, Leaf.TDH_EXPORT_STATE_IMMUTABLE, before, TDX_SUCCESS, "success"
-        ), bundle
+        return TDX_SUCCESS, "success", bundle
 
-    def tdh_export_pause(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_PAUSE)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_PAUSE, before, blocked, None)
-        return self._finish(td, Leaf.TDH_EXPORT_PAUSE, before, TDX_SUCCESS, "success")
+    tdh_export_pause = _leaf(Leaf.TDH_EXPORT_PAUSE)(_succeed)
 
+    @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
     def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_STATE_TD)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_STATE_TD, before, blocked, None), None
         migsc = self._stream(td, migsc_index)
         if migsc is None or not td.mig_dec_key_set:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_TD, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None
-            ), None
+            return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if not migsc.acquire():
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_TD, before,
-                with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None,
-            ), None
+            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
         try:
             entries = self._entries_by_mig(MD_CTX_TD, (MigClass.ME,))
             lists = md.dump_lists(self.catalog, MD_CTX_TD, entries, TdExportSource(td))
             bundle = self._seal(td, migsc, BundleType.TD, lists)
         finally:
             migsc.release()
-        return self._finish(td, Leaf.TDH_EXPORT_STATE_TD, before, TDX_SUCCESS, "success"), bundle
+        return TDX_SUCCESS, "success", bundle
 
+    @_leaf(Leaf.TDH_EXPORT_STATE_VP, _nothing)
     def tdh_export_state_vp(
         self, td: TdComplex, vp_index: int, migsc_index: int = 0
     ) -> tuple[int, Optional[Bundle]]:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_STATE_VP)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_STATE_VP, before, blocked, None), None
         if vp_index >= len(td.vps):
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_VP, before,
-                with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR), None,
-            ), None
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         migsc = self._stream(td, migsc_index)
         if migsc is None or not td.mig_dec_key_set:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_VP, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None
-            ), None
+            return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if not migsc.acquire():
-            return self._finish(
-                td, Leaf.TDH_EXPORT_STATE_VP, before,
-                with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None,
-            ), None
+            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
         try:
             entries = self._entries_by_mig(MD_CTX_VP, (MigClass.ME,))
             lists = md.dump_lists(
@@ -747,105 +663,77 @@ class TdxModule:
             bundle = self._seal(td, migsc, BundleType.VP, lists)
         finally:
             migsc.release()
-        return self._finish(td, Leaf.TDH_EXPORT_STATE_VP, before, TDX_SUCCESS, "success"), bundle
+        return TDX_SUCCESS, "success", bundle
 
+    @_leaf(Leaf.TDH_EXPORT_MEM, _nothing)
     def tdh_export_mem(
         self, td: TdComplex, gpa: int, migsc_index: int = 0, abort: bool = False
     ) -> tuple[int, Optional[Bundle]]:
         """Export one page; the IV counter advances even when the call aborts."""
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_MEM)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_MEM, before, blocked, None), None
         migsc = self._stream(td, migsc_index)
         if migsc is None or not td.mig_dec_key_set:
-            return self._finish(
-                td, Leaf.TDH_EXPORT_MEM, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None
-            ), None
+            return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if abort:
             # Increment the counter first so an aborted call never reuses an IV.
             migsc.next_iv()
-            return self._finish(
-                td, Leaf.TDH_EXPORT_MEM, before, TDX_INTERRUPTED_RESUMABLE, None
-            ), None
+            return TDX_INTERRUPTED_RESUMABLE
         token = td.pages.get(gpa, 0)
         payload = struct.pack("<QQ", gpa, token).ljust(md.LIST_BYTES, b"\x00")
         migsc.key = td.session_key
         mbmd, ciphertext = encrypt_bundle(migsc, BundleType.MEM, [payload])
-        return self._finish(
-            td, Leaf.TDH_EXPORT_MEM, before, TDX_SUCCESS, "success"
-        ), Bundle(mbmd, ciphertext)
+        return TDX_SUCCESS, "success", Bundle(mbmd, ciphertext)
 
+    @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_TRACK)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_TRACK, before, blocked, None), None
         self._next_epoch += 1
         token = EpochToken(start=start, epoch=self._next_epoch)
-        outcome = "success" if before is OpState.LIVE_EXPORT else None
-        return self._finish(td, Leaf.TDH_EXPORT_TRACK, before, TDX_SUCCESS, outcome), token
+        outcome = "success" if td.op_state is OpState.LIVE_EXPORT else None
+        return TDX_SUCCESS, outcome, token
 
-    def tdh_export_abort(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_EXPORT_ABORT)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_EXPORT_ABORT, before, blocked, None)
-        return self._finish(td, Leaf.TDH_EXPORT_ABORT, before, TDX_SUCCESS, "success")
-
-    def _gated_noop(self, td: TdComplex, leaf: Leaf) -> int:
-        """Write-block bookkeeping leaves: permission-checked, no desk-scale state."""
-        before = td.op_state
-        blocked = self._gate(td, leaf)
-        if blocked is not None:
-            return self._finish(td, leaf, before, blocked, None)
-        return self._finish(td, leaf, before, TDX_SUCCESS, "success")
-
-    def tdh_export_blockw(self, td: TdComplex) -> int:
-        return self._gated_noop(td, Leaf.TDH_EXPORT_BLOCKW)
-
-    def tdh_export_unblockw(self, td: TdComplex) -> int:
-        return self._gated_noop(td, Leaf.TDH_EXPORT_UNBLOCKW)
-
-    def tdh_export_restore(self, td: TdComplex) -> int:
-        return self._gated_noop(td, Leaf.TDH_EXPORT_RESTORE)
+    # Write-block bookkeeping: permission-checked, no desk-scale state.
+    tdh_export_abort = _leaf(Leaf.TDH_EXPORT_ABORT)(_succeed)
+    tdh_export_blockw = _leaf(Leaf.TDH_EXPORT_BLOCKW)(_succeed)
+    tdh_export_unblockw = _leaf(Leaf.TDH_EXPORT_UNBLOCKW)(_succeed)
+    tdh_export_restore = _leaf(Leaf.TDH_EXPORT_RESTORE)(_succeed)
 
     # -- import side -----------------------------------------------------------
+
+    # Per state bundle: the context of its list i, and the migration classes
+    # whose required fields the import must have written in full.
+    _STATE_BUNDLES = {
+        BundleType.IMMUTABLE: (
+            lambda i: MD_CTX_SYS if i == 0 else MD_CTX_TD, frozenset({MigClass.MB})
+        ),
+        BundleType.TD: (lambda i: MD_CTX_TD, frozenset({MigClass.ME})),
+        BundleType.VP: (lambda i: MD_CTX_VP, frozenset({MigClass.ME})),
+    }
 
     def _import_lists(
         self,
         td: TdComplex,
-        leaf: Leaf,
         bundle: Bundle,
         migsc_index: int,
         bundle_type: BundleType,
-        contexts,
         vp_index: Optional[int] = None,
         policy: Optional[InterruptPolicy] = None,
         resume: bool = False,
-        required_kinds: Optional[set] = None,
-    ) -> int:
-        """Shared list-import loop with interrupt, latch, and completion logic."""
-        before = td.op_state
-        blocked = self._gate(td, leaf)
-        if blocked is not None:
-            return self._finish(td, leaf, before, blocked, None)
+    ):
+        """Shared body of the state-import leaves: interrupt, latch, and completion logic."""
+        contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
         migsc = self._stream(td, migsc_index)
         if migsc is None:
-            return self._finish(td, leaf, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+            return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if not td.mig_dec_key_set:
-            return self._finish(td, leaf, before, TDX_MIGRATION_DECRYPTION_KEY_NOT_SET, None)
+            return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
         if bundle.mbmd.bundle_type is not bundle_type:
-            return self._finish(td, leaf, before, TDX_INVALID_MBMD, None)
+            return TDX_INVALID_MBMD
         if not migsc.acquire():
-            return self._finish(
-                td, leaf, before, with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC), None
-            )
+            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
         try:
             migsc.key = td.session_key
             status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
             if status != TDX_SUCCESS:
-                return self._finish(td, leaf, before, status, None)
+                return status
 
             if not resume:
                 migsc.interrupted_state.reset()
@@ -854,7 +742,7 @@ class TdxModule:
             self.last_import_arenas = []
             self.last_write_results = []
             codec_mode = self.mode.codec_mode()
-            gpa_checks = self.mode.bug9 == "fixed"
+            gpa_checks = not self.mode.bug9
 
             for i in range(cursor, len(lists)):
                 arena = ParseArena(lists[i], plants=self.arena_plants)
@@ -873,32 +761,26 @@ class TdxModule:
                 if i + 1 <= len(lists) - 1 and policy and policy.pending(i):
                     migsc.interrupted_state.cursor = i + 1
                     migsc.interrupted_state.valid = True
-                    return self._finish(td, leaf, before, TDX_INTERRUPTED_RESUMABLE, "interrupted")
+                    return TDX_INTERRUPTED_RESUMABLE, "interrupted"
 
             if migsc.interrupted_state.status != TDX_SUCCESS:
                 self.vmm_regs["rcx"] = migsc.interrupted_state.ext_err_info[0]
                 self.vmm_regs["rdx"] = migsc.interrupted_state.ext_err_info[1]
-                return self._finish(
-                    td, leaf, before, as_fatal(migsc.interrupted_state.status), "failure"
-                )
+                return as_fatal(migsc.interrupted_state.status), "failure"
 
-            if self.mode.bug2 == "fixed" and required_kinds is not None:
+            if not self.mode.bug2:
                 missing = self._missing_required(td, contexts, len(lists), required_kinds, vp_index)
                 if missing:
                     self.vmm_regs["rcx"] = missing[0].field_id_raw
                     self.vmm_regs["rdx"] = 0
-                    return self._finish(
-                        td, leaf, before, as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
-                    )
+                    return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
 
             migsc.interrupted_state.reset()
-            return self._finish(td, leaf, before, TDX_SUCCESS, "success")
+            return TDX_SUCCESS, "success"
         finally:
             migsc.release()
 
     def _missing_required(self, td, contexts, num_lists, kinds, vp_index):
-        from .td import missing_required_fields
-
         ctx_codes = {contexts(i) for i in range(num_lists)}
         missing = []
         for ctx in sorted(ctx_codes):
@@ -916,6 +798,7 @@ class TdxModule:
             )
         return missing
 
+    @_leaf(Leaf.TDH_IMPORT_STATE_IMMUTABLE)
     def tdh_import_state_immutable(
         self,
         td: TdComplex,
@@ -925,17 +808,10 @@ class TdxModule:
         resume: bool = False,
     ) -> int:
         return self._import_lists(
-            td,
-            Leaf.TDH_IMPORT_STATE_IMMUTABLE,
-            bundle,
-            migsc_index,
-            BundleType.IMMUTABLE,
-            contexts=lambda i: MD_CTX_SYS if i == 0 else MD_CTX_TD,
-            policy=policy,
-            resume=resume,
-            required_kinds={MigClass.MB},
+            td, bundle, migsc_index, BundleType.IMMUTABLE, policy=policy, resume=resume
         )
 
+    @_leaf(Leaf.TDH_IMPORT_STATE_TD)
     def tdh_import_state_td(
         self,
         td: TdComplex,
@@ -943,17 +819,9 @@ class TdxModule:
         migsc_index: int = 0,
         policy: Optional[InterruptPolicy] = None,
     ) -> int:
-        return self._import_lists(
-            td,
-            Leaf.TDH_IMPORT_STATE_TD,
-            bundle,
-            migsc_index,
-            BundleType.TD,
-            contexts=lambda i: MD_CTX_TD,
-            policy=policy,
-            required_kinds={MigClass.ME},
-        )
+        return self._import_lists(td, bundle, migsc_index, BundleType.TD, policy=policy)
 
+    @_leaf(Leaf.TDH_IMPORT_STATE_VP)
     def tdh_import_state_vp(
         self,
         td: TdComplex,
@@ -963,77 +831,49 @@ class TdxModule:
         policy: Optional[InterruptPolicy] = None,
     ) -> int:
         if vp_index >= len(td.vps):
-            before = td.op_state
-            blocked = self._gate(td, Leaf.TDH_IMPORT_STATE_VP)
-            status = blocked if blocked is not None else with_operand(
-                TDX_OPERAND_INVALID, OPERAND_ID_TDVPR
-            )
-            return self._finish(td, Leaf.TDH_IMPORT_STATE_VP, before, status, None)
-        status = self._import_lists(
-            td,
-            Leaf.TDH_IMPORT_STATE_VP,
-            bundle,
-            migsc_index,
-            BundleType.VP,
-            contexts=lambda i: MD_CTX_VP,
-            vp_index=vp_index,
-            policy=policy,
-            required_kinds={MigClass.ME},
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
+        result = self._import_lists(
+            td, bundle, migsc_index, BundleType.VP, vp_index=vp_index, policy=policy
         )
-        if status == TDX_SUCCESS:
+        if result == (TDX_SUCCESS, "success"):
             td.num_migrated_vcpus += 1
-        return status
+        return result
 
+    @_leaf(Leaf.TDH_IMPORT_MEM)
     def tdh_import_mem(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_IMPORT_MEM)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_IMPORT_MEM, before, blocked, None)
         migsc = self._stream(td, migsc_index)
         if migsc is None or not td.mig_dec_key_set:
-            return self._finish(td, Leaf.TDH_IMPORT_MEM, before, TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+            return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if not sept_walk_ok(td):
-            return self._mark_fatal(td, Leaf.TDH_IMPORT_MEM, before)
-        migsc.key = td.session_key
-        status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
-        if status != TDX_SUCCESS:
-            return self._finish(td, Leaf.TDH_IMPORT_MEM, before, status, "failure")
-        gpa, token = struct.unpack("<QQ", lists[0][:16])
-        td.pages[gpa] = token
-        return self._finish(td, Leaf.TDH_IMPORT_MEM, before, TDX_SUCCESS, "success")
+            td.fatal = True
+            return TDX_TD_FATAL
+        if bundle.mbmd.bundle_type is not BundleType.MEM:
+            return TDX_INVALID_MBMD
+        if not migsc.acquire():
+            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
+        try:
+            migsc.key = td.session_key
+            status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
+            if status != TDX_SUCCESS:
+                return status, "failure"
+            gpa, token = struct.unpack("<QQ", lists[0][:16])
+            td.pages[gpa] = token
+        finally:
+            migsc.release()
+        return TDX_SUCCESS, "success"
 
+    @_leaf(Leaf.TDH_IMPORT_TRACK)
     def tdh_import_track(self, td: TdComplex, token: EpochToken) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_IMPORT_TRACK)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_IMPORT_TRACK, before, blocked, None)
         if not token.start:
-            return self._finish(td, Leaf.TDH_IMPORT_TRACK, before, TDX_SUCCESS, None)
+            return TDX_SUCCESS
         # The only completion gate: migrated and declared vcpu counts agree.
         if td.num_migrated_vcpus != td.num_vcpus:
-            return self._finish(td, Leaf.TDH_IMPORT_TRACK, before, TDX_SOME_VCPUS_NOT_MIGRATED, None)
-        return self._finish(td, Leaf.TDH_IMPORT_TRACK, before, TDX_SUCCESS, "success")
+            return TDX_SOME_VCPUS_NOT_MIGRATED
+        return TDX_SUCCESS, "success"
 
-    def tdh_import_commit(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_IMPORT_COMMIT)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_IMPORT_COMMIT, before, blocked, None)
-        return self._finish(td, Leaf.TDH_IMPORT_COMMIT, before, TDX_SUCCESS, "success")
-
-    def tdh_import_end(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_IMPORT_END)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_IMPORT_END, before, blocked, None)
-        return self._finish(td, Leaf.TDH_IMPORT_END, before, TDX_SUCCESS, "success")
-
-    def tdh_import_abort(self, td: TdComplex) -> int:
-        before = td.op_state
-        blocked = self._gate(td, Leaf.TDH_IMPORT_ABORT)
-        if blocked is not None:
-            return self._finish(td, Leaf.TDH_IMPORT_ABORT, before, blocked, None)
-        return self._finish(td, Leaf.TDH_IMPORT_ABORT, before, TDX_SUCCESS, "success")
+    tdh_import_commit = _leaf(Leaf.TDH_IMPORT_COMMIT)(_succeed)
+    tdh_import_end = _leaf(Leaf.TDH_IMPORT_END)(_succeed)
+    tdh_import_abort = _leaf(Leaf.TDH_IMPORT_ABORT)(_succeed)
 
     # -- module configuration ---------------------------------------------------
 

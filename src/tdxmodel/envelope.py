@@ -137,14 +137,10 @@ class InterruptedState:
 class MigStreamContext:
     """Per-stream crypto and resume state; one logical owner at a time."""
 
-    def __init__(self, stream_index: int, key: Optional[MigrationSessionKey] = None,
-                 counter_policy: str = "per_bundle"):
-        if counter_policy not in ("per_bundle", "per_list"):
-            raise ValueError(f"unknown counter policy: {counter_policy!r}")
+    def __init__(self, stream_index: int, key: Optional[MigrationSessionKey] = None):
         self.stream_index = stream_index
         self.key = key
         self.iv_counter = 0
-        self.counter_policy = counter_policy
         self.interrupted_state = InterruptedState()
         self._locked = False
         self.iv_history: list[bytes] = []
@@ -173,10 +169,6 @@ class MigStreamContext:
         self.iv_history.append(iv)
         return iv
 
-    def reserve_counters(self, count: int) -> None:
-        """Spend additional counter values without emitting (per-list policy)."""
-        self.iv_counter += count
-
 
 def make_iv(stream_index: int, counter: int) -> bytes:
     """96-bit IV: 32-bit stream index followed by the 64-bit counter."""
@@ -190,9 +182,7 @@ def encrypt_bundle(
 ) -> tuple[Mbmd, bytes]:
     """Seal whole 4KB lists into (record, ciphertext).
 
-    The counter always advances: once per bundle by default, or once per list
-    under the per-list policy (extra values are reserved, mirroring per-call
-    increments on the export path).
+    The counter advances once per bundle, and the record names the IV used.
     """
     for item in lists:
         if len(item) != LIST_BYTES:
@@ -201,13 +191,11 @@ def encrypt_bundle(
         raise ValueError("stream context has no session key")
     plaintext = b"".join(lists)
     iv = ctx.next_iv()
-    if ctx.counter_policy == "per_list" and len(lists) > 1:
-        ctx.reserve_counters(len(lists) - 1)
     mbmd = Mbmd(
         bundle_type=bundle_type,
         payload_size=len(plaintext),
         stream_index=ctx.stream_index,
-        iv_counter=ctx.iv_counter if ctx.counter_policy == "per_bundle" else ctx.iv_counter - len(lists) + 1,
+        iv_counter=ctx.iv_counter,
     )
     sealed = ctx.key.aead.encrypt(iv, plaintext, mbmd.aad())
     ciphertext, tag = sealed[:-16], sealed[-16:]

@@ -1010,7 +1010,7 @@ def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
         lines.append(f"[{marker}] {check.label}: {flag} (expected {want})")
     trace_problems = []
     for td in module.tds.values():
-        trace_problems.extend(validate_trace(module.matrix, td.trace, module.mode.state_mode))
+        trace_problems.extend(validate_trace(module.matrix, td.trace, not module.mode.v1))
     if trace_problems:
         ok = False
         for problem in trace_problems:

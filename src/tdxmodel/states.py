@@ -24,21 +24,6 @@ class LifecycleState(Enum):
     TD_TEARDOWN = "TD_TEARDOWN"
 
 
-_LIFECYCLE_ORDER = [
-    LifecycleState.TD_HKID_ASSIGNED,
-    LifecycleState.TD_KEYS_CONFIGURED,
-    LifecycleState.TD_BLOCKED,
-    LifecycleState.TD_TEARDOWN,
-]
-
-
-def lifecycle_successor(state: LifecycleState) -> Optional[LifecycleState]:
-    index = _LIFECYCLE_ORDER.index(state)
-    if index + 1 < len(_LIFECYCLE_ORDER):
-        return _LIFECYCLE_ORDER[index + 1]
-    return None
-
-
 class OpState(Enum):
     UNINITIALIZED = "UNINITIALIZED"
     INITIALIZED = "INITIALIZED"
@@ -194,22 +179,22 @@ def transition(
     state: OpState,
     leaf: Leaf,
     outcome: str,
-    mode: str = "vulnerable",
+    start_import: bool = False,
     interface: str = "host",
 ) -> OpState:
     """Pure next-state function over the fixture's transition columns.
 
     outcome is one of success, failure, interrupted.  Interruption never moves
     the op_state; a fatal import failure lands in FAILED_IMPORT via the
-    failure column.  With the fix enabled, the first touch of the immutable
-    import moves an UNINITIALIZED TD to START_IMPORT so the non-import
-    initialization path can no longer be interleaved.
+    failure column.  With start_import (the fix), the first touch of the
+    immutable import moves an UNINITIALIZED TD to START_IMPORT so the
+    non-import initialization path can no longer be interleaved.
     """
     row = matrix.row(state, leaf, interface)
     if row is None:
         raise StatusError(TDX_OP_STATE_INCORRECT)
     base = state
-    if mode == "fixed" and state is OpState.UNINITIALIZED and leaf is _IMPORT_TOUCH_LEAF:
+    if start_import and state is OpState.UNINITIALIZED and leaf is _IMPORT_TOUCH_LEAF:
         base = OpState.START_IMPORT
     if outcome == "interrupted":
         return base
@@ -228,14 +213,19 @@ class TraceStep:
     status: int
 
 
-def validate_trace(matrix: PermissionMatrix, steps: list[TraceStep], mode: str) -> list[str]:
+def validate_trace(
+    matrix: PermissionMatrix, steps: list[TraceStep], start_import: bool
+) -> list[str]:
     """Check that every observed op_state edge is a path in the fixture graph.
 
-    Returns a list of violation descriptions; empty means the trace is valid.
+    A TDG step is checked against the guest rows, every other against the
+    host rows.  Returns a list of violation descriptions; empty means the
+    trace is valid.
     """
     problems = []
     for step in steps:
-        row = matrix.row(step.before, step.leaf)
+        interface = "guest" if step.leaf.name.startswith("TDG_") else "host"
+        row = matrix.row(step.before, step.leaf, interface)
         if row is None:
             # A denied attempt is not an edge; anything else here is a violation.
             if step.after is step.before and step.status == TDX_OP_STATE_INCORRECT:
@@ -243,7 +233,7 @@ def validate_trace(matrix: PermissionMatrix, steps: list[TraceStep], mode: str) 
             problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
             continue
         legal = {step.before, row.next_on_success or step.before, row.next_on_failure or step.before}
-        if mode == "fixed" and step.before is OpState.UNINITIALIZED and step.leaf is _IMPORT_TOUCH_LEAF:
+        if start_import and step.before is OpState.UNINITIALIZED and step.leaf is _IMPORT_TOUCH_LEAF:
             legal.add(OpState.START_IMPORT)
         if step.after not in legal:
             problems.append(

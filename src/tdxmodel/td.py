@@ -1,11 +1,11 @@
 """TD aggregate state: attributes, controls, event filters, KOT, and bindings.
 
 Each operation that a finding touches exists in vulnerable and fixed variants
-selected by a mode argument: the vulnerable variant mutates state before all
-validation has passed (or never rolls back), the fixed variant is
-transactional.  Metadata lives in flat per-scope stores keyed by
-(class_code, base field_code); a handful of fields additionally mirror into
-typed attributes that the rest of the model consults.
+selected by a bool argument named for what it switches (True is the pre-fix
+code): the vulnerable variant mutates state before all validation has passed
+(or never rolls back), the fixed variant is transactional.  Metadata lives in flat per-scope stores keyed by field
+name; the TD fields the rest of the model consults by name (attributes, xfam,
+the session key, ...) are typed properties over the same store.
 """
 
 from __future__ import annotations
@@ -218,12 +218,13 @@ class Kot:
         return [i for i, e in enumerate(self.entries) if e.state is KotState.HKID_FREE]
 
 
-def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int], mode: str) -> int:
+def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
+                            leak_on_error: bool) -> int:
     """Reserve the module's HKID, then validate the TDMR entry addresses.
 
-    The pre-fix error path leaves the reservation in place, so repeated
-    failing calls drain the table.  The fixed variant restores HKID_FREE
-    before returning the error.
+    The pre-fix error path (leak_on_error) leaves the reservation in place,
+    so repeated failing calls drain the table.  The fixed variant restores
+    HKID_FREE before returning the error.
     """
     if hkid >= len(kot) or kot.entries[hkid].state is not KotState.HKID_FREE:
         return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX)
@@ -231,7 +232,7 @@ def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int], mode: 
     kot.module_hkid = hkid
     for address in tdmr_entries:
         if address % TDMR_ENTRY_ALIGNMENT:
-            if mode == "fixed":
+            if not leak_on_error:
                 kot.entries[hkid].state = KotState.HKID_FREE
                 kot.module_hkid = None
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
@@ -270,10 +271,9 @@ class VcpuState:
     entered: bool = False
 
     def values(self, entry: FieldEntry) -> list[int]:
-        key = (entry.class_code, entry.field_code)
-        if key not in self.store:
-            self.store[key] = [0] * entry.code_span
-        return self.store[key]
+        if entry.name not in self.store:
+            self.store[entry.name] = [0] * entry.code_span
+        return self.store[entry.name]
 
 
 @dataclass
@@ -288,6 +288,32 @@ class TdParams:
     hp_lock_timeout: int = 1_000_000
 
 
+# The TD fields the model also reads by name, with their quadword counts (as
+# in the catalog).  td_store is their only home; each has a typed property.
+TYPED_TD_FIELDS = {
+    "ATTRIBUTES": 1, "XFAM": 1, "GPAW": 1, "EPTP": 1, "NUM_VCPUS": 1,
+    "TSC_FREQUENCY": 1, "HP_LOCK_TIMEOUT": 1, "EXPORT_COUNT": 1,
+    "TD_UUID": 4, "MIG_DEC_KEY": 4,
+}
+
+
+def _td_field(name: str) -> property:
+    """A typed name for the one quadword of a TD field kept in td_store."""
+
+    def get(td: "TdComplex") -> int:
+        return td.td_store[name][0]
+
+    def put(td: "TdComplex", value: int) -> None:
+        td.td_store[name][0] = value
+
+    return property(get, put)
+
+
+def _td_quadwords(name: str) -> property:
+    """The stored quadwords of a multi-quadword TD field: a store into the list writes it."""
+    return property(lambda td: td.td_store[name])
+
+
 class TdComplex:
     """Aggregate TD root, control-structure, and per-VP state."""
 
@@ -298,19 +324,9 @@ class TdComplex:
         self.hkid = hkid
         self.lifecycle = LifecycleState.TD_HKID_ASSIGNED
         self.op_state = OpState.UNINITIALIZED
-        self.attributes = TdAttributes(0)
-        self.xfam = 0
-        self.gpaw = False
-        self.eptp_raw = 0
         self.sept_root_pa = 0
         self.pending_ve_disable = False
-        self.num_vcpus = 0
         self.num_migrated_vcpus = 0
-        self.tsc_frequency = 0
-        self.hp_lock_timeout = 0
-        self.export_count = 0
-        self.td_uuid: tuple[int, int, int, int] = (0, 0, 0, 0)
-        self.mig_dec_key: list[int] = [0, 0, 0, 0]
         self._mig_dec_key_written: set[int] = set()
         self._session_key: Optional[MigrationSessionKey] = None
         self._session_key_from: list[int] = []
@@ -320,7 +336,7 @@ class TdComplex:
         self.vps: list[VcpuState] = []
         self.migsc: list = []
         self.sys_store: dict = {}
-        self.td_store: dict = {}
+        self.td_store: dict = {name: [0] * span for name, span in TYPED_TD_FIELDS.items()}
         self.pages: dict[int, int] = {}
         self.measurement = b""
         self.tdcx_count = 0
@@ -330,49 +346,38 @@ class TdComplex:
         self.import_skipped: set = set()
         self.trace: list = []
 
+    # -- typed TD fields over td_store -------------------------------------
+
+    xfam = _td_field("XFAM")
+    gpaw = _td_field("GPAW")
+    eptp_raw = _td_field("EPTP")
+    num_vcpus = _td_field("NUM_VCPUS")
+    tsc_frequency = _td_field("TSC_FREQUENCY")
+    hp_lock_timeout = _td_field("HP_LOCK_TIMEOUT")
+    export_count = _td_field("EXPORT_COUNT")
+
+    @property
+    def attributes(self) -> TdAttributes:
+        return TdAttributes(self.td_store["ATTRIBUTES"][0])
+
+    @attributes.setter
+    def attributes(self, attrs: TdAttributes) -> None:
+        self.td_store["ATTRIBUTES"][0] = attrs.raw
+
+    td_uuid = _td_quadwords("TD_UUID")
+    mig_dec_key = _td_quadwords("MIG_DEC_KEY")  # a store into the list rekeys the TD
+
     # -- generic metadata store ------------------------------------------
 
     def _scope_values(self, entry: FieldEntry, vp_index: Optional[int]) -> list[int]:
         if entry.context_code == MD_CTX_VP:
             return self.vps[vp_index].values(entry)
         store = self.sys_store if entry.context_code == MD_CTX_SYS else self.td_store
-        key = (entry.class_code, entry.field_code)
-        if key not in store:
-            store[key] = [0] * entry.code_span
-        return store[key]
-
-    _MIRROR_NAMES = (
-        "ATTRIBUTES", "XFAM", "GPAW", "EPTP", "NUM_VCPUS",
-        "TSC_FREQUENCY", "HP_LOCK_TIMEOUT", "EXPORT_COUNT",
-        "TD_UUID", "MIG_DEC_KEY",
-    )
-
-    def _mirror_read(self, name: str, position: int) -> int:
-        if name == "ATTRIBUTES":
-            return self.attributes.raw
-        if name == "XFAM":
-            return self.xfam
-        if name == "GPAW":
-            return int(self.gpaw)
-        if name == "EPTP":
-            return self.eptp_raw
-        if name == "NUM_VCPUS":
-            return self.num_vcpus
-        if name == "TSC_FREQUENCY":
-            return self.tsc_frequency
-        if name == "HP_LOCK_TIMEOUT":
-            return self.hp_lock_timeout
-        if name == "EXPORT_COUNT":
-            return self.export_count
-        if name == "TD_UUID":
-            return self.td_uuid[position]
-        if name == "MIG_DEC_KEY":
-            return self.mig_dec_key[position]
-        raise KeyError(name)
+        if entry.name not in store:
+            store[entry.name] = [0] * entry.code_span
+        return store[entry.name]
 
     def read_element(self, entry: FieldEntry, position: int, vp_index: Optional[int] = None) -> int:
-        if entry.context_code == MD_CTX_TD and entry.name in self._MIRROR_NAMES:
-            return self._mirror_read(entry.name, position)
         return self._scope_values(entry, vp_index)[position]
 
     def read_field(self, entry: FieldEntry, field_index: int, vp_index: Optional[int] = None) -> list[int]:
@@ -381,39 +386,11 @@ class TdComplex:
 
     def write_element_raw(self, entry: FieldEntry, position: int, value: int,
                           vp_index: Optional[int] = None) -> None:
-        """Store a value with no special handling (mirrors updated for TD fields)."""
-        if entry.context_code == MD_CTX_TD and entry.name in self._MIRROR_NAMES:
-            self._mirror_write(entry.name, position, value)
-        else:
-            self._scope_values(entry, vp_index)[position] = value & U64
-
-    def _mirror_write(self, name: str, position: int, value: int) -> None:
-        value &= U64
-        if name == "ATTRIBUTES":
-            self.attributes = TdAttributes(value)
-        elif name == "XFAM":
-            self.xfam = value
-        elif name == "GPAW":
-            self.gpaw = bool(value & 1)
-        elif name == "EPTP":
-            self.eptp_raw = value
-        elif name == "NUM_VCPUS":
-            self.num_vcpus = value
-        elif name == "TSC_FREQUENCY":
-            self.tsc_frequency = value
-        elif name == "HP_LOCK_TIMEOUT":
-            self.hp_lock_timeout = value
-        elif name == "EXPORT_COUNT":
-            self.export_count = value
-        elif name == "TD_UUID":
-            uuid = list(self.td_uuid)
-            uuid[position] = value
-            self.td_uuid = tuple(uuid)
-        elif name == "MIG_DEC_KEY":
-            self.mig_dec_key[position] = value
+        """Store a value with no special handling; a key quadword counts as written."""
+        values = self._scope_values(entry, vp_index)
+        values[position] = value & U64
+        if values is self.td_store["MIG_DEC_KEY"]:
             self._mig_dec_key_written.add(position)
-        else:
-            raise KeyError(name)
 
     @property
     def mig_dec_key_set(self) -> bool:
@@ -426,9 +403,10 @@ class TdComplex:
         Built once per key value and compared against the quadwords on every
         use, so a rekey between two bundles takes effect on the next bundle.
         """
-        if self._session_key is None or self._session_key_from != self.mig_dec_key:
-            self._session_key = MigrationSessionKey.from_quadwords(self.mig_dec_key)
-            self._session_key_from = list(self.mig_dec_key)
+        key = self.td_store["MIG_DEC_KEY"]
+        if self._session_key is None or self._session_key_from != key:
+            self._session_key = MigrationSessionKey.from_quadwords(key)
+            self._session_key_from = list(key)
         return self._session_key
 
     # -- import accounting -------------------------------------------------
@@ -476,7 +454,7 @@ def verify_and_set_td_eptp_controls(td: TdComplex, gpaw: bool, eptp: EptpControl
     """Validate walk depth against gpaw, then re-root the controls at the TD's SEPT."""
     if gpaw and eptp.ept_pwl < LVL_PML5:
         return False
-    td.gpaw = gpaw
+    td.gpaw = int(gpaw)
     rooted = EptpControls(
         ept_ps_mt=eptp.ept_ps_mt,
         ept_pwl=eptp.ept_pwl,
@@ -500,18 +478,18 @@ def sept_walk_ok(td: TdComplex) -> bool:
     return ((raw >> 3) & 0x7) in (LVL_PML4, LVL_PML5) and (raw >> 12) & ((1 << 40) - 1) != 0
 
 
-def read_and_set_td_configurations(td: TdComplex, params: TdParams, mode: str) -> int:
+def read_and_set_td_configurations(td: TdComplex, params: TdParams, write_early: bool) -> int:
     """Validate and install host-supplied TD parameters.
 
-    The vulnerable variant writes each parameter as soon as its own check
-    passes and never rolls back, so a later failure (for example xfam) leaves
-    the earlier writes in place with the op_state untouched.  The fixed
+    The vulnerable variant (write_early) writes each parameter as soon as its
+    own check passes and never rolls back, so a later failure (for example
+    xfam) leaves the earlier writes in place with the op_state untouched.  The fixed
     variant validates everything before mutating the TD.
     """
     attrs = TdAttributes(params.attributes)
     eptp = EptpControls(ept_pwl=params.ept_pwl)
 
-    if mode == "vulnerable":
+    if write_early:
         td.num_vcpus = 0
         if not verify_td_attributes(attrs, is_import=False):
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_ATTRIBUTES)
@@ -551,13 +529,13 @@ def init_event_filters(
     event_filtering: bool,
     count: int,
     entries: list[int],
-    mode: str,
+    count_first: bool,
 ) -> int:
     """Install the guest perfmon event allow list.
 
-    The vulnerable variant assigns the filter count before the validation
-    loop and bails out mid-array on the first bad entry, leaving stale,
-    unsorted, or never-initialized slots covered by the count.  The fixed
+    The vulnerable variant (count_first) assigns the filter count before the
+    validation loop and bails out mid-array on the first bad entry, leaving
+    stale, unsorted, or never-initialized slots covered by the count.  The fixed
     variant validates into a scratch buffer and zeroes everything on failure.
     """
     if not (event_filtering and td.attributes.perfmon):
@@ -565,7 +543,7 @@ def init_event_filters(
     if count > MAX_EVENT_FILTERS:
         return with_operand(TDX_EVENT_FILTER_INVALID, 0)
 
-    if mode == "vulnerable":
+    if count_first:
         td.event_filters_num = count
         for i in range(count):
             entry = EventFilter.from_raw(entries[i])
@@ -708,8 +686,7 @@ class TdExportSource:
 
     def read_field(self, entry: FieldEntry, field_index: int) -> list[int]:
         if entry.context_code == MD_CTX_SYS and self.sys_store is not None:
-            key = (entry.class_code, entry.field_code)
-            values = self.sys_store.get(key, [0] * entry.code_span)
+            values = self.sys_store.get(entry.name, [0] * entry.code_span)
             base = field_index * entry.num_of_elem
             section = values[base : base + entry.num_of_elem]
         else:

@@ -257,7 +257,7 @@ def test_criterion_07_event_filters():
         filters = [
             EventFilter(event_select=v & 0xFF, umask=(v >> 8) & 0xFF).raw for v in internals
         ]
-        assert init_event_filters(td, True, count, filters, "fixed") == S.TDX_SUCCESS
+        assert init_event_filters(td, True, count, filters, False) == S.TDX_SUCCESS
         probe = rng.randrange(0x10000)
         linear = probe in internals  # linear-scan oracle
         assert is_event_allowed(td, probe & 0xFF, (probe >> 8) & 0xFF) is linear
@@ -279,10 +279,10 @@ def test_criterion_08_hkid_exhaustion():
 def test_criterion_09_cpuid_oob():
     lookup = CpuidLookup()
     start = lookup.field_id_for(78)
-    assert next_cpuid_entry(lookup, start, "vulnerable") == md.MD_FIELD_ID_NA
+    assert next_cpuid_entry(lookup, start, True) == md.MD_FIELD_ID_NA
     assert lookup.oob_accesses() == [79]
     lookup = CpuidLookup()
-    assert next_cpuid_entry(lookup, start, "fixed") == md.MD_FIELD_ID_NA
+    assert next_cpuid_entry(lookup, start, False) == md.MD_FIELD_ID_NA
     assert lookup.oob_accesses() == []
     _run("bug-4-cpuid-lookup-oob", "vulnerable")
     _run("bug-4-cpuid-lookup-oob", "fixed")

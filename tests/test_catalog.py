@@ -147,6 +147,13 @@ def _catalog_lines() -> list[str]:
     return [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
 
 
+def test_duplicate_name_in_a_context_rejected():
+    # Metadata stores are keyed by field name, so a name must be unique.
+    lines = [line.replace("TD_EPOCH ", "NUM_VCPUS", 1) for line in _catalog_lines()]
+    with pytest.raises(ValueError, match="twice"):
+        FieldCatalog.load("\n".join(lines))
+
+
 def test_entry_codes_are_the_decoded_raw_id(catalog):
     for ctx in CONTEXTS:
         for entry in catalog.entries_for(ctx):
@@ -179,7 +186,7 @@ def test_cpuid_table_shape():
 def test_next_cpuid_from_last_entry_vulnerable_logs_one_oob():
     lookup = CpuidLookup()
     start = lookup.field_id_for(lookup.lookup_index(0x80000002, 0xFFFFFFFF))
-    result = next_cpuid_entry(lookup, start, "vulnerable")
+    result = next_cpuid_entry(lookup, start, True)
     assert result == MD_FIELD_ID_NA
     assert lookup.oob_accesses() == [79]
 
@@ -187,7 +194,7 @@ def test_next_cpuid_from_last_entry_vulnerable_logs_one_oob():
 def test_next_cpuid_from_last_entry_fixed_no_oob():
     lookup = CpuidLookup()
     start = lookup.field_id_for(lookup.lookup_index(0x80000002, 0xFFFFFFFF))
-    result = next_cpuid_entry(lookup, start, "fixed")
+    result = next_cpuid_entry(lookup, start, False)
     assert result == MD_FIELD_ID_NA
     assert lookup.oob_accesses() == []
 
@@ -196,6 +203,6 @@ def test_next_cpuid_from_last_entry_fixed_no_oob():
 def test_next_cpuid_interior_step(mode):
     lookup = CpuidLookup()
     assert lookup.table[1].valid_entry
-    result = next_cpuid_entry(lookup, lookup.field_id_for(0), mode)
+    result = next_cpuid_entry(lookup, lookup.field_id_for(0), mode == "vulnerable")
     assert result == lookup.field_id_for(1)
     assert lookup.oob_accesses() == []

@@ -33,7 +33,7 @@ def test_build_reaches_runnable():
     assert td.op_state is OpState.RUNNABLE
     assert td.num_vcpus == 2
     assert len(td.measurement) == 48  # running SHA-384 digest
-    assert validate_trace(m.matrix, td.trace, "fixed") == []
+    assert validate_trace(m.matrix, td.trace, True) == []
 
 
 def test_mng_init_requires_control_pages():
@@ -154,7 +154,7 @@ def test_servtd_write_blocked_during_blackout():
 
 
 def test_host_write_of_private_gpa_field_always_checked():
-    m = TdxModule(EngineMode(bug9="vulnerable"), seed=12)
+    m = TdxModule(EngineMode(bug9=True), seed=12)
     env = standard_setup(m, num_vcpus=1)
     export_blackout(m, env)
     import_to_state_import(m, env)
@@ -215,7 +215,7 @@ def test_full_migration_roundtrip_reproduces_catalog_fields():
                     assert src_value == dst_value, (entry.name, vp_index, position)
         assert dst.pages == src.pages
         for td in m.tds.values():
-            assert validate_trace(m.matrix, td.trace, "fixed") == []
+            assert validate_trace(m.matrix, td.trace, True) == []
 
 
 def test_import_track_requires_matching_vcpu_counts():
@@ -243,7 +243,7 @@ def test_non_start_token_keeps_state():
 
 
 def test_fatal_td_blocks_further_calls():
-    m = TdxModule(EngineMode(bug2="vulnerable"), seed=16)
+    m = TdxModule(EngineMode(bug2=True), seed=16)
     _, td = m.tdh_mng_create(hkid=0)
     td.op_state = OpState.MEMORY_IMPORT  # direct placement for the gate test
     td.fatal = True
@@ -350,7 +350,7 @@ def test_fixed_mode_random_walk_safety_invariants():
                         seed, candidate.snapshot(),
                     )
         for td in m.tds.values():
-            assert validate_trace(m.matrix, td.trace, "fixed") == []
+            assert validate_trace(m.matrix, td.trace, True) == []
 
 
 def test_export_write_block_leaves_are_permission_gated():
@@ -380,7 +380,7 @@ def test_vp_index_bounds_are_status_errors():
 # --- the compiled gate and the cached session key -------------------------------
 
 INTERFACES = ("host", "guest")
-V1_MODES = ("vulnerable", "fixed")
+V1_MODES = (True, False)
 _MODULES = {v1: TdxModule(EngineMode(v1=v1)) for v1 in V1_MODES}
 
 
@@ -392,7 +392,7 @@ def _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1):
     assert (m._gate(td, leaf, interface) is None) is allowed
     if allowed:
         m._finish(td, leaf, state, S.TDX_SUCCESS, outcome)
-        expected = transition(matrix, state, leaf, outcome, m.mode.state_mode, interface)
+        expected = transition(matrix, state, leaf, outcome, not m.mode.v1, interface)
         assert td.op_state is expected
         assert td.trace == [TraceStep(leaf, state, expected, S.TDX_SUCCESS)]
 
@@ -405,9 +405,9 @@ def _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1):
     outcome=st.sampled_from(OUTCOMES),
     v1=st.sampled_from(V1_MODES),
 )
-@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted", "fixed")
-@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "failure", "fixed")
-@example("host", OpState.START_IMPORT, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "success", "fixed")
+@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted", False)
+@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "failure", False)
+@example("host", OpState.START_IMPORT, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "success", False)
 def test_gate_and_next_state_agree_with_matrix(matrix, interface, state, leaf, outcome, v1):
     _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1)
 
@@ -513,3 +513,62 @@ def test_export_state_td_and_vp_busy_when_stream_held():
     status, bundle = m.tdh_export_state_vp(src, 0)
     assert status == S.TDX_SUCCESS and bundle.mbmd.iv_counter == counter + 2
     assert not migsc.locked
+
+
+def test_service_td_key_write_is_a_trace_step():
+    # The destination rekey sequence: the service TD's write sits between the imports.
+    m = TdxModule(seed=27)
+    env = standard_setup(m, num_vcpus=1, num_pages=2)
+    src, dst = env["src"], env["dst"]
+    _, first = m.tdh_export_mem(src, 0x1000)
+    _, second = m.tdh_export_mem(src, 0x2000)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    start = len(dst.trace)
+    assert m.tdh_import_mem(dst, first) == S.TDX_SUCCESS
+    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    m.tdg_servtd_wr(env["migtd"], env["dst_handle"], key_entry.field_id_for(0), env["key"][0] ^ 1)
+    assert m.tdh_import_mem(dst, second) == S.TDX_INCORRECT_MBMD_MAC
+    assert dst.trace[start:] == [
+        TraceStep(Leaf.TDH_IMPORT_MEM, OpState.STATE_IMPORT, OpState.STATE_IMPORT, S.TDX_SUCCESS),
+        TraceStep(Leaf.TDG_SERVTD_WR, OpState.STATE_IMPORT, OpState.STATE_IMPORT, S.TDX_SUCCESS),
+        TraceStep(Leaf.TDH_IMPORT_MEM, OpState.STATE_IMPORT, OpState.FAILED_IMPORT,
+                  S.TDX_INCORRECT_MBMD_MAC),
+    ]
+    assert validate_trace(m.matrix, dst.trace, True) == []
+    # A handle that names no bound TD leaves no step anywhere.
+    steps = {id(td): len(td.trace) for td in m.tds.values()}
+    status, _ = m.tdg_servtd_rd(env["migtd"], env["dst_handle"] + (1 << 30), key_entry.field_id_for(0))
+    assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDR)
+    assert {id(td): len(td.trace) for td in m.tds.values()} == steps
+
+
+def _at_state_import(seed):
+    m = TdxModule(seed=seed)
+    env = standard_setup(m, num_vcpus=1, num_pages=2)
+    _, env["mem"] = m.tdh_export_mem(env["src"], 0x1000)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    assert env["dst"].op_state is OpState.STATE_IMPORT
+    return m, env
+
+
+def test_import_mem_rejects_a_state_bundle_before_decrypting():
+    m, env = _at_state_import(30)
+    dst = env["dst"]
+    pages, counter = dict(dst.pages), dst.migsc[0].iv_counter
+    assert m.tdh_import_mem(dst, env["bundle_vps"][0]) == S.TDX_INVALID_MBMD
+    assert dst.pages == pages and dst.op_state is OpState.STATE_IMPORT
+    assert dst.migsc[0].iv_counter == counter and not dst.migsc[0].locked
+
+
+def test_import_mem_busy_when_stream_held():
+    m, env = _at_state_import(31)
+    dst, migsc = env["dst"], env["dst"].migsc[0]
+    assert migsc.acquire()
+    busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
+    assert m.tdh_import_mem(dst, env["mem"]) == busy
+    assert 0x1000 not in dst.pages and dst.op_state is OpState.STATE_IMPORT
+    migsc.release()
+    assert m.tdh_import_mem(dst, env["mem"]) == S.TDX_SUCCESS
+    assert dst.pages[0x1000] == env["src"].pages[0x1000] and not migsc.locked

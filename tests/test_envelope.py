@@ -145,19 +145,12 @@ def test_counter_advances_even_when_output_discarded():
     assert mbmd.iv_counter == 2
 
 
-def test_counter_policy_per_bundle_and_per_list():
+def test_counter_advances_once_per_bundle():
     rng = random.Random(8)
     lists = some_lists(rng, 3)
     per_bundle = fresh_ctx()
     encrypt_bundle(per_bundle, BundleType.IMMUTABLE, lists)
     assert per_bundle.iv_counter == 1
-
-    per_list = fresh_ctx(counter_policy="per_list")
-    mbmd, ciphertext = encrypt_bundle(per_list, BundleType.IMMUTABLE, lists)
-    assert per_list.iv_counter == 3
-    # The recorded counter still names the IV actually used.
-    status, out = decrypt_bundle(per_list, mbmd, ciphertext)
-    assert status == S.TDX_SUCCESS and out == lists
 
 
 def test_iv_multiset_has_no_duplicates_across_encrypt_and_abort():

@@ -2,7 +2,10 @@
 
 import pytest
 
+from tdxmodel import status as S
+from tdxmodel.engine import FINDING_TOGGLES, EngineMode, TdxModule
 from tdxmodel.scenarios import all_scenarios, run_scenario
+from tdxmodel.states import validate_trace
 
 SCENARIOS = all_scenarios()
 
@@ -55,3 +58,37 @@ def test_scenarios_are_seed_deterministic():
         first = run_scenario(SCENARIOS["cve-2025-32007"], "vulnerable", seed=seed)
         second = run_scenario(SCENARIOS["cve-2025-32007"], "vulnerable", seed=seed)
         assert first.transcript == second.transcript
+
+
+def test_mode_words_parse_to_bools():
+    assert EngineMode.with_toggles({"v1": "vulnerable", "bug9": "fixed"}) == EngineMode(v1=True)
+    with pytest.raises(ValueError):
+        EngineMode.with_toggles({"v1": "on"})
+    with pytest.raises(TypeError):
+        EngineMode(v1="fixed")  # a word is not a switch: it would read as True
+
+
+# Every (scenario, toggle) pair where the scenario does not set the toggle.
+FOREIGN_TOGGLES = [
+    (name, toggle)
+    for name in sorted(SCENARIOS)
+    for toggle in FINDING_TOGGLES
+    if toggle not in SCENARIOS[name].toggles
+]
+
+
+@pytest.mark.parametrize("name,toggle", FOREIGN_TOGGLES)
+def test_each_toggle_changes_only_its_own_finding(name, toggle):
+    """Another finding's toggle alone leaves a scenario at its fixed-mode expectations."""
+    scenario = SCENARIOS[name]
+    module = TdxModule(EngineMode(**{toggle: True}), seed=7)
+    env = scenario.setup(module)
+    for index, step in enumerate(scenario.steps):
+        status = step.run(module, env)
+        env[f"_step_status_{index}"] = status
+        expected = step.expect["fixed"]
+        assert expected.matches(status), (step.call, S.status_str(status), expected.label)
+    for check in scenario.checks:
+        assert bool(check.run(module, env)) is check.expect["fixed"], check.label
+    for td in module.tds.values():
+        assert validate_trace(module.matrix, td.trace, not module.mode.v1) == []

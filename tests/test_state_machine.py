@@ -7,10 +7,8 @@ import pytest
 from tdxmodel.states import (
     APPENDIX_STATES,
     Leaf,
-    LifecycleState,
     OpState,
     TraceStep,
-    lifecycle_successor,
     transition,
     validate_trace,
 )
@@ -85,12 +83,12 @@ def test_unknown_leaf_raises(matrix):
 def test_interrupted_import_stays_put_or_enters_start_import(matrix):
     result = transition(
         matrix, OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted",
-        mode="vulnerable",
+        start_import=False,
     )
     assert result is OpState.UNINITIALIZED
     result = transition(
         matrix, OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted",
-        mode="fixed",
+        start_import=True,
     )
     assert result is OpState.START_IMPORT
 
@@ -139,14 +137,8 @@ def _reachable_states(matrix, mode):
 
 
 def test_start_import_only_reachable_in_fixed_mode(matrix):
-    assert OpState.START_IMPORT not in _reachable_states(matrix, "vulnerable")
-    assert OpState.START_IMPORT in _reachable_states(matrix, "fixed")
-
-
-def test_lifecycle_order():
-    assert lifecycle_successor(LifecycleState.TD_HKID_ASSIGNED) is LifecycleState.TD_KEYS_CONFIGURED
-    assert lifecycle_successor(LifecycleState.TD_KEYS_CONFIGURED) is LifecycleState.TD_BLOCKED
-    assert lifecycle_successor(LifecycleState.TD_TEARDOWN) is None
+    assert OpState.START_IMPORT not in _reachable_states(matrix, False)
+    assert OpState.START_IMPORT in _reachable_states(matrix, True)
 
 
 def test_trace_validator_accepts_legal_paths(matrix):
@@ -154,19 +146,19 @@ def test_trace_validator_accepts_legal_paths(matrix):
         TraceStep(Leaf.TDH_MNG_INIT, OpState.UNINITIALIZED, OpState.INITIALIZED, TDX_SUCCESS),
         TraceStep(Leaf.TDH_MR_FINALIZE, OpState.INITIALIZED, OpState.RUNNABLE, TDX_SUCCESS),
     ]
-    assert validate_trace(matrix, steps, "vulnerable") == []
+    assert validate_trace(matrix, steps, False) == []
 
 
 def test_trace_validator_flags_illegal_edges(matrix):
     steps = [
         TraceStep(Leaf.TDH_MNG_INIT, OpState.UNINITIALIZED, OpState.RUNNABLE, TDX_SUCCESS),
     ]
-    problems = validate_trace(matrix, steps, "vulnerable")
+    problems = validate_trace(matrix, steps, False)
     assert problems and "not in fixture" in problems[0]
     steps = [
         TraceStep(Leaf.TDH_MNG_INIT, OpState.RUNNABLE, OpState.RUNNABLE, TDX_SUCCESS),
     ]
-    assert validate_trace(matrix, steps, "vulnerable")
+    assert validate_trace(matrix, steps, False)
 
 
 def test_mng_init_allowed_only_before_any_import_touch(matrix):
@@ -185,7 +177,7 @@ def test_mng_init_allowed_only_before_any_import_touch(matrix):
                 if not matrix.is_allowed(state, leaf):
                     continue
                 for outcome in ("success", "failure"):
-                    after = transition(matrix, state, leaf, outcome, "fixed")
+                    after = transition(matrix, state, leaf, outcome, True)
                     if after not in seen:
                         seen.add(after)
                         frontier.append(after)

@@ -14,6 +14,7 @@ from tdxmodel.td import (
     LVL_PML4,
     LVL_PML5,
     MAX_EVENT_FILTERS,
+    TYPED_TD_FIELDS,
     EptpControls,
     EventFilter,
     Kot,
@@ -68,7 +69,7 @@ def test_vulnerable_init_leaves_partial_state_on_xfam_failure():
     td = _fresh_td()
     td.num_vcpus = 5
     status = read_and_set_td_configurations(
-        td, TdParams(attributes=ATTR_DEBUG, xfam=0), "vulnerable"
+        td, TdParams(attributes=ATTR_DEBUG, xfam=0), True
     )
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
     assert td.attributes.debug          # already written, never restored
@@ -79,7 +80,7 @@ def test_fixed_init_is_transactional():
     td = _fresh_td()
     td.num_vcpus = 5
     status = read_and_set_td_configurations(
-        td, TdParams(attributes=ATTR_DEBUG, xfam=0), "fixed"
+        td, TdParams(attributes=ATTR_DEBUG, xfam=0), False
     )
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
     assert td.attributes.raw == 0
@@ -89,7 +90,7 @@ def test_fixed_init_is_transactional():
 @pytest.mark.parametrize("mode", ["vulnerable", "fixed"])
 def test_valid_params_accepted(mode):
     td = _fresh_td()
-    status = read_and_set_td_configurations(td, TdParams(attributes=ATTR_MIGRATABLE), mode)
+    status = read_and_set_td_configurations(td, TdParams(attributes=ATTR_MIGRATABLE), mode == "vulnerable")
     assert status == S.TDX_SUCCESS
     assert td.attributes.migratable
     assert sept_walk_ok(td)
@@ -142,6 +143,51 @@ def test_session_key_follows_every_mig_dec_key_change(catalog):
     assert td.session_key.to_quadwords() == [9, 2, 3, 5]
 
 
+# The typed property that reads each TD_store field, as a list of its quadwords.
+_TYPED_VIEWS = {
+    "ATTRIBUTES": lambda td: [td.attributes.raw],
+    "XFAM": lambda td: [td.xfam],
+    "GPAW": lambda td: [td.gpaw],
+    "EPTP": lambda td: [td.eptp_raw],
+    "NUM_VCPUS": lambda td: [td.num_vcpus],
+    "TSC_FREQUENCY": lambda td: [td.tsc_frequency],
+    "HP_LOCK_TIMEOUT": lambda td: [td.hp_lock_timeout],
+    "EXPORT_COUNT": lambda td: [td.export_count],
+    "TD_UUID": lambda td: list(td.td_uuid),
+    "MIG_DEC_KEY": lambda td: list(td.mig_dec_key),
+}
+
+
+def test_typed_fields_match_the_catalog(catalog):
+    assert set(_TYPED_VIEWS) == set(TYPED_TD_FIELDS)
+    for name, span in TYPED_TD_FIELDS.items():
+        assert catalog.by_name(MD_CTX_TD, name).code_span == span
+
+
+@given(name=st.sampled_from(sorted(TYPED_TD_FIELDS)), value=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_typed_fields_read_the_same_store_as_raw_elements(catalog, name, value, data):
+    entry = catalog.by_name(MD_CTX_TD, name)
+    position = data.draw(st.integers(0, entry.code_span - 1))
+    td = _fresh_td()
+    td.write_element_raw(entry, position, value)
+    expected = [0] * entry.code_span
+    expected[position] = value
+    assert _TYPED_VIEWS[name](td) == expected
+    assert td.read_field(entry, 0) == expected
+    assert td.mig_dec_key_set is False  # one quadword never arms the key
+
+
+def test_typed_setters_write_the_store(catalog):
+    td = _fresh_td()
+    td.attributes = TdAttributes(ATTR_MIGRATABLE)
+    td.td_uuid[:] = (1, 2, 3, 4)
+    td.num_vcpus = 7
+    assert td.read_element(catalog.by_name(MD_CTX_TD, "ATTRIBUTES"), 0) == ATTR_MIGRATABLE
+    assert td.read_field(catalog.by_name(MD_CTX_TD, "TD_UUID"), 0) == [1, 2, 3, 4]
+    assert td.read_element(catalog.by_name(MD_CTX_TD, "NUM_VCPUS"), 0) == 7
+
+
 # --- gpa checks ----------------------------------------------------------------------
 
 def test_gpa_validity():
@@ -178,7 +224,7 @@ def _three_call_construction(td, mode):
 
 def test_three_call_construction_leaves_stale_unsorted_filters():
     td = _perfmon_td()
-    statuses = _three_call_construction(td, "vulnerable")
+    statuses = _three_call_construction(td, True)
     assert statuses[0] == S.with_operand(S.TDX_EVENT_FILTER_INVALID, 2)
     assert statuses[1] == S.with_operand(S.TDX_EVENT_FILTER_INVALID, 1)
     assert statuses[2] == S.TDX_SUCCESS
@@ -190,7 +236,7 @@ def test_three_call_construction_leaves_stale_unsorted_filters():
 
 def test_fixed_mode_resets_on_every_failure():
     td = _perfmon_td()
-    _three_call_construction(td, "fixed")
+    _three_call_construction(td, False)
     assert td.event_filters_num == 0
     assert audit_event_filters(td)["sorted"]
 
@@ -198,7 +244,7 @@ def test_fixed_mode_resets_on_every_failure():
 def test_unsorted_input_rejected():
     td = _perfmon_td()
     filters = [EventFilter(event_select=9, umask=1).raw, EventFilter(event_select=3).raw]
-    status = init_event_filters(td, True, 2, filters, "fixed")
+    status = init_event_filters(td, True, 2, filters, False)
     assert status == S.with_operand(S.TDX_EVENT_FILTER_ORDER_INVALID, 1)
 
 
@@ -213,7 +259,7 @@ def test_valid_filters_install_and_search_agrees_with_linear_scan():
         filters = [
             EventFilter(event_select=v & 0xFF, umask=(v >> 8) & 0xFF).raw for v in internals
         ]
-        status = init_event_filters(td, True, len(filters), filters, "fixed")
+        status = init_event_filters(td, True, len(filters), filters, False)
         assert status == S.TDX_SUCCESS
         for probe in rng.sample(range(0xFFFF), 32):
             linear = probe in internals
@@ -227,7 +273,7 @@ def test_no_filters_means_nothing_allowed():
 
 def test_filtering_requires_perfmon():
     td = _fresh_td()  # perfmon clear
-    status = init_event_filters(td, True, 1, [EventFilter(event_select=1).raw], "vulnerable")
+    status = init_event_filters(td, True, 1, [EventFilter(event_select=1).raw], True)
     assert status == S.TDX_SUCCESS
     assert td.event_filters_num == 0
 
@@ -237,7 +283,7 @@ def test_filtering_requires_perfmon():
 def test_vulnerable_sys_config_leaks_reservations():
     kot = Kot(8)
     for hkid in range(8):
-        status = sys_config_reserve_hkid(kot, hkid, [0x1001], "vulnerable")
+        status = sys_config_reserve_hkid(kot, hkid, [0x1001], True)
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
     assert kot.free_count() == 0
     assert all(e.state is KotState.HKID_RESERVED for e in kot.entries)
@@ -246,9 +292,9 @@ def test_vulnerable_sys_config_leaks_reservations():
 def test_fixed_sys_config_conserves_free_count():
     kot = Kot(8)
     for hkid in range(8):
-        sys_config_reserve_hkid(kot, hkid, [0x1001], "fixed")
+        sys_config_reserve_hkid(kot, hkid, [0x1001], False)
         assert kot.free_count() == 8
-    status = sys_config_reserve_hkid(kot, 3, [0x1000], "fixed")
+    status = sys_config_reserve_hkid(kot, 3, [0x1000], False)
     assert status == S.TDX_SUCCESS
     assert kot.entries[3].state is KotState.HKID_RESERVED
     assert kot.free_count() == 7
@@ -256,8 +302,8 @@ def test_fixed_sys_config_conserves_free_count():
 
 def test_reserving_taken_hkid_fails():
     kot = Kot(4)
-    assert sys_config_reserve_hkid(kot, 1, [], "fixed") == S.TDX_SUCCESS
-    status = sys_config_reserve_hkid(kot, 1, [], "fixed")
+    assert sys_config_reserve_hkid(kot, 1, [], False) == S.TDX_SUCCESS
+    status = sys_config_reserve_hkid(kot, 1, [], False)
     assert S.status_class(status) == S.TDX_HKID_NOT_FREE
 
 
@@ -367,7 +413,7 @@ def test_fixed_mode_filter_store_always_sorted_under_random_calls():
                 ).raw
                 for _ in range(count)
             ]
-            status = init_event_filters(td, rng.random() < 0.9, count, filters, "fixed")
+            status = init_event_filters(td, rng.random() < 0.9, count, filters, False)
             audit = audit_event_filters(td)
             assert audit["sorted"]
             if status != S.TDX_SUCCESS:
