@@ -218,7 +218,9 @@ def cmd_state(args, out) -> int:
         env = scenario.setup(module)
         for step in scenario.steps:
             step.run(module, env)
-        td = env.get("dst") or env.get("td") or next(iter(module.tds.values()))
+        td = env.get("dst") or env.get("td") or next(iter(module.tds.values()), None)
+        if td is None:
+            raise CliError(f"scenario {args.scenario!r} leaves no TD to dump")
         out.write(td.snapshot() + "\n")
         return 0
 

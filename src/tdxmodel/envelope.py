@@ -82,10 +82,12 @@ class Mbmd:
     version: int = MBMD_VERSION
 
     def _head(self) -> bytes:
+        # ``_value_`` is the member's stored code; ``.value`` would go through
+        # the Enum property descriptor on every seal and open.
         return _RECORD_HEAD.pack(
             MBMD_MAGIC,
             self.version,
-            self.bundle_type.value,
+            self.bundle_type._value_,
             self.payload_size,
             self.stream_index,
             self.iv_counter,

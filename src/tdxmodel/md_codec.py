@@ -300,6 +300,12 @@ class ParseArena:
     ``ReadRecord`` list from it on each access; ``read_count``, ``oob_reads``
     and ``max_oob_span`` use the tuples directly.  The sentinel regions are
     hashed once, at import, and each arena copies that image.
+
+    ``read`` is the one logged access: ``read_u64`` goes through it, so every
+    value a walk consumes is exactly one ``read(offset, length)`` call, and a
+    wrapper around ``read`` sees them all.  It returns a fresh ``bytearray`` of
+    exactly ``length`` bytes: an in-bounds read is one slice copy of the
+    buffer, and only a read running past the arena end is zero-padded.
     """
 
     REGIONS = (
@@ -340,11 +346,16 @@ class ParseArena:
             raise ValueError("plant outside arena")
         self.buffer[offset:end] = value.to_bytes(8, "little")
 
-    def read(self, offset: int, length: int) -> bytes:
+    def read(self, offset: int, length: int) -> bytearray:
+        """Log one read and return a fresh copy of exactly ``length`` bytes.
+
+        An in-bounds read is a single slice copy of the buffer; only a read
+        that runs past the arena end is zero-padded to ``length``.
+        """
         self._log.append((offset, length))
-        chunk = bytes(self.buffer[offset : offset + length])
+        chunk = self.buffer[offset : offset + length]
         if len(chunk) < length:
-            chunk += b"\x00" * (length - len(chunk))
+            chunk += bytes(length - len(chunk))
         return chunk
 
     @property
@@ -429,18 +440,10 @@ class LookupIterator:
         self.field_index = field_index
 
     @property
-    def at_end(self) -> bool:
-        return self.entry is None
-
-    @property
     def field_id_raw(self) -> int:
         if self.entry is None:
             return MD_FIELD_ID_NA
         return self.entry.field_id_for(self.field_index)
-
-    @property
-    def class_code(self) -> Optional[int]:
-        return None if self.entry is None else self.entry.class_code
 
     def advance(self) -> None:
         if self.entry is None:
@@ -552,6 +555,13 @@ def write_sequence(
     element is re-read and deducted on every loop iteration, so a sequence that
     ends near the list boundary drives buff_size through zero and the walk
     continues into the sentinel regions.
+
+    The field loop runs per catalog entry: the entry's element count, field
+    count, importability and import mask are read once when the walk enters
+    the entry, and the field index steps locally.  ``lkp`` is advanced, and
+    the class-change check made, only after an entry's last field;
+    ``lkp.field_index`` is brought up to date before every exit, so on return
+    ``lkp`` stands where a field-by-field walk would leave it.
     """
     if buff_size < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
         ext_err_info[0] = lkp.field_id_raw
@@ -572,41 +582,68 @@ def write_sequence(
         sequence_idx += 1
         buff_size -= ELEMENT_BYTES
 
-    for i in range(num_fields):
-        entry = lkp.entry
-        if mode.loop_underflow and fid.write_mask_valid:
-            wr_mask = arena.read_u64(elements_base)
-            sequence_idx += 1
-            buff_size = (buff_size - ELEMENT_BYTES) & 0xFFFFFFFF
+    read_u64 = arena.read_u64
+    reread_mask = mode.loop_underflow and fid.write_mask_valid
+    record_skips = not mode.silent_skip
+    entry = lkp.entry
+    field_index = lkp.field_index
+    fields_left = num_fields
+    while True:
+        # Per-entry values; they change only when the walk crosses an entry.
+        num_of_elem = entry.num_of_elem
+        field_bytes = num_of_elem * ELEMENT_BYTES
+        last_index = entry.num_of_fields - 1
+        writes = not skip_non_writable or entry.importable
+        import_mask = entry.import_mask
+        stop = min(last_index + 1, field_index + fields_left)
+        fields_left -= stop - field_index
 
-        if buff_size < entry.num_of_elem * ELEMENT_BYTES:
-            ext_err_info[0] = lkp.field_id_raw
-            return with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+        for field_index in range(field_index, stop):
+            if reread_mask:
+                wr_mask = read_u64(elements_base)
+                sequence_idx += 1
+                buff_size = (buff_size - ELEMENT_BYTES) & 0xFFFFFFFF
 
-        if not skip_non_writable or entry.importable:
-            combined = wr_mask & entry.import_mask
-            if combined == 0:
-                status = TDX_METADATA_FIELD_NOT_WRITABLE
-            else:
-                values = [
-                    arena.read_u64(elements_base + (sequence_idx + k) * ELEMENT_BYTES)
-                    for k in range(entry.num_of_elem)
-                ]
-                status = sink.write_field(entry, lkp.field_index, values, combined)
-            if status != TDX_SUCCESS:
-                if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
-                    ext_err_info[0] = lkp.field_id_raw
-                    return status, sequence_idx
-                if not mode.silent_skip:
-                    sink.record_skip(entry, lkp.field_index)
+            if buff_size < field_bytes:
+                lkp.field_index = field_index
+                ext_err_info[0] = lkp.field_id_raw
+                return with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
 
-        buff_size = (buff_size - entry.num_of_elem * ELEMENT_BYTES) & 0xFFFFFFFF
-        sequence_idx += entry.num_of_elem
-        prev_class = lkp.class_code
+            if writes:
+                combined = wr_mask & import_mask
+                if combined == 0:
+                    status = TDX_METADATA_FIELD_NOT_WRITABLE
+                else:
+                    offset = elements_base + sequence_idx * ELEMENT_BYTES
+                    if num_of_elem == 1:  # most fields; skips the comprehension's frame
+                        values = [read_u64(offset)]
+                    else:
+                        values = [read_u64(offset + k * ELEMENT_BYTES) for k in range(num_of_elem)]
+                    status = sink.write_field(entry, field_index, values, combined)
+                if status != TDX_SUCCESS:
+                    if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                        lkp.field_index = field_index
+                        ext_err_info[0] = lkp.field_id_raw
+                        return status, sequence_idx
+                    if record_skips:
+                        sink.record_skip(entry, field_index)
+
+            buff_size = (buff_size - field_bytes) & 0xFFFFFFFF
+            sequence_idx += num_of_elem
+
+        if field_index < last_index:
+            # The sequence ended inside this entry.
+            lkp.field_index = field_index + 1
+            break
+        lkp.field_index = field_index
         lkp.advance()
-        if i < num_fields - 1 and (lkp.at_end or lkp.class_code != prev_class):
+        if not fields_left:
+            break
+        if lkp.entry is None or lkp.entry.class_code != entry.class_code:
             ext_err_info[0] = header_raw
             return TDX_METADATA_FIELD_ID_INCORRECT, sequence_idx
+        entry = lkp.entry
+        field_index = 0
 
     return TDX_SUCCESS, sequence_idx
 

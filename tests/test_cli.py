@@ -1,13 +1,16 @@
 """CLI behavior: bundle tooling round-trips, exit codes, golden transcripts."""
 
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from tdxmodel.cli import main
 from tdxmodel.engine import TdxModule
-from tdxmodel.scenarios import standard_setup
+from tdxmodel.scenarios import all_scenarios, standard_setup
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -132,6 +135,27 @@ def test_state_dump_after_exploit_shows_debug_flag():
     )
     assert code == 0
     assert "attributes: 0x1 (debug)" in out
+
+
+@pytest.mark.parametrize("mode", ["vulnerable", "fixed"])
+@pytest.mark.parametrize("scenario", sorted(all_scenarios()))
+def test_state_dump_after_any_scenario_exits_cleanly(scenario, mode):
+    # Some scenarios end with no TD registered: that is a usage error, not a crash.
+    code, out = run_cli("state", "dump", "--scenario", scenario, "--mode", mode)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdxmodel", "scenario", "list"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 9
 
 
 def test_state_matrix_row_count():

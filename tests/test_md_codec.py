@@ -1,8 +1,11 @@
 """Codec walk behavior: wrap arithmetic, OOB spans, skips, and dump round-trips."""
 
+import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
@@ -49,6 +52,16 @@ def test_arena_plant_and_reads_past_buffer():
     assert arena.peek_u64(12280) == LEAK_SENTINEL
     assert arena.read_u64(len(arena.buffer) + 64) == 0
     assert arena.reads[-1].oob
+
+
+@pytest.mark.parametrize("back", [0, 1, 5, 8])
+def test_arena_read_at_or_across_the_end_is_zero_padded_and_logged_once(back):
+    arena = ParseArena(b"")
+    end = len(arena.buffer)
+    data = arena.read(end - back, 8)
+    assert data == bytes(arena.buffer[end - back:]) + bytes(8 - back)
+    assert len(data) == 8
+    assert arena.reads == [md.ReadRecord(end - back, 8, True)]
 
 
 # --- list container ----------------------------------------------------------
@@ -290,6 +303,176 @@ def test_fixed_mode_never_reads_oob_on_fuzzed_lists(catalog):
         assert arena.read_count == len(reads)
         assert arena.oob_reads() == [r for r in reads if r.oob]
         assert arena.max_oob_span() == 0
+
+
+# --- the walk kernel against the per-field reference -------------------------------
+
+def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, sink, mode,
+                              skip_non_writable, ext_err_info):
+    """The per-field walk write_sequence replaced, kept as the oracle for it."""
+    if buff_size < md.SEQUENCE_HEADER_BYTES + md.ELEMENT_BYTES:
+        ext_err_info[0] = lkp.field_id_raw
+        return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), 0
+
+    num_fields = fid.num_fields
+    buff_size = (buff_size - md.SEQUENCE_HEADER_BYTES) & 0xFFFFFFFF
+    elements_base = seq_off + md.SEQUENCE_HEADER_BYTES
+    sequence_idx = 0
+    wr_mask = 0xFFFFFFFFFFFFFFFF
+
+    if not mode.loop_underflow and fid.write_mask_valid:
+        if buff_size < md.ELEMENT_BYTES:
+            ext_err_info[0] = lkp.field_id_raw
+            return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+        wr_mask = arena.read_u64(elements_base)
+        sequence_idx += 1
+        buff_size -= md.ELEMENT_BYTES
+
+    for i in range(num_fields):
+        entry = lkp.entry
+        if mode.loop_underflow and fid.write_mask_valid:
+            wr_mask = arena.read_u64(elements_base)
+            sequence_idx += 1
+            buff_size = (buff_size - md.ELEMENT_BYTES) & 0xFFFFFFFF
+
+        if buff_size < entry.num_of_elem * md.ELEMENT_BYTES:
+            ext_err_info[0] = lkp.field_id_raw
+            return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+
+        if not skip_non_writable or entry.importable:
+            combined = wr_mask & entry.import_mask
+            if combined == 0:
+                status = S.TDX_METADATA_FIELD_NOT_WRITABLE
+            else:
+                values = [
+                    arena.read_u64(elements_base + (sequence_idx + k) * md.ELEMENT_BYTES)
+                    for k in range(entry.num_of_elem)
+                ]
+                status = sink.write_field(entry, lkp.field_index, values, combined)
+            if status != S.TDX_SUCCESS:
+                if not (status == S.TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                    ext_err_info[0] = lkp.field_id_raw
+                    return status, sequence_idx
+                if not mode.silent_skip:
+                    sink.record_skip(entry, lkp.field_index)
+
+        buff_size = (buff_size - entry.num_of_elem * md.ELEMENT_BYTES) & 0xFFFFFFFF
+        sequence_idx += entry.num_of_elem
+        prev_class = lkp.entry.class_code
+        lkp.advance()
+        if i < num_fields - 1 and (lkp.entry is None or lkp.entry.class_code != prev_class):
+            ext_err_info[0] = header_raw
+            return S.TDX_METADATA_FIELD_ID_INCORRECT, sequence_idx
+
+    return S.TDX_SUCCESS, sequence_idx
+
+
+class CallLogSink:
+    """Logs every sink call; refuses the fields whose index hits `refusals`."""
+
+    def __init__(self, refusals: dict[int, int]):
+        self.refusals = refusals
+        self.calls = []
+
+    def write_field(self, entry, field_index, values, combined_mask):
+        self.calls.append(("write", entry.name, field_index, tuple(values), combined_mask))
+        return self.refusals.get(field_index % 7, S.TDX_SUCCESS)
+
+    def record_skip(self, entry, field_index):
+        self.calls.append(("skip", entry.name, field_index))
+
+
+U64_VALUES = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def import_lists(draw, catalog):
+    """A list of sequences over the catalog, with random masks and lying headers."""
+    ctx = draw(st.sampled_from([MD_CTX_TD, MD_CTX_VP]))
+    entries = catalog.entries_for(ctx)
+    body = b""
+    count = 0
+    for _ in range(draw(st.integers(0, 6))):
+        mask = b""
+        if draw(st.integers(0, 9)) == 0:
+            header_raw = draw(U64_VALUES)  # usually a context or catalog miss
+            elements = draw(st.integers(0, 4))
+        else:
+            entry = draw(st.sampled_from(entries))
+            index = draw(st.integers(0, entry.num_of_fields - 1))
+            num_fields = draw(st.one_of(st.integers(1, 24), st.integers(1, 512)))
+            wmv = draw(st.booleans())
+            header_raw = md.MdFieldId(
+                field_code=entry.field_code + index * entry.num_of_elem,
+                last_element_in_field=draw(st.integers(0, 15)),
+                last_field_in_sequence=num_fields - 1,
+                write_mask_valid=int(wmv),
+                context_code=ctx,
+                class_code=entry.class_code,
+            ).to_raw()
+            elements = num_fields * entry.num_of_elem
+            if wmv:
+                value = draw(st.sampled_from([0, 2**64 - 1, entry.import_mask]) | U64_VALUES)
+                mask = value.to_bytes(8, "little")
+        seed = draw(st.integers(0, 2**32))
+        seq = header_raw.to_bytes(8, "little") + mask + random.Random(seed).randbytes(8 * elements)
+        if len(body) + len(seq) > md.LIST_BYTES - md.LIST_HEADER_BYTES:
+            break
+        body += seq
+        count += 1
+    exact = md.LIST_HEADER_BYTES + len(body)
+    size = draw(st.sampled_from([exact]) | st.integers(0, exact) | st.integers(0, 0xFFFF))
+    extra = draw(st.integers(0, 2))
+    header = MdListHeader(list_buff_size=size, num_sequences=count + extra)
+    return ctx, (header.to_bytes() + body).ljust(md.LIST_BYTES, b"\x00")
+
+
+def _walk_with(write_sequence, catalog, ctx, data, mode, skip_non_writable, refusals):
+    arena = ParseArena(data)
+    sink = CallLogSink(refusals)
+    positions = []
+
+    def recording(*args):
+        out = write_sequence(*args)
+        lkp = args[5]
+        positions.append((out, lkp.entry, lkp.field_index))
+        return out
+
+    with mock.patch.object(md, "write_sequence", recording):
+        result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, sink, mode,
+                               skip_non_writable)
+    return result, arena.reads, sink.calls, positions
+
+
+ALL_MODES = [
+    (WriteMode(*flags), skip)
+    for flags in itertools.product([False, True], repeat=3)
+    for skip in (True, False)
+]
+
+
+@pytest.mark.parametrize("mode,skip_non_writable", ALL_MODES)
+def test_walk_kernel_matches_per_field_reference(catalog, mode, skip_non_writable):
+    kernel = md.write_sequence
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=import_lists(catalog),
+        refusals=st.dictionaries(
+            st.integers(0, 6),
+            st.sampled_from([S.TDX_METADATA_FIELD_NOT_WRITABLE,
+                             S.TDX_METADATA_FIELD_VALUE_NOT_VALID]),
+            max_size=3,
+        ),
+    )
+    def check(case, refusals):
+        ctx, data = case
+        expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode,
+                              skip_non_writable, refusals)
+        got = _walk_with(kernel, catalog, ctx, data, mode, skip_non_writable, refusals)
+        assert got == expected
+
+    check()
 
 
 # --- arena image copies -------------------------------------------------------
