@@ -199,15 +199,6 @@ class FieldCatalog:
                 return entry
         return None
 
-    def next_entry(
-        self, context_code: int, field_id: Union[MdFieldId, int]
-    ) -> Optional[FieldEntry]:
-        """Ordered successor of the entry containing field_id; None at the end."""
-        entry = self.find_entry(context_code, field_id)
-        if entry is None:
-            return None
-        return self.next_entry_after(context_code, entry)
-
     def next_entry_after(self, context_code: int, entry: FieldEntry) -> Optional[FieldEntry]:
         entries = self._by_context.get(context_code, ())
         index = entries.index(entry)

@@ -22,6 +22,7 @@ from .envelope import (
 )
 from .scenarios import all_scenarios, run_scenario
 from .states import APPENDIX_STATES, bundled_matrix
+from .td import U64
 
 
 class CliError(Exception):
@@ -105,64 +106,76 @@ def cmd_bundle(args, out) -> int:
         return 0
 
     key = parse_key(args.key)
+    if args.action == "encrypt":
+        lists = _split_lists(_read(args.data))
+        mbmd = _seal(args, key, args.stream_index, args.iv_counter,
+                     BundleType[args.type.upper()], lists)
+        out.write(f"sealed {len(lists)} lists, iv_counter {mbmd.iv_counter}\n")
+        return 0
+
+    # decrypt and edit: open the sealed bundle first.
+    mbmd = Mbmd.from_bytes(_read(args.mbmd))
+    ctx = MigStreamContext(mbmd.stream_index, key)
+    status, lists = decrypt_bundle(ctx, mbmd, _read(args.data))
+    if status != S.TDX_SUCCESS:
+        out.write(f"decrypt failed: {S.status_str(status)}\n")
+        return 1
     if args.action == "decrypt":
-        mbmd = Mbmd.from_bytes(_read(args.mbmd))
-        ctx = MigStreamContext(mbmd.stream_index, key)
-        status, lists = decrypt_bundle(ctx, mbmd, _read(args.data))
-        if status != S.TDX_SUCCESS:
-            out.write(f"decrypt failed: {S.status_str(status)}\n")
-            return 1
         _write(args.out_data, b"".join(lists))
         out.write(f"decrypted {len(lists)} lists to {args.out_data}\n")
         return 0
 
-    if args.action == "encrypt":
-        lists = _split_lists(_read(args.data))
-        ctx = MigStreamContext(args.stream_index, key)
-        ctx.iv_counter = args.iv_counter
-        mbmd, ciphertext = encrypt_bundle(ctx, BundleType[args.type.upper()], lists)
-        _write(args.out_mbmd, mbmd.to_bytes())
-        _write(args.out_data, ciphertext)
-        out.write(f"sealed {len(lists)} lists, iv_counter {mbmd.iv_counter}\n")
-        return 0
-
-    if args.action == "edit":
-        mbmd = Mbmd.from_bytes(_read(args.mbmd))
-        ctx = MigStreamContext(mbmd.stream_index, key)
-        status, lists = decrypt_bundle(ctx, mbmd, _read(args.data))
-        if status != S.TDX_SUCCESS:
-            out.write(f"decrypt failed: {S.status_str(status)}\n")
+    if args.iv_step < 0:
+        raise CliError("--iv-step must not be negative: the fresh IV would repeat an old one")
+    patched = [bytearray(item) for item in lists]
+    for spec in args.set or []:
+        field_id, element, value = _parse_patch(spec)
+        if not _apply_patch(patched, field_id, element, value):
+            out.write(f"field {hex(field_id)} element {element} not found\n")
             return 1
-        patched = [bytearray(item) for item in lists]
-        for spec in args.set or []:
-            field_id, element, value = _parse_patch(spec)
-            if not _apply_patch(patched, field_id, element, value):
-                out.write(f"field {hex(field_id)} element {element} not found\n")
-                return 1
-        reseal = MigStreamContext(mbmd.stream_index, key)
-        reseal.iv_counter = mbmd.iv_counter + args.iv_step
-        new_mbmd, ciphertext = encrypt_bundle(
-            reseal, mbmd.bundle_type, [bytes(item) for item in patched]
-        )
-        _write(args.out_mbmd, new_mbmd.to_bytes())
-        _write(args.out_data, ciphertext)
-        out.write(f"patched {len(args.set or [])} fields, resealed with iv_counter "
-                  f"{new_mbmd.iv_counter}\n")
-        return 0
+    new_mbmd = _seal(args, key, mbmd.stream_index, mbmd.iv_counter + args.iv_step,
+                     mbmd.bundle_type, [bytes(item) for item in patched])
+    out.write(f"patched {len(args.set or [])} fields, resealed with iv_counter "
+              f"{new_mbmd.iv_counter}\n")
+    return 0
 
-    raise CliError(f"unknown bundle action {args.action!r}")
+
+STREAM_INDEX_MAX = (1 << 32) - 1
+# The counter advances once before use, and the IV it gives must fit 64 bits.
+IV_COUNTER_MAX = U64 - 1
+
+
+def _seal(args, key: MigrationSessionKey, stream_index: int, iv_counter: int,
+          bundle_type: BundleType, lists: list[bytes]) -> Mbmd:
+    """Seal lists on a stream whose counter stands at iv_counter; write both files."""
+    if not 0 <= stream_index <= STREAM_INDEX_MAX:
+        raise CliError(f"stream index must be in 0..{STREAM_INDEX_MAX}")
+    if not 0 <= iv_counter <= IV_COUNTER_MAX:
+        raise CliError(f"iv counter must be in 0..{IV_COUNTER_MAX}")
+    ctx = MigStreamContext(stream_index, key)
+    ctx.iv_counter = iv_counter
+    mbmd, ciphertext = encrypt_bundle(ctx, bundle_type, lists)
+    _write(args.out_mbmd, mbmd.to_bytes())
+    _write(args.out_data, ciphertext)
+    return mbmd
 
 
 def _parse_patch(spec: str) -> tuple[int, int, int]:
     try:
         field_id, element, value = spec.split(":")
-        return int(field_id, 16), int(element, 0), int(value, 16)
+        field_id, element, value = int(field_id, 16), int(element, 0), int(value, 16)
     except ValueError as exc:
         raise CliError(f"bad --set spec {spec!r}, expected FIELD_ID:ELEM:VALUE") from exc
+    if not (0 <= field_id <= U64 and 0 <= value <= U64):
+        raise CliError(f"bad --set spec {spec!r}: FIELD_ID and VALUE are 64-bit")
+    return field_id, element, value
 
 
 def _apply_patch(lists: list[bytearray], field_id: int, element: int, value: int) -> bool:
-    """Patch one 64-bit element of the sequence holding field_id, in place."""
+    """Patch one 64-bit element of the sequence holding field_id, in place.
+
+    An element outside that sequence's values counts as not found.
+    """
     wanted = md.decode_field_id(field_id)
     for data in lists:
         parsed = md.parse_list(bytes(data))
@@ -171,12 +184,14 @@ def _apply_patch(lists: list[bytearray], field_id: int, element: int, value: int
             fid = md.decode_field_id(seq.header_raw)
             per_field = fid.last_element_in_field + 1
             span = fid.num_fields * per_field
+            slot = (wanted.field_code - fid.field_code) + element
             if (
                 fid.context_code == wanted.context_code
                 and fid.class_code == wanted.class_code
                 and fid.field_code <= wanted.field_code < fid.field_code + span
+                and element >= 0
+                and slot < len(seq.elements) - fid.write_mask_valid
             ):
-                slot = (wanted.field_code - fid.field_code) + element
                 position = offset + 8 + (fid.write_mask_valid + slot) * 8
                 data[position : position + 8] = value.to_bytes(8, "little")
                 return True
@@ -210,15 +225,8 @@ def cmd_state(args, out) -> int:
         scenarios = all_scenarios()
         if args.scenario not in scenarios:
             raise CliError(f"unknown scenario {args.scenario!r}")
-        from .engine import TdxModule, EngineMode
-
-        scenario = scenarios[args.scenario]
-        toggles = scenario.toggles if args.mode == "vulnerable" else {}
-        module = TdxModule(EngineMode.with_toggles(toggles), seed=args.seed)
-        env = scenario.setup(module)
-        for step in scenario.steps:
-            step.run(module, env)
-        td = env.get("dst") or env.get("td") or next(iter(module.tds.values()), None)
+        run = run_scenario(scenarios[args.scenario], args.mode, args.seed)
+        td = run.env.get("dst") or run.env.get("td") or next(iter(run.module.tds.values()), None)
         if td is None:
             raise CliError(f"scenario {args.scenario!r} leaves no TD to dump")
         out.write(td.snapshot() + "\n")
@@ -306,10 +314,7 @@ def main(argv=None, out=None) -> int:
             return cmd_scenario(args, out)
         if args.command == "state":
             return cmd_state(args, out)
-    except CliError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         out.write(f"error: {exc}\n")
         return 2
     return 2

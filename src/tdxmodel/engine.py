@@ -40,7 +40,6 @@ from .states import (
     transition,
 )
 from .status import (
-    OPERAND_ID_MIGSC,
     OPERAND_ID_RCX,
     OPERAND_ID_TDR,
     OPERAND_ID_TDVPR,
@@ -69,6 +68,7 @@ from .status import (
 from .td import (
     MAX_EXPORT_COUNT,
     MAX_VCPUS_PER_TD,
+    U64,
     Kot,
     KotState,
     ServtdBinding,
@@ -87,10 +87,6 @@ from .td import (
     sys_config_reserve_hkid,
 )
 
-U64 = 0xFFFFFFFFFFFFFFFF
-
-FINDING_TOGGLES = ("v1", "v2", "bug1", "bug2", "bug3", "bug4", "bug6", "bug8", "bug9")
-
 
 @dataclass(frozen=True)
 class EngineMode:
@@ -107,26 +103,20 @@ class EngineMode:
     bug9: bool = False
 
     def __post_init__(self):
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
+        for name in FINDING_TOGGLES:
+            value = getattr(self, name)
             if not isinstance(value, bool):
-                raise TypeError(f"{f.name} must be a bool, not {value!r}")
+                raise TypeError(f"{name} must be a bool, not {value!r}")
 
     @classmethod
     def all_vulnerable(cls) -> "EngineMode":
         return cls(**dict.fromkeys(FINDING_TOGGLES, True))
 
-    @classmethod
-    def with_toggles(cls, toggles: dict[str, str]) -> "EngineMode":
-        """The mode named by scenario/CLI words: each toggle vulnerable or fixed."""
-        words = {"vulnerable": True, "fixed": False}
-        for name, word in toggles.items():
-            if word not in words:
-                raise ValueError(f"{name} must be vulnerable or fixed, not {word!r}")
-        return cls(**{name: words[word] for name, word in toggles.items()})
-
     def codec_mode(self) -> WriteMode:
         return WriteMode(header_underflow=self.bug1, loop_underflow=self.v2, silent_skip=self.bug2)
+
+
+FINDING_TOGGLES = tuple(f.name for f in dc_fields(EngineMode))
 
 
 @dataclass
@@ -421,7 +411,6 @@ class TdxModule:
         if not sept_walk_ok(td) or not vp.values(xcr0)[0] & XCR0_X87:
             td.fatal = True
             return TDX_TD_FATAL
-        vp.entered = True
         return TDX_SUCCESS, "success"
 
     def build_td(
@@ -591,11 +580,10 @@ class TdxModule:
             return None
         return td.migsc[index]
 
-    def _seal(self, td: TdComplex, migsc: MigStreamContext, bundle_type: BundleType,
+    def _seal(self, migsc: MigStreamContext, bundle_type: BundleType,
               lists: list[md.MdList]) -> Bundle:
-        migsc.key = td.session_key
-        mbmd, ciphertext = encrypt_bundle(migsc, bundle_type, [l.to_bytes() for l in lists])
-        return Bundle(mbmd, ciphertext)
+        """Seal on a stream the caller holds, under the key its guard installed."""
+        return Bundle(*encrypt_bundle(migsc, bundle_type, [l.to_bytes() for l in lists]))
 
     @_leaf(Leaf.TDH_EXPORT_STATE_IMMUTABLE, _nothing)
     def tdh_export_state_immutable(
@@ -610,9 +598,9 @@ class TdxModule:
             return TDX_MIGRATION_STREAM_STATE_INCORRECT
         if not td.mig_dec_key_set:
             return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
-        if not migsc.acquire():
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
-        try:
+        with migsc.hold(td.session_key) as busy:
+            if busy:
+                return busy
             # Counted before the dump so the bundle carries the lineage's tally.
             td.export_count += 1
             sys_entries = self.catalog.entries_for(MD_CTX_SYS)
@@ -622,27 +610,28 @@ class TdxModule:
             )
             td_entries = self._entries_by_mig(MD_CTX_TD, (MigClass.MB, MigClass.MBO))
             td_lists = md.dump_lists(self.catalog, MD_CTX_TD, td_entries, TdExportSource(td))
-            bundle = self._seal(td, migsc, BundleType.IMMUTABLE, sys_lists + td_lists)
-        finally:
-            migsc.release()
+            bundle = self._seal(migsc, BundleType.IMMUTABLE, sys_lists + td_lists)
         return TDX_SUCCESS, "success", bundle
 
     tdh_export_pause = _leaf(Leaf.TDH_EXPORT_PAUSE)(_succeed)
 
-    @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
-    def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
+    def _export_mutable(self, td: TdComplex, migsc_index: int, context_code: int,
+                        bundle_type: BundleType, source: TdExportSource):
+        """Shared body of the mutable-state export leaves: seal the context's ME entries."""
         migsc = self._stream(td, migsc_index)
         if migsc is None or not td.mig_dec_key_set:
             return TDX_MIGRATION_STREAM_STATE_INCORRECT
-        if not migsc.acquire():
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
-        try:
-            entries = self._entries_by_mig(MD_CTX_TD, (MigClass.ME,))
-            lists = md.dump_lists(self.catalog, MD_CTX_TD, entries, TdExportSource(td))
-            bundle = self._seal(td, migsc, BundleType.TD, lists)
-        finally:
-            migsc.release()
+        with migsc.hold(td.session_key) as busy:
+            if busy:
+                return busy
+            entries = self._entries_by_mig(context_code, (MigClass.ME,))
+            lists = md.dump_lists(self.catalog, context_code, entries, source)
+            bundle = self._seal(migsc, bundle_type, lists)
         return TDX_SUCCESS, "success", bundle
+
+    @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
+    def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
+        return self._export_mutable(td, migsc_index, MD_CTX_TD, BundleType.TD, TdExportSource(td))
 
     @_leaf(Leaf.TDH_EXPORT_STATE_VP, _nothing)
     def tdh_export_state_vp(
@@ -650,20 +639,8 @@ class TdxModule:
     ) -> tuple[int, Optional[Bundle]]:
         if vp_index >= len(td.vps):
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
-        migsc = self._stream(td, migsc_index)
-        if migsc is None or not td.mig_dec_key_set:
-            return TDX_MIGRATION_STREAM_STATE_INCORRECT
-        if not migsc.acquire():
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
-        try:
-            entries = self._entries_by_mig(MD_CTX_VP, (MigClass.ME,))
-            lists = md.dump_lists(
-                self.catalog, MD_CTX_VP, entries, TdExportSource(td, vp_index=vp_index)
-            )
-            bundle = self._seal(td, migsc, BundleType.VP, lists)
-        finally:
-            migsc.release()
-        return TDX_SUCCESS, "success", bundle
+        source = TdExportSource(td, vp_index=vp_index)
+        return self._export_mutable(td, migsc_index, MD_CTX_VP, BundleType.VP, source)
 
     @_leaf(Leaf.TDH_EXPORT_MEM, _nothing)
     def tdh_export_mem(
@@ -673,15 +650,17 @@ class TdxModule:
         migsc = self._stream(td, migsc_index)
         if migsc is None or not td.mig_dec_key_set:
             return TDX_MIGRATION_STREAM_STATE_INCORRECT
-        if abort:
-            # Increment the counter first so an aborted call never reuses an IV.
-            migsc.next_iv()
-            return TDX_INTERRUPTED_RESUMABLE
-        token = td.pages.get(gpa, 0)
-        payload = struct.pack("<QQ", gpa, token).ljust(md.LIST_BYTES, b"\x00")
-        migsc.key = td.session_key
-        mbmd, ciphertext = encrypt_bundle(migsc, BundleType.MEM, [payload])
-        return TDX_SUCCESS, "success", Bundle(mbmd, ciphertext)
+        with migsc.hold(td.session_key) as busy:
+            if busy:
+                return busy
+            if abort:
+                # Increment the counter first so an aborted call never reuses an IV.
+                migsc.next_iv()
+                return TDX_INTERRUPTED_RESUMABLE
+            token = td.pages.get(gpa, 0)
+            payload = struct.pack("<QQ", gpa, token).ljust(md.LIST_BYTES, b"\x00")
+            bundle = Bundle(*encrypt_bundle(migsc, BundleType.MEM, [payload]))
+        return TDX_SUCCESS, "success", bundle
 
     @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
@@ -727,10 +706,9 @@ class TdxModule:
             return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
         if bundle.mbmd.bundle_type is not bundle_type:
             return TDX_INVALID_MBMD
-        if not migsc.acquire():
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
-        try:
-            migsc.key = td.session_key
+        with migsc.hold(td.session_key) as busy:
+            if busy:
+                return busy
             status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
             if status != TDX_SUCCESS:
                 return status
@@ -760,7 +738,6 @@ class TdxModule:
                     migsc.interrupted_state.latch(result.status, result.ext_err_info)
                 if i + 1 <= len(lists) - 1 and policy and policy.pending(i):
                     migsc.interrupted_state.cursor = i + 1
-                    migsc.interrupted_state.valid = True
                     return TDX_INTERRUPTED_RESUMABLE, "interrupted"
 
             if migsc.interrupted_state.status != TDX_SUCCESS:
@@ -777,8 +754,6 @@ class TdxModule:
 
             migsc.interrupted_state.reset()
             return TDX_SUCCESS, "success"
-        finally:
-            migsc.release()
 
     def _missing_required(self, td, contexts, num_lists, kinds, vp_index):
         ctx_codes = {contexts(i) for i in range(num_lists)}
@@ -849,17 +824,14 @@ class TdxModule:
             return TDX_TD_FATAL
         if bundle.mbmd.bundle_type is not BundleType.MEM:
             return TDX_INVALID_MBMD
-        if not migsc.acquire():
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
-        try:
-            migsc.key = td.session_key
+        with migsc.hold(td.session_key) as busy:
+            if busy:
+                return busy
             status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
-            if status != TDX_SUCCESS:
-                return status, "failure"
-            gpa, token = struct.unpack("<QQ", lists[0][:16])
-            td.pages[gpa] = token
-        finally:
-            migsc.release()
+        if status != TDX_SUCCESS:
+            return status, "failure"
+        gpa, token = struct.unpack("<QQ", lists[0][:16])
+        td.pages[gpa] = token
         return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_IMPORT_TRACK)

@@ -22,7 +22,14 @@ from typing import Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .status import TDX_INCORRECT_MBMD_MAC, TDX_INVALID_MBMD, TDX_SUCCESS
+from .status import (
+    OPERAND_ID_MIGSC,
+    TDX_INCORRECT_MBMD_MAC,
+    TDX_INVALID_MBMD,
+    TDX_OPERAND_BUSY,
+    TDX_SUCCESS,
+    with_operand,
+)
 
 MBMD_MAGIC = b"MBMD"
 MBMD_VERSION = 1
@@ -30,6 +37,7 @@ MBMD_BYTES = 40
 MSK_BYTES = 32
 LIST_BYTES = 4096
 ZERO_MAC = bytes(16)
+STREAM_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
 
 # The record up to its MAC: magic, version, type, payload size, stream, counter.
 _RECORD_HEAD = struct.Struct("<4sHHIIQ")
@@ -122,7 +130,6 @@ class InterruptedState:
     status: int = TDX_SUCCESS
     ext_err_info: list[int] = dc_field(default_factory=lambda: [0, 0])
     cursor: int = 0
-    valid: bool = False
 
     def latch(self, status: int, ext_err_info: list[int]) -> None:
         if self.status == TDX_SUCCESS:
@@ -133,32 +140,46 @@ class InterruptedState:
         self.status = TDX_SUCCESS
         self.ext_err_info = [0, 0]
         self.cursor = 0
-        self.valid = False
 
 
 class MigStreamContext:
-    """Per-stream crypto and resume state; one logical owner at a time."""
+    """Per-stream crypto and resume state; one logical owner (``locked``) at a time."""
 
     def __init__(self, stream_index: int, key: Optional[MigrationSessionKey] = None):
         self.stream_index = stream_index
         self.key = key
         self.iv_counter = 0
         self.interrupted_state = InterruptedState()
-        self._locked = False
+        self.locked = False
+        self._claim = key
+        self._refused = 0  # open blocks that were refused: their exits release nothing
         self.iv_history: list[bytes] = []
 
-    def acquire(self) -> bool:
-        if self._locked:
-            return False
-        self._locked = True
-        return True
+    def hold(self, key: Optional[MigrationSessionKey]) -> "MigStreamContext":
+        """Guard one call's use of the stream: ``with stream.hold(key) as busy:``.
 
-    def release(self) -> None:
-        self._locked = False
+        ``busy`` is STREAM_BUSY when another owner holds the stream, which is
+        then left as it was: no IV spent, no key installed.  Otherwise it is 0,
+        and the stream carries ``key`` and stays held until the block ends.
+        The guard is plain methods, not a generator, because a 4096-page round
+        trip passes through it about 8k times.
+        """
+        self._claim = key
+        return self
 
-    @property
-    def locked(self) -> bool:
-        return self._locked
+    def __enter__(self) -> int:
+        if self.locked:
+            self._refused += 1
+            return STREAM_BUSY
+        self.locked = True
+        self.key = self._claim
+        return 0
+
+    def __exit__(self, *exc) -> None:
+        if self._refused:
+            self._refused -= 1
+        else:
+            self.locked = False
 
     def next_iv(self) -> bytes:
         """Advance the counter and return the fresh 96-bit IV.

@@ -128,10 +128,6 @@ class MdFieldId:
             | (self.ignored << IGNORED_SHIFT)
         )
 
-    def key(self) -> tuple[int, int, int]:
-        """Identity triple: (context_code, class_code, field_code)."""
-        return (self.context_code, self.class_code, self.field_code)
-
 
 def encode_field_id(parts: MdFieldId) -> int:
     """Pack subfields to the raw 64-bit id, rejecting overflow and reserved bits."""

@@ -1,12 +1,16 @@
 """Findings suite: each logic-level finding as a deterministic replay scenario.
 
-A scenario is a declarative spec: engine-mode toggles, an ordered call list
-with per-mode expected statuses (always referenced through named status
-constants), and final assertions.  Run with mode=vulnerable the toggles are
+A scenario is a declarative spec: the engine-mode toggles it switches on, an
+ordered call list with expected statuses (always referenced through named
+status constants), and final checks.  Run with mode=vulnerable the toggles are
 applied and the expected outcome is EXPLOITED; with mode=fixed everything
 stays at the post-fix behavior and the expected outcome is NOT EXPLOITABLE.
 The runner also validates every TD's op-state trace against the permission
 matrix fixture.
+
+Expectations are written for the vulnerable mode.  A step's status holds in
+both modes unless the step names a ``fixed`` one; a check's truth value flips
+in fixed mode unless the check names a ``fixed`` value.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from .envelope import (
 )
 from .md_codec import MD_CTX_TD, MD_CTX_VP, MdSequence
 from .states import OpState, validate_trace
-from .td import ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, EventFilter, TdParams, audit_event_filters
-
-U64 = 0xFFFFFFFFFFFFFFFF
+from .td import (
+    ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, U64, EventFilter, TdParams, audit_event_filters,
+)
 
 # The 8-byte value planted past the sentinel regions for the leak replays;
 # mirrors the kind of module address the real leak channel surfaces.
@@ -37,86 +41,94 @@ LEAK_SENTINEL = 0x00FFFF9C00004010
 LEAK_SENTINEL_OFFSET = 12280
 
 
-def _expect(label: str, value: int, match: str = "exact") -> "Expect":
-    return Expect(label=label, value=value, match=match)
-
-
 @dataclass(frozen=True)
 class Expect:
+    """An expected status; ``by_class`` matches its error class and fatal flag only."""
+
     label: str
     value: int
-    match: str = "exact"
+    by_class: bool = False
 
     def matches(self, observed: int) -> bool:
-        if self.match == "exact":
+        if not self.by_class:
             return observed == self.value
         same_class = S.status_class(observed) == S.status_class(self.value)
         same_fatal = bool(observed & S.TDX_FATAL_FLAG_MASK) == bool(self.value & S.TDX_FATAL_FLAG_MASK)
         return same_class and same_fatal
 
 
-SUCCESS = _expect("TDX_SUCCESS", S.TDX_SUCCESS)
-INTERRUPTED = _expect("TDX_INTERRUPTED_RESUMABLE", S.TDX_INTERRUPTED_RESUMABLE)
-OP_STATE_INCORRECT = _expect("TDX_OP_STATE_INCORRECT", S.TDX_OP_STATE_INCORRECT)
-OPERAND_INVALID_XFAM = _expect(
+SUCCESS = Expect("TDX_SUCCESS", S.TDX_SUCCESS)
+INTERRUPTED = Expect("TDX_INTERRUPTED_RESUMABLE", S.TDX_INTERRUPTED_RESUMABLE)
+OP_STATE_INCORRECT = Expect("TDX_OP_STATE_INCORRECT", S.TDX_OP_STATE_INCORRECT)
+OPERAND_INVALID_XFAM = Expect(
     "TDX_OPERAND_INVALID:XFAM", S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
 )
-NOT_READABLE = _expect("TDX_METADATA_FIELD_NOT_READABLE", S.TDX_METADATA_FIELD_NOT_READABLE)
-VCPUS_NOT_MIGRATED = _expect("TDX_SOME_VCPUS_NOT_MIGRATED", S.TDX_SOME_VCPUS_NOT_MIGRATED)
-FATAL_FIELD_ID_INCORRECT = _expect(
+NOT_READABLE = Expect("TDX_METADATA_FIELD_NOT_READABLE", S.TDX_METADATA_FIELD_NOT_READABLE)
+VCPUS_NOT_MIGRATED = Expect("TDX_SOME_VCPUS_NOT_MIGRATED", S.TDX_SOME_VCPUS_NOT_MIGRATED)
+FATAL_FIELD_ID_INCORRECT = Expect(
     "fatal TDX_METADATA_FIELD_ID_INCORRECT",
-    S.as_fatal(S.TDX_METADATA_FIELD_ID_INCORRECT), "class",
+    S.as_fatal(S.TDX_METADATA_FIELD_ID_INCORRECT), by_class=True,
 )
-FATAL_LIST_OVERFLOW = _expect(
-    "fatal TDX_METADATA_LIST_OVERFLOW", S.as_fatal(S.TDX_METADATA_LIST_OVERFLOW), "class"
+FATAL_LIST_OVERFLOW = Expect(
+    "fatal TDX_METADATA_LIST_OVERFLOW", S.as_fatal(S.TDX_METADATA_LIST_OVERFLOW), by_class=True
 )
-FATAL_REQUIRED_MISSING = _expect(
+FATAL_REQUIRED_MISSING = Expect(
     "fatal TDX_REQUIRED_METADATA_FIELD_MISSING",
-    S.as_fatal(S.TDX_REQUIRED_METADATA_FIELD_MISSING), "class",
+    S.as_fatal(S.TDX_REQUIRED_METADATA_FIELD_MISSING), by_class=True,
 )
-FATAL_VALUE_NOT_VALID = _expect(
+FATAL_VALUE_NOT_VALID = Expect(
     "fatal TDX_METADATA_FIELD_VALUE_NOT_VALID",
-    S.as_fatal(S.TDX_METADATA_FIELD_VALUE_NOT_VALID), "class",
+    S.as_fatal(S.TDX_METADATA_FIELD_VALUE_NOT_VALID), by_class=True,
 )
-TD_FATAL = _expect("TDX_TD_FATAL", S.TDX_TD_FATAL)
-EVENT_FILTER_INVALID_2 = _expect(
+TD_FATAL = Expect("TDX_TD_FATAL", S.TDX_TD_FATAL)
+EVENT_FILTER_INVALID_2 = Expect(
     "TDX_EVENT_FILTER_INVALID[2]", S.with_operand(S.TDX_EVENT_FILTER_INVALID, 2)
 )
-EVENT_FILTER_INVALID_1 = _expect(
+EVENT_FILTER_INVALID_1 = Expect(
     "TDX_EVENT_FILTER_INVALID[1]", S.with_operand(S.TDX_EVENT_FILTER_INVALID, 1)
 )
-OPERAND_INVALID_RCX = _expect(
+OPERAND_INVALID_RCX = Expect(
     "TDX_OPERAND_INVALID:RCX", S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
 )
-OPERAND_INVALID_TDR = _expect(
+OPERAND_INVALID_TDR = Expect(
     "TDX_OPERAND_INVALID:TDR", S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDR)
 )
-SERVTD_UUID_MISMATCH = _expect("TDX_SERVTD_UUID_MISMATCH", S.TDX_SERVTD_UUID_MISMATCH)
-HKID_NOT_FREE = _expect(
+SERVTD_UUID_MISMATCH = Expect("TDX_SERVTD_UUID_MISMATCH", S.TDX_SERVTD_UUID_MISMATCH)
+HKID_NOT_FREE = Expect(
     "TDX_HKID_NOT_FREE:RCX", S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX)
 )
-MAX_EXPORTS = _expect("TDX_MAX_EXPORTS_EXCEEDED", S.TDX_MAX_EXPORTS_EXCEEDED)
+MAX_EXPORTS = Expect("TDX_MAX_EXPORTS_EXCEEDED", S.TDX_MAX_EXPORTS_EXCEEDED)
 
 
 @dataclass
 class Step:
     call: str
     run: Callable[[TdxModule, dict], Optional[int]]
-    expect: dict[str, Expect]
+    expect: Expect
+    fixed: Optional[Expect] = None
+
+    def expected(self, vulnerable: bool) -> Expect:
+        return self.expect if vulnerable or self.fixed is None else self.fixed
 
 
 @dataclass
 class Check:
     label: str
     run: Callable[[TdxModule, dict], bool]
-    expect: dict[str, bool]
+    expect: bool
+    fixed: Optional[bool] = None
+
+    def expected(self, vulnerable: bool) -> bool:
+        if vulnerable:
+            return self.expect
+        return not self.expect if self.fixed is None else self.fixed
 
 
 @dataclass
 class Scenario:
     name: str
     title: str
-    toggles: dict[str, str]
+    toggles: tuple[str, ...]
     setup: Callable[[TdxModule], dict]
     steps: list[Step]
     checks: list[Check]
@@ -129,6 +141,8 @@ class ScenarioRun:
     ok: bool
     verdict: str
     transcript: str
+    module: TdxModule
+    env: dict
 
 
 # --- bundle crafting ---------------------------------------------------------
@@ -239,13 +253,12 @@ def list_header_underflow_list() -> bytes:
 
 # --- shared environment builders ----------------------------------------------
 
-def _exchange_key(m: TdxModule, migtd, handle) -> list[int]:
+def _write_key(m: TdxModule, migtd, handle, key: list[int]) -> None:
+    """The migration TD writes the session key into the TD its handle names."""
     key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
-    key = [m.rng.getrandbits(64) | 1 for _ in range(4)]
     for i, quadword in enumerate(key):
         status, _ = m.tdg_servtd_wr(migtd, handle, key_entry.field_id_for(0) + i, quadword)
         assert status == S.TDX_SUCCESS, S.status_str(status)
-    return key
 
 
 def standard_setup(m: TdxModule, num_vcpus: int = 1, num_pages: int = 2) -> dict:
@@ -255,7 +268,8 @@ def standard_setup(m: TdxModule, num_vcpus: int = 1, num_pages: int = 2) -> dict
     migtd = m.new_servtd()
     m.tdh_mig_stream_create(src)
     _, src_handle = m.tdh_servtd_bind(src, 0, migtd)
-    key = _exchange_key(m, migtd, src_handle)
+    key = [m.rng.getrandbits(64) | 1 for _ in range(4)]
+    _write_key(m, migtd, src_handle, key)
 
     env = {"src": src, "migtd": migtd, "src_handle": src_handle, "key": key}
     env.update(new_template(m, env))
@@ -273,9 +287,7 @@ def new_template(m: TdxModule, env: dict) -> dict:
         m.tdh_mng_addcx(dst)
     m.tdh_mig_stream_create(dst)
     _, handle = m.tdh_servtd_bind(dst, 0, env["migtd"])
-    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
-    for i, quadword in enumerate(env["key"]):
-        m.tdg_servtd_wr(env["migtd"], handle, key_entry.field_id_for(0) + i, quadword)
+    _write_key(m, env["migtd"], handle, env["key"])
     return {"dst": dst, "dst_handle": handle}
 
 
@@ -345,60 +357,60 @@ def _scenario_v1() -> Scenario:
             lambda m, e: m.tdh_import_state_immutable(
                 e["dst"], e["bundle_immutable"], policy=InterruptPolicy.after(1)
             ),
-            {"vulnerable": INTERRUPTED, "fixed": INTERRUPTED},
+            INTERRUPTED,
         ),
         Step(
             "tdh_mng_init dst (attributes.debug, invalid xfam)",
             lambda m, e: m.tdh_mng_init(e["dst"], TdParams(attributes=ATTR_DEBUG, xfam=0)),
-            {"vulnerable": OPERAND_INVALID_XFAM, "fixed": OP_STATE_INCORRECT},
+            OPERAND_INVALID_XFAM, fixed=OP_STATE_INCORRECT,
         ),
         Step(
             "tdh_import_state_immutable dst (resume)",
             lambda m, e: m.tdh_import_state_immutable(e["dst"], e["bundle_immutable"], resume=True),
-            {"vulnerable": SUCCESS, "fixed": SUCCESS},
+            SUCCESS,
         ),
         Step(
             "tdh_mng_rd dst ATTRIBUTES",
             lambda m, e: _stash(e, "attrs", m.tdh_mng_rd(e["dst"], attr_id)),
-            {"vulnerable": SUCCESS, "fixed": SUCCESS},
+            SUCCESS,
         ),
         Step(
             "tdh_mng_rd dst MIG_DEC_KEY --count=4",
             lambda m, e: _stash(e, "key_read", m.tdh_mng_rd(e["dst"], key_id, count=4)),
-            {"vulnerable": SUCCESS, "fixed": NOT_READABLE},
+            SUCCESS, fixed=NOT_READABLE,
         ),
         Step(
             "tdh_import_track dst (start token)",
             lambda m, e: m.tdh_import_track(e["dst"], EpochToken(start=True, epoch=1)),
-            {"vulnerable": SUCCESS, "fixed": VCPUS_NOT_MIGRATED},
+            SUCCESS, fixed=VCPUS_NOT_MIGRATED,
         ),
     ]
     checks = [
         Check(
             "destination ATTRIBUTES is 0x1 (debug)",
             lambda m, e: e.get("attrs") == [1],
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "all four MIG_DEC_KEY quadwords leaked to the host",
             lambda m, e: e.get("key_read") == e["key"],
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "num_vcpus zeroed by the interleaved init",
             lambda m, e: e["dst"].num_vcpus == 0,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "import_track passed with zero vcpus (POST_IMPORT)",
             lambda m, e: e["dst"].op_state is OpState.POST_IMPORT,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
     ]
     return Scenario(
         name="cve-2025-30513",
         title="migratable TD becomes debuggable during interrupted immutable import",
-        toggles={"v1": "vulnerable"},
+        toggles=("v1",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -448,30 +460,30 @@ def _scenario_v2() -> Scenario:
         Step(
             "tdh_import_state_vp dst (crafted bundle, option 1: register exfil)",
             run_option1,
-            {"vulnerable": FATAL_FIELD_ID_INCORRECT, "fixed": FATAL_LIST_OVERFLOW},
+            FATAL_FIELD_ID_INCORRECT, fixed=FATAL_LIST_OVERFLOW,
         ),
         Step(
             "tdh_import_state_vp dst2 (crafted bundle, option 2: exfil via XBUFF)",
             run_option2,
-            {"vulnerable": FATAL_REQUIRED_MISSING, "fixed": FATAL_LIST_OVERFLOW},
+            FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
         ),
     ]
     checks = [
         Check(
             "extended error info 1 carries the planted sentinel",
             lambda m, e: e.get("opt1_regs", {}).get("rcx") == LEAK_SENTINEL,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "maximum out-of-bounds span is exactly 8192 bytes",
             lambda m, e: max(a.max_oob_span() for a in e.get("opt1_arenas", [])) == 8192
             if e.get("opt1_arenas") else False,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "out-of-bounds qwords copied into attacker-readable XBUFF state",
             xbuff_leaked,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "no out-of-bounds arena reads logged",
@@ -479,13 +491,13 @@ def _scenario_v2() -> Scenario:
                 not a.oob_reads()
                 for a in e.get("opt1_arenas", []) + e.get("opt2_arenas", [])
             ),
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
     ]
     return Scenario(
         name="cve-2025-32007",
         title="metadata sequence parsing underflow reads 8KB past the list",
-        toggles={"v2": "vulnerable", "bug1": "vulnerable"},
+        toggles=("v2", "bug1"),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -511,30 +523,30 @@ def _scenario_bug1() -> Scenario:
         Step(
             "tdh_import_state_td dst (list_buff_size = 0)",
             run_import,
-            {"vulnerable": FATAL_REQUIRED_MISSING, "fixed": FATAL_LIST_OVERFLOW},
+            FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
         ),
     ]
     checks = [
         Check(
             "header residue wrapped to 65528 (16-bit oracle)",
             lambda m, e: e["results"][0].initial_remaining == 65528,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "walk read past the list end",
             lambda m, e: bool(e["arenas"][0].oob_reads()),
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "rejected before any sequence read (header read only)",
             lambda m, e: e["arenas"][0].read_count == 1,
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
     ]
     return Scenario(
         name="bug-1-list-header-underflow",
         title="metadata list header size wraps the 16-bit residue",
-        toggles={"bug1": "vulnerable"},
+        toggles=("bug1",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -611,80 +623,80 @@ def _scenario_bug2() -> Scenario:
         Step(
             "tdh_import_state_immutable dst (EPTP skipped via zero write mask)",
             import_eptp_skip,
-            {"vulnerable": SUCCESS, "fixed": FATAL_REQUIRED_MISSING},
+            SUCCESS, fixed=FATAL_REQUIRED_MISSING,
         ),
         Step(
             "tdh_mem_sept_add dst (secure page-table walk)",
             lambda m, e: m.tdh_mem_sept_add(e["dst_eptp"], 0x1000),
-            {"vulnerable": TD_FATAL, "fixed": OP_STATE_INCORRECT},
+            TD_FATAL, fixed=OP_STATE_INCORRECT,
         ),
         Step(
             "tdh_import_state_vp dst2 (XCR0 skipped via zero write mask)",
             import_xcr0,
-            {"vulnerable": SUCCESS, "fixed": FATAL_REQUIRED_MISSING},
+            SUCCESS, fixed=FATAL_REQUIRED_MISSING,
         ),
         Step(
             "tdh_vp_enter dst2 vp0",
             enter_after_xcr0_skip,
-            {"vulnerable": TD_FATAL, "fixed": OP_STATE_INCORRECT},
+            TD_FATAL, fixed=OP_STATE_INCORRECT,
         ),
         Step(
             "tdh_import_state_immutable dst3 (NUM_VCPUS/TSC_FREQUENCY/HP_LOCK_TIMEOUT skipped)",
             lambda m, e: m.tdh_import_state_immutable(e["dst_values"], e["b_values"]),
-            {"vulnerable": SUCCESS, "fixed": FATAL_REQUIRED_MISSING},
+            SUCCESS, fixed=FATAL_REQUIRED_MISSING,
         ),
         Step(
             "tdh_import_track dst3 (start token, no VPs imported)",
             values_track,
-            {"vulnerable": SUCCESS, "fixed": OP_STATE_INCORRECT},
+            SUCCESS, fixed=OP_STATE_INCORRECT,
         ),
         Step(
             "import EXPORT_COUNT=0x80000000 then tdh_export_state_immutable dst4",
             export_capped,
-            {"vulnerable": MAX_EXPORTS, "fixed": MAX_EXPORTS},
+            MAX_EXPORTS,
         ),
     ]
     checks = [
         Check(
             "skipped EPTP left at its zero init value",
             lambda m, e: e["dst_eptp"].eptp_raw == 0,
-            {"vulnerable": True, "fixed": True},
+            True, fixed=True,
         ),
         Check(
             "SEPT walk froze the TD (machine-check analog)",
             lambda m, e: e["dst_eptp"].fatal,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "completion failure names the missing field (EPTP)",
             lambda m, e: e.get("eptp_regs", {}).get("rcx")
             == m.catalog.by_name(MD_CTX_TD, "EPTP").field_id_raw
             and e["dst_eptp"].op_state is OpState.FAILED_IMPORT,
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
         Check(
             "vp_enter froze the TD on xcr0 without x87",
             lambda m, e: e["dst_xcr0"].fatal,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "import completed with out-of-range zeros in TSC_FREQUENCY/HP_LOCK_TIMEOUT",
             lambda m, e: e["dst_values"].tsc_frequency == 0
             and e["dst_values"].hp_lock_timeout == 0
             and e["dst_values"].op_state is not OpState.FAILED_IMPORT,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "POST_IMPORT reached with zero imported VPs",
             lambda m, e: e["dst_values"].op_state is OpState.POST_IMPORT
             and e["dst_values"].num_vcpus == 0,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
     ]
     return Scenario(
         name="bug-2-skippable-required-entries",
         title="required metadata entries skipped via zero write masks",
-        toggles={"bug2": "vulnerable"},
+        toggles=("bug2",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -717,7 +729,7 @@ def _scenario_bug3() -> Scenario:
                 e["td"], e["params"], event_filtering=True,
                 event_filters_num=3, event_filters=e["filters_a"],
             ),
-            {"vulnerable": EVENT_FILTER_INVALID_2, "fixed": EVENT_FILTER_INVALID_2},
+            EVENT_FILTER_INVALID_2,
         ),
         Step(
             "tdh_mng_init td (count 6, second illegal)",
@@ -725,12 +737,12 @@ def _scenario_bug3() -> Scenario:
                 e["td"], e["params"], event_filtering=True,
                 event_filters_num=6, event_filters=e["filters_b"],
             ),
-            {"vulnerable": EVENT_FILTER_INVALID_1, "fixed": EVENT_FILTER_INVALID_1},
+            EVENT_FILTER_INVALID_1,
         ),
         Step(
             "tdh_mng_init td (event filtering disabled)",
             lambda m, e: m.tdh_mng_init(e["td"], e["params"], event_filtering=False),
-            {"vulnerable": SUCCESS, "fixed": SUCCESS},
+            SUCCESS,
         ),
     ]
     checks = [
@@ -739,23 +751,23 @@ def _scenario_bug3() -> Scenario:
             lambda m, e: (lambda a: a["count"] > 0 and not a["sorted"])(
                 audit_event_filters(e["td"])
             ),
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "stale and uninitialized entries are live",
             lambda m, e: (lambda a: a["zero_entries"] > 0)(audit_event_filters(e["td"])),
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "filters_num reset to 0 after every failure",
             lambda m, e: e["td"].event_filters_num == 0,
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
     ]
     return Scenario(
         name="bug-3-event-filter-init",
         title="illegal, stale, and unsorted event filter initialization",
-        toggles={"bug3": "vulnerable"},
+        toggles=("bug3",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -768,39 +780,37 @@ def _scenario_bug4() -> Scenario:
         return {"start_field": m.cpuid.field_id_for(start)}
 
     def run_next(m: TdxModule, e: dict) -> int:
-        from .catalog import next_cpuid_entry
-
-        e["result"] = next_cpuid_entry(m.cpuid, e["start_field"], m.mode.bug4)
+        e["result"] = m.md_next_cpuid_field(e["start_field"])
         return S.TDX_SUCCESS
 
     steps = [
         Step(
             "md_get_next_cpuid_value_entry from (0x80000002, 0xffffffff)",
             run_next,
-            {"vulnerable": SUCCESS, "fixed": SUCCESS},
+            SUCCESS,
         ),
     ]
     checks = [
         Check(
             "search returned MD_FIELD_ID_NA",
             lambda m, e: e["result"] == md.MD_FIELD_ID_NA,
-            {"vulnerable": True, "fixed": True},
+            True, fixed=True,
         ),
         Check(
             "exactly one out-of-bounds index access (index 79)",
             lambda m, e: m.cpuid.oob_accesses() == [79],
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "no out-of-bounds index accesses",
             lambda m, e: m.cpuid.oob_accesses() == [],
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
     ]
     return Scenario(
         name="bug-4-cpuid-lookup-oob",
         title="next-entry search indexes one past the CPUID lookup array",
-        toggles={"bug4": "vulnerable"},
+        toggles=("bug4",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -823,17 +833,17 @@ def _scenario_bug6() -> Scenario:
         Step(
             "tdg_servtd_rd probe (no TDR at address)",
             lambda m, e: _stash(e, "v_empty", m.tdg_servtd_rd(e["migtd"], e["probe_empty"], 0x9810000300000010)),
-            {"vulnerable": OPERAND_INVALID_TDR, "fixed": OPERAND_INVALID_TDR},
+            OPERAND_INVALID_TDR,
         ),
         Step(
             "tdg_servtd_rd probe (foreign TDR, uuid mismatch)",
             lambda m, e: _stash(e, "v_foreign", m.tdg_servtd_rd(e["migtd"], e["probe_foreign"], 0x9810000300000010)),
-            {"vulnerable": SERVTD_UUID_MISMATCH, "fixed": OPERAND_INVALID_TDR},
+            SERVTD_UUID_MISMATCH, fixed=OPERAND_INVALID_TDR,
         ),
         Step(
             "tdg_servtd_rd dst MIG_DEC_KEY[0] (bound migration TD)",
             lambda m, e: _stash(e, "key0", m.tdg_servtd_rd(e["migtd"], e["dst_handle"], 0x9810000300000010)),
-            {"vulnerable": SUCCESS, "fixed": SUCCESS},
+            SUCCESS,
         ),
     ]
 
@@ -846,18 +856,18 @@ def _scenario_bug6() -> Scenario:
         Check(
             "probe statuses reveal whether a TDR lives at the address",
             probes_distinguishable,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "bound migration TD reads back the key quadword it wrote",
             lambda m, e: e.get("key0") == e["key"][0],
-            {"vulnerable": True, "fixed": True},
+            True, fixed=True,
         ),
     ]
     return Scenario(
         name="bug-6-binding-handle-oracle",
         title="binding-handle probes leak TDR host physical addresses",
-        toggles={"bug6": "vulnerable"},
+        toggles=("bug6",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -878,30 +888,30 @@ def _scenario_bug8() -> Scenario:
         Step(
             "tdh_sys_config x K (bad TDMR entry alignment each time)",
             drain,
-            {"vulnerable": OPERAND_INVALID_RCX, "fixed": OPERAND_INVALID_RCX},
+            OPERAND_INVALID_RCX,
         ),
         Step(
             "tdh_mng_create (any HKID)",
             lambda m, e: m.tdh_mng_create(hkid=0)[0],
-            {"vulnerable": HKID_NOT_FREE, "fixed": SUCCESS},
+            HKID_NOT_FREE, fixed=SUCCESS,
         ),
     ]
     checks = [
         Check(
             "all KOT entries left HKID_RESERVED (no TD creatable)",
             lambda m, e: m.kot.free_count() == 0,
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "free-entry count conserved across failing calls",
             lambda m, e: m.kot.free_count() == e["kot_size"] - 1,  # one used by mng_create
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
     ]
     return Scenario(
         name="bug-8-hkid-exhaustion",
         title="failing sys_config calls leak HKID reservations",
-        toggles={"bug8": "vulnerable"},
+        toggles=("bug8",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -931,7 +941,7 @@ def _scenario_bug9() -> Scenario:
         Step(
             "tdh_import_state_vp dst (L2_VAPIC_GPA = non-canonical private GPA)",
             lambda m, e: m.tdh_import_state_vp(e["dst"], 0, e["crafted"]),
-            {"vulnerable": SUCCESS, "fixed": FATAL_VALUE_NOT_VALID},
+            SUCCESS, fixed=FATAL_VALUE_NOT_VALID,
         ),
     ]
     checks = [
@@ -940,18 +950,18 @@ def _scenario_bug9() -> Scenario:
             lambda m, e: e["dst"].vps[0].values(
                 m.catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
             )[0] == e["bogus"],
-            {"vulnerable": True, "fixed": False},
+            True,
         ),
         Check(
             "import failed and the TD is quarantined in FAILED_IMPORT",
             lambda m, e: e["dst"].op_state is OpState.FAILED_IMPORT,
-            {"vulnerable": False, "fixed": True},
+            False,
         ),
     ]
     return Scenario(
         name="bug-9-gpa-check-skip",
         title="private-GPA validity checks skipped on metadata import",
-        toggles={"bug9": "vulnerable"},
+        toggles=("bug9",),
         setup=setup,
         steps=steps,
         checks=checks,
@@ -973,21 +983,20 @@ def all_scenarios() -> dict[str, Scenario]:
     return {s.name: s for s in scenarios}
 
 
-def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
-    if mode not in ("vulnerable", "fixed"):
-        raise ValueError(f"mode must be vulnerable or fixed, not {mode!r}")
-    toggles = scenario.toggles if mode == "vulnerable" else {}
-    module = TdxModule(EngineMode.with_toggles(toggles), seed=seed)
-    lines = [
-        f"{scenario.name}: {scenario.title}",
-        f"mode: {mode} seed: {seed}",
-    ]
+def replay(scenario: Scenario, module: TdxModule, vulnerable: bool) -> tuple[bool, list[str], dict]:
+    """Play the scenario on ``module`` against one mode's expectations.
+
+    Runs the set-up, every step and check, and the op-state trace validation
+    of every TD.  Returns whether all of them met the expectations, the
+    transcript lines, and the scenario's environment.
+    """
+    lines = []
     ok = True
     env = scenario.setup(module)
     for index, step in enumerate(scenario.steps):
         status = step.run(module, env)
         env[f"_step_status_{index}"] = status
-        expected = step.expect[mode]
+        expected = step.expected(vulnerable)
         matched = expected.matches(status)
         ok = ok and matched
         lines.append(f"host-vmm: {step.call}")
@@ -1001,7 +1010,7 @@ def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
             lines.append(f"  MISMATCH: expected {expected.label}")
     for check in scenario.checks:
         observed = bool(check.run(module, env))
-        expected = check.expect[mode]
+        expected = check.expected(vulnerable)
         matched = observed is expected
         ok = ok and matched
         flag = "yes" if observed else "no"
@@ -1017,8 +1026,21 @@ def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
             lines.append(f"trace violation: {problem}")
     else:
         lines.append("op_state traces: valid")
-    verdict = (
-        ("EXPLOITED" if mode == "vulnerable" else "NOT EXPLOITABLE") if ok else "MISMATCH"
-    )
-    lines.append(f"verdict: {verdict}")
-    return ScenarioRun(scenario.name, mode, ok, verdict, "\n".join(lines) + "\n")
+    return ok, lines, env
+
+
+def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
+    """Replay a scenario on a fresh module in the mode named "vulnerable" or "fixed"."""
+    if mode not in ("vulnerable", "fixed"):
+        raise ValueError(f"mode must be vulnerable or fixed, not {mode!r}")
+    vulnerable = mode == "vulnerable"
+    module = TdxModule(EngineMode(**dict.fromkeys(scenario.toggles, vulnerable)), seed=seed)
+    ok, lines, env = replay(scenario, module, vulnerable)
+    verdict = ("EXPLOITED" if vulnerable else "NOT EXPLOITABLE") if ok else "MISMATCH"
+    transcript = "\n".join([
+        f"{scenario.name}: {scenario.title}",
+        f"mode: {mode} seed: {seed}",
+        *lines,
+        f"verdict: {verdict}",
+    ]) + "\n"
+    return ScenarioRun(scenario.name, mode, ok, verdict, transcript, module, env)

@@ -95,10 +95,6 @@ def status_class(status: int) -> int:
     return status & TDX_CLASS_MASK & ~TDX_FATAL_FLAG_MASK
 
 
-def is_success(status: int) -> bool:
-    return status == TDX_SUCCESS
-
-
 def status_str(status: int) -> str:
     """Render a status the way the console tooling prints it."""
     base = status_class(status)

@@ -85,10 +85,6 @@ class TdAttributes:
     def perfmon(self) -> bool:
         return bool(self.raw & ATTR_PERFMON)
 
-    @property
-    def sept_ve_disable(self) -> bool:
-        return bool(self.raw & ATTR_SEPT_VE_DISABLE)
-
 
 def verify_td_attributes(attrs: TdAttributes, is_import: bool) -> bool:
     """A migratable TD cannot be a debug or perfmon TD; imports must be migratable."""
@@ -198,7 +194,6 @@ class KotState(Enum):
 @dataclass
 class KotEntry:
     state: KotState = KotState.HKID_FREE
-    wbinvd_bitmap: int = 0
 
 
 class Kot:
@@ -206,7 +201,6 @@ class Kot:
 
     def __init__(self, size: int = DEFAULT_KOT_SIZE):
         self.entries = [KotEntry() for _ in range(size)]
-        self.module_hkid: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -229,12 +223,10 @@ def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
     if hkid >= len(kot) or kot.entries[hkid].state is not KotState.HKID_FREE:
         return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX)
     kot.entries[hkid].state = KotState.HKID_RESERVED
-    kot.module_hkid = hkid
     for address in tdmr_entries:
         if address % TDMR_ENTRY_ALIGNMENT:
             if not leak_on_error:
                 kot.entries[hkid].state = KotState.HKID_FREE
-                kot.module_hkid = None
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
     return TDX_SUCCESS
 
@@ -268,7 +260,6 @@ class ServtdBinding:
 class VcpuState:
     index: int
     store: dict = dc_field(default_factory=dict)
-    entered: bool = False
 
     def values(self, entry: FieldEntry) -> list[int]:
         if entry.name not in self.store:
@@ -325,7 +316,6 @@ class TdComplex:
         self.lifecycle = LifecycleState.TD_HKID_ASSIGNED
         self.op_state = OpState.UNINITIALIZED
         self.sept_root_pa = 0
-        self.pending_ve_disable = False
         self.num_migrated_vcpus = 0
         self._mig_dec_key_written: set[int] = set()
         self._session_key: Optional[MigrationSessionKey] = None
@@ -494,7 +484,6 @@ def read_and_set_td_configurations(td: TdComplex, params: TdParams, write_early:
         if not verify_td_attributes(attrs, is_import=False):
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_ATTRIBUTES)
         td.attributes = attrs
-        td.pending_ve_disable = attrs.sept_ve_disable
         if not check_xfam(params.xfam):
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_XFAM)
         td.xfam = params.xfam
@@ -516,7 +505,6 @@ def read_and_set_td_configurations(td: TdComplex, params: TdParams, write_early:
         return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TSC_FREQUENCY)
     td.num_vcpus = 0
     td.attributes = attrs
-    td.pending_ve_disable = attrs.sept_ve_disable
     td.xfam = params.xfam
     verify_and_set_td_eptp_controls(td, params.gpaw, eptp)
     td.tsc_frequency = params.tsc_frequency

@@ -112,7 +112,7 @@ def test_next_entry_of_attributes_matches_fixture_file(catalog):
         if line.strip() and not line.startswith("#") and line.split()[0] == "td"
     ]
     expected = names[names.index("ATTRIBUTES") + 1]
-    successor = catalog.next_entry(MD_CTX_TD, 0x1110000300000000)
+    successor = catalog.next_entry_after(MD_CTX_TD, catalog.find_entry(MD_CTX_TD, 0x1110000300000000))
     assert successor.name == expected
 
 

@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdxmodel.cli import main
+from tdxmodel.envelope import Mbmd
 from tdxmodel.engine import TdxModule
 from tdxmodel.scenarios import all_scenarios, standard_setup
 
@@ -165,8 +167,8 @@ def test_state_matrix_row_count():
     assert len(rows) == 11
 
 
-# Goldens are seed-7 outputs recorded before any refactor of the code they
-# cover.  The first four runs predate the rest and keep their place (and ids).
+# Goldens: the seed-7 output of every `scenario run` and `state dump --scenario`.
+# The four runs listed by hand keep their file names and test ids.
 _FIRST_GOLDENS = {
     ("cve-2025-30513", "vulnerable"), ("cve-2025-30513", "fixed"),
     ("cve-2025-32007", "vulnerable"), ("bug-4-cpuid-lookup-oob", "vulnerable"),
@@ -213,3 +215,90 @@ def test_golden_transcripts(argv, golden):
     code, out = run_cli(*argv)
     assert code == GOLDEN_EXIT_CODES.get(golden, 0)
     assert out == (GOLDEN / golden).read_text()
+
+
+ATTRIBUTES = "0x1110000300000000"
+
+
+def _encrypt(tmp, key, *extra):
+    return run_cli("bundle", "encrypt", key, "immutable", str(tmp / "plain.data"),
+                   str(tmp / "fz.mbmd"), str(tmp / "fz.data"), *extra)
+
+
+def _edit(tmp, key, *extra):
+    return run_cli("bundle", "edit", key, str(tmp / "imm.mbmd"), str(tmp / "imm.data"),
+                   str(tmp / "fz.mbmd"), str(tmp / "fz.data"), *extra)
+
+
+@pytest.fixture(scope="module")
+def plain_bundle(bundle_files):
+    tmp, key = bundle_files
+    code, out = run_cli("bundle", "decrypt", key, str(tmp / "imm.mbmd"), str(tmp / "imm.data"),
+                        str(tmp / "plain.data"))
+    assert code == 0, out
+    return tmp, key
+
+
+@pytest.mark.parametrize(
+    "command,option,code",
+    [
+        # Stream index and IV counter must fit the 32- and 64-bit IV halves;
+        # the counter advances once before use, so 2**64 - 2 is the last one.
+        (_encrypt, "--stream-index=-1", 2),
+        (_encrypt, "--stream-index=4294967296", 2),
+        (_encrypt, "--stream-index=4294967295", 0),
+        (_encrypt, "--iv-counter=-5", 2),
+        (_encrypt, "--iv-counter=18446744073709551615", 2),
+        (_encrypt, "--iv-counter=18446744073709551616", 2),
+        (_encrypt, "--iv-counter=18446744073709551614", 0),
+        # A negative step reseals under an IV the bundle's stream already spent.
+        (_edit, "--iv-step=-5", 2),
+        (_edit, "--iv-step=-1", 2),
+        (_edit, "--iv-step=18446744073709551615", 2),
+        (_edit, "--iv-step=0", 0),
+        (_edit, f"--set={ATTRIBUTES}:0:0x10000000000000000", 2),
+        (_edit, f"--set={ATTRIBUTES}:0:-1", 2),
+        (_edit, "--set=-0x5:0:0x1", 2),
+        # Elements outside the matched sequence are not in it.
+        (_edit, f"--set={ATTRIBUTES}:-1:0x1", 1),
+        (_edit, f"--set={ATTRIBUTES}:1:0x1", 1),
+        (_edit, f"--set={ATTRIBUTES}:4096:0x1", 1),
+    ],
+)
+def test_bundle_integer_arguments_out_of_range(plain_bundle, command, option, code):
+    tmp, key = plain_bundle
+    got, out = command(tmp, key, option)
+    assert got == code, out
+    if code == 2:
+        assert out.startswith("error: ")
+
+
+_INTS = st.one_of(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.sampled_from([-1, 0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 2, (1 << 64) - 1, 1 << 64]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_index=_INTS, iv_counter=_INTS)
+def test_bundle_encrypt_integer_fuzz(plain_bundle, stream_index, iv_counter):
+    tmp, key = plain_bundle
+    code, out = _encrypt(tmp, key, f"--stream-index={stream_index}", f"--iv-counter={iv_counter}")
+    assert code in (0, 2), out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    iv_step=_INTS,
+    field_id=st.one_of(st.sampled_from([int(ATTRIBUTES, 16), 0x9810000300000010]), _INTS),
+    element=st.one_of(st.integers(min_value=-2, max_value=4), _INTS),
+    value=_INTS,
+)
+def test_bundle_edit_integer_fuzz(plain_bundle, iv_step, field_id, element, value):
+    tmp, key = plain_bundle
+    original = Mbmd.from_bytes((tmp / "imm.mbmd").read_bytes()).iv_counter
+    code, out = _edit(tmp, key, f"--iv-step={iv_step}", f"--set={field_id:#x}:{element}:{value:#x}")
+    assert code in (0, 1, 2), out
+    if code == 0:
+        # A resealed bundle never reuses the original's IV.
+        assert Mbmd.from_bytes((tmp / "fz.mbmd").read_bytes()).iv_counter > original

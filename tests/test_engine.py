@@ -118,9 +118,24 @@ def test_import_interrupt_and_resume_cursor():
 def test_import_busy_when_stream_held():
     m = TdxModule(seed=8)
     env = standard_setup(m, num_vcpus=1)
-    env["dst"].migsc[0].acquire()
-    status = m.tdh_import_state_immutable(env["dst"], env["bundle_immutable"])
-    assert status == S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
+    export_blackout(m, env)
+    dst, migsc = env["dst"], env["dst"].migsc[0]
+    busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
+
+    def busy_then_admitted(call):
+        state, written = dst.op_state, dict(dst.import_written)
+        migsc.locked = True  # another owner holds the stream
+        assert call() == busy
+        assert dst.op_state is state and dst.import_written == written
+        migsc.locked = False
+        assert call() == S.TDX_SUCCESS and not migsc.locked
+
+    busy_then_admitted(lambda: m.tdh_import_state_immutable(dst, env["bundle_immutable"]))
+    busy_then_admitted(lambda: m.tdh_import_state_td(dst, env["bundle_td"]))
+    m.tdh_vp_create(dst)
+    m.tdh_vp_addcx(dst, 0)
+    busy_then_admitted(lambda: m.tdh_import_state_vp(dst, 0, env["bundle_vps"][0]))
+    assert dst.num_migrated_vcpus == 1
 
 
 def test_import_rejects_wrong_bundle_type():
@@ -499,15 +514,30 @@ def test_export_state_td_and_vp_busy_when_stream_held():
     m = TdxModule(seed=29)
     env = standard_setup(m, num_vcpus=1)
     src = env["src"]
-    assert m.tdh_export_pause(src) == S.TDX_SUCCESS
     migsc = src.migsc[0]
-    counter = migsc.iv_counter
     busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
-    assert migsc.acquire()
-    assert m.tdh_export_state_td(src) == (busy, None)
-    assert m.tdh_export_state_vp(src, 0) == (busy, None)
+    # A second immutable export starts from RUNNABLE (direct placement).
+    src.op_state = OpState.RUNNABLE
+    counter, exports = migsc.iv_counter, src.export_count
+    assert not migsc.locked
+    migsc.locked = True  # another owner holds the stream
+    assert m.tdh_export_state_immutable(src) == (busy, None)
+    assert migsc.iv_counter == counter and src.export_count == exports
+    assert src.op_state is OpState.RUNNABLE
+    migsc.locked = False
+    src.op_state = OpState.LIVE_EXPORT
+    assert m.tdh_export_pause(src) == S.TDX_SUCCESS
+    assert not migsc.locked
+    migsc.locked = True  # another owner holds the stream
+    for call in (
+        lambda: m.tdh_export_state_td(src),
+        lambda: m.tdh_export_state_vp(src, 0),
+        lambda: m.tdh_export_mem(src, 0x1000),
+        lambda: m.tdh_export_mem(src, 0x1000, abort=True),
+    ):
+        assert call() == (busy, None)
     assert migsc.iv_counter == counter and src.op_state is OpState.PAUSED_EXPORT
-    migsc.release()
+    migsc.locked = False
     status, bundle = m.tdh_export_state_td(src)
     assert status == S.TDX_SUCCESS and bundle.mbmd.iv_counter == counter + 1
     status, bundle = m.tdh_export_state_vp(src, 0)
@@ -565,10 +595,11 @@ def test_import_mem_rejects_a_state_bundle_before_decrypting():
 def test_import_mem_busy_when_stream_held():
     m, env = _at_state_import(31)
     dst, migsc = env["dst"], env["dst"].migsc[0]
-    assert migsc.acquire()
+    assert not migsc.locked
+    migsc.locked = True  # another owner holds the stream
     busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
     assert m.tdh_import_mem(dst, env["mem"]) == busy
     assert 0x1000 not in dst.pages and dst.op_state is OpState.STATE_IMPORT
-    migsc.release()
+    migsc.locked = False
     assert m.tdh_import_mem(dst, env["mem"]) == S.TDX_SUCCESS
     assert dst.pages[0x1000] == env["src"].pages[0x1000] and not migsc.locked

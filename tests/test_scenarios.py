@@ -2,10 +2,8 @@
 
 import pytest
 
-from tdxmodel import status as S
 from tdxmodel.engine import FINDING_TOGGLES, EngineMode, TdxModule
-from tdxmodel.scenarios import all_scenarios, run_scenario
-from tdxmodel.states import validate_trace
+from tdxmodel.scenarios import all_scenarios, replay, run_scenario
 
 SCENARIOS = all_scenarios()
 
@@ -30,9 +28,8 @@ def test_toggles_reference_real_switches():
 
     for scenario in SCENARIOS.values():
         assert scenario.toggles, scenario.name
-        for toggle, value in scenario.toggles.items():
+        for toggle in scenario.toggles:
             assert toggle in FINDING_TOGGLES
-            assert value == "vulnerable"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -61,9 +58,11 @@ def test_scenarios_are_seed_deterministic():
 
 
 def test_mode_words_parse_to_bools():
-    assert EngineMode.with_toggles({"v1": "vulnerable", "bug9": "fixed"}) == EngineMode(v1=True)
+    v1 = SCENARIOS["cve-2025-30513"]
+    assert run_scenario(v1, "vulnerable").module.mode == EngineMode(v1=True)
+    assert run_scenario(v1, "fixed").module.mode == EngineMode()
     with pytest.raises(ValueError):
-        EngineMode.with_toggles({"v1": "on"})
+        run_scenario(v1, "on")
     with pytest.raises(TypeError):
         EngineMode(v1="fixed")  # a word is not a switch: it would read as True
 
@@ -80,15 +79,5 @@ FOREIGN_TOGGLES = [
 @pytest.mark.parametrize("name,toggle", FOREIGN_TOGGLES)
 def test_each_toggle_changes_only_its_own_finding(name, toggle):
     """Another finding's toggle alone leaves a scenario at its fixed-mode expectations."""
-    scenario = SCENARIOS[name]
-    module = TdxModule(EngineMode(**{toggle: True}), seed=7)
-    env = scenario.setup(module)
-    for index, step in enumerate(scenario.steps):
-        status = step.run(module, env)
-        env[f"_step_status_{index}"] = status
-        expected = step.expect["fixed"]
-        assert expected.matches(status), (step.call, S.status_str(status), expected.label)
-    for check in scenario.checks:
-        assert bool(check.run(module, env)) is check.expect["fixed"], check.label
-    for td in module.tds.values():
-        assert validate_trace(module.matrix, td.trace, not module.mode.v1) == []
+    ok, lines, _ = replay(SCENARIOS[name], TdxModule(EngineMode(**{toggle: True}), seed=7), False)
+    assert ok, "\n".join(lines)
