@@ -11,7 +11,7 @@ import sys
 
 from . import md_codec as md
 from . import status as S
-from .catalog import FieldCatalog, bundled_catalog
+from .catalog import CONTEXT_CODES, FieldCatalog, bundled_catalog
 from .envelope import (
     Mbmd,
     MigrationSessionKey,
@@ -63,9 +63,6 @@ def _split_lists(data: bytes) -> list[bytes]:
     return [data[i : i + md.LIST_BYTES] for i in range(0, len(data), md.LIST_BYTES)]
 
 
-CONTEXT_SCOPE = {0: "sys", 1: "td", 2: "vp"}
-
-
 def print_lists(lists: list[bytes], catalog: FieldCatalog, out) -> None:
     for index, data in enumerate(lists):
         parsed = md.parse_list(data)
@@ -75,7 +72,7 @@ def print_lists(lists: list[bytes], catalog: FieldCatalog, out) -> None:
         )
         for seq in parsed.sequences:
             fid = md.decode_field_id(seq.header_raw)
-            scope = CONTEXT_SCOPE.get(fid.context_code, "?")
+            scope = CONTEXT_CODES.get(fid.context_code, "?")
             entry = catalog.find_entry(fid.context_code, fid)
             elements = list(seq.elements)
             if fid.write_mask_valid and elements:

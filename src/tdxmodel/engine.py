@@ -176,24 +176,25 @@ def _nothing() -> None:
 def _leaf(leaf: Leaf, returns=None):
     """Dispatch one host leaf: the gate, the body, and one trace step.
 
-    The body runs only when _gate admits the call.  It returns a bare status,
-    (status, outcome) or, for a leaf given ``returns``, (status, outcome,
-    value); an outcome moves the op_state along the admitted matrix row, and
-    a bare status leaves it in place.  A leaf given ``returns`` answers
-    (status, value), where ``returns()`` is the value that goes with a bare
-    status, a refused call's included.
+    The step is built first, as ``module.last``, for the body to record on,
+    and _finish completes it.  The body runs only when _gate admits the call.
+    It returns a bare status, (status, outcome) or, for a leaf given
+    ``returns``, (status, outcome, value); an outcome moves the op_state along
+    the admitted matrix row, and a bare status leaves it in place.  A leaf
+    given ``returns`` answers (status, value), where ``returns()`` is the value
+    that goes with a bare status, a refused call's included.
     """
     def wrap(body):
         @functools.wraps(body)
         def dispatch(self, td, *args, **kwargs):
-            before = td.op_state
+            self.last = step = TraceStep(leaf, td.op_state, td.op_state, TDX_SUCCESS)
             result = self._gate(td, leaf)
             if result is None:
                 result = body(self, td, *args, **kwargs)
             if type(result) is not tuple:
-                self._finish(td, leaf, before, result, None)
+                self._finish(td, step, result, None)
                 return result if returns is None else (result, returns())
-            self._finish(td, leaf, before, result[0], result[1])
+            self._finish(td, step, result[0], result[1])
             return result[0] if returns is None else (result[0], result[2])
         return dispatch
     return wrap
@@ -219,7 +220,8 @@ def _guest_leaf(leaf: Leaf):
                 status, value = TDX_OP_STATE_INCORRECT, 0
             else:
                 status, value = body(self, td, *args, **kwargs)
-            td.trace.append(TraceStep(leaf, td.op_state, td.op_state, status))
+            self.last = TraceStep(leaf, td.op_state, td.op_state, status)
+            td.trace.append(self.last)
             return status, value
         dispatch.__doc__ = body.__doc__
         return dispatch
@@ -252,10 +254,9 @@ class TdxModule:
         self.sys_store: dict = {name: [value] for name, value in SYS_DEFAULTS.items()}
         self._next_page = 0x100
         self._next_epoch = 0
-        self.vmm_regs = {"rcx": 0, "rdx": 0}
         self.arena_plants: dict[int, int] = {}
-        self.last_import_arenas: list[ParseArena] = []
-        self.last_write_results: list[md.WriteResult] = []
+        # The trace step of the most recent host or service-TD leaf call.
+        self.last: Optional[TraceStep] = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -286,12 +287,12 @@ class TdxModule:
         self._admitted = edges
         return None
 
-    def _finish(self, td: TdComplex, leaf: Leaf, before: OpState,
-                status: int, outcome: Optional[str]) -> int:
-        """Record the call; an outcome moves the op_state along the row _gate admitted."""
-        after = before if outcome is None else self._admitted[outcome]
-        td.op_state = after
-        td.trace.append(TraceStep(leaf, before, after, status))
+    def _finish(self, td: TdComplex, step: TraceStep, status: int, outcome: Optional[str]) -> int:
+        """Complete the call's step; an outcome moves the op_state along the row _gate admitted."""
+        if outcome is not None:
+            td.op_state = step.after = self._admitted[outcome]
+        step.status = status
+        td.trace.append(step)
         return status
 
     def _succeed(self, td: TdComplex) -> tuple[int, str]:
@@ -697,7 +698,10 @@ class TdxModule:
         policy: Optional[InterruptPolicy] = None,
         resume: bool = False,
     ):
-        """Shared body of the state-import leaves: interrupt, latch, and completion logic."""
+        """Shared body of the state-import leaves: interrupt, latch, and completion logic.
+
+        Each walk and a fatal completion's ext_err_info go on the call's step.
+        """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
         migsc = self._stream(td, migsc_index)
         if migsc is None:
@@ -717,14 +721,12 @@ class TdxModule:
                 migsc.interrupted_state.reset()
                 td.reset_import_accounting()
             cursor = migsc.interrupted_state.cursor if resume else 0
-            self.last_import_arenas = []
-            self.last_write_results = []
+            step = self.last
             codec_mode = self.mode.codec_mode()
             gpa_checks = not self.mode.bug9
 
             for i in range(cursor, len(lists)):
                 arena = ParseArena(lists[i], plants=self.arena_plants)
-                self.last_import_arenas.append(arena)
                 ctx = contexts(i)
                 sink = TdImportSink(
                     td, self.catalog, is_import=True, vp_index=vp_index, gpa_checks=gpa_checks
@@ -733,7 +735,7 @@ class TdxModule:
                     self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode,
                     skip_non_writable=True,
                 )
-                self.last_write_results.append(result)
+                step.walks += ((arena, result),)
                 if result.status != TDX_SUCCESS:
                     migsc.interrupted_state.latch(result.status, result.ext_err_info)
                 if i + 1 <= len(lists) - 1 and policy and policy.pending(i):
@@ -741,15 +743,13 @@ class TdxModule:
                     return TDX_INTERRUPTED_RESUMABLE, "interrupted"
 
             if migsc.interrupted_state.status != TDX_SUCCESS:
-                self.vmm_regs["rcx"] = migsc.interrupted_state.ext_err_info[0]
-                self.vmm_regs["rdx"] = migsc.interrupted_state.ext_err_info[1]
+                step.ext_err_info = tuple(migsc.interrupted_state.ext_err_info)
                 return as_fatal(migsc.interrupted_state.status), "failure"
 
             if not self.mode.bug2:
                 missing = self._missing_required(td, contexts, len(lists), required_kinds, vp_index)
                 if missing:
-                    self.vmm_regs["rcx"] = missing[0].field_id_raw
-                    self.vmm_regs["rdx"] = 0
+                    step.ext_err_info = (missing[0].field_id_raw, 0)
                     return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
 
             migsc.interrupted_state.reset()

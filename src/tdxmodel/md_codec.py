@@ -457,7 +457,6 @@ class WriteResult:
     next_field_raw: int = MD_FIELD_ID_NA
     ext_err_info: list[int] = dc_field(default_factory=lambda: [0, 0])
     initial_remaining: int = 0
-    sequences_done: int = 0
 
 
 def write_list(
@@ -527,7 +526,6 @@ def write_list(
         consumed = SEQUENCE_HEADER_BYTES + elements_read * ELEMENT_BYTES
         remaining = (remaining - consumed) & 0xFFFF
         seq_off += consumed
-        result.sequences_done = i + 1
         result.next_field_raw = lkp.field_id_raw
 
     return result

@@ -41,73 +41,38 @@ LEAK_SENTINEL = 0x00FFFF9C00004010
 LEAK_SENTINEL_OFFSET = 12280
 
 
-@dataclass(frozen=True)
-class Expect:
-    """An expected status; ``by_class`` matches its error class and fatal flag only."""
-
-    label: str
-    value: int
-    by_class: bool = False
-
-    def matches(self, observed: int) -> bool:
-        if not self.by_class:
-            return observed == self.value
-        same_class = S.status_class(observed) == S.status_class(self.value)
-        same_fatal = bool(observed & S.TDX_FATAL_FLAG_MASK) == bool(self.value & S.TDX_FATAL_FLAG_MASK)
-        return same_class and same_fatal
-
-
-SUCCESS = Expect("TDX_SUCCESS", S.TDX_SUCCESS)
-INTERRUPTED = Expect("TDX_INTERRUPTED_RESUMABLE", S.TDX_INTERRUPTED_RESUMABLE)
-OP_STATE_INCORRECT = Expect("TDX_OP_STATE_INCORRECT", S.TDX_OP_STATE_INCORRECT)
-OPERAND_INVALID_XFAM = Expect(
-    "TDX_OPERAND_INVALID:XFAM", S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
-)
-NOT_READABLE = Expect("TDX_METADATA_FIELD_NOT_READABLE", S.TDX_METADATA_FIELD_NOT_READABLE)
-VCPUS_NOT_MIGRATED = Expect("TDX_SOME_VCPUS_NOT_MIGRATED", S.TDX_SOME_VCPUS_NOT_MIGRATED)
-FATAL_FIELD_ID_INCORRECT = Expect(
-    "fatal TDX_METADATA_FIELD_ID_INCORRECT",
-    S.as_fatal(S.TDX_METADATA_FIELD_ID_INCORRECT), by_class=True,
-)
-FATAL_LIST_OVERFLOW = Expect(
-    "fatal TDX_METADATA_LIST_OVERFLOW", S.as_fatal(S.TDX_METADATA_LIST_OVERFLOW), by_class=True
-)
-FATAL_REQUIRED_MISSING = Expect(
-    "fatal TDX_REQUIRED_METADATA_FIELD_MISSING",
-    S.as_fatal(S.TDX_REQUIRED_METADATA_FIELD_MISSING), by_class=True,
-)
-FATAL_VALUE_NOT_VALID = Expect(
-    "fatal TDX_METADATA_FIELD_VALUE_NOT_VALID",
-    S.as_fatal(S.TDX_METADATA_FIELD_VALUE_NOT_VALID), by_class=True,
-)
-TD_FATAL = Expect("TDX_TD_FATAL", S.TDX_TD_FATAL)
-EVENT_FILTER_INVALID_2 = Expect(
-    "TDX_EVENT_FILTER_INVALID[2]", S.with_operand(S.TDX_EVENT_FILTER_INVALID, 2)
-)
-EVENT_FILTER_INVALID_1 = Expect(
-    "TDX_EVENT_FILTER_INVALID[1]", S.with_operand(S.TDX_EVENT_FILTER_INVALID, 1)
-)
-OPERAND_INVALID_RCX = Expect(
-    "TDX_OPERAND_INVALID:RCX", S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
-)
-OPERAND_INVALID_TDR = Expect(
-    "TDX_OPERAND_INVALID:TDR", S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDR)
-)
-SERVTD_UUID_MISMATCH = Expect("TDX_SERVTD_UUID_MISMATCH", S.TDX_SERVTD_UUID_MISMATCH)
-HKID_NOT_FREE = Expect(
-    "TDX_HKID_NOT_FREE:RCX", S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX)
-)
-MAX_EXPORTS = Expect("TDX_MAX_EXPORTS_EXCEEDED", S.TDX_MAX_EXPORTS_EXCEEDED)
+SUCCESS = S.TDX_SUCCESS
+INTERRUPTED = S.TDX_INTERRUPTED_RESUMABLE
+OP_STATE_INCORRECT = S.TDX_OP_STATE_INCORRECT
+OPERAND_INVALID_XFAM = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
+NOT_READABLE = S.TDX_METADATA_FIELD_NOT_READABLE
+VCPUS_NOT_MIGRATED = S.TDX_SOME_VCPUS_NOT_MIGRATED
+# A walk's fatal words keep its level-2 details: 0xFFFF and the failing
+# sequence's index (the crafted VP list's out-of-place header is sequence 3).
+FATAL_FIELD_ID_INCORRECT = S.as_fatal(S.with_l2_details(S.TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, 3))
+FATAL_LIST_OVERFLOW = S.as_fatal(S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0))
+FATAL_REQUIRED_MISSING = S.as_fatal(S.TDX_REQUIRED_METADATA_FIELD_MISSING)
+FATAL_VALUE_NOT_VALID = S.as_fatal(S.TDX_METADATA_FIELD_VALUE_NOT_VALID)
+TD_FATAL = S.TDX_TD_FATAL
+EVENT_FILTER_INVALID_2 = S.with_operand(S.TDX_EVENT_FILTER_INVALID, 2)
+EVENT_FILTER_INVALID_1 = S.with_operand(S.TDX_EVENT_FILTER_INVALID, 1)
+OPERAND_INVALID_RCX = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
+OPERAND_INVALID_TDR = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDR)
+SERVTD_UUID_MISMATCH = S.TDX_SERVTD_UUID_MISMATCH
+HKID_NOT_FREE = S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX)
+MAX_EXPORTS = S.TDX_MAX_EXPORTS_EXCEEDED
 
 
 @dataclass
 class Step:
+    """One scripted call and the exact status word it must return."""
+
     call: str
     run: Callable[[TdxModule, dict], Optional[int]]
-    expect: Expect
-    fixed: Optional[Expect] = None
+    expect: int
+    fixed: Optional[int] = None
 
-    def expected(self, vulnerable: bool) -> Expect:
+    def expected(self, vulnerable: bool) -> int:
         return self.expect if vulnerable or self.fixed is None else self.fixed
 
 
@@ -435,21 +400,11 @@ def _scenario_v2() -> Scenario:
         m.arena_plants = {LEAK_SENTINEL_OFFSET: LEAK_SENTINEL}
         return env
 
-    def run_option1(m: TdxModule, e: dict) -> int:
-        status = m.tdh_import_state_vp(e["dst"], 0, e["option1"])
-        e["opt1_arenas"] = list(m.last_import_arenas)
-        e["opt1_regs"] = dict(m.vmm_regs)
-        return status
-
-    def run_option2(m: TdxModule, e: dict) -> int:
-        status = m.tdh_import_state_vp(e["dst2"], 0, e["option2"])
-        e["opt2_arenas"] = list(m.last_import_arenas)
-        return status
-
     def xbuff_leaked(m: TdxModule, e: dict) -> bool:
-        if not e.get("opt2_arenas"):
+        walks = e["dst2"].trace[-1].walks
+        if not walks:
             return False
-        arena = e["opt2_arenas"][0]
+        arena = walks[0][0]
         xbuff = m.catalog.by_name(MD_CTX_VP, "XBUFF")
         values = e["dst2"].vps[0].values(xbuff)
         # Field i of the crafted walk copies the qword at 4096 + 16*i.
@@ -459,25 +414,25 @@ def _scenario_v2() -> Scenario:
     steps = [
         Step(
             "tdh_import_state_vp dst (crafted bundle, option 1: register exfil)",
-            run_option1,
+            lambda m, e: m.tdh_import_state_vp(e["dst"], 0, e["option1"]),
             FATAL_FIELD_ID_INCORRECT, fixed=FATAL_LIST_OVERFLOW,
         ),
         Step(
             "tdh_import_state_vp dst2 (crafted bundle, option 2: exfil via XBUFF)",
-            run_option2,
+            lambda m, e: m.tdh_import_state_vp(e["dst2"], 0, e["option2"]),
             FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
         ),
     ]
     checks = [
         Check(
             "extended error info 1 carries the planted sentinel",
-            lambda m, e: e.get("opt1_regs", {}).get("rcx") == LEAK_SENTINEL,
+            lambda m, e: e["dst"].trace[-1].ext_err_info[0] == LEAK_SENTINEL,
             True,
         ),
         Check(
             "maximum out-of-bounds span is exactly 8192 bytes",
-            lambda m, e: max(a.max_oob_span() for a in e.get("opt1_arenas", [])) == 8192
-            if e.get("opt1_arenas") else False,
+            lambda m, e: max((a.max_oob_span() for a, _ in e["dst"].trace[-1].walks),
+                             default=0) == 8192,
             True,
         ),
         Check(
@@ -489,7 +444,7 @@ def _scenario_v2() -> Scenario:
             "no out-of-bounds arena reads logged",
             lambda m, e: all(
                 not a.oob_reads()
-                for a in e.get("opt1_arenas", []) + e.get("opt2_arenas", [])
+                for a, _ in e["dst"].trace[-1].walks + e["dst2"].trace[-1].walks
             ),
             False,
         ),
@@ -513,33 +468,27 @@ def _scenario_bug1() -> Scenario:
         env["crafted"] = seal(env["key"], BundleType.TD, [list_header_underflow_list()])
         return env
 
-    def run_import(m: TdxModule, e: dict) -> int:
-        status = m.tdh_import_state_td(e["dst"], e["crafted"])
-        e["arenas"] = list(m.last_import_arenas)
-        e["results"] = list(m.last_write_results)
-        return status
-
     steps = [
         Step(
             "tdh_import_state_td dst (list_buff_size = 0)",
-            run_import,
+            lambda m, e: m.tdh_import_state_td(e["dst"], e["crafted"]),
             FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
         ),
     ]
     checks = [
         Check(
             "header residue wrapped to 65528 (16-bit oracle)",
-            lambda m, e: e["results"][0].initial_remaining == 65528,
+            lambda m, e: e["dst"].trace[-1].walks[0][1].initial_remaining == 65528,
             True,
         ),
         Check(
             "walk read past the list end",
-            lambda m, e: bool(e["arenas"][0].oob_reads()),
+            lambda m, e: bool(e["dst"].trace[-1].walks[0][0].oob_reads()),
             True,
         ),
         Check(
             "rejected before any sequence read (header read only)",
-            lambda m, e: e["arenas"][0].read_count == 1,
+            lambda m, e: e["dst"].trace[-1].walks[0][0].read_count == 1,
             False,
         ),
     ]
@@ -586,11 +535,6 @@ def _scenario_bug2() -> Scenario:
         )
         return env
 
-    def import_eptp_skip(m: TdxModule, e: dict) -> int:
-        status = m.tdh_import_state_immutable(e["dst_eptp"], e["b_eptp"])
-        e["eptp_regs"] = dict(m.vmm_regs)
-        return status
-
     def import_xcr0(m: TdxModule, e: dict) -> int:
         import_to_state_import(m, e, dst=e["dst_xcr0"])
         return m.tdh_import_state_vp(e["dst_xcr0"], 0, e["b_xcr0"])
@@ -622,7 +566,7 @@ def _scenario_bug2() -> Scenario:
     steps = [
         Step(
             "tdh_import_state_immutable dst (EPTP skipped via zero write mask)",
-            import_eptp_skip,
+            lambda m, e: m.tdh_import_state_immutable(e["dst_eptp"], e["b_eptp"]),
             SUCCESS, fixed=FATAL_REQUIRED_MISSING,
         ),
         Step(
@@ -669,7 +613,8 @@ def _scenario_bug2() -> Scenario:
         ),
         Check(
             "completion failure names the missing field (EPTP)",
-            lambda m, e: e.get("eptp_regs", {}).get("rcx")
+            # The import's step is the one before the SEPT add's.
+            lambda m, e: e["dst_eptp"].trace[-2].ext_err_info[0]
             == m.catalog.by_name(MD_CTX_TD, "EPTP").field_id_raw
             and e["dst_eptp"].op_state is OpState.FAILED_IMPORT,
             False,
@@ -832,12 +777,12 @@ def _scenario_bug6() -> Scenario:
     steps = [
         Step(
             "tdg_servtd_rd probe (no TDR at address)",
-            lambda m, e: _stash(e, "v_empty", m.tdg_servtd_rd(e["migtd"], e["probe_empty"], 0x9810000300000010)),
+            lambda m, e: m.tdg_servtd_rd(e["migtd"], e["probe_empty"], 0x9810000300000010)[0],
             OPERAND_INVALID_TDR,
         ),
         Step(
             "tdg_servtd_rd probe (foreign TDR, uuid mismatch)",
-            lambda m, e: _stash(e, "v_foreign", m.tdg_servtd_rd(e["migtd"], e["probe_foreign"], 0x9810000300000010)),
+            lambda m, e: m.tdg_servtd_rd(e["migtd"], e["probe_foreign"], 0x9810000300000010)[0],
             SERVTD_UUID_MISMATCH, fixed=OPERAND_INVALID_TDR,
         ),
         Step(
@@ -847,15 +792,10 @@ def _scenario_bug6() -> Scenario:
         ),
     ]
 
-    def probes_distinguishable(m: TdxModule, e: dict) -> bool:
-        empty_status = e.get("_step_status_0")
-        foreign_status = e.get("_step_status_1")
-        return empty_status != foreign_status
-
     checks = [
         Check(
             "probe statuses reveal whether a TDR lives at the address",
-            probes_distinguishable,
+            lambda m, e: e["_step_status_0"] != e["_step_status_1"],
             True,
         ),
         Check(
@@ -997,17 +937,15 @@ def replay(scenario: Scenario, module: TdxModule, vulnerable: bool) -> tuple[boo
         status = step.run(module, env)
         env[f"_step_status_{index}"] = status
         expected = step.expected(vulnerable)
-        matched = expected.matches(status)
+        matched = status == expected
         ok = ok and matched
         lines.append(f"host-vmm: {step.call}")
         lines.append(f"TDX STATUS: {S.status_str(status)}")
         if status is not None and status & S.TDX_FATAL_FLAG_MASK:
-            lines.append(
-                f"extended error information 1: {hex(module.vmm_regs['rcx'])}, "
-                f"2: {hex(module.vmm_regs['rdx'])}"
-            )
+            rcx, rdx = module.last.ext_err_info
+            lines.append(f"extended error information 1: {hex(rcx)}, 2: {hex(rdx)}")
         if not matched:
-            lines.append(f"  MISMATCH: expected {expected.label}")
+            lines.append(f"  MISMATCH: expected {S.status_str(expected)}")
     for check in scenario.checks:
         observed = bool(check.run(module, env))
         expected = check.expected(vulnerable)

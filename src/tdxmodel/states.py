@@ -207,10 +207,20 @@ def transition(
 
 @dataclass(slots=True)
 class TraceStep:
+    """The one record of a leaf call.
+
+    ``ext_err_info`` is the (rcx, rdx) extended error information the call
+    returned.  ``walks`` holds a state import's (ParseArena, WriteResult) for
+    each list walked in this call; a resumed import splits its lists between
+    the interrupted step and the resuming one.
+    """
+
     leaf: Leaf
     before: OpState
     after: OpState
     status: int
+    ext_err_info: tuple[int, int] = (0, 0)
+    walks: tuple = ()
 
 
 def validate_trace(

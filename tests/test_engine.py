@@ -4,15 +4,19 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
+from tdxmodel import md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog
 from tdxmodel.engine import OUTCOMES, EngineMode, EpochToken, InterruptPolicy, TdxModule
-from tdxmodel.envelope import MigrationSessionKey, MigStreamContext, decrypt_bundle
+from tdxmodel.envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
+    crafted_vp_list,
+    decrypted_lists,
     export_blackout,
     finish_import,
     import_to_state_import,
+    seal,
     standard_setup,
 )
 from tdxmodel.states import (
@@ -113,6 +117,25 @@ def test_import_interrupt_and_resume_cursor():
     assert status == S.TDX_SUCCESS
     assert dst.op_state is OpState.MEMORY_IMPORT
     assert dst.attributes.migratable
+
+
+def test_import_walks_split_between_interrupted_and_resumed_steps():
+    m = TdxModule(seed=7)
+    env = standard_setup(m, num_vcpus=1)
+    dst, bundle = env["dst"], env["bundle_immutable"]
+    lists = decrypted_lists(m, env, bundle)
+    assert len(lists) > 2
+    status = m.tdh_import_state_immutable(dst, bundle, policy=InterruptPolicy.after(1))
+    assert status == S.TDX_INTERRUPTED_RESUMABLE
+    interrupted = dst.trace[-1]
+    assert m.tdh_import_state_immutable(dst, bundle, resume=True) == S.TDX_SUCCESS
+    resumed = dst.trace[-1]
+    assert len(interrupted.walks) == 2  # lists 0 and 1
+    assert len(resumed.walks) == len(lists) - 2
+    # Together the two steps walk every list once, in order, each from its own arena.
+    walks = interrupted.walks + resumed.walks
+    assert [arena.buffer[: md.LIST_BYTES] for arena, _ in walks] == lists
+    assert all(result.status == S.TDX_SUCCESS for _, result in walks)
 
 
 def test_import_busy_when_stream_held():
@@ -304,8 +327,69 @@ def test_latched_error_surfaces_first_failure():
     bundle = seal(env["key"], BundleType.TD, [first, second])
     status = m.tdh_import_state_td(env["dst"], bundle)
     assert S.status_class(status) == S.TDX_METADATA_FIELD_ID_INCORRECT  # the first one
-    assert m.vmm_regs["rcx"] == vp_seq.header_raw
+    assert env["dst"].trace[-1].ext_err_info == (vp_seq.header_raw, 0)
     assert env["dst"].op_state is OpState.FAILED_IMPORT
+
+
+def test_fatal_step_reports_its_own_registers():
+    m = TdxModule(seed=19)
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    src, dst = env["src"], env["dst"]
+    assert m.tdh_import_state_immutable(dst, env["bundle_immutable"]) == S.TDX_SUCCESS
+    vp_seq = md.MdSequence(md.make_sequence_header(MD_CTX_VP, 0x11, 0x20), [3])
+    bundle = seal(env["key"], BundleType.TD, [md.build_list([vp_seq]).to_bytes()])
+    status = m.tdh_import_state_td(dst, bundle)
+    assert S.status_class(status) == S.TDX_METADATA_FIELD_ID_INCORRECT
+    failed = dst.trace[-1]
+    assert failed.ext_err_info == (vp_seq.header_raw, 0)
+    # A later fatal call on another TD returns no extended error information
+    # of its own, and leaves the failed import's step as it was.
+    src.fatal = True
+    assert m.tdh_export_pause(src) == S.TDX_TD_FATAL
+    assert m.last is src.trace[-1] and m.last.ext_err_info == (0, 0)
+    assert dst.trace[-1] is failed and failed.ext_err_info == (vp_seq.header_raw, 0)
+
+
+TD_FIELD_IDS = {entry.field_id_raw for entry in FieldCatalog.load().entries_for(MD_CTX_TD)}
+
+
+@st.composite
+def hostile_lists(draw):
+    """One list from criterion 2's mix: a random page, a lying header or a crafted list."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("page", "header", "crafted")))
+    if kind == "page":
+        return rng.randbytes(md.LIST_BYTES)
+    size = draw(st.integers(0, 0xFFFF))
+    if kind == "header":
+        header = md.MdListHeader(list_buff_size=size, num_sequences=draw(st.integers(0, 31)))
+        body = header.to_bytes() + rng.randbytes(rng.randrange(0, md.LIST_BYTES - 8))
+        return body.ljust(md.LIST_BYTES, b"\x00")
+    data = bytearray(crafted_vp_list(True, num_fields=draw(st.integers(1, 512))))
+    data[0:2] = size.to_bytes(2, "little")
+    return bytes(data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=hostile_lists())
+# An empty list walks cleanly, so the import fails on its first missing field.
+@example(data=md.MdListHeader(list_buff_size=8, num_sequences=0).to_bytes().ljust(md.LIST_BYTES, b"\x00"))
+def test_hostile_td_import_records_its_walk_and_registers(data):
+    m = TdxModule(seed=31)  # all fixed
+    env = standard_setup(m, num_vcpus=1, num_pages=1)
+    dst = env["dst"]
+    assert m.tdh_import_state_immutable(dst, env["bundle_immutable"]) == S.TDX_SUCCESS
+    status = m.tdh_import_state_td(dst, seal(env["key"], BundleType.TD, [data]))
+    step = dst.trace[-1]
+    assert step is m.last and step.status == status
+    (arena, result), = step.walks
+    assert not arena.oob_reads()
+    if status & S.TDX_FATAL_FLAG_MASK:
+        if status == S.as_fatal(S.TDX_REQUIRED_METADATA_FIELD_MISSING):
+            assert step.ext_err_info[0] in TD_FIELD_IDS
+        else:
+            assert step.ext_err_info == tuple(result.ext_err_info)
 
 
 def test_servtd_access_busy_on_locked_target():
@@ -406,7 +490,7 @@ def _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1):
     allowed = matrix.is_allowed(state, leaf, interface)
     assert (m._gate(td, leaf, interface) is None) is allowed
     if allowed:
-        m._finish(td, leaf, state, S.TDX_SUCCESS, outcome)
+        m._finish(td, TraceStep(leaf, state, state, S.TDX_SUCCESS), S.TDX_SUCCESS, outcome)
         expected = transition(matrix, state, leaf, outcome, not m.mode.v1, interface)
         assert td.op_state is expected
         assert td.trace == [TraceStep(leaf, state, expected, S.TDX_SUCCESS)]
