@@ -18,13 +18,13 @@ from importlib import resources
 from typing import Optional, Union
 
 from .md_codec import (
-    ELEMENT_SIZE_CODE_8B,
     MD_CTX_SYS,
     MD_CTX_TD,
     MD_CTX_VP,
     MD_FIELD_ID_NA,
     MdFieldId,
     decode_field_id,
+    make_sequence_header,
 )
 
 CONTEXT_NAMES = {"sys": MD_CTX_SYS, "td": MD_CTX_TD, "vp": MD_CTX_VP}
@@ -68,15 +68,20 @@ class FieldEntry:
     special_wr_handling: bool
     mig_export: MigClass
     mig_import: MigClass
-    # Decoded from field_id_raw once, in __post_init__; derived, so they take
-    # no part in equality, hashing or repr.
+    # Decoded from field_id_raw once, in __post_init__, with field 0's
+    # canonical id; derived, so they take no part in equality, hashing or repr.
     class_code: int = dc_field(init=False, compare=False, repr=False)
     field_code: int = dc_field(init=False, compare=False, repr=False)
+    first_field_id: int = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         fid = decode_field_id(self.field_id_raw)
         object.__setattr__(self, "class_code", fid.class_code)
         object.__setattr__(self, "field_code", fid.field_code)
+        first = make_sequence_header(
+            self.context_code, fid.class_code, fid.field_code, num_elements=self.num_of_elem
+        )
+        object.__setattr__(self, "first_field_id", first)
 
     @property
     def code_span(self) -> int:
@@ -102,14 +107,7 @@ class FieldEntry:
 
     def field_id_for(self, field_index: int) -> int:
         """Canonical raw id addressing one field of this entry."""
-        base = MdFieldId(
-            field_code=self.field_code + field_index * self.num_of_elem,
-            element_size_code=ELEMENT_SIZE_CODE_8B,
-            last_element_in_field=self.num_of_elem - 1,
-            context_code=self.context_code,
-            class_code=self.class_code,
-        )
-        return base.to_raw()
+        return self.first_field_id + field_index * self.num_of_elem
 
 
 def _parse_mask(token: str) -> int:
@@ -305,12 +303,7 @@ class CpuidLookup:
         raise KeyError(f"cpuid ({leaf:#x}, {subleaf:#x}) not in table")
 
     def field_id_for(self, index: int) -> int:
-        return MdFieldId(
-            field_code=index,
-            element_size_code=ELEMENT_SIZE_CODE_8B,
-            context_code=MD_CTX_TD,
-            class_code=CPUID_CLASS_CODE,
-        ).to_raw()
+        return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, index)
 
     def index_of_field_id(self, raw: int) -> int:
         fid = decode_field_id(raw)

@@ -127,7 +127,7 @@ def cmd_bundle(args, out) -> int:
     patched = [bytearray(item) for item in lists]
     for spec in args.set or []:
         field_id, element, value = _parse_patch(spec)
-        if not _apply_patch(patched, field_id, element, value):
+        if not md.patch_element(patched, field_id, element, value):
             out.write(f"field {hex(field_id)} element {element} not found\n")
             return 1
     new_mbmd = _seal(args, key, mbmd.stream_index, mbmd.iv_counter + args.iv_step,
@@ -166,34 +166,6 @@ def _parse_patch(spec: str) -> tuple[int, int, int]:
     if not (0 <= field_id <= U64 and 0 <= value <= U64):
         raise CliError(f"bad --set spec {spec!r}: FIELD_ID and VALUE are 64-bit")
     return field_id, element, value
-
-
-def _apply_patch(lists: list[bytearray], field_id: int, element: int, value: int) -> bool:
-    """Patch one 64-bit element of the sequence holding field_id, in place.
-
-    An element outside that sequence's values counts as not found.
-    """
-    wanted = md.decode_field_id(field_id)
-    for data in lists:
-        parsed = md.parse_list(bytes(data))
-        offset = md.LIST_HEADER_BYTES
-        for seq in parsed.sequences:
-            fid = md.decode_field_id(seq.header_raw)
-            per_field = fid.last_element_in_field + 1
-            span = fid.num_fields * per_field
-            slot = (wanted.field_code - fid.field_code) + element
-            if (
-                fid.context_code == wanted.context_code
-                and fid.class_code == wanted.class_code
-                and fid.field_code <= wanted.field_code < fid.field_code + span
-                and element >= 0
-                and slot < len(seq.elements) - fid.write_mask_valid
-            ):
-                position = offset + 8 + (fid.write_mask_valid + slot) * 8
-                data[position : position + 8] = value.to_bytes(8, "little")
-                return True
-            offset += seq.size
-    return False
 
 
 def cmd_scenario(args, out) -> int:

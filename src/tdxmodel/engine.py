@@ -17,7 +17,7 @@ import functools
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Optional
 
 from . import md_codec as md
@@ -532,11 +532,7 @@ class TdxModule:
         fid = md.decode_field_id(field_id_raw)
         code = fid.field_code
         for i in range(count):
-            probe = md.MdFieldId(
-                field_code=code + i, context_code=fid.context_code, class_code=fid.class_code,
-                element_size_code=fid.element_size_code,
-            )
-            entry = self.catalog.find_entry(MD_CTX_TD, probe)
+            entry = self.catalog.find_entry(MD_CTX_TD, replace(fid, field_code=code + i))
             if entry is None:
                 return with_operand(TDX_OPERAND_INVALID, 0), None, values
             mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
@@ -667,8 +663,7 @@ class TdxModule:
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
         self._next_epoch += 1
         token = EpochToken(start=start, epoch=self._next_epoch)
-        outcome = "success" if td.op_state is OpState.LIVE_EXPORT else None
-        return TDX_SUCCESS, outcome, token
+        return TDX_SUCCESS, "success", token
 
     # Write-block bookkeeping: permission-checked, no desk-scale state.
     tdh_export_abort = _leaf(Leaf.TDH_EXPORT_ABORT)(_succeed)
@@ -701,6 +696,7 @@ class TdxModule:
         """Shared body of the state-import leaves: interrupt, latch, and completion logic.
 
         Each walk and a fatal completion's ext_err_info go on the call's step.
+        A bundle that does not open takes the failure edge, as in tdh_import_mem.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
         migsc = self._stream(td, migsc_index)
@@ -715,7 +711,7 @@ class TdxModule:
                 return busy
             status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
             if status != TDX_SUCCESS:
-                return status
+                return status, "failure"
 
             if not resume:
                 migsc.interrupted_state.reset()

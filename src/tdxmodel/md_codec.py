@@ -38,31 +38,32 @@ MAX_SEQUENCE_BYTES = MAX_FIELDS_PER_SEQUENCE * ELEMENT_BYTES + SEQUENCE_HEADER_B
 
 MD_FIELD_ID_NA = 0xFFFFFFFFFFFFFFFF
 
+# The walk's overflow word: level-2 details 0xFFFF and sequence 0.
+LIST_OVERFLOW = with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0)
+
 MD_CTX_SYS = 0
 MD_CTX_TD = 1
 MD_CTX_VP = 2
 
-FIELD_CODE_SHIFT = 0
-FIELD_CODE_MASK = 0xFFFFFF
-RESERVED_0_SHIFT = 24
-RESERVED_0_MASK = 0xFF
-ELEMENT_SIZE_CODE_SHIFT = 32
-ELEMENT_SIZE_CODE_MASK = 0x3
-LAST_ELEMENT_IN_FIELD_SHIFT = 34
-LAST_ELEMENT_IN_FIELD_MASK = 0xF
-LAST_FIELD_IN_SEQUENCE_SHIFT = 38
-LAST_FIELD_IN_SEQUENCE_MASK = 0x1FF
-RESERVED_1_SHIFT = 47
-RESERVED_1_MASK = 0x7
-INC_SIZE_SHIFT = 50
-WRITE_MASK_VALID_SHIFT = 51
-CONTEXT_CODE_SHIFT = 52
-CONTEXT_CODE_MASK = 0x7
-RESERVED_2_SHIFT = 55
-CLASS_CODE_SHIFT = 56
-CLASS_CODE_MASK = 0x3F
-RESERVED_3_SHIFT = 62
-IGNORED_SHIFT = 63
+# The 64-bit field id, one (subfield, shift, width) row per bit range, low
+# bits first.  Every pack, unpack and range check reads this table.
+FIELD_ID_LAYOUT = (
+    ("field_code", 0, 24),
+    ("reserved_0", 24, 8),
+    ("element_size_code", 32, 2),
+    ("last_element_in_field", 34, 4),
+    ("last_field_in_sequence", 38, 9),
+    ("reserved_1", 47, 3),
+    ("inc_size", 50, 1),
+    ("write_mask_valid", 51, 1),
+    ("context_code", 52, 3),
+    ("reserved_2", 55, 1),
+    ("class_code", 56, 6),
+    ("reserved_3", 62, 1),
+    ("ignored", 63, 1),
+)
+_RESERVED = tuple(name for name, _, _ in FIELD_ID_LAYOUT if name.startswith("reserved_"))
+_UNPACK = tuple((shift, (1 << width) - 1) for _, shift, width in FIELD_ID_LAYOUT)
 
 # The only element size the model serializes: 64-bit values.
 ELEMENT_SIZE_CODE_8B = 3
@@ -74,33 +75,21 @@ class EncodingError(ValueError):
 
 @dataclass
 class MdFieldId:
-    """Unpacked view of a 64-bit metadata field identifier."""
+    """Unpacked view of a 64-bit metadata field identifier, fields in FIELD_ID_LAYOUT order."""
 
     field_code: int = 0
+    reserved_0: int = 0
     element_size_code: int = ELEMENT_SIZE_CODE_8B
     last_element_in_field: int = 0
     last_field_in_sequence: int = 0
+    reserved_1: int = 0
     inc_size: int = 0
     write_mask_valid: int = 0
     context_code: int = MD_CTX_SYS
-    class_code: int = 0
-    ignored: int = 0
-    reserved_0: int = 0
-    reserved_1: int = 0
     reserved_2: int = 0
+    class_code: int = 0
     reserved_3: int = 0
-
-    _WIDTHS = (
-        ("field_code", FIELD_CODE_MASK),
-        ("element_size_code", ELEMENT_SIZE_CODE_MASK),
-        ("last_element_in_field", LAST_ELEMENT_IN_FIELD_MASK),
-        ("last_field_in_sequence", LAST_FIELD_IN_SEQUENCE_MASK),
-        ("inc_size", 1),
-        ("write_mask_valid", 1),
-        ("context_code", CONTEXT_CODE_MASK),
-        ("class_code", CLASS_CODE_MASK),
-        ("ignored", 1),
-    )
+    ignored: int = 0
 
     @property
     def num_fields(self) -> int:
@@ -108,34 +97,23 @@ class MdFieldId:
 
     @property
     def has_reserved_bits(self) -> bool:
-        return bool(self.reserved_0 or self.reserved_1 or self.reserved_2 or self.reserved_3)
+        return any(getattr(self, name) for name in _RESERVED)
 
     def to_raw(self) -> int:
         """Lossless repack, including any reserved bits carried from a decode."""
-        return (
-            self.field_code
-            | (self.reserved_0 << RESERVED_0_SHIFT)
-            | (self.element_size_code << ELEMENT_SIZE_CODE_SHIFT)
-            | (self.last_element_in_field << LAST_ELEMENT_IN_FIELD_SHIFT)
-            | (self.last_field_in_sequence << LAST_FIELD_IN_SEQUENCE_SHIFT)
-            | (self.reserved_1 << RESERVED_1_SHIFT)
-            | (self.inc_size << INC_SIZE_SHIFT)
-            | (self.write_mask_valid << WRITE_MASK_VALID_SHIFT)
-            | (self.context_code << CONTEXT_CODE_SHIFT)
-            | (self.reserved_2 << RESERVED_2_SHIFT)
-            | (self.class_code << CLASS_CODE_SHIFT)
-            | (self.reserved_3 << RESERVED_3_SHIFT)
-            | (self.ignored << IGNORED_SHIFT)
-        )
+        raw = 0
+        for name, shift, _ in FIELD_ID_LAYOUT:
+            raw |= getattr(self, name) << shift
+        return raw
 
 
 def encode_field_id(parts: MdFieldId) -> int:
     """Pack subfields to the raw 64-bit id, rejecting overflow and reserved bits."""
-    for name, mask in MdFieldId._WIDTHS:
+    for name, _, width in FIELD_ID_LAYOUT:
         value = getattr(parts, name)
-        if value < 0 or value > mask:
+        if name not in _RESERVED and not 0 <= value < 1 << width:
             raise EncodingError(f"{name} out of range: {value:#x}")
-    for name in ("reserved_0", "reserved_1", "reserved_2", "reserved_3"):
+    for name in _RESERVED:
         if getattr(parts, name):
             raise EncodingError(f"{name} must be zero in emitted field ids")
     return parts.to_raw()
@@ -143,21 +121,7 @@ def encode_field_id(parts: MdFieldId) -> int:
 
 def decode_field_id(raw: int) -> MdFieldId:
     """Lossless unpack; reserved bit contents are preserved and reported."""
-    return MdFieldId(
-        field_code=(raw >> FIELD_CODE_SHIFT) & FIELD_CODE_MASK,
-        reserved_0=(raw >> RESERVED_0_SHIFT) & RESERVED_0_MASK,
-        element_size_code=(raw >> ELEMENT_SIZE_CODE_SHIFT) & ELEMENT_SIZE_CODE_MASK,
-        last_element_in_field=(raw >> LAST_ELEMENT_IN_FIELD_SHIFT) & LAST_ELEMENT_IN_FIELD_MASK,
-        last_field_in_sequence=(raw >> LAST_FIELD_IN_SEQUENCE_SHIFT) & LAST_FIELD_IN_SEQUENCE_MASK,
-        reserved_1=(raw >> RESERVED_1_SHIFT) & RESERVED_1_MASK,
-        inc_size=(raw >> INC_SIZE_SHIFT) & 1,
-        write_mask_valid=(raw >> WRITE_MASK_VALID_SHIFT) & 1,
-        context_code=(raw >> CONTEXT_CODE_SHIFT) & CONTEXT_CODE_MASK,
-        reserved_2=(raw >> RESERVED_2_SHIFT) & 1,
-        class_code=(raw >> CLASS_CODE_SHIFT) & CLASS_CODE_MASK,
-        reserved_3=(raw >> RESERVED_3_SHIFT) & 1,
-        ignored=(raw >> IGNORED_SHIFT) & 1,
-    )
+    return MdFieldId(*[(raw >> shift) & mask for shift, mask in _UNPACK])
 
 
 def make_sequence_header(
@@ -172,7 +136,6 @@ def make_sequence_header(
     return encode_field_id(
         MdFieldId(
             field_code=field_code,
-            element_size_code=ELEMENT_SIZE_CODE_8B,
             last_element_in_field=num_elements - 1,
             last_field_in_sequence=num_fields - 1,
             write_mask_valid=1 if write_mask_valid else 0,
@@ -274,6 +237,34 @@ def parse_list(data: bytes) -> MdList:
         sequences.append(MdSequence(raw, elements))
         off = end
     return MdList(header, sequences)
+
+
+def patch_element(lists: list[bytearray], field_id: int, element: int, value: int) -> bool:
+    """Patch one 64-bit element of the sequence holding field_id, in place.
+
+    An element outside that sequence's values counts as not found.
+    """
+    wanted = decode_field_id(field_id)
+    for data in lists:
+        parsed = parse_list(bytes(data))
+        offset = LIST_HEADER_BYTES
+        for seq in parsed.sequences:
+            fid = decode_field_id(seq.header_raw)
+            per_field = fid.last_element_in_field + 1
+            span = fid.num_fields * per_field
+            slot = (wanted.field_code - fid.field_code) + element
+            if (
+                fid.context_code == wanted.context_code
+                and fid.class_code == wanted.class_code
+                and fid.field_code <= wanted.field_code < fid.field_code + span
+                and element >= 0
+                and slot < len(seq.elements) - fid.write_mask_valid
+            ):
+                position = offset + 8 + (fid.write_mask_valid + slot) * 8
+                data[position : position + 8] = value.to_bytes(8, "little")
+                return True
+            offset += seq.size
+    return False
 
 
 @dataclass
@@ -478,7 +469,7 @@ def write_list(
 
     if not mode.header_underflow:
         if header.list_buff_size < LIST_HEADER_BYTES or header.list_buff_size > LIST_BYTES:
-            result.status = with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0)
+            result.status = LIST_OVERFLOW
             return result
 
     # The pre-fix module stores this in a uint16_t with no lower-bound check.
@@ -491,16 +482,11 @@ def write_list(
             # Post-fix walks check the residue before touching the next header,
             # so a lying num_sequences cannot push a read past the list.
             result.ext_err_info[0] = result.next_field_raw
-            result.status = with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0)
+            result.status = LIST_OVERFLOW
             return result
         header_raw = arena.read_u64(seq_off)
         fid = decode_field_id(header_raw)
-        if fid.context_code != context_code:
-            result.ext_err_info[0] = header_raw
-            result.status = with_l2_details(TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, i)
-            return result
-
-        entry = catalog.find_entry(context_code, fid)
+        entry = catalog.find_entry(context_code, fid) if fid.context_code == context_code else None
         if entry is None:
             result.ext_err_info[0] = header_raw
             result.status = with_l2_details(TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, i)
@@ -559,7 +545,7 @@ def write_sequence(
     """
     if buff_size < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
         ext_err_info[0] = lkp.field_id_raw
-        return with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), 0
+        return LIST_OVERFLOW, 0
 
     num_fields = fid.num_fields
     buff_size = (buff_size - SEQUENCE_HEADER_BYTES) & 0xFFFFFFFF
@@ -571,7 +557,7 @@ def write_sequence(
         # Post-fix placement: consume the mask element once, before the loop.
         if buff_size < ELEMENT_BYTES:
             ext_err_info[0] = lkp.field_id_raw
-            return with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+            return LIST_OVERFLOW, sequence_idx
         wr_mask = arena.read_u64(elements_base)
         sequence_idx += 1
         buff_size -= ELEMENT_BYTES
@@ -601,7 +587,7 @@ def write_sequence(
             if buff_size < field_bytes:
                 lkp.field_index = field_index
                 ext_err_info[0] = lkp.field_id_raw
-                return with_l2_details(TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+                return LIST_OVERFLOW, sequence_idx
 
             if writes:
                 combined = wr_mask & import_mask

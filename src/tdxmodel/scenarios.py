@@ -50,7 +50,7 @@ VCPUS_NOT_MIGRATED = S.TDX_SOME_VCPUS_NOT_MIGRATED
 # A walk's fatal words keep its level-2 details: 0xFFFF and the failing
 # sequence's index (the crafted VP list's out-of-place header is sequence 3).
 FATAL_FIELD_ID_INCORRECT = S.as_fatal(S.with_l2_details(S.TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, 3))
-FATAL_LIST_OVERFLOW = S.as_fatal(S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0))
+FATAL_LIST_OVERFLOW = S.as_fatal(md.LIST_OVERFLOW)
 FATAL_REQUIRED_MISSING = S.as_fatal(S.TDX_REQUIRED_METADATA_FIELD_MISSING)
 FATAL_VALUE_NOT_VALID = S.as_fatal(S.TDX_METADATA_FIELD_VALUE_NOT_VALID)
 TD_FATAL = S.TDX_TD_FATAL
@@ -144,30 +144,10 @@ def zero_mask_entry(sequences: list[MdSequence], catalog: FieldCatalog,
     for seq in sequences:
         fid = md.decode_field_id(seq.header_raw)
         if fid.class_code == target.class_code and target.covers(fid.field_code):
-            header = md.decode_field_id(seq.header_raw)
-            header.write_mask_valid = 1
-            out.append(MdSequence(header.to_raw(), [0] + list(seq.elements)))
+            fid.write_mask_valid = 1
+            out.append(MdSequence(fid.to_raw(), [0] + list(seq.elements)))
         else:
             out.append(seq)
-    return out
-
-
-def set_entry_value(sequences: list[MdSequence], catalog: FieldCatalog, context_code: int,
-                    name: str, position: int, value: int) -> list[MdSequence]:
-    """Overwrite one element of the named entry inside its sequence."""
-    target = catalog.by_name(context_code, name)
-    out = []
-    for seq in sequences:
-        fid = md.decode_field_id(seq.header_raw)
-        if fid.class_code == target.class_code and target.covers(fid.field_code):
-            start = fid.field_code - target.field_code
-            index = position - start
-            if 0 <= index < len(seq.elements):
-                elements = list(seq.elements)
-                elements[index] = value
-                out.append(MdSequence(seq.header_raw, elements))
-                continue
-        out.append(seq)
     return out
 
 
@@ -529,10 +509,11 @@ def _scenario_bug2() -> Scenario:
             env["key"], BundleType.IMMUTABLE, [imm_lists[0]] + repack(value_seqs)
         )
 
-        export_seqs = set_entry_value(td_seqs, catalog, MD_CTX_TD, "EXPORT_COUNT", 0, 0x80000000)
-        env["b_export"] = seal(
-            env["key"], BundleType.IMMUTABLE, [imm_lists[0]] + repack(export_seqs)
-        )
+        export_lists = [bytearray(data) for data in [imm_lists[0]] + repack(td_seqs)]
+        export_count = catalog.by_name(MD_CTX_TD, "EXPORT_COUNT").field_id_for(0)
+        patched = md.patch_element(export_lists, export_count, 0, 0x80000000)
+        assert patched
+        env["b_export"] = seal(env["key"], BundleType.IMMUTABLE, [bytes(d) for d in export_lists])
         return env
 
     def import_xcr0(m: TdxModule, e: dict) -> int:
@@ -774,15 +755,17 @@ def _scenario_bug6() -> Scenario:
         env["probe_foreign"] = make_binding_handle(0, foreign.tdr_page, migtd.uuid[0])
         return env
 
+    def probe(handle: str) -> Callable[[TdxModule, dict], int]:
+        def run(m: TdxModule, e: dict) -> int:
+            e[f"{handle}_status"], _ = m.tdg_servtd_rd(e["migtd"], e[handle], 0x9810000300000010)
+            return e[f"{handle}_status"]
+        return run
+
     steps = [
-        Step(
-            "tdg_servtd_rd probe (no TDR at address)",
-            lambda m, e: m.tdg_servtd_rd(e["migtd"], e["probe_empty"], 0x9810000300000010)[0],
-            OPERAND_INVALID_TDR,
-        ),
+        Step("tdg_servtd_rd probe (no TDR at address)", probe("probe_empty"), OPERAND_INVALID_TDR),
         Step(
             "tdg_servtd_rd probe (foreign TDR, uuid mismatch)",
-            lambda m, e: m.tdg_servtd_rd(e["migtd"], e["probe_foreign"], 0x9810000300000010)[0],
+            probe("probe_foreign"),
             SERVTD_UUID_MISMATCH, fixed=OPERAND_INVALID_TDR,
         ),
         Step(
@@ -795,7 +778,7 @@ def _scenario_bug6() -> Scenario:
     checks = [
         Check(
             "probe statuses reveal whether a TDR lives at the address",
-            lambda m, e: e["_step_status_0"] != e["_step_status_1"],
+            lambda m, e: e["probe_empty_status"] != e["probe_foreign_status"],
             True,
         ),
         Check(
@@ -933,9 +916,8 @@ def replay(scenario: Scenario, module: TdxModule, vulnerable: bool) -> tuple[boo
     lines = []
     ok = True
     env = scenario.setup(module)
-    for index, step in enumerate(scenario.steps):
+    for step in scenario.steps:
         status = step.run(module, env)
-        env[f"_step_status_{index}"] = status
         expected = step.expected(vulnerable)
         matched = status == expected
         ok = ok and matched

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel import md_codec as md
@@ -178,7 +179,53 @@ def test_import_detects_tampered_ciphertext():
     bundle.data = bytes(tampered)
     status = m.tdh_import_state_immutable(env["dst"], bundle)
     assert status == S.TDX_INCORRECT_MBMD_MAC
-    assert env["dst"].op_state is OpState.UNINITIALIZED
+    assert env["dst"].op_state is OpState.FAILED_IMPORT
+
+
+def _flip_bit(bundle):
+    data = bytearray(bundle.data)
+    data[len(data) // 2] ^= 0x40
+    bundle.data = bytes(data)
+    return bundle
+
+
+def _tampered_mem_import(m, env):
+    status, page = m.tdh_export_mem(env["src"], 0x1000)
+    assert status == S.TDX_SUCCESS
+    import_to_state_import(m, env)
+    return m.tdh_import_mem(env["dst"], _flip_bit(page))
+
+
+def _tampered_td_import(m, env):
+    assert m.tdh_import_state_immutable(env["dst"], env["bundle_immutable"]) == S.TDX_SUCCESS
+    return m.tdh_import_state_td(env["dst"], _flip_bit(env["bundle_td"]))
+
+
+def _tampered_vp_import(m, env):
+    import_to_state_import(m, env)
+    return m.tdh_import_state_vp(env["dst"], 0, _flip_bit(env["bundle_vps"][0]))
+
+
+TAMPERED_IMPORTS = {
+    "immutable": lambda m, env: m.tdh_import_state_immutable(
+        env["dst"], _flip_bit(env["bundle_immutable"])
+    ),
+    "td": _tampered_td_import,
+    "vp": _tampered_vp_import,
+    "mem": _tampered_mem_import,
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(TAMPERED_IMPORTS))
+def test_every_import_leaf_fails_the_td_on_a_bad_mac(leaf):
+    """An unauthenticated bundle takes the failure edge, so no second forgery is tried."""
+    m = TdxModule(seed=10)
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    assert TAMPERED_IMPORTS[leaf](m, env) == S.TDX_INCORRECT_MBMD_MAC
+    assert env["dst"].op_state is OpState.FAILED_IMPORT
+    for td in m.tds.values():
+        assert validate_trace(m.matrix, td.trace, True) == []
 
 
 def test_servtd_write_blocked_during_blackout():

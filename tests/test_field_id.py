@@ -1,5 +1,7 @@
 """Field id packing: bit positions pinned against published raw values."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,3 +90,106 @@ def test_thousand_random_roundtrips():
     for _ in range(1000):
         raw = rng.getrandbits(64) & ~RESERVED_MASK
         assert encode_field_id(decode_field_id(raw)) == raw
+
+
+# --- the layout table against the hand-unrolled codec it replaced -------------
+#
+# These references keep the bit positions written out field by field, as the
+# codec had them before FIELD_ID_LAYOUT.  A table that swapped two subfields'
+# names consistently would still round-trip; it would not match these.
+
+REFERENCE_RESERVED = ("reserved_0", "reserved_1", "reserved_2", "reserved_3")
+# The range-checked subfields, in the order encode checks them, with their masks.
+REFERENCE_WIDTHS = (
+    ("field_code", 0xFFFFFF),
+    ("element_size_code", 0x3),
+    ("last_element_in_field", 0xF),
+    ("last_field_in_sequence", 0x1FF),
+    ("inc_size", 1),
+    ("write_mask_valid", 1),
+    ("context_code", 0x7),
+    ("class_code", 0x3F),
+    ("ignored", 1),
+)
+
+
+def _reference_decode(raw: int) -> dict:
+    return dict(
+        field_code=(raw >> 0) & 0xFFFFFF,
+        reserved_0=(raw >> 24) & 0xFF,
+        element_size_code=(raw >> 32) & 0x3,
+        last_element_in_field=(raw >> 34) & 0xF,
+        last_field_in_sequence=(raw >> 38) & 0x1FF,
+        reserved_1=(raw >> 47) & 0x7,
+        inc_size=(raw >> 50) & 1,
+        write_mask_valid=(raw >> 51) & 1,
+        context_code=(raw >> 52) & 0x7,
+        reserved_2=(raw >> 55) & 1,
+        class_code=(raw >> 56) & 0x3F,
+        reserved_3=(raw >> 62) & 1,
+        ignored=(raw >> 63) & 1,
+    )
+
+
+def _reference_to_raw(p: dict) -> int:
+    return (
+        p["field_code"]
+        | (p["reserved_0"] << 24)
+        | (p["element_size_code"] << 32)
+        | (p["last_element_in_field"] << 34)
+        | (p["last_field_in_sequence"] << 38)
+        | (p["reserved_1"] << 47)
+        | (p["inc_size"] << 50)
+        | (p["write_mask_valid"] << 51)
+        | (p["context_code"] << 52)
+        | (p["reserved_2"] << 55)
+        | (p["class_code"] << 56)
+        | (p["reserved_3"] << 62)
+        | (p["ignored"] << 63)
+    )
+
+
+def _reference_encode(p: dict) -> int:
+    for name, mask in REFERENCE_WIDTHS:
+        value = p[name]
+        if value < 0 or value > mask:
+            raise EncodingError(f"{name} out of range: {value:#x}")
+    for name in REFERENCE_RESERVED:
+        if p[name]:
+            raise EncodingError(f"{name} must be zero in emitted field ids")
+    return _reference_to_raw(p)
+
+
+def _outcome(encode, arg):
+    """("ok", raw) or ("error", message): what one encode call did."""
+    try:
+        return "ok", encode(arg)
+    except EncodingError as exc:
+        return "error", str(exc)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_layout_table_decodes_as_the_unrolled_reference(raw):
+    fid = decode_field_id(raw)
+    expected = _reference_decode(raw)
+    assert dataclasses.asdict(fid) == expected
+    assert fid.has_reserved_bits == any(expected[name] for name in REFERENCE_RESERVED)
+    assert fid.to_raw() == _reference_to_raw(expected) == raw
+    assert _outcome(encode_field_id, fid) == _outcome(_reference_encode, expected)
+
+
+# Each subfield drawn in range and a little outside it, both sides.
+_SUBFIELD_WIDTHS = dict(REFERENCE_WIDTHS, reserved_0=0xFF, reserved_1=0x7, reserved_2=1,
+                        reserved_3=1)
+subfields = st.fixed_dictionaries({
+    name: st.one_of(st.integers(0, mask), st.integers(-2, 2 * mask + 2))
+    for name, mask in _SUBFIELD_WIDTHS.items()
+})
+
+
+@given(subfields)
+def test_layout_table_encodes_as_the_unrolled_reference(parts):
+    fid = MdFieldId(**parts)
+    assert _outcome(encode_field_id, fid) == _outcome(_reference_encode, parts)
+    if min(parts.values()) >= 0:
+        assert fid.to_raw() == _reference_to_raw(parts)

@@ -22,7 +22,12 @@ from tdxmodel.md_codec import (
     make_sequence_header,
     parse_list,
 )
-from tdxmodel.scenarios import LEAK_SENTINEL, crafted_vp_list, list_header_underflow_list
+from tdxmodel.scenarios import (
+    LEAK_SENTINEL,
+    crafted_vp_list,
+    list_header_underflow_list,
+    zero_mask_entry,
+)
 
 from conftest import DictSink
 
@@ -567,3 +572,29 @@ def test_sequence_size_cap_matches_field_count_cap():
         make_sequence_header(MD_CTX_VP, 0x12, 0, num_fields=512), [0] * 512
     )
     assert seq.size == 512 * 8 + 8 == md.MAX_SEQUENCE_BYTES
+
+
+def test_patch_element_skips_the_write_mask_slot(catalog):
+    xcr0 = MdSequence(make_sequence_header(MD_CTX_VP, 0x11, 0x20), [0x7])
+    xbuff = MdSequence(make_sequence_header(MD_CTX_VP, 0x12, 0, num_fields=4), [10, 11, 12, 13])
+    masked = zero_mask_entry([xcr0, xbuff], catalog, MD_CTX_VP, "XBUFF")
+    assert masked[1].elements == [0, 10, 11, 12, 13]
+    original = build_list(masked).to_bytes()
+    entry = catalog.by_name(MD_CTX_VP, "XBUFF")
+
+    for k in range(4):
+        lists = [bytearray(original)]
+        assert md.patch_element(lists, entry.field_id_for(0), k, 0xAB)
+        elements = parse_list(bytes(lists[0])).sequences[1].elements
+        assert elements[0] == 0  # the mask stays
+        assert elements[1:] == [0xAB if i == k else 10 + i for i in range(4)]
+    lists = [bytearray(original)]
+    assert md.patch_element(lists, entry.field_id_for(2), 1, 0xCD)
+    assert parse_list(bytes(lists[0])).sequences[1].elements == [0, 10, 11, 12, 0xCD]
+
+    lists = [bytearray(original)]
+    assert not md.patch_element(lists, entry.field_id_for(0), 4, 0xAB)  # past the sequence end
+    assert not md.patch_element(lists, entry.field_id_for(3), 1, 0xAB)
+    other_context = make_sequence_header(MD_CTX_TD, entry.class_code, entry.field_code)
+    assert not md.patch_element(lists, other_context, 0, 0xAB)
+    assert bytes(lists[0]) == original
