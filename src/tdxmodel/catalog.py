@@ -69,10 +69,12 @@ class FieldEntry:
     mig_export: MigClass
     mig_import: MigClass
     # Decoded from field_id_raw once, in __post_init__, with field 0's
-    # canonical id; derived, so they take no part in equality, hashing or repr.
+    # canonical id and the private-GPA flag; derived, so they take no part in
+    # equality, hashing or repr.
     class_code: int = dc_field(init=False, compare=False, repr=False)
     field_code: int = dc_field(init=False, compare=False, repr=False)
     first_field_id: int = dc_field(init=False, compare=False, repr=False)
+    gpa_private: bool = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         fid = decode_field_id(self.field_id_raw)
@@ -82,6 +84,8 @@ class FieldEntry:
             self.context_code, fid.class_code, fid.field_code, num_elements=self.num_of_elem
         )
         object.__setattr__(self, "first_field_id", first)
+        private_gpa = ATTR_GPA | ATTR_PRIVATE
+        object.__setattr__(self, "gpa_private", self.attributes & private_gpa == private_gpa)
 
     @property
     def code_span(self) -> int:
@@ -94,10 +98,6 @@ class FieldEntry:
     @property
     def exportable(self) -> bool:
         return self.mig_export is not MigClass.NONE and self.export_mask != 0
-
-    @property
-    def gpa_private(self) -> bool:
-        return bool(self.attributes & ATTR_GPA) and bool(self.attributes & ATTR_PRIVATE)
 
     def covers(self, field_code: int) -> bool:
         return self.field_code <= field_code < self.field_code + self.code_span

@@ -7,6 +7,7 @@ All output is plain text and deterministic for a given --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import md_codec as md
@@ -212,7 +213,17 @@ def cmd_state(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    ``parse_args`` fills a fresh namespace each time and copies ``append``
+    lists, so no value of one call reaches the next.  Callers must not mutate
+    the returned parser (``set_defaults``, ``add_argument``): the change would
+    reach every later call in the process.  The saving is for callers that run
+    ``main`` many times in one process; a single command-line run builds the
+    parser once either way.
+    """
     parser = argparse.ArgumentParser(
         prog="tdxmodel",
         description="Desk-scale TD lifecycle and migration metadata model",

@@ -17,7 +17,9 @@ disjoint data, calls are safe from multiple threads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Protocol
 
@@ -175,14 +177,25 @@ class MdSequence:
     elements: list[int]
 
     def to_bytes(self) -> bytes:
-        out = bytearray(self.header_raw.to_bytes(8, "little"))
-        for value in self.elements:
-            out += value.to_bytes(8, "little")
-        return bytes(out)
+        """The header and every element, each a little-endian u64, packed in one call."""
+        try:
+            return _u64s(1 + len(self.elements)).pack(self.header_raw, *self.elements)
+        except struct.error as exc:
+            raise EncodingError(f"sequence value outside 64 bits: {exc}") from exc
 
     @property
     def size(self) -> int:
         return SEQUENCE_HEADER_BYTES + len(self.elements) * ELEMENT_BYTES
+
+
+@functools.lru_cache(maxsize=LIST_BYTES // ELEMENT_BYTES)
+def _u64s(count: int) -> struct.Struct:
+    """The packer of ``count`` little-endian u64 values.
+
+    A 4 KB list holds fewer than 512 of them, so the cache keeps one packer
+    per sequence length a list can carry.
+    """
+    return struct.Struct(f"<{count}Q")
 
 
 @dataclass
@@ -207,12 +220,13 @@ def build_list(sequences: Iterable[MdSequence]) -> MdList:
     return MdList(MdListHeader(list_buff_size=size, num_sequences=len(seqs)), seqs)
 
 
-def parse_list(data: bytes) -> MdList:
-    """Structured bounds-checked parse of a serialized list (export/tooling side).
+def _sequence_spans(data) -> tuple[MdListHeader, list[tuple[int, int, MdFieldId, int]]]:
+    """Bounds-check a serialized list and locate its sequences.
 
-    Trailing padding is ignored.  This is not the import walk; it trusts the
-    element-count bits in each sequence header instead of catalog lookups, so
-    it can pretty-print or patch arbitrary well-formed lists.
+    Returns the list header and, per sequence, ``(offset, header_raw, fid,
+    count)``: where its header sits, the header decoded once, and how many
+    elements (write mask included) follow it.  Raises ValueError as soon as a
+    header or its elements leave ``list_buff_size``.
     """
     if len(data) < LIST_HEADER_BYTES:
         raise ValueError("list shorter than its header")
@@ -220,7 +234,7 @@ def parse_list(data: bytes) -> MdList:
     if header.list_buff_size < LIST_HEADER_BYTES or header.list_buff_size > min(len(data), LIST_BYTES):
         raise ValueError(f"bad list_buff_size {header.list_buff_size}")
     off = LIST_HEADER_BYTES
-    sequences = []
+    spans = []
     for _ in range(header.num_sequences):
         if off + SEQUENCE_HEADER_BYTES > header.list_buff_size:
             raise ValueError("sequence header outside list_buff_size")
@@ -230,40 +244,49 @@ def parse_list(data: bytes) -> MdList:
         end = off + SEQUENCE_HEADER_BYTES + count * ELEMENT_BYTES
         if end > header.list_buff_size:
             raise ValueError("sequence elements outside list_buff_size")
-        elements = [
-            int.from_bytes(data[i : i + 8], "little")
-            for i in range(off + SEQUENCE_HEADER_BYTES, end, 8)
-        ]
-        sequences.append(MdSequence(raw, elements))
+        spans.append((off, raw, fid, count))
         off = end
+    return header, spans
+
+
+def parse_list(data: bytes) -> MdList:
+    """Structured bounds-checked parse of a serialized list (export/tooling side).
+
+    Trailing padding is ignored.  This is not the import walk; it trusts the
+    element-count bits in each sequence header instead of catalog lookups, so
+    it can pretty-print or patch arbitrary well-formed lists.
+    """
+    header, spans = _sequence_spans(data)
+    sequences = [
+        MdSequence(raw, list(_u64s(count).unpack_from(data, off + SEQUENCE_HEADER_BYTES)))
+        for off, raw, _, count in spans
+    ]
     return MdList(header, sequences)
 
 
 def patch_element(lists: list[bytearray], field_id: int, element: int, value: int) -> bool:
     """Patch one 64-bit element of the sequence holding field_id, in place.
 
-    An element outside that sequence's values counts as not found.
+    An element outside that sequence's values counts as not found.  Each list
+    is bounds-checked whole before it is searched, so a malformed list raises
+    ValueError even when the field sits before the fault.
     """
     wanted = decode_field_id(field_id)
     for data in lists:
-        parsed = parse_list(bytes(data))
-        offset = LIST_HEADER_BYTES
-        for seq in parsed.sequences:
-            fid = decode_field_id(seq.header_raw)
-            per_field = fid.last_element_in_field + 1
-            span = fid.num_fields * per_field
+        _, spans = _sequence_spans(data)
+        for offset, _, fid, count in spans:
+            span = fid.num_fields * (fid.last_element_in_field + 1)
             slot = (wanted.field_code - fid.field_code) + element
             if (
                 fid.context_code == wanted.context_code
                 and fid.class_code == wanted.class_code
                 and fid.field_code <= wanted.field_code < fid.field_code + span
                 and element >= 0
-                and slot < len(seq.elements) - fid.write_mask_valid
+                and slot < count - fid.write_mask_valid
             ):
                 position = offset + 8 + (fid.write_mask_valid + slot) * 8
                 data[position : position + 8] = value.to_bytes(8, "little")
                 return True
-            offset += seq.size
     return False
 
 
@@ -631,8 +654,12 @@ def write_sequence(
 class MetadataSource(Protocol):
     """Value provider for the export-side serializer."""
 
-    def read_field(self, entry, field_index: int) -> list[int]:
-        """Return the field's element values (already export-masked)."""
+    def read_field(self, entry, field_index: int, count: int = 1) -> list[int]:
+        """Return the element values of ``count`` consecutive fields from ``field_index``.
+
+        Fields come in order, ``count * entry.num_of_elem`` values in all,
+        already export-masked: each must be a 64-bit unsigned value.
+        """
 
 
 class ExportError(ValueError):
@@ -675,11 +702,7 @@ def dump_lists(catalog, context_code: int, entries, source: MetadataSource) -> l
                 num_fields=count,
                 num_elements=entry.num_of_elem,
             )
-            elements: list[int] = []
-            for k in range(count):
-                values = source.read_field(entry, index + k)
-                elements.extend(v & 0xFFFFFFFFFFFFFFFF for v in values)
-            seq = MdSequence(header, elements)
+            seq = MdSequence(header, source.read_field(entry, index, count))
             pending.append(seq)
             room -= seq.size
             index += count

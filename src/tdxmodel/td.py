@@ -379,8 +379,12 @@ class TdComplex:
         """Store a value with no special handling; a key quadword counts as written."""
         values = self._scope_values(entry, vp_index)
         values[position] = value & U64
-        if values is self.td_store["MIG_DEC_KEY"]:
-            self._mig_dec_key_written.add(position)
+        for marks in self.store_marks(values):
+            marks.add(position)
+
+    def store_marks(self, values: list[int]) -> tuple[set[int], ...]:
+        """The sets a store into ``values`` marks: a MIG_DEC_KEY quadword counts as written."""
+        return (self._mig_dec_key_written,) if values is self.td_store["MIG_DEC_KEY"] else ()
 
     @property
     def mig_dec_key_set(self) -> bool:
@@ -404,10 +408,6 @@ class TdComplex:
     def reset_import_accounting(self) -> None:
         self.import_written = {}
         self.import_skipped = set()
-
-    def note_written(self, entry: FieldEntry, position: int, vp_index: Optional[int]) -> None:
-        key = (entry.context_code, vp_index or 0, entry.class_code, entry.field_code)
-        self.import_written.setdefault(key, set()).add(position)
 
     def note_skipped(self, entry: FieldEntry, field_index: int, vp_index: Optional[int]) -> None:
         self.import_skipped.add(
@@ -579,6 +579,38 @@ def is_event_allowed(td: TdComplex, event_select: int, umask: int) -> bool:
     return index < len(live) and live[index] == key
 
 
+def _check_eptp(sink: "TdImportSink", values: list[int]) -> bool:
+    """Re-root the controls at the TD's SEPT; the re-rooted value is what gets stored."""
+    td = sink.td
+    if not verify_and_set_td_eptp_controls(td, td.gpaw, EptpControls.from_raw(values[0])):
+        return False
+    values[0] = td.eptp_raw
+    return True
+
+
+# The value check of each field with special write handling, by name; each
+# reads the field's masked values and may rewrite them before they are stored.
+# GPAW, XBUFF and MIG_DEC_KEY carry the flag with no extra constraint modeled.
+_VALUE_CHECKS = {
+    "ATTRIBUTES": lambda sink, values: verify_td_attributes(TdAttributes(values[0]), sink.is_import),
+    "XFAM": lambda sink, values: check_xfam(values[0]),
+    "EPTP": _check_eptp,
+    "NUM_VCPUS": lambda sink, values: 0 < values[0] <= MAX_VCPUS_PER_TD,
+    "TSC_FREQUENCY": lambda sink, values: (
+        VIRT_TSC_FREQUENCY_MIN <= values[0] <= VIRT_TSC_FREQUENCY_MAX
+    ),
+    "HP_LOCK_TIMEOUT": lambda sink, values: (
+        MIN_HP_LOCK_TIMEOUT_USEC <= values[0] <= MAX_HP_LOCK_TIMEOUT_USEC
+    ),
+    "XCR0": lambda sink, values: bool(values[0] & XCR0_X87),
+}
+
+
+def _check_gpas(sink: "TdImportSink", values: list[int]) -> bool:
+    gpaw = sink.td.gpaw
+    return all(check_gpa_validity(value, gpaw) for value in values)
+
+
 class TdImportSink:
     """Metadata sink bound to one TD scope for one import operation.
 
@@ -586,6 +618,14 @@ class TdImportSink:
     and tracks which elements were explicitly written for the fixed-mode
     required-field accounting.  The skipped-address-check behavior is the
     pre-fix variant: private-GPA fields are stored without validity checks.
+
+    The sink works per catalog entry.  When the walk hands it a field of a new
+    entry it looks up that entry's value checks; once a field of the entry
+    passes them it binds the entry's storage: the TD, SYS or VP value list and
+    the sets each stored position is marked in (the entry's written positions,
+    and those ``TdComplex.store_marks`` names for the list).  Later
+    fields of the entry are stored straight into the bound list.  A refused
+    field binds nothing, so it leaves no store entry behind.
     """
 
     def __init__(
@@ -603,64 +643,59 @@ class TdImportSink:
         self.vp_index = vp_index
         self.gpa_checks = gpa_checks
         self.track = track
+        self._entry: Optional[FieldEntry] = None
+        self._checks: tuple = ()
+        self._overwrite = False
+        self._values: Optional[list[int]] = None
+        self._marks: tuple[set[int], ...] = ()
 
     def write_field(self, entry: FieldEntry, field_index: int, values: list[int],
                     combined_mask: int) -> int:
+        if entry is not self._entry:
+            self._enter(entry)
         masked = [v & combined_mask for v in values]
-        status = self._special_check(entry, field_index, masked)
-        if status != TDX_SUCCESS:
-            return status
-        base = field_index * entry.num_of_elem
-        for k, value in enumerate(masked):
-            if entry.special_wr_handling:
-                new_value = value
-            else:
-                old = self.td.read_element(entry, base + k, self.vp_index)
-                new_value = (value & combined_mask) | (old & ~combined_mask & U64)
-            self.td.write_element_raw(entry, base + k, new_value, self.vp_index)
-            if self.track:
-                self.td.note_written(entry, base + k, self.vp_index)
+        for check in self._checks:
+            if not check(self, masked):
+                return TDX_METADATA_FIELD_VALUE_NOT_VALID
+        store = self._values
+        if store is None:
+            store = self._bind(entry)
+        # A field with special write handling is stored as checked; any other
+        # keeps its stored bits outside the mask.
+        keep = 0 if self._overwrite else ~combined_mask & U64
+        position = field_index * entry.num_of_elem
+        for value in masked:
+            store[position] = (value | (store[position] & keep)) if keep else value
+            for marks in self._marks:
+                marks.add(position)
+            position += 1
         return TDX_SUCCESS
+
+    def _enter(self, entry: FieldEntry) -> None:
+        """Start on a new entry: look up its value checks, leave its storage unbound."""
+        checks = []
+        if entry.gpa_private and self.is_import and self.gpa_checks:
+            checks.append(_check_gpas)
+        if entry.special_wr_handling and entry.name in _VALUE_CHECKS:
+            checks.append(_VALUE_CHECKS[entry.name])
+        self._entry = entry
+        self._checks = tuple(checks)
+        self._overwrite = entry.special_wr_handling
+        self._values = None
+
+    def _bind(self, entry: FieldEntry) -> list[int]:
+        """Bind the entry's storage once one of its fields has passed the checks."""
+        td = self.td
+        store = self._values = td._scope_values(entry, self.vp_index)
+        marks = td.store_marks(store)
+        if self.track:
+            key = (entry.context_code, self.vp_index or 0, entry.class_code, entry.field_code)
+            marks = (td.import_written.setdefault(key, set()), *marks)
+        self._marks = marks
+        return store
 
     def record_skip(self, entry: FieldEntry, field_index: int) -> None:
         self.td.note_skipped(entry, field_index, self.vp_index)
-
-    def _special_check(self, entry: FieldEntry, field_index: int, values: list[int]) -> int:
-        if entry.gpa_private and self.is_import and self.gpa_checks:
-            for value in values:
-                if not check_gpa_validity(value, self.td.gpaw):
-                    return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        if not entry.special_wr_handling:
-            return TDX_SUCCESS
-        name = entry.name
-        value = values[0]
-        if name == "ATTRIBUTES":
-            if not verify_td_attributes(TdAttributes(value), self.is_import):
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        elif name == "XFAM":
-            if not check_xfam(value):
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        elif name == "EPTP":
-            if not verify_and_set_td_eptp_controls(
-                self.td, self.td.gpaw, EptpControls.from_raw(value)
-            ):
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-            # verify_and_set already stored the re-rooted controls; keep them.
-            values[0] = self.td.eptp_raw
-        elif name == "NUM_VCPUS":
-            if not 0 < value <= MAX_VCPUS_PER_TD:
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        elif name == "TSC_FREQUENCY":
-            if not VIRT_TSC_FREQUENCY_MIN <= value <= VIRT_TSC_FREQUENCY_MAX:
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        elif name == "HP_LOCK_TIMEOUT":
-            if not MIN_HP_LOCK_TIMEOUT_USEC <= value <= MAX_HP_LOCK_TIMEOUT_USEC:
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        elif name == "XCR0":
-            if not value & XCR0_X87:
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
-        # GPAW, XBUFF, MIG_DEC_KEY: special flag set, no extra constraint modeled.
-        return TDX_SUCCESS
 
 
 class TdExportSource:
@@ -672,14 +707,15 @@ class TdExportSource:
         self.vp_index = vp_index
         self.sys_store = sys_store
 
-    def read_field(self, entry: FieldEntry, field_index: int) -> list[int]:
+    def read_field(self, entry: FieldEntry, field_index: int, count: int = 1) -> list[int]:
+        """The values of ``count`` consecutive fields from ``field_index``, export-masked."""
         if entry.context_code == MD_CTX_SYS and self.sys_store is not None:
             values = self.sys_store.get(entry.name, [0] * entry.code_span)
-            base = field_index * entry.num_of_elem
-            section = values[base : base + entry.num_of_elem]
         else:
-            section = self.td.read_field(entry, field_index, self.vp_index)
-        return [v & entry.export_mask for v in section]
+            values = self.td._scope_values(entry, self.vp_index)
+        base = field_index * entry.num_of_elem
+        mask = entry.export_mask
+        return [v & mask for v in values[base : base + count * entry.num_of_elem]]
 
 
 def missing_required_fields(

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdxmodel.cli import main
+from tdxmodel.cli import build_parser, main
 from tdxmodel.envelope import Mbmd
 from tdxmodel.engine import TdxModule
 from tdxmodel.scenarios import all_scenarios, standard_setup
@@ -83,6 +83,31 @@ def test_bundle_edit_patches_a_field(bundle_files):
             str(tmp / "ed.plain"))
     _, out = run_cli("bundle", "parse", str(tmp / "ed.plain"))
     assert "name: ATTRIBUTES, num_of_fields: 1, num_of_elem: 1, contents: 0x20000001" in out
+
+
+def test_shared_parser_carries_nothing_between_calls(bundle_files):
+    tmp, key = bundle_files
+    assert build_parser() is build_parser()
+    edit = ("bundle", "edit", key, str(tmp / "imm.mbmd"), str(tmp / "imm.data"),
+            str(tmp / "seq.mbmd"), str(tmp / "seq.data"))
+    outputs = []
+    for value in ("0x20000001", "0x20000000"):
+        outputs.append(run_cli(*edit, "--set", f"0x1110000300000000:0:{value}"))
+        args = build_parser().parse_args([*edit, "--set", f"0x1110000300000000:0:{value}"])
+        assert args.set == [f"0x1110000300000000:0:{value}"] and args.iv_step == 1
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("patched 1 fields,")
+    run_cli("bundle", "decrypt", key, str(tmp / "seq.mbmd"), str(tmp / "seq.data"),
+            str(tmp / "seq.plain"))
+    _, out = run_cli("bundle", "parse", str(tmp / "seq.plain"))
+    assert "name: ATTRIBUTES, num_of_fields: 1, num_of_elem: 1, contents: 0x20000000" in out
+
+    code, out = run_cli("scenario", "run", "cve-2025-30513")
+    assert code == 0
+    assert out.splitlines()[1] == "mode: vulnerable seed: 7"
+    args = build_parser().parse_args(["scenario", "run", "cve-2025-30513"])
+    assert (args.mode, args.seed) == ("vulnerable", 7)
+    assert not hasattr(args, "set")
 
 
 def test_bundle_decrypt_wrong_key_fails(bundle_files):

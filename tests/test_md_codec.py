@@ -500,11 +500,11 @@ class MapSource:
     def __init__(self, values=None):
         self.values = values or {}
 
-    def read_field(self, entry, field_index):
+    def read_field(self, entry, field_index, count=1):
         base = field_index * entry.num_of_elem
         return [
             self.values.get((entry.name, base + k), 0) & entry.export_mask
-            for k in range(entry.num_of_elem)
+            for k in range(count * entry.num_of_elem)
         ]
 
 

@@ -1,12 +1,14 @@
 """TD aggregate behavior: attribute checks, transactions, filters, KOT, handles."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tdxmodel import md_codec as md
 from tdxmodel import status as S
-from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
+from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, WriteMode
 from tdxmodel.td import (
     ATTR_DEBUG,
     ATTR_MIGRATABLE,
@@ -14,18 +16,28 @@ from tdxmodel.td import (
     LVL_PML4,
     LVL_PML5,
     MAX_EVENT_FILTERS,
+    MAX_HP_LOCK_TIMEOUT_USEC,
+    MAX_VCPUS_PER_TD,
+    MIN_HP_LOCK_TIMEOUT_USEC,
     TYPED_TD_FIELDS,
+    VIRT_TSC_FREQUENCY_MAX,
+    VIRT_TSC_FREQUENCY_MIN,
+    XCR0_X87,
+    XFAM_FIXED1,
     EptpControls,
     EventFilter,
     Kot,
     KotState,
     TdAttributes,
     TdComplex,
+    TdExportSource,
     TdImportSink,
     TdParams,
+    VcpuState,
     audit_event_filters,
     break_binding_handle,
     check_gpa_validity,
+    check_xfam,
     init_event_filters,
     is_event_allowed,
     make_binding_handle,
@@ -33,6 +45,7 @@ from tdxmodel.td import (
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
+    verify_and_set_td_eptp_controls,
     verify_td_attributes,
 )
 
@@ -418,3 +431,297 @@ def test_fixed_mode_filter_store_always_sorted_under_random_calls():
             assert audit["sorted"]
             if status != S.TDX_SUCCESS:
                 assert td.event_filters_num == 0
+
+
+# --- the entry-bound import sink against the per-element reference ---------------------
+
+U64 = 2**64 - 1
+
+
+class _ReferenceImportSink:
+    """The per-element TdImportSink the entry-bound one replaced, kept as its oracle.
+
+    Every element is read and stored through the TD's generic accessors, and
+    every field is checked by name through one if/elif chain.
+    """
+
+    def __init__(self, td, catalog, is_import=True, vp_index=None, gpa_checks=False,
+                 track=True):
+        self.td = td
+        self.is_import = is_import
+        self.vp_index = vp_index
+        self.gpa_checks = gpa_checks
+        self.track = track
+
+    def write_field(self, entry, field_index, values, combined_mask):
+        masked = [v & combined_mask for v in values]
+        status = self._special_check(entry, masked)
+        if status != S.TDX_SUCCESS:
+            return status
+        base = field_index * entry.num_of_elem
+        for k, value in enumerate(masked):
+            if entry.special_wr_handling:
+                new_value = value
+            else:
+                old = self.td.read_element(entry, base + k, self.vp_index)
+                new_value = (value & combined_mask) | (old & ~combined_mask & U64)
+            self.td.write_element_raw(entry, base + k, new_value, self.vp_index)
+            if self.track:
+                key = (entry.context_code, self.vp_index or 0, entry.class_code, entry.field_code)
+                self.td.import_written.setdefault(key, set()).add(base + k)
+        return S.TDX_SUCCESS
+
+    def record_skip(self, entry, field_index):
+        self.td.note_skipped(entry, field_index, self.vp_index)
+
+    def _special_check(self, entry, values):
+        if entry.gpa_private and self.is_import and self.gpa_checks:
+            for value in values:
+                if not check_gpa_validity(value, self.td.gpaw):
+                    return S.TDX_METADATA_FIELD_VALUE_NOT_VALID
+        if not entry.special_wr_handling:
+            return S.TDX_SUCCESS
+        name, value, bad = entry.name, values[0], S.TDX_METADATA_FIELD_VALUE_NOT_VALID
+        if name == "ATTRIBUTES":
+            if not verify_td_attributes(TdAttributes(value), self.is_import):
+                return bad
+        elif name == "XFAM":
+            if not check_xfam(value):
+                return bad
+        elif name == "EPTP":
+            if not verify_and_set_td_eptp_controls(self.td, self.td.gpaw,
+                                                   EptpControls.from_raw(value)):
+                return bad
+            values[0] = self.td.eptp_raw
+        elif name == "NUM_VCPUS":
+            if not 0 < value <= MAX_VCPUS_PER_TD:
+                return bad
+        elif name == "TSC_FREQUENCY":
+            if not VIRT_TSC_FREQUENCY_MIN <= value <= VIRT_TSC_FREQUENCY_MAX:
+                return bad
+        elif name == "HP_LOCK_TIMEOUT":
+            if not MIN_HP_LOCK_TIMEOUT_USEC <= value <= MAX_HP_LOCK_TIMEOUT_USEC:
+                return bad
+        elif name == "XCR0":
+            if not value & XCR0_X87:
+                return bad
+        return S.TDX_SUCCESS
+
+
+# Values that pass some field's check, so walks go past the checked fields.
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([
+        0, 1, XFAM_FIXED1, 0x7, 100, 10_000, ATTR_MIGRATABLE, ATTR_MIGRATABLE | ATTR_DEBUG,
+        EptpControls(ept_pwl=LVL_PML4, base_pa=0x55).raw, EptpControls(ept_pwl=LVL_PML5).raw,
+        1 << 47, 1 << 51, U64,
+    ]),
+    st.integers(0, U64),
+)
+# The sink each import leaf builds, and the one tdh_mng_wr builds.
+_SINK_KINDS = {
+    "import": dict(is_import=True, track=True),
+    "mng_wr": dict(is_import=False, track=False),
+}
+
+
+@st.composite
+def _metadata_list(draw, catalog, ctx):
+    """Honest sequences over the catalog with values that pass checks; sometimes a lying size."""
+    body = b""
+    count = 0
+    for _ in range(draw(st.integers(0, 5))):
+        entry = draw(st.sampled_from(catalog.entries_for(ctx)))
+        index = draw(st.integers(0, entry.num_of_fields - 1))
+        num_fields = draw(st.integers(1, 10))
+        wmv = draw(st.booleans())
+        header = md.MdFieldId(
+            field_code=entry.field_code + index * entry.num_of_elem,
+            last_element_in_field=entry.num_of_elem - 1,
+            last_field_in_sequence=num_fields - 1,
+            write_mask_valid=int(wmv),
+            context_code=ctx,
+            class_code=entry.class_code,
+        ).to_raw()
+        elements = 0
+        walked, field = entry, index
+        for _ in range(num_fields):
+            elements += walked.num_of_elem
+            field += 1
+            if field == walked.num_of_fields:
+                walked, field = catalog.next_entry_after(ctx, walked), 0
+                if walked is None:
+                    break
+        values = draw(st.lists(_FIELD_VALUES, min_size=elements, max_size=elements))
+        if wmv:
+            values.insert(0, draw(st.sampled_from([0, U64, entry.import_mask, 0xFFFF_0000])
+                                  | st.integers(0, U64)))
+        seq = md.MdSequence(header, values).to_bytes()
+        if len(body) + len(seq) > md.LIST_BYTES - md.LIST_HEADER_BYTES:
+            break
+        body += seq
+        count += 1
+    exact = md.LIST_HEADER_BYTES + len(body)
+    size = draw(st.just(exact) | st.integers(0, 0xFFFF))
+    header = md.MdListHeader(list_buff_size=size, num_sequences=count)
+    return (header.to_bytes() + body).ljust(md.LIST_BYTES, b"\x00")
+
+
+@st.composite
+def _direct_writes(draw, catalog, ctx):
+    """write_field calls made outside a walk, as tdh_mng_wr makes them, by entry name."""
+    writes = []
+    for _ in range(draw(st.integers(1, 6))):
+        entry = draw(st.sampled_from(catalog.entries_for(ctx)))
+        length = draw(st.sampled_from([1, entry.num_of_elem]))
+        values = draw(st.lists(_FIELD_VALUES, min_size=length, max_size=length))
+        combined = draw(st.sampled_from([U64, entry.import_mask or U64]) | st.integers(1, U64))
+        writes.append((entry.name, draw(st.integers(0, entry.num_of_fields - 1)), values, combined))
+    return writes
+
+
+@st.composite
+def _sink_cases(draw, catalog):
+    """(sink kind, gpa_checks, gpaw, ops): each op is a walk or a run of direct writes."""
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        ctx = draw(st.sampled_from([MD_CTX_TD, MD_CTX_VP]))
+        if draw(st.integers(0, 3)):
+            ops.append(("walk", ctx, draw(_metadata_list(catalog, ctx))))
+        else:
+            ops.append(("write", ctx, draw(_direct_writes(catalog, ctx))))
+    return (draw(st.sampled_from(sorted(_SINK_KINDS))), draw(st.booleans()),
+            draw(st.booleans()), ops)
+
+
+def _sink_td(gpaw):
+    td = _fresh_td()
+    td.gpaw = int(gpaw)
+    td.vps.append(VcpuState(0))
+    return td
+
+
+def _run_sink_case(sink_cls, catalog, mode, case):
+    kind, gpa_checks, gpaw, ops = case
+    td = _sink_td(gpaw)
+    outcomes = []
+    for op, ctx, payload in ops:
+        sink = sink_cls(td, catalog, vp_index=0 if ctx == MD_CTX_VP else None,
+                        gpa_checks=gpa_checks, **_SINK_KINDS[kind])
+        if op == "walk":
+            result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, md.ParseArena(payload),
+                                   sink, mode)
+            outcomes.append(result)
+        else:
+            for name, field_index, values, combined in payload:
+                entry = catalog.by_name(ctx, name)
+                outcomes.append(sink.write_field(entry, field_index, list(values), combined))
+    stores = (td.td_store, td.sys_store, [vp.store for vp in td.vps])
+    return (outcomes, stores, td.import_written, td.import_skipped, td._mig_dec_key_written,
+            td.gpaw)
+
+
+def _eptp_list():
+    eptp = EptpControls(ept_pwl=LVL_PML4, base_pa=0x55).raw
+    seq = md.MdSequence(md.make_sequence_header(MD_CTX_TD, 0x11, 0x4), [eptp])
+    return md.build_list([seq]).to_bytes()
+
+
+def _refused_attributes_list():
+    seq = md.MdSequence(md.make_sequence_header(MD_CTX_TD, 0x11, 0x0),
+                        [ATTR_MIGRATABLE | ATTR_DEBUG])
+    return md.build_list([seq]).to_bytes()
+
+
+_WALK_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=3)]
+
+
+@pytest.mark.parametrize("mode", _WALK_MODES)
+def test_entry_bound_sink_matches_per_element_reference(catalog, mode):
+    @settings(max_examples=40, deadline=None)
+    @given(case=_sink_cases(catalog))
+    # EPTP is stored as re-rooted by its check, not masked again.
+    @example(case=("import", True, False, [("walk", MD_CTX_TD, _eptp_list())]))
+    # A refused field leaves no written-position entry behind.
+    @example(case=("import", False, False, [("walk", MD_CTX_TD, _refused_attributes_list())]))
+    # tdh_mng_wr's untracked sink still marks the session key's quadwords.
+    @example(case=("mng_wr", True, False,
+                   [("write", MD_CTX_TD, [("MIG_DEC_KEY", 0, [0x1234], U64)])]))
+    def check(case):
+        expected = _run_sink_case(_ReferenceImportSink, catalog, mode, case)
+        assert _run_sink_case(TdImportSink, catalog, mode, case) == expected
+
+    check()
+
+
+# --- run reads on export ---------------------------------------------------------------------
+
+class _PerFieldSource:
+    """Reads one field per call, element by element, as the export source once did."""
+
+    def __init__(self, td, vp_index=None, sys_store=None):
+        self.td = td
+        self.vp_index = vp_index
+        self.sys_store = sys_store
+
+    def read_field(self, entry, field_index, count=1):
+        values = []
+        for index in range(field_index, field_index + count):
+            base = index * entry.num_of_elem
+            for position in range(base, base + entry.num_of_elem):
+                if entry.context_code == MD_CTX_SYS and self.sys_store is not None:
+                    value = self.sys_store.get(entry.name, [0] * entry.code_span)[position]
+                else:
+                    value = self.td.read_element(entry, position, self.vp_index)
+                values.append(value & entry.export_mask)
+        return values
+
+
+def _pack_per_element(mdlist):
+    """List bytes with every u64 packed on its own."""
+    out = mdlist.header.to_bytes()
+    for seq in mdlist.sequences:
+        out += seq.header_raw.to_bytes(8, "little")
+        out += b"".join(value.to_bytes(8, "little") for value in seq.elements)
+    return out.ljust(md.LIST_BYTES, b"\x00")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dump_with_run_reads_matches_per_field_source(catalog, data):
+    ctx = data.draw(st.sampled_from([MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP]))
+    exportable = [e for e in catalog.entries_for(ctx) if e.exportable]
+    entries = data.draw(st.lists(st.sampled_from(exportable), unique=True, max_size=6))
+    if ctx == MD_CTX_TD and data.draw(st.booleans()):
+        entries.append(catalog.by_name(MD_CTX_TD, "X2APIC_IDS"))
+    if ctx == MD_CTX_VP and data.draw(st.booleans()):
+        entries.append(catalog.by_name(MD_CTX_VP, "XBUFF"))
+    td = _sink_td(False)
+    sys_store = {} if data.draw(st.booleans()) else None
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for entry in exportable:
+        if rng.random() < 0.7:
+            values = [rng.getrandbits(64) for _ in range(entry.code_span)]
+            if ctx == MD_CTX_SYS and sys_store is not None:
+                sys_store[entry.name] = values
+            else:
+                td._scope_values(entry, 0)[:] = values
+    vp_index = 0 if ctx == MD_CTX_VP else None
+    got = md.dump_lists(catalog, ctx, entries, TdExportSource(td, vp_index, sys_store))
+    want = md.dump_lists(catalog, ctx, entries, _PerFieldSource(td, vp_index, sys_store))
+    assert [item.to_bytes() for item in got] == [_pack_per_element(item) for item in want]
+
+
+@given(st.lists(st.integers(-1, 2**64), max_size=8), st.integers(0, 2**64 - 1))
+def test_sequence_pack_matches_per_element_packer(elements, header_raw):
+    seq = md.MdSequence(header_raw, elements)
+    try:
+        want = header_raw.to_bytes(8, "little") + b"".join(
+            value.to_bytes(8, "little") for value in elements
+        )
+    except OverflowError:
+        # A value outside 64 bits is refused as an EncodingError, which the
+        # CLI reports with exit code 2 like every other ValueError.
+        with pytest.raises(md.EncodingError):
+            seq.to_bytes()
+    else:
+        assert seq.to_bytes() == want
