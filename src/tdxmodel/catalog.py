@@ -315,23 +315,14 @@ class CpuidLookup:
 def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, read_before_check: bool) -> int:
     """Next valid CPUID lookup position after field_id, or MD_FIELD_ID_NA.
 
-    The pre-fix loop (read_before_check) increments and dereferences before
-    the bounds check, so a search starting at the final table slot touches one
-    index past the array.
-    The fixed loop bounds-checks inside and never reads out of range.
+    One search loop: the fixed variant bounds-checks each index before
+    reading it and never reads out of range; the pre-fix one
+    (read_before_check) reads first and checks the bound only once the loop
+    stops, so a search starting at the final table slot touches one index
+    past the array.
     """
-    index = lookup.index_of_field_id(field_id_raw)
-    if read_before_check:
-        while True:
-            index += 1
-            if lookup.read(index).valid_entry:
-                break
-        if index >= MAX_NUM_CPUID_LOOKUP:
-            return MD_FIELD_ID_NA
-        return lookup.field_id_for(index)
-    while True:
+    index = lookup.index_of_field_id(field_id_raw) + 1
+    while ((read_before_check or index < MAX_NUM_CPUID_LOOKUP)
+           and not lookup.read(index).valid_entry):
         index += 1
-        if index >= MAX_NUM_CPUID_LOOKUP:
-            return MD_FIELD_ID_NA
-        if lookup.read(index).valid_entry:
-            return lookup.field_id_for(index)
+    return MD_FIELD_ID_NA if index >= MAX_NUM_CPUID_LOOKUP else lookup.field_id_for(index)

@@ -71,7 +71,6 @@ from .td import (
     U64,
     Kot,
     KotState,
-    ServtdBinding,
     TdComplex,
     TdExportSource,
     TdImportSink,
@@ -81,7 +80,6 @@ from .td import (
     init_event_filters,
     make_binding_handle,
     break_binding_handle,
-    missing_required_fields,
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
@@ -250,7 +248,6 @@ class TdxModule:
         self.cpuid = CpuidLookup()
         self.rng = random.Random(seed)
         self.tds: dict[int, TdComplex] = {}
-        self.servtds: dict[tuple, Servtd] = {}
         self.sys_store: dict = {name: [value] for name, value in SYS_DEFAULTS.items()}
         self._next_page = 0x100
         self._next_epoch = 0
@@ -267,9 +264,7 @@ class TdxModule:
 
     def new_servtd(self) -> Servtd:
         uuid = tuple(self.rng.getrandbits(64) for _ in range(4))
-        servtd = Servtd(uuid=uuid, info_hash=self.rng.getrandbits(64))
-        self.servtds[uuid] = servtd
-        return servtd
+        return Servtd(uuid=uuid, info_hash=self.rng.getrandbits(64))
 
     def _gate(self, td: TdComplex, leaf: Leaf, interface: str = "host") -> Optional[int]:
         """The refusing status, or None to admit the call.
@@ -474,9 +469,7 @@ class TdxModule:
     def tdh_servtd_bind(
         self, td: TdComplex, slot: int, servtd: Servtd
     ) -> tuple[int, Optional[int]]:
-        td.servtd_bindings[slot] = ServtdBinding(
-            slot=slot, servtd_uuid=servtd.uuid, info_hash=servtd.info_hash
-        )
+        td.servtd_bindings[slot] = servtd.uuid
         handle = make_binding_handle(slot, td.tdr_page, servtd.uuid[0])
         return TDX_SUCCESS, "success", handle
 
@@ -487,8 +480,7 @@ class TdxModule:
         td = self.tds.get(tdr_page)
         if td is None:
             return generic, None
-        binding = td.servtd_bindings.get(slot)
-        if binding is None or binding.servtd_uuid != caller_uuid:
+        if td.servtd_bindings.get(slot) != caller_uuid:
             if self.mode.bug6:
                 # Distinguishable from the no-TDR case: an HPA oracle.
                 return TDX_SERVTD_UUID_MISMATCH, None
@@ -551,7 +543,7 @@ class TdxModule:
         combined = mask & wr_mask
         if combined == 0:
             return TDX_METADATA_FIELD_NOT_WRITABLE
-        sink = TdImportSink(td, self.catalog, is_import=False, gpa_checks=True, track=False)
+        sink = TdImportSink(td, self.catalog, is_import=False)
         status = sink.write_field(entry, entry.field_index_of(fid.field_code), [value], combined)
         return status, "success" if status == TDX_SUCCESS else None
 
@@ -715,7 +707,7 @@ class TdxModule:
 
             if not resume:
                 migsc.interrupted_state.reset()
-                td.reset_import_accounting()
+                td.import_written = {}
             cursor = migsc.interrupted_state.cursor if resume else 0
             step = self.last
             codec_mode = self.mode.codec_mode()
@@ -743,31 +735,14 @@ class TdxModule:
                 return as_fatal(migsc.interrupted_state.status), "failure"
 
             if not self.mode.bug2:
-                missing = self._missing_required(td, contexts, len(lists), required_kinds, vp_index)
+                ctx_codes = {contexts(i) for i in range(len(lists))}
+                missing = td.missing_required(self.catalog, ctx_codes, required_kinds, vp_index)
                 if missing:
                     step.ext_err_info = (missing[0].field_id_raw, 0)
                     return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
 
             migsc.interrupted_state.reset()
             return TDX_SUCCESS, "success"
-
-    def _missing_required(self, td, contexts, num_lists, kinds, vp_index):
-        ctx_codes = {contexts(i) for i in range(num_lists)}
-        missing = []
-        for ctx in sorted(ctx_codes):
-            classes_present = {
-                key[2]
-                for key in td.import_written
-                if key[0] == ctx and key[1] == (vp_index or 0)
-            } | {
-                item[2]
-                for item in td.import_skipped
-                if item[0] == ctx and item[1] == (vp_index or 0)
-            }
-            missing.extend(
-                missing_required_fields(td, self.catalog, ctx, kinds, classes_present, vp_index)
-            )
-        return missing
 
     @_leaf(Leaf.TDH_IMPORT_STATE_IMMUTABLE)
     def tdh_import_state_immutable(

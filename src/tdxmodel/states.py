@@ -171,7 +171,16 @@ def bundled_matrix() -> PermissionMatrix:
     return PermissionMatrix.load()
 
 
-_IMPORT_TOUCH_LEAF = Leaf.TDH_IMPORT_STATE_IMMUTABLE
+def _edge_start(state: OpState, leaf: Leaf, start_import: bool) -> OpState:
+    """The state a call's edge starts from: v1's START_IMPORT rule.
+
+    With start_import (the fix), the first touch of the immutable import
+    moves an UNINITIALIZED TD to START_IMPORT so the non-import
+    initialization path can no longer be interleaved.
+    """
+    if start_import and state is OpState.UNINITIALIZED and leaf is Leaf.TDH_IMPORT_STATE_IMMUTABLE:
+        return OpState.START_IMPORT
+    return state
 
 
 def transition(
@@ -186,16 +195,12 @@ def transition(
 
     outcome is one of success, failure, interrupted.  Interruption never moves
     the op_state; a fatal import failure lands in FAILED_IMPORT via the
-    failure column.  With start_import (the fix), the first touch of the
-    immutable import moves an UNINITIALIZED TD to START_IMPORT so the
-    non-import initialization path can no longer be interleaved.
+    failure column.  Every outcome starts from _edge_start's state.
     """
     row = matrix.row(state, leaf, interface)
     if row is None:
         raise StatusError(TDX_OP_STATE_INCORRECT)
-    base = state
-    if start_import and state is OpState.UNINITIALIZED and leaf is _IMPORT_TOUCH_LEAF:
-        base = OpState.START_IMPORT
+    base = _edge_start(state, leaf, start_import)
     if outcome == "interrupted":
         return base
     if outcome == "success":
@@ -242,10 +247,10 @@ def validate_trace(
                 continue
             problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
             continue
-        legal = {step.before, row.next_on_success or step.before, row.next_on_failure or step.before}
-        if start_import and step.before is OpState.UNINITIALIZED and step.leaf is _IMPORT_TOUCH_LEAF:
-            legal.add(OpState.START_IMPORT)
-        if step.after not in legal:
+        # A bare status leaves the op_state in place; an outcome moves it as transition() does.
+        base = _edge_start(step.before, step.leaf, start_import)
+        if step.after not in (step.before, base, row.next_on_success or base,
+                              row.next_on_failure or base):
             problems.append(
                 f"{step.leaf.name}: {step.before.name} -> {step.after.name} not in fixture"
             )

@@ -100,15 +100,13 @@ def check_xfam(xfam: int) -> bool:
     return (xfam & XFAM_FIXED1) == XFAM_FIXED1 and (xfam & ~XFAM_ALLOWED) == 0
 
 
-def check_gpa_validity(gpa: int, gpaw: bool, private_only: bool = True) -> bool:
+def check_gpa_validity(gpa: int, gpaw: bool) -> bool:
     """Private GPAs must fit the guest physical width with the shared bit clear."""
     max_bits = 52 if gpaw else 48
     if gpa >= (1 << max_bits):
         return False
     shared_bit = 1 << (max_bits - 1)
-    if private_only and (gpa & shared_bit):
-        return False
-    return True
+    return not gpa & shared_bit
 
 
 @dataclass
@@ -250,13 +248,6 @@ def break_binding_handle(handle: int, servtd_uuid_q0: int) -> tuple[int, int]:
 
 
 @dataclass
-class ServtdBinding:
-    slot: int
-    servtd_uuid: tuple[int, int, int, int]
-    info_hash: int = 0
-
-
-@dataclass
 class VcpuState:
     index: int
     store: dict = dc_field(default_factory=dict)
@@ -322,7 +313,7 @@ class TdComplex:
         self._session_key_from: list[int] = []
         self.event_filters: list[int] = [0] * MAX_EVENT_FILTERS
         self.event_filters_num = 0
-        self.servtd_bindings: dict[int, ServtdBinding] = {}
+        self.servtd_bindings: dict[int, tuple] = {}  # slot -> bound service TD's uuid
         self.vps: list[VcpuState] = []
         self.migsc: list = []
         self.sys_store: dict = {}
@@ -332,8 +323,9 @@ class TdComplex:
         self.tdcx_count = 0
         self.fatal = False
         self.locked = False
+        # The running import's ledger: ledger_key -> positions written; a
+        # skipped field's entry is present with none.
         self.import_written: dict = {}
-        self.import_skipped: set = set()
         self.trace: list = []
 
     # -- typed TD fields over td_store -------------------------------------
@@ -370,10 +362,6 @@ class TdComplex:
     def read_element(self, entry: FieldEntry, position: int, vp_index: Optional[int] = None) -> int:
         return self._scope_values(entry, vp_index)[position]
 
-    def read_field(self, entry: FieldEntry, field_index: int, vp_index: Optional[int] = None) -> list[int]:
-        base = field_index * entry.num_of_elem
-        return [self.read_element(entry, base + k, vp_index) for k in range(entry.num_of_elem)]
-
     def write_element_raw(self, entry: FieldEntry, position: int, value: int,
                           vp_index: Optional[int] = None) -> None:
         """Store a value with no special handling; a key quadword counts as written."""
@@ -405,18 +393,25 @@ class TdComplex:
 
     # -- import accounting -------------------------------------------------
 
-    def reset_import_accounting(self) -> None:
-        self.import_written = {}
-        self.import_skipped = set()
+    @staticmethod
+    def ledger_key(entry: FieldEntry, vp_index: Optional[int]) -> tuple[int, int, int, int]:
+        """An entry's import_written key; vp_index None and 0 share one ledger."""
+        return (entry.context_code, vp_index or 0, entry.class_code, entry.field_code)
 
-    def note_skipped(self, entry: FieldEntry, field_index: int, vp_index: Optional[int]) -> None:
-        self.import_skipped.add(
-            (entry.context_code, vp_index or 0, entry.class_code, entry.field_code, field_index)
-        )
+    def missing_required(self, catalog: FieldCatalog, context_codes: set[int],
+                         kinds: set[MigClass], vp_index: Optional[int]) -> list[FieldEntry]:
+        """Required entries of each context, in context order, the import has not written in full.
 
-    def fully_written(self, entry: FieldEntry, vp_index: Optional[int]) -> bool:
-        key = (entry.context_code, vp_index or 0, entry.class_code, entry.field_code)
-        return len(self.import_written.get(key, ())) == entry.code_span
+        A class any of whose fields was written or skipped is present, which
+        makes its MBO entries required too.
+        """
+        written = self.import_written
+        missing = []
+        for ctx in sorted(context_codes):
+            present = {key[2] for key in written if key[:2] == (ctx, vp_index or 0)}
+            missing += [e for e in catalog.required_import_entries(ctx, kinds, present)
+                        if len(written.get(self.ledger_key(e, vp_index), ())) != e.code_span]
+        return missing
 
     # -- snapshot ----------------------------------------------------------
 
@@ -615,8 +610,8 @@ class TdImportSink:
     """Metadata sink bound to one TD scope for one import operation.
 
     Applies the per-field special write handling (verification on the way in)
-    and tracks which elements were explicitly written for the fixed-mode
-    required-field accounting.  The skipped-address-check behavior is the
+    and, on an import, records each written element and skipped field in the
+    TD's import_written ledger.  The skipped-address-check behavior is the
     pre-fix variant: private-GPA fields are stored without validity checks.
 
     The sink works per catalog entry.  When the walk hands it a field of a new
@@ -635,14 +630,12 @@ class TdImportSink:
         is_import: bool = True,
         vp_index: Optional[int] = None,
         gpa_checks: bool = False,
-        track: bool = True,
     ):
         self.td = td
         self.catalog = catalog
         self.is_import = is_import
         self.vp_index = vp_index
         self.gpa_checks = gpa_checks
-        self.track = track
         self._entry: Optional[FieldEntry] = None
         self._checks: tuple = ()
         self._overwrite = False
@@ -688,14 +681,16 @@ class TdImportSink:
         td = self.td
         store = self._values = td._scope_values(entry, self.vp_index)
         marks = td.store_marks(store)
-        if self.track:
-            key = (entry.context_code, self.vp_index or 0, entry.class_code, entry.field_code)
-            marks = (td.import_written.setdefault(key, set()), *marks)
+        if self.is_import:
+            ledger = td.import_written.setdefault(td.ledger_key(entry, self.vp_index), set())
+            marks = (ledger, *marks)
         self._marks = marks
         return store
 
     def record_skip(self, entry: FieldEntry, field_index: int) -> None:
-        self.td.note_skipped(entry, field_index, self.vp_index)
+        """A skipped field makes its entry present in the ledger with nothing written."""
+        if self.is_import:
+            self.td.import_written.setdefault(self.td.ledger_key(entry, self.vp_index), set())
 
 
 class TdExportSource:
@@ -717,15 +712,3 @@ class TdExportSource:
         mask = entry.export_mask
         return [v & mask for v in values[base : base + count * entry.num_of_elem]]
 
-
-def missing_required_fields(
-    td: TdComplex,
-    catalog: FieldCatalog,
-    context_code: int,
-    kinds: set[MigClass],
-    classes_present: set[int],
-    vp_index: Optional[int] = None,
-) -> list[FieldEntry]:
-    """Entries from the mandatory-import set not fully written during import."""
-    required = catalog.required_import_entries(context_code, kinds, classes_present)
-    return [e for e in required if not td.fully_written(e, vp_index)]

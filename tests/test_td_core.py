@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
+from tdxmodel.catalog import MigClass
 from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, WriteMode
 from tdxmodel.td import (
     ATTR_DEBUG,
@@ -41,7 +42,6 @@ from tdxmodel.td import (
     init_event_filters,
     is_event_allowed,
     make_binding_handle,
-    missing_required_fields,
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
@@ -187,7 +187,7 @@ def test_typed_fields_read_the_same_store_as_raw_elements(catalog, name, value, 
     expected = [0] * entry.code_span
     expected[position] = value
     assert _TYPED_VIEWS[name](td) == expected
-    assert td.read_field(entry, 0) == expected
+    assert [td.read_element(entry, k) for k in range(entry.code_span)] == expected
     assert td.mig_dec_key_set is False  # one quadword never arms the key
 
 
@@ -197,7 +197,8 @@ def test_typed_setters_write_the_store(catalog):
     td.td_uuid[:] = (1, 2, 3, 4)
     td.num_vcpus = 7
     assert td.read_element(catalog.by_name(MD_CTX_TD, "ATTRIBUTES"), 0) == ATTR_MIGRATABLE
-    assert td.read_field(catalog.by_name(MD_CTX_TD, "TD_UUID"), 0) == [1, 2, 3, 4]
+    td_uuid = catalog.by_name(MD_CTX_TD, "TD_UUID")
+    assert [td.read_element(td_uuid, k) for k in range(4)] == [1, 2, 3, 4]
     assert td.read_element(catalog.by_name(MD_CTX_TD, "NUM_VCPUS"), 0) == 7
 
 
@@ -395,12 +396,12 @@ def test_sink_accounting_feeds_required_check(catalog):
 
     td = _fresh_td()
     sink = TdImportSink(td, catalog, is_import=True)
-    missing = missing_required_fields(td, catalog, MD_CTX_TD, {MigClass.MB}, set())
+    missing = td.missing_required(catalog, {MD_CTX_TD}, {MigClass.MB}, None)
     names = {e.name for e in missing}
     assert "EPTP" in names and "ATTRIBUTES" in names
     attrs = catalog.by_name(MD_CTX_TD, "ATTRIBUTES")
     sink.write_field(attrs, 0, [ATTR_MIGRATABLE], 2**64 - 1)
-    missing = missing_required_fields(td, catalog, MD_CTX_TD, {MigClass.MB}, set())
+    missing = td.missing_required(catalog, {MD_CTX_TD}, {MigClass.MB}, None)
     assert "ATTRIBUTES" not in {e.name for e in missing}
 
 
@@ -445,13 +446,12 @@ class _ReferenceImportSink:
     every field is checked by name through one if/elif chain.
     """
 
-    def __init__(self, td, catalog, is_import=True, vp_index=None, gpa_checks=False,
-                 track=True):
+    def __init__(self, td, catalog, is_import=True, vp_index=None, gpa_checks=False):
         self.td = td
         self.is_import = is_import
         self.vp_index = vp_index
         self.gpa_checks = gpa_checks
-        self.track = track
+        self.track = is_import
 
     def write_field(self, entry, field_index, values, combined_mask):
         masked = [v & combined_mask for v in values]
@@ -472,7 +472,9 @@ class _ReferenceImportSink:
         return S.TDX_SUCCESS
 
     def record_skip(self, entry, field_index):
-        self.td.note_skipped(entry, field_index, self.vp_index)
+        if self.track:
+            key = (entry.context_code, self.vp_index or 0, entry.class_code, entry.field_code)
+            self.td.import_written.setdefault(key, set())
 
     def _special_check(self, entry, values):
         if entry.gpa_private and self.is_import and self.gpa_checks:
@@ -519,8 +521,8 @@ _FIELD_VALUES = st.one_of(
 )
 # The sink each import leaf builds, and the one tdh_mng_wr builds.
 _SINK_KINDS = {
-    "import": dict(is_import=True, track=True),
-    "mng_wr": dict(is_import=False, track=False),
+    "import": dict(is_import=True),
+    "mng_wr": dict(is_import=False),
 }
 
 
@@ -616,7 +618,7 @@ def _run_sink_case(sink_cls, catalog, mode, case):
                 entry = catalog.by_name(ctx, name)
                 outcomes.append(sink.write_field(entry, field_index, list(values), combined))
     stores = (td.td_store, td.sys_store, [vp.store for vp in td.vps])
-    return (outcomes, stores, td.import_written, td.import_skipped, td._mig_dec_key_written,
+    return (outcomes, stores, td.import_written, td._mig_dec_key_written,
             td.gpaw)
 
 
@@ -651,6 +653,126 @@ def test_entry_bound_sink_matches_per_element_reference(catalog, mode):
         assert _run_sink_case(TdImportSink, catalog, mode, case) == expected
 
     check()
+
+
+# --- the import ledger's required-field rule against the separate skip set ------------------
+
+def _reference_missing(catalog, written, skipped, context_codes, kinds, vp_index):
+    """bug-2's required-field rule as it stood with skips in their own set, kept as the oracle.
+
+    ``written`` maps (context, vp, class, field code) to the positions
+    written; ``skipped`` holds (context, vp, class, field code, field index)
+    per zero-mask skip.
+    """
+    def fully_written(entry):
+        key = (entry.context_code, vp_index or 0, entry.class_code, entry.field_code)
+        return len(written.get(key, ())) == entry.code_span
+
+    missing = []
+    for ctx in sorted(context_codes):
+        classes_present = {
+            key[2] for key in written if key[0] == ctx and key[1] == (vp_index or 0)
+        } | {
+            item[2] for item in skipped if item[0] == ctx and item[1] == (vp_index or 0)
+        }
+        required = catalog.required_import_entries(ctx, kinds, classes_present)
+        missing.extend(e for e in required if not fully_written(e))
+    return missing
+
+
+# A value each checked field accepts on import; every other field takes it too.
+_ACCEPTED = {
+    "ATTRIBUTES": ATTR_MIGRATABLE, "XFAM": XFAM_FIXED1, "EPTP": EptpControls(ept_pwl=LVL_PML4).raw,
+    "NUM_VCPUS": 1, "TSC_FREQUENCY": 100, "HP_LOCK_TIMEOUT": 1_000_000, "XCR0": 0x7,
+}
+
+
+@st.composite
+def _ledger_cases(draw, catalog):
+    """(ops, query): field writes and zero-mask skips through sinks of vp None, 0 or 1."""
+    ops = []
+    if draw(st.booleans()):
+        # Write most entries of one scope in full, so some queries find nothing missing.
+        vp = draw(st.sampled_from([None, 0, 1]))
+        contexts = [MD_CTX_SYS, MD_CTX_TD] + ([MD_CTX_VP] if vp is not None else [])
+        entries = [e for ctx in contexts for e in catalog.entries_for(ctx)]
+        left_out = draw(st.sets(st.sampled_from(entries), max_size=2))
+        for entry in entries:
+            if entry not in left_out:
+                values = [_ACCEPTED.get(entry.name, 0)] * entry.code_span
+                ops.append(("write", entry, 0, values, vp))
+    for _ in range(draw(st.integers(0, 8))):
+        ctx = draw(st.sampled_from([MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP]))
+        entry = draw(st.sampled_from(catalog.entries_for(ctx)))
+        field_index = draw(st.integers(0, entry.num_of_fields - 1))
+        vp = draw(st.sampled_from([0, 1] if ctx == MD_CTX_VP else [None, 0, 1]))
+        if draw(st.booleans()):
+            ops.append(("skip", entry, field_index, None, vp))
+        else:
+            length = draw(st.sampled_from([1, entry.num_of_elem]))
+            value = draw(st.just(_ACCEPTED.get(entry.name, 0)) | _FIELD_VALUES)
+            ops.append(("write", entry, field_index, [value] * length, vp))
+    contexts = draw(st.sets(st.sampled_from([MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP]), min_size=1))
+    kinds = draw(st.sampled_from([frozenset({MigClass.MB}), frozenset({MigClass.ME})]))
+    return ops, (contexts, kinds, draw(st.sampled_from([None, 0, 1])))
+
+
+def _ledger_td():
+    td = _sink_td(False)
+    td.vps.append(VcpuState(1))
+    return td
+
+
+def test_missing_required_matches_separate_skip_set_rule(catalog):
+    x2apic = catalog.by_name(MD_CTX_TD, "X2APIC_IDS")
+    td_uuid = catalog.by_name(MD_CTX_TD, "TD_UUID")
+    attrs = catalog.by_name(MD_CTX_TD, "ATTRIBUTES")
+    mb_td = ({MD_CTX_TD}, frozenset({MigClass.MB}), None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_ledger_cases(catalog))
+    # A skipped X2APIC field makes its class present, so X2APIC_IDS (MBO) is required.
+    @example(case=([("skip", x2apic, 3, None, None)], mb_td))
+    # vp_index None and 0 share one ledger.
+    @example(case=([("write", attrs, 0, [ATTR_MIGRATABLE], None)],
+                   ({MD_CTX_TD}, frozenset({MigClass.MB}), 0)))
+    # A partly written TD_UUID is still missing.
+    @example(case=([("write", td_uuid, 0, [7, 7], None)], mb_td))
+    def check(case):
+        ops, (contexts, kinds, vp_index) = case
+        td, untracked = _ledger_td(), _ledger_td()
+        sinks = {vp: TdImportSink(td, catalog, is_import=True, vp_index=vp) for vp in (None, 0, 1)}
+        written, skipped = {}, set()
+        for op, entry, field_index, values, vp in ops:
+            other = TdImportSink(untracked, catalog, is_import=False, vp_index=vp)
+            key = (entry.context_code, vp or 0, entry.class_code, entry.field_code)
+            if op == "skip":
+                sinks[vp].record_skip(entry, field_index)
+                other.record_skip(entry, field_index)
+                skipped.add(key + (field_index,))
+                continue
+            other.write_field(entry, field_index, list(values), U64)
+            if sinks[vp].write_field(entry, field_index, list(values), U64) == S.TDX_SUCCESS:
+                base = field_index * entry.num_of_elem
+                written.setdefault(key, set()).update(range(base, base + len(values)))
+        assert untracked.import_written == {}
+        want = _reference_missing(catalog, written, skipped, contexts, kinds, vp_index)
+        assert td.missing_required(catalog, contexts, kinds, vp_index) == want
+
+    check()
+
+
+def test_ledger_examples_hold(catalog):
+    """The differential's @examples, checked against their stated outcome."""
+    mb = {MigClass.MB}
+    td = _ledger_td()
+    TdImportSink(td, catalog).record_skip(catalog.by_name(MD_CTX_TD, "X2APIC_IDS"), 3)
+    assert "X2APIC_IDS" in {e.name for e in td.missing_required(catalog, {MD_CTX_TD}, mb, None)}
+    TdImportSink(td, catalog).write_field(catalog.by_name(MD_CTX_TD, "TD_UUID"), 0, [7, 7], U64)
+    for vp_index in (None, 0):
+        names = {e.name for e in td.missing_required(catalog, {MD_CTX_TD}, mb, vp_index)}
+        assert "TD_UUID" in names and "X2APIC_IDS" in names
+    assert "X2APIC_IDS" not in {e.name for e in td.missing_required(catalog, {MD_CTX_TD}, mb, 1)}
 
 
 # --- run reads on export ---------------------------------------------------------------------
