@@ -146,10 +146,15 @@ class EpochToken:
 @dataclass
 class Servtd:
     uuid: tuple[int, int, int, int]
-    info_hash: int = 0
 
 
 OUTCOMES = ("success", "failure", "interrupted")
+# A locked TD refuses every call with this word.
+TDR_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
+# A page's (gpa, token) as measured and as a MEM bundle carries it, zero-padded
+# to one list.
+_GPA_TOKEN = struct.Struct("<QQ")
+_MEM_PAD = bytes(md.LIST_BYTES - _GPA_TOKEN.size)
 
 
 @functools.cache
@@ -174,26 +179,40 @@ def _nothing() -> None:
 def _leaf(leaf: Leaf, returns=None):
     """Dispatch one host leaf: the gate, the body, and one trace step.
 
-    The step is built first, as ``module.last``, for the body to record on,
-    and _finish completes it.  The body runs only when _gate admits the call.
-    It returns a bare status, (status, outcome) or, for a leaf given
-    ``returns``, (status, outcome, value); an outcome moves the op_state along
-    the admitted matrix row, and a bare status leaves it in place.  A leaf
-    given ``returns`` answers (status, value), where ``returns()`` is the value
-    that goes with a bare status, a refused call's included.
+    The step is built first, as ``module.last``, for the body to record on.
+    The gate refuses a fatal or locked TD and a call with no host matrix row;
+    otherwise the body runs.  It returns a bare status, (status, outcome) or,
+    for a leaf given ``returns``, (status, outcome, value); an outcome moves
+    the op_state along the admitted matrix row, and a bare status leaves it in
+    place.  A leaf given ``returns`` answers (status, value), where
+    ``returns()`` is the value that goes with a bare status, a refused call's
+    included.
     """
     def wrap(body):
         @functools.wraps(body)
         def dispatch(self, td, *args, **kwargs):
-            self.last = step = TraceStep(leaf, td.op_state, td.op_state, TDX_SUCCESS)
-            result = self._gate(td, leaf)
-            if result is None:
+            before = td.op_state
+            self.last = step = TraceStep(leaf, before, before, TDX_SUCCESS)
+            # One lookup both admits the call and fixes where each outcome lands.
+            edges = self._edges.get(("host", before, leaf))
+            if td.fatal:
+                result = TDX_TD_FATAL
+            elif td.locked:
+                result = TDR_BUSY
+            elif edges is None:
+                result = TDX_OP_STATE_INCORRECT
+            else:
                 result = body(self, td, *args, **kwargs)
             if type(result) is not tuple:
-                self._finish(td, step, result, None)
+                step.status = result
+                td.trace.append(step)
                 return result if returns is None else (result, returns())
-            self._finish(td, step, result[0], result[1])
-            return result[0] if returns is None else (result[0], result[2])
+            status, outcome = result[0], result[1]
+            if outcome is not None:
+                td.op_state = step.after = edges[outcome]
+            step.status = status
+            td.trace.append(step)
+            return status if returns is None else (status, result[2])
         return dispatch
     return wrap
 
@@ -213,7 +232,7 @@ def _guest_leaf(leaf: Leaf):
             if td is None:
                 return status, 0
             if td.locked:
-                status, value = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), 0
+                status, value = TDR_BUSY, 0
             elif not self.matrix.is_allowed(td.op_state, leaf, "guest"):
                 status, value = TDX_OP_STATE_INCORRECT, 0
             else:
@@ -243,7 +262,6 @@ class TdxModule:
         self.catalog = bundled_catalog()
         self.matrix = bundled_matrix()
         self._edges = _edge_table(self.matrix, not self.mode.v1)
-        self._admitted: dict = {}
         self.kot = Kot(kot_size)
         self.cpuid = CpuidLookup()
         self.rng = random.Random(seed)
@@ -264,31 +282,8 @@ class TdxModule:
 
     def new_servtd(self) -> Servtd:
         uuid = tuple(self.rng.getrandbits(64) for _ in range(4))
-        return Servtd(uuid=uuid, info_hash=self.rng.getrandbits(64))
-
-    def _gate(self, td: TdComplex, leaf: Leaf, interface: str = "host") -> Optional[int]:
-        """The refusing status, or None to admit the call.
-
-        An admitted call's compiled matrix row is kept for the _finish of the
-        same call, so a leaf costs one matrix lookup.
-        """
-        if td.fatal:
-            return TDX_TD_FATAL
-        if td.locked:
-            return with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
-        edges = self._edges.get((interface, td.op_state, leaf))
-        if edges is None:
-            return TDX_OP_STATE_INCORRECT
-        self._admitted = edges
-        return None
-
-    def _finish(self, td: TdComplex, step: TraceStep, status: int, outcome: Optional[str]) -> int:
-        """Complete the call's step; an outcome moves the op_state along the row _gate admitted."""
-        if outcome is not None:
-            td.op_state = step.after = self._admitted[outcome]
-        step.status = status
-        td.trace.append(step)
-        return status
+        self.rng.getrandbits(64)  # the service TD's info hash: drawn for every later td_uuid
+        return Servtd(uuid=uuid)
 
     def _succeed(self, td: TdComplex) -> tuple[int, str]:
         """A leaf with no desk-scale state of its own: the gate and the edge are the call."""
@@ -391,7 +386,7 @@ class TdxModule:
     def tdh_mr_extend(self, td: TdComplex, gpa: int) -> int:
         token = td.pages.get(gpa, 0)
         td.measurement = hashlib.sha384(
-            td.measurement + struct.pack("<QQ", gpa, token)
+            td.measurement + _GPA_TOKEN.pack(gpa, token)
         ).digest()
         return TDX_SUCCESS, "success"
 
@@ -543,7 +538,7 @@ class TdxModule:
         combined = mask & wr_mask
         if combined == 0:
             return TDX_METADATA_FIELD_NOT_WRITABLE
-        sink = TdImportSink(td, self.catalog, is_import=False)
+        sink = TdImportSink(td, is_import=False)
         status = sink.write_field(entry, entry.field_index_of(fid.field_code), [value], combined)
         return status, "success" if status == TDX_SUCCESS else None
 
@@ -646,8 +641,7 @@ class TdxModule:
                 # Increment the counter first so an aborted call never reuses an IV.
                 migsc.next_iv()
                 return TDX_INTERRUPTED_RESUMABLE
-            token = td.pages.get(gpa, 0)
-            payload = struct.pack("<QQ", gpa, token).ljust(md.LIST_BYTES, b"\x00")
+            payload = _GPA_TOKEN.pack(gpa, td.pages.get(gpa, 0)) + _MEM_PAD
             bundle = Bundle(*encrypt_bundle(migsc, BundleType.MEM, [payload]))
         return TDX_SUCCESS, "success", bundle
 
@@ -716,9 +710,7 @@ class TdxModule:
             for i in range(cursor, len(lists)):
                 arena = ParseArena(lists[i], plants=self.arena_plants)
                 ctx = contexts(i)
-                sink = TdImportSink(
-                    td, self.catalog, is_import=True, vp_index=vp_index, gpa_checks=gpa_checks
-                )
+                sink = TdImportSink(td, is_import=True, vp_index=vp_index, gpa_checks=gpa_checks)
                 result = md.write_list(
                     self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode,
                     skip_non_writable=True,
@@ -801,7 +793,7 @@ class TdxModule:
             status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
         if status != TDX_SUCCESS:
             return status, "failure"
-        gpa, token = struct.unpack("<QQ", lists[0][:16])
+        gpa, token = _GPA_TOKEN.unpack_from(lists[0])
         td.pages[gpa] = token
         return TDX_SUCCESS, "success"
 

@@ -41,6 +41,8 @@ STREAM_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
 
 # The record up to its MAC: magic, version, type, payload size, stream, counter.
 _RECORD_HEAD = struct.Struct("<4sHHIIQ")
+# The 96-bit IV: 32-bit stream index, then the 64-bit counter.
+_IV = struct.Struct("<IQ")
 
 
 class BundleType(Enum):
@@ -80,7 +82,7 @@ class MigrationSessionKey:
         return cls(rng.randbytes(MSK_BYTES))
 
 
-@dataclass
+@dataclass(slots=True)
 class Mbmd:
     bundle_type: BundleType
     payload_size: int
@@ -188,14 +190,17 @@ class MigStreamContext:
         aborts and discards its output has still spent the value.
         """
         self.iv_counter += 1
-        iv = make_iv(self.stream_index, self.iv_counter)
+        iv = _IV.pack(self.stream_index, self.iv_counter)
         self.iv_history.append(iv)
         return iv
 
 
 def make_iv(stream_index: int, counter: int) -> bytes:
-    """96-bit IV: 32-bit stream index followed by the 64-bit counter."""
-    return stream_index.to_bytes(4, "little") + counter.to_bytes(8, "little")
+    """96-bit IV: 32-bit stream index followed by the 64-bit counter.
+
+    Raises ``struct.error`` when either value does not fit its width.
+    """
+    return _IV.pack(stream_index, counter)
 
 
 def encrypt_bundle(
@@ -214,16 +219,15 @@ def encrypt_bundle(
         raise ValueError("stream context has no session key")
     plaintext = b"".join(lists)
     iv = ctx.next_iv()
-    mbmd = Mbmd(
-        bundle_type=bundle_type,
-        payload_size=len(plaintext),
-        stream_index=ctx.stream_index,
-        iv_counter=ctx.iv_counter,
+    size, stream_index, counter = len(plaintext), ctx.stream_index, ctx.iv_counter
+    head = _RECORD_HEAD.pack(
+        MBMD_MAGIC, MBMD_VERSION, bundle_type._value_, size, stream_index, counter
     )
-    sealed = ctx.key.aead.encrypt(iv, plaintext, mbmd.aad())
-    ciphertext, tag = sealed[:-16], sealed[-16:]
-    mbmd.mac = tag
-    return mbmd, ciphertext
+    # The AAD is Mbmd.aad() of the record below.  AESGCM.encrypt returns
+    # ciphertext || tag and a bundle keeps the ciphertext alone as bytes, so
+    # splitting the tag off costs one copy.
+    sealed = ctx.key.aead.encrypt(iv, plaintext, head + ZERO_MAC)
+    return Mbmd(bundle_type, size, stream_index, counter, sealed[-16:]), sealed[:-16]
 
 
 def decrypt_bundle(
@@ -240,10 +244,13 @@ def decrypt_bundle(
         raise ValueError("stream context has no session key")
     if mbmd.payload_size != len(ciphertext) or mbmd.payload_size % LIST_BYTES != 0:
         return TDX_INVALID_MBMD, None
-    iv = make_iv(mbmd.stream_index, mbmd.iv_counter)
+    iv = _IV.pack(mbmd.stream_index, mbmd.iv_counter)
     try:
+        # AESGCM.decrypt takes ciphertext || tag as one buffer: one copy.
         plaintext = ctx.key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
     except InvalidTag:
         return TDX_INCORRECT_MBMD_MAC, None
+    if len(plaintext) == LIST_BYTES:
+        return TDX_SUCCESS, [plaintext]
     lists = [plaintext[i : i + LIST_BYTES] for i in range(0, len(plaintext), LIST_BYTES)]
     return TDX_SUCCESS, lists

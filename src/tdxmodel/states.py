@@ -112,7 +112,6 @@ class Leaf(Enum):
 class MatrixRow:
     next_on_success: Optional[OpState]
     next_on_failure: Optional[OpState]
-    provenance: str
 
 
 class PermissionMatrix:
@@ -133,14 +132,14 @@ class PermissionMatrix:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            iface, state_name, leaf_name, on_success, on_failure, provenance = line.split()
+            # The sixth column, the row's provenance, documents the fixture only.
+            iface, state_name, leaf_name, on_success, on_failure, _ = line.split()
             key = (iface, OpState(state_name), Leaf[leaf_name])
             if key in rows:
                 raise ValueError(f"duplicate matrix row: {line!r}")
             rows[key] = MatrixRow(
                 next_on_success=None if on_success == "-" else OpState(on_success),
                 next_on_failure=None if on_failure == "-" else OpState(on_failure),
-                provenance=provenance,
             )
         return cls(rows)
 

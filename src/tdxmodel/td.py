@@ -459,7 +459,7 @@ def sept_walk_ok(td: TdComplex) -> bool:
     machine-check analog instead of crashing.  The walk level and root page
     are read straight from the packed value (EptpControls' layout).
     """
-    raw = td.eptp_raw
+    raw = td.td_store["EPTP"][0]  # not via eptp_raw: this runs on every per-page leaf
     return ((raw >> 3) & 0x7) in (LVL_PML4, LVL_PML5) and (raw >> 12) & ((1 << 40) - 1) != 0
 
 
@@ -626,13 +626,11 @@ class TdImportSink:
     def __init__(
         self,
         td: TdComplex,
-        catalog: FieldCatalog,
         is_import: bool = True,
         vp_index: Optional[int] = None,
         gpa_checks: bool = False,
     ):
         self.td = td
-        self.catalog = catalog
         self.is_import = is_import
         self.vp_index = vp_index
         self.gpa_checks = gpa_checks

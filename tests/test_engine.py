@@ -8,7 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog
-from tdxmodel.engine import OUTCOMES, EngineMode, EpochToken, InterruptPolicy, TdxModule
+from tdxmodel.engine import (
+    OUTCOMES,
+    TDR_BUSY,
+    EngineMode,
+    EpochToken,
+    InterruptPolicy,
+    TdxModule,
+)
 from tdxmodel.envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
@@ -531,16 +538,61 @@ _MODULES = {v1: TdxModule(EngineMode(v1=v1)) for v1 in V1_MODES}
 
 
 def _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1):
+    """The compiled gate admits exactly the matrix's calls and moves as transition() does."""
     m = _MODULES[v1]
-    td = TdComplex(tdr_page=1, hkid=0)
-    td.op_state = state
+    key = (interface, state, leaf)
     allowed = matrix.is_allowed(state, leaf, interface)
-    assert (m._gate(td, leaf, interface) is None) is allowed
+    assert (key in m._edges) is allowed
     if allowed:
-        m._finish(td, TraceStep(leaf, state, state, S.TDX_SUCCESS), S.TDX_SUCCESS, outcome)
         expected = transition(matrix, state, leaf, outcome, not m.mode.v1, interface)
-        assert td.op_state is expected
-        assert td.trace == [TraceStep(leaf, state, expected, S.TDX_SUCCESS)]
+        assert m._edges[key][outcome] is expected
+
+
+# The leaves whose body is _succeed: the gate and the edge are the whole call.
+SUCCEED_LEAVES = (
+    "tdh_mr_finalize", "tdh_export_pause", "tdh_export_abort", "tdh_export_blockw",
+    "tdh_export_unblockw", "tdh_export_restore", "tdh_import_commit", "tdh_import_end",
+    "tdh_import_abort",
+)
+
+
+@pytest.mark.parametrize("v1", V1_MODES)
+def test_succeed_leaves_step_along_the_matrix_from_every_state(matrix, v1):
+    m = _MODULES[v1]
+    for name in SUCCEED_LEAVES:
+        leaf = Leaf[name.upper()]
+        for state in OpState:
+            td = TdComplex(tdr_page=1, hkid=0)
+            td.op_state = state
+            status = getattr(m, name)(td)
+            if matrix.is_allowed(state, leaf, "host"):
+                expected = transition(matrix, state, leaf, "success", not m.mode.v1, "host")
+                assert status == S.TDX_SUCCESS
+                assert td.op_state is expected
+                assert td.trace == [TraceStep(leaf, state, expected, S.TDX_SUCCESS)]
+            else:
+                assert status == S.TDX_OP_STATE_INCORRECT
+                assert td.op_state is state
+                assert td.trace == [TraceStep(leaf, state, state, S.TDX_OP_STATE_INCORRECT)]
+
+
+@pytest.mark.parametrize("flag,refusal", [("fatal", S.TDX_TD_FATAL), ("locked", TDR_BUSY)])
+def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
+    m = TdxModule(seed=26)
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1)
+    assert status == S.TDX_SUCCESS and td.op_state is OpState.RUNNABLE
+    setattr(td, flag, True)
+    calls = (
+        (Leaf.TDH_EXPORT_PAUSE, lambda: m.tdh_export_pause(td), refusal),
+        (Leaf.TDH_EXPORT_STATE_IMMUTABLE, lambda: m.tdh_export_state_immutable(td),
+         (refusal, None)),
+    )
+    for leaf, call, answer in calls:
+        steps = len(td.trace)
+        assert call() == answer
+        assert td.op_state is OpState.RUNNABLE
+        assert td.trace[steps:] == [TraceStep(leaf, OpState.RUNNABLE, OpState.RUNNABLE, refusal)]
+        assert m.last is td.trace[-1]
 
 
 @settings(max_examples=400, deadline=None)

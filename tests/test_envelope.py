@@ -2,12 +2,15 @@
 
 import dataclasses
 import random
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from cryptography.exceptions import InvalidTag
+from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel import status as S
 from tdxmodel.envelope import (
+    LIST_BYTES,
     MBMD_BYTES,
     STREAM_BUSY,
     BundleType,
@@ -214,3 +217,128 @@ def test_rejects_partial_lists():
     ctx = fresh_ctx()
     with pytest.raises(ValueError):
         encrypt_bundle(ctx, BundleType.TD, [b"\x00" * 100])
+
+
+# --- differential: the one-pass seal against the envelope it replaced -------------
+
+def _reference_make_iv(stream_index, counter):
+    return stream_index.to_bytes(4, "little") + counter.to_bytes(8, "little")
+
+
+def _reference_encrypt_bundle(ctx, bundle_type, lists):
+    """The earlier seal: next_iv inline, the record built, its AAD packed, then the MAC set."""
+    for item in lists:
+        if len(item) != LIST_BYTES:
+            raise ValueError("payload must be whole 4KB lists")
+    if ctx.key is None:
+        raise ValueError("stream context has no session key")
+    plaintext = b"".join(lists)
+    ctx.iv_counter += 1
+    iv = _reference_make_iv(ctx.stream_index, ctx.iv_counter)
+    ctx.iv_history.append(iv)
+    mbmd = Mbmd(
+        bundle_type=bundle_type,
+        payload_size=len(plaintext),
+        stream_index=ctx.stream_index,
+        iv_counter=ctx.iv_counter,
+    )
+    sealed = ctx.key.aead.encrypt(iv, plaintext, mbmd.aad())
+    ciphertext, tag = sealed[:-16], sealed[-16:]
+    mbmd.mac = tag
+    return mbmd, ciphertext
+
+
+def _reference_decrypt_bundle(ctx, mbmd, ciphertext):
+    if ctx.key is None:
+        raise ValueError("stream context has no session key")
+    if mbmd.payload_size != len(ciphertext) or mbmd.payload_size % LIST_BYTES != 0:
+        return S.TDX_INVALID_MBMD, None
+    iv = _reference_make_iv(mbmd.stream_index, mbmd.iv_counter)
+    try:
+        plaintext = ctx.key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
+    except InvalidTag:
+        return S.TDX_INCORRECT_MBMD_MAC, None
+    lists = [plaintext[i : i + LIST_BYTES] for i in range(0, len(plaintext), LIST_BYTES)]
+    return S.TDX_SUCCESS, lists
+
+
+U32_MAX, U64_MAX = 2**32 - 1, 2**64 - 1
+# A tamper is (what, index, value): a record field set to value, or byte
+# index (mod its length) of the MAC or ciphertext xored with a nonzero value.
+_TAMPERS = st.one_of(
+    st.none(),
+    st.tuples(st.just("bundle_type"), st.just(0), st.sampled_from(list(BundleType))),
+    st.tuples(st.just("payload_size"), st.just(0), st.integers(0, U32_MAX)),
+    st.tuples(st.just("stream_index"), st.just(0), st.integers(0, U32_MAX)),
+    st.tuples(st.just("iv_counter"), st.just(0), st.integers(0, U64_MAX)),
+    st.tuples(st.just("version"), st.just(0), st.integers(0, 0xFFFF)),
+    st.tuples(st.just("mac"), st.integers(0, 15), st.integers(1, 255)),
+    st.tuples(st.just("ciphertext"), st.integers(0, 3 * LIST_BYTES),
+              st.sampled_from([1 << bit for bit in range(8)])),
+)
+
+
+def _tampered(mbmd, ciphertext, tamper):
+    mbmd = dataclasses.replace(mbmd)
+    if tamper is None:
+        return mbmd, ciphertext
+    what, index, value = tamper
+    if what == "ciphertext":
+        flipped = bytearray(ciphertext)
+        flipped[index % len(flipped)] ^= value
+        return mbmd, bytes(flipped)
+    if what == "mac":
+        mac = bytearray(mbmd.mac)
+        mac[index] ^= value
+        value = bytes(mac)
+    setattr(mbmd, what, value)
+    return mbmd, ciphertext
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key_seed=st.integers(0, 2**32),
+    stream_index=st.integers(0, U32_MAX),
+    counter=st.integers(0, U64_MAX - 1),
+    bundle_type=st.sampled_from(list(BundleType)),
+    list_seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+    tamper=_TAMPERS,
+)
+@example(key_seed=0, stream_index=U32_MAX, counter=U64_MAX - 1, bundle_type=BundleType.MEM,
+         list_seeds=[0], tamper=None)
+@example(key_seed=0, stream_index=0, counter=0, bundle_type=BundleType.VP,
+         list_seeds=[1, 2], tamper=("ciphertext", 2 * LIST_BYTES - 1, 1))
+def test_seal_and_open_match_the_reference_envelope(
+    key_seed, stream_index, counter, bundle_type, list_seeds, tamper
+):
+    lists = [random.Random(seed).randbytes(LIST_BYTES) for seed in list_seeds]
+    ctx, ref_ctx = (fresh_ctx(key_seed, stream_index) for _ in range(2))
+    ctx.iv_counter = ref_ctx.iv_counter = counter
+
+    mbmd, ciphertext = encrypt_bundle(ctx, bundle_type, lists)
+    ref_mbmd, ref_ciphertext = _reference_encrypt_bundle(ref_ctx, bundle_type, lists)
+    assert mbmd.to_bytes() == ref_mbmd.to_bytes() and mbmd == ref_mbmd
+    assert type(ciphertext) is bytes and ciphertext == ref_ciphertext
+    assert ctx.iv_counter == ref_ctx.iv_counter == counter + 1
+    assert ctx.iv_history == ref_ctx.iv_history == [make_iv(stream_index, counter + 1)]
+    assert make_iv(stream_index, counter + 1) == _reference_make_iv(stream_index, counter + 1)
+
+    opened = decrypt_bundle(ctx, *_tampered(mbmd, ciphertext, tamper))
+    assert opened == _reference_decrypt_bundle(ref_ctx, *_tampered(mbmd, ciphertext, tamper))
+    if tamper is None:
+        assert opened == (S.TDX_SUCCESS, lists)
+
+
+@given(stream_index=st.integers(-(2**40), 2**40), counter=st.integers(-(2**70), 2**70))
+@example(stream_index=2**32, counter=0)
+@example(stream_index=0, counter=2**64)
+@example(stream_index=-1, counter=0)
+def test_make_iv_raises_where_the_reference_did(stream_index, counter):
+    fits = 0 <= stream_index <= U32_MAX and 0 <= counter <= U64_MAX
+    if fits:
+        assert make_iv(stream_index, counter) == _reference_make_iv(stream_index, counter)
+        return
+    with pytest.raises(OverflowError):
+        _reference_make_iv(stream_index, counter)
+    with pytest.raises(struct.error):
+        make_iv(stream_index, counter)

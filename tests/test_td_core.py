@@ -361,7 +361,7 @@ def test_make_rejects_out_of_range():
 
 def test_sink_special_handlers_validate(catalog):
     td = _fresh_td()
-    sink = TdImportSink(td, catalog, is_import=True)
+    sink = TdImportSink(td, is_import=True)
     attrs = catalog.by_name(MD_CTX_TD, "ATTRIBUTES")
     assert sink.write_field(attrs, 0, [ATTR_DEBUG], 2**64 - 1) == \
         S.TDX_METADATA_FIELD_VALUE_NOT_VALID
@@ -385,7 +385,7 @@ def test_sink_xcr0_requires_x87(catalog):
 
     td = _fresh_td()
     td.vps.append(VcpuState(0))
-    sink = TdImportSink(td, catalog, is_import=True, vp_index=0)
+    sink = TdImportSink(td, is_import=True, vp_index=0)
     xcr0 = catalog.by_name(MD_CTX_VP, "XCR0")
     assert sink.write_field(xcr0, 0, [0x6], 2**64 - 1) == S.TDX_METADATA_FIELD_VALUE_NOT_VALID
     assert sink.write_field(xcr0, 0, [0x7], 2**64 - 1) == S.TDX_SUCCESS
@@ -395,7 +395,7 @@ def test_sink_accounting_feeds_required_check(catalog):
     from tdxmodel.catalog import MigClass
 
     td = _fresh_td()
-    sink = TdImportSink(td, catalog, is_import=True)
+    sink = TdImportSink(td, is_import=True)
     missing = td.missing_required(catalog, {MD_CTX_TD}, {MigClass.MB}, None)
     names = {e.name for e in missing}
     assert "EPTP" in names and "ATTRIBUTES" in names
@@ -446,7 +446,7 @@ class _ReferenceImportSink:
     every field is checked by name through one if/elif chain.
     """
 
-    def __init__(self, td, catalog, is_import=True, vp_index=None, gpa_checks=False):
+    def __init__(self, td, is_import=True, vp_index=None, gpa_checks=False):
         self.td = td
         self.is_import = is_import
         self.vp_index = vp_index
@@ -607,7 +607,7 @@ def _run_sink_case(sink_cls, catalog, mode, case):
     td = _sink_td(gpaw)
     outcomes = []
     for op, ctx, payload in ops:
-        sink = sink_cls(td, catalog, vp_index=0 if ctx == MD_CTX_VP else None,
+        sink = sink_cls(td, vp_index=0 if ctx == MD_CTX_VP else None,
                         gpa_checks=gpa_checks, **_SINK_KINDS[kind])
         if op == "walk":
             result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, md.ParseArena(payload),
@@ -741,10 +741,10 @@ def test_missing_required_matches_separate_skip_set_rule(catalog):
     def check(case):
         ops, (contexts, kinds, vp_index) = case
         td, untracked = _ledger_td(), _ledger_td()
-        sinks = {vp: TdImportSink(td, catalog, is_import=True, vp_index=vp) for vp in (None, 0, 1)}
+        sinks = {vp: TdImportSink(td, is_import=True, vp_index=vp) for vp in (None, 0, 1)}
         written, skipped = {}, set()
         for op, entry, field_index, values, vp in ops:
-            other = TdImportSink(untracked, catalog, is_import=False, vp_index=vp)
+            other = TdImportSink(untracked, is_import=False, vp_index=vp)
             key = (entry.context_code, vp or 0, entry.class_code, entry.field_code)
             if op == "skip":
                 sinks[vp].record_skip(entry, field_index)
@@ -766,9 +766,9 @@ def test_ledger_examples_hold(catalog):
     """The differential's @examples, checked against their stated outcome."""
     mb = {MigClass.MB}
     td = _ledger_td()
-    TdImportSink(td, catalog).record_skip(catalog.by_name(MD_CTX_TD, "X2APIC_IDS"), 3)
+    TdImportSink(td).record_skip(catalog.by_name(MD_CTX_TD, "X2APIC_IDS"), 3)
     assert "X2APIC_IDS" in {e.name for e in td.missing_required(catalog, {MD_CTX_TD}, mb, None)}
-    TdImportSink(td, catalog).write_field(catalog.by_name(MD_CTX_TD, "TD_UUID"), 0, [7, 7], U64)
+    TdImportSink(td).write_field(catalog.by_name(MD_CTX_TD, "TD_UUID"), 0, [7, 7], U64)
     for vp_index in (None, 0):
         names = {e.name for e in td.missing_required(catalog, {MD_CTX_TD}, mb, vp_index)}
         assert "TD_UUID" in names and "X2APIC_IDS" in names
