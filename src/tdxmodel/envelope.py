@@ -195,14 +195,6 @@ class MigStreamContext:
         return iv
 
 
-def make_iv(stream_index: int, counter: int) -> bytes:
-    """96-bit IV: 32-bit stream index followed by the 64-bit counter.
-
-    Raises ``struct.error`` when either value does not fit its width.
-    """
-    return _IV.pack(stream_index, counter)
-
-
 def encrypt_bundle(
     ctx: MigStreamContext,
     bundle_type: BundleType,

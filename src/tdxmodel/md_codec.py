@@ -311,11 +311,12 @@ class ParseArena:
     and ``max_oob_span`` use the tuples directly.  The sentinel regions are
     hashed once, at import, and each arena copies that image.
 
-    ``read`` is the one logged access: ``read_u64`` goes through it, so every
-    value a walk consumes is exactly one ``read(offset, length)`` call, and a
-    wrapper around ``read`` sees them all.  It returns a fresh ``bytearray`` of
-    exactly ``length`` bytes: an in-bounds read is one slice copy of the
-    buffer, and only a read running past the arena end is zero-padded.
+    ``read`` is the one logged access.  The import walk calls it directly, one
+    ``read(offset, 8)`` per element it consumes, and ``read_u64`` goes through
+    it too, so a wrapper around ``read`` sees every logged read.  It returns a
+    fresh ``bytearray`` of exactly ``length`` bytes: an in-bounds read is one
+    slice copy of the buffer, and only a read running past the arena end is
+    zero-padded.
     """
 
     REGIONS = (
@@ -394,10 +395,8 @@ class ParseArena:
 
     def max_oob_span(self) -> int:
         """Bytes past the list end reached by the farthest out-of-bounds read."""
-        ends = [offset + length for offset, length in self._log if offset >= LIST_BYTES]
-        if not ends:
-            return 0
-        return max(ends) - LIST_BYTES
+        return max((offset + length - LIST_BYTES for offset, length in self._log
+                    if offset >= LIST_BYTES), default=0)
 
 
 # An arena image before any list is copied in: a zero list region, then the
@@ -559,18 +558,19 @@ def write_sequence(
     ends near the list boundary drives buff_size through zero and the walk
     continues into the sentinel regions.
 
-    The field loop runs per catalog entry: the entry's element count, field
-    count, importability and import mask are read once when the walk enters
-    the entry, and the field index steps locally.  ``lkp`` is advanced, and
-    the class-change check made, only after an entry's last field;
-    ``lkp.field_index`` is brought up to date before every exit, so on return
+    The walk runs per catalog entry and reads the entry's values once.  Unless
+    the mask is re-read per field, the entry's fields are one run: how many fit
+    is computed up front and the sizes are settled once, while reads, sink
+    calls and skips stay one per element or field.  ``lkp`` is advanced, and the
+    class-change check made, only after an entry's last field; on every exit
     ``lkp`` stands where a field-by-field walk would leave it.
     """
     if buff_size < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
         ext_err_info[0] = lkp.field_id_raw
         return LIST_OVERFLOW, 0
 
-    num_fields = fid.num_fields
+    read = arena.read
+    from_bytes = int.from_bytes
     buff_size = (buff_size - SEQUENCE_HEADER_BYTES) & 0xFFFFFFFF
     elements_base = seq_off + SEQUENCE_HEADER_BYTES
     sequence_idx = 0
@@ -581,16 +581,16 @@ def write_sequence(
         if buff_size < ELEMENT_BYTES:
             ext_err_info[0] = lkp.field_id_raw
             return LIST_OVERFLOW, sequence_idx
-        wr_mask = arena.read_u64(elements_base)
+        wr_mask = from_bytes(read(elements_base, 8), "little")
         sequence_idx += 1
         buff_size -= ELEMENT_BYTES
 
-    read_u64 = arena.read_u64
     reread_mask = mode.loop_underflow and fid.write_mask_valid
     record_skips = not mode.silent_skip
+    write_field = sink.write_field
     entry = lkp.entry
     field_index = lkp.field_index
-    fields_left = num_fields
+    fields_left = fid.num_fields
     while True:
         # Per-entry values; they change only when the walk crosses an entry.
         num_of_elem = entry.num_of_elem
@@ -598,47 +598,77 @@ def write_sequence(
         last_index = entry.num_of_fields - 1
         writes = not skip_non_writable or entry.importable
         import_mask = entry.import_mask
-        stop = min(last_index + 1, field_index + fields_left)
-        fields_left -= stop - field_index
+        first = field_index
+        stop = min(last_index + 1, first + fields_left)
+        fields_left -= stop - first
 
-        for field_index in range(field_index, stop):
-            if reread_mask:
-                wr_mask = read_u64(elements_base)
+        if reread_mask:
+            # Pre-fix placement, the finding: a per-field mask re-read and wrapping deduction.
+            for field_index in range(first, stop):
+                wr_mask = from_bytes(read(elements_base, 8), "little")
                 sequence_idx += 1
                 buff_size = (buff_size - ELEMENT_BYTES) & 0xFFFFFFFF
-
-            if buff_size < field_bytes:
-                lkp.field_index = field_index
+                if buff_size < field_bytes:
+                    lkp.field_index = field_index
+                    ext_err_info[0] = lkp.field_id_raw
+                    return LIST_OVERFLOW, sequence_idx
+                if writes:
+                    combined = wr_mask & import_mask
+                    if combined == 0:
+                        status = TDX_METADATA_FIELD_NOT_WRITABLE
+                    else:
+                        offset = elements_base + sequence_idx * ELEMENT_BYTES
+                        if num_of_elem == 1:  # most fields; skips the comprehension's frame
+                            values = [from_bytes(read(offset, 8), "little")]
+                        else:
+                            values = [from_bytes(read(at, 8), "little")
+                                      for at in range(offset, offset + field_bytes, ELEMENT_BYTES)]
+                        status = write_field(entry, field_index, values, combined)
+                    if status != TDX_SUCCESS:
+                        if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                            lkp.field_index = field_index
+                            ext_err_info[0] = lkp.field_id_raw
+                            return status, sequence_idx
+                        if record_skips:
+                            sink.record_skip(entry, field_index)
+                buff_size = (buff_size - field_bytes) & 0xFFFFFFFF
+                sequence_idx += num_of_elem
+        else:
+            # One run: the fields that fit are walked, then the sizes are settled once.
+            fit = min(stop, first + buff_size // field_bytes)
+            if writes:
+                combined = wr_mask & import_mask
+                offset = elements_base + sequence_idx * ELEMENT_BYTES
+                for field_index in range(first, fit):
+                    if combined == 0:
+                        status = TDX_METADATA_FIELD_NOT_WRITABLE
+                    elif num_of_elem == 1:
+                        status = write_field(entry, field_index,
+                                             [from_bytes(read(offset, 8), "little")], combined)
+                    else:
+                        values = [from_bytes(read(at, 8), "little")
+                                  for at in range(offset, offset + field_bytes, ELEMENT_BYTES)]
+                        status = write_field(entry, field_index, values, combined)
+                    if status != TDX_SUCCESS:
+                        if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                            lkp.field_index = field_index
+                            ext_err_info[0] = lkp.field_id_raw
+                            return status, sequence_idx + (field_index - first) * num_of_elem
+                        if record_skips:
+                            sink.record_skip(entry, field_index)
+                    offset += field_bytes
+            buff_size -= (fit - first) * field_bytes
+            sequence_idx += (fit - first) * num_of_elem
+            if fit < stop:
+                lkp.field_index = fit
                 ext_err_info[0] = lkp.field_id_raw
                 return LIST_OVERFLOW, sequence_idx
 
-            if writes:
-                combined = wr_mask & import_mask
-                if combined == 0:
-                    status = TDX_METADATA_FIELD_NOT_WRITABLE
-                else:
-                    offset = elements_base + sequence_idx * ELEMENT_BYTES
-                    if num_of_elem == 1:  # most fields; skips the comprehension's frame
-                        values = [read_u64(offset)]
-                    else:
-                        values = [read_u64(offset + k * ELEMENT_BYTES) for k in range(num_of_elem)]
-                    status = sink.write_field(entry, field_index, values, combined)
-                if status != TDX_SUCCESS:
-                    if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
-                        lkp.field_index = field_index
-                        ext_err_info[0] = lkp.field_id_raw
-                        return status, sequence_idx
-                    if record_skips:
-                        sink.record_skip(entry, field_index)
-
-            buff_size = (buff_size - field_bytes) & 0xFFFFFFFF
-            sequence_idx += num_of_elem
-
-        if field_index < last_index:
+        if stop <= last_index:
             # The sequence ended inside this entry.
-            lkp.field_index = field_index + 1
+            lkp.field_index = stop
             break
-        lkp.field_index = field_index
+        lkp.field_index = last_index
         lkp.advance()
         if not fields_left:
             break

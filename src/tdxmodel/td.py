@@ -644,7 +644,10 @@ class TdImportSink:
                     combined_mask: int) -> int:
         if entry is not self._entry:
             self._enter(entry)
-        masked = [v & combined_mask for v in values]
+        if len(values) == 1:  # most fields; skips the comprehension's frame
+            masked = [values[0] & combined_mask]
+        else:
+            masked = [v & combined_mask for v in values]
         for check in self._checks:
             if not check(self, masked):
                 return TDX_METADATA_FIELD_VALUE_NOT_VALID

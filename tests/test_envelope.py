@@ -17,9 +17,9 @@ from tdxmodel.envelope import (
     Mbmd,
     MigrationSessionKey,
     MigStreamContext,
+    _IV,
     decrypt_bundle,
     encrypt_bundle,
-    make_iv,
 )
 
 
@@ -134,7 +134,7 @@ def test_counter_starts_at_zero_and_ivs_step_by_one():
     assert ctx.iv_counter == 0
     first = ctx.next_iv()
     second = ctx.next_iv()
-    assert first == make_iv(7, 1) and second == make_iv(7, 2)
+    assert first == _IV.pack(7, 1) and second == _IV.pack(7, 2)
     assert first[:4] == second[:4]  # only the counter field differs
     assert int.from_bytes(second[4:], "little") - int.from_bytes(first[4:], "little") == 1
 
@@ -320,8 +320,8 @@ def test_seal_and_open_match_the_reference_envelope(
     assert mbmd.to_bytes() == ref_mbmd.to_bytes() and mbmd == ref_mbmd
     assert type(ciphertext) is bytes and ciphertext == ref_ciphertext
     assert ctx.iv_counter == ref_ctx.iv_counter == counter + 1
-    assert ctx.iv_history == ref_ctx.iv_history == [make_iv(stream_index, counter + 1)]
-    assert make_iv(stream_index, counter + 1) == _reference_make_iv(stream_index, counter + 1)
+    assert ctx.iv_history == ref_ctx.iv_history == [_IV.pack(stream_index, counter + 1)]
+    assert _IV.pack(stream_index, counter + 1) == _reference_make_iv(stream_index, counter + 1)
 
     opened = decrypt_bundle(ctx, *_tampered(mbmd, ciphertext, tamper))
     assert opened == _reference_decrypt_bundle(ref_ctx, *_tampered(mbmd, ciphertext, tamper))
@@ -333,12 +333,14 @@ def test_seal_and_open_match_the_reference_envelope(
 @example(stream_index=2**32, counter=0)
 @example(stream_index=0, counter=2**64)
 @example(stream_index=-1, counter=0)
-def test_make_iv_raises_where_the_reference_did(stream_index, counter):
+def test_next_iv_raises_where_the_reference_did(stream_index, counter):
+    ctx = MigStreamContext(0)
+    ctx.stream_index, ctx.iv_counter = stream_index, counter - 1
     fits = 0 <= stream_index <= U32_MAX and 0 <= counter <= U64_MAX
     if fits:
-        assert make_iv(stream_index, counter) == _reference_make_iv(stream_index, counter)
+        assert ctx.next_iv() == _reference_make_iv(stream_index, counter)
         return
     with pytest.raises(OverflowError):
         _reference_make_iv(stream_index, counter)
     with pytest.raises(struct.error):
-        make_iv(stream_index, counter)
+        ctx.next_iv()

@@ -480,6 +480,35 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, skip_non_writabl
     check()
 
 
+@pytest.mark.parametrize("mode,skip_non_writable", ALL_MODES)
+def test_every_logged_read_is_one_read_call(catalog, mode, skip_non_writable):
+    # perfbench counts arena reads by wrapping ParseArena.read on the class, so
+    # the walk must log nothing that bypasses read, and call it for every read.
+    real_read = ParseArena.read
+    calls = []
+
+    def counting_read(arena, offset, length):
+        calls.append((offset, length))
+        return real_read(arena, offset, length)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=import_lists(catalog),
+        refusals=st.dictionaries(st.integers(0, 6),
+                                 st.just(S.TDX_METADATA_FIELD_NOT_WRITABLE), max_size=3),
+    )
+    def check(case, refusals):
+        ctx, data = case
+        arena = ParseArena(data)
+        calls.clear()
+        with mock.patch.object(ParseArena, "read", counting_read):
+            md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, CallLogSink(refusals), mode,
+                          skip_non_writable)
+        assert calls == arena._log
+
+    check()
+
+
 # --- arena image copies -------------------------------------------------------
 
 def test_planting_in_one_arena_leaves_others_untouched():
