@@ -153,6 +153,11 @@ class FieldCatalog:
             self._by_context.setdefault(entry.context_code, []).append(entry)
         self._validate()
         self._by_name = {(e.context_code, e.name): e for e in entries}
+        # Each entry's successor in its context, keyed by its unique (class,
+        # field) position: no search that compares whole entries.
+        self._next = {(ctx, e.class_code, e.field_code): after
+                      for ctx, run in self._by_context.items()
+                      for e, after in zip(run, [*run[1:], None])}
         if len(self._by_name) != len(entries):
             raise ValueError("catalog names a field twice in one context")
 
@@ -198,11 +203,7 @@ class FieldCatalog:
         return None
 
     def next_entry_after(self, context_code: int, entry: FieldEntry) -> Optional[FieldEntry]:
-        entries = self._by_context.get(context_code, ())
-        index = entries.index(entry)
-        if index + 1 < len(entries):
-            return entries[index + 1]
-        return None
+        return self._next[(context_code, entry.class_code, entry.field_code)]
 
     def required_import_entries(
         self, context_code: int, kinds: set[MigClass], classes_present: set[int] = frozenset()
@@ -240,39 +241,35 @@ class CpuidLookupEntry:
     config_index: int
 
 
-def _build_cpuid_table() -> list[CpuidLookupEntry]:
-    """78 synthetic rows (valid flag alternating) plus the published last row."""
-    table = []
-    for i in range(MAX_NUM_CPUID_LOOKUP - 1):
-        table.append(
-            CpuidLookupEntry(
-                leaf=0x40000000 + i,
-                subleaf=0,
-                valid_entry=(i % 2 == 1),
-                fixed1=(0, 0, 0, 0),
-                fixed0_or_dynamic=(0, 0, 0, 0),
-                config_index=CPUID_CONFIG_NULL_IDX,
-            )
-        )
-    table.append(
-        CpuidLookupEntry(
-            leaf=0x80000002,
-            subleaf=0xFFFFFFFF,
-            valid_entry=True,
-            fixed1=(0x65746E49, 0x58204454, 0x6C202020, 0x0),
-            fixed0_or_dynamic=(0x9A8B91B6, 0xA7DFBBAB, 0x93DFDFDF, 0xFFFFFFFF),
-            config_index=CPUID_CONFIG_NULL_IDX,
-        )
+# 78 synthetic rows (valid flag alternating) plus the published last row,
+# built once: the rows are frozen, so every lookup shares this tuple.
+_CPUID_TABLE = tuple(
+    CpuidLookupEntry(
+        leaf=0x40000000 + i, subleaf=0, valid_entry=(i % 2 == 1),
+        fixed1=(0, 0, 0, 0), fixed0_or_dynamic=(0, 0, 0, 0),
+        config_index=CPUID_CONFIG_NULL_IDX,
     )
-    return table
+    for i in range(MAX_NUM_CPUID_LOOKUP - 1)
+) + (
+    CpuidLookupEntry(
+        leaf=0x80000002,
+        subleaf=0xFFFFFFFF,
+        valid_entry=True,
+        fixed1=(0x65746E49, 0x58204454, 0x6C202020, 0x0),
+        fixed0_or_dynamic=(0x9A8B91B6, 0xA7DFBBAB, 0x93DFDFDF, 0xFFFFFFFF),
+        config_index=CPUID_CONFIG_NULL_IDX,
+    ),
+)
 
 
 class CpuidLookup:
     """Fixed-size lookup array with an instrumented index log.
 
-    Reads past the table return a deterministic sentinel entry whose valid
-    flag is set, standing in for whatever adjacent memory happens to hold, so
-    the pre-fix search loop terminates after exactly one out-of-bounds step.
+    The rows are one module-level tuple that every lookup shares; only the
+    access log belongs to the instance.  Reads past the table return a
+    deterministic sentinel entry whose valid flag is set, standing in for
+    whatever adjacent memory happens to hold, so the pre-fix search loop
+    terminates after exactly one out-of-bounds step.
     """
 
     OOB_SENTINEL = CpuidLookupEntry(
@@ -280,9 +277,9 @@ class CpuidLookup:
         fixed1=(0, 0, 0, 0), fixed0_or_dynamic=(0, 0, 0, 0),
         config_index=CPUID_CONFIG_NULL_IDX,
     )
+    table = _CPUID_TABLE
 
     def __init__(self):
-        self.table = _build_cpuid_table()
         self.access_log: list[tuple[int, bool]] = []
 
     def __len__(self) -> int:

@@ -126,6 +126,7 @@ def decode_field_id(raw: int) -> MdFieldId:
     return MdFieldId(*[(raw >> shift) & mask for shift, mask in _UNPACK])
 
 
+@functools.cache
 def make_sequence_header(
     context_code: int,
     class_code: int,
@@ -134,7 +135,12 @@ def make_sequence_header(
     num_elements: int = 1,
     write_mask_valid: bool = False,
 ) -> int:
-    """Canonical emitted header: reserved bits zero, 8-byte element size code."""
+    """Canonical emitted header: reserved bits zero, 8-byte element size code.
+
+    Cached: a pure function of its integer arguments.  An out-of-range
+    argument raises EncodingError, which the cache does not keep, so every
+    such call raises again.
+    """
     return encode_field_id(
         MdFieldId(
             field_code=field_code,

@@ -615,11 +615,14 @@ class TdImportSink:
     pre-fix variant: private-GPA fields are stored without validity checks.
 
     The sink works per catalog entry.  When the walk hands it a field of a new
-    entry it looks up that entry's value checks; once a field of the entry
-    passes them it binds the entry's storage: the TD, SYS or VP value list and
-    the sets each stored position is marked in (the entry's written positions,
-    and those ``TdComplex.store_marks`` names for the list).  Later
-    fields of the entry are stored straight into the bound list.  A refused
+    entry it looks up that entry's value checks and binds the entry's storage:
+    the TD, SYS or VP value list and the sets each stored position is marked
+    in (the entry's written positions, and those ``TdComplex.store_marks``
+    names for the list).  An entry with no checks is bound at once, since
+    nothing can refuse its fields, and each value is stored straight into the
+    bound list: ``v & mask``, plus the stored bits outside the mask unless the
+    entry has special write handling.  An entry with checks is bound only once
+    a field passes them, and a checked field is stored as checked; a refused
     field binds nothing, so it leaves no store entry behind.
     """
 
@@ -644,29 +647,28 @@ class TdImportSink:
                     combined_mask: int) -> int:
         if entry is not self._entry:
             self._enter(entry)
-        if len(values) == 1:  # most fields; skips the comprehension's frame
-            masked = [values[0] & combined_mask]
-        else:
-            masked = [v & combined_mask for v in values]
-        for check in self._checks:
-            if not check(self, masked):
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
         store = self._values
-        if store is None:
-            store = self._bind(entry)
-        # A field with special write handling is stored as checked; any other
-        # keeps its stored bits outside the mask.
+        # A field with special write handling is stored as masked (as checked,
+        # where it has checks); any other keeps its stored bits outside the mask.
         keep = 0 if self._overwrite else ~combined_mask & U64
+        if self._checks:
+            values = [v & combined_mask for v in values]
+            for check in self._checks:
+                if not check(self, values):
+                    return TDX_METADATA_FIELD_VALUE_NOT_VALID
+            if store is None:
+                store = self._bind(entry)
+            combined_mask = U64  # stored as checked, not masked again
         position = field_index * entry.num_of_elem
-        for value in masked:
-            store[position] = (value | (store[position] & keep)) if keep else value
+        for value in values:
+            store[position] = (value & combined_mask) | (store[position] & keep)
             for marks in self._marks:
                 marks.add(position)
             position += 1
         return TDX_SUCCESS
 
     def _enter(self, entry: FieldEntry) -> None:
-        """Start on a new entry: look up its value checks, leave its storage unbound."""
+        """Start on a new entry: look up its value checks, and bind its storage if it has none."""
         checks = []
         if entry.gpa_private and self.is_import and self.gpa_checks:
             checks.append(_check_gpas)
@@ -675,10 +677,10 @@ class TdImportSink:
         self._entry = entry
         self._checks = tuple(checks)
         self._overwrite = entry.special_wr_handling
-        self._values = None
+        self._values = None if checks else self._bind(entry)
 
     def _bind(self, entry: FieldEntry) -> list[int]:
-        """Bind the entry's storage once one of its fields has passed the checks."""
+        """Bind the entry's storage: at once if it has no checks, else when a field passes them."""
         td = self.td
         store = self._values = td._scope_values(entry, self.vp_index)
         marks = td.store_marks(store)

@@ -12,6 +12,7 @@ from tdxmodel.catalog import (
     MigClass,
     next_cpuid_entry,
 )
+from tdxmodel.engine import EngineMode, TdxModule
 from tdxmodel.md_codec import (
     MD_CTX_SYS,
     MD_CTX_TD,
@@ -19,6 +20,7 @@ from tdxmodel.md_codec import (
     MD_FIELD_ID_NA,
     decode_field_id,
 )
+from tdxmodel.scenarios import all_scenarios, replay
 
 FULL = 0xFFFFFFFFFFFFFFFF
 CONTEXTS = (MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP)
@@ -172,6 +174,25 @@ def test_entry_built_twice_is_equal_and_hashes_equal():
 
 
 # --- CPUID lookup ---------------------------------------------------------------
+
+def test_cpuid_table_is_one_tuple_shared_by_every_lookup():
+    first, second = CpuidLookup(), CpuidLookup()
+    assert type(first.table) is tuple
+    assert first.table is second.table
+    assert first.access_log is not second.access_log
+
+
+def test_bug4_access_logs_stay_per_module():
+    scenario = all_scenarios()["bug-4-cpuid-lookup-oob"]
+    first, second = (TdxModule(EngineMode(bug4=True)) for _ in range(2))
+    assert replay(scenario, first, True)[0]
+    assert first.cpuid.oob_accesses() == [79]
+    assert second.cpuid.access_log == []
+    logged = list(first.cpuid.access_log)
+    assert replay(scenario, second, True)[0]
+    assert second.cpuid.access_log == logged
+    assert first.cpuid.access_log == logged  # the second replay logged nothing here
+
 
 def test_cpuid_table_shape():
     lookup = CpuidLookup()

@@ -12,6 +12,7 @@ from tdxmodel.md_codec import (
     MdFieldId,
     decode_field_id,
     encode_field_id,
+    make_sequence_header,
 )
 
 ATTRIBUTES_ID = 0x1110000300000000
@@ -193,3 +194,42 @@ def test_layout_table_encodes_as_the_unrolled_reference(parts):
     assert _outcome(encode_field_id, fid) == _outcome(_reference_encode, parts)
     if min(parts.values()) >= 0:
         assert fid.to_raw() == _reference_to_raw(parts)
+
+
+# --- the cached canonical sequence header -------------------------------------
+
+@given(
+    context_code=st.integers(0, 7),
+    class_code=st.integers(0, 0x3F),
+    field_code=st.integers(0, (1 << 24) - 1),
+    num_fields=st.integers(1, 512),
+    num_elements=st.integers(1, 16),
+    write_mask_valid=st.booleans(),
+)
+def test_sequence_header_equals_the_encoded_field_id(context_code, class_code, field_code,
+                                                     num_fields, num_elements, write_mask_valid):
+    expected = encode_field_id(MdFieldId(
+        field_code=field_code,
+        last_element_in_field=num_elements - 1,
+        last_field_in_sequence=num_fields - 1,
+        write_mask_valid=int(write_mask_valid),
+        context_code=context_code,
+        class_code=class_code,
+    ))
+    args = (context_code, class_code, field_code, num_fields, num_elements, write_mask_valid)
+    assert make_sequence_header(*args) == expected
+    assert make_sequence_header(*args) == expected  # answered from the cache
+
+
+@pytest.mark.parametrize("args,subfield", [
+    ((8, 0x11, 0), "context_code"),
+    ((MD_CTX_TD, 0x40, 0), "class_code"),
+    ((MD_CTX_TD, 0x11, 1 << 24), "field_code"),
+    ((MD_CTX_TD, 0x11, 0, 513), "last_field_in_sequence"),
+    ((MD_CTX_TD, 0x11, 0, 0), "last_field_in_sequence"),
+    ((MD_CTX_VP, 0x12, 0, 1, 17), "last_element_in_field"),
+])
+def test_out_of_range_sequence_header_raises_on_every_call(args, subfield):
+    for _ in range(3):
+        with pytest.raises(EncodingError, match=subfield):
+            make_sequence_header(*args)

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
@@ -449,6 +449,13 @@ def _walk_with(write_sequence, catalog, ctx, data, mode, skip_non_writable, refu
     return result, arena.reads, sink.calls, positions
 
 
+def _one_run_list(catalog):
+    """A VP list whose one sequence covers fields 0-7 of one importable entry, one run."""
+    entry = catalog.by_name(MD_CTX_VP, "L2_MSR_BITMAPS")
+    header = make_sequence_header(MD_CTX_VP, entry.class_code, entry.field_code, num_fields=8)
+    return MD_CTX_VP, build_list([MdSequence(header, [0x100 + i for i in range(8)])]).to_bytes()
+
+
 ALL_MODES = [
     (WriteMode(*flags), skip)
     for flags in itertools.product([False, True], repeat=3)
@@ -470,6 +477,8 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, skip_non_writabl
             max_size=3,
         ),
     )
+    # A NOT_WRITABLE refusal at field 3 of an 8-field run: a skip mode walks on past it.
+    @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_NOT_WRITABLE})
     def check(case, refusals):
         ctx, data = case
         expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode,

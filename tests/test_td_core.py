@@ -634,6 +634,19 @@ def _refused_attributes_list():
     return md.build_list([seq]).to_bytes()
 
 
+def _masked_run_lists(catalog):
+    """Two VP walks over fields 0-3 of one plain entry: all ones, then under mask 0xFFFF_0000."""
+    entry = catalog.by_name(MD_CTX_VP, "L2_MSR_BITMAPS")
+    walks = []
+    for mask in (None, 0xFFFF_0000):
+        header = md.make_sequence_header(MD_CTX_VP, entry.class_code, entry.field_code,
+                                         num_fields=4, write_mask_valid=mask is not None)
+        values = [0x1234_5678_9ABC_DEF0 + i for i in range(4)] if mask else [U64] * 4
+        seq = md.MdSequence(header, values if mask is None else [mask, *values])
+        walks.append(("walk", MD_CTX_VP, md.build_list([seq]).to_bytes()))
+    return walks
+
+
 _WALK_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=3)]
 
 
@@ -648,6 +661,19 @@ def test_entry_bound_sink_matches_per_element_reference(catalog, mode):
     # tdh_mng_wr's untracked sink still marks the session key's quadwords.
     @example(case=("mng_wr", True, False,
                    [("write", MD_CTX_TD, [("MIG_DEC_KEY", 0, [0x1234], U64)])]))
+    # A run of one plain entry under a partial mask keeps each field's bits outside it.
+    @example(case=("import", False, False, _masked_run_lists(catalog)))
+    # A special-handling entry with no checks, after a plain one, drops the bits outside the mask.
+    @example(case=("import", False, False, [("write", MD_CTX_TD, [
+        ("TD_EPOCH", 0, [U64], U64),
+        ("MIG_DEC_KEY", 0, [U64] * 4, U64),
+        ("MIG_DEC_KEY", 0, [0x1234, 1, 2, 3], 0xFFFF_0000),
+    ])]))
+    # tdh_mng_wr's one-value write under a partial mask keeps the stored bits outside it.
+    @example(case=("mng_wr", False, False, [("write", MD_CTX_TD, [
+        ("TD_EPOCH", 0, [U64], U64),
+        ("TD_EPOCH", 0, [0x1234], 0xFFFF_0000),
+    ])]))
     def check(case):
         expected = _run_sink_case(_ReferenceImportSink, catalog, mode, case)
         assert _run_sink_case(TdImportSink, catalog, mode, case) == expected
