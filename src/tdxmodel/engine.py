@@ -292,9 +292,9 @@ class TdxModule:
     # -- lifecycle and build -------------------------------------------------
 
     def tdh_mng_create(self, hkid: int) -> tuple[int, Optional[TdComplex]]:
-        if hkid >= len(self.kot) or self.kot.entries[hkid].state is not KotState.HKID_FREE:
+        if hkid >= len(self.kot) or self.kot.states[hkid] is not KotState.HKID_FREE:
             return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX), None
-        self.kot.entries[hkid].state = KotState.HKID_ASSIGNED
+        self.kot.states[hkid] = KotState.HKID_ASSIGNED
         td = TdComplex(tdr_page=self.alloc_page(), hkid=hkid)
         td.sept_root_pa = self.alloc_page()
         td.td_uuid[:] = [self.rng.getrandbits(64) for _ in range(4)]

@@ -153,6 +153,10 @@ def make_sequence_header(
     )
 
 
+# The 8-byte list header: list_buff_size (u16), num_sequences (u16), reserved (u32).
+_LIST_HEADER = struct.Struct("<HHI")
+
+
 @dataclass
 class MdListHeader:
     list_buff_size: int = LIST_HEADER_BYTES
@@ -168,11 +172,9 @@ class MdListHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MdListHeader":
-        return cls(
-            list_buff_size=int.from_bytes(data[0:2], "little"),
-            num_sequences=int.from_bytes(data[2:4], "little"),
-            reserved=int.from_bytes(data[4:8], "little"),
-        )
+        """The header in the first 8 bytes of ``data``; bytes it lacks read as zero."""
+        head = bytes(data[:LIST_HEADER_BYTES]).ljust(LIST_HEADER_BYTES, b"\x00")
+        return cls(*_LIST_HEADER.unpack(head))
 
 
 @dataclass
@@ -314,15 +316,22 @@ class ParseArena:
     The log is stored compactly, one ``(offset, length)`` tuple per read in
     read order.  ``reads`` is a read-only property that builds a fresh
     ``ReadRecord`` list from it on each access; ``read_count``, ``oob_reads``
-    and ``max_oob_span`` use the tuples directly.  The sentinel regions are
-    hashed once, at import, and each arena copies that image.
+    and ``max_oob_span`` use the tuples directly.
+
+    The list is kept as immutable bytes, zero-padded to 4KB; a whole 4KB
+    ``bytes`` list is kept as given, with no copy.  The full image (the list,
+    then the sentinel regions, hashed once at import) is built on the first
+    read that runs past the list, on the first ``plant``, or on the first
+    access to ``buffer``, which is that image.  Until then no read has run
+    past the list, so ``oob_reads`` and ``max_oob_span`` answer at once.
 
     ``read`` is the one logged access.  The import walk calls it directly, one
     ``read(offset, 8)`` per element it consumes, and ``read_u64`` goes through
     it too, so a wrapper around ``read`` sees every logged read.  It returns a
-    fresh ``bytearray`` of exactly ``length`` bytes: an in-bounds read is one
-    slice copy of the buffer, and only a read running past the arena end is
-    zero-padded.
+    bytes-like copy of exactly ``length`` bytes: ``bytes`` sliced from the
+    list for a read inside it, a ``bytearray`` sliced from the image once that
+    is built, zero-padded only past the arena end.  Offsets count from the
+    list start and are never negative, and lengths are positive.
     """
 
     REGIONS = (
@@ -335,12 +344,21 @@ class ParseArena:
     def __init__(self, list_bytes: bytes, plants: Optional[dict[int, int]] = None):
         if len(list_bytes) > LIST_BYTES:
             raise ValueError("list larger than 4KB")
-        buf = bytearray(_BLANK_ARENA)
-        buf[: len(list_bytes)] = list_bytes
-        self.buffer = buf
+        # What reads slice: the list until the image is built, then the image.
+        self._bytes = bytes(list_bytes).ljust(LIST_BYTES, b"\x00")
+        self._image: Optional[bytearray] = None
         self._log: list[tuple[int, int]] = []
         for offset, value in (plants or {}).items():
             self.plant(offset, value)
+
+    @property
+    def buffer(self) -> bytearray:
+        """The arena image: the list, then the sentinel regions; built on first use."""
+        if self._image is None:
+            image = bytearray(_BLANK_ARENA)
+            image[:LIST_BYTES] = self._bytes
+            self._bytes = self._image = image
+        return self._image
 
     @staticmethod
     def region_pattern(name: str, size: int) -> bytes:
@@ -358,20 +376,23 @@ class ParseArena:
 
     def plant(self, offset: int, value: int) -> None:
         """Place an 8-byte little-endian sentinel value at an arena offset."""
+        buffer = self.buffer
         end = offset + 8
-        if end > len(self.buffer):
+        if end > len(buffer):
             raise ValueError("plant outside arena")
-        self.buffer[offset:end] = value.to_bytes(8, "little")
+        buffer[offset:end] = value.to_bytes(8, "little")
 
-    def read(self, offset: int, length: int) -> bytearray:
-        """Log one read and return a fresh copy of exactly ``length`` bytes.
+    def read(self, offset: int, length: int) -> bytes | bytearray:
+        """Log one read and return a copy of exactly ``length`` bytes.
 
-        An in-bounds read is a single slice copy of the buffer; only a read
-        that runs past the arena end is zero-padded to ``length``.
+        A read the list serves whole is one slice of it.  A read that comes
+        back short ran past the list: it is served from the image, built on
+        this first such read, and zero-padded if it runs past the arena end.
         """
         self._log.append((offset, length))
-        chunk = self.buffer[offset : offset + length]
+        chunk = self._bytes[offset : offset + length]
         if len(chunk) < length:
+            chunk = self.buffer[offset : offset + length]
             chunk += bytes(length - len(chunk))
         return chunk
 
@@ -389,10 +410,15 @@ class ParseArena:
 
     def peek_u64(self, offset: int) -> int:
         """Unlogged read, for assertions about what a walk should have seen."""
-        chunk = bytes(self.buffer[offset : offset + 8])
-        return int.from_bytes(chunk + b"\x00" * (8 - len(chunk)), "little")
+        chunk = self._bytes[offset : offset + 8]
+        if len(chunk) < 8:
+            chunk = self.buffer[offset : offset + 8]
+        # Little-endian: bytes missing past the arena end read as zero.
+        return int.from_bytes(chunk, "little")
 
     def oob_reads(self) -> list[ReadRecord]:
+        if self._image is None:
+            return []
         return [
             ReadRecord(offset, length, True)
             for offset, length in self._log
@@ -401,6 +427,8 @@ class ParseArena:
 
     def max_oob_span(self) -> int:
         """Bytes past the list end reached by the farthest out-of-bounds read."""
+        if self._image is None:
+            return 0
         return max((offset + length - LIST_BYTES for offset, length in self._log
                     if offset >= LIST_BYTES), default=0)
 
@@ -493,19 +521,19 @@ def write_list(
     context-code mismatch, carrying the sequence index in the low status word.
     """
     result = WriteResult()
-    header = MdListHeader.from_bytes(arena.read(0, LIST_HEADER_BYTES))
+    list_buff_size, num_sequences, _ = _LIST_HEADER.unpack(arena.read(0, LIST_HEADER_BYTES))
 
     if not mode.header_underflow:
-        if header.list_buff_size < LIST_HEADER_BYTES or header.list_buff_size > LIST_BYTES:
+        if list_buff_size < LIST_HEADER_BYTES or list_buff_size > LIST_BYTES:
             result.status = LIST_OVERFLOW
             return result
 
     # The pre-fix module stores this in a uint16_t with no lower-bound check.
-    remaining = (header.list_buff_size - LIST_HEADER_BYTES) & 0xFFFF
+    remaining = (list_buff_size - LIST_HEADER_BYTES) & 0xFFFF
     result.initial_remaining = remaining
     seq_off = LIST_HEADER_BYTES
 
-    for i in range(header.num_sequences):
+    for i in range(num_sequences):
         if not mode.header_underflow and remaining < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
             # Post-fix walks check the residue before touching the next header,
             # so a lying num_sequences cannot push a read past the list.

@@ -189,25 +189,20 @@ class KotState(Enum):
     HKID_FLUSHED = "HKID_FLUSHED"
 
 
-@dataclass
-class KotEntry:
-    state: KotState = KotState.HKID_FREE
-
-
 class Kot:
-    """Key ownership table of configurable size."""
+    """Key ownership table of configurable size: one KotState per HKID."""
 
     def __init__(self, size: int = DEFAULT_KOT_SIZE):
-        self.entries = [KotEntry() for _ in range(size)]
+        self.states = [KotState.HKID_FREE] * size
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.states)
 
     def free_count(self) -> int:
-        return sum(1 for e in self.entries if e.state is KotState.HKID_FREE)
+        return self.states.count(KotState.HKID_FREE)
 
     def free_hkids(self) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e.state is KotState.HKID_FREE]
+        return [i for i, state in enumerate(self.states) if state is KotState.HKID_FREE]
 
 
 def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
@@ -218,13 +213,13 @@ def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
     so repeated failing calls drain the table.  The fixed variant restores
     HKID_FREE before returning the error.
     """
-    if hkid >= len(kot) or kot.entries[hkid].state is not KotState.HKID_FREE:
+    if hkid >= len(kot) or kot.states[hkid] is not KotState.HKID_FREE:
         return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX)
-    kot.entries[hkid].state = KotState.HKID_RESERVED
+    kot.states[hkid] = KotState.HKID_RESERVED
     for address in tdmr_entries:
         if address % TDMR_ENTRY_ALIGNMENT:
             if not leak_on_error:
-                kot.entries[hkid].state = KotState.HKID_FREE
+                kot.states[hkid] = KotState.HKID_FREE
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
     return TDX_SUCCESS
 

@@ -124,6 +124,19 @@ def test_fixed_mode_rejects_small_header_before_sequences(catalog, sink, lbs):
     assert not arena.oob_reads()
 
 
+def test_fixed_mode_rejects_every_out_of_range_size_after_one_header_read(catalog):
+    rng = random.Random(0x14)
+    sizes = [size for size in range(0x10000) if not 8 <= size <= md.LIST_BYTES]
+    for size in sizes:
+        header = MdListHeader(list_buff_size=size, num_sequences=rng.randrange(0x10000))
+        arena = ParseArena(header.to_bytes().ljust(md.LIST_BYTES, b"\x00"))
+        result = md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, DictSink(),
+                               WriteMode.fixed())
+        assert result == md.WriteResult(status=md.LIST_OVERFLOW), size
+        assert arena._log == [(0, 8)], size
+        assert arena.oob_reads() == [], size
+
+
 def test_context_mismatch_reports_header_and_index(catalog, sink):
     seq = MdSequence(make_sequence_header(MD_CTX_VP, 0x11, 0x20), [3])  # vp id in a td list
     arena = ParseArena(build_list([seq]).to_bytes())
@@ -530,6 +543,108 @@ def test_planting_in_one_arena_leaves_others_untouched():
     assert [first.peek_u64(offset) for offset in offsets] == [LEAK_SENTINEL] * len(offsets)
     assert [second.peek_u64(offset) for offset in offsets] == before
     assert [ParseArena(b"").peek_u64(offset) for offset in offsets] == before
+
+
+ARENA_BYTES = len(md._BLANK_ARENA)
+
+
+class EagerArena:
+    """Reference arena: the whole image copied at construction, every read
+    sliced from it, and ``oob_reads``/``max_oob_span`` scanning the whole log."""
+
+    def __init__(self, list_bytes, plants=None):
+        if len(list_bytes) > md.LIST_BYTES:
+            raise ValueError("list larger than 4KB")
+        buf = bytearray(md._BLANK_ARENA)
+        buf[: len(list_bytes)] = list_bytes
+        self.buffer = buf
+        self._log = []
+        for offset, value in (plants or {}).items():
+            self.plant(offset, value)
+
+    def plant(self, offset, value):
+        end = offset + 8
+        if end > len(self.buffer):
+            raise ValueError("plant outside arena")
+        self.buffer[offset:end] = value.to_bytes(8, "little")
+
+    def read(self, offset, length):
+        self._log.append((offset, length))
+        chunk = self.buffer[offset : offset + length]
+        if len(chunk) < length:
+            chunk += bytes(length - len(chunk))
+        return chunk
+
+    @property
+    def reads(self):
+        return [md.ReadRecord(offset, length, offset >= md.LIST_BYTES)
+                for offset, length in self._log]
+
+    def peek_u64(self, offset):
+        chunk = bytes(self.buffer[offset : offset + 8])
+        return int.from_bytes(chunk + b"\x00" * (8 - len(chunk)), "little")
+
+    def oob_reads(self):
+        return [md.ReadRecord(offset, length, True)
+                for offset, length in self._log if offset >= md.LIST_BYTES]
+
+    def max_oob_span(self):
+        return max((offset + length - md.LIST_BYTES for offset, length in self._log
+                    if offset >= md.LIST_BYTES), default=0)
+
+
+@st.composite
+def arena_reads(draw):
+    """One read: inside the list, across its end, past it, or across the arena end."""
+    kind = draw(st.sampled_from(["in_list", "straddle", "past_list", "past_arena"]))
+    if kind == "in_list":
+        offset = draw(st.integers(0, md.LIST_BYTES - 1))
+        return offset, draw(st.integers(1, min(64, md.LIST_BYTES - offset)))
+    if kind == "straddle":
+        offset = draw(st.integers(md.LIST_BYTES - 64, md.LIST_BYTES - 1))
+        return offset, draw(st.integers(md.LIST_BYTES - offset + 1, 128))
+    if kind == "past_list":
+        return draw(st.integers(md.LIST_BYTES, ARENA_BYTES - 1)), draw(st.integers(1, 64))
+    return draw(st.integers(ARENA_BYTES - 16, ARENA_BYTES + 16)), draw(st.integers(1, 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.binary(max_size=md.LIST_BYTES) | st.binary(min_size=md.LIST_BYTES,
+                                                       max_size=md.LIST_BYTES),
+    as_bytearray=st.booleans(),
+    plants=st.none() | st.dictionaries(st.integers(0, ARENA_BYTES - 8),
+                                       st.integers(0, 2**64 - 1), max_size=3),
+    reads=st.lists(arena_reads(), max_size=8),
+)
+@example(data=bytes(range(256)) * 16, as_bytearray=False, plants=None,
+         reads=[(0, 8), (4088, 8)])
+@example(data=b"\xaa" * 100, as_bytearray=True, plants=None, reads=[(4092, 8), (4096, 8)])
+def test_lazy_arena_matches_the_eager_reference(data, as_bytearray, plants, reads):
+    given_bytes = bytearray(data) if as_bytearray else data
+    arena = ParseArena(given_bytes, plants)
+    reference = EagerArena(data, plants)
+    if as_bytearray:
+        given_bytes[:] = bytes(0xFF - b for b in given_bytes)  # the arena keeps its own copy
+
+    for offset, length in reads:
+        got = arena.read(offset, length)
+        assert bytes(got) == bytes(reference.read(offset, length))
+        assert len(got) == length
+    assert arena._log == reference._log
+    assert arena.reads == reference.reads
+    assert arena.read_count == len(reads)
+    assert arena.oob_reads() == reference.oob_reads()
+    assert arena.max_oob_span() == reference.max_oob_span()
+    # The image is built only by a plant or a read past the list.
+    past_list = any(offset + length > md.LIST_BYTES for offset, length in reads)
+    assert (arena._image is None) == (not plants and not past_list)
+
+    starts = [0, md.LIST_BYTES - 4] + [arena.region_span(name)[0]
+                                        for name, _ in ParseArena.REGIONS]
+    assert [arena.peek_u64(at) for at in starts] == [reference.peek_u64(at) for at in starts]
+    assert arena.buffer == reference.buffer
+    assert arena.oob_reads() == reference.oob_reads()
 
 
 # --- dump side -------------------------------------------------------------------

@@ -300,7 +300,7 @@ def test_vulnerable_sys_config_leaks_reservations():
         status = sys_config_reserve_hkid(kot, hkid, [0x1001], True)
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
     assert kot.free_count() == 0
-    assert all(e.state is KotState.HKID_RESERVED for e in kot.entries)
+    assert all(state is KotState.HKID_RESERVED for state in kot.states)
 
 
 def test_fixed_sys_config_conserves_free_count():
@@ -310,7 +310,7 @@ def test_fixed_sys_config_conserves_free_count():
         assert kot.free_count() == 8
     status = sys_config_reserve_hkid(kot, 3, [0x1000], False)
     assert status == S.TDX_SUCCESS
-    assert kot.entries[3].state is KotState.HKID_RESERVED
+    assert kot.states[3] is KotState.HKID_RESERVED
     assert kot.free_count() == 7
 
 
