@@ -50,6 +50,7 @@ from .status import (
     TDX_MAX_EXPORTS_EXCEEDED,
     TDX_METADATA_FIELD_NOT_READABLE,
     TDX_METADATA_FIELD_NOT_WRITABLE,
+    TDX_METADATA_FIELD_VALUE_NOT_VALID,
     TDX_MIGRATION_DECRYPTION_KEY_NOT_SET,
     TDX_MIGRATION_STREAM_STATE_INCORRECT,
     TDX_OPERAND_BUSY,
@@ -77,6 +78,7 @@ from .td import (
     TdParams,
     VcpuState,
     XCR0_X87,
+    admit_td_config,
     init_event_filters,
     make_binding_handle,
     break_binding_handle,
@@ -538,12 +540,22 @@ class TdxModule:
         combined = mask & wr_mask
         if combined == 0:
             return TDX_METADATA_FIELD_NOT_WRITABLE
-        sink = TdImportSink(td, is_import=False)
-        status = sink.write_field(entry, entry.field_index_of(fid.field_code), [value], combined)
-        return status, "success" if status == TDX_SUCCESS else None
+        position = fid.field_code - entry.field_code
+        # Special-handling fields drop the stored bits outside the mask; others keep them.
+        value &= combined
+        if not entry.special_wr_handling:
+            value |= td.read_element(entry, position) & ~combined
+        else:
+            value = admit_td_config(td, entry.name, value, td.gpaw, importing=False)
+            if value is None:
+                return TDX_METADATA_FIELD_VALUE_NOT_VALID
+        td.write_element_raw(entry, position, value)
+        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_VP_RD, int)
     def tdh_vp_rd(self, td: TdComplex, vp_index: int, field_id_raw: int) -> tuple[int, int]:
+        if vp_index >= len(td.vps):
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_VP, fid)
         if entry is None:
@@ -710,7 +722,7 @@ class TdxModule:
             for i in range(cursor, len(lists)):
                 arena = ParseArena(lists[i], plants=self.arena_plants)
                 ctx = contexts(i)
-                sink = TdImportSink(td, is_import=True, vp_index=vp_index, gpa_checks=gpa_checks)
+                sink = TdImportSink(td, vp_index=vp_index, gpa_checks=gpa_checks)
                 result = md.write_list(
                     self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode,
                     skip_non_writable=True,

@@ -11,7 +11,7 @@ the session key, ...) are typed properties over the same store.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from typing import Optional
 
@@ -22,6 +22,7 @@ from .states import LifecycleState, OpState
 from .status import (
     OPERAND_ID_ATTRIBUTES,
     OPERAND_ID_EPTP_CONTROLS,
+    OPERAND_ID_METADATA_FIELD,
     OPERAND_ID_RCX,
     OPERAND_ID_TSC_FREQUENCY,
     OPERAND_ID_XFAM,
@@ -86,12 +87,12 @@ class TdAttributes:
         return bool(self.raw & ATTR_PERFMON)
 
 
-def verify_td_attributes(attrs: TdAttributes, is_import: bool) -> bool:
+def verify_td_attributes(attrs: TdAttributes, importing: bool) -> bool:
     """A migratable TD cannot be a debug or perfmon TD; imports must be migratable."""
     if attrs.migratable:
         if attrs.debug or attrs.perfmon:
             return False
-    elif is_import:
+    elif importing:
         return False
     return True
 
@@ -430,20 +431,36 @@ class TdComplex:
         return "\n".join(lines)
 
 
-def verify_and_set_td_eptp_controls(td: TdComplex, gpaw: bool, eptp: EptpControls) -> bool:
-    """Validate walk depth against gpaw, then re-root the controls at the TD's SEPT."""
-    if gpaw and eptp.ept_pwl < LVL_PML5:
-        return False
-    td.gpaw = int(gpaw)
-    rooted = EptpControls(
-        ept_ps_mt=eptp.ept_ps_mt,
-        ept_pwl=eptp.ept_pwl,
-        enable_ad_bits=eptp.enable_ad_bits,
-        enable_sss_control=eptp.enable_sss_control,
-        base_pa=td.sept_root_pa,
-    )
-    td.eptp_raw = rooted.raw
-    return True
+# The rule of each TD-configuration field, by name: check(value, gpaw,
+# importing) and the operand id a build refusal names.  The build path, the
+# import sink and tdh_mng_wr all admit these fields through admit_td_config.
+TD_CONFIG_RULES = {
+    "ATTRIBUTES": (lambda v, gpaw, importing: verify_td_attributes(TdAttributes(v), importing),
+                   OPERAND_ID_ATTRIBUTES),
+    "XFAM": (lambda v, *_: check_xfam(v), OPERAND_ID_XFAM),
+    "EPTP": (lambda v, gpaw, _: not gpaw or EptpControls.from_raw(v).ept_pwl >= LVL_PML5,
+             OPERAND_ID_EPTP_CONTROLS),
+    "NUM_VCPUS": (lambda v, *_: 0 < v <= MAX_VCPUS_PER_TD, OPERAND_ID_METADATA_FIELD),
+    "TSC_FREQUENCY": (lambda v, *_: VIRT_TSC_FREQUENCY_MIN <= v <= VIRT_TSC_FREQUENCY_MAX,
+                      OPERAND_ID_TSC_FREQUENCY),
+    "HP_LOCK_TIMEOUT": (lambda v, *_: MIN_HP_LOCK_TIMEOUT_USEC <= v <= MAX_HP_LOCK_TIMEOUT_USEC,
+                        OPERAND_ID_METADATA_FIELD),
+    "XCR0": (lambda v, *_: bool(v & XCR0_X87), OPERAND_ID_METADATA_FIELD),
+}
+
+
+def admit_td_config(td: TdComplex, name: str, value: int, gpaw: bool,
+                    importing: bool) -> Optional[int]:
+    """A TD field's value as stored, or None if its TD_CONFIG_RULES rule refuses it.
+
+    A field with no rule is stored as given; EPTP is re-rooted at the TD's SEPT page.
+    """
+    rule = TD_CONFIG_RULES.get(name)
+    if rule is not None and not rule[0](value, gpaw, importing):
+        return None
+    if name == "EPTP":
+        return replace(EptpControls.from_raw(value), base_pa=td.sept_root_pa).raw
+    return value
 
 
 def sept_walk_ok(td: TdComplex) -> bool:
@@ -459,46 +476,35 @@ def sept_walk_ok(td: TdComplex) -> bool:
 
 
 def read_and_set_td_configurations(td: TdComplex, params: TdParams, write_early: bool) -> int:
-    """Validate and install host-supplied TD parameters.
+    """Admit each host-supplied TD field through TD_CONFIG_RULES, in order, and store it.
 
-    The vulnerable variant (write_early) writes each parameter as soon as its
-    own check passes and never rolls back, so a later failure (for example
-    xfam) leaves the earlier writes in place with the op_state untouched.  The fixed
-    variant validates everything before mutating the TD.
+    The vulnerable variant (write_early) stores each field as soon as its own
+    check passes and never rolls back, so a later refusal (for example xfam)
+    leaves the earlier stores in place with the op_state untouched.  The fixed
+    variant stores nothing until every check has passed.
     """
-    attrs = TdAttributes(params.attributes)
-    eptp = EptpControls(ept_pwl=params.ept_pwl)
-
+    staged = [
+        ("ATTRIBUTES", params.attributes),
+        ("XFAM", params.xfam),
+        ("EPTP", EptpControls(ept_pwl=params.ept_pwl).raw),
+        ("GPAW", int(params.gpaw)),  # after EPTP, whose check reads it
+        ("TSC_FREQUENCY", params.tsc_frequency),
+        ("HP_LOCK_TIMEOUT", params.hp_lock_timeout),
+    ]
     if write_early:
         td.num_vcpus = 0
-        if not verify_td_attributes(attrs, is_import=False):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_ATTRIBUTES)
-        td.attributes = attrs
-        if not check_xfam(params.xfam):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_XFAM)
-        td.xfam = params.xfam
-        if not verify_and_set_td_eptp_controls(td, params.gpaw, eptp):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_EPTP_CONTROLS)
-        if not VIRT_TSC_FREQUENCY_MIN <= params.tsc_frequency <= VIRT_TSC_FREQUENCY_MAX:
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TSC_FREQUENCY)
-        td.tsc_frequency = params.tsc_frequency
-        td.hp_lock_timeout = params.hp_lock_timeout
-        return TDX_SUCCESS
-
-    if not verify_td_attributes(attrs, is_import=False):
-        return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_ATTRIBUTES)
-    if not check_xfam(params.xfam):
-        return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_XFAM)
-    if params.gpaw and eptp.ept_pwl < LVL_PML5:
-        return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_EPTP_CONTROLS)
-    if not VIRT_TSC_FREQUENCY_MIN <= params.tsc_frequency <= VIRT_TSC_FREQUENCY_MAX:
-        return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TSC_FREQUENCY)
-    td.num_vcpus = 0
-    td.attributes = attrs
-    td.xfam = params.xfam
-    verify_and_set_td_eptp_controls(td, params.gpaw, eptp)
-    td.tsc_frequency = params.tsc_frequency
-    td.hp_lock_timeout = params.hp_lock_timeout
+    admitted = []
+    for name, value in staged:
+        value = admit_td_config(td, name, value, params.gpaw, importing=False)
+        if value is None:
+            return with_operand(TDX_OPERAND_INVALID, TD_CONFIG_RULES[name][1])
+        if write_early:
+            td.td_store[name][0] = value
+        admitted.append((name, value))
+    if not write_early:
+        td.num_vcpus = 0
+        for name, value in admitted:
+            td.td_store[name][0] = value
     return TDX_SUCCESS
 
 
@@ -569,31 +575,10 @@ def is_event_allowed(td: TdComplex, event_select: int, umask: int) -> bool:
     return index < len(live) and live[index] == key
 
 
-def _check_eptp(sink: "TdImportSink", values: list[int]) -> bool:
-    """Re-root the controls at the TD's SEPT; the re-rooted value is what gets stored."""
-    td = sink.td
-    if not verify_and_set_td_eptp_controls(td, td.gpaw, EptpControls.from_raw(values[0])):
-        return False
-    values[0] = td.eptp_raw
-    return True
-
-
-# The value check of each field with special write handling, by name; each
-# reads the field's masked values and may rewrite them before they are stored.
-# GPAW, XBUFF and MIG_DEC_KEY carry the flag with no extra constraint modeled.
-_VALUE_CHECKS = {
-    "ATTRIBUTES": lambda sink, values: verify_td_attributes(TdAttributes(values[0]), sink.is_import),
-    "XFAM": lambda sink, values: check_xfam(values[0]),
-    "EPTP": _check_eptp,
-    "NUM_VCPUS": lambda sink, values: 0 < values[0] <= MAX_VCPUS_PER_TD,
-    "TSC_FREQUENCY": lambda sink, values: (
-        VIRT_TSC_FREQUENCY_MIN <= values[0] <= VIRT_TSC_FREQUENCY_MAX
-    ),
-    "HP_LOCK_TIMEOUT": lambda sink, values: (
-        MIN_HP_LOCK_TIMEOUT_USEC <= values[0] <= MAX_HP_LOCK_TIMEOUT_USEC
-    ),
-    "XCR0": lambda sink, values: bool(values[0] & XCR0_X87),
-}
+def _check_config(sink: "TdImportSink", values: list[int]) -> bool:
+    """Admit the field through TD_CONFIG_RULES; the admitted value is what gets stored."""
+    values[0] = admit_td_config(sink.td, sink._entry.name, values[0], sink.td.gpaw, importing=True)
+    return values[0] is not None
 
 
 def _check_gpas(sink: "TdImportSink", values: list[int]) -> bool:
@@ -604,10 +589,11 @@ def _check_gpas(sink: "TdImportSink", values: list[int]) -> bool:
 class TdImportSink:
     """Metadata sink bound to one TD scope for one import operation.
 
-    Applies the per-field special write handling (verification on the way in)
-    and, on an import, records each written element and skipped field in the
-    TD's import_written ledger.  The skipped-address-check behavior is the
-    pre-fix variant: private-GPA fields are stored without validity checks.
+    Applies the per-field special write handling (verification on the way in,
+    through TD_CONFIG_RULES for the TD-configuration fields) and records each
+    written element and skipped field in the TD's import_written ledger.  The
+    skipped-address-check behavior is the pre-fix variant: private-GPA fields
+    are stored without validity checks.
 
     The sink works per catalog entry.  When the walk hands it a field of a new
     entry it looks up that entry's value checks and binds the entry's storage:
@@ -624,12 +610,10 @@ class TdImportSink:
     def __init__(
         self,
         td: TdComplex,
-        is_import: bool = True,
         vp_index: Optional[int] = None,
         gpa_checks: bool = False,
     ):
         self.td = td
-        self.is_import = is_import
         self.vp_index = vp_index
         self.gpa_checks = gpa_checks
         self._entry: Optional[FieldEntry] = None
@@ -665,10 +649,10 @@ class TdImportSink:
     def _enter(self, entry: FieldEntry) -> None:
         """Start on a new entry: look up its value checks, and bind its storage if it has none."""
         checks = []
-        if entry.gpa_private and self.is_import and self.gpa_checks:
+        if entry.gpa_private and self.gpa_checks:
             checks.append(_check_gpas)
-        if entry.special_wr_handling and entry.name in _VALUE_CHECKS:
-            checks.append(_VALUE_CHECKS[entry.name])
+        if entry.special_wr_handling and entry.name in TD_CONFIG_RULES:
+            checks.append(_check_config)
         self._entry = entry
         self._checks = tuple(checks)
         self._overwrite = entry.special_wr_handling
@@ -678,17 +662,13 @@ class TdImportSink:
         """Bind the entry's storage: at once if it has no checks, else when a field passes them."""
         td = self.td
         store = self._values = td._scope_values(entry, self.vp_index)
-        marks = td.store_marks(store)
-        if self.is_import:
-            ledger = td.import_written.setdefault(td.ledger_key(entry, self.vp_index), set())
-            marks = (ledger, *marks)
-        self._marks = marks
+        ledger = td.import_written.setdefault(td.ledger_key(entry, self.vp_index), set())
+        self._marks = (ledger, *td.store_marks(store))
         return store
 
     def record_skip(self, entry: FieldEntry, field_index: int) -> None:
         """A skipped field makes its entry present in the ledger with nothing written."""
-        if self.is_import:
-            self.td.import_written.setdefault(self.td.ledger_key(entry, self.vp_index), set())
+        self.td.import_written.setdefault(self.td.ledger_key(entry, self.vp_index), set())
 
 
 class TdExportSource:

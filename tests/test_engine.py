@@ -24,6 +24,7 @@ from tdxmodel.scenarios import (
     export_blackout,
     finish_import,
     import_to_state_import,
+    new_template,
     seal,
     standard_setup,
 )
@@ -35,7 +36,26 @@ from tdxmodel.states import (
     transition,
     validate_trace,
 )
-from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, TdComplex, TdParams
+from tdxmodel.td import (
+    ATTR_DEBUG,
+    ATTR_MIGRATABLE,
+    ATTR_PERFMON,
+    ATTR_SEPT_VE_DISABLE,
+    LVL_PML4,
+    LVL_PML5,
+    MAX_HP_LOCK_TIMEOUT_USEC,
+    MIN_HP_LOCK_TIMEOUT_USEC,
+    U64,
+    VIRT_TSC_FREQUENCY_MAX,
+    VIRT_TSC_FREQUENCY_MIN,
+    XCR0_X87,
+    XFAM_ALLOWED,
+    XFAM_FIXED1,
+    EptpControls,
+    TdAttributes,
+    TdComplex,
+    TdParams,
+)
 
 
 def test_build_reaches_runnable():
@@ -499,7 +519,7 @@ def test_fixed_mode_random_walk_safety_invariants():
             for candidate in m.tds.values():
                 assert not (candidate.attributes.debug and candidate.attributes.migratable)
                 if candidate.tdr_page in completed_import or candidate.op_state in import_states:
-                    assert verify_td_attributes(candidate.attributes, is_import=True), (
+                    assert verify_td_attributes(candidate.attributes, importing=True), (
                         seed, candidate.snapshot(),
                     )
         for td in m.tds.values():
@@ -786,3 +806,105 @@ def test_import_mem_busy_when_stream_held():
     migsc.locked = False
     assert m.tdh_import_mem(dst, env["mem"]) == S.TDX_SUCCESS
     assert dst.pages[0x1000] == env["src"].pages[0x1000] and not migsc.locked
+
+
+def test_vp_rd_refuses_a_vp_the_td_does_not_have():
+    m = TdxModule(seed=26)
+    status, td = m.build_td(TdParams(attributes=ATTR_DEBUG), num_vcpus=1)
+    assert status == S.TDX_SUCCESS
+    xcr0 = m.catalog.by_name(MD_CTX_VP, "XCR0")
+    assert m.tdh_vp_rd(td, 0, xcr0.field_id_raw) == (S.TDX_SUCCESS, td.xfam | XCR0_X87)
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
+    for vp_index in (1, 7):
+        assert m.tdh_vp_rd(td, vp_index, xcr0.field_id_raw) == (refused, 0)
+        assert td.trace[-1] is m.last
+        assert m.last == TraceStep(Leaf.TDH_VP_RD, td.op_state, td.op_state, refused)
+
+
+# --- build <=> honest round trip, all fixed -------------------------------------------------
+
+# Each build parameter of a migratable TD as (in range, out of range) draws; gpaw
+# and ept_pwl are drawn as one pair, since the EPTP rule reads both.
+_BUILD_FIELDS = {
+    "attributes": (st.sampled_from([ATTR_MIGRATABLE, ATTR_MIGRATABLE | ATTR_SEPT_VE_DISABLE]),
+                   st.sampled_from([ATTR_MIGRATABLE | ATTR_DEBUG, ATTR_MIGRATABLE | ATTR_PERFMON])),
+    "xfam": (st.sampled_from([XFAM_FIXED1, 0x7, XFAM_ALLOWED]),
+             st.sampled_from([0, 1]) | st.integers(XFAM_ALLOWED + 1, U64)),
+    "eptp": (st.sampled_from([(False, LVL_PML4), (False, LVL_PML5), (True, LVL_PML5)]),
+             st.tuples(st.booleans(), st.sampled_from([0, 1, 2, 5, 6, 7]))
+             | st.just((True, LVL_PML4))),
+    "tsc_frequency": (st.integers(VIRT_TSC_FREQUENCY_MIN, VIRT_TSC_FREQUENCY_MAX),
+                      st.integers(0, VIRT_TSC_FREQUENCY_MIN - 1)
+                      | st.integers(VIRT_TSC_FREQUENCY_MAX + 1, U64)),
+    "hp_lock_timeout": (st.integers(MIN_HP_LOCK_TIMEOUT_USEC, MAX_HP_LOCK_TIMEOUT_USEC),
+                        st.integers(0, MIN_HP_LOCK_TIMEOUT_USEC - 1)
+                        | st.integers(MAX_HP_LOCK_TIMEOUT_USEC + 1, U64)),
+}
+
+
+@st.composite
+def _migratable_params(draw):
+    """Migratable TdParams with no, one or two fields out of range, so builds both pass and fail."""
+    broken = draw(st.sets(st.sampled_from(sorted(_BUILD_FIELDS)), max_size=2))
+    values = {name: draw(bad if name in broken else good)
+              for name, (good, bad) in _BUILD_FIELDS.items()}
+    gpaw, ept_pwl = values.pop("eptp")
+    return TdParams(gpaw=gpaw, ept_pwl=ept_pwl, **values)
+
+
+def _holding(m, params):
+    """A TD built from valid parameters, then given ``params``' configuration directly."""
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1, num_pages=2)
+    assert status == S.TDX_SUCCESS
+    td.attributes = TdAttributes(params.attributes)
+    td.xfam = params.xfam
+    td.gpaw = int(params.gpaw)
+    td.eptp_raw = EptpControls(ept_pwl=params.ept_pwl, base_pa=td.sept_root_pa).raw
+    td.tsc_frequency = params.tsc_frequency
+    td.hp_lock_timeout = params.hp_lock_timeout
+    return td
+
+
+def _honest_round_trip(m, src):
+    """Export ``src`` and its pages on one stream and import them into a fresh template.
+
+    Returns the destination's op_state after the first call that does not succeed,
+    or after import end.
+    """
+    migtd = m.new_servtd()
+    m.tdh_mig_stream_create(src)
+    _, handle = m.tdh_servtd_bind(src, 0, migtd)
+    env = {"src": src, "migtd": migtd, "key": [m.rng.getrandbits(64) | 1 for _ in range(4)]}
+    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    for i, quadword in enumerate(env["key"]):
+        status, _ = m.tdg_servtd_wr(migtd, handle, key_entry.field_id_for(0) + i, quadword)
+        assert status == S.TDX_SUCCESS
+    env.update(new_template(m, env))
+    export_blackout(m, env)
+    mem = [m.tdh_export_mem(src, gpa)[1] for gpa in list(src.pages)]
+    dst = env["dst"]
+    calls = [
+        lambda: m.tdh_import_state_immutable(dst, env["bundle_immutable"]),
+        lambda: m.tdh_import_state_td(dst, env["bundle_td"]),
+        lambda: m.tdh_vp_create(dst)[0],
+        lambda: m.tdh_vp_addcx(dst, 0),
+        *[lambda bundle=bundle: m.tdh_import_mem(dst, bundle) for bundle in mem],
+        lambda: finish_import(m, env),
+    ]
+    for call in calls:
+        if call() != S.TDX_SUCCESS:
+            break
+    return dst.op_state
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_migratable_params())
+@example(params=TdParams(attributes=ATTR_MIGRATABLE))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE, hp_lock_timeout=0))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE, hp_lock_timeout=MAX_HP_LOCK_TIMEOUT_USEC + 1))
+def test_fixed_build_succeeds_exactly_when_the_honest_round_trip_ends_runnable(params):
+    m = TdxModule(seed=41)
+    status, td = m.build_td(params, num_vcpus=1, num_pages=2)
+    built = status == S.TDX_SUCCESS
+    src = td if built else _holding(m, params)
+    assert (_honest_round_trip(m, src) is OpState.RUNNABLE) == built, S.status_str(status)

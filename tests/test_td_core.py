@@ -1,5 +1,6 @@
 """TD aggregate behavior: attribute checks, transactions, filters, KOT, handles."""
 
+import dataclasses
 import itertools
 import random
 
@@ -8,22 +9,26 @@ from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
-from tdxmodel.catalog import MigClass
+from tdxmodel.catalog import FieldCatalog, MigClass
+from tdxmodel.engine import TdxModule
 from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, WriteMode
 from tdxmodel.td import (
     ATTR_DEBUG,
     ATTR_MIGRATABLE,
     ATTR_PERFMON,
+    ATTR_SEPT_VE_DISABLE,
     LVL_PML4,
     LVL_PML5,
     MAX_EVENT_FILTERS,
     MAX_HP_LOCK_TIMEOUT_USEC,
     MAX_VCPUS_PER_TD,
     MIN_HP_LOCK_TIMEOUT_USEC,
+    TD_CONFIG_RULES,
     TYPED_TD_FIELDS,
     VIRT_TSC_FREQUENCY_MAX,
     VIRT_TSC_FREQUENCY_MIN,
     XCR0_X87,
+    XFAM_ALLOWED,
     XFAM_FIXED1,
     EptpControls,
     EventFilter,
@@ -35,6 +40,7 @@ from tdxmodel.td import (
     TdImportSink,
     TdParams,
     VcpuState,
+    admit_td_config,
     audit_event_filters,
     break_binding_handle,
     check_gpa_validity,
@@ -45,7 +51,6 @@ from tdxmodel.td import (
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
-    verify_and_set_td_eptp_controls,
     verify_td_attributes,
 )
 
@@ -53,15 +58,15 @@ from tdxmodel.td import (
 # --- attributes -----------------------------------------------------------------
 
 def test_migratable_import_is_legal():
-    assert verify_td_attributes(TdAttributes(ATTR_MIGRATABLE), is_import=True)
+    assert verify_td_attributes(TdAttributes(ATTR_MIGRATABLE), importing=True)
 
 
 def test_debug_rejected_on_import():
-    assert not verify_td_attributes(TdAttributes(ATTR_DEBUG), is_import=True)
+    assert not verify_td_attributes(TdAttributes(ATTR_DEBUG), importing=True)
 
 
 def test_debug_allowed_when_not_migratable_outside_import():
-    assert verify_td_attributes(TdAttributes(ATTR_DEBUG), is_import=False)
+    assert verify_td_attributes(TdAttributes(ATTR_DEBUG), importing=False)
 
 
 def test_migratable_excludes_debug_and_perfmon():
@@ -109,17 +114,175 @@ def test_valid_params_accepted(mode):
     assert sept_walk_ok(td)
 
 
+# --- the rule-table build against the two-body reference ------------------------------
+
+def _reference_verify_and_set_td_eptp_controls(td, gpaw, eptp):
+    """The EPTP check and store the rule table replaced, kept for the references."""
+    if gpaw and eptp.ept_pwl < LVL_PML5:
+        return False
+    td.gpaw = int(gpaw)
+    rooted = EptpControls(
+        ept_ps_mt=eptp.ept_ps_mt,
+        ept_pwl=eptp.ept_pwl,
+        enable_ad_bits=eptp.enable_ad_bits,
+        enable_sss_control=eptp.enable_sss_control,
+        base_pa=td.sept_root_pa,
+    )
+    td.eptp_raw = rooted.raw
+    return True
+
+
+def _reference_read_and_set_td_configurations(td, params, write_early):
+    """The two-body build the one-loop build replaced, kept as its oracle.
+
+    It checks no HP_LOCK_TIMEOUT; the rule table does.
+    """
+    attrs = TdAttributes(params.attributes)
+    eptp = EptpControls(ept_pwl=params.ept_pwl)
+
+    if write_early:
+        td.num_vcpus = 0
+        if not verify_td_attributes(attrs, False):
+            return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_ATTRIBUTES)
+        td.attributes = attrs
+        if not check_xfam(params.xfam):
+            return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
+        td.xfam = params.xfam
+        if not _reference_verify_and_set_td_eptp_controls(td, params.gpaw, eptp):
+            return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
+        if not VIRT_TSC_FREQUENCY_MIN <= params.tsc_frequency <= VIRT_TSC_FREQUENCY_MAX:
+            return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TSC_FREQUENCY)
+        td.tsc_frequency = params.tsc_frequency
+        td.hp_lock_timeout = params.hp_lock_timeout
+        return S.TDX_SUCCESS
+
+    if not verify_td_attributes(attrs, False):
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_ATTRIBUTES)
+    if not check_xfam(params.xfam):
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
+    if params.gpaw and eptp.ept_pwl < LVL_PML5:
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
+    if not VIRT_TSC_FREQUENCY_MIN <= params.tsc_frequency <= VIRT_TSC_FREQUENCY_MAX:
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TSC_FREQUENCY)
+    td.num_vcpus = 0
+    td.attributes = attrs
+    td.xfam = params.xfam
+    _reference_verify_and_set_td_eptp_controls(td, params.gpaw, eptp)
+    td.tsc_frequency = params.tsc_frequency
+    td.hp_lock_timeout = params.hp_lock_timeout
+    return S.TDX_SUCCESS
+
+
+_U64S = st.integers(0, 2**64 - 1)
+# Host-supplied build parameters: values near each check's edges, and any 64-bit
+# value.  ept_pwl is the 3-bit field of the packed controls.
+_TD_PARAMS = st.builds(
+    TdParams,
+    attributes=st.sampled_from([
+        0, ATTR_DEBUG, ATTR_PERFMON, ATTR_MIGRATABLE, ATTR_MIGRATABLE | ATTR_SEPT_VE_DISABLE,
+        ATTR_MIGRATABLE | ATTR_DEBUG, ATTR_MIGRATABLE | ATTR_PERFMON,
+    ]) | _U64S,
+    xfam=st.sampled_from([0, 1, XFAM_FIXED1, 0x7, XFAM_ALLOWED, XFAM_ALLOWED + 1]) | _U64S,
+    gpaw=st.booleans(),
+    ept_pwl=st.integers(0, 7),
+    tsc_frequency=st.sampled_from([
+        VIRT_TSC_FREQUENCY_MIN - 1, VIRT_TSC_FREQUENCY_MIN, 100, VIRT_TSC_FREQUENCY_MAX,
+        VIRT_TSC_FREQUENCY_MAX + 1,
+    ]) | _U64S,
+    hp_lock_timeout=st.sampled_from([
+        0, MIN_HP_LOCK_TIMEOUT_USEC - 1, MIN_HP_LOCK_TIMEOUT_USEC, 1_000_000,
+        MAX_HP_LOCK_TIMEOUT_USEC, MAX_HP_LOCK_TIMEOUT_USEC + 1,
+    ]) | _U64S,
+)
+# The configuration a TD holds before the build call, so an untouched field shows
+# (GPAW 0, as only gpaw=1 can fail the EPTP check).
+_PRIOR = {"ATTRIBUTES": ATTR_DEBUG, "XFAM": 0x7, "EPTP": 0x1234_5678, "GPAW": 0,
+          "NUM_VCPUS": 5, "TSC_FREQUENCY": 77, "HP_LOCK_TIMEOUT": 12_345}
+
+
+def _configured_td():
+    td = _fresh_td()
+    for name, value in _PRIOR.items():
+        td.td_store[name][0] = value
+    return td
+
+
+@pytest.mark.parametrize("write_early", [True, False], ids=["vulnerable", "fixed"])
+def test_rule_table_build_matches_the_two_body_reference(write_early):
+    @settings(max_examples=300, deadline=None)
+    @given(params=_TD_PARAMS)
+    @example(params=TdParams(attributes=ATTR_MIGRATABLE))
+    @example(params=TdParams(attributes=ATTR_DEBUG, xfam=0))
+    @example(params=TdParams(gpaw=True, ept_pwl=LVL_PML4))
+    @example(params=TdParams(attributes=ATTR_MIGRATABLE, hp_lock_timeout=0))
+    @example(params=TdParams(tsc_frequency=0, hp_lock_timeout=0))
+    def check(params):
+        reference, td = _configured_td(), _configured_td()
+        want = _reference_read_and_set_td_configurations(reference, params, write_early)
+        status = read_and_set_td_configurations(td, params, write_early)
+        hp_in_range = MIN_HP_LOCK_TIMEOUT_USEC <= params.hp_lock_timeout <= MAX_HP_LOCK_TIMEOUT_USEC
+        if hp_in_range or want != S.TDX_SUCCESS:
+            assert status == want
+        else:
+            # The reference stored the out-of-range value; the table refuses it.
+            assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_METADATA_FIELD)
+            if write_early:
+                reference.hp_lock_timeout = _PRIOR["HP_LOCK_TIMEOUT"]
+            else:
+                reference = _configured_td()
+        assert td.td_store == reference.td_store
+        assert (td.gpaw, td.num_vcpus) == (reference.gpaw, reference.num_vcpus)
+
+    check()
+
+
+def test_build_checks_the_packed_walk_level():
+    """ept_pwl is judged as the 3-bit field it is stored in: 8 packs to level 0."""
+    for write_early in (True, False):
+        td = _configured_td()
+        status = read_and_set_td_configurations(td, TdParams(gpaw=True, ept_pwl=8), write_early)
+        assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
+        assert td.hp_lock_timeout == _PRIOR["HP_LOCK_TIMEOUT"]
+
+
+def test_every_rule_names_a_special_handling_entry(catalog):
+    """The sink applies a rule only to a flagged entry, so an unflagged or misspelt key is dead."""
+    for name in TD_CONFIG_RULES:
+        entries = [e for ctx in (MD_CTX_TD, MD_CTX_VP) for e in catalog.entries_for(ctx)
+                   if e.name == name]
+        assert entries and all(e.special_wr_handling for e in entries), name
+
+
+# A second valid value of each TdParams field, from a base that passes every check.
+_PARAMS_BASE = TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=LVL_PML5)
+_PARAMS_OTHER = {
+    "attributes": ATTR_MIGRATABLE | ATTR_SEPT_VE_DISABLE, "xfam": 0x7, "gpaw": True,
+    "ept_pwl": LVL_PML4, "tsc_frequency": 101,
+    "hp_lock_timeout": 1_000_001,
+}
+
+
+def test_every_params_field_feeds_a_stored_field():
+    assert set(_PARAMS_OTHER) == {f.name for f in dataclasses.fields(TdParams)}
+    base = _configured_td()
+    assert read_and_set_td_configurations(base, _PARAMS_BASE, False) == S.TDX_SUCCESS
+    for name, other in _PARAMS_OTHER.items():
+        td = _configured_td()
+        params = dataclasses.replace(_PARAMS_BASE, **{name: other})
+        assert read_and_set_td_configurations(td, params, False) == S.TDX_SUCCESS, name
+        assert td.td_store != base.td_store, name
+
+
 # --- eptp ---------------------------------------------------------------------------
 
 def test_eptp_gpaw_requires_pml5():
-    from tdxmodel.td import verify_and_set_td_eptp_controls
-
     td = _fresh_td()
-    assert not verify_and_set_td_eptp_controls(td, True, EptpControls(ept_pwl=LVL_PML4))
-    assert verify_and_set_td_eptp_controls(td, False, EptpControls(ept_pwl=LVL_PML4))
-    controls = EptpControls.from_raw(td.eptp_raw)
+    pml4, pml5 = EptpControls(ept_pwl=LVL_PML4).raw, EptpControls(ept_pwl=LVL_PML5).raw
+    assert admit_td_config(td, "EPTP", pml4, True, importing=False) is None
+    rooted = admit_td_config(td, "EPTP", pml4, False, importing=False)
+    controls = EptpControls.from_raw(rooted)
     assert controls.base_pa == td.sept_root_pa  # re-rooted at the TD's SEPT page
-    assert verify_and_set_td_eptp_controls(td, True, EptpControls(ept_pwl=LVL_PML5))
+    assert admit_td_config(td, "EPTP", pml5, True, importing=False) is not None
 
 
 def test_zeroed_eptp_fails_walk_precheck():
@@ -361,7 +524,7 @@ def test_make_rejects_out_of_range():
 
 def test_sink_special_handlers_validate(catalog):
     td = _fresh_td()
-    sink = TdImportSink(td, is_import=True)
+    sink = TdImportSink(td)
     attrs = catalog.by_name(MD_CTX_TD, "ATTRIBUTES")
     assert sink.write_field(attrs, 0, [ATTR_DEBUG], 2**64 - 1) == \
         S.TDX_METADATA_FIELD_VALUE_NOT_VALID
@@ -385,7 +548,7 @@ def test_sink_xcr0_requires_x87(catalog):
 
     td = _fresh_td()
     td.vps.append(VcpuState(0))
-    sink = TdImportSink(td, is_import=True, vp_index=0)
+    sink = TdImportSink(td, vp_index=0)
     xcr0 = catalog.by_name(MD_CTX_VP, "XCR0")
     assert sink.write_field(xcr0, 0, [0x6], 2**64 - 1) == S.TDX_METADATA_FIELD_VALUE_NOT_VALID
     assert sink.write_field(xcr0, 0, [0x7], 2**64 - 1) == S.TDX_SUCCESS
@@ -395,7 +558,7 @@ def test_sink_accounting_feeds_required_check(catalog):
     from tdxmodel.catalog import MigClass
 
     td = _fresh_td()
-    sink = TdImportSink(td, is_import=True)
+    sink = TdImportSink(td)
     missing = td.missing_required(catalog, {MD_CTX_TD}, {MigClass.MB}, None)
     names = {e.name for e in missing}
     assert "EPTP" in names and "ATTRIBUTES" in names
@@ -443,7 +606,8 @@ class _ReferenceImportSink:
     """The per-element TdImportSink the entry-bound one replaced, kept as its oracle.
 
     Every element is read and stored through the TD's generic accessors, and
-    every field is checked by name through one if/elif chain.
+    every field is checked by name through one if/elif chain.  With is_import
+    False it is the oracle of tdh_mng_wr's element write (write_elements).
     """
 
     def __init__(self, td, is_import=True, vp_index=None, gpa_checks=False):
@@ -454,11 +618,13 @@ class _ReferenceImportSink:
         self.track = is_import
 
     def write_field(self, entry, field_index, values, combined_mask):
+        return self.write_elements(entry, field_index * entry.num_of_elem, values, combined_mask)
+
+    def write_elements(self, entry, base, values, combined_mask):
         masked = [v & combined_mask for v in values]
         status = self._special_check(entry, masked)
         if status != S.TDX_SUCCESS:
             return status
-        base = field_index * entry.num_of_elem
         for k, value in enumerate(masked):
             if entry.special_wr_handling:
                 new_value = value
@@ -491,8 +657,8 @@ class _ReferenceImportSink:
             if not check_xfam(value):
                 return bad
         elif name == "EPTP":
-            if not verify_and_set_td_eptp_controls(self.td, self.td.gpaw,
-                                                   EptpControls.from_raw(value)):
+            if not _reference_verify_and_set_td_eptp_controls(self.td, self.td.gpaw,
+                                                              EptpControls.from_raw(value)):
                 return bad
             values[0] = self.td.eptp_raw
         elif name == "NUM_VCPUS":
@@ -519,11 +685,6 @@ _FIELD_VALUES = st.one_of(
     ]),
     st.integers(0, U64),
 )
-# The sink each import leaf builds, and the one tdh_mng_wr builds.
-_SINK_KINDS = {
-    "import": dict(is_import=True),
-    "mng_wr": dict(is_import=False),
-}
 
 
 @st.composite
@@ -570,7 +731,7 @@ def _metadata_list(draw, catalog, ctx):
 
 @st.composite
 def _direct_writes(draw, catalog, ctx):
-    """write_field calls made outside a walk, as tdh_mng_wr makes them, by entry name."""
+    """write_field calls made outside a walk, by entry name."""
     writes = []
     for _ in range(draw(st.integers(1, 6))):
         entry = draw(st.sampled_from(catalog.entries_for(ctx)))
@@ -583,7 +744,7 @@ def _direct_writes(draw, catalog, ctx):
 
 @st.composite
 def _sink_cases(draw, catalog):
-    """(sink kind, gpa_checks, gpaw, ops): each op is a walk or a run of direct writes."""
+    """(gpa_checks, gpaw, ops): each op is a walk or a run of direct writes."""
     ops = []
     for _ in range(draw(st.integers(1, 3))):
         ctx = draw(st.sampled_from([MD_CTX_TD, MD_CTX_VP]))
@@ -591,8 +752,7 @@ def _sink_cases(draw, catalog):
             ops.append(("walk", ctx, draw(_metadata_list(catalog, ctx))))
         else:
             ops.append(("write", ctx, draw(_direct_writes(catalog, ctx))))
-    return (draw(st.sampled_from(sorted(_SINK_KINDS))), draw(st.booleans()),
-            draw(st.booleans()), ops)
+    return draw(st.booleans()), draw(st.booleans()), ops
 
 
 def _sink_td(gpaw):
@@ -603,12 +763,11 @@ def _sink_td(gpaw):
 
 
 def _run_sink_case(sink_cls, catalog, mode, case):
-    kind, gpa_checks, gpaw, ops = case
+    gpa_checks, gpaw, ops = case
     td = _sink_td(gpaw)
     outcomes = []
     for op, ctx, payload in ops:
-        sink = sink_cls(td, vp_index=0 if ctx == MD_CTX_VP else None,
-                        gpa_checks=gpa_checks, **_SINK_KINDS[kind])
+        sink = sink_cls(td, vp_index=0 if ctx == MD_CTX_VP else None, gpa_checks=gpa_checks)
         if op == "walk":
             result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, md.ParseArena(payload),
                                    sink, mode)
@@ -655,28 +814,141 @@ def test_entry_bound_sink_matches_per_element_reference(catalog, mode):
     @settings(max_examples=40, deadline=None)
     @given(case=_sink_cases(catalog))
     # EPTP is stored as re-rooted by its check, not masked again.
-    @example(case=("import", True, False, [("walk", MD_CTX_TD, _eptp_list())]))
+    @example(case=(True, False, [("walk", MD_CTX_TD, _eptp_list())]))
     # A refused field leaves no written-position entry behind.
-    @example(case=("import", False, False, [("walk", MD_CTX_TD, _refused_attributes_list())]))
-    # tdh_mng_wr's untracked sink still marks the session key's quadwords.
-    @example(case=("mng_wr", True, False,
-                   [("write", MD_CTX_TD, [("MIG_DEC_KEY", 0, [0x1234], U64)])]))
+    @example(case=(False, False, [("walk", MD_CTX_TD, _refused_attributes_list())]))
     # A run of one plain entry under a partial mask keeps each field's bits outside it.
-    @example(case=("import", False, False, _masked_run_lists(catalog)))
+    @example(case=(False, False, _masked_run_lists(catalog)))
     # A special-handling entry with no checks, after a plain one, drops the bits outside the mask.
-    @example(case=("import", False, False, [("write", MD_CTX_TD, [
+    @example(case=(False, False, [("write", MD_CTX_TD, [
         ("TD_EPOCH", 0, [U64], U64),
         ("MIG_DEC_KEY", 0, [U64] * 4, U64),
         ("MIG_DEC_KEY", 0, [0x1234, 1, 2, 3], 0xFFFF_0000),
     ])]))
-    # tdh_mng_wr's one-value write under a partial mask keeps the stored bits outside it.
-    @example(case=("mng_wr", False, False, [("write", MD_CTX_TD, [
-        ("TD_EPOCH", 0, [U64], U64),
-        ("TD_EPOCH", 0, [0x1234], 0xFFFF_0000),
-    ])]))
     def check(case):
         expected = _run_sink_case(_ReferenceImportSink, catalog, mode, case)
         assert _run_sink_case(TdImportSink, catalog, mode, case) == expected
+
+    check()
+
+
+# --- tdh_mng_wr: the addressed element, admitted through the rule table ---------------------
+
+@pytest.fixture(scope="module")
+def writable_catalog(catalog):
+    """The shipped catalog with every TD entry's host write masks set; the shipped ones are zero."""
+    return FieldCatalog([
+        dataclasses.replace(e, prod_wr_mask=U64, dbg_wr_mask=U64) if ctx == MD_CTX_TD else e
+        for ctx in (MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP) for e in catalog.entries_for(ctx)
+    ])
+
+
+def _mng_wr_td(catalog):
+    """A built RUNNABLE TD, and its module reading ``catalog``."""
+    m = TdxModule(seed=5)
+    m.catalog = catalog
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1, num_pages=1)
+    assert status == S.TDX_SUCCESS
+    return m, td
+
+
+def _stores(td):
+    return {name: list(values) for name, values in td.td_store.items()}
+
+
+def test_mng_wr_writes_the_addressed_element(writable_catalog):
+    m, td = _mng_wr_td(writable_catalog)
+    td_uuid = writable_catalog.by_name(MD_CTX_TD, "TD_UUID")
+    virtual_tsc = writable_catalog.by_name(MD_CTX_TD, "VIRTUAL_TSC")
+    before = list(td.td_uuid)
+    assert m.tdh_mng_wr(td, td_uuid.field_id_for(0) + 2, 0xAB) == S.TDX_SUCCESS
+    assert td.td_uuid == [*before[:2], 0xAB, before[3]]
+    assert m.tdh_mng_rd(td, td_uuid.field_id_for(0) + 2) == (S.TDX_SUCCESS, [0xAB])
+    before = [td.read_element(virtual_tsc, k) for k in range(2)]
+    assert m.tdh_mng_wr(td, virtual_tsc.field_id_for(0) + 1, 0xCD) == S.TDX_SUCCESS
+    assert [td.read_element(virtual_tsc, k) for k in range(2)] == [before[0], 0xCD]
+
+
+def test_mng_wr_partial_mask_keeps_plain_bits_and_clears_special_ones(writable_catalog):
+    m, td = _mng_wr_td(writable_catalog)
+    epoch = writable_catalog.by_name(MD_CTX_TD, "TD_EPOCH")
+    key = writable_catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    for entry in (epoch, key):
+        assert m.tdh_mng_wr(td, entry.field_id_for(0), U64) == S.TDX_SUCCESS
+        assert m.tdh_mng_wr(td, entry.field_id_for(0), 0x1234_5678, 0xFFFF_0000) == S.TDX_SUCCESS
+    assert td.read_element(epoch, 0) == 0xFFFF_FFFF_1234_FFFF
+    assert td.read_element(key, 0) == 0x1234_0000
+    # A ruled field is admitted as masked: 100 passes the TSC rule, and EPTP is re-rooted.
+    tsc = writable_catalog.by_name(MD_CTX_TD, "TSC_FREQUENCY")
+    assert m.tdh_mng_wr(td, tsc.field_id_for(0), (1 << 32) | 100, 0xFFFF) == S.TDX_SUCCESS
+    assert td.tsc_frequency == 100
+    eptp = writable_catalog.by_name(MD_CTX_TD, "EPTP")
+    raw = EptpControls(ept_pwl=LVL_PML5, base_pa=0x55).raw
+    assert m.tdh_mng_wr(td, eptp.field_id_for(0), raw) == S.TDX_SUCCESS
+    assert EptpControls.from_raw(td.eptp_raw) == EptpControls(ept_pwl=LVL_PML5,
+                                                              base_pa=td.sept_root_pa)
+
+
+def test_mng_wr_refused_value_changes_nothing(writable_catalog):
+    m, td = _mng_wr_td(writable_catalog)
+    for name, value in (("HP_LOCK_TIMEOUT", MIN_HP_LOCK_TIMEOUT_USEC - 1),
+                        ("ATTRIBUTES", ATTR_MIGRATABLE | ATTR_DEBUG), ("TSC_FREQUENCY", 0)):
+        before, op_state = _stores(td), td.op_state
+        entry = writable_catalog.by_name(MD_CTX_TD, name)
+        status = m.tdh_mng_wr(td, entry.field_id_for(0), value)
+        assert status == S.TDX_METADATA_FIELD_VALUE_NOT_VALID, name
+        assert _stores(td) == before
+        assert (m.last.status, m.last.after, td.op_state) == (status, op_state, op_state)
+
+
+def test_mng_wr_marks_key_quadwords_and_records_no_import(writable_catalog):
+    m, td = _mng_wr_td(writable_catalog)
+    key = writable_catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    assert not td.mig_dec_key_set
+    for i in range(4):
+        assert m.tdh_mng_wr(td, key.field_id_for(0) + i, i + 1) == S.TDX_SUCCESS
+        assert td._mig_dec_key_written == set(range(i + 1))
+    assert td.session_key.to_quadwords() == [1, 2, 3, 4]
+    assert td.import_written == {}
+
+
+def _reference_mng_wr(td, entry, position, value, mask):
+    """tdh_mng_wr's write of one element, through the per-element reference."""
+    wr_mask = entry.dbg_wr_mask if td.attributes.debug else entry.prod_wr_mask
+    if mask & wr_mask == 0:
+        return S.TDX_METADATA_FIELD_NOT_WRITABLE
+    sink = _ReferenceImportSink(td, is_import=False)
+    return sink.write_elements(entry, position, [value], mask & wr_mask)
+
+
+@st.composite
+def _host_writes(draw, catalog):
+    """tdh_mng_wr calls, by entry name: (name, element position, value, mask)."""
+    writes = []
+    for _ in range(draw(st.integers(1, 6))):
+        entry = draw(st.sampled_from(catalog.entries_for(MD_CTX_TD)))
+        position = draw(st.integers(0, entry.code_span - 1))
+        mask = draw(st.sampled_from([U64, 0xFFFF_0000, entry.import_mask, 0]) | _U64S)
+        writes.append((entry.name, position, draw(_FIELD_VALUES), mask))
+    return writes
+
+
+def test_mng_wr_matches_the_per_element_reference(writable_catalog):
+    @settings(max_examples=100, deadline=None)
+    @given(writes=_host_writes(writable_catalog))
+    # A host write still marks the session key's quadwords.
+    @example(writes=[("MIG_DEC_KEY", 0, 0x1234, U64)])
+    # A one-value write under a partial mask keeps the stored bits outside it.
+    @example(writes=[("TD_EPOCH", 0, U64, U64), ("TD_EPOCH", 0, 0x1234, 0xFFFF_0000)])
+    def check(writes):
+        (m, td), (_, reference) = _mng_wr_td(writable_catalog), _mng_wr_td(writable_catalog)
+        for name, position, value, mask in writes:
+            entry = writable_catalog.by_name(MD_CTX_TD, name)
+            want = _reference_mng_wr(reference, entry, position, value, mask)
+            assert m.tdh_mng_wr(td, entry.field_id_for(0) + position, value, mask) == want
+        assert td.td_store == reference.td_store
+        assert td._mig_dec_key_written == reference._mig_dec_key_written
+        assert td.import_written == reference.import_written == {}
 
     check()
 
@@ -766,22 +1038,18 @@ def test_missing_required_matches_separate_skip_set_rule(catalog):
     @example(case=([("write", td_uuid, 0, [7, 7], None)], mb_td))
     def check(case):
         ops, (contexts, kinds, vp_index) = case
-        td, untracked = _ledger_td(), _ledger_td()
-        sinks = {vp: TdImportSink(td, is_import=True, vp_index=vp) for vp in (None, 0, 1)}
+        td = _ledger_td()
+        sinks = {vp: TdImportSink(td, vp_index=vp) for vp in (None, 0, 1)}
         written, skipped = {}, set()
         for op, entry, field_index, values, vp in ops:
-            other = TdImportSink(untracked, is_import=False, vp_index=vp)
             key = (entry.context_code, vp or 0, entry.class_code, entry.field_code)
             if op == "skip":
                 sinks[vp].record_skip(entry, field_index)
-                other.record_skip(entry, field_index)
                 skipped.add(key + (field_index,))
                 continue
-            other.write_field(entry, field_index, list(values), U64)
             if sinks[vp].write_field(entry, field_index, list(values), U64) == S.TDX_SUCCESS:
                 base = field_index * entry.num_of_elem
                 written.setdefault(key, set()).update(range(base, base + len(values)))
-        assert untracked.import_written == {}
         want = _reference_missing(catalog, written, skipped, contexts, kinds, vp_index)
         assert td.missing_required(catalog, contexts, kinds, vp_index) == want
 
