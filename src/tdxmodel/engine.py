@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import random
 import struct
 from dataclasses import dataclass, fields as dc_fields, replace
@@ -40,6 +41,7 @@ from .states import (
     transition,
 )
 from .status import (
+    OPERAND_ID_R8,
     OPERAND_ID_RCX,
     OPERAND_ID_TDR,
     OPERAND_ID_TDVPR,
@@ -67,6 +69,7 @@ from .status import (
     with_operand,
 )
 from .td import (
+    BINDING_SLOT_BITS,
     MAX_EXPORT_COUNT,
     MAX_VCPUS_PER_TD,
     U64,
@@ -153,6 +156,8 @@ class Servtd:
 OUTCOMES = ("success", "failure", "interrupted")
 # A locked TD refuses every call with this word.
 TDR_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
+# The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
+TDVPR_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
 # A page's (gpa, token) as measured and as a MEM bundle carries it, zero-padded
 # to one list.
 _GPA_TOKEN = struct.Struct("<QQ")
@@ -174,6 +179,15 @@ def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
     }
 
 
+def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
+    """The stream ``index`` names, or the word refusing it: no such stream, then no full key."""
+    if not 0 <= index < len(td.migsc):
+        return TDX_MIGRATION_STREAM_STATE_INCORRECT
+    if not td.mig_dec_key_set:
+        return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
+    return td.migsc[index]
+
+
 def _nothing() -> None:
     """The value a (status, value) leaf returns with a bare status."""
 
@@ -182,15 +196,17 @@ def _leaf(leaf: Leaf, returns=None):
     """Dispatch one host leaf: the gate, the body, and one trace step.
 
     The step is built first, as ``module.last``, for the body to record on.
-    The gate refuses a fatal or locked TD and a call with no host matrix row;
-    otherwise the body runs.  It returns a bare status, (status, outcome) or,
-    for a leaf given ``returns``, (status, outcome, value); an outcome moves
-    the op_state along the admitted matrix row, and a bare status leaves it in
-    place.  A leaf given ``returns`` answers (status, value), where
-    ``returns()`` is the value that goes with a bare status, a refused call's
-    included.
+    The gate refuses a fatal or locked TD, a call with no host matrix row and,
+    where the body's first operand after the TD is ``vp_index``, a VP the TD
+    does not have; otherwise the body runs.  It returns a bare status,
+    (status, outcome) or, for a leaf given ``returns``, (status, outcome,
+    value); an outcome moves the op_state along the admitted matrix row, and a
+    bare status leaves it in place.  A leaf given ``returns`` answers (status,
+    value), where ``returns()`` is the value that goes with a bare status, a
+    refused call's included.
     """
     def wrap(body):
+        takes_vp = list(inspect.signature(body).parameters)[2:3] == ["vp_index"]
         @functools.wraps(body)
         def dispatch(self, td, *args, **kwargs):
             before = td.op_state
@@ -203,6 +219,8 @@ def _leaf(leaf: Leaf, returns=None):
                 result = TDR_BUSY
             elif edges is None:
                 result = TDX_OP_STATE_INCORRECT
+            elif takes_vp and not 0 <= (args[0] if args else kwargs["vp_index"]) < len(td.vps):
+                result = TDVPR_INVALID
             else:
                 result = body(self, td, *args, **kwargs)
             if type(result) is not tuple:
@@ -294,9 +312,8 @@ class TdxModule:
     # -- lifecycle and build -------------------------------------------------
 
     def tdh_mng_create(self, hkid: int) -> tuple[int, Optional[TdComplex]]:
-        if hkid >= len(self.kot) or self.kot.states[hkid] is not KotState.HKID_FREE:
+        if not self.kot.claim(hkid, KotState.HKID_ASSIGNED):
             return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX), None
-        self.kot.states[hkid] = KotState.HKID_ASSIGNED
         td = TdComplex(tdr_page=self.alloc_page(), hkid=hkid)
         td.sept_root_pa = self.alloc_page()
         td.td_uuid[:] = [self.rng.getrandbits(64) for _ in range(4)]
@@ -345,7 +362,7 @@ class TdxModule:
         if td.op_state is OpState.INITIALIZED:
             # Build path: the vcpu counter tracks created VPs.
             if td.num_vcpus + 1 > MAX_VCPUS_PER_TD:
-                return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
+                return TDVPR_INVALID
             td.num_vcpus += 1
             x2apic = self.catalog.by_name(MD_CTX_TD, "X2APIC_IDS")
             td.write_element_raw(x2apic, index, index)
@@ -354,14 +371,10 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_VP_ADDCX)
     def tdh_vp_addcx(self, td: TdComplex, vp_index: int) -> int:
-        if vp_index >= len(td.vps):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_VP_INIT)
     def tdh_vp_init(self, td: TdComplex, vp_index: int) -> int:
-        if vp_index >= len(td.vps):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         vp = td.vps[vp_index]
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         vp.values(xcr0)[0] = td.xfam | XCR0_X87
@@ -396,8 +409,6 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_VP_ENTER)
     def tdh_vp_enter(self, td: TdComplex, vp_index: int) -> int:
-        if vp_index >= len(td.vps):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         vp = td.vps[vp_index]
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
@@ -457,15 +468,16 @@ class TdxModule:
     # -- streams and service TDs --------------------------------------------
 
     @_leaf(Leaf.TDH_MIG_STREAM_CREATE)
-    def tdh_mig_stream_create(self, td: TdComplex, stream_index: Optional[int] = None) -> int:
-        index = stream_index if stream_index is not None else len(td.migsc)
-        td.migsc.append(MigStreamContext(stream_index=index))
+    def tdh_mig_stream_create(self, td: TdComplex) -> int:
+        td.migsc.append(MigStreamContext(stream_index=len(td.migsc)))
         return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_SERVTD_BIND, _nothing)
     def tdh_servtd_bind(
         self, td: TdComplex, slot: int, servtd: Servtd
     ) -> tuple[int, Optional[int]]:
+        if not 0 <= slot < 1 << BINDING_SLOT_BITS:
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R8)
         td.servtd_bindings[slot] = servtd.uuid
         handle = make_binding_handle(slot, td.tdr_page, servtd.uuid[0])
         return TDX_SUCCESS, "success", handle
@@ -554,8 +566,6 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_VP_RD, int)
     def tdh_vp_rd(self, td: TdComplex, vp_index: int, field_id_raw: int) -> tuple[int, int]:
-        if vp_index >= len(td.vps):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_VP, fid)
         if entry is None:
@@ -571,11 +581,6 @@ class TdxModule:
     def _entries_by_mig(self, context_code: int, kinds: tuple[MigClass, ...]) -> list:
         return [e for e in self.catalog.entries_for(context_code) if e.mig_export in kinds]
 
-    def _stream(self, td: TdComplex, index: int) -> Optional[MigStreamContext]:
-        if index >= len(td.migsc):
-            return None
-        return td.migsc[index]
-
     def _seal(self, migsc: MigStreamContext, bundle_type: BundleType,
               lists: list[md.MdList]) -> Bundle:
         """Seal on a stream the caller holds, under the key its guard installed."""
@@ -589,11 +594,9 @@ class TdxModule:
             return TDX_TD_NOT_MIGRATABLE
         if td.export_count >= MAX_EXPORT_COUNT:
             return TDX_MAX_EXPORTS_EXCEEDED
-        migsc = self._stream(td, migsc_index)
-        if migsc is None:
-            return TDX_MIGRATION_STREAM_STATE_INCORRECT
-        if not td.mig_dec_key_set:
-            return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
         with migsc.hold(td.session_key) as busy:
             if busy:
                 return busy
@@ -614,9 +617,9 @@ class TdxModule:
     def _export_mutable(self, td: TdComplex, migsc_index: int, context_code: int,
                         bundle_type: BundleType, source: TdExportSource):
         """Shared body of the mutable-state export leaves: seal the context's ME entries."""
-        migsc = self._stream(td, migsc_index)
-        if migsc is None or not td.mig_dec_key_set:
-            return TDX_MIGRATION_STREAM_STATE_INCORRECT
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
         with migsc.hold(td.session_key) as busy:
             if busy:
                 return busy
@@ -633,8 +636,6 @@ class TdxModule:
     def tdh_export_state_vp(
         self, td: TdComplex, vp_index: int, migsc_index: int = 0
     ) -> tuple[int, Optional[Bundle]]:
-        if vp_index >= len(td.vps):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         source = TdExportSource(td, vp_index=vp_index)
         return self._export_mutable(td, migsc_index, MD_CTX_VP, BundleType.VP, source)
 
@@ -643,9 +644,9 @@ class TdxModule:
         self, td: TdComplex, gpa: int, migsc_index: int = 0, abort: bool = False
     ) -> tuple[int, Optional[Bundle]]:
         """Export one page; the IV counter advances even when the call aborts."""
-        migsc = self._stream(td, migsc_index)
-        if migsc is None or not td.mig_dec_key_set:
-            return TDX_MIGRATION_STREAM_STATE_INCORRECT
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
         with migsc.hold(td.session_key) as busy:
             if busy:
                 return busy
@@ -697,11 +698,9 @@ class TdxModule:
         A bundle that does not open takes the failure edge, as in tdh_import_mem.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
-        migsc = self._stream(td, migsc_index)
-        if migsc is None:
-            return TDX_MIGRATION_STREAM_STATE_INCORRECT
-        if not td.mig_dec_key_set:
-            return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
         if bundle.mbmd.bundle_type is not bundle_type:
             return TDX_INVALID_MBMD
         with migsc.hold(td.session_key) as busy:
@@ -780,8 +779,6 @@ class TdxModule:
         migsc_index: int = 0,
         policy: Optional[InterruptPolicy] = None,
     ) -> int:
-        if vp_index >= len(td.vps):
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
         result = self._import_lists(
             td, bundle, migsc_index, BundleType.VP, vp_index=vp_index, policy=policy
         )
@@ -791,9 +788,9 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_IMPORT_MEM)
     def tdh_import_mem(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
-        migsc = self._stream(td, migsc_index)
-        if migsc is None or not td.mig_dec_key_set:
-            return TDX_MIGRATION_STREAM_STATE_INCORRECT
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
         if not sept_walk_ok(td):
             td.fatal = True
             return TDX_TD_FATAL

@@ -205,6 +205,13 @@ class Kot:
     def free_hkids(self) -> list[int]:
         return [i for i, state in enumerate(self.states) if state is KotState.HKID_FREE]
 
+    def claim(self, hkid: int, state: KotState) -> bool:
+        """Move a free HKID to ``state``; False, with the table unchanged, for any other."""
+        if not 0 <= hkid < len(self.states) or self.states[hkid] is not KotState.HKID_FREE:
+            return False
+        self.states[hkid] = state
+        return True
+
 
 def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
                             leak_on_error: bool) -> int:
@@ -214,9 +221,8 @@ def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
     so repeated failing calls drain the table.  The fixed variant restores
     HKID_FREE before returning the error.
     """
-    if hkid >= len(kot) or kot.states[hkid] is not KotState.HKID_FREE:
+    if not kot.claim(hkid, KotState.HKID_RESERVED):
         return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX)
-    kot.states[hkid] = KotState.HKID_RESERVED
     for address in tdmr_entries:
         if address % TDMR_ENTRY_ALIGNMENT:
             if not leak_on_error:
@@ -438,8 +444,9 @@ TD_CONFIG_RULES = {
     "ATTRIBUTES": (lambda v, gpaw, importing: verify_td_attributes(TdAttributes(v), importing),
                    OPERAND_ID_ATTRIBUTES),
     "XFAM": (lambda v, *_: check_xfam(v), OPERAND_ID_XFAM),
-    "EPTP": (lambda v, gpaw, _: not gpaw or EptpControls.from_raw(v).ept_pwl >= LVL_PML5,
-             OPERAND_ID_EPTP_CONTROLS),
+    # The walk is four or five levels deep, and five where GPAW widens the GPA.
+    "EPTP": (lambda v, gpaw, _: (LVL_PML5 if gpaw else LVL_PML4)
+             <= EptpControls.from_raw(v).ept_pwl <= LVL_PML5, OPERAND_ID_EPTP_CONTROLS),
     "NUM_VCPUS": (lambda v, *_: 0 < v <= MAX_VCPUS_PER_TD, OPERAND_ID_METADATA_FIELD),
     "TSC_FREQUENCY": (lambda v, *_: VIRT_TSC_FREQUENCY_MIN <= v <= VIRT_TSC_FREQUENCY_MAX,
                       OPERAND_ID_TSC_FREQUENCY),
@@ -515,43 +522,35 @@ def init_event_filters(
     entries: list[int],
     count_first: bool,
 ) -> int:
-    """Install the guest perfmon event allow list.
+    """Install the guest perfmon event allow list from TD_PARAMS' 32-entry array.
 
-    The vulnerable variant (count_first) assigns the filter count before the
+    An entry past the end of ``entries`` reads as zero, an illegal filter.  The
+    vulnerable variant (count_first) assigns the filter count before the
     validation loop and bails out mid-array on the first bad entry, leaving
     stale, unsorted, or never-initialized slots covered by the count.  The fixed
     variant validates into a scratch buffer and zeroes everything on failure.
     """
     if not (event_filtering and td.attributes.perfmon):
         return TDX_SUCCESS
-    if count > MAX_EVENT_FILTERS:
+    if not 0 <= count <= MAX_EVENT_FILTERS:
         return with_operand(TDX_EVENT_FILTER_INVALID, 0)
-
+    entries = list(entries[:count]) + [0] * count
     if count_first:
         td.event_filters_num = count
-        for i in range(count):
-            entry = EventFilter.from_raw(entries[i])
-            if not entry.legal:
-                return with_operand(TDX_EVENT_FILTER_INVALID, i)
-            if i != 0 and td.event_filters[i - 1] >= entry.internal:
-                return with_operand(TDX_EVENT_FILTER_ORDER_INVALID, i)
-            td.event_filters[i] = entry.internal
-        return TDX_SUCCESS
-
-    scratch = []
+    filters = td.event_filters if count_first else [0] * MAX_EVENT_FILTERS
     for i in range(count):
         entry = EventFilter.from_raw(entries[i])
         if not entry.legal:
-            td.event_filters_num = 0
-            td.event_filters = [0] * MAX_EVENT_FILTERS
-            return with_operand(TDX_EVENT_FILTER_INVALID, i)
-        if i != 0 and scratch[i - 1] >= entry.internal:
-            td.event_filters_num = 0
-            td.event_filters = [0] * MAX_EVENT_FILTERS
-            return with_operand(TDX_EVENT_FILTER_ORDER_INVALID, i)
-        scratch.append(entry.internal)
-    td.event_filters = scratch + [0] * (MAX_EVENT_FILTERS - len(scratch))
-    td.event_filters_num = count
+            status = with_operand(TDX_EVENT_FILTER_INVALID, i)
+        elif i != 0 and filters[i - 1] >= entry.internal:
+            status = with_operand(TDX_EVENT_FILTER_ORDER_INVALID, i)
+        else:
+            filters[i] = entry.internal
+            continue
+        if not count_first:
+            td.event_filters, td.event_filters_num = [0] * MAX_EVENT_FILTERS, 0
+        return status
+    td.event_filters, td.event_filters_num = filters, count
     return TDX_SUCCESS
 
 

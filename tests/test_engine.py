@@ -1,5 +1,7 @@
 """Engine flows: build ordering, interruptible imports, exports, and round-trips."""
 
+import copy
+import inspect
 import random
 
 import pytest
@@ -52,6 +54,7 @@ from tdxmodel.td import (
     XFAM_ALLOWED,
     XFAM_FIXED1,
     EptpControls,
+    EventFilter,
     TdAttributes,
     TdComplex,
     TdParams,
@@ -75,6 +78,24 @@ def test_mng_init_requires_control_pages():
     status = m.tdh_mng_init(td, TdParams())
     assert status == S.TDX_TDCX_NUM_INCORRECT
     assert td.op_state is OpState.UNINITIALIZED
+
+
+@pytest.mark.parametrize("bug3", [True, False], ids=["vulnerable", "fixed"])
+def test_mng_init_refuses_a_filter_count_outside_the_array_as_a_step(bug3):
+    """A count past the one filter given, or below zero: a refusal with its trace step."""
+    filter_ok = EventFilter(event_select=1, umask=1).raw
+    for count, word in ((2, S.with_operand(S.TDX_EVENT_FILTER_INVALID, 1)),
+                        (-1, S.with_operand(S.TDX_EVENT_FILTER_INVALID, 0))):
+        m = TdxModule(EngineMode(bug3=bug3), seed=1)
+        _, td = m.tdh_mng_create(hkid=0)
+        m.tdh_mng_key_config(td)
+        for _ in range(TdComplex.MIN_TDCX_PAGES):
+            m.tdh_mng_addcx(td)
+        status = m.tdh_mng_init(td, TdParams(attributes=ATTR_PERFMON), event_filtering=True,
+                                event_filters_num=count, event_filters=[filter_ok])
+        assert status == word and td.trace[-1] is m.last
+        assert (m.last.leaf, m.last.status) == (Leaf.TDH_MNG_INIT, word)
+        assert td.event_filters_num == (count if bug3 and count >= 0 else 0)
 
 
 def test_mem_add_before_init_is_state_error():
@@ -690,7 +711,12 @@ def test_rekey_on_destination_applies_to_next_import():
     assert m.tdh_import_mem(dst, second) == S.TDX_INCORRECT_MBMD_MAC
 
 
-def test_partly_written_key_is_stream_state_incorrect():
+def _admitting(m, leaf):
+    """The first op_state whose host matrix row admits ``leaf``, for direct placement."""
+    return next(state for state in OpState if m.matrix.is_allowed(state, leaf, "host"))
+
+
+def test_partly_written_key_is_decryption_key_not_set():
     m = TdxModule(seed=28)
     status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1)
     assert status == S.TDX_SUCCESS
@@ -705,12 +731,24 @@ def test_partly_written_key_is_stream_state_incorrect():
     status, _ = m.tdh_export_state_immutable(td)
     assert status == S.TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
     migsc = td.migsc[0]
+    unset = S.TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
     td.op_state = OpState.LIVE_EXPORT  # direct placement: the key check follows the gate
-    assert m.tdh_export_mem(td, 0x1000) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+    assert m.tdh_export_mem(td, 0x1000) == (unset, None)
     td.op_state = OpState.PAUSED_EXPORT
-    assert m.tdh_export_state_td(td) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
-    assert m.tdh_export_state_vp(td, 0) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
-    assert migsc.iv_counter == 0 and migsc.key is None
+    assert m.tdh_export_state_td(td) == (unset, None)
+    assert m.tdh_export_state_vp(td, 0) == (unset, None)
+    # Each import is handed a bundle of its own type, so only the key refuses it.
+    imports = (
+        (Leaf.TDH_IMPORT_STATE_IMMUTABLE, m.tdh_import_state_immutable, (), BundleType.IMMUTABLE),
+        (Leaf.TDH_IMPORT_STATE_TD, m.tdh_import_state_td, (), BundleType.TD),
+        (Leaf.TDH_IMPORT_STATE_VP, m.tdh_import_state_vp, (0,), BundleType.VP),
+        (Leaf.TDH_IMPORT_MEM, m.tdh_import_mem, (), BundleType.MEM),
+    )
+    for leaf, call, vp, bundle_type in imports:
+        td.op_state = state = _admitting(m, leaf)
+        assert call(td, *vp, seal([1, 2, 3, 4], bundle_type, [])) == unset, leaf
+        assert m.last == TraceStep(leaf, state, state, unset)
+    assert migsc.iv_counter == 0 and migsc.key is None and not migsc.locked
 
 
 def test_export_state_td_and_vp_busy_when_stream_held():
@@ -902,9 +940,128 @@ def _honest_round_trip(m, src):
 @example(params=TdParams(attributes=ATTR_MIGRATABLE))
 @example(params=TdParams(attributes=ATTR_MIGRATABLE, hp_lock_timeout=0))
 @example(params=TdParams(attributes=ATTR_MIGRATABLE, hp_lock_timeout=MAX_HP_LOCK_TIMEOUT_USEC + 1))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=0))
 def test_fixed_build_succeeds_exactly_when_the_honest_round_trip_ends_runnable(params):
     m = TdxModule(seed=41)
     status, td = m.build_td(params, num_vcpus=1, num_pages=2)
     built = status == S.TDX_SUCCESS
     src = td if built else _holding(m, params)
     assert (_honest_round_trip(m, src) is OpState.RUNNABLE) == built, S.status_str(status)
+
+
+def test_build_and_import_refuse_a_walk_level_other_than_pml4_or_pml5():
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
+    for ept_pwl in (0, 1, 2, 5, 6, 7):
+        m = TdxModule(seed=42)
+        params = TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=ept_pwl)
+        status, td = m.build_td(params, num_vcpus=1, num_pages=2)
+        assert status == refused and not td.fatal, ept_pwl
+        # A source holding such an EPTP: the destination refuses it before any page.
+        src = _holding(m, params)
+        assert _honest_round_trip(m, src) is OpState.FAILED_IMPORT
+        dst = m.tds[max(m.tds)]
+        assert Leaf.TDH_IMPORT_MEM not in {step.leaf for step in dst.trace}
+        assert dst.trace[-1].leaf is Leaf.TDH_IMPORT_STATE_IMMUTABLE and not dst.fatal
+
+
+# --- out-of-range operands, all fixed -----------------------------------------------------
+
+# The word that refuses each bounded operand, by parameter name.
+_OPERAND_WORDS = {
+    "vp_index": S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR),
+    "migsc_index": S.TDX_MIGRATION_STREAM_STATE_INCORRECT,
+    "hkid": S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX),
+}
+# Every public TdxModule method with a bounded operand, found from its signature:
+# (method name, the operand's parameter name).
+_BOUNDED_CALLS = sorted(
+    (name, param)
+    for name, fn in vars(TdxModule).items() if callable(fn) and not name.startswith("_")
+    for param in inspect.signature(fn).parameters if param in _OPERAND_WORDS
+)
+
+
+def _operand_env():
+    """A migratable 2-VP TD with one keyed stream, and an in-range value of each argument."""
+    m = TdxModule(seed=43)
+    env = standard_setup(m, num_vcpus=2)
+    xcr0 = m.catalog.by_name(MD_CTX_VP, "XCR0")
+    args = {
+        "vp_index": 0, "migsc_index": 0, "hkid": m.kot.free_hkids()[0], "gpa": 0x1000,
+        "bundle": env["bundle_immutable"], "field_id_raw": xcr0.field_id_raw,
+        "params": TdParams(attributes=ATTR_MIGRATABLE), "tdmr_entries": [],
+    }
+    return m, env["src"], args
+
+
+def _model_state(m):
+    tds = [(td.op_state, td.fatal, copy.deepcopy((td.td_store, td.sys_store)),
+            [copy.deepcopy(vp.store) for vp in td.vps], dict(td.pages),
+            [(migsc.iv_counter, migsc.locked) for migsc in td.migsc])
+           for td in m.tds.values()]
+    return tds, list(m.kot.states)
+
+
+def test_bounded_calls_are_found_from_the_signatures():
+    names = {name for name, _ in _BOUNDED_CALLS}
+    assert {"tdh_mng_create", "tdh_sys_config", "tdh_vp_rd", "tdh_export_state_vp",
+            "tdh_import_state_vp", "tdh_import_mem"} <= names
+    assert {param for _, param in _BOUNDED_CALLS} == set(_OPERAND_WORDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=st.sampled_from(_BOUNDED_CALLS),
+       offset=st.integers(-2**64, -1) | st.just(0) | st.integers(1, 2**64),
+       by_keyword=st.booleans())
+@example(call=("tdh_export_state_td", "migsc_index"), offset=-1, by_keyword=False)
+@example(call=("tdh_import_state_vp", "vp_index"), offset=-1, by_keyword=False)
+@example(call=("tdh_import_state_vp", "migsc_index"), offset=-1, by_keyword=True)
+@example(call=("tdh_mng_create", "hkid"), offset=-1, by_keyword=True)
+@example(call=("tdh_sys_config", "hkid"), offset=-1, by_keyword=False)
+def test_out_of_range_operand_is_refused_and_changes_nothing(call, offset, by_keyword):
+    """A negative, first-past-the-end or large index: the operand's word, no state change.
+
+    ``offset`` below zero is the index itself; otherwise the index is that far past the end.
+    """
+    name, bounded = call
+    m, td, args = _operand_env()
+    limit = {"vp_index": len(td.vps), "migsc_index": len(td.migsc), "hkid": len(m.kot)}[bounded]
+    args[bounded] = offset if offset < 0 else limit + offset
+    params = list(inspect.signature(getattr(TdxModule, name)).parameters.values())[1:]
+    host_leaf = params[0].name == "td"
+    if host_leaf:
+        leaf = Leaf[name.upper()]
+        td.op_state = state = _admitting(m, leaf)
+        params = params[1:]
+    # The arguments up to the last required or bounded one, in signature order; a
+    # defaulted parameter before it keeps its default.
+    last = max(i for i, p in enumerate(params)
+               if p.default is inspect.Parameter.empty or p.name in _OPERAND_WORDS)
+    passed = {p.name: args.get(p.name, p.default) for p in params[:last + 1]}
+    before, steps = _model_state(m), len(td.trace)
+    method = getattr(m, name)
+    head = (td,) if host_leaf else ()
+    result = method(*head, **passed) if by_keyword else method(*head, *passed.values())
+    word = _OPERAND_WORDS[bounded]
+    assert (result if type(result) is int else result[0]) == word, S.status_str(word)
+    assert _model_state(m) == before
+    if host_leaf:
+        assert td.trace[steps:] == [TraceStep(leaf, state, state, word)]
+    else:
+        assert len(td.trace) == steps
+
+
+def test_bind_refuses_a_slot_outside_twelve_bits():
+    m = TdxModule(seed=44)
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1)
+    assert status == S.TDX_SUCCESS
+    migtd = m.new_servtd()
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_R8)
+    for slot in (-1, -(1 << 12), 1 << 12, 5000, 2**64):
+        assert m.tdh_servtd_bind(td, slot, migtd) == (refused, None), slot
+        assert m.last == TraceStep(Leaf.TDH_SERVTD_BIND, td.op_state, td.op_state, refused)
+    assert td.servtd_bindings == {}
+    status, handle = m.tdh_servtd_bind(td, (1 << 12) - 1, migtd)
+    assert status == S.TDX_SUCCESS and td.servtd_bindings == {(1 << 12) - 1: migtd.uuid}
+    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
+    assert m.tdg_servtd_rd(migtd, handle, key_entry.field_id_for(0))[0] == S.TDX_SUCCESS

@@ -216,9 +216,18 @@ def test_rule_table_build_matches_the_two_body_reference(write_early):
     @example(params=TdParams(gpaw=True, ept_pwl=LVL_PML4))
     @example(params=TdParams(attributes=ATTR_MIGRATABLE, hp_lock_timeout=0))
     @example(params=TdParams(tsc_frequency=0, hp_lock_timeout=0))
+    @example(params=TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=0))
+    @example(params=TdParams(gpaw=True, ept_pwl=7))
     def check(params):
         reference, td = _configured_td(), _configured_td()
-        want = _reference_read_and_set_td_configurations(reference, params, write_early)
+        if params.ept_pwl & 0x7 in (LVL_PML4, LVL_PML5):
+            want = _reference_read_and_set_td_configurations(reference, params, write_early)
+        else:
+            # The table refuses a walk that is not four or five levels deep, where the
+            # reference checks only GPAW; the reference refuses GPAW with PML4 at the
+            # same point, after the same stores.
+            refused = dataclasses.replace(params, gpaw=True, ept_pwl=LVL_PML4)
+            want = _reference_read_and_set_td_configurations(reference, refused, write_early)
         status = read_and_set_td_configurations(td, params, write_early)
         hp_in_range = MIN_HP_LOCK_TIMEOUT_USEC <= params.hp_lock_timeout <= MAX_HP_LOCK_TIMEOUT_USEC
         if hp_in_range or want != S.TDX_SUCCESS:
@@ -455,6 +464,91 @@ def test_filtering_requires_perfmon():
     assert td.event_filters_num == 0
 
 
+def _reference_init_event_filters(td, event_filtering, count, entries, count_first):
+    """The two-loop filter install the one loop replaced, kept as its oracle.
+
+    It indexes ``entries`` by the count, so a short list raises IndexError, and it
+    accepts a negative count.
+    """
+    if not (event_filtering and td.attributes.perfmon):
+        return S.TDX_SUCCESS
+    if count > MAX_EVENT_FILTERS:
+        return S.with_operand(S.TDX_EVENT_FILTER_INVALID, 0)
+
+    if count_first:
+        td.event_filters_num = count
+        for i in range(count):
+            entry = EventFilter.from_raw(entries[i])
+            if not entry.legal:
+                return S.with_operand(S.TDX_EVENT_FILTER_INVALID, i)
+            if i != 0 and td.event_filters[i - 1] >= entry.internal:
+                return S.with_operand(S.TDX_EVENT_FILTER_ORDER_INVALID, i)
+            td.event_filters[i] = entry.internal
+        return S.TDX_SUCCESS
+
+    scratch = []
+    for i in range(count):
+        entry = EventFilter.from_raw(entries[i])
+        if not entry.legal:
+            td.event_filters_num = 0
+            td.event_filters = [0] * MAX_EVENT_FILTERS
+            return S.with_operand(S.TDX_EVENT_FILTER_INVALID, i)
+        if i != 0 and scratch[i - 1] >= entry.internal:
+            td.event_filters_num = 0
+            td.event_filters = [0] * MAX_EVENT_FILTERS
+            return S.with_operand(S.TDX_EVENT_FILTER_ORDER_INVALID, i)
+        scratch.append(entry.internal)
+    td.event_filters = scratch + [0] * (MAX_EVENT_FILTERS - len(scratch))
+    td.event_filters_num = count
+    return S.TDX_SUCCESS
+
+
+# Filter entries: legal ones in a narrow key range, so sorted runs occur, and raw values.
+_FILTER_ENTRIES = st.builds(
+    lambda e, u: EventFilter(event_select=e, umask=u).raw, st.integers(0, 7), st.integers(0, 3),
+) | st.sampled_from([0, EventFilter(negative=1).raw]) | _U64S
+
+
+def _filter_td(perfmon, prior):
+    td = _fresh_td()
+    td.attributes = TdAttributes(ATTR_PERFMON if perfmon else 0)
+    td.event_filters, td.event_filters_num = list(prior), len([v for v in prior if v])
+    return td
+
+
+@pytest.mark.parametrize("count_first", [True, False], ids=["vulnerable", "fixed"])
+def test_one_loop_filter_install_matches_the_two_loop_reference(count_first):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        filtering=st.booleans(),
+        perfmon=st.booleans(),
+        count=st.integers(-3, MAX_EVENT_FILTERS + 3),
+        entries=st.lists(_FILTER_ENTRIES, max_size=MAX_EVENT_FILTERS + 2),
+        prior=st.lists(st.integers(0, 0xFFFF), min_size=MAX_EVENT_FILTERS,
+                       max_size=MAX_EVENT_FILTERS),
+    )
+    @example(filtering=True, perfmon=True, count=2, entries=[EventFilter(event_select=1).raw],
+             prior=[0] * MAX_EVENT_FILTERS)
+    @example(filtering=True, perfmon=True, count=-1, entries=[], prior=[0] * MAX_EVENT_FILTERS)
+    def check(filtering, perfmon, count, entries, prior):
+        td, reference = _filter_td(perfmon, prior), _filter_td(perfmon, prior)
+        status = init_event_filters(td, filtering, count, entries, count_first)
+        if not (filtering and perfmon) or 0 <= count <= len(entries):
+            want = _reference_init_event_filters(reference, filtering, count, entries, count_first)
+        elif count < 0:
+            # The reference stored a negative count; the one loop refuses it.
+            want = S.with_operand(S.TDX_EVENT_FILTER_INVALID, 0)
+        else:
+            # Past the list the reference raised; the array's missing entries read as zero.
+            padded = entries + [0] * MAX_EVENT_FILTERS
+            want = _reference_init_event_filters(reference, filtering, count, padded, count_first)
+        assert status == want
+        assert (td.event_filters, td.event_filters_num) == (
+            reference.event_filters, reference.event_filters_num)
+
+    check()
+
+
 # --- KOT --------------------------------------------------------------------------------
 
 def test_vulnerable_sys_config_leaks_reservations():
@@ -482,6 +576,20 @@ def test_reserving_taken_hkid_fails():
     assert sys_config_reserve_hkid(kot, 1, [], False) == S.TDX_SUCCESS
     status = sys_config_reserve_hkid(kot, 1, [], False)
     assert S.status_class(status) == S.TDX_HKID_NOT_FREE
+
+
+@given(hkid=st.integers(-2**64, 2**64), taken=st.sets(st.integers(0, 7)),
+       state=st.sampled_from([KotState.HKID_RESERVED, KotState.HKID_ASSIGNED]))
+def test_claim_moves_only_a_free_hkid_of_the_table(hkid, taken, state):
+    kot = Kot(8)
+    for i in taken:
+        kot.states[i] = KotState.HKID_FLUSHED
+    before = list(kot.states)
+    claimed = kot.claim(hkid, state)
+    assert claimed == (0 <= hkid < 8 and hkid not in taken)
+    if claimed:
+        before[hkid] = state
+    assert kot.states == before
 
 
 # --- binding handles ----------------------------------------------------------------------
@@ -657,6 +765,9 @@ class _ReferenceImportSink:
             if not check_xfam(value):
                 return bad
         elif name == "EPTP":
+            # The walk-level rule, which the reference EPTP check predates.
+            if EptpControls.from_raw(value).ept_pwl not in (LVL_PML4, LVL_PML5):
+                return bad
             if not _reference_verify_and_set_td_eptp_controls(self.td, self.td.gpaw,
                                                               EptpControls.from_raw(value)):
                 return bad
