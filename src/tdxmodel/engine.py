@@ -43,6 +43,7 @@ from .states import (
 from .status import (
     OPERAND_ID_R8,
     OPERAND_ID_RCX,
+    OPERAND_ID_RDX,
     OPERAND_ID_TDR,
     OPERAND_ID_TDVPR,
     TDX_HKID_NOT_FREE,
@@ -359,10 +360,10 @@ class TdxModule:
     @_leaf(Leaf.TDH_VP_CREATE, _nothing)
     def tdh_vp_create(self, td: TdComplex) -> tuple[int, Optional[int]]:
         index = len(td.vps)
+        if index >= MAX_VCPUS_PER_TD:
+            return TDVPR_INVALID
         if td.op_state is OpState.INITIALIZED:
             # Build path: the vcpu counter tracks created VPs.
-            if td.num_vcpus + 1 > MAX_VCPUS_PER_TD:
-                return TDVPR_INVALID
             td.num_vcpus += 1
             x2apic = self.catalog.by_name(MD_CTX_TD, "X2APIC_IDS")
             td.write_element_raw(x2apic, index, index)
@@ -529,6 +530,8 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MNG_RD, list)
     def tdh_mng_rd(self, td: TdComplex, field_id_raw: int, count: int = 1) -> tuple[int, list[int]]:
+        if count < 1:
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RDX)
         values = []
         fid = md.decode_field_id(field_id_raw)
         code = fid.field_code
@@ -647,6 +650,8 @@ class TdxModule:
         migsc = _stream(td, migsc_index)
         if type(migsc) is int:
             return migsc
+        if gpa not in td.pages:
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
         with migsc.hold(td.session_key) as busy:
             if busy:
                 return busy
@@ -654,7 +659,7 @@ class TdxModule:
                 # Increment the counter first so an aborted call never reuses an IV.
                 migsc.next_iv()
                 return TDX_INTERRUPTED_RESUMABLE
-            payload = _GPA_TOKEN.pack(gpa, td.pages.get(gpa, 0)) + _MEM_PAD
+            payload = _GPA_TOKEN.pack(gpa, td.pages[gpa]) + _MEM_PAD
             bundle = Bundle(*encrypt_bundle(migsc, BundleType.MEM, [payload]))
         return TDX_SUCCESS, "success", bundle
 

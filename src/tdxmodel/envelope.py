@@ -19,9 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from .status import (
     OPERAND_ID_MIGSC,
     TDX_INCORRECT_MBMD_MAC,
@@ -57,7 +54,10 @@ class MigrationSessionKey:
     """256-bit AES-GCM key addressed as four little-endian quadwords.
 
     The cipher object is built once with the key and reused for every bundle
-    sealed or opened under it.
+    sealed or opened under it.  The AES-GCM bindings load with the first key,
+    not with this module, so a process that only parses lists never maps them;
+    ``decrypt_bundle`` catches the ``InvalidTag`` bound here, which is safe
+    because it refuses a stream with no key before it opens anything.
     """
 
     key: bytes
@@ -66,6 +66,10 @@ class MigrationSessionKey:
     def __post_init__(self):
         if len(self.key) != MSK_BYTES:
             raise ValueError("session key must be 32 bytes")
+        global AESGCM, InvalidTag
+        from cryptography.exceptions import InvalidTag
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
         object.__setattr__(self, "aead", AESGCM(self.key))
 
     @classmethod

@@ -46,6 +46,7 @@ from tdxmodel.td import (
     LVL_PML4,
     LVL_PML5,
     MAX_HP_LOCK_TIMEOUT_USEC,
+    MAX_VCPUS_PER_TD,
     MIN_HP_LOCK_TIMEOUT_USEC,
     U64,
     VIRT_TSC_FREQUENCY_MAX,
@@ -569,6 +570,66 @@ def test_vp_index_bounds_are_status_errors():
     assert m.tdh_vp_init(env["src"], 9) == S.TDX_OP_STATE_INCORRECT  # src is paused
     status, src2 = m.build_td(TdParams(attributes=ATTR_MIGRATABLE))
     assert m.tdh_vp_enter(src2, 9) == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
+
+
+def test_vp_create_bound_holds_on_the_build_and_the_import_path():
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
+    m = TdxModule(seed=30)
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), MAX_VCPUS_PER_TD + 1, 0)
+    assert status == refused
+    assert len(td.vps) == td.num_vcpus == MAX_VCPUS_PER_TD
+    assert td.op_state is OpState.INITIALIZED
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    dst = env["dst"]
+    num_vcpus = dst.num_vcpus
+    assert dst.op_state is OpState.STATE_IMPORT and len(dst.vps) == 1
+    for index in range(1, MAX_VCPUS_PER_TD):
+        assert m.tdh_vp_create(dst) == (S.TDX_SUCCESS, index)
+    assert m.tdh_vp_create(dst) == (refused, None)
+    assert m.last == TraceStep(Leaf.TDH_VP_CREATE, OpState.STATE_IMPORT, OpState.STATE_IMPORT, refused)
+    assert len(dst.vps) == MAX_VCPUS_PER_TD and dst.num_vcpus == num_vcpus
+
+
+def test_export_mem_refuses_a_gpa_the_td_has_no_page_at():
+    m = TdxModule(seed=31)
+    env = standard_setup(m, num_vcpus=1, num_pages=2)
+    src = env["src"]
+    migsc = src.migsc[0]
+    state, pages, counter = src.op_state, dict(src.pages), migsc.iv_counter
+    missing = 0x99000
+    assert missing not in pages
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
+    for abort in (False, True):
+        assert m.tdh_export_mem(src, missing, abort=abort) == (refused, None)
+        assert m.last == TraceStep(Leaf.TDH_EXPORT_MEM, state, state, refused)
+    # The stream guard still answers first.
+    assert m.tdh_export_mem(src, missing, 1) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
+    assert src.pages == pages and src.op_state is state
+    assert migsc.iv_counter == counter and len(migsc.iv_history) == counter
+    assert not migsc.locked
+    status, bundle = m.tdh_export_mem(src, 0x1000)
+    assert status == S.TDX_SUCCESS and bundle.mbmd.iv_counter == counter + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(max_value=0))
+@example(count=0)
+@example(count=-1)
+def test_mng_rd_refuses_a_count_below_one(count):
+    m = TdxModule(seed=32)
+    status, td = m.build_td(TdParams(attributes=ATTR_DEBUG), num_vcpus=1, num_pages=1)
+    assert status == S.TDX_SUCCESS
+    attributes = m.catalog.by_name(MD_CTX_TD, "ATTRIBUTES")
+    field_id = attributes.field_id_for(0)
+    state, trace_len = td.op_state, len(td.trace)
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX)
+    assert m.tdh_mng_rd(td, field_id, count) == (refused, [])
+    assert m.last == TraceStep(Leaf.TDH_MNG_RD, state, state, refused)
+    value = td.read_element(attributes, 0) & attributes.dbg_rd_mask
+    assert m.tdh_mng_rd(td, field_id, 1) == m.tdh_mng_rd(td, field_id) == (S.TDX_SUCCESS, [value])
+    assert td.op_state is state and len(td.trace) == trace_len + 3
 
 
 # --- the compiled gate and the cached session key -------------------------------

@@ -1,8 +1,13 @@
 """Envelope sealing: AEAD round-trips, tamper detection, and IV discipline."""
 
 import dataclasses
+import json
+import os
+import pathlib
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -211,6 +216,47 @@ def test_hold_keys_the_stream_or_refuses_a_held_one():
         with ctx.hold(key):
             raise RuntimeError("the body fails")
     assert not ctx.locked and ctx.iv_counter == 0
+
+
+# Runs in a fresh interpreter, so nothing an earlier test imported is loaded.
+# First the codec-only CLI paths, which must not load the AES-GCM bindings;
+# then the first key of the process, whose open must still name a bad tag.
+_LAZY_AEAD_SCRIPT = """
+import io, json, pathlib, random, sys
+import tdxmodel, tdxmodel.cli, tdxmodel.scenarios
+from tdxmodel import md_codec as md
+from tdxmodel.cli import main
+plain = pathlib.Path(sys.argv[1])
+sequence = md.MdSequence(md.make_sequence_header(md.MD_CTX_TD, 0x10, 0), [0x5A])
+plain.write_bytes(md.build_list([sequence]).to_bytes())
+codes = [main(argv, io.StringIO()) for argv in (
+    ["bundle", "parse", str(plain)],
+    ["state", "matrix"],
+    ["scenario", "run", "bug-4-cpuid-lookup-oob"],
+)]
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "cryptography")
+from tdxmodel.envelope import (
+    BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle, encrypt_bundle,
+)
+ctx = MigStreamContext(0, MigrationSessionKey.generate(random.Random(1)))
+mbmd, data = encrypt_bundle(ctx, BundleType.MEM, [bytes(4096)])
+status, lists = decrypt_bundle(ctx, mbmd, bytes([data[0] ^ 1]) + data[1:])
+print(json.dumps({"codes": codes, "loaded": loaded, "status": status, "lists": lists}))
+"""
+
+
+def test_codec_only_run_loads_no_aead_and_the_first_key_catches_a_bad_tag(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_AEAD_SCRIPT, str(tmp_path / "plain.data")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["loaded"] == []
+    assert result["status"] == S.TDX_INCORRECT_MBMD_MAC and result["lists"] is None
 
 
 def test_rejects_partial_lists():
