@@ -42,6 +42,7 @@ from .states import (
 )
 from .status import (
     OPERAND_ID_R8,
+    OPERAND_ID_R9,
     OPERAND_ID_RCX,
     OPERAND_ID_RDX,
     OPERAND_ID_TDR,
@@ -86,6 +87,7 @@ from .td import (
     init_event_filters,
     make_binding_handle,
     break_binding_handle,
+    check_gpa_validity,
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
@@ -159,6 +161,11 @@ OUTCOMES = ("success", "failure", "interrupted")
 TDR_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
 # The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
 TDVPR_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
+# The word for a metadata field id no catalog entry covers, or a read count
+# below 1: the metadata leaves take the field id, and with it the count, in RDX.
+FIELD_ID_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RDX)
+# The word for a page GPA (RCX) no rule admits, and for a GPA the TD has no page at.
+GPA_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
 # A page's (gpa, token) as measured and as a MEM bundle carries it, zero-padded
 # to one list.
 _GPA_TOKEN = struct.Struct("<QQ")
@@ -392,6 +399,11 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MEM_PAGE_ADD)
     def tdh_mem_page_add(self, td: TdComplex, gpa: int, token: int) -> int:
+        # A private GPA on a 4 KB boundary, and a source page (R9) of 64 bits.
+        if gpa < 0 or gpa & 0xFFF or not check_gpa_validity(gpa, td.gpaw):
+            return GPA_INVALID
+        if not 0 <= token <= U64:
+            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R9)
         if not sept_walk_ok(td):
             td.fatal = True
             return TDX_TD_FATAL
@@ -400,9 +412,10 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MR_EXTEND)
     def tdh_mr_extend(self, td: TdComplex, gpa: int) -> int:
-        token = td.pages.get(gpa, 0)
+        if gpa not in td.pages:
+            return GPA_INVALID
         td.measurement = hashlib.sha384(
-            td.measurement + _GPA_TOKEN.pack(gpa, token)
+            td.measurement + _GPA_TOKEN.pack(gpa, td.pages[gpa])
         ).digest()
         return TDX_SUCCESS, "success"
 
@@ -503,7 +516,7 @@ class TdxModule:
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return with_operand(TDX_OPERAND_INVALID, 0), 0
+            return FIELD_ID_INVALID, 0
         if entry.migtd_rd_mask == 0:
             return TDX_METADATA_FIELD_NOT_READABLE, 0
         position = fid.field_code - entry.field_code
@@ -517,7 +530,7 @@ class TdxModule:
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return with_operand(TDX_OPERAND_INVALID, 0), 0
+            return FIELD_ID_INVALID, 0
         combined = mask & entry.migtd_wr_mask
         if combined == 0:
             return TDX_METADATA_FIELD_NOT_WRITABLE, 0
@@ -531,14 +544,14 @@ class TdxModule:
     @_leaf(Leaf.TDH_MNG_RD, list)
     def tdh_mng_rd(self, td: TdComplex, field_id_raw: int, count: int = 1) -> tuple[int, list[int]]:
         if count < 1:
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RDX)
+            return FIELD_ID_INVALID
         values = []
         fid = md.decode_field_id(field_id_raw)
         code = fid.field_code
         for i in range(count):
             entry = self.catalog.find_entry(MD_CTX_TD, replace(fid, field_code=code + i))
             if entry is None:
-                return with_operand(TDX_OPERAND_INVALID, 0), None, values
+                return FIELD_ID_INVALID, None, values
             mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
             if mask == 0:
                 return TDX_METADATA_FIELD_NOT_READABLE, None, values
@@ -550,7 +563,7 @@ class TdxModule:
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return with_operand(TDX_OPERAND_INVALID, 0)
+            return FIELD_ID_INVALID
         wr_mask = entry.dbg_wr_mask if td.attributes.debug else entry.prod_wr_mask
         combined = mask & wr_mask
         if combined == 0:
@@ -572,7 +585,7 @@ class TdxModule:
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_VP, fid)
         if entry is None:
-            return with_operand(TDX_OPERAND_INVALID, 0)
+            return FIELD_ID_INVALID
         mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
         if mask == 0:
             return TDX_METADATA_FIELD_NOT_READABLE
@@ -651,7 +664,7 @@ class TdxModule:
         if type(migsc) is int:
             return migsc
         if gpa not in td.pages:
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
+            return GPA_INVALID
         with migsc.hold(td.session_key) as busy:
             if busy:
                 return busy
@@ -815,8 +828,8 @@ class TdxModule:
     def tdh_import_track(self, td: TdComplex, token: EpochToken) -> int:
         if not token.start:
             return TDX_SUCCESS
-        # The only completion gate: migrated and declared vcpu counts agree.
-        if td.num_migrated_vcpus != td.num_vcpus:
+        # The only completion gate: the migrated, created and declared vcpu counts agree.
+        if not td.num_migrated_vcpus == len(td.vps) == td.num_vcpus:
             return TDX_SOME_VCPUS_NOT_MIGRATED
         return TDX_SUCCESS, "success"
 

@@ -1,12 +1,13 @@
 """Findings suite: each logic-level finding as a deterministic replay scenario.
 
-A scenario is a declarative spec: the engine-mode toggles it switches on, an
-ordered call list with expected statuses (always referenced through named
-status constants), and final checks.  Run with mode=vulnerable the toggles are
-applied and the expected outcome is EXPLOITED; with mode=fixed everything
-stays at the post-fix behavior and the expected outcome is NOT EXPLOITABLE.
-The runner also validates every TD's op-state trace against the permission
-matrix fixture.
+A scenario names the engine-mode toggles it switches on and one ``play``
+function: straight-line calls on the module (set-up, the scripted calls, then
+the final observations), each scripted status and each observation handed to
+a ``Recorder`` with its expected value, always through named status
+constants.  Run with mode=vulnerable the toggles are applied and the expected
+outcome is EXPLOITED; with mode=fixed everything stays at the post-fix
+behavior and the expected outcome is NOT EXPLOITABLE.  The runner also
+validates every TD's op-state trace against the permission matrix fixture.
 
 Expectations are written for the vulnerable mode.  A step's status holds in
 both modes unless the step names a ``fixed`` one; a check's truth value flips
@@ -15,7 +16,7 @@ in fixed mode unless the check names a ``fixed`` value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import md_codec as md
@@ -33,6 +34,7 @@ from .md_codec import MD_CTX_TD, MD_CTX_VP, MdSequence
 from .states import OpState, validate_trace
 from .td import (
     ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, U64, EventFilter, TdParams, audit_event_filters,
+    make_binding_handle,
 )
 
 # The 8-byte value planted past the sentinel regions for the leak replays;
@@ -61,32 +63,43 @@ OPERAND_INVALID_TDR = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDR)
 SERVTD_UUID_MISMATCH = S.TDX_SERVTD_UUID_MISMATCH
 HKID_NOT_FREE = S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX)
 MAX_EXPORTS = S.TDX_MAX_EXPORTS_EXCEEDED
+# TD metadata field ids the scenarios read by number.
+MIG_DEC_KEY_ID = 0x9810000300000010
+ATTRIBUTES_ID = 0x1110000300000000
 
 
 @dataclass
-class Step:
-    """One scripted call and the exact status word it must return."""
+class Recorder:
+    """One replay's transcript lines and verdict, against one mode's expectations."""
 
-    call: str
-    run: Callable[[TdxModule, dict], Optional[int]]
-    expect: int
-    fixed: Optional[int] = None
+    module: TdxModule
+    vulnerable: bool
+    lines: list[str] = field(default_factory=list)
+    ok: bool = True
 
-    def expected(self, vulnerable: bool) -> int:
-        return self.expect if vulnerable or self.fixed is None else self.fixed
+    def step(self, call: str, status: int, expect: int, fixed: Optional[int] = None) -> None:
+        """Record one scripted call; its status must be ``expect``, or ``fixed`` in fixed mode."""
+        expected = expect if self.vulnerable or fixed is None else fixed
+        self.lines += [f"host-vmm: {call}", f"TDX STATUS: {S.status_str(status)}"]
+        if status & S.TDX_FATAL_FLAG_MASK:
+            rcx, rdx = self.module.last.ext_err_info
+            self.lines.append(f"extended error information 1: {hex(rcx)}, 2: {hex(rdx)}")
+        if status != expected:
+            self.ok = False
+            self.lines.append(f"  MISMATCH: expected {S.status_str(expected)}")
 
-
-@dataclass
-class Check:
-    label: str
-    run: Callable[[TdxModule, dict], bool]
-    expect: bool
-    fixed: Optional[bool] = None
-
-    def expected(self, vulnerable: bool) -> bool:
-        if vulnerable:
-            return self.expect
-        return not self.expect if self.fixed is None else self.fixed
+    def check(self, label: str, observed, expect: bool, fixed: Optional[bool] = None) -> None:
+        """Record one final observation; in fixed mode it must read ``not expect`` or ``fixed``."""
+        observed = bool(observed)
+        if self.vulnerable:
+            expected = expect
+        else:
+            expected = not expect if fixed is None else fixed
+        self.ok = self.ok and observed is expected
+        marker = "+" if observed is expected else "!"
+        self.lines.append(
+            f"[{marker}] {label}: {'yes' if observed else 'no'} (expected {'yes' if expected else 'no'})"
+        )
 
 
 @dataclass
@@ -94,9 +107,8 @@ class Scenario:
     name: str
     title: str
     toggles: tuple[str, ...]
-    setup: Callable[[TdxModule], dict]
-    steps: list[Step]
-    checks: list[Check]
+    # Plays the finding on a module, recording on the recorder; returns its environment.
+    play: Callable[[TdxModule, Recorder], dict]
 
 
 @dataclass
@@ -289,621 +301,314 @@ def decrypted_lists(m: TdxModule, env: dict, bundle: Bundle) -> list[bytes]:
 
 # --- the scenarios -------------------------------------------------------------
 
-def _scenario_v1() -> Scenario:
-    key_id = 0x9810000300000010
-    attr_id = 0x1110000300000000
+_SCENARIOS: list[Scenario] = []
 
-    def setup(m: TdxModule) -> dict:
-        return standard_setup(m, num_vcpus=1)
 
-    steps = [
-        Step(
-            "tdh_import_state_immutable dst (interrupt storm pending)",
-            lambda m, e: m.tdh_import_state_immutable(
-                e["dst"], e["bundle_immutable"], policy=InterruptPolicy.after(1)
-            ),
-            INTERRUPTED,
-        ),
-        Step(
-            "tdh_mng_init dst (attributes.debug, invalid xfam)",
-            lambda m, e: m.tdh_mng_init(e["dst"], TdParams(attributes=ATTR_DEBUG, xfam=0)),
-            OPERAND_INVALID_XFAM, fixed=OP_STATE_INCORRECT,
-        ),
-        Step(
-            "tdh_import_state_immutable dst (resume)",
-            lambda m, e: m.tdh_import_state_immutable(e["dst"], e["bundle_immutable"], resume=True),
-            SUCCESS,
-        ),
-        Step(
-            "tdh_mng_rd dst ATTRIBUTES",
-            lambda m, e: _stash(e, "attrs", m.tdh_mng_rd(e["dst"], attr_id)),
-            SUCCESS,
-        ),
-        Step(
-            "tdh_mng_rd dst MIG_DEC_KEY --count=4",
-            lambda m, e: _stash(e, "key_read", m.tdh_mng_rd(e["dst"], key_id, count=4)),
-            SUCCESS, fixed=NOT_READABLE,
-        ),
-        Step(
-            "tdh_import_track dst (start token)",
-            lambda m, e: m.tdh_import_track(e["dst"], EpochToken(start=True, epoch=1)),
-            SUCCESS, fixed=VCPUS_NOT_MIGRATED,
-        ),
-    ]
-    checks = [
-        Check(
-            "destination ATTRIBUTES is 0x1 (debug)",
-            lambda m, e: e.get("attrs") == [1],
-            True,
-        ),
-        Check(
-            "all four MIG_DEC_KEY quadwords leaked to the host",
-            lambda m, e: e.get("key_read") == e["key"],
-            True,
-        ),
-        Check(
-            "num_vcpus zeroed by the interleaved init",
-            lambda m, e: e["dst"].num_vcpus == 0,
-            True,
-        ),
-        Check(
-            "import_track passed with zero vcpus (POST_IMPORT)",
-            lambda m, e: e["dst"].op_state is OpState.POST_IMPORT,
-            True,
-        ),
-    ]
-    return Scenario(
-        name="cve-2025-30513",
-        title="migratable TD becomes debuggable during interrupted immutable import",
-        toggles=("v1",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+def _finding(name: str, title: str, *toggles: str):
+    """Register the decorated ``play`` function as the scenario ``name``."""
+    def register(play: Callable[[TdxModule, Recorder], dict]):
+        _SCENARIOS.append(Scenario(name, title, toggles, play))
+        return play
+    return register
+
+
+@_finding("cve-2025-30513", "migratable TD becomes debuggable during interrupted immutable import", "v1")
+def _v1(m: TdxModule, r: Recorder) -> dict:
+    env = standard_setup(m, num_vcpus=1)
+    dst = env["dst"]
+    r.step(
+        "tdh_import_state_immutable dst (interrupt storm pending)",
+        m.tdh_import_state_immutable(dst, env["bundle_immutable"], policy=InterruptPolicy.after(1)),
+        INTERRUPTED,
     )
-
-
-def _stash(env: dict, key: str, result) -> int:
-    status, value = result
-    env[key] = value
-    return status
-
-
-def _scenario_v2() -> Scenario:
-    def setup(m: TdxModule) -> dict:
-        env = standard_setup(m, num_vcpus=1)
-        export_blackout(m, env)
-        import_to_state_import(m, env)
-        env.update({"dst2": new_template(m, env)["dst"]})
-        import_to_state_import(m, env, dst=env["dst2"])
-        env["option1"] = seal(env["key"], BundleType.VP, [crafted_vp_list(extra_oob_header=True)])
-        env["option2"] = seal(env["key"], BundleType.VP, [crafted_vp_list(extra_oob_header=False)])
-        m.arena_plants = {LEAK_SENTINEL_OFFSET: LEAK_SENTINEL}
-        return env
-
-    def xbuff_leaked(m: TdxModule, e: dict) -> bool:
-        walks = e["dst2"].trace[-1].walks
-        if not walks:
-            return False
-        arena = walks[0][0]
-        xbuff = m.catalog.by_name(MD_CTX_VP, "XBUFF")
-        values = e["dst2"].vps[0].values(xbuff)
-        # Field i of the crafted walk copies the qword at 4096 + 16*i.
-        copied = [arena.peek_u64(4096 + 16 * i) for i in range(512)]
-        return values[:512] == copied and any(copied)
-
-    steps = [
-        Step(
-            "tdh_import_state_vp dst (crafted bundle, option 1: register exfil)",
-            lambda m, e: m.tdh_import_state_vp(e["dst"], 0, e["option1"]),
-            FATAL_FIELD_ID_INCORRECT, fixed=FATAL_LIST_OVERFLOW,
-        ),
-        Step(
-            "tdh_import_state_vp dst2 (crafted bundle, option 2: exfil via XBUFF)",
-            lambda m, e: m.tdh_import_state_vp(e["dst2"], 0, e["option2"]),
-            FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
-        ),
-    ]
-    checks = [
-        Check(
-            "extended error info 1 carries the planted sentinel",
-            lambda m, e: e["dst"].trace[-1].ext_err_info[0] == LEAK_SENTINEL,
-            True,
-        ),
-        Check(
-            "maximum out-of-bounds span is exactly 8192 bytes",
-            lambda m, e: max((a.max_oob_span() for a, _ in e["dst"].trace[-1].walks),
-                             default=0) == 8192,
-            True,
-        ),
-        Check(
-            "out-of-bounds qwords copied into attacker-readable XBUFF state",
-            xbuff_leaked,
-            True,
-        ),
-        Check(
-            "no out-of-bounds arena reads logged",
-            lambda m, e: all(
-                not a.oob_reads()
-                for a, _ in e["dst"].trace[-1].walks + e["dst2"].trace[-1].walks
-            ),
-            False,
-        ),
-    ]
-    return Scenario(
-        name="cve-2025-32007",
-        title="metadata sequence parsing underflow reads 8KB past the list",
-        toggles=("v2", "bug1"),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    r.step(
+        "tdh_mng_init dst (attributes.debug, invalid xfam)",
+        m.tdh_mng_init(dst, TdParams(attributes=ATTR_DEBUG, xfam=0)),
+        OPERAND_INVALID_XFAM, fixed=OP_STATE_INCORRECT,
     )
-
-
-def _scenario_bug1() -> Scenario:
-    def setup(m: TdxModule) -> dict:
-        env = standard_setup(m, num_vcpus=1)
-        export_blackout(m, env)
-        status = m.tdh_import_state_immutable(env["dst"], env["bundle_immutable"])
-        assert status == S.TDX_SUCCESS
-        env["crafted"] = seal(env["key"], BundleType.TD, [list_header_underflow_list()])
-        return env
-
-    steps = [
-        Step(
-            "tdh_import_state_td dst (list_buff_size = 0)",
-            lambda m, e: m.tdh_import_state_td(e["dst"], e["crafted"]),
-            FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
-        ),
-    ]
-    checks = [
-        Check(
-            "header residue wrapped to 65528 (16-bit oracle)",
-            lambda m, e: e["dst"].trace[-1].walks[0][1].initial_remaining == 65528,
-            True,
-        ),
-        Check(
-            "walk read past the list end",
-            lambda m, e: bool(e["dst"].trace[-1].walks[0][0].oob_reads()),
-            True,
-        ),
-        Check(
-            "rejected before any sequence read (header read only)",
-            lambda m, e: e["dst"].trace[-1].walks[0][0].read_count == 1,
-            False,
-        ),
-    ]
-    return Scenario(
-        name="bug-1-list-header-underflow",
-        title="metadata list header size wraps the 16-bit residue",
-        toggles=("bug1",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    r.step(
+        "tdh_import_state_immutable dst (resume)",
+        m.tdh_import_state_immutable(dst, env["bundle_immutable"], resume=True),
+        SUCCESS,
     )
-
-
-def _scenario_bug2() -> Scenario:
-    def setup(m: TdxModule) -> dict:
-        env = standard_setup(m, num_vcpus=1)
-        export_blackout(m, env)
-        catalog = m.catalog
-        imm_lists = decrypted_lists(m, env, env["bundle_immutable"])
-        vp_lists = decrypted_lists(m, env, env["bundle_vps"][0])
-
-        # One template TD per table row being demonstrated.
-        for name in ("dst_eptp", "dst_xcr0", "dst_values", "dst_export"):
-            env[name] = new_template(m, env)["dst"]
-
-        td_seqs = collect_sequences(imm_lists[1:])
-        eptp_skip = [imm_lists[0]] + repack(zero_mask_entry(td_seqs, catalog, MD_CTX_TD, "EPTP"))
-        env["b_eptp"] = seal(env["key"], BundleType.IMMUTABLE, eptp_skip)
-
-        vp_seqs = collect_sequences(vp_lists)
-        xcr0_skip = repack(zero_mask_entry(vp_seqs, catalog, MD_CTX_VP, "XCR0"))
-        env["b_xcr0"] = seal(env["key"], BundleType.VP, xcr0_skip)
-
-        value_seqs = td_seqs
-        for name in ("NUM_VCPUS", "TSC_FREQUENCY", "HP_LOCK_TIMEOUT"):
-            value_seqs = zero_mask_entry(value_seqs, catalog, MD_CTX_TD, name)
-        env["b_values"] = seal(
-            env["key"], BundleType.IMMUTABLE, [imm_lists[0]] + repack(value_seqs)
-        )
-
-        export_lists = [bytearray(data) for data in [imm_lists[0]] + repack(td_seqs)]
-        export_count = catalog.by_name(MD_CTX_TD, "EXPORT_COUNT").field_id_for(0)
-        patched = md.patch_element(export_lists, export_count, 0, 0x80000000)
-        assert patched
-        env["b_export"] = seal(env["key"], BundleType.IMMUTABLE, [bytes(d) for d in export_lists])
-        return env
-
-    def import_xcr0(m: TdxModule, e: dict) -> int:
-        import_to_state_import(m, e, dst=e["dst_xcr0"])
-        return m.tdh_import_state_vp(e["dst_xcr0"], 0, e["b_xcr0"])
-
-    def enter_after_xcr0_skip(m: TdxModule, e: dict) -> int:
-        dst = e["dst_xcr0"]
-        m.tdh_import_track(dst, e["start_token"])
-        m.tdh_import_commit(dst)
-        return m.tdh_vp_enter(dst, 0)
-
-    def values_track(m: TdxModule, e: dict) -> int:
-        return m.tdh_import_track(e["dst_values"], EpochToken(start=True, epoch=99))
-
-    def export_capped(m: TdxModule, e: dict) -> int:
-        dst = e["dst_export"]
-        status = m.tdh_import_state_immutable(dst, e["b_export"])
-        if status != S.TDX_SUCCESS:
-            return status
-        m.tdh_import_state_td(dst, e["bundle_td"])
-        m.tdh_vp_create(dst)
-        m.tdh_vp_addcx(dst, 0)
-        m.tdh_import_state_vp(dst, 0, e["bundle_vps"][0])
-        m.tdh_import_track(dst, e["start_token"])
-        m.tdh_import_commit(dst)
-        m.tdh_import_end(dst)
-        status, _ = m.tdh_export_state_immutable(dst)
-        return status
-
-    steps = [
-        Step(
-            "tdh_import_state_immutable dst (EPTP skipped via zero write mask)",
-            lambda m, e: m.tdh_import_state_immutable(e["dst_eptp"], e["b_eptp"]),
-            SUCCESS, fixed=FATAL_REQUIRED_MISSING,
-        ),
-        Step(
-            "tdh_mem_sept_add dst (secure page-table walk)",
-            lambda m, e: m.tdh_mem_sept_add(e["dst_eptp"], 0x1000),
-            TD_FATAL, fixed=OP_STATE_INCORRECT,
-        ),
-        Step(
-            "tdh_import_state_vp dst2 (XCR0 skipped via zero write mask)",
-            import_xcr0,
-            SUCCESS, fixed=FATAL_REQUIRED_MISSING,
-        ),
-        Step(
-            "tdh_vp_enter dst2 vp0",
-            enter_after_xcr0_skip,
-            TD_FATAL, fixed=OP_STATE_INCORRECT,
-        ),
-        Step(
-            "tdh_import_state_immutable dst3 (NUM_VCPUS/TSC_FREQUENCY/HP_LOCK_TIMEOUT skipped)",
-            lambda m, e: m.tdh_import_state_immutable(e["dst_values"], e["b_values"]),
-            SUCCESS, fixed=FATAL_REQUIRED_MISSING,
-        ),
-        Step(
-            "tdh_import_track dst3 (start token, no VPs imported)",
-            values_track,
-            SUCCESS, fixed=OP_STATE_INCORRECT,
-        ),
-        Step(
-            "import EXPORT_COUNT=0x80000000 then tdh_export_state_immutable dst4",
-            export_capped,
-            MAX_EXPORTS,
-        ),
-    ]
-    checks = [
-        Check(
-            "skipped EPTP left at its zero init value",
-            lambda m, e: e["dst_eptp"].eptp_raw == 0,
-            True, fixed=True,
-        ),
-        Check(
-            "SEPT walk froze the TD (machine-check analog)",
-            lambda m, e: e["dst_eptp"].fatal,
-            True,
-        ),
-        Check(
-            "completion failure names the missing field (EPTP)",
-            # The import's step is the one before the SEPT add's.
-            lambda m, e: e["dst_eptp"].trace[-2].ext_err_info[0]
-            == m.catalog.by_name(MD_CTX_TD, "EPTP").field_id_raw
-            and e["dst_eptp"].op_state is OpState.FAILED_IMPORT,
-            False,
-        ),
-        Check(
-            "vp_enter froze the TD on xcr0 without x87",
-            lambda m, e: e["dst_xcr0"].fatal,
-            True,
-        ),
-        Check(
-            "import completed with out-of-range zeros in TSC_FREQUENCY/HP_LOCK_TIMEOUT",
-            lambda m, e: e["dst_values"].tsc_frequency == 0
-            and e["dst_values"].hp_lock_timeout == 0
-            and e["dst_values"].op_state is not OpState.FAILED_IMPORT,
-            True,
-        ),
-        Check(
-            "POST_IMPORT reached with zero imported VPs",
-            lambda m, e: e["dst_values"].op_state is OpState.POST_IMPORT
-            and e["dst_values"].num_vcpus == 0,
-            True,
-        ),
-    ]
-    return Scenario(
-        name="bug-2-skippable-required-entries",
-        title="required metadata entries skipped via zero write masks",
-        toggles=("bug2",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    status, attrs = m.tdh_mng_rd(dst, ATTRIBUTES_ID)
+    r.step("tdh_mng_rd dst ATTRIBUTES", status, SUCCESS)
+    status, key_read = m.tdh_mng_rd(dst, MIG_DEC_KEY_ID, count=4)
+    r.step("tdh_mng_rd dst MIG_DEC_KEY --count=4", status, SUCCESS, fixed=NOT_READABLE)
+    r.step(
+        "tdh_import_track dst (start token)",
+        m.tdh_import_track(dst, EpochToken(start=True, epoch=1)),
+        SUCCESS, fixed=VCPUS_NOT_MIGRATED,
     )
+    r.check("destination ATTRIBUTES is 0x1 (debug)", attrs == [1], True)
+    r.check("all four MIG_DEC_KEY quadwords leaked to the host", key_read == env["key"], True)
+    r.check("num_vcpus zeroed by the interleaved init", dst.num_vcpus == 0, True)
+    r.check("import_track passed with zero vcpus (POST_IMPORT)", dst.op_state is OpState.POST_IMPORT, True)
+    return env
 
 
-def _scenario_bug3() -> Scenario:
-    def setup(m: TdxModule) -> dict:
-        status, td = m.tdh_mng_create(hkid=m.kot.free_hkids()[0])
-        assert status == S.TDX_SUCCESS
-        m.tdh_mng_key_config(td)
-        for _ in range(6):
-            m.tdh_mng_addcx(td)
-        params = TdParams(attributes=ATTR_PERFMON)
-        filters_a = [
-            EventFilter(event_select=1, umask=1).raw,
-            EventFilter(event_select=2, umask=2).raw,
-            EventFilter(event_select=3, umask=0x1FF).raw,  # umask over 8 bits
-        ]
-        filters_b = [
-            EventFilter(event_select=5, umask=5).raw,
-            EventFilter(event_select=6, negative=1).raw,   # negative set
-        ] + [0] * 4
-        return {"td": td, "params": params, "filters_a": filters_a, "filters_b": filters_b}
+@_finding("cve-2025-32007", "metadata sequence parsing underflow reads 8KB past the list", "v2", "bug1")
+def _v2(m: TdxModule, r: Recorder) -> dict:
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    dst, dst2 = env["dst"], new_template(m, env)["dst"]
+    import_to_state_import(m, env, dst=dst2)
+    option1 = seal(env["key"], BundleType.VP, [crafted_vp_list(extra_oob_header=True)])
+    option2 = seal(env["key"], BundleType.VP, [crafted_vp_list(extra_oob_header=False)])
+    m.arena_plants = {LEAK_SENTINEL_OFFSET: LEAK_SENTINEL}
 
-    steps = [
-        Step(
-            "tdh_mng_init td (3 filters, third illegal)",
-            lambda m, e: m.tdh_mng_init(
-                e["td"], e["params"], event_filtering=True,
-                event_filters_num=3, event_filters=e["filters_a"],
-            ),
-            EVENT_FILTER_INVALID_2,
-        ),
-        Step(
-            "tdh_mng_init td (count 6, second illegal)",
-            lambda m, e: m.tdh_mng_init(
-                e["td"], e["params"], event_filtering=True,
-                event_filters_num=6, event_filters=e["filters_b"],
-            ),
-            EVENT_FILTER_INVALID_1,
-        ),
-        Step(
-            "tdh_mng_init td (event filtering disabled)",
-            lambda m, e: m.tdh_mng_init(e["td"], e["params"], event_filtering=False),
-            SUCCESS,
-        ),
-    ]
-    checks = [
-        Check(
-            "filter array fails the sortedness audit with filters_num > 0",
-            lambda m, e: (lambda a: a["count"] > 0 and not a["sorted"])(
-                audit_event_filters(e["td"])
-            ),
-            True,
-        ),
-        Check(
-            "stale and uninitialized entries are live",
-            lambda m, e: (lambda a: a["zero_entries"] > 0)(audit_event_filters(e["td"])),
-            True,
-        ),
-        Check(
-            "filters_num reset to 0 after every failure",
-            lambda m, e: e["td"].event_filters_num == 0,
-            False,
-        ),
-    ]
-    return Scenario(
-        name="bug-3-event-filter-init",
-        title="illegal, stale, and unsorted event filter initialization",
-        toggles=("bug3",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    r.step(
+        "tdh_import_state_vp dst (crafted bundle, option 1: register exfil)",
+        m.tdh_import_state_vp(dst, 0, option1),
+        FATAL_FIELD_ID_INCORRECT, fixed=FATAL_LIST_OVERFLOW,
     )
-
-
-def _scenario_bug4() -> Scenario:
-    def setup(m: TdxModule) -> dict:
-        start = m.cpuid.lookup_index(0x80000002, 0xFFFFFFFF)
-        return {"start_field": m.cpuid.field_id_for(start)}
-
-    def run_next(m: TdxModule, e: dict) -> int:
-        e["result"] = m.md_next_cpuid_field(e["start_field"])
-        return S.TDX_SUCCESS
-
-    steps = [
-        Step(
-            "md_get_next_cpuid_value_entry from (0x80000002, 0xffffffff)",
-            run_next,
-            SUCCESS,
-        ),
-    ]
-    checks = [
-        Check(
-            "search returned MD_FIELD_ID_NA",
-            lambda m, e: e["result"] == md.MD_FIELD_ID_NA,
-            True, fixed=True,
-        ),
-        Check(
-            "exactly one out-of-bounds index access (index 79)",
-            lambda m, e: m.cpuid.oob_accesses() == [79],
-            True,
-        ),
-        Check(
-            "no out-of-bounds index accesses",
-            lambda m, e: m.cpuid.oob_accesses() == [],
-            False,
-        ),
-    ]
-    return Scenario(
-        name="bug-4-cpuid-lookup-oob",
-        title="next-entry search indexes one past the CPUID lookup array",
-        toggles=("bug4",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    r.step(
+        "tdh_import_state_vp dst2 (crafted bundle, option 2: exfil via XBUFF)",
+        m.tdh_import_state_vp(dst2, 0, option2),
+        FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
     )
+    walks, walks2 = dst.trace[-1].walks, dst2.trace[-1].walks
+    r.check("extended error info 1 carries the planted sentinel",
+            dst.trace[-1].ext_err_info[0] == LEAK_SENTINEL, True)
+    r.check("maximum out-of-bounds span is exactly 8192 bytes",
+            max((a.max_oob_span() for a, _ in walks), default=0) == 8192, True)
+    # Field i of the crafted walk copies the qword at 4096 + 16*i.
+    copied = [walks2[0][0].peek_u64(4096 + 16 * i) for i in range(512)] if walks2 else []
+    xbuff = m.catalog.by_name(MD_CTX_VP, "XBUFF")
+    r.check("out-of-bounds qwords copied into attacker-readable XBUFF state",
+            walks2 and dst2.vps[0].values(xbuff)[:512] == copied and any(copied), True)
+    r.check("no out-of-bounds arena reads logged",
+            all(not a.oob_reads() for a, _ in walks + walks2), False)
+    return env
 
 
-def _scenario_bug6() -> Scenario:
-    from .td import make_binding_handle
+@_finding("bug-1-list-header-underflow", "metadata list header size wraps the 16-bit residue", "bug1")
+def _bug1(m: TdxModule, r: Recorder) -> dict:
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    dst = env["dst"]
+    status = m.tdh_import_state_immutable(dst, env["bundle_immutable"])
+    assert status == S.TDX_SUCCESS
+    crafted = seal(env["key"], BundleType.TD, [list_header_underflow_list()])
 
-    def setup(m: TdxModule) -> dict:
-        env = standard_setup(m, num_vcpus=1)
-        status, foreign = m.build_td(TdParams())
-        assert status == S.TDX_SUCCESS
-        migtd = env["migtd"]
-        env["probe_empty"] = make_binding_handle(0, 0xDEAD, migtd.uuid[0])
-        env["probe_foreign"] = make_binding_handle(0, foreign.tdr_page, migtd.uuid[0])
-        return env
-
-    def probe(handle: str) -> Callable[[TdxModule, dict], int]:
-        def run(m: TdxModule, e: dict) -> int:
-            e[f"{handle}_status"], _ = m.tdg_servtd_rd(e["migtd"], e[handle], 0x9810000300000010)
-            return e[f"{handle}_status"]
-        return run
-
-    steps = [
-        Step("tdg_servtd_rd probe (no TDR at address)", probe("probe_empty"), OPERAND_INVALID_TDR),
-        Step(
-            "tdg_servtd_rd probe (foreign TDR, uuid mismatch)",
-            probe("probe_foreign"),
-            SERVTD_UUID_MISMATCH, fixed=OPERAND_INVALID_TDR,
-        ),
-        Step(
-            "tdg_servtd_rd dst MIG_DEC_KEY[0] (bound migration TD)",
-            lambda m, e: _stash(e, "key0", m.tdg_servtd_rd(e["migtd"], e["dst_handle"], 0x9810000300000010)),
-            SUCCESS,
-        ),
-    ]
-
-    checks = [
-        Check(
-            "probe statuses reveal whether a TDR lives at the address",
-            lambda m, e: e["probe_empty_status"] != e["probe_foreign_status"],
-            True,
-        ),
-        Check(
-            "bound migration TD reads back the key quadword it wrote",
-            lambda m, e: e.get("key0") == e["key"][0],
-            True, fixed=True,
-        ),
-    ]
-    return Scenario(
-        name="bug-6-binding-handle-oracle",
-        title="binding-handle probes leak TDR host physical addresses",
-        toggles=("bug6",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    r.step(
+        "tdh_import_state_td dst (list_buff_size = 0)",
+        m.tdh_import_state_td(dst, crafted),
+        FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
     )
+    arena, walk = dst.trace[-1].walks[0]
+    r.check("header residue wrapped to 65528 (16-bit oracle)", walk.initial_remaining == 65528, True)
+    r.check("walk read past the list end", arena.oob_reads(), True)
+    r.check("rejected before any sequence read (header read only)", arena.read_count == 1, False)
+    return env
 
 
-def _scenario_bug8() -> Scenario:
-    def setup(m: TdxModule) -> dict:
-        return {"kot_size": len(m.kot)}
+@_finding("bug-2-skippable-required-entries", "required metadata entries skipped via zero write masks", "bug2")
+def _bug2(m: TdxModule, r: Recorder) -> dict:
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    catalog, key = m.catalog, env["key"]
+    imm_lists = decrypted_lists(m, env, env["bundle_immutable"])
+    vp_lists = decrypted_lists(m, env, env["bundle_vps"][0])
 
-    def drain(m: TdxModule, e: dict) -> int:
-        status = S.TDX_SUCCESS
-        for hkid in range(len(m.kot)):
-            status = m.tdh_sys_config(hkid, tdmr_entries=[0x1001])  # misaligned
-        return status
+    # One template TD per table row being demonstrated, named as the transcript
+    # names them (the set-up's own env["dst"] stays unused).
+    dst, dst2, dst3, dst4 = (new_template(m, env)["dst"] for _ in range(4))
 
-    steps = [
-        Step(
-            "tdh_sys_config x K (bad TDMR entry alignment each time)",
-            drain,
-            OPERAND_INVALID_RCX,
-        ),
-        Step(
-            "tdh_mng_create (any HKID)",
-            lambda m, e: m.tdh_mng_create(hkid=0)[0],
-            HKID_NOT_FREE, fixed=SUCCESS,
-        ),
-    ]
-    checks = [
-        Check(
-            "all KOT entries left HKID_RESERVED (no TD creatable)",
-            lambda m, e: m.kot.free_count() == 0,
-            True,
-        ),
-        Check(
-            "free-entry count conserved across failing calls",
-            lambda m, e: m.kot.free_count() == e["kot_size"] - 1,  # one used by mng_create
-            False,
-        ),
-    ]
-    return Scenario(
-        name="bug-8-hkid-exhaustion",
-        title="failing sys_config calls leak HKID reservations",
-        toggles=("bug8",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    td_seqs = collect_sequences(imm_lists[1:])
+    eptp_skip = [imm_lists[0]] + repack(zero_mask_entry(td_seqs, catalog, MD_CTX_TD, "EPTP"))
+    b_eptp = seal(key, BundleType.IMMUTABLE, eptp_skip)
+
+    vp_seqs = collect_sequences(vp_lists)
+    b_xcr0 = seal(key, BundleType.VP, repack(zero_mask_entry(vp_seqs, catalog, MD_CTX_VP, "XCR0")))
+
+    value_seqs = td_seqs
+    for name in ("NUM_VCPUS", "TSC_FREQUENCY", "HP_LOCK_TIMEOUT"):
+        value_seqs = zero_mask_entry(value_seqs, catalog, MD_CTX_TD, name)
+    b_values = seal(key, BundleType.IMMUTABLE, [imm_lists[0]] + repack(value_seqs))
+
+    export_lists = [bytearray(data) for data in [imm_lists[0]] + repack(td_seqs)]
+    export_count = catalog.by_name(MD_CTX_TD, "EXPORT_COUNT").field_id_for(0)
+    patched = md.patch_element(export_lists, export_count, 0, 0x80000000)
+    assert patched
+    b_export = seal(key, BundleType.IMMUTABLE, [bytes(d) for d in export_lists])
+
+    r.step(
+        "tdh_import_state_immutable dst (EPTP skipped via zero write mask)",
+        m.tdh_import_state_immutable(dst, b_eptp),
+        SUCCESS, fixed=FATAL_REQUIRED_MISSING,
     )
-
-
-def _scenario_bug9() -> Scenario:
-    BOGUS_GPA = 0xFFFF_8000_0000_0000  # above the 48-bit guest width
-
-    def setup(m: TdxModule) -> dict:
-        env = standard_setup(m, num_vcpus=1)
-        export_blackout(m, env)
-        import_to_state_import(m, env)
-        vp_seqs = collect_sequences(decrypted_lists(m, env, env["bundle_vps"][0]))
-        vapic = m.catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
-        vp_seqs.append(
-            MdSequence(
-                md.make_sequence_header(MD_CTX_VP, vapic.class_code, vapic.field_code),
-                [BOGUS_GPA],
-            )
-        )
-        env["crafted"] = seal(env["key"], BundleType.VP, repack(vp_seqs))
-        env["bogus"] = BOGUS_GPA
-        return env
-
-    steps = [
-        Step(
-            "tdh_import_state_vp dst (L2_VAPIC_GPA = non-canonical private GPA)",
-            lambda m, e: m.tdh_import_state_vp(e["dst"], 0, e["crafted"]),
-            SUCCESS, fixed=FATAL_VALUE_NOT_VALID,
-        ),
-    ]
-    checks = [
-        Check(
-            "invalid private GPA accepted and stored",
-            lambda m, e: e["dst"].vps[0].values(
-                m.catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
-            )[0] == e["bogus"],
-            True,
-        ),
-        Check(
-            "import failed and the TD is quarantined in FAILED_IMPORT",
-            lambda m, e: e["dst"].op_state is OpState.FAILED_IMPORT,
-            False,
-        ),
-    ]
-    return Scenario(
-        name="bug-9-gpa-check-skip",
-        title="private-GPA validity checks skipped on metadata import",
-        toggles=("bug9",),
-        setup=setup,
-        steps=steps,
-        checks=checks,
+    r.step(
+        "tdh_mem_sept_add dst (secure page-table walk)",
+        m.tdh_mem_sept_add(dst, 0x1000),
+        TD_FATAL, fixed=OP_STATE_INCORRECT,
     )
+    import_to_state_import(m, env, dst=dst2)
+    r.step(
+        "tdh_import_state_vp dst2 (XCR0 skipped via zero write mask)",
+        m.tdh_import_state_vp(dst2, 0, b_xcr0),
+        SUCCESS, fixed=FATAL_REQUIRED_MISSING,
+    )
+    m.tdh_import_track(dst2, env["start_token"])
+    m.tdh_import_commit(dst2)
+    r.step("tdh_vp_enter dst2 vp0", m.tdh_vp_enter(dst2, 0), TD_FATAL, fixed=OP_STATE_INCORRECT)
+    r.step(
+        "tdh_import_state_immutable dst3 (NUM_VCPUS/TSC_FREQUENCY/HP_LOCK_TIMEOUT skipped)",
+        m.tdh_import_state_immutable(dst3, b_values),
+        SUCCESS, fixed=FATAL_REQUIRED_MISSING,
+    )
+    r.step(
+        "tdh_import_track dst3 (start token, no VPs imported)",
+        m.tdh_import_track(dst3, EpochToken(start=True, epoch=99)),
+        SUCCESS, fixed=OP_STATE_INCORRECT,
+    )
+    status = m.tdh_import_state_immutable(dst4, b_export)
+    if status == S.TDX_SUCCESS:
+        m.tdh_import_state_td(dst4, env["bundle_td"])
+        m.tdh_vp_create(dst4)
+        m.tdh_vp_addcx(dst4, 0)
+        finish_import(m, env, dst=dst4)
+        status, _ = m.tdh_export_state_immutable(dst4)
+    r.step("import EXPORT_COUNT=0x80000000 then tdh_export_state_immutable dst4", status, MAX_EXPORTS)
+
+    r.check("skipped EPTP left at its zero init value", dst.eptp_raw == 0, True, fixed=True)
+    r.check("SEPT walk froze the TD (machine-check analog)", dst.fatal, True)
+    # The import's step is the one before the SEPT add's.
+    r.check(
+        "completion failure names the missing field (EPTP)",
+        dst.trace[-2].ext_err_info[0] == catalog.by_name(MD_CTX_TD, "EPTP").field_id_raw
+        and dst.op_state is OpState.FAILED_IMPORT,
+        False,
+    )
+    r.check("vp_enter froze the TD on xcr0 without x87", dst2.fatal, True)
+    r.check(
+        "import completed with out-of-range zeros in TSC_FREQUENCY/HP_LOCK_TIMEOUT",
+        dst3.tsc_frequency == 0 and dst3.hp_lock_timeout == 0
+        and dst3.op_state is not OpState.FAILED_IMPORT,
+        True,
+    )
+    r.check(
+        "POST_IMPORT reached with zero imported VPs",
+        dst3.op_state is OpState.POST_IMPORT and dst3.num_vcpus == 0,
+        True,
+    )
+    return env
+
+
+@_finding("bug-3-event-filter-init", "illegal, stale, and unsorted event filter initialization", "bug3")
+def _bug3(m: TdxModule, r: Recorder) -> dict:
+    status, td = m.tdh_mng_create(hkid=m.kot.free_hkids()[0])
+    assert status == S.TDX_SUCCESS
+    m.tdh_mng_key_config(td)
+    for _ in range(6):
+        m.tdh_mng_addcx(td)
+    params = TdParams(attributes=ATTR_PERFMON)
+    filters_a = [
+        EventFilter(event_select=1, umask=1).raw,
+        EventFilter(event_select=2, umask=2).raw,
+        EventFilter(event_select=3, umask=0x1FF).raw,  # umask over 8 bits
+    ]
+    filters_b = [
+        EventFilter(event_select=5, umask=5).raw,
+        EventFilter(event_select=6, negative=1).raw,   # negative set
+    ] + [0] * 4
+
+    r.step(
+        "tdh_mng_init td (3 filters, third illegal)",
+        m.tdh_mng_init(td, params, event_filtering=True, event_filters_num=3, event_filters=filters_a),
+        EVENT_FILTER_INVALID_2,
+    )
+    r.step(
+        "tdh_mng_init td (count 6, second illegal)",
+        m.tdh_mng_init(td, params, event_filtering=True, event_filters_num=6, event_filters=filters_b),
+        EVENT_FILTER_INVALID_1,
+    )
+    r.step("tdh_mng_init td (event filtering disabled)", m.tdh_mng_init(td, params), SUCCESS)
+    audit = audit_event_filters(td)
+    r.check("filter array fails the sortedness audit with filters_num > 0",
+            audit["count"] > 0 and not audit["sorted"], True)
+    r.check("stale and uninitialized entries are live", audit["zero_entries"] > 0, True)
+    r.check("filters_num reset to 0 after every failure", td.event_filters_num == 0, False)
+    return {"td": td}
+
+
+@_finding("bug-4-cpuid-lookup-oob", "next-entry search indexes one past the CPUID lookup array", "bug4")
+def _bug4(m: TdxModule, r: Recorder) -> dict:
+    start = m.cpuid.field_id_for(m.cpuid.lookup_index(0x80000002, 0xFFFFFFFF))
+    result = m.md_next_cpuid_field(start)
+    # The search is module-internal: it has no status word of its own.
+    r.step("md_get_next_cpuid_value_entry from (0x80000002, 0xffffffff)", SUCCESS, SUCCESS)
+    r.check("search returned MD_FIELD_ID_NA", result == md.MD_FIELD_ID_NA, True, fixed=True)
+    r.check("exactly one out-of-bounds index access (index 79)", m.cpuid.oob_accesses() == [79], True)
+    r.check("no out-of-bounds index accesses", m.cpuid.oob_accesses() == [], False)
+    return {}
+
+
+@_finding("bug-6-binding-handle-oracle", "binding-handle probes leak TDR host physical addresses", "bug6")
+def _bug6(m: TdxModule, r: Recorder) -> dict:
+    env = standard_setup(m, num_vcpus=1)
+    status, foreign = m.build_td(TdParams())
+    assert status == S.TDX_SUCCESS
+    migtd = env["migtd"]
+    probe_empty = make_binding_handle(0, 0xDEAD, migtd.uuid[0])
+    probe_foreign = make_binding_handle(0, foreign.tdr_page, migtd.uuid[0])
+
+    empty_status, _ = m.tdg_servtd_rd(migtd, probe_empty, MIG_DEC_KEY_ID)
+    r.step("tdg_servtd_rd probe (no TDR at address)", empty_status, OPERAND_INVALID_TDR)
+    foreign_status, _ = m.tdg_servtd_rd(migtd, probe_foreign, MIG_DEC_KEY_ID)
+    r.step(
+        "tdg_servtd_rd probe (foreign TDR, uuid mismatch)",
+        foreign_status, SERVTD_UUID_MISMATCH, fixed=OPERAND_INVALID_TDR,
+    )
+    status, key0 = m.tdg_servtd_rd(migtd, env["dst_handle"], MIG_DEC_KEY_ID)
+    r.step("tdg_servtd_rd dst MIG_DEC_KEY[0] (bound migration TD)", status, SUCCESS)
+    r.check("probe statuses reveal whether a TDR lives at the address", empty_status != foreign_status, True)
+    r.check("bound migration TD reads back the key quadword it wrote", key0 == env["key"][0],
+            True, fixed=True)
+    return env
+
+
+@_finding("bug-8-hkid-exhaustion", "failing sys_config calls leak HKID reservations", "bug8")
+def _bug8(m: TdxModule, r: Recorder) -> dict:
+    kot_size = len(m.kot)
+    for hkid in range(kot_size):
+        status = m.tdh_sys_config(hkid, tdmr_entries=[0x1001])  # misaligned
+    r.step("tdh_sys_config x K (bad TDMR entry alignment each time)", status, OPERAND_INVALID_RCX)
+    r.step("tdh_mng_create (any HKID)", m.tdh_mng_create(hkid=0)[0], HKID_NOT_FREE, fixed=SUCCESS)
+    r.check("all KOT entries left HKID_RESERVED (no TD creatable)", m.kot.free_count() == 0, True)
+    # One entry is used by tdh_mng_create.
+    r.check("free-entry count conserved across failing calls", m.kot.free_count() == kot_size - 1, False)
+    return {}
+
+
+@_finding("bug-9-gpa-check-skip", "private-GPA validity checks skipped on metadata import", "bug9")
+def _bug9(m: TdxModule, r: Recorder) -> dict:
+    bogus_gpa = 0xFFFF_8000_0000_0000  # above the 48-bit guest width
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    dst = env["dst"]
+    vp_seqs = collect_sequences(decrypted_lists(m, env, env["bundle_vps"][0]))
+    vapic = m.catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
+    vp_seqs.append(
+        MdSequence(md.make_sequence_header(MD_CTX_VP, vapic.class_code, vapic.field_code), [bogus_gpa])
+    )
+    crafted = seal(env["key"], BundleType.VP, repack(vp_seqs))
+
+    r.step(
+        "tdh_import_state_vp dst (L2_VAPIC_GPA = non-canonical private GPA)",
+        m.tdh_import_state_vp(dst, 0, crafted),
+        SUCCESS, fixed=FATAL_VALUE_NOT_VALID,
+    )
+    r.check("invalid private GPA accepted and stored", dst.vps[0].values(vapic)[0] == bogus_gpa, True)
+    r.check("import failed and the TD is quarantined in FAILED_IMPORT",
+            dst.op_state is OpState.FAILED_IMPORT, False)
+    return env
 
 
 def all_scenarios() -> dict[str, Scenario]:
-    scenarios = [
-        _scenario_v1(),
-        _scenario_v2(),
-        _scenario_bug1(),
-        _scenario_bug2(),
-        _scenario_bug3(),
-        _scenario_bug4(),
-        _scenario_bug6(),
-        _scenario_bug8(),
-        _scenario_bug9(),
-    ]
-    return {s.name: s for s in scenarios}
+    return {s.name: s for s in _SCENARIOS}
 
 
 def replay(scenario: Scenario, module: TdxModule, vulnerable: bool) -> tuple[bool, list[str], dict]:
@@ -913,40 +618,17 @@ def replay(scenario: Scenario, module: TdxModule, vulnerable: bool) -> tuple[boo
     of every TD.  Returns whether all of them met the expectations, the
     transcript lines, and the scenario's environment.
     """
-    lines = []
-    ok = True
-    env = scenario.setup(module)
-    for step in scenario.steps:
-        status = step.run(module, env)
-        expected = step.expected(vulnerable)
-        matched = status == expected
-        ok = ok and matched
-        lines.append(f"host-vmm: {step.call}")
-        lines.append(f"TDX STATUS: {S.status_str(status)}")
-        if status is not None and status & S.TDX_FATAL_FLAG_MASK:
-            rcx, rdx = module.last.ext_err_info
-            lines.append(f"extended error information 1: {hex(rcx)}, 2: {hex(rdx)}")
-        if not matched:
-            lines.append(f"  MISMATCH: expected {S.status_str(expected)}")
-    for check in scenario.checks:
-        observed = bool(check.run(module, env))
-        expected = check.expected(vulnerable)
-        matched = observed is expected
-        ok = ok and matched
-        flag = "yes" if observed else "no"
-        want = "yes" if expected else "no"
-        marker = "+" if matched else "!"
-        lines.append(f"[{marker}] {check.label}: {flag} (expected {want})")
+    r = Recorder(module, vulnerable)
+    env = scenario.play(module, r)
     trace_problems = []
     for td in module.tds.values():
         trace_problems.extend(validate_trace(module.matrix, td.trace, not module.mode.v1))
     if trace_problems:
-        ok = False
-        for problem in trace_problems:
-            lines.append(f"trace violation: {problem}")
+        r.ok = False
+        r.lines += [f"trace violation: {problem}" for problem in trace_problems]
     else:
-        lines.append("op_state traces: valid")
-    return ok, lines, env
+        r.lines.append("op_state traces: valid")
+    return r.ok, r.lines, env
 
 
 def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:

@@ -50,6 +50,7 @@ OPERAND_ID_RAX = 0
 OPERAND_ID_RCX = 1
 OPERAND_ID_RDX = 2
 OPERAND_ID_R8 = 8
+OPERAND_ID_R9 = 9
 OPERAND_ID_ATTRIBUTES = 64
 OPERAND_ID_XFAM = 65
 OPERAND_ID_EPTP_CONTROLS = 67

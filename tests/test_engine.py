@@ -632,6 +632,126 @@ def test_mng_rd_refuses_a_count_below_one(count):
     assert td.op_state is state and len(td.trace) == trace_len + 3
 
 
+# A field id that no catalog entry covers, in either metadata context.
+_CATALOG = FieldCatalog.load()
+UNCOVERED_IDS = st.integers(0, U64).filter(
+    lambda raw: all(_CATALOG.find_entry(ctx, raw) is None for ctx in (MD_CTX_TD, MD_CTX_VP))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_id=UNCOVERED_IDS)
+@example(field_id=0)
+@example(field_id=_CATALOG.by_name(MD_CTX_TD, "ATTRIBUTES").field_id_for(0) + 1)
+def test_metadata_leaves_refuse_an_uncovered_field_id_naming_rdx(field_id):
+    """The five metadata leaves take the field id in RDX, and name it when they refuse it."""
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX)
+    m = TdxModule(seed=33)
+    env = standard_setup(m, num_vcpus=1)
+    migtd, dst, handle = env["migtd"], env["dst"], env["dst_handle"]
+    status, td = m.build_td(TdParams(attributes=ATTR_DEBUG), num_vcpus=1, num_pages=1)
+    assert status == S.TDX_SUCCESS
+    key, measurement = list(dst.mig_dec_key), td.measurement
+    calls = [
+        (dst, lambda: m.tdg_servtd_rd(migtd, handle, field_id), (refused, 0)),
+        (dst, lambda: m.tdg_servtd_wr(migtd, handle, field_id, 1), (refused, 0)),
+        (td, lambda: m.tdh_mng_rd(td, field_id), (refused, [])),
+        (td, lambda: m.tdh_mng_wr(td, field_id, 1), refused),
+        (td, lambda: m.tdh_vp_rd(td, 0, field_id), (refused, 0)),
+    ]
+    for target, call, expected in calls:
+        state = target.op_state
+        assert call() == expected
+        assert target.trace[-1] is m.last
+        assert m.last.status == refused and target.op_state is state
+    assert dst.mig_dec_key == key and td.measurement == measurement
+
+
+def test_import_track_refuses_a_vp_that_was_never_imported():
+    m = TdxModule(seed=34)
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    dst = env["dst"]
+    assert m.tdh_vp_create(dst) == (S.TDX_SUCCESS, 1)
+    assert m.tdh_import_state_vp(dst, 0, env["bundle_vps"][0]) == S.TDX_SUCCESS
+    state = dst.op_state
+    assert (len(dst.vps), dst.num_vcpus, dst.num_migrated_vcpus) == (2, 1, 1)
+    assert m.tdh_import_track(dst, env["start_token"]) == S.TDX_SOME_VCPUS_NOT_MIGRATED
+    assert m.last == TraceStep(Leaf.TDH_IMPORT_TRACK, state, state, S.TDX_SOME_VCPUS_NOT_MIGRATED)
+    assert m.tdh_import_commit(dst) != S.TDX_SUCCESS
+    assert dst.op_state is state is not OpState.RUNNABLE
+    # The honest import of the same source still completes.
+    other = new_template(m, env)["dst"]
+    import_to_state_import(m, env, dst=other)
+    assert finish_import(m, env, dst=other) == S.TDX_SUCCESS
+    assert other.op_state is OpState.RUNNABLE
+
+
+def _initialized_td(m, gpaw=False):
+    """A TD between TDH.MNG.INIT and TDH.MR.FINALIZE: the state that adds pages."""
+    _, td = m.tdh_mng_create(hkid=m.kot.free_hkids()[0])
+    m.tdh_mng_key_config(td)
+    for _ in range(TdComplex.MIN_TDCX_PAGES):
+        m.tdh_mng_addcx(td)
+    params = TdParams(gpaw=gpaw, ept_pwl=LVL_PML5 if gpaw else LVL_PML4)
+    assert m.tdh_mng_init(td, params) == S.TDX_SUCCESS
+    assert td.op_state is OpState.INITIALIZED and td.gpaw == gpaw
+    return td
+
+
+WIDE = st.integers(-(1 << 70), 1 << 70)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gpa=WIDE | st.integers(0, 1 << 53).map(lambda g: g & ~0xFFF),
+       token=WIDE | st.integers(0, U64), gpaw=st.booleans())
+@example(gpa=0x3001, token=1, gpaw=False)
+@example(gpa=-0x1000, token=1, gpaw=False)
+@example(gpa=-(1 << 48), token=1, gpaw=False)
+@example(gpa=1 << 47, token=1, gpaw=False)
+@example(gpa=1 << 47, token=1, gpaw=True)
+@example(gpa=1 << 64, token=1, gpaw=True)
+@example(gpa=0x1000, token=U64 + 1, gpaw=False)
+@example(gpa=0x1000, token=-1, gpaw=False)
+@example(gpa=0x1000, token=U64, gpaw=False)
+def test_page_add_admits_an_aligned_private_gpa_and_a_64_bit_token(gpa, token, gpaw):
+    """A refused page leaves no page behind, so TDH.MR.EXTEND refuses its GPA too."""
+    gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
+    m = TdxModule(seed=35)
+    td = _initialized_td(m, gpaw)
+    # Private: below the shared bit of the guest width (bit 51 with GPAW, else bit 47).
+    gpa_ok = 0 <= gpa < 1 << (51 if gpaw else 47) and gpa % 0x1000 == 0
+    if not gpa_ok:
+        expected = gpa_invalid
+    elif not 0 <= token <= U64:
+        expected = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_R9)
+    else:
+        expected = S.TDX_SUCCESS
+    measurement = td.measurement
+    assert m.tdh_mem_page_add(td, gpa, token) == expected
+    assert m.last.status == expected and td.op_state is OpState.INITIALIZED
+    if expected == S.TDX_SUCCESS:
+        assert td.pages == {gpa: token}
+        assert m.tdh_mr_extend(td, gpa) == S.TDX_SUCCESS and td.measurement != measurement
+    else:
+        assert td.pages == {}
+        assert m.tdh_mr_extend(td, gpa) == gpa_invalid and td.measurement == measurement
+    assert not td.fatal
+
+
+def test_mr_extend_refuses_a_gpa_the_td_has_no_page_at():
+    gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
+    m = TdxModule(seed=36)
+    td = _initialized_td(m)
+    assert m.tdh_mem_page_add(td, 0x1000, 0xAA) == S.TDX_SUCCESS
+    measurement = td.measurement
+    assert m.tdh_mr_extend(td, 0x2000) == gpa_invalid
+    assert m.last == TraceStep(Leaf.TDH_MR_EXTEND, OpState.INITIALIZED, OpState.INITIALIZED, gpa_invalid)
+    assert td.measurement == measurement and td.pages == {0x1000: 0xAA}
+    assert m.tdh_mr_extend(td, 0x1000) == S.TDX_SUCCESS and td.measurement != measurement
+
+
 # --- the compiled gate and the cached session key -------------------------------
 
 INTERFACES = ("host", "guest")

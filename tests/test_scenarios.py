@@ -81,3 +81,31 @@ def test_each_toggle_changes_only_its_own_finding(name, toggle):
     """Another finding's toggle alone leaves a scenario at its fixed-mode expectations."""
     ok, lines, _ = replay(SCENARIOS[name], TdxModule(EngineMode(**{toggle: True}), seed=7), False)
     assert ok, "\n".join(lines)
+
+
+def test_fixed_module_against_vulnerable_expectations_prints_each_mismatch():
+    """A verdict that does not hold names every step and check that missed."""
+    ok, lines, _ = replay(SCENARIOS["cve-2025-30513"], TdxModule(EngineMode(), seed=7), True)
+    assert ok is False
+    assert [line for line in lines if "MISMATCH" in line or line.startswith("[")] == [
+        "  MISMATCH: expected 0xc000010000000041 - TDX_OPERAND_INVALID : OPERAND_ID_XFAM",
+        "  MISMATCH: expected 0x0 - TDX_SUCCESS : OPERAND_ID_RAX",
+        "  MISMATCH: expected 0x0 - TDX_SUCCESS : OPERAND_ID_RAX",
+        "[!] destination ATTRIBUTES is 0x1 (debug): no (expected yes)",
+        "[!] all four MIG_DEC_KEY quadwords leaked to the host: no (expected yes)",
+        "[!] num_vcpus zeroed by the interleaved init: no (expected yes)",
+        "[!] import_track passed with zero vcpus (POST_IMPORT): no (expected yes)",
+    ]
+    # Each MISMATCH follows the status line of the step that missed.
+    assert lines[lines.index("host-vmm: tdh_mng_init dst (attributes.debug, invalid xfam)") + 2] == (
+        "  MISMATCH: expected 0xc000010000000041 - TDX_OPERAND_INVALID : OPERAND_ID_XFAM"
+    )
+    assert lines[-1] == "op_state traces: valid"
+    # A check that misses fails the replay on its own: bug-4's one step matches.
+    ok, lines, _ = replay(SCENARIOS["bug-4-cpuid-lookup-oob"], TdxModule(EngineMode(), seed=7), True)
+    assert ok is False and not any("MISMATCH" in line for line in lines)
+    assert lines[2:5] == [
+        "[+] search returned MD_FIELD_ID_NA: yes (expected yes)",
+        "[!] exactly one out-of-bounds index access (index 79): no (expected yes)",
+        "[!] no out-of-bounds index accesses: yes (expected no)",
+    ]
