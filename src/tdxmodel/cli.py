@@ -187,7 +187,7 @@ def cmd_state(args, out) -> int:
     if args.action == "matrix":
         matrix = bundled_matrix()
         for state in APPENDIX_STATES:
-            leaves = sorted(leaf.name for leaf in matrix.allowed_leaves(state))
+            leaves = sorted(leaf.name for leaf in matrix.allowed_leaves(state) if not leaf.guest)
             out.write(f"OP_STATE_{state.value}: {' '.join(leaves)}\n")
         return 0
 

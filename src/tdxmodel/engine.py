@@ -32,6 +32,7 @@ from .envelope import (
 )
 from .md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, MD_FIELD_ID_NA, ParseArena, WriteMode
 from .states import (
+    OUTCOMES,
     Leaf,
     LifecycleState,
     OpState,
@@ -74,6 +75,7 @@ from .td import (
     BINDING_SLOT_BITS,
     MAX_EXPORT_COUNT,
     MAX_VCPUS_PER_TD,
+    PAGE_GPA_BITS,
     U64,
     Kot,
     KotState,
@@ -87,7 +89,6 @@ from .td import (
     init_event_filters,
     make_binding_handle,
     break_binding_handle,
-    check_gpa_validity,
     read_and_set_td_configurations,
     sept_walk_ok,
     sys_config_reserve_hkid,
@@ -156,7 +157,6 @@ class Servtd:
     uuid: tuple[int, int, int, int]
 
 
-OUTCOMES = ("success", "failure", "interrupted")
 # A locked TD refuses every call with this word.
 TDR_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
 # The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
@@ -176,13 +176,12 @@ _MEM_PAD = bytes(md.LIST_BYTES - _GPA_TOKEN.size)
 def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
     """The matrix compiled for the gate, once per (matrix, START_IMPORT rule).
 
-    Each allowed (interface, op_state, leaf) maps every outcome to the next
-    op_state that transition() gives for it, so one dict lookup both admits a
-    call and fixes where each of its outcomes lands.
+    Each allowed (op_state, leaf) maps every outcome to the next op_state that
+    transition() gives for it, so one dict lookup both admits a call and fixes
+    where each of its outcomes lands.
     """
     return {
-        key: {outcome: transition(matrix, key[1], key[2], outcome, start_import, key[0])
-              for outcome in OUTCOMES}
+        key: {outcome: transition(matrix, *key, outcome, start_import) for outcome in OUTCOMES}
         for key, _ in matrix.items()
     }
 
@@ -201,10 +200,13 @@ def _nothing() -> None:
 
 
 def _leaf(leaf: Leaf, returns=None):
-    """Dispatch one host leaf: the gate, the body, and one trace step.
+    """Dispatch one leaf, host or guest: the gate, the body, and one trace step.
 
+    A guest (service-TD) leaf is called as ``(caller, handle, ...)``; it first
+    resolves the binding handle, and a handle that names no bound TD answers
+    (status, returns()) with no step.  From the TD on, both kinds run alike.
     The step is built first, as ``module.last``, for the body to record on.
-    The gate refuses a fatal or locked TD, a call with no host matrix row and,
+    The gate refuses a fatal or locked TD, a call with no matrix row and,
     where the body's first operand after the TD is ``vp_index``, a VP the TD
     does not have; otherwise the body runs.  It returns a bare status,
     (status, outcome) or, for a leaf given ``returns``, (status, outcome,
@@ -215,12 +217,11 @@ def _leaf(leaf: Leaf, returns=None):
     """
     def wrap(body):
         takes_vp = list(inspect.signature(body).parameters)[2:3] == ["vp_index"]
-        @functools.wraps(body)
         def dispatch(self, td, *args, **kwargs):
             before = td.op_state
             self.last = step = TraceStep(leaf, before, before, TDX_SUCCESS)
             # One lookup both admits the call and fixes where each outcome lands.
-            edges = self._edges.get(("host", before, leaf))
+            edges = self._edges.get((before, leaf))
             if td.fatal:
                 result = TDX_TD_FATAL
             elif td.locked:
@@ -241,35 +242,13 @@ def _leaf(leaf: Leaf, returns=None):
             step.status = status
             td.trace.append(step)
             return status if returns is None else (status, result[2])
-        return dispatch
-    return wrap
-
-
-def _guest_leaf(leaf: Leaf):
-    """Dispatch one service-TD leaf on the TD its binding handle names.
-
-    A handle that names no bound TD returns its status with no trace step.
-    Once the target TD is found, the call is refused as a host leaf would be
-    (a busy TD, no guest matrix row) or runs the body, which returns
-    (status, value); either way the TD's trace gets one step that leaves the
-    op_state in place.
-    """
-    def wrap(body):
-        def dispatch(self, caller: "Servtd", handle: int, *args, **kwargs) -> tuple[int, int]:
-            status, td = self._servtd_locate(handle, caller.uuid)
-            if td is None:
-                return status, 0
-            if td.locked:
-                status, value = TDR_BUSY, 0
-            elif not self.matrix.is_allowed(td.op_state, leaf, "guest"):
-                status, value = TDX_OP_STATE_INCORRECT, 0
-            else:
-                status, value = body(self, td, *args, **kwargs)
-            self.last = TraceStep(leaf, td.op_state, td.op_state, status)
-            td.trace.append(self.last)
-            return status, value
-        dispatch.__doc__ = body.__doc__
-        return dispatch
+        if not leaf.guest:
+            return functools.wraps(body)(dispatch)
+        def guest(self, caller: Servtd, handle: int, *args, **kwargs):
+            td = self._servtd_locate(handle, caller.uuid)
+            return (td, returns()) if type(td) is int else dispatch(self, td, *args, **kwargs)
+        guest.__doc__ = body.__doc__
+        return guest
     return wrap
 
 
@@ -392,6 +371,8 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MEM_SEPT_ADD)
     def tdh_mem_sept_add(self, td: TdComplex, gpa: int) -> int:
+        if gpa & PAGE_GPA_BITS[not td.gpaw]:
+            return GPA_INVALID
         if not sept_walk_ok(td):
             td.fatal = True
             return TDX_TD_FATAL
@@ -400,7 +381,7 @@ class TdxModule:
     @_leaf(Leaf.TDH_MEM_PAGE_ADD)
     def tdh_mem_page_add(self, td: TdComplex, gpa: int, token: int) -> int:
         # A private GPA on a 4 KB boundary, and a source page (R9) of 64 bits.
-        if gpa < 0 or gpa & 0xFFF or not check_gpa_validity(gpa, td.gpaw):
+        if gpa & PAGE_GPA_BITS[not td.gpaw]:
             return GPA_INVALID
         if not 0 <= token <= U64:
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R9)
@@ -447,36 +428,26 @@ class TdxModule:
         status, td = self.tdh_mng_create(hkid)
         if status != TDX_SUCCESS:
             return status, None
-        status = self.tdh_mng_key_config(td)
-        if status != TDX_SUCCESS:
-            return status, td
-        for _ in range(TdComplex.MIN_TDCX_PAGES):
-            status = self.tdh_mng_addcx(td)
+
+        def calls():
+            yield self.tdh_mng_key_config(td)
+            for _ in range(TdComplex.MIN_TDCX_PAGES):
+                yield self.tdh_mng_addcx(td)
+            yield self.tdh_mng_init(td, params)
+            for i in range(num_vcpus):
+                yield self.tdh_vp_create(td)[0]
+                yield self.tdh_vp_addcx(td, i)
+                yield self.tdh_vp_init(td, i)
+            for i in range(num_pages):
+                gpa = 0x1000 * (i + 1)
+                yield self.tdh_mem_sept_add(td, gpa)
+                yield self.tdh_mem_page_add(td, gpa, self.rng.getrandbits(64))
+                yield self.tdh_mr_extend(td, gpa)
+            yield self.tdh_mr_finalize(td)
+
+        for status in calls():
             if status != TDX_SUCCESS:
-                return status, td
-        status = self.tdh_mng_init(td, params)
-        if status != TDX_SUCCESS:
-            return status, td
-        for i in range(num_vcpus):
-            for status in (
-                self.tdh_vp_create(td)[0],
-                self.tdh_vp_addcx(td, i),
-                self.tdh_vp_init(td, i),
-            ):
-                if status != TDX_SUCCESS:
-                    return status, td
-        for i in range(num_pages):
-            gpa = 0x1000 * (i + 1)
-            status = self.tdh_mem_sept_add(td, gpa)
-            if status != TDX_SUCCESS:
-                return status, td
-            status = self.tdh_mem_page_add(td, gpa, self.rng.getrandbits(64))
-            if status != TDX_SUCCESS:
-                return status, td
-            status = self.tdh_mr_extend(td, gpa)
-            if status != TDX_SUCCESS:
-                return status, td
-        status = self.tdh_mr_finalize(td)
+                break
         return status, td
 
     # -- streams and service TDs --------------------------------------------
@@ -496,33 +467,30 @@ class TdxModule:
         handle = make_binding_handle(slot, td.tdr_page, servtd.uuid[0])
         return TDX_SUCCESS, "success", handle
 
-    def _servtd_locate(self, handle: int, caller_uuid: tuple) -> tuple[int, Optional[TdComplex]]:
-        """Break the handle and find the target; statuses follow the bug6 toggle."""
+    def _servtd_locate(self, handle: int, caller_uuid: tuple) -> TdComplex | int:
+        """The TD the handle binds the caller to, or the word refusing it (bug6 picks the word)."""
         tdr_page, slot = break_binding_handle(handle, caller_uuid[0])
-        generic = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDR)
         td = self.tds.get(tdr_page)
-        if td is None:
-            return generic, None
-        if td.servtd_bindings.get(slot) != caller_uuid:
-            if self.mode.bug6:
-                # Distinguishable from the no-TDR case: an HPA oracle.
-                return TDX_SERVTD_UUID_MISMATCH, None
-            return generic, None
-        return TDX_SUCCESS, td
+        if td is not None and td.servtd_bindings.get(slot) == caller_uuid:
+            return td
+        if td is not None and self.mode.bug6:
+            # Distinguishable from the no-TDR case: an HPA oracle.
+            return TDX_SERVTD_UUID_MISMATCH
+        return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDR)
 
-    @_guest_leaf(Leaf.TDG_SERVTD_RD)
+    @_leaf(Leaf.TDG_SERVTD_RD, int)
     def tdg_servtd_rd(self, td: TdComplex, field_id_raw: int) -> tuple[int, int]:
         """Read target-TD metadata from a bound service TD."""
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return FIELD_ID_INVALID, 0
+            return FIELD_ID_INVALID
         if entry.migtd_rd_mask == 0:
-            return TDX_METADATA_FIELD_NOT_READABLE, 0
+            return TDX_METADATA_FIELD_NOT_READABLE
         position = fid.field_code - entry.field_code
-        return TDX_SUCCESS, td.read_element(entry, position) & entry.migtd_rd_mask
+        return TDX_SUCCESS, "success", td.read_element(entry, position) & entry.migtd_rd_mask
 
-    @_guest_leaf(Leaf.TDG_SERVTD_WR)
+    @_leaf(Leaf.TDG_SERVTD_WR, int)
     def tdg_servtd_wr(
         self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64
     ) -> tuple[int, int]:
@@ -530,14 +498,14 @@ class TdxModule:
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return FIELD_ID_INVALID, 0
+            return FIELD_ID_INVALID
         combined = mask & entry.migtd_wr_mask
         if combined == 0:
-            return TDX_METADATA_FIELD_NOT_WRITABLE, 0
+            return TDX_METADATA_FIELD_NOT_WRITABLE
         position = fid.field_code - entry.field_code
         previous = td.read_element(entry, position)
         td.write_element_raw(entry, position, (value & combined) | (previous & ~combined & U64))
-        return TDX_SUCCESS, previous
+        return TDX_SUCCESS, "success", previous
 
     # -- host metadata access -------------------------------------------------
 
@@ -821,6 +789,8 @@ class TdxModule:
         if status != TDX_SUCCESS:
             return status, "failure"
         gpa, token = _GPA_TOKEN.unpack_from(lists[0])
+        if gpa & PAGE_GPA_BITS[not td.gpaw]:
+            return GPA_INVALID
         td.pages[gpa] = token
         return TDX_SUCCESS, "success"
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional
 
+from .md_codec import LIST_BYTES
 from .status import (
     OPERAND_ID_MIGSC,
     TDX_INCORRECT_MBMD_MAC,
@@ -32,7 +33,6 @@ MBMD_MAGIC = b"MBMD"
 MBMD_VERSION = 1
 MBMD_BYTES = 40
 MSK_BYTES = 32
-LIST_BYTES = 4096
 ZERO_MAC = bytes(16)
 STREAM_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_MIGSC)
 

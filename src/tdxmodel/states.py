@@ -1,6 +1,6 @@
-"""TD lifecycle and operation state machines plus the permission matrices.
+"""TD lifecycle and operation state machines plus the permission matrix.
 
-The host-interface matrix is loaded from a transcribed fixture rather than
+The host and guest matrix is loaded from a transcribed fixture rather than
 hard-coded, so conformance testing reduces to a diff against the same file.
 START_IMPORT exists only as the post-fix remediation state: a TD can reach it
 only when the engine runs with the fix enabled.
@@ -107,6 +107,11 @@ class Leaf(Enum):
 
     __hash__ = object.__hash__  # as OpState: a C-level hash for the gate lookup
 
+    @property
+    def guest(self) -> bool:
+        """A service-TD (TDG) leaf rather than a host (TDH) one."""
+        return self.name.startswith("TDG_")
+
 
 @dataclass(frozen=True)
 class MatrixRow:
@@ -115,26 +120,28 @@ class MatrixRow:
 
 
 class PermissionMatrix:
-    """Boolean (op_state x leaf) tables for the host and guest interfaces.
+    """Boolean (op_state x leaf) table; a leaf's name says its interface.
 
     Immutable after load, so one instance is freely shared between modules.
     """
 
-    def __init__(self, rows: dict[tuple[str, OpState, Leaf], MatrixRow]):
+    def __init__(self, rows: dict[tuple[OpState, Leaf], MatrixRow]):
         self._rows = rows
 
     @classmethod
     def load(cls, text: Optional[str] = None) -> "PermissionMatrix":
         if text is None:
             text = resources.files("tdxmodel.data").joinpath("op_state_matrix.txt").read_text()
-        rows: dict[tuple[str, OpState, Leaf], MatrixRow] = {}
+        rows: dict[tuple[OpState, Leaf], MatrixRow] = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             # The sixth column, the row's provenance, documents the fixture only.
             iface, state_name, leaf_name, on_success, on_failure, _ = line.split()
-            key = (iface, OpState(state_name), Leaf[leaf_name])
+            key = (OpState(state_name), Leaf[leaf_name])
+            if iface != ("guest" if key[1].guest else "host"):
+                raise ValueError(f"interface does not match the leaf: {line!r}")
             if key in rows:
                 raise ValueError(f"duplicate matrix row: {line!r}")
             rows[key] = MatrixRow(
@@ -143,22 +150,16 @@ class PermissionMatrix:
             )
         return cls(rows)
 
-    def is_allowed(self, state: OpState, leaf: Leaf, interface: str = "host") -> bool:
+    def is_allowed(self, state: OpState, leaf: Leaf) -> bool:
         if not isinstance(leaf, Leaf):
             raise ValueError(f"unknown leaf: {leaf!r}")
-        if interface not in ("host", "guest"):
-            raise ValueError(f"unknown interface: {interface!r}")
-        return (interface, state, leaf) in self._rows
+        return (state, leaf) in self._rows
 
-    def row(self, state: OpState, leaf: Leaf, interface: str = "host") -> Optional[MatrixRow]:
-        return self._rows.get((interface, state, leaf))
+    def row(self, state: OpState, leaf: Leaf) -> Optional[MatrixRow]:
+        return self._rows.get((state, leaf))
 
-    def allowed_leaves(self, state: OpState, interface: str = "host") -> list[Leaf]:
-        return [
-            leaf
-            for (iface, row_state, leaf) in self._rows
-            if iface == interface and row_state == state
-        ]
+    def allowed_leaves(self, state: OpState) -> list[Leaf]:
+        return [leaf for (row_state, leaf) in self._rows if row_state == state]
 
     def items(self):
         return self._rows.items()
@@ -170,16 +171,7 @@ def bundled_matrix() -> PermissionMatrix:
     return PermissionMatrix.load()
 
 
-def _edge_start(state: OpState, leaf: Leaf, start_import: bool) -> OpState:
-    """The state a call's edge starts from: v1's START_IMPORT rule.
-
-    With start_import (the fix), the first touch of the immutable import
-    moves an UNINITIALIZED TD to START_IMPORT so the non-import
-    initialization path can no longer be interleaved.
-    """
-    if start_import and state is OpState.UNINITIALIZED and leaf is Leaf.TDH_IMPORT_STATE_IMMUTABLE:
-        return OpState.START_IMPORT
-    return state
+OUTCOMES = ("success", "failure", "interrupted")
 
 
 def transition(
@@ -188,24 +180,26 @@ def transition(
     leaf: Leaf,
     outcome: str,
     start_import: bool = False,
-    interface: str = "host",
 ) -> OpState:
     """Pure next-state function over the fixture's transition columns.
 
-    outcome is one of success, failure, interrupted.  Interruption never moves
-    the op_state; a fatal import failure lands in FAILED_IMPORT via the
-    failure column.  Every outcome starts from _edge_start's state.
+    outcome is one of OUTCOMES.  Interruption never moves the op_state; a
+    fatal import failure lands in FAILED_IMPORT via the failure column.
+    With start_import (v1's fix), the first touch of the immutable import
+    moves an UNINITIALIZED TD to START_IMPORT, whatever the outcome, so the
+    non-import initialization path can no longer be interleaved.
     """
-    row = matrix.row(state, leaf, interface)
+    row = matrix.row(state, leaf)
     if row is None:
         raise StatusError(TDX_OP_STATE_INCORRECT)
-    base = _edge_start(state, leaf, start_import)
+    if start_import and state is OpState.UNINITIALIZED and leaf is Leaf.TDH_IMPORT_STATE_IMMUTABLE:
+        state = OpState.START_IMPORT
     if outcome == "interrupted":
-        return base
+        return state
     if outcome == "success":
-        return row.next_on_success or base
+        return row.next_on_success or state
     if outcome == "failure":
-        return row.next_on_failure or base
+        return row.next_on_failure or state
     raise ValueError(f"unknown outcome: {outcome!r}")
 
 
@@ -232,24 +226,21 @@ def validate_trace(
 ) -> list[str]:
     """Check that every observed op_state edge is a path in the fixture graph.
 
-    A TDG step is checked against the guest rows, every other against the
-    host rows.  Returns a list of violation descriptions; empty means the
-    trace is valid.
+    A step with a matrix row stays in place or takes an edge transition()
+    gives for it; a step with no row must be an OP_STATE_INCORRECT refusal
+    that stays in place.  Returns a list of violation descriptions; empty
+    means the trace is valid.
     """
     problems = []
     for step in steps:
-        interface = "guest" if step.leaf.name.startswith("TDG_") else "host"
-        row = matrix.row(step.before, step.leaf, interface)
-        if row is None:
+        if matrix.row(step.before, step.leaf) is None:
             # A denied attempt is not an edge; anything else here is a violation.
-            if step.after is step.before and step.status == TDX_OP_STATE_INCORRECT:
-                continue
-            problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
-            continue
-        # A bare status leaves the op_state in place; an outcome moves it as transition() does.
-        base = _edge_start(step.before, step.leaf, start_import)
-        if step.after not in (step.before, base, row.next_on_success or base,
-                              row.next_on_failure or base):
+            if step.after is not step.before or step.status != TDX_OP_STATE_INCORRECT:
+                problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
+        elif step.after is not step.before and step.after not in {
+            transition(matrix, step.before, step.leaf, outcome, start_import)
+            for outcome in OUTCOMES
+        }:
             problems.append(
                 f"{step.leaf.name}: {step.before.name} -> {step.after.name} not in fixture"
             )

@@ -110,6 +110,14 @@ def check_gpa_validity(gpa: int, gpaw: bool) -> bool:
     return not gpa & shared_bit
 
 
+# The page-GPA rule: a page's GPA is non-negative, 4 KB-aligned and below the
+# shared bit of the guest width exactly when `gpa & PAGE_GPA_BITS[not gpaw]` is 0.
+# Each mask holds the 4 KB offset and every bit from the shared bit up, all of
+# which a negative GPA has set.  One inline test, as the import runs it per page;
+# any non-zero GPAW selects the wider width, as in check_gpa_validity.
+PAGE_GPA_BITS = (0xFFF | -(1 << 51), 0xFFF | -(1 << 47))
+
+
 @dataclass
 class EptpControls:
     """Extended-page-table pointer fields packed into a 64-bit value."""

@@ -173,13 +173,13 @@ def test_criterion_05_state_matrix_conformance(matrix):
         for iface in ("host", "guest")
         for state in OpState
         for leaf in Leaf
-        if matrix.is_allowed(state, leaf, iface)
+        if matrix.is_allowed(state, leaf) and leaf.guest == (iface == "guest")
     }
     assert observed == expected, observed.symmetric_difference(expected)
     for state in OpState:
-        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_RD, "guest")
+        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_RD)
         blocked = state in (OpState.PAUSED_EXPORT, OpState.POST_EXPORT)
-        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_WR, "guest") is not blocked
+        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_WR) is not blocked
     _report(5, f"matrix enumeration equals fixture ({len(expected)} rows), guest rule holds")
 
 

@@ -3,9 +3,10 @@
 import copy
 import inspect
 import random
+import struct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
@@ -70,6 +71,18 @@ def test_build_reaches_runnable():
     assert td.num_vcpus == 2
     assert len(td.measurement) == 48  # running SHA-384 digest
     assert validate_trace(m.matrix, td.trace, True) == []
+
+
+def test_build_stops_at_the_first_failing_call():
+    """One VP past the limit: VP_CREATE refuses it, and no VP_ADDCX or VP_INIT follows."""
+    tdvpr_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
+    m = TdxModule(seed=1)
+    status, td = m.build_td(TdParams(), num_vcpus=MAX_VCPUS_PER_TD + 1)
+    assert status == tdvpr_invalid
+    state = OpState.INITIALIZED
+    assert td.trace[-1] == TraceStep(Leaf.TDH_VP_CREATE, state, state, tdvpr_invalid)
+    assert [step.status for step in td.trace[:-1]] == [S.TDX_SUCCESS] * (len(td.trace) - 1)
+    assert len(td.vps) == MAX_VCPUS_PER_TD and td.pages == {} and td.op_state is state
 
 
 def test_mng_init_requires_control_pages():
@@ -707,6 +720,7 @@ WIDE = st.integers(-(1 << 70), 1 << 70)
 @given(gpa=WIDE | st.integers(0, 1 << 53).map(lambda g: g & ~0xFFF),
        token=WIDE | st.integers(0, U64), gpaw=st.booleans())
 @example(gpa=0x3001, token=1, gpaw=False)
+@example(gpa=-5, token=1, gpaw=False)
 @example(gpa=-0x1000, token=1, gpaw=False)
 @example(gpa=-(1 << 48), token=1, gpaw=False)
 @example(gpa=1 << 47, token=1, gpaw=False)
@@ -716,12 +730,18 @@ WIDE = st.integers(-(1 << 70), 1 << 70)
 @example(gpa=0x1000, token=-1, gpaw=False)
 @example(gpa=0x1000, token=U64, gpaw=False)
 def test_page_add_admits_an_aligned_private_gpa_and_a_64_bit_token(gpa, token, gpaw):
-    """A refused page leaves no page behind, so TDH.MR.EXTEND refuses its GPA too."""
+    """A refused page leaves no page behind, so TDH.MR.EXTEND refuses its GPA too.
+
+    TDH.MEM.SEPT.ADD admits its GPA by the same rule, and moves nothing when it refuses.
+    """
     gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
     m = TdxModule(seed=35)
     td = _initialized_td(m, gpaw)
     # Private: below the shared bit of the guest width (bit 51 with GPAW, else bit 47).
     gpa_ok = 0 <= gpa < 1 << (51 if gpaw else 47) and gpa % 0x1000 == 0
+    sept = S.TDX_SUCCESS if gpa_ok else gpa_invalid
+    assert m.tdh_mem_sept_add(td, gpa) == sept
+    assert m.last == TraceStep(Leaf.TDH_MEM_SEPT_ADD, OpState.INITIALIZED, OpState.INITIALIZED, sept)
     if not gpa_ok:
         expected = gpa_invalid
     elif not 0 <= token <= U64:
@@ -740,6 +760,26 @@ def test_page_add_admits_an_aligned_private_gpa_and_a_64_bit_token(gpa, token, g
     assert not td.fatal
 
 
+@pytest.mark.parametrize("gpa", [0x800000003001, 0x3001, 1 << 47, U64 & ~0xFFF, 0x1000])
+def test_import_mem_stores_only_a_page_gpa(gpa):
+    """A MEM bundle sealed with the session key still carries a GPA the page rule must admit."""
+    gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
+    m = TdxModule(seed=38)
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    import_to_state_import(m, env)
+    dst = env["dst"]
+    state, pages = dst.op_state, dict(dst.pages)
+    payload = struct.pack("<QQ", gpa, 0xAA).ljust(md.LIST_BYTES, b"\x00")
+    status = m.tdh_import_mem(dst, seal(env["key"], BundleType.MEM, [payload]))
+    if gpa == 0x1000:
+        assert status == S.TDX_SUCCESS and dst.pages == {**pages, gpa: 0xAA}
+        return
+    assert status == gpa_invalid
+    assert m.last == TraceStep(Leaf.TDH_IMPORT_MEM, state, state, gpa_invalid)
+    assert dst.pages == pages and dst.op_state is state and not dst.fatal
+
+
 def test_mr_extend_refuses_a_gpa_the_td_has_no_page_at():
     gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
     m = TdxModule(seed=36)
@@ -754,19 +794,18 @@ def test_mr_extend_refuses_a_gpa_the_td_has_no_page_at():
 
 # --- the compiled gate and the cached session key -------------------------------
 
-INTERFACES = ("host", "guest")
 V1_MODES = (True, False)
 _MODULES = {v1: TdxModule(EngineMode(v1=v1)) for v1 in V1_MODES}
 
 
-def _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1):
+def _gate_agrees_with_matrix(matrix, state, leaf, outcome, v1):
     """The compiled gate admits exactly the matrix's calls and moves as transition() does."""
     m = _MODULES[v1]
-    key = (interface, state, leaf)
-    allowed = matrix.is_allowed(state, leaf, interface)
+    key = (state, leaf)
+    allowed = matrix.is_allowed(state, leaf)
     assert (key in m._edges) is allowed
     if allowed:
-        expected = transition(matrix, state, leaf, outcome, not m.mode.v1, interface)
+        expected = transition(matrix, state, leaf, outcome, not m.mode.v1)
         assert m._edges[key][outcome] is expected
 
 
@@ -787,8 +826,8 @@ def test_succeed_leaves_step_along_the_matrix_from_every_state(matrix, v1):
             td = TdComplex(tdr_page=1, hkid=0)
             td.op_state = state
             status = getattr(m, name)(td)
-            if matrix.is_allowed(state, leaf, "host"):
-                expected = transition(matrix, state, leaf, "success", not m.mode.v1, "host")
+            if matrix.is_allowed(state, leaf):
+                expected = transition(matrix, state, leaf, "success", not m.mode.v1)
                 assert status == S.TDX_SUCCESS
                 assert td.op_state is expected
                 assert td.trace == [TraceStep(leaf, state, expected, S.TDX_SUCCESS)]
@@ -817,28 +856,77 @@ def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
         assert m.last is td.trace[-1]
 
 
+# Every leaf the dispatcher gates, host and guest: TDH.MNG.CREATE and TDH.SYS.CONFIG
+# act before any TD exists.
+DISPATCHED = sorted(
+    name for name in vars(TdxModule)
+    if name.startswith(("tdh_", "tdg_")) and name not in ("tdh_mng_create", "tdh_sys_config")
+)
+
+
+def _dispatch_args(m, env, name):
+    """In-range arguments after the TD, or after the caller for a guest leaf.
+
+    A refused call never reaches its body, so one token value serves both
+    TDH.MEM.PAGE.ADD (a source page) and TDH.IMPORT.TRACK (an epoch token).
+    """
+    field_id = m.catalog.by_name(MD_CTX_VP, "XCR0").field_id_raw
+    if name.startswith("tdg_"):
+        return [env["src_handle"], field_id] + ([1] if name == "tdg_servtd_wr" else [])
+    values = {
+        "vp_index": 0, "gpa": 0x1000, "token": 1, "bundle": env["bundle_immutable"],
+        "params": TdParams(attributes=ATTR_MIGRATABLE), "field_id_raw": field_id,
+        "value": 1, "slot": 1, "servtd": env["migtd"],
+    }
+    params = list(inspect.signature(getattr(TdxModule, name)).parameters.values())[2:]
+    return [values[p.name] for p in params if p.default is inspect.Parameter.empty]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(DISPATCHED), state=st.sampled_from(list(OpState)),
+       fatal=st.booleans(), locked=st.booleans())
+@example(name="tdg_servtd_rd", state=OpState.RUNNABLE, fatal=True, locked=False)
+@example(name="tdg_servtd_wr", state=OpState.RUNNABLE, fatal=True, locked=True)
+@example(name="tdg_servtd_wr", state=OpState.PAUSED_EXPORT, fatal=False, locked=False)
+@example(name="tdh_vp_rd", state=OpState.RUNNABLE, fatal=False, locked=True)
+def test_every_leaf_is_refused_fatal_then_busy_then_off_the_matrix(name, state, fatal, locked):
+    """Host or guest, a refused call answers one word and records one step that moves nothing."""
+    m = TdxModule(seed=45)
+    env = standard_setup(m, num_vcpus=1)
+    td, leaf = env["src"], Leaf[name.upper()]
+    td.op_state, td.fatal, td.locked = state, fatal, locked
+    admitted = m.matrix.is_allowed(state, leaf)
+    assume(fatal or locked or not admitted)
+    word = S.TDX_TD_FATAL if fatal else TDR_BUSY if locked else S.TDX_OP_STATE_INCORRECT
+    head = (env["migtd"],) if name.startswith("tdg_") else (td,)
+    before, steps = _model_state(m), len(td.trace)
+    result = getattr(m, name)(*head, *_dispatch_args(m, env, name))
+    assert (result if type(result) is int else result[0]) == word, S.status_str(word)
+    assert td.trace[steps:] == [TraceStep(leaf, state, state, word)]
+    assert m.last is td.trace[-1]
+    assert _model_state(m) == before
+
+
 @settings(max_examples=400, deadline=None)
 @given(
-    interface=st.sampled_from(INTERFACES),
     state=st.sampled_from(list(OpState)),
     leaf=st.sampled_from(list(Leaf)),
     outcome=st.sampled_from(OUTCOMES),
     v1=st.sampled_from(V1_MODES),
 )
-@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted", False)
-@example("host", OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "failure", False)
-@example("host", OpState.START_IMPORT, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "success", False)
-def test_gate_and_next_state_agree_with_matrix(matrix, interface, state, leaf, outcome, v1):
-    _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1)
+@example(OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "interrupted", False)
+@example(OpState.UNINITIALIZED, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "failure", False)
+@example(OpState.START_IMPORT, Leaf.TDH_IMPORT_STATE_IMMUTABLE, "success", False)
+def test_gate_and_next_state_agree_with_matrix(matrix, state, leaf, outcome, v1):
+    _gate_agrees_with_matrix(matrix, state, leaf, outcome, v1)
 
 
 def test_gate_and_next_state_agree_with_matrix_everywhere(matrix):
-    for interface in INTERFACES:
-        for state in OpState:
-            for leaf in Leaf:
-                for outcome in OUTCOMES:
-                    for v1 in V1_MODES:
-                        _gate_agrees_with_matrix(matrix, interface, state, leaf, outcome, v1)
+    for state in OpState:
+        for leaf in Leaf:
+            for outcome in OUTCOMES:
+                for v1 in V1_MODES:
+                    _gate_agrees_with_matrix(matrix, state, leaf, outcome, v1)
 
 
 def test_modules_share_one_parse_of_each_fixture():
@@ -894,7 +982,7 @@ def test_rekey_on_destination_applies_to_next_import():
 
 def _admitting(m, leaf):
     """The first op_state whose host matrix row admits ``leaf``, for direct placement."""
-    return next(state for state in OpState if m.matrix.is_allowed(state, leaf, "host"))
+    return next(state for state in OpState if m.matrix.is_allowed(state, leaf))
 
 
 def test_partly_written_key_is_decryption_key_not_set():

@@ -3,16 +3,18 @@
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel.states import (
     APPENDIX_STATES,
     Leaf,
     OpState,
+    PermissionMatrix,
     TraceStep,
     transition,
     validate_trace,
 )
-from tdxmodel.status import TDX_OP_STATE_INCORRECT, TDX_SUCCESS, StatusError
+from tdxmodel.status import TDX_OP_STATE_INCORRECT, TDX_SUCCESS, TDX_TD_FATAL, StatusError
 
 
 def _fixture_rows():
@@ -34,7 +36,7 @@ def test_exhaustive_enumeration_matches_fixture(matrix):
     for iface in ("host", "guest"):
         for state in OpState:
             for leaf in Leaf:
-                if matrix.is_allowed(state, leaf, iface):
+                if matrix.is_allowed(state, leaf) and leaf.guest == (iface == "guest"):
                     observed.add((iface, state.value, leaf.name))
     assert observed == expected
 
@@ -61,21 +63,27 @@ def test_appendix_states_count():
     ],
 )
 def test_host_spot_checks(matrix, state, leaf, allowed):
-    assert matrix.is_allowed(state, leaf, "host") is allowed
+    assert matrix.is_allowed(state, leaf) is allowed
 
 
 def test_guest_interface_rule(matrix):
     for state in OpState:
-        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_RD, "guest")
+        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_RD)
         expected_wr = state not in (OpState.PAUSED_EXPORT, OpState.POST_EXPORT)
-        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_WR, "guest") is expected_wr
+        assert matrix.is_allowed(state, Leaf.TDG_SERVTD_WR) is expected_wr
+
+
+@pytest.mark.parametrize("iface,leaf", [("host", Leaf.TDG_SERVTD_RD), ("guest", Leaf.TDH_MNG_RD)])
+def test_load_refuses_a_row_whose_interface_disagrees_with_its_leaf(iface, leaf):
+    with pytest.raises(ValueError, match="interface"):
+        PermissionMatrix.load(f"{iface} RUNNABLE {leaf.name} - - x")
+    own = "guest" if leaf.guest else "host"
+    assert PermissionMatrix.load(f"{own} RUNNABLE {leaf.name} - - x").is_allowed(OpState.RUNNABLE, leaf)
 
 
 def test_unknown_leaf_raises(matrix):
     with pytest.raises(ValueError):
-        matrix.is_allowed(OpState.RUNNABLE, "TDH_BOGUS", "host")
-    with pytest.raises(ValueError):
-        matrix.is_allowed(OpState.RUNNABLE, Leaf.TDH_MNG_RD, "midway")
+        matrix.is_allowed(OpState.RUNNABLE, "TDH_BOGUS")
 
 
 # --- transitions -------------------------------------------------------------------
@@ -182,3 +190,52 @@ def test_mng_init_allowed_only_before_any_import_touch(matrix):
                         seen.add(after)
                         frontier.append(after)
         assert OpState.UNINITIALIZED not in seen
+
+
+def _reference_validate_trace(matrix, steps, start_import):
+    """validate_trace's own derivation of each edge, before it went through transition().
+
+    Kept as the reference the one op-state rule must agree with.
+    """
+    problems = []
+    for step in steps:
+        row = matrix.row(step.before, step.leaf)
+        if row is None:
+            if step.after is step.before and step.status == TDX_OP_STATE_INCORRECT:
+                continue
+            problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
+            continue
+        base = step.before
+        if (start_import and step.before is OpState.UNINITIALIZED
+                and step.leaf is Leaf.TDH_IMPORT_STATE_IMMUTABLE):
+            base = OpState.START_IMPORT
+        if step.after not in (step.before, base, row.next_on_success or base,
+                              row.next_on_failure or base):
+            problems.append(
+                f"{step.leaf.name}: {step.before.name} -> {step.after.name} not in fixture"
+            )
+    return problems
+
+
+STEPS = st.builds(
+    TraceStep,
+    leaf=st.sampled_from(list(Leaf)),
+    before=st.sampled_from(list(OpState)),
+    after=st.sampled_from(list(OpState)),
+    status=st.sampled_from([TDX_SUCCESS, TDX_OP_STATE_INCORRECT, TDX_TD_FATAL]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(steps=st.lists(STEPS, max_size=6), start_import=st.booleans())
+@example(steps=[TraceStep(Leaf.TDH_IMPORT_STATE_IMMUTABLE, OpState.UNINITIALIZED,
+                          OpState.START_IMPORT, TDX_SUCCESS)], start_import=True)
+@example(steps=[TraceStep(Leaf.TDH_IMPORT_STATE_IMMUTABLE, OpState.UNINITIALIZED,
+                          OpState.START_IMPORT, TDX_SUCCESS)], start_import=False)
+@example(steps=[TraceStep(Leaf.TDH_IMPORT_STATE_IMMUTABLE, OpState.UNINITIALIZED,
+                          OpState.MEMORY_IMPORT, TDX_SUCCESS)], start_import=True)
+@example(steps=[TraceStep(Leaf.TDG_SERVTD_WR, OpState.PAUSED_EXPORT,
+                          OpState.PAUSED_EXPORT, TDX_TD_FATAL)], start_import=True)
+def test_trace_validator_agrees_with_the_reference_derivation(matrix, steps, start_import):
+    assert validate_trace(matrix, steps, start_import) == _reference_validate_trace(
+        matrix, steps, start_import)
