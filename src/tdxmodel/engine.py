@@ -18,6 +18,7 @@ import hashlib
 import inspect
 import random
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Optional
 
@@ -48,6 +49,7 @@ from .status import (
     OPERAND_ID_RDX,
     OPERAND_ID_TDR,
     OPERAND_ID_TDVPR,
+    TDR_BUSY,
     TDX_HKID_NOT_FREE,
     TDX_INTERRUPTED_RESUMABLE,
     TDX_INVALID_MBMD,
@@ -58,7 +60,6 @@ from .status import (
     TDX_METADATA_FIELD_VALUE_NOT_VALID,
     TDX_MIGRATION_DECRYPTION_KEY_NOT_SET,
     TDX_MIGRATION_STREAM_STATE_INCORRECT,
-    TDX_OPERAND_BUSY,
     TDX_OPERAND_INVALID,
     TDX_OP_STATE_INCORRECT,
     TDX_REQUIRED_METADATA_FIELD_MISSING,
@@ -157,8 +158,6 @@ class Servtd:
     uuid: tuple[int, int, int, int]
 
 
-# A locked TD refuses every call with this word.
-TDR_BUSY = with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR)
 # The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
 TDVPR_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
 # The word for a metadata field id no catalog entry covers, or a read count
@@ -186,13 +185,35 @@ def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
     }
 
 
-def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
-    """The stream ``index`` names, or the word refusing it: no such stream, then no full key."""
+def _stream(td: TdComplex, index: int) -> nullcontext | MigStreamContext:
+    """Hold the stream ``index`` names for one ``with`` block, keyed with the TD's session key.
+
+    The block gets the held stream or the word refusing it, which changes
+    nothing: no such stream, then no full key, then another owner holds it.
+    """
     if not 0 <= index < len(td.migsc):
-        return TDX_MIGRATION_STREAM_STATE_INCORRECT
+        return nullcontext(TDX_MIGRATION_STREAM_STATE_INCORRECT)
     if not td.mig_dec_key_set:
-        return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
-    return td.migsc[index]
+        return nullcontext(TDX_MIGRATION_DECRYPTION_KEY_NOT_SET)
+    return td.migsc[index].hold(td.session_key)
+
+
+def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> list | int | tuple:
+    """The lists a bundle opens to on the held stream, or the leaf's answer.
+
+    A bundle of another type or sealed for another stream is INVALID_MBMD with
+    no edge, before it is decrypted; one that does not open takes the failure edge.
+    """
+    mbmd = bundle.mbmd
+    if mbmd.bundle_type is not bundle_type or mbmd.stream_index != migsc.stream_index:
+        return TDX_INVALID_MBMD
+    status, lists = decrypt_bundle(migsc, mbmd, bundle.data)
+    return lists if status == TDX_SUCCESS else (status, "failure")
+
+
+def _seal(migsc: MigStreamContext, bundle_type: BundleType, lists: list[bytes]) -> Bundle:
+    """Seal whole lists on the held stream, under the key its guard installed."""
+    return Bundle(*encrypt_bundle(migsc, bundle_type, lists))
 
 
 def _nothing() -> None:
@@ -562,13 +583,10 @@ class TdxModule:
 
     # -- export side -----------------------------------------------------------
 
-    def _entries_by_mig(self, context_code: int, kinds: tuple[MigClass, ...]) -> list:
-        return [e for e in self.catalog.entries_for(context_code) if e.mig_export in kinds]
-
-    def _seal(self, migsc: MigStreamContext, bundle_type: BundleType,
-              lists: list[md.MdList]) -> Bundle:
-        """Seal on a stream the caller holds, under the key its guard installed."""
-        return Bundle(*encrypt_bundle(migsc, bundle_type, [l.to_bytes() for l in lists]))
+    def _dump(self, context_code: int, kinds: tuple[MigClass, ...], source) -> list[bytes]:
+        """The context's entries of the given migration classes, dumped as whole lists."""
+        entries = [e for e in self.catalog.entries_for(context_code) if e.mig_export in kinds]
+        return [l.to_bytes() for l in md.dump_lists(self.catalog, context_code, entries, source)]
 
     @_leaf(Leaf.TDH_EXPORT_STATE_IMMUTABLE, _nothing)
     def tdh_export_state_immutable(
@@ -578,71 +596,53 @@ class TdxModule:
             return TDX_TD_NOT_MIGRATABLE
         if td.export_count >= MAX_EXPORT_COUNT:
             return TDX_MAX_EXPORTS_EXCEEDED
-        migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
-        with migsc.hold(td.session_key) as busy:
-            if busy:
-                return busy
+        with _stream(td, migsc_index) as migsc:
+            if type(migsc) is int:
+                return migsc
             # Counted before the dump so the bundle carries the lineage's tally.
             td.export_count += 1
-            sys_entries = self.catalog.entries_for(MD_CTX_SYS)
-            sys_lists = md.dump_lists(
-                self.catalog, MD_CTX_SYS, sys_entries,
-                TdExportSource(td, sys_store=self.sys_store),
-            )
-            td_entries = self._entries_by_mig(MD_CTX_TD, (MigClass.MB, MigClass.MBO))
-            td_lists = md.dump_lists(self.catalog, MD_CTX_TD, td_entries, TdExportSource(td))
-            bundle = self._seal(migsc, BundleType.IMMUTABLE, sys_lists + td_lists)
-        return TDX_SUCCESS, "success", bundle
+            source = TdExportSource(td, sys_store=self.sys_store)
+            lists = self._dump(MD_CTX_SYS, tuple(MigClass), source) + self._dump(
+                MD_CTX_TD, (MigClass.MB, MigClass.MBO), source)
+            return TDX_SUCCESS, "success", _seal(migsc, BundleType.IMMUTABLE, lists)
 
     tdh_export_pause = _leaf(Leaf.TDH_EXPORT_PAUSE)(_succeed)
 
     def _export_mutable(self, td: TdComplex, migsc_index: int, context_code: int,
-                        bundle_type: BundleType, source: TdExportSource):
+                        bundle_type: BundleType, vp_index: Optional[int] = None):
         """Shared body of the mutable-state export leaves: seal the context's ME entries."""
-        migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
-        with migsc.hold(td.session_key) as busy:
-            if busy:
-                return busy
-            entries = self._entries_by_mig(context_code, (MigClass.ME,))
-            lists = md.dump_lists(self.catalog, context_code, entries, source)
-            bundle = self._seal(migsc, bundle_type, lists)
-        return TDX_SUCCESS, "success", bundle
+        with _stream(td, migsc_index) as migsc:
+            if type(migsc) is int:
+                return migsc
+            lists = self._dump(context_code, (MigClass.ME,), TdExportSource(td, vp_index))
+            return TDX_SUCCESS, "success", _seal(migsc, bundle_type, lists)
 
     @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
     def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
-        return self._export_mutable(td, migsc_index, MD_CTX_TD, BundleType.TD, TdExportSource(td))
+        return self._export_mutable(td, migsc_index, MD_CTX_TD, BundleType.TD)
 
     @_leaf(Leaf.TDH_EXPORT_STATE_VP, _nothing)
     def tdh_export_state_vp(
         self, td: TdComplex, vp_index: int, migsc_index: int = 0
     ) -> tuple[int, Optional[Bundle]]:
-        source = TdExportSource(td, vp_index=vp_index)
-        return self._export_mutable(td, migsc_index, MD_CTX_VP, BundleType.VP, source)
+        return self._export_mutable(td, migsc_index, MD_CTX_VP, BundleType.VP, vp_index)
 
     @_leaf(Leaf.TDH_EXPORT_MEM, _nothing)
     def tdh_export_mem(
         self, td: TdComplex, gpa: int, migsc_index: int = 0, abort: bool = False
     ) -> tuple[int, Optional[Bundle]]:
         """Export one page; the IV counter advances even when the call aborts."""
-        migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
-        if gpa not in td.pages:
-            return GPA_INVALID
-        with migsc.hold(td.session_key) as busy:
-            if busy:
-                return busy
+        with _stream(td, migsc_index) as migsc:
+            if type(migsc) is int:
+                return migsc
+            if gpa not in td.pages:
+                return GPA_INVALID
             if abort:
                 # Increment the counter first so an aborted call never reuses an IV.
                 migsc.next_iv()
                 return TDX_INTERRUPTED_RESUMABLE
             payload = _GPA_TOKEN.pack(gpa, td.pages[gpa]) + _MEM_PAD
-            bundle = Bundle(*encrypt_bundle(migsc, BundleType.MEM, [payload]))
-        return TDX_SUCCESS, "success", bundle
+            return TDX_SUCCESS, "success", _seal(migsc, BundleType.MEM, [payload])
 
     @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
@@ -681,20 +681,14 @@ class TdxModule:
         """Shared body of the state-import leaves: interrupt, latch, and completion logic.
 
         Each walk and a fatal completion's ext_err_info go on the call's step.
-        A bundle that does not open takes the failure edge, as in tdh_import_mem.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
-        migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
-        if bundle.mbmd.bundle_type is not bundle_type:
-            return TDX_INVALID_MBMD
-        with migsc.hold(td.session_key) as busy:
-            if busy:
-                return busy
-            status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
-            if status != TDX_SUCCESS:
-                return status, "failure"
+        with _stream(td, migsc_index) as migsc:
+            if type(migsc) is int:
+                return migsc
+            lists = _open(migsc, bundle, bundle_type)
+            if type(lists) is not list:
+                return lists
 
             if not resume:
                 migsc.interrupted_state.reset()
@@ -774,20 +768,15 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_IMPORT_MEM)
     def tdh_import_mem(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
-        migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
-        if not sept_walk_ok(td):
-            td.fatal = True
-            return TDX_TD_FATAL
-        if bundle.mbmd.bundle_type is not BundleType.MEM:
-            return TDX_INVALID_MBMD
-        with migsc.hold(td.session_key) as busy:
-            if busy:
-                return busy
-            status, lists = decrypt_bundle(migsc, bundle.mbmd, bundle.data)
-        if status != TDX_SUCCESS:
-            return status, "failure"
+        with _stream(td, migsc_index) as migsc:
+            if type(migsc) is int:
+                return migsc
+            if not sept_walk_ok(td):
+                td.fatal = True
+                return TDX_TD_FATAL
+            lists = _open(migsc, bundle, BundleType.MEM)
+        if type(lists) is not list:
+            return lists
         gpa, token = _GPA_TOKEN.unpack_from(lists[0])
         if gpa & PAGE_GPA_BITS[not td.gpaw]:
             return GPA_INVALID

@@ -162,24 +162,24 @@ class MigStreamContext:
         self.iv_history: list[bytes] = []
 
     def hold(self, key: Optional[MigrationSessionKey]) -> "MigStreamContext":
-        """Guard one call's use of the stream: ``with stream.hold(key) as busy:``.
+        """Guard one call's use of the stream: ``with stream.hold(key) as held:``.
 
-        ``busy`` is STREAM_BUSY when another owner holds the stream, which is
-        then left as it was: no IV spent, no key installed.  Otherwise it is 0,
-        and the stream carries ``key`` and stays held until the block ends.
+        ``held`` is STREAM_BUSY when another owner holds the stream, which is
+        then left as it was: no IV spent, no key installed.  Otherwise it is the
+        stream itself, which carries ``key`` and stays held until the block ends.
         The guard is plain methods, not a generator, because a 4096-page round
         trip passes through it about 8k times.
         """
         self._claim = key
         return self
 
-    def __enter__(self) -> int:
+    def __enter__(self) -> "MigStreamContext | int":
         if self.locked:
             self._refused += 1
             return STREAM_BUSY
         self.locked = True
         self.key = self._claim
-        return 0
+        return self
 
     def __exit__(self, *exc) -> None:
         if self._refused:

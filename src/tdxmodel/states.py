@@ -14,7 +14,7 @@ from enum import Enum
 from importlib import resources
 from typing import Optional
 
-from .status import TDX_OP_STATE_INCORRECT, StatusError
+from .status import TDR_BUSY, TDX_OP_STATE_INCORRECT, TDX_TD_FATAL, StatusError
 
 
 class LifecycleState(Enum):
@@ -227,15 +227,17 @@ def validate_trace(
     """Check that every observed op_state edge is a path in the fixture graph.
 
     A step with a matrix row stays in place or takes an edge transition()
-    gives for it; a step with no row must be an OP_STATE_INCORRECT refusal
-    that stays in place.  Returns a list of violation descriptions; empty
+    gives for it; a step with no row must be a refusal by the gate's fatal,
+    busy or op-state check (TD_FATAL, TDR_BUSY or OP_STATE_INCORRECT) that
+    stays in place.  Returns a list of violation descriptions; empty
     means the trace is valid.
     """
     problems = []
     for step in steps:
         if matrix.row(step.before, step.leaf) is None:
             # A denied attempt is not an edge; anything else here is a violation.
-            if step.after is not step.before or step.status != TDX_OP_STATE_INCORRECT:
+            if step.after is not step.before or step.status not in (
+                    TDX_TD_FATAL, TDR_BUSY, TDX_OP_STATE_INCORRECT):
                 problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
         elif step.after is not step.before and step.after not in {
             transition(matrix, step.before, step.leaf, outcome, start_import)

@@ -63,6 +63,9 @@ OPERAND_ID_MIGSC = 171
 OPERAND_ID_METADATA_FIELD = 176
 OPERAND_ID_KOT = 186
 
+# A locked TD refuses every call with this word: OPERAND_BUSY naming the TDR.
+TDR_BUSY = TDX_OPERAND_BUSY | OPERAND_ID_TDR
+
 _STATUS_NAMES = {
     value: name
     for name, value in sorted(globals().items())

@@ -101,21 +101,18 @@ def check_xfam(xfam: int) -> bool:
     return (xfam & XFAM_FIXED1) == XFAM_FIXED1 and (xfam & ~XFAM_ALLOWED) == 0
 
 
+# The private-GPA rule: a GPA is non-negative and below the shared bit of the
+# guest width exactly when `gpa & PRIVATE_GPA_BITS[not gpaw]` is 0; each mask
+# holds every bit from the shared bit up, all of which a negative GPA has set,
+# and any non-zero GPAW selects the wider width.  A page's GPA is also 4 KB-
+# aligned: PAGE_GPA_BITS adds the offset bits, for one inline test per page.
+PRIVATE_GPA_BITS = (-(1 << 51), -(1 << 47))
+PAGE_GPA_BITS = tuple(bits | 0xFFF for bits in PRIVATE_GPA_BITS)
+
+
 def check_gpa_validity(gpa: int, gpaw: bool) -> bool:
-    """Private GPAs must fit the guest physical width with the shared bit clear."""
-    max_bits = 52 if gpaw else 48
-    if gpa >= (1 << max_bits):
-        return False
-    shared_bit = 1 << (max_bits - 1)
-    return not gpa & shared_bit
-
-
-# The page-GPA rule: a page's GPA is non-negative, 4 KB-aligned and below the
-# shared bit of the guest width exactly when `gpa & PAGE_GPA_BITS[not gpaw]` is 0.
-# Each mask holds the 4 KB offset and every bit from the shared bit up, all of
-# which a negative GPA has set.  One inline test, as the import runs it per page;
-# any non-zero GPAW selects the wider width, as in check_gpa_validity.
-PAGE_GPA_BITS = (0xFFF | -(1 << 51), 0xFFF | -(1 << 47))
+    """A metadata GPA is private: it fits the guest width with the shared bit clear."""
+    return not gpa & PRIVATE_GPA_BITS[not gpaw]
 
 
 @dataclass

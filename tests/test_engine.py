@@ -1,5 +1,6 @@
 """Engine flows: build ordering, interruptible imports, exports, and round-trips."""
 
+import ast
 import copy
 import inspect
 import random
@@ -8,7 +9,7 @@ import struct
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tdxmodel import md_codec as md
+from tdxmodel import engine, md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog
 from tdxmodel.engine import (
@@ -847,6 +848,8 @@ def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
         (Leaf.TDH_EXPORT_PAUSE, lambda: m.tdh_export_pause(td), refusal),
         (Leaf.TDH_EXPORT_STATE_IMMUTABLE, lambda: m.tdh_export_state_immutable(td),
          (refusal, None)),
+        # No RUNNABLE row: the fatal and busy checks answer before the row's.
+        (Leaf.TDH_IMPORT_END, lambda: m.tdh_import_end(td), refusal),
     )
     for leaf, call, answer in calls:
         steps = len(td.trace)
@@ -854,6 +857,7 @@ def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
         assert td.op_state is OpState.RUNNABLE
         assert td.trace[steps:] == [TraceStep(leaf, OpState.RUNNABLE, OpState.RUNNABLE, refusal)]
         assert m.last is td.trace[-1]
+    assert validate_trace(m.matrix, td.trace, True) == []
 
 
 # Every leaf the dispatcher gates, host and guest: TDH.MNG.CREATE and TDH.SYS.CONFIG
@@ -903,6 +907,7 @@ def test_every_leaf_is_refused_fatal_then_busy_then_off_the_matrix(name, state, 
     result = getattr(m, name)(*head, *_dispatch_args(m, env, name))
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert td.trace[steps:] == [TraceStep(leaf, state, state, word)]
+    assert validate_trace(m.matrix, td.trace[steps:], True) == []
     assert m.last is td.trace[-1]
     assert _model_state(m) == before
 
@@ -1113,6 +1118,120 @@ def test_import_mem_busy_when_stream_held():
     migsc.locked = False
     assert m.tdh_import_mem(dst, env["mem"]) == S.TDX_SUCCESS
     assert dst.pages[0x1000] == env["src"].pages[0x1000] and not migsc.locked
+
+
+def _stream_env(seed):
+    """A destination at STATE_IMPORT holding one imported page, with every honest bundle."""
+    m, env = _at_state_import(seed)
+    assert m.tdh_import_mem(env["dst"], env["mem"]) == S.TDX_SUCCESS
+    env["bundles"] = {
+        BundleType.IMMUTABLE: env["bundle_immutable"], BundleType.TD: env["bundle_td"],
+        BundleType.VP: env["bundle_vps"][0], BundleType.MEM: env["mem"],
+    }
+    return m, env
+
+
+def test_import_refuses_a_bundle_sealed_for_another_stream():
+    m, env = _stream_env(34)
+    dst, migsc = env["dst"], env["dst"].migsc[0]
+    for bundle_type, bundle in env["bundles"].items():
+        lists = decrypted_lists(m, env, bundle)
+        other, own = (seal(env["key"], bundle_type, lists, stream_index=i) for i in (5, 0))
+        leaf, call = {
+            BundleType.IMMUTABLE: (Leaf.TDH_IMPORT_STATE_IMMUTABLE, m.tdh_import_state_immutable),
+            BundleType.TD: (Leaf.TDH_IMPORT_STATE_TD, m.tdh_import_state_td),
+            BundleType.VP: (Leaf.TDH_IMPORT_STATE_VP, lambda td, b: m.tdh_import_state_vp(td, 0, b)),
+            BundleType.MEM: (Leaf.TDH_IMPORT_MEM, m.tdh_import_mem),
+        }[bundle_type]
+        dst.op_state = state = _admitting(m, leaf)
+        written, pages = copy.deepcopy(dst.import_written), dict(dst.pages)
+        counter, history = migsc.iv_counter, list(migsc.iv_history)
+        assert call(dst, other) == S.TDX_INVALID_MBMD, leaf
+        assert m.last == TraceStep(leaf, state, state, S.TDX_INVALID_MBMD)
+        assert dst.import_written == written and dst.pages == pages
+        assert (migsc.iv_counter, migsc.iv_history) == (counter, history) and not migsc.locked
+        # The same lists sealed for the stream that opens them import.
+        assert call(dst, own) == S.TDX_SUCCESS, leaf
+
+
+def _stream_call(m, env, name, own, index):
+    """A stream leaf's operands after the TD: on stream ``index``, with its own refusal ``own``."""
+    dst = env["dst"]
+    if name == "tdh_export_mem":
+        return (0x9000 if own == "page" else 0x1000, index)
+    if name == "tdh_export_state_vp":
+        return (0, index)
+    if not name.startswith("tdh_import"):
+        return (index,)
+    bundle_type = {"tdh_import_state_immutable": BundleType.IMMUTABLE, "tdh_import_state_td":
+                   BundleType.TD, "tdh_import_state_vp": BundleType.VP,
+                   "tdh_import_mem": BundleType.MEM}[name]
+    bundles = env["bundles"]
+    if own == "type":
+        bundle = bundles[BundleType.TD if bundle_type is BundleType.MEM else BundleType.MEM]
+    elif own == "stream":
+        bundle = seal(env["key"], bundle_type, decrypted_lists(m, env, bundles[bundle_type]),
+                      stream_index=len(dst.migsc))
+    else:
+        bundle = bundles[bundle_type]
+    return (0, bundle, index) if name == "tdh_import_state_vp" else (bundle, index)
+
+
+STREAM_LEAVES = ("tdh_export_state_immutable", "tdh_export_state_td", "tdh_export_state_vp",
+                 "tdh_export_mem", "tdh_import_state_immutable", "tdh_import_state_td",
+                 "tdh_import_state_vp", "tdh_import_mem")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(STREAM_LEAVES), stream=st.sampled_from(["index", "key", "held"]),
+       own=st.sampled_from(["type", "stream", "page", "eptp", "none"]))
+@example(name="tdh_import_state_immutable", stream="held", own="type")
+@example(name="tdh_export_mem", stream="held", own="page")
+@example(name="tdh_import_mem", stream="held", own="eptp")
+@example(name="tdh_import_mem", stream="key", own="type")
+def test_a_stream_refusal_answers_before_the_leafs_own(name, stream, own):
+    """No such stream, no full key, a held stream: the stream's word comes first, and nothing moves."""
+    m, env = _stream_env(35)
+    dst, migsc, leaf = env["dst"], env["dst"].migsc[0], Leaf[name.upper()]
+    args = _stream_call(m, env, name, own, len(dst.migsc) if stream == "index" else 0)
+    dst.op_state = state = _admitting(m, leaf)
+    if own == "eptp":
+        dst.eptp_raw = 0
+    if stream == "key":
+        dst._mig_dec_key_written.discard(0)  # direct placement: the key is not written in full
+    migsc.locked = stream == "held"  # another owner holds the stream
+    word = {"index": S.TDX_MIGRATION_STREAM_STATE_INCORRECT,
+            "key": S.TDX_MIGRATION_DECRYPTION_KEY_NOT_SET,
+            "held": S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)}[stream]
+
+    def snapshot():
+        return (dst.op_state, dst.fatal, dst.export_count, dict(dst.pages),
+                copy.deepcopy(dst.import_written), migsc.iv_counter, list(migsc.iv_history),
+                migsc.locked, migsc.key, dst.mig_dec_key_set)
+
+    before, steps = snapshot(), len(dst.trace)
+    result = getattr(m, name)(dst, *args)
+    assert (result if type(result) is int else result[0]) == word, S.status_str(word)
+    assert dst.trace[steps:] == [TraceStep(leaf, state, state, word)]
+    assert snapshot() == before
+
+
+def test_each_stream_step_has_one_home():
+    """Only _stream holds a stream, only _open decrypts and only _seal encrypts."""
+    homes = {"hold": "_stream", "decrypt_bundle": "_open", "encrypt_bundle": "_seal"}
+    uses = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "attr", None) or getattr(child, "id", None)
+            if name in homes:
+                uses.append((name, owner))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    with open(engine.__file__) as source:
+        visit(ast.parse(source.read()), None)
+    assert sorted(uses) == sorted(homes.items())
 
 
 def test_vp_rd_refuses_a_vp_the_td_does_not_have():

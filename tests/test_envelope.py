@@ -190,10 +190,10 @@ def test_context_is_single_owner():
     ctx = fresh_ctx()
     with ctx.hold(ctx.key) as first:
         with ctx.hold(ctx.key) as second:
-            assert first == 0
+            assert first is ctx
             assert second == STREAM_BUSY
     with ctx.hold(ctx.key) as again:
-        assert again == 0
+        assert again is ctx
 
 
 def test_hold_keys_the_stream_or_refuses_a_held_one():
@@ -201,7 +201,7 @@ def test_hold_keys_the_stream_or_refuses_a_held_one():
     ctx = MigStreamContext(0)
     key = MigrationSessionKey(bytes(range(32)))
     with ctx.hold(key) as busy:
-        assert busy == 0 and ctx.locked and ctx.key is key
+        assert busy is ctx and ctx.locked and ctx.key is key
         with ctx.hold(None) as inner:
             assert inner == STREAM_BUSY and ctx.key is key
         assert ctx.locked  # the refused inner block leaves the outer holder in place

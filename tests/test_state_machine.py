@@ -14,7 +14,18 @@ from tdxmodel.states import (
     transition,
     validate_trace,
 )
-from tdxmodel.status import TDX_OP_STATE_INCORRECT, TDX_SUCCESS, TDX_TD_FATAL, StatusError
+from tdxmodel.status import (
+    OPERAND_ID_TDR,
+    TDX_OP_STATE_INCORRECT,
+    TDX_OPERAND_BUSY,
+    TDX_SUCCESS,
+    TDX_TD_FATAL,
+    StatusError,
+    with_operand,
+)
+
+# The gate's three refusals, in its order: a fatal TD, a locked TD, no matrix row.
+GATE_WORDS = (TDX_TD_FATAL, with_operand(TDX_OPERAND_BUSY, OPERAND_ID_TDR), TDX_OP_STATE_INCORRECT)
 
 
 def _fixture_rows():
@@ -201,7 +212,7 @@ def _reference_validate_trace(matrix, steps, start_import):
     for step in steps:
         row = matrix.row(step.before, step.leaf)
         if row is None:
-            if step.after is step.before and step.status == TDX_OP_STATE_INCORRECT:
+            if step.after is step.before and step.status in GATE_WORDS:
                 continue
             problems.append(f"{step.leaf.name} not allowed in {step.before.name}")
             continue
@@ -222,7 +233,7 @@ STEPS = st.builds(
     leaf=st.sampled_from(list(Leaf)),
     before=st.sampled_from(list(OpState)),
     after=st.sampled_from(list(OpState)),
-    status=st.sampled_from([TDX_SUCCESS, TDX_OP_STATE_INCORRECT, TDX_TD_FATAL]),
+    status=st.sampled_from([TDX_SUCCESS, *GATE_WORDS]),
 )
 
 
