@@ -6,7 +6,7 @@ deterministic scenario against either the vulnerable (pre-fix) or fixed
 """
 
 from .catalog import FieldCatalog
-from .engine import EngineMode, InterruptPolicy, TdxModule
+from .engine import EngineMode, TdxModule
 from .md_codec import MdFieldId, ParseArena, decode_field_id, encode_field_id
 from .states import Leaf, OpState, PermissionMatrix
 from .td import TdComplex, TdParams
@@ -14,7 +14,6 @@ from .td import TdComplex, TdParams
 __all__ = [
     "EngineMode",
     "FieldCatalog",
-    "InterruptPolicy",
     "Leaf",
     "MdFieldId",
     "OpState",

@@ -31,10 +31,8 @@ CONTEXT_NAMES = {"sys": MD_CTX_SYS, "td": MD_CTX_TD, "vp": MD_CTX_VP}
 CONTEXT_CODES = {code: name for name, code in CONTEXT_NAMES.items()}
 
 # Entry attribute bits (address-kind flags checked on metadata writes).
-ATTR_HPA = 1 << 0
 ATTR_GPA = 1 << 1
 ATTR_PRIVATE = 1 << 2
-ATTR_SHARED = 1 << 3
 
 
 class MigClass(Enum):
@@ -110,10 +108,6 @@ class FieldEntry:
         return self.first_field_id + field_index * self.num_of_elem
 
 
-def _parse_mask(token: str) -> int:
-    return int(token, 16)
-
-
 def _parse_line(line: str) -> FieldEntry:
     parts = line.split()
     if len(parts) != 21:
@@ -127,16 +121,16 @@ def _parse_line(line: str) -> FieldEntry:
         num_of_elem=int(parts[4]),
         offset=int(parts[5], 16),
         attributes=int(parts[6], 16),
-        prod_rd_mask=_parse_mask(parts[7]),
-        prod_wr_mask=_parse_mask(parts[8]),
-        dbg_rd_mask=_parse_mask(parts[9]),
-        dbg_wr_mask=_parse_mask(parts[10]),
-        guest_rd_mask=_parse_mask(parts[11]),
-        guest_wr_mask=_parse_mask(parts[12]),
-        migtd_rd_mask=_parse_mask(parts[13]),
-        migtd_wr_mask=_parse_mask(parts[14]),
-        export_mask=_parse_mask(parts[15]),
-        import_mask=_parse_mask(parts[16]),
+        prod_rd_mask=int(parts[7], 16),
+        prod_wr_mask=int(parts[8], 16),
+        dbg_rd_mask=int(parts[9], 16),
+        dbg_wr_mask=int(parts[10], 16),
+        guest_rd_mask=int(parts[11], 16),
+        guest_wr_mask=int(parts[12], 16),
+        migtd_rd_mask=int(parts[13], 16),
+        migtd_wr_mask=int(parts[14], 16),
+        export_mask=int(parts[15], 16),
+        import_mask=int(parts[16], 16),
         special_rd_handling=parts[17] == "1",
         special_wr_handling=parts[18] == "1",
         mig_export=MigClass(parts[19]),

@@ -5,10 +5,12 @@ ownership table, the TD registry, and the permission matrix, and dispatches
 API calls one at a time.  Per-finding behavior toggles select vulnerable or
 fixed variants independently, defaulting to all fixed.
 
-Interrupt storms are replaced by deterministic InterruptPolicy predicates, so
-an exploit's "interrupt the import after the second list" step is an exact,
-replayable event.  Every call appends to the owning TD's op-state trace,
-which scenario runs validate against the permission-matrix fixture.
+Interrupt storms are replaced by one list index on the immutable import
+(``interrupt_after``), so an exploit's "interrupt the import after the second
+list" step is an exact, replayable event; ``resume=True`` continues it from the
+next list.  The TD and VP state imports run whole.  Every call appends to the
+owning TD's op-state trace, which scenario runs validate against the
+permission-matrix fixture.
 """
 
 from __future__ import annotations
@@ -125,20 +127,6 @@ class EngineMode:
 
 
 FINDING_TOGGLES = tuple(f.name for f in dc_fields(EngineMode))
-
-
-@dataclass
-class InterruptPolicy:
-    """Deterministic stand-in for a pending-interrupt check between lists."""
-
-    fire_after_lists: frozenset = frozenset()
-
-    @classmethod
-    def after(cls, *indexes: int) -> "InterruptPolicy":
-        return cls(frozenset(indexes))
-
-    def pending(self, last_list_index: int) -> bool:
-        return last_list_index in self.fire_after_lists
 
 
 @dataclass
@@ -675,12 +663,14 @@ class TdxModule:
         migsc_index: int,
         bundle_type: BundleType,
         vp_index: Optional[int] = None,
-        policy: Optional[InterruptPolicy] = None,
+        interrupt_after: Optional[int] = None,
         resume: bool = False,
     ):
         """Shared body of the state-import leaves: interrupt, latch, and completion logic.
 
-        Each walk and a fatal completion's ext_err_info go on the call's step.
+        The call is interrupted after list ``interrupt_after``, unless that is
+        the bundle's last list.  Each walk and a fatal completion's
+        ext_err_info go on the call's step.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
         with _stream(td, migsc_index) as migsc:
@@ -702,14 +692,11 @@ class TdxModule:
                 arena = ParseArena(lists[i], plants=self.arena_plants)
                 ctx = contexts(i)
                 sink = TdImportSink(td, vp_index=vp_index, gpa_checks=gpa_checks)
-                result = md.write_list(
-                    self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode,
-                    skip_non_writable=True,
-                )
+                result = md.write_list(self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode)
                 step.walks += ((arena, result),)
                 if result.status != TDX_SUCCESS:
                     migsc.interrupted_state.latch(result.status, result.ext_err_info)
-                if i + 1 <= len(lists) - 1 and policy and policy.pending(i):
+                if i == interrupt_after and i + 1 < len(lists):
                     migsc.interrupted_state.cursor = i + 1
                     return TDX_INTERRUPTED_RESUMABLE, "interrupted"
 
@@ -733,35 +720,23 @@ class TdxModule:
         td: TdComplex,
         bundle: Bundle,
         migsc_index: int = 0,
-        policy: Optional[InterruptPolicy] = None,
+        interrupt_after: Optional[int] = None,
         resume: bool = False,
     ) -> int:
         return self._import_lists(
-            td, bundle, migsc_index, BundleType.IMMUTABLE, policy=policy, resume=resume
+            td, bundle, migsc_index, BundleType.IMMUTABLE,
+            interrupt_after=interrupt_after, resume=resume,
         )
 
     @_leaf(Leaf.TDH_IMPORT_STATE_TD)
-    def tdh_import_state_td(
-        self,
-        td: TdComplex,
-        bundle: Bundle,
-        migsc_index: int = 0,
-        policy: Optional[InterruptPolicy] = None,
-    ) -> int:
-        return self._import_lists(td, bundle, migsc_index, BundleType.TD, policy=policy)
+    def tdh_import_state_td(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
+        return self._import_lists(td, bundle, migsc_index, BundleType.TD)
 
     @_leaf(Leaf.TDH_IMPORT_STATE_VP)
     def tdh_import_state_vp(
-        self,
-        td: TdComplex,
-        vp_index: int,
-        bundle: Bundle,
-        migsc_index: int = 0,
-        policy: Optional[InterruptPolicy] = None,
+        self, td: TdComplex, vp_index: int, bundle: Bundle, migsc_index: int = 0
     ) -> int:
-        result = self._import_lists(
-            td, bundle, migsc_index, BundleType.VP, vp_index=vp_index, policy=policy
-        )
+        result = self._import_lists(td, bundle, migsc_index, BundleType.VP, vp_index=vp_index)
         if result == (TDX_SUCCESS, "success"):
             td.num_migrated_vcpus += 1
         return result

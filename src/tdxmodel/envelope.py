@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional
@@ -157,11 +158,9 @@ class MigStreamContext:
         self.iv_counter = 0
         self.interrupted_state = InterruptedState()
         self.locked = False
-        self._claim = key
-        self._refused = 0  # open blocks that were refused: their exits release nothing
         self.iv_history: list[bytes] = []
 
-    def hold(self, key: Optional[MigrationSessionKey]) -> "MigStreamContext":
+    def hold(self, key: Optional[MigrationSessionKey]) -> "MigStreamContext | nullcontext":
         """Guard one call's use of the stream: ``with stream.hold(key) as held:``.
 
         ``held`` is STREAM_BUSY when another owner holds the stream, which is
@@ -170,22 +169,17 @@ class MigStreamContext:
         The guard is plain methods, not a generator, because a 4096-page round
         trip passes through it about 8k times.
         """
-        self._claim = key
+        if self.locked:
+            return nullcontext(STREAM_BUSY)
+        self.key = key
         return self
 
-    def __enter__(self) -> "MigStreamContext | int":
-        if self.locked:
-            self._refused += 1
-            return STREAM_BUSY
+    def __enter__(self) -> "MigStreamContext":
         self.locked = True
-        self.key = self._claim
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._refused:
-            self._refused -= 1
-        else:
-            self.locked = False
+        self.locked = False
 
     def next_iv(self) -> bytes:
         """Advance the counter and return the fresh 96-bit IV.

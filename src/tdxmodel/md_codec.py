@@ -513,7 +513,6 @@ def write_list(
     arena: ParseArena,
     sink: MetadataSink,
     mode: WriteMode,
-    skip_non_writable: bool = True,
 ) -> WriteResult:
     """Import one metadata list from the arena into the sink.
 
@@ -558,7 +557,6 @@ def write_list(
             lkp,
             sink,
             mode,
-            skip_non_writable,
             result.ext_err_info,
         )
         if status != TDX_SUCCESS:
@@ -582,7 +580,6 @@ def write_sequence(
     lkp: LookupIterator,
     sink: MetadataSink,
     mode: WriteMode,
-    skip_non_writable: bool,
     ext_err_info: list[int],
 ) -> tuple[int, int]:
     """Import one sequence; returns (status, elements_read).
@@ -598,6 +595,10 @@ def write_sequence(
     calls and skips stay one per element or field.  ``lkp`` is advanced, and the
     class-change check made, only after an entry's last field; on every exit
     ``lkp`` stands where a field-by-field walk would leave it.
+
+    A field of an entry that is not importable is passed over; one refused as
+    not writable is skipped (and recorded, unless ``silent_skip``); any other
+    refusal ends the walk.
     """
     if buff_size < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
         ext_err_info[0] = lkp.field_id_raw
@@ -630,7 +631,7 @@ def write_sequence(
         num_of_elem = entry.num_of_elem
         field_bytes = num_of_elem * ELEMENT_BYTES
         last_index = entry.num_of_fields - 1
-        writes = not skip_non_writable or entry.importable
+        writes = entry.importable
         import_mask = entry.import_mask
         first = field_index
         stop = min(last_index + 1, first + fields_left)
@@ -659,7 +660,7 @@ def write_sequence(
                                       for at in range(offset, offset + field_bytes, ELEMENT_BYTES)]
                         status = write_field(entry, field_index, values, combined)
                     if status != TDX_SUCCESS:
-                        if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                        if status != TDX_METADATA_FIELD_NOT_WRITABLE:
                             lkp.field_index = field_index
                             ext_err_info[0] = lkp.field_id_raw
                             return status, sequence_idx
@@ -684,7 +685,7 @@ def write_sequence(
                                   for at in range(offset, offset + field_bytes, ELEMENT_BYTES)]
                         status = write_field(entry, field_index, values, combined)
                     if status != TDX_SUCCESS:
-                        if not (status == TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                        if status != TDX_METADATA_FIELD_NOT_WRITABLE:
                             lkp.field_index = field_index
                             ext_err_info[0] = lkp.field_id_raw
                             return status, sequence_idx + (field_index - first) * num_of_elem

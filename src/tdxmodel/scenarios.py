@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from . import md_codec as md
 from . import status as S
 from .catalog import FieldCatalog
-from .engine import Bundle, EngineMode, EpochToken, InterruptPolicy, TdxModule
+from .engine import Bundle, EngineMode, EpochToken, TdxModule
 from .envelope import (
     BundleType,
     MigrationSessionKey,
@@ -292,7 +292,7 @@ def finish_import(m: TdxModule, env: dict, dst=None) -> int:
     return S.TDX_SUCCESS
 
 
-def decrypted_lists(m: TdxModule, env: dict, bundle: Bundle) -> list[bytes]:
+def decrypted_lists(env: dict, bundle: Bundle) -> list[bytes]:
     ctx = MigStreamContext(0, MigrationSessionKey.from_quadwords(env["key"]))
     status, lists = decrypt_bundle(ctx, bundle.mbmd, bundle.data)
     assert status == S.TDX_SUCCESS
@@ -318,7 +318,7 @@ def _v1(m: TdxModule, r: Recorder) -> dict:
     dst = env["dst"]
     r.step(
         "tdh_import_state_immutable dst (interrupt storm pending)",
-        m.tdh_import_state_immutable(dst, env["bundle_immutable"], policy=InterruptPolicy.after(1)),
+        m.tdh_import_state_immutable(dst, env["bundle_immutable"], interrupt_after=1),
         INTERRUPTED,
     )
     r.step(
@@ -409,8 +409,8 @@ def _bug2(m: TdxModule, r: Recorder) -> dict:
     env = standard_setup(m, num_vcpus=1)
     export_blackout(m, env)
     catalog, key = m.catalog, env["key"]
-    imm_lists = decrypted_lists(m, env, env["bundle_immutable"])
-    vp_lists = decrypted_lists(m, env, env["bundle_vps"][0])
+    imm_lists = decrypted_lists(env, env["bundle_immutable"])
+    vp_lists = decrypted_lists(env, env["bundle_vps"][0])
 
     # One template TD per table row being demonstrated, named as the transcript
     # names them (the set-up's own env["dst"] stays unused).
@@ -589,7 +589,7 @@ def _bug9(m: TdxModule, r: Recorder) -> dict:
     export_blackout(m, env)
     import_to_state_import(m, env)
     dst = env["dst"]
-    vp_seqs = collect_sequences(decrypted_lists(m, env, env["bundle_vps"][0]))
+    vp_seqs = collect_sequences(decrypted_lists(env, env["bundle_vps"][0]))
     vapic = m.catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
     vp_seqs.append(
         MdSequence(md.make_sequence_header(MD_CTX_VP, vapic.class_code, vapic.field_code), [bogus_gpa])

@@ -6,11 +6,8 @@ two 16-bit words.  Flag bits 61..63 mark fatal / non-recoverable / error.
 """
 
 TDX_OPERAND_CODE_MASK = 0xFF
-TDX_L2_DETAILS_MASK = 0xFFFFFFFF
 TDX_CLASS_MASK = 0xFFFFFFFF00000000
 TDX_FATAL_FLAG_MASK = 1 << 61
-TDX_NON_RECOVERABLE_FLAG_MASK = 1 << 62
-TDX_ERROR_FLAG_MASK = 1 << 63
 
 TDX_SUCCESS = 0x0000000000000000
 TDX_INTERRUPTED_RESUMABLE = 0x8000000300000000
@@ -21,27 +18,20 @@ TDX_OPERAND_BUSY = 0x8000020000000000
 TDX_TD_FATAL = 0xE000060400000000
 TDX_LIFECYCLE_STATE_INCORRECT = 0xC000060700000000
 TDX_OP_STATE_INCORRECT = 0xC000060800000000
-TDX_NO_VCPUS = 0xC000060900000000
 TDX_TDCX_NUM_INCORRECT = 0xC000061000000000
-TDX_MAX_VCPUS_EXCEEDED = 0xC000070500000000
-TDX_KEY_STATE_INCORRECT = 0xC000081100000000
 TDX_HKID_NOT_FREE = 0xC000082000000000
-TDX_INVALID_TDMR = 0xC0000A0000000000
 TDX_METADATA_FIELD_ID_INCORRECT = 0xC0000C0000000000
 TDX_METADATA_FIELD_NOT_WRITABLE = 0xC0000C0100000000
 TDX_METADATA_FIELD_NOT_READABLE = 0xC0000C0200000000
 TDX_METADATA_FIELD_VALUE_NOT_VALID = 0xC0000C0300000000
 TDX_METADATA_LIST_OVERFLOW = 0xC0000C0400000000
-TDX_INVALID_METADATA_LIST_HEADER = 0xC0000C0500000000
 TDX_REQUIRED_METADATA_FIELD_MISSING = 0xC0000C0600000000
 TDX_SERVTD_UUID_MISMATCH = 0xC0000D0400000000
 TDX_INVALID_MBMD = 0xC0000E0000000000
 TDX_INCORRECT_MBMD_MAC = 0xC0000E0100000000
-TDX_NOT_EXPORTED = 0xC0000E0400000000
 TDX_MIGRATION_STREAM_STATE_INCORRECT = 0xC0000E0500000000
 TDX_MIGRATION_DECRYPTION_KEY_NOT_SET = 0xC0000E0800000000
 TDX_TD_NOT_MIGRATABLE = 0xC0000E0900000000
-TDX_IMPORT_MISMATCH = 0xC0000E0C00000000
 TDX_MAX_EXPORTS_EXCEEDED = 0xC0000E0E00000000
 TDX_SOME_VCPUS_NOT_MIGRATED = 0xC0000E1200000000
 
@@ -55,13 +45,10 @@ OPERAND_ID_ATTRIBUTES = 64
 OPERAND_ID_XFAM = 65
 OPERAND_ID_EPTP_CONTROLS = 67
 OPERAND_ID_TSC_FREQUENCY = 70
-OPERAND_ID_PAGE = 95
 OPERAND_ID_TDR = 128
 OPERAND_ID_TDVPR = 130
-OPERAND_ID_OP_STATE = 172
 OPERAND_ID_MIGSC = 171
 OPERAND_ID_METADATA_FIELD = 176
-OPERAND_ID_KOT = 186
 
 # A locked TD refuses every call with this word: OPERAND_BUSY naming the TDR.
 TDR_BUSY = TDX_OPERAND_BUSY | OPERAND_ID_TDR

@@ -57,9 +57,6 @@ MAX_EVENT_FILTERS = 32
 XCR0_X87 = 1 << 0
 
 # EPT page-walk levels as encoded in the eptp controls (levels minus one).
-LVL_PT = 0
-LVL_PD = 1
-LVL_PDPT = 2
 LVL_PML4 = 3
 LVL_PML5 = 4
 
@@ -478,7 +475,7 @@ def admit_td_config(td: TdComplex, name: str, value: int, gpaw: bool,
 def sept_walk_ok(td: TdComplex) -> bool:
     """Entry precondition for any secure page-table walk.
 
-    A zeroed controls value walks from physical page 0 at depth LVL_PT, which
+    A zeroed controls value walks from physical page 0 at level 0, which
     dereferences uninitialized private memory; the model surfaces that as the
     machine-check analog instead of crashing.  The walk level and root page
     are read straight from the packed value (EptpControls' layout).

@@ -18,14 +18,11 @@ def matrix():
 class DictSink:
     """Plain metadata sink for codec tests: records writes and skips."""
 
-    def __init__(self, fail_with: int = TDX_SUCCESS):
+    def __init__(self):
         self.values = {}
         self.skips = []
-        self.fail_with = fail_with
 
     def write_field(self, entry, field_index, values, combined_mask):
-        if self.fail_with != TDX_SUCCESS:
-            return self.fail_with
         self.values[(entry.name, field_index)] = list(values)
         return TDX_SUCCESS
 

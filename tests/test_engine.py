@@ -17,7 +17,6 @@ from tdxmodel.engine import (
     TDR_BUSY,
     EngineMode,
     EpochToken,
-    InterruptPolicy,
     TdxModule,
 )
 from tdxmodel.envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
@@ -171,9 +170,7 @@ def test_import_interrupt_and_resume_cursor():
     m = TdxModule(seed=7)
     env = standard_setup(m, num_vcpus=1)
     dst = env["dst"]
-    status = m.tdh_import_state_immutable(
-        dst, env["bundle_immutable"], policy=InterruptPolicy.after(0)
-    )
+    status = m.tdh_import_state_immutable(dst, env["bundle_immutable"], interrupt_after=0)
     assert status == S.TDX_INTERRUPTED_RESUMABLE
     assert dst.migsc[0].interrupted_state.cursor == 1
     assert dst.op_state is OpState.START_IMPORT  # fixed mode first touch
@@ -187,9 +184,9 @@ def test_import_walks_split_between_interrupted_and_resumed_steps():
     m = TdxModule(seed=7)
     env = standard_setup(m, num_vcpus=1)
     dst, bundle = env["dst"], env["bundle_immutable"]
-    lists = decrypted_lists(m, env, bundle)
+    lists = decrypted_lists(env, bundle)
     assert len(lists) > 2
-    status = m.tdh_import_state_immutable(dst, bundle, policy=InterruptPolicy.after(1))
+    status = m.tdh_import_state_immutable(dst, bundle, interrupt_after=1)
     assert status == S.TDX_INTERRUPTED_RESUMABLE
     interrupted = dst.trace[-1]
     assert m.tdh_import_state_immutable(dst, bundle, resume=True) == S.TDX_SUCCESS
@@ -200,6 +197,54 @@ def test_import_walks_split_between_interrupted_and_resumed_steps():
     walks = interrupted.walks + resumed.walks
     assert [arena.buffer[: md.LIST_BYTES] for arena, _ in walks] == lists
     assert all(result.status == S.TDX_SUCCESS for _, result in walks)
+
+
+# A list whose header claims less than itself: every mode stops its walk there.
+_BROKEN_LIST = md.MdListHeader(list_buff_size=0, num_sequences=1).to_bytes().ljust(md.LIST_BYTES, b"\x00")
+IMMUTABLE_LISTS = 3  # SYS, then two TD lists: the immutable bundle of a standard source
+
+
+def _immutable_import(mode, seed, broken, interrupt_after):
+    """(words, op_state, td_store, import_written) of an immutable import and its resume."""
+    m = TdxModule(mode, seed=seed)
+    env = standard_setup(m, num_vcpus=1)
+    dst, bundle = env["dst"], env["bundle_immutable"]
+    lists = decrypted_lists(env, bundle)
+    assert len(lists) == IMMUTABLE_LISTS
+    if broken is not None:
+        lists[broken] = _BROKEN_LIST
+        bundle = seal(env["key"], BundleType.IMMUTABLE, lists)
+    words = [m.tdh_import_state_immutable(dst, bundle, interrupt_after=interrupt_after)]
+    if words[0] == S.TDX_INTERRUPTED_RESUMABLE:
+        words.append(m.tdh_import_state_immutable(dst, bundle, resume=True))
+    return words, dst.op_state, copy.deepcopy(dst.td_store), copy.deepcopy(dst.import_written)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    interrupt_after=st.none() | st.integers(-1, IMMUTABLE_LISTS),
+    mode=st.sampled_from([EngineMode(), EngineMode(v1=True), EngineMode(bug2=True),
+                          EngineMode.all_vulnerable()]),
+    seed=st.integers(0, 2**16),
+    broken=st.none() | st.integers(0, IMMUTABLE_LISTS - 1),
+)
+@example(interrupt_after=None, mode=EngineMode(), seed=0, broken=None)
+@example(interrupt_after=-1, mode=EngineMode(), seed=0, broken=None)
+@example(interrupt_after=0, mode=EngineMode(), seed=0, broken=None)
+@example(interrupt_after=1, mode=EngineMode(), seed=0, broken=1)
+@example(interrupt_after=2, mode=EngineMode(), seed=0, broken=None)
+@example(interrupt_after=3, mode=EngineMode(), seed=0, broken=None)
+def test_interrupt_and_resume_equal_one_uninterrupted_immutable_import(
+    interrupt_after, mode, seed, broken
+):
+    whole = _immutable_import(mode, seed, broken, None)
+    assert len(whole[0]) == 1
+    got = _immutable_import(mode, seed, broken, interrupt_after)
+    if interrupt_after is not None and 0 <= interrupt_after < IMMUTABLE_LISTS - 1:
+        # Interrupted after its list, then resumed from the next one.
+        assert got[0][0] == S.TDX_INTERRUPTED_RESUMABLE
+        got = (got[0][1:],) + got[1:]
+    assert got == whole
 
 
 def test_import_busy_when_stream_held():
@@ -540,7 +585,7 @@ def test_fixed_mode_random_walk_safety_invariants():
             elif op == 1:
                 status = m.tdh_import_state_immutable(
                     td, env["bundle_immutable"],
-                    policy=InterruptPolicy.after(rng.randrange(3)),
+                    interrupt_after=rng.randrange(3),
                 )
                 if status == S.TDX_SUCCESS:
                     completed_import.add(td.tdr_page)
@@ -1135,7 +1180,7 @@ def test_import_refuses_a_bundle_sealed_for_another_stream():
     m, env = _stream_env(34)
     dst, migsc = env["dst"], env["dst"].migsc[0]
     for bundle_type, bundle in env["bundles"].items():
-        lists = decrypted_lists(m, env, bundle)
+        lists = decrypted_lists(env, bundle)
         other, own = (seal(env["key"], bundle_type, lists, stream_index=i) for i in (5, 0))
         leaf, call = {
             BundleType.IMMUTABLE: (Leaf.TDH_IMPORT_STATE_IMMUTABLE, m.tdh_import_state_immutable),
@@ -1170,7 +1215,7 @@ def _stream_call(m, env, name, own, index):
     if own == "type":
         bundle = bundles[BundleType.TD if bundle_type is BundleType.MEM else BundleType.MEM]
     elif own == "stream":
-        bundle = seal(env["key"], bundle_type, decrypted_lists(m, env, bundles[bundle_type]),
+        bundle = seal(env["key"], bundle_type, decrypted_lists(env, bundles[bundle_type]),
                       stream_index=len(dst.migsc))
     else:
         bundle = bundles[bundle_type]

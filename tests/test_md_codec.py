@@ -163,7 +163,7 @@ def _sequence_walk(catalog, sink, body: bytes, remaining: int, mode: WriteMode,
     lkp = LookupIterator(catalog, ctx, entry, entry.field_index_of(fid.field_code))
     ext = [0, 0]
     status, elements_read = md.write_sequence(
-        arena, 0, fid, header_raw, remaining, lkp, sink, mode, True, ext
+        arena, 0, fid, header_raw, remaining, lkp, sink, mode, ext
     )
     return status, elements_read, arena, ext
 
@@ -203,20 +203,6 @@ def test_zero_write_mask_skip_is_recorded_in_fixed_mode(catalog):
     status, _, _, _ = _sequence_walk(catalog, sink, seq.to_bytes(), 24, WriteMode.fixed())
     assert status == S.TDX_SUCCESS
     assert sink.skips == [("XCR0", 0)]
-
-
-def test_non_writable_error_propagates_when_not_skipping(catalog):
-    sink = DictSink(fail_with=S.TDX_METADATA_FIELD_NOT_WRITABLE)
-    seq = MdSequence(make_sequence_header(MD_CTX_VP, 0x11, 0x20), [0x7])
-    arena = ParseArena(seq.to_bytes().ljust(4096, b"\x00"))
-    fid = decode_field_id(seq.header_raw)
-    entry = catalog.find_entry(MD_CTX_VP, fid)
-    lkp = LookupIterator(catalog, MD_CTX_VP, entry, 0)
-    status, _ = md.write_sequence(
-        arena, 0, fid, seq.header_raw, 16, lkp, sink, WriteMode.fixed(),
-        False, [0, 0],  # skip_non_writable off
-    )
-    assert status == S.TDX_METADATA_FIELD_NOT_WRITABLE
 
 
 def test_sequence_cannot_cross_classes(catalog, sink):
@@ -326,7 +312,7 @@ def test_fixed_mode_never_reads_oob_on_fuzzed_lists(catalog):
 # --- the walk kernel against the per-field reference -------------------------------
 
 def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, sink, mode,
-                              skip_non_writable, ext_err_info):
+                              ext_err_info):
     """The per-field walk write_sequence replaced, kept as the oracle for it."""
     if buff_size < md.SEQUENCE_HEADER_BYTES + md.ELEMENT_BYTES:
         ext_err_info[0] = lkp.field_id_raw
@@ -357,7 +343,7 @@ def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, s
             ext_err_info[0] = lkp.field_id_raw
             return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
 
-        if not skip_non_writable or entry.importable:
+        if entry.importable:
             combined = wr_mask & entry.import_mask
             if combined == 0:
                 status = S.TDX_METADATA_FIELD_NOT_WRITABLE
@@ -368,7 +354,7 @@ def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, s
                 ]
                 status = sink.write_field(entry, lkp.field_index, values, combined)
             if status != S.TDX_SUCCESS:
-                if not (status == S.TDX_METADATA_FIELD_NOT_WRITABLE and skip_non_writable):
+                if status != S.TDX_METADATA_FIELD_NOT_WRITABLE:
                     ext_err_info[0] = lkp.field_id_raw
                     return status, sequence_idx
                 if not mode.silent_skip:
@@ -445,7 +431,7 @@ def import_lists(draw, catalog):
     return ctx, (header.to_bytes() + body).ljust(md.LIST_BYTES, b"\x00")
 
 
-def _walk_with(write_sequence, catalog, ctx, data, mode, skip_non_writable, refusals):
+def _walk_with(write_sequence, catalog, ctx, data, mode, refusals):
     arena = ParseArena(data)
     sink = CallLogSink(refusals)
     positions = []
@@ -457,8 +443,7 @@ def _walk_with(write_sequence, catalog, ctx, data, mode, skip_non_writable, refu
         return out
 
     with mock.patch.object(md, "write_sequence", recording):
-        result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, sink, mode,
-                               skip_non_writable)
+        result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, sink, mode)
     return result, arena.reads, sink.calls, positions
 
 
@@ -469,41 +454,39 @@ def _one_run_list(catalog):
     return MD_CTX_VP, build_list([MdSequence(header, [0x100 + i for i in range(8)])]).to_bytes()
 
 
-ALL_MODES = [
-    (WriteMode(*flags), skip)
-    for flags in itertools.product([False, True], repeat=3)
-    for skip in (True, False)
-]
+ALL_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=3)]
+
+# Each mode runs against two sinks: one whose refusals are all NOT_WRITABLE,
+# which the walk passes over, and one that may also refuse a value, which ends it.
+_SKIPPED = (S.TDX_METADATA_FIELD_NOT_WRITABLE,)
+REFUSAL_WORDS = {True: _SKIPPED, False: _SKIPPED + (S.TDX_METADATA_FIELD_VALUE_NOT_VALID,)}
+MODE_CASES = [(mode, only_skips) for mode in ALL_MODES for only_skips in (True, False)]
 
 
-@pytest.mark.parametrize("mode,skip_non_writable", ALL_MODES)
-def test_walk_kernel_matches_per_field_reference(catalog, mode, skip_non_writable):
+@pytest.mark.parametrize("mode,only_skips", MODE_CASES)
+def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     kernel = md.write_sequence
 
     @settings(max_examples=40, deadline=None)
     @given(
         case=import_lists(catalog),
         refusals=st.dictionaries(
-            st.integers(0, 6),
-            st.sampled_from([S.TDX_METADATA_FIELD_NOT_WRITABLE,
-                             S.TDX_METADATA_FIELD_VALUE_NOT_VALID]),
-            max_size=3,
+            st.integers(0, 6), st.sampled_from(REFUSAL_WORDS[only_skips]), max_size=3
         ),
     )
-    # A NOT_WRITABLE refusal at field 3 of an 8-field run: a skip mode walks on past it.
+    # A NOT_WRITABLE refusal at field 3 of an 8-field run: the walk goes on past it.
     @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_NOT_WRITABLE})
     def check(case, refusals):
         ctx, data = case
-        expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode,
-                              skip_non_writable, refusals)
-        got = _walk_with(kernel, catalog, ctx, data, mode, skip_non_writable, refusals)
+        expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode, refusals)
+        got = _walk_with(kernel, catalog, ctx, data, mode, refusals)
         assert got == expected
 
     check()
 
 
-@pytest.mark.parametrize("mode,skip_non_writable", ALL_MODES)
-def test_every_logged_read_is_one_read_call(catalog, mode, skip_non_writable):
+@pytest.mark.parametrize("mode,only_skips", MODE_CASES)
+def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
     # perfbench counts arena reads by wrapping ParseArena.read on the class, so
     # the walk must log nothing that bypasses read, and call it for every read.
     real_read = ParseArena.read
@@ -516,16 +499,16 @@ def test_every_logged_read_is_one_read_call(catalog, mode, skip_non_writable):
     @settings(max_examples=40, deadline=None)
     @given(
         case=import_lists(catalog),
-        refusals=st.dictionaries(st.integers(0, 6),
-                                 st.just(S.TDX_METADATA_FIELD_NOT_WRITABLE), max_size=3),
+        refusals=st.dictionaries(
+            st.integers(0, 6), st.sampled_from(REFUSAL_WORDS[only_skips]), max_size=3
+        ),
     )
     def check(case, refusals):
         ctx, data = case
         arena = ParseArena(data)
         calls.clear()
         with mock.patch.object(ParseArena, "read", counting_read):
-            md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, CallLogSink(refusals), mode,
-                          skip_non_writable)
+            md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, CallLogSink(refusals), mode)
         assert calls == arena._log
 
     check()

@@ -1,0 +1,117 @@
+"""Every top-level name in the package is read by the program, so none lingers unused.
+
+A name counts as read when code in ``src/tdxmodel`` (outside the name's own
+definition) or in ``perfbench/`` loads it, as a bare name or as an attribute.
+Imports alone do not count, and neither do ``status.py``'s ``globals()`` name
+tables.  A decorated function is read by its decorator, and a name in
+``tdxmodel.__all__`` is the package's public surface.  Anything else must be on
+the allow-list below, with its reason.
+"""
+
+import ast
+import pathlib
+
+import tdxmodel
+from tdxmodel import status as S
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tdxmodel"
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+# module.name -> why it stays although the program never reads it.
+ALLOWED = {
+    "__init__.__all__": "the public names, read by `from tdxmodel import *`",
+    "__init__.__version__": "the package version, for whoever inspects an installed copy",
+    "md_codec.MAX_SEQUENCE_BYTES": "the codec's largest sequence, pinned by the dump tests",
+    "status.OPERAND_ID_RAX": "operand 0: status_str prints it on every bare word, as the goldens show",
+    "td.ATTR_SEPT_VE_DISABLE": "a TD attribute bit the build and import tests set on migratable TDs",
+    "td.is_event_allowed": "the event-filter lookup the bug-3 acceptance check asks",
+}
+
+
+def _definitions() -> dict[str, ast.AST]:
+    """module.name -> the top-level statement that binds it (imports excluded)."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found[f"{path.stem}.{node.name}"] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            found[f"{path.stem}.{name.id}"] = node
+    return found
+
+
+def _reads() -> set[str]:
+    """Every name loaded in src/ or perfbench/, less a definition's reads of itself."""
+    names = set()
+    for path in READERS:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for inner in ast.walk(node):
+                    owner[id(inner)] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if owner.get(id(node)) != name:
+                names.add(name)
+    return names
+
+
+def _unread() -> list[str]:
+    reads = _reads()
+    return sorted(
+        qualified for qualified, node in _definitions().items()
+        if qualified.split(".", 1)[1] not in reads
+        and not getattr(node, "decorator_list", None)
+        and qualified.split(".", 1)[1] not in tdxmodel.__all__
+    )
+
+
+def test_every_top_level_name_is_read_or_allowed():
+    unread = _unread()
+    extra = sorted(set(unread) - set(ALLOWED))
+    assert not extra, "nothing reads " + ", ".join(extra)
+    # An entry whose name is gone, or is read after all, must leave the list.
+    stale = sorted(set(ALLOWED) - set(unread))
+    assert not stale, "allowed but read or gone: " + ", ".join(stale)
+
+
+def _status_names_src_uses(prefix: str) -> set[str]:
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "status":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(name, str) and name.startswith(prefix) and hasattr(S, name):
+                used.add(name)
+    return used
+
+
+# TD_FATAL's value carries the fatal flag, which status_str strips before it
+# looks the class up, so the word prints as bare hex, as the goldens record it.
+PRINTED_BARE = {"TDX_TD_FATAL"}
+
+
+def test_every_status_word_src_uses_renders_by_name():
+    words = {name for name in _status_names_src_uses("TDX_") if not name.endswith("_MASK")}
+    assert "TDX_SUCCESS" in words and PRINTED_BARE <= words
+    for name in words - PRINTED_BARE:
+        assert S.status_str(getattr(S, name)).split(" - ")[1] == f"{name} : OPERAND_ID_RAX"
+    for name in PRINTED_BARE:
+        assert S.status_str(getattr(S, name)) == hex(getattr(S, name))
+    operands = _status_names_src_uses("OPERAND_ID_") | {"OPERAND_ID_RAX"}
+    assert "OPERAND_ID_RCX" in operands
+    for name in operands:
+        word = S.with_operand(S.TDX_OPERAND_INVALID, getattr(S, name))
+        assert S.status_str(word).endswith(f"TDX_OPERAND_INVALID : {name}")
