@@ -13,6 +13,7 @@ import sys
 from . import md_codec as md
 from . import status as S
 from .catalog import CONTEXT_CODES, FieldCatalog, bundled_catalog
+from .engine import TdxModule
 from .envelope import (
     Mbmd,
     MigrationSessionKey,
@@ -201,8 +202,6 @@ def cmd_state(args, out) -> int:
             raise CliError(f"scenario {args.scenario!r} leaves no TD to dump")
         out.write(td.snapshot() + "\n")
         return 0
-
-    from .engine import TdxModule
 
     module = TdxModule(seed=args.seed)
     status, td = module.tdh_mng_create(hkid=module.kot.free_hkids()[0])

@@ -122,9 +122,6 @@ class EngineMode:
     def all_vulnerable(cls) -> "EngineMode":
         return cls(**dict.fromkeys(FINDING_TOGGLES, True))
 
-    def codec_mode(self) -> WriteMode:
-        return WriteMode(header_underflow=self.bug1, loop_underflow=self.v2, silent_skip=self.bug2)
-
 
 FINDING_TOGGLES = tuple(f.name for f in dc_fields(EngineMode))
 
@@ -277,7 +274,10 @@ class TdxModule:
         self.mode = mode or EngineMode()
         self.catalog = bundled_catalog()
         self.matrix = bundled_matrix()
-        self._edges = _edge_table(self.matrix, not self.mode.v1)
+        # The START_IMPORT rule v1 picks: the gate runs on it, and traces are validated with it.
+        self.start_import = not self.mode.v1
+        self._edges = _edge_table(self.matrix, self.start_import)
+        self._codec_mode = WriteMode(header_underflow=self.mode.bug1, loop_underflow=self.mode.v2)
         self.kot = Kot(kot_size)
         self.cpuid = CpuidLookup()
         self.rng = random.Random(seed)
@@ -685,7 +685,7 @@ class TdxModule:
                 td.import_written = {}
             cursor = migsc.interrupted_state.cursor if resume else 0
             step = self.last
-            codec_mode = self.mode.codec_mode()
+            codec_mode = self._codec_mode
             gpa_checks = not self.mode.bug9
 
             for i in range(cursor, len(lists)):

@@ -1,11 +1,14 @@
 """Metadata list codec: field ids, list headers, sequences, and the import walk.
 
-The import-side walk (write_list / write_sequence) exists in two variants.
-The vulnerable variant reproduces the production module's size arithmetic
-bit-for-bit: a 16-bit subtraction when the list header is consumed and a
-32-bit subtraction per write-mask element inside the field loop, both of
-which wrap.  The fixed variant bounds-checks the header up front and hoists
-the write-mask handling out of the loop.
+The import-side walk (write_list / write_sequence) has two switches, the two
+fields of WriteMode, one per finding.  Their pre-fix settings reproduce the
+production module's size arithmetic bit-for-bit: a 16-bit subtraction when
+the list header is consumed (header_underflow) and a 32-bit subtraction per
+write-mask element inside the field loop (loop_underflow), both of which
+wrap.  The fixed settings bounds-check the header up front and hoist the
+write-mask handling out of the loop.  In every mode a field refused as not
+writable is skipped and recorded on the sink; what the import does with the
+records (the required-field check) is the engine's business.
 
 All parsing reads go through a ParseArena so out-of-bounds accesses are
 observable instead of faulting: the arena holds the 4KB list at offset 0
@@ -164,11 +167,7 @@ class MdListHeader:
     reserved: int = 0
 
     def to_bytes(self) -> bytes:
-        return (
-            self.list_buff_size.to_bytes(2, "little")
-            + self.num_sequences.to_bytes(2, "little")
-            + self.reserved.to_bytes(4, "little")
-        )
+        return _LIST_HEADER.pack(self.list_buff_size, self.num_sequences, self.reserved)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MdListHeader":
@@ -447,16 +446,14 @@ class WriteMode:
     Flags are True when the corresponding pre-fix behavior is active:
       header_underflow  unchecked 16-bit header subtraction
       loop_underflow    write-mask element deducted inside the field loop
-      silent_skip       zero write-mask skips are not recorded
     """
 
     header_underflow: bool = False
     loop_underflow: bool = False
-    silent_skip: bool = False
 
     @classmethod
     def vulnerable(cls) -> "WriteMode":
-        return cls(header_underflow=True, loop_underflow=True, silent_skip=True)
+        return cls(header_underflow=True, loop_underflow=True)
 
     @classmethod
     def fixed(cls) -> "WriteMode":
@@ -470,7 +467,7 @@ class MetadataSink(Protocol):
         """Store values for one field; returns a status word."""
 
     def record_skip(self, entry, field_index: int) -> None:
-        """Fixed-mode bookkeeping for a field skipped via a zero write mask."""
+        """Note a field the walk passed over because the sink refused it as not writable."""
 
 
 class LookupIterator:
@@ -597,8 +594,8 @@ def write_sequence(
     ``lkp`` stands where a field-by-field walk would leave it.
 
     A field of an entry that is not importable is passed over; one refused as
-    not writable is skipped (and recorded, unless ``silent_skip``); any other
-    refusal ends the walk.
+    not writable is skipped and recorded through ``sink.record_skip``; any
+    other refusal ends the walk.
     """
     if buff_size < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
         ext_err_info[0] = lkp.field_id_raw
@@ -621,7 +618,6 @@ def write_sequence(
         buff_size -= ELEMENT_BYTES
 
     reread_mask = mode.loop_underflow and fid.write_mask_valid
-    record_skips = not mode.silent_skip
     write_field = sink.write_field
     entry = lkp.entry
     field_index = lkp.field_index
@@ -664,8 +660,7 @@ def write_sequence(
                             lkp.field_index = field_index
                             ext_err_info[0] = lkp.field_id_raw
                             return status, sequence_idx
-                        if record_skips:
-                            sink.record_skip(entry, field_index)
+                        sink.record_skip(entry, field_index)
                 buff_size = (buff_size - field_bytes) & 0xFFFFFFFF
                 sequence_idx += num_of_elem
         else:
@@ -689,8 +684,7 @@ def write_sequence(
                             lkp.field_index = field_index
                             ext_err_info[0] = lkp.field_id_raw
                             return status, sequence_idx + (field_index - first) * num_of_elem
-                        if record_skips:
-                            sink.record_skip(entry, field_index)
+                        sink.record_skip(entry, field_index)
                     offset += field_bytes
             buff_size -= (fit - first) * field_bytes
             sequence_idx += (fit - first) * num_of_elem

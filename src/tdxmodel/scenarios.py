@@ -622,7 +622,7 @@ def replay(scenario: Scenario, module: TdxModule, vulnerable: bool) -> tuple[boo
     env = scenario.play(module, r)
     trace_problems = []
     for td in module.tds.values():
-        trace_problems.extend(validate_trace(module.matrix, td.trace, not module.mode.v1))
+        trace_problems.extend(validate_trace(module.matrix, td.trace, module.start_import))
     if trace_problems:
         r.ok = False
         r.lines += [f"trace violation: {problem}" for problem in trace_problems]

@@ -570,7 +570,7 @@ def is_event_allowed(td: TdComplex, event_select: int, umask: int) -> bool:
     """Binary search of the sorted allow list for an exact (event, umask) match."""
     if td.event_filters_num == 0:
         return False
-    key = (event_select & 0xFF) | ((umask & 0xFF) << 8)
+    key = EventFilter(event_select=event_select, umask=umask).internal
     live = td.event_filters[: td.event_filters_num]
     index = bisect.bisect_left(live, key)
     return index < len(live) and live[index] == key
@@ -592,9 +592,9 @@ class TdImportSink:
 
     Applies the per-field special write handling (verification on the way in,
     through TD_CONFIG_RULES for the TD-configuration fields) and records each
-    written element and skipped field in the TD's import_written ledger.  The
-    skipped-address-check behavior is the pre-fix variant: private-GPA fields
-    are stored without validity checks.
+    written element and skipped field in the TD's import_written ledger.
+    ``gpa_checks`` is bug-9's switch: False is the pre-fix code, which stores
+    private-GPA fields without validity checks.
 
     The sink works per catalog entry.  When the walk hands it a field of a new
     entry it looks up that entry's value checks and binds the entry's storage:
@@ -612,7 +612,8 @@ class TdImportSink:
         self,
         td: TdComplex,
         vp_index: Optional[int] = None,
-        gpa_checks: bool = False,
+        *,
+        gpa_checks: bool,
     ):
         self.td = td
         self.vp_index = vp_index

@@ -184,7 +184,7 @@ def test_sequence_too_small_is_overflow(catalog, sink):
     assert S.status_class(status) == S.TDX_METADATA_LIST_OVERFLOW
 
 
-def test_zero_write_mask_skips_silently_in_vulnerable_mode(catalog):
+def test_zero_write_mask_skip_is_recorded_in_vulnerable_mode(catalog):
     sink = DictSink()
     seq = MdSequence(
         make_sequence_header(MD_CTX_VP, 0x11, 0x20, write_mask_valid=True), [0, 0x7]
@@ -192,7 +192,7 @@ def test_zero_write_mask_skips_silently_in_vulnerable_mode(catalog):
     status, _, _, _ = _sequence_walk(catalog, sink, seq.to_bytes(), 24, WriteMode.vulnerable())
     assert status == S.TDX_SUCCESS
     assert sink.values == {}
-    assert sink.skips == []
+    assert sink.skips == [("XCR0", 0)]
 
 
 def test_zero_write_mask_skip_is_recorded_in_fixed_mode(catalog):
@@ -275,7 +275,7 @@ def test_pure_loop_underflow_with_valid_header(catalog, sink):
     )
     data = build_list([pad, cr2, tail]).to_bytes()
 
-    vulnerable = WriteMode(header_underflow=False, loop_underflow=True, silent_skip=True)
+    vulnerable = WriteMode(header_underflow=False, loop_underflow=True)
     arena = ParseArena(data)
     result = md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, sink, vulnerable)
     assert result.status == S.TDX_SUCCESS
@@ -357,8 +357,7 @@ def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, s
                 if status != S.TDX_METADATA_FIELD_NOT_WRITABLE:
                     ext_err_info[0] = lkp.field_id_raw
                     return status, sequence_idx
-                if not mode.silent_skip:
-                    sink.record_skip(entry, lkp.field_index)
+                sink.record_skip(entry, lkp.field_index)
 
         buff_size = (buff_size - entry.num_of_elem * md.ELEMENT_BYTES) & 0xFFFFFFFF
         sequence_idx += entry.num_of_elem
@@ -454,7 +453,7 @@ def _one_run_list(catalog):
     return MD_CTX_VP, build_list([MdSequence(header, [0x100 + i for i in range(8)])]).to_bytes()
 
 
-ALL_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=3)]
+ALL_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=2)]
 
 # Each mode runs against two sinks: one whose refusals are all NOT_WRITABLE,
 # which the walk passes over, and one that may also refuse a value, which ends it.
