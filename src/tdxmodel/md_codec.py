@@ -24,6 +24,7 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import Iterable, Optional, Protocol
 
 from .status import (
@@ -200,7 +201,7 @@ def _u64s(count: int) -> struct.Struct:
     """The packer of ``count`` little-endian u64 values.
 
     A 4 KB list holds fewer than 512 of them, so the cache keeps one packer
-    per sequence length a list can carry.
+    per sequence or field-run length a list can carry.
     """
     return struct.Struct(f"<{count}Q")
 
@@ -324,13 +325,13 @@ class ParseArena:
     access to ``buffer``, which is that image.  Until then no read has run
     past the list, so ``oob_reads`` and ``max_oob_span`` answer at once.
 
-    ``read`` is the one logged access.  The import walk calls it directly, one
-    ``read(offset, 8)`` per element it consumes, and ``read_u64`` goes through
-    it too, so a wrapper around ``read`` sees every logged read.  It returns a
-    bytes-like copy of exactly ``length`` bytes: ``bytes`` sliced from the
-    list for a read inside it, a ``bytearray`` sliced from the image once that
-    is built, zero-padded only past the arena end.  Offsets count from the
-    list start and are never negative, and lengths are positive.
+    ``read`` logs one read, and ``log_u64s`` a run of 8-byte reads as the
+    ``(offset, 8)`` records ``read`` would log one by one.  ``read`` returns a
+    copy of exactly ``length`` bytes: ``bytes`` sliced from the list for a read
+    inside it, a ``bytearray`` sliced from the image once that is built,
+    zero-padded only past the arena end; ``peek_u64s`` decodes a run served
+    the same way, unlogged.  Offsets count from the list start and are never
+    negative, and lengths are positive.
     """
 
     REGIONS = (
@@ -395,6 +396,25 @@ class ParseArena:
             chunk += bytes(length - len(chunk))
         return chunk
 
+    def peek_u64s(self, offset: int, count: int) -> list[int]:
+        """Unlogged: ``count`` little-endian u64s from ``offset``, served as ``read`` serves bytes.
+
+        The walk decodes a field run with it; assertions about what a walk
+        should have seen use it too.
+        """
+        end = offset + count * ELEMENT_BYTES
+        data = self._bytes
+        if end > len(data):  # past the list: from the image, zero-padded past its end
+            data, offset = self.buffer[offset:end].ljust(end - offset, b"\x00"), 0
+        return list(_u64s(count).unpack_from(data, offset))
+
+    def log_u64s(self, offset: int, count: int) -> None:
+        """Log ``count`` 8-byte reads from ``offset`` on, as ``read`` would one by one."""
+        end = offset + count * ELEMENT_BYTES
+        if end > LIST_BYTES:
+            self.buffer  # builds the image: without one, oob_reads answers "none"
+        self._log += zip(range(offset, end, ELEMENT_BYTES), repeat(ELEMENT_BYTES))
+
     @property
     def reads(self) -> list[ReadRecord]:
         """Every logged read, in read order."""
@@ -406,14 +426,6 @@ class ParseArena:
 
     def read_u64(self, offset: int) -> int:
         return int.from_bytes(self.read(offset, 8), "little")
-
-    def peek_u64(self, offset: int) -> int:
-        """Unlogged read, for assertions about what a walk should have seen."""
-        chunk = self._bytes[offset : offset + 8]
-        if len(chunk) < 8:
-            chunk = self.buffer[offset : offset + 8]
-        # Little-endian: bytes missing past the arena end read as zero.
-        return int.from_bytes(chunk, "little")
 
     def oob_reads(self) -> list[ReadRecord]:
         if self._image is None:
@@ -588,10 +600,11 @@ def write_sequence(
 
     The walk runs per catalog entry and reads the entry's values once.  Unless
     the mask is re-read per field, the entry's fields are one run: how many fit
-    is computed up front and the sizes are settled once, while reads, sink
-    calls and skips stay one per element or field.  ``lkp`` is advanced, and the
-    class-change check made, only after an entry's last field; on every exit
-    ``lkp`` stands where a field-by-field walk would leave it.
+    is computed up front, the sizes are settled once, and the run is decoded
+    with one ``peek_u64s`` and logged with one ``log_u64s``, up to the field
+    whose refusal ends the walk; sink calls and skips stay one per field.
+    ``lkp`` is advanced, and the class-change check made, only after an entry's
+    last field; on every exit ``lkp`` stands where a per-field walk leaves it.
 
     A field of an entry that is not importable is passed over; one refused as
     not writable is skipped and recorded through ``sink.record_skip``; any
@@ -664,28 +677,27 @@ def write_sequence(
                 buff_size = (buff_size - field_bytes) & 0xFFFFFFFF
                 sequence_idx += num_of_elem
         else:
-            # One run: the fields that fit are walked, then the sizes are settled once.
+            # One run: the fields that fit are decoded, walked and logged, then the sizes settled.
             fit = min(stop, first + buff_size // field_bytes)
-            if writes:
-                combined = wr_mask & import_mask
-                offset = elements_base + sequence_idx * ELEMENT_BYTES
+            combined = wr_mask & import_mask
+            if writes and combined == 0:
                 for field_index in range(first, fit):
-                    if combined == 0:
-                        status = TDX_METADATA_FIELD_NOT_WRITABLE
-                    elif num_of_elem == 1:
-                        status = write_field(entry, field_index,
-                                             [from_bytes(read(offset, 8), "little")], combined)
-                    else:
-                        values = [from_bytes(read(at, 8), "little")
-                                  for at in range(offset, offset + field_bytes, ELEMENT_BYTES)]
-                        status = write_field(entry, field_index, values, combined)
+                    sink.record_skip(entry, field_index)
+            elif writes:
+                offset = elements_base + sequence_idx * ELEMENT_BYTES
+                run = arena.peek_u64s(offset, (fit - first) * num_of_elem)
+                at = 0
+                for field_index in range(first, fit):
+                    status = write_field(entry, field_index, run[at : at + num_of_elem], combined)
+                    at += num_of_elem
                     if status != TDX_SUCCESS:
                         if status != TDX_METADATA_FIELD_NOT_WRITABLE:
+                            arena.log_u64s(offset, at)
                             lkp.field_index = field_index
                             ext_err_info[0] = lkp.field_id_raw
-                            return status, sequence_idx + (field_index - first) * num_of_elem
+                            return status, sequence_idx + at - num_of_elem
                         sink.record_skip(entry, field_index)
-                    offset += field_bytes
+                arena.log_u64s(offset, at)
             buff_size -= (fit - first) * field_bytes
             sequence_idx += (fit - first) * num_of_elem
             if fit < stop:

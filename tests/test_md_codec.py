@@ -54,7 +54,7 @@ def test_arena_sentinels_self_identify():
 
 def test_arena_plant_and_reads_past_buffer():
     arena = ParseArena(b"", plants={12280: LEAK_SENTINEL})
-    assert arena.peek_u64(12280) == LEAK_SENTINEL
+    assert arena.peek_u64s(12280, 1) == [LEAK_SENTINEL]
     assert arena.read_u64(len(arena.buffer) + 64) == 0
     assert arena.reads[-1].oob
 
@@ -443,7 +443,7 @@ def _walk_with(write_sequence, catalog, ctx, data, mode, refusals):
 
     with mock.patch.object(md, "write_sequence", recording):
         result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, sink, mode)
-    return result, arena.reads, sink.calls, positions
+    return result, arena.reads, arena.oob_reads(), arena.max_oob_span(), sink.calls, positions
 
 
 def _one_run_list(catalog):
@@ -475,6 +475,10 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     )
     # A NOT_WRITABLE refusal at field 3 of an 8-field run: the walk goes on past it.
     @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_NOT_WRITABLE})
+    # A value refusal at field 3 of the same run ends the walk: the log stops after field 3.
+    @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_VALUE_NOT_VALID})
+    # Under header_underflow a run crosses the list end into the sentinel regions.
+    @example(case=(MD_CTX_TD, list_header_underflow_list()), refusals={})
     def check(case, refusals):
         ctx, data = case
         expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode, refusals)
@@ -486,14 +490,21 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
 
 @pytest.mark.parametrize("mode,only_skips", MODE_CASES)
 def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
-    # perfbench counts arena reads by wrapping ParseArena.read on the class, so
-    # the walk must log nothing that bypasses read, and call it for every read.
+    # The walk logs through the two logging calls alone: each read call logs
+    # its one read, and each log_u64s call the element reads its run stands
+    # for.  Nothing may reach the log another way, and no call may log a read
+    # that the walk then takes back.
     real_read = ParseArena.read
+    real_log_u64s = ParseArena.log_u64s
     calls = []
 
     def counting_read(arena, offset, length):
         calls.append((offset, length))
         return real_read(arena, offset, length)
+
+    def counting_log_u64s(arena, offset, count):
+        calls.extend((offset + 8 * k, 8) for k in range(count))
+        return real_log_u64s(arena, offset, count)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -506,7 +517,8 @@ def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
         ctx, data = case
         arena = ParseArena(data)
         calls.clear()
-        with mock.patch.object(ParseArena, "read", counting_read):
+        with mock.patch.object(ParseArena, "read", counting_read), \
+                mock.patch.object(ParseArena, "log_u64s", counting_log_u64s):
             md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, CallLogSink(refusals), mode)
         assert calls == arena._log
 
@@ -519,12 +531,12 @@ def test_planting_in_one_arena_leaves_others_untouched():
     first = ParseArena(b"")
     second = ParseArena(b"")
     offsets = [first.region_span(name)[0] for name, _ in ParseArena.REGIONS]
-    before = [second.peek_u64(offset) for offset in offsets]
+    before = [second.peek_u64s(offset, 1)[0] for offset in offsets]
     for offset in offsets:
         first.plant(offset, LEAK_SENTINEL)
-    assert [first.peek_u64(offset) for offset in offsets] == [LEAK_SENTINEL] * len(offsets)
-    assert [second.peek_u64(offset) for offset in offsets] == before
-    assert [ParseArena(b"").peek_u64(offset) for offset in offsets] == before
+    assert [first.peek_u64s(offset, 1)[0] for offset in offsets] == [LEAK_SENTINEL] * len(offsets)
+    assert [second.peek_u64s(offset, 1)[0] for offset in offsets] == before
+    assert [ParseArena(b"").peek_u64s(offset, 1)[0] for offset in offsets] == before
 
 
 ARENA_BYTES = len(md._BLANK_ARENA)
@@ -590,6 +602,21 @@ def arena_reads(draw):
     return draw(st.integers(ARENA_BYTES - 16, ARENA_BYTES + 16)), draw(st.integers(1, 32))
 
 
+@st.composite
+def arena_runs(draw):
+    """One run of 8-byte elements: inside the list, across its end, past it, or across the arena end."""
+    kind = draw(st.sampled_from(["in_list", "straddle", "past_list", "past_arena"]))
+    if kind == "in_list":
+        offset = draw(st.integers(0, md.LIST_BYTES - 8))
+        return offset, draw(st.integers(1, (md.LIST_BYTES - offset) // 8))
+    if kind == "straddle":
+        offset = draw(st.integers(md.LIST_BYTES - 64, md.LIST_BYTES - 1))
+        return offset, draw(st.integers((md.LIST_BYTES - offset) // 8 + 1, 16))
+    if kind == "past_list":
+        return draw(st.integers(md.LIST_BYTES, ARENA_BYTES - 8)), draw(st.integers(1, 16))
+    return draw(st.integers(ARENA_BYTES - 64, ARENA_BYTES + 16)), draw(st.integers(1, 16))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.binary(max_size=md.LIST_BYTES) | st.binary(min_size=md.LIST_BYTES,
@@ -597,34 +624,51 @@ def arena_reads(draw):
     as_bytearray=st.booleans(),
     plants=st.none() | st.dictionaries(st.integers(0, ARENA_BYTES - 8),
                                        st.integers(0, 2**64 - 1), max_size=3),
-    reads=st.lists(arena_reads(), max_size=8),
+    reads=st.lists(st.tuples(arena_reads(), st.just(False))
+                   | st.tuples(arena_runs(), st.just(True)), max_size=8),
 )
 @example(data=bytes(range(256)) * 16, as_bytearray=False, plants=None,
-         reads=[(0, 8), (4088, 8)])
-@example(data=b"\xaa" * 100, as_bytearray=True, plants=None, reads=[(4092, 8), (4096, 8)])
+         reads=[((0, 8), False), ((4088, 8), False)])
+@example(data=b"\xaa" * 100, as_bytearray=True, plants=None,
+         reads=[((4092, 8), False), ((4096, 8), False)])
+@example(data=bytes(range(256)) * 16, as_bytearray=False, plants=None,
+         reads=[((8, 511), True), ((4080, 3), True), ((ARENA_BYTES - 8, 2), True)])
 def test_lazy_arena_matches_the_eager_reference(data, as_bytearray, plants, reads):
+    # Each read is ((offset, length), False), one read call; or ((offset, count), True),
+    # a run of count 8-byte elements, logged with log_u64s and decoded with peek_u64s,
+    # which the reference reads element by element.
     given_bytes = bytearray(data) if as_bytearray else data
     arena = ParseArena(given_bytes, plants)
     reference = EagerArena(data, plants)
     if as_bytearray:
         given_bytes[:] = bytes(0xFF - b for b in given_bytes)  # the arena keeps its own copy
 
-    for offset, length in reads:
-        got = arena.read(offset, length)
-        assert bytes(got) == bytes(reference.read(offset, length))
-        assert len(got) == length
+    spans = []
+    for (offset, size), run in reads:
+        if run:
+            expected = [int.from_bytes(reference.read(at, 8), "little")
+                        for at in range(offset, offset + 8 * size, 8)]
+            arena.log_u64s(offset, size)
+            assert arena.oob_reads() == reference.oob_reads()  # logged alone, before any peek
+            assert arena.peek_u64s(offset, size) == expected
+            spans.append((offset, 8 * size))
+        else:
+            got = arena.read(offset, size)
+            assert bytes(got) == bytes(reference.read(offset, size))
+            assert len(got) == size
+            spans.append((offset, size))
     assert arena._log == reference._log
     assert arena.reads == reference.reads
-    assert arena.read_count == len(reads)
+    assert arena.read_count == len(reference._log)
     assert arena.oob_reads() == reference.oob_reads()
     assert arena.max_oob_span() == reference.max_oob_span()
-    # The image is built only by a plant or a read past the list.
-    past_list = any(offset + length > md.LIST_BYTES for offset, length in reads)
+    # The image is built only by a plant or a read or run past the list.
+    past_list = any(offset + length > md.LIST_BYTES for offset, length in spans)
     assert (arena._image is None) == (not plants and not past_list)
 
     starts = [0, md.LIST_BYTES - 4] + [arena.region_span(name)[0]
                                         for name, _ in ParseArena.REGIONS]
-    assert [arena.peek_u64(at) for at in starts] == [reference.peek_u64(at) for at in starts]
+    assert [arena.peek_u64s(at, 1)[0] for at in starts] == [reference.peek_u64(at) for at in starts]
     assert arena.buffer == reference.buffer
     assert arena.oob_reads() == reference.oob_reads()
 
