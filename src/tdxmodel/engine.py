@@ -210,7 +210,7 @@ def _leaf(leaf: Leaf, returns=None):
 
     A guest (service-TD) leaf is called as ``(caller, handle, ...)``; it first
     resolves the binding handle, and a handle that names no bound TD answers
-    (status, returns()) with no step.  From the TD on, both kinds run alike.
+    (status, returns()) with no step and ``module.last`` None; then both run alike.
     The step is built first, as ``module.last``, for the body to record on.
     The gate refuses a fatal or locked TD, a call with no matrix row and,
     where the body's first operand after the TD is ``vp_index``, a VP the TD
@@ -251,10 +251,14 @@ def _leaf(leaf: Leaf, returns=None):
         if not leaf.guest:
             return functools.wraps(body)(dispatch)
         def guest(self, caller: Servtd, handle: int, *args, **kwargs):
+            self.last = None  # until the handle names a bound TD and dispatch records a step
             td = self._servtd_locate(handle, caller.uuid)
             return (td, returns()) if type(td) is int else dispatch(self, td, *args, **kwargs)
-        guest.__doc__ = body.__doc__
-        return guest
+        # Its signature reads (self, caller, handle) and then the body's operands.
+        sig = inspect.signature(body)
+        head = list(inspect.signature(guest).parameters.values())[:3]
+        guest.__signature__ = sig.replace(parameters=head + list(sig.parameters.values())[2:])
+        return functools.wraps(body)(guest)
     return wrap
 
 
@@ -286,7 +290,7 @@ class TdxModule:
         self._next_page = 0x100
         self._next_epoch = 0
         self.arena_plants: dict[int, int] = {}
-        # The trace step of the most recent host or service-TD leaf call.
+        # The trace step of the most recent call, or None when it recorded none.
         self.last: Optional[TraceStep] = None
 
     # -- plumbing ----------------------------------------------------------
@@ -308,6 +312,7 @@ class TdxModule:
     # -- lifecycle and build -------------------------------------------------
 
     def tdh_mng_create(self, hkid: int) -> tuple[int, Optional[TdComplex]]:
+        self.last = None  # no TD before the call, so it records no step
         if not self.kot.claim(hkid, KotState.HKID_ASSIGNED):
             return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX), None
         td = TdComplex(tdr_page=self.alloc_page(), hkid=hkid)
@@ -774,8 +779,10 @@ class TdxModule:
     # -- module configuration ---------------------------------------------------
 
     def tdh_sys_config(self, hkid: int, tdmr_entries: list[int]) -> int:
+        self.last = None
         return sys_config_reserve_hkid(self.kot, hkid, tdmr_entries, self.mode.bug8)
 
     def md_next_cpuid_field(self, field_id_raw: int) -> int:
         """Next valid CPUID lookup position, honoring the bug4 toggle."""
+        self.last = None
         return next_cpuid_entry(self.cpuid, field_id_raw, self.mode.bug4)

@@ -1,0 +1,142 @@
+"""One alphabet of host calls: every leaf, values for each of its operands, and a world to call it in.
+
+The leaves are the public ``tdh_*``/``tdg_*`` methods of ``TdxModule``, found from the class and
+its signatures.  ``VALUES`` is a plain table, with no hypothesis.  A callable value is built as
+``value(world, leaf name)`` only when it is used, so a second TD costs only the calls that draw it.
+"""
+
+import functools
+import inspect
+
+from tdxmodel import status as S
+from tdxmodel.catalog import bundled_catalog
+from tdxmodel.engine import Bundle, EpochToken, Servtd, TdxModule
+from tdxmodel.envelope import BundleType
+from tdxmodel.md_codec import MD_CTX_VP
+from tdxmodel.scenarios import ATTRIBUTES_ID, MIG_DEC_KEY_ID, decrypted_lists, export_blackout
+from tdxmodel.scenarios import import_to_state_import, seal, standard_setup
+from tdxmodel.states import OpState
+from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, TDMR_ENTRY_ALIGNMENT, U64
+from tdxmodel.td import EventFilter, TdParams
+
+LEAVES = tuple(sorted(name for name in vars(TdxModule) if name.startswith(("tdh_", "tdg_"))))
+_PARAMS = {n: list(inspect.signature(getattr(TdxModule, n)).parameters)[1:] for n in LEAVES}
+# The leaves a service TD calls as (caller, handle, ...), and the calls that act before any TD exists.
+GUEST_LEAVES = tuple(name for name in LEAVES if _PARAMS[name][0] == "caller")
+BEFORE_ANY_TD = tuple(name for name in LEAVES if _PARAMS[name][0] not in ("td", "caller"))
+# Each leaf's operands: its parameters after the TD, after (caller, handle), or all of them.
+OPERANDS = {n: tuple(_PARAMS[n][2 if n in GUEST_LEAVES else n not in BEFORE_ANY_TD:]) for n in LEAVES}
+# The leaves whose body is TdxModule._succeed: the gate and the edge are the whole call.
+SUCCEED_LEAVES = tuple(n for n in LEAVES if inspect.unwrap(getattr(TdxModule, n)) is TdxModule._succeed)
+STREAM_LEAVES = tuple(name for name in LEAVES if "migsc_index" in OPERANDS[name])
+BUNDLE_LEAVES = tuple(name for name in LEAVES if "bundle" in OPERANDS[name])
+# The word that refuses each bounded operand, and every (leaf, bounded operand).
+OPERAND_WORDS = {"vp_index": S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR),
+                 "migsc_index": S.TDX_MIGRATION_STREAM_STATE_INCORRECT,
+                 "hkid": S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX)}
+BOUNDED_CALLS = tuple((n, p) for n in LEAVES for p in OPERANDS[n] if p in OPERAND_WORDS)
+PAGE, NO_PAGE = 0x1000, 0x9000  # a page both TDs of a world hold, and a GPA neither holds
+
+
+def bundle_type(name: str) -> BundleType:  # a stream leaf's, from the last word of its name
+    return BundleType[name.rsplit("_", 1)[1].upper()]
+
+
+class World:
+    """A paused migratable source and a keyed destination at STATE_IMPORT holding one page."""
+
+    def __init__(self, seed: int, num_vcpus: int = 1):
+        self.m = m = TdxModule(seed=seed)
+        self.env = env = standard_setup(m, num_vcpus, num_pages=2)
+        self.src, self.dst, self.migtd, self.key = env["src"], env["dst"], env["migtd"], env["key"]
+        _, mem = m.tdh_export_mem(self.src, PAGE)
+        export_blackout(m, env)
+        import_to_state_import(m, env)
+        assert m.tdh_import_mem(self.dst, mem) == S.TDX_SUCCESS
+        self.bundles = dict(zip(BundleType, (env["bundle_immutable"], env["bundle_td"],
+                                             env["bundle_vps"][0], mem)))
+
+    def honest(self, name: str) -> Bundle:
+        return self.bundles[bundle_type(name)]
+
+    def tampered(self, name: str) -> Bundle:  # one ciphertext bit flipped
+        data = bytearray(self.honest(name).data)
+        data[len(data) // 2] ^= 0x40
+        return Bundle(self.honest(name).mbmd, bytes(data))
+
+    def cross_stream(self, name: str) -> Bundle:  # sealed for a stream the destination lacks
+        lists = decrypted_lists(self.env, self.honest(name))
+        return seal(self.key, bundle_type(name), lists, stream_index=len(self.dst.migsc))
+
+    def wrong_type(self, name: str) -> Bundle:  # the TD bundle for a MEM leaf, else the MEM one
+        return self.bundles[BundleType.TD if bundle_type(name) is BundleType.MEM else BundleType.MEM]
+
+    @functools.cached_property
+    def other_immutable(self) -> Bundle:
+        """A second source's (one VP more) immutable lists, sealed under this world's key."""
+        other = standard_setup(self.m, len(self.src.vps) + 1)
+        return seal(self.key, BundleType.IMMUTABLE, decrypted_lists(other, other["bundle_immutable"]))
+
+
+FORGED_START, NON_START = EpochToken(start=True, epoch=0), EpochToken(start=False, epoch=5)
+STRANGER = Servtd(uuid=(1, 2, 3, 4))  # a service TD the module never issued
+
+# Parameter name -> (in-range values, boundary or hostile values).  A leaf's own
+# entry, "leaf.param", wins over the parameter's.  A defaulted parameter's first
+# in-range value is its default.
+VALUES = {
+    "hkid": ([lambda w, _: w.m.kot.free_hkids()[0]],
+             [-1, lambda w, _: len(w.m.kot), lambda w, _: w.src.hkid]),
+    "tdmr_entries": ([[], [TDMR_ENTRY_ALIGNMENT]], [[1]]),
+    "caller": ([lambda w, _: w.migtd], [STRANGER]),
+    "handle": ([lambda w, _: w.env["dst_handle"], lambda w, _: w.env["src_handle"]],
+               [lambda w, _: w.env["dst_handle"] + (1 << 30)]),
+    "params": ([TdParams(attributes=ATTR_MIGRATABLE), TdParams(), TdParams(attributes=ATTR_DEBUG)],
+               [TdParams(attributes=ATTR_DEBUG | ATTR_MIGRATABLE), TdParams(attributes=ATTR_PERFMON),
+                TdParams(attributes=ATTR_DEBUG, xfam=0), TdParams(ept_pwl=0)]),
+    "event_filtering": ([False, True], []),
+    "event_filters_num": ([0, 1], [-1, 2]),
+    "event_filters": ([None, [EventFilter(event_select=1, umask=1).raw]], [[0]]),
+    "vp_index": ([0], [-1, lambda w, _: len(w.dst.vps)]),
+    "gpa": ([PAGE], [PAGE + 1, 1 << 47, NO_PAGE]),  # unaligned, shared, no page
+    "token": ([1], [-1, U64 + 1]),
+    "tdh_import_track.token": ([lambda w, _: w.env["start_token"]], [FORGED_START, NON_START]),
+    "slot": ([1], [-1, 1 << 12]),
+    "servtd": ([lambda w, _: w.migtd], [STRANGER]),
+    # A VP, a TD and a key field; then ids no catalog entry covers.
+    "field_id_raw": ([bundled_catalog().by_name(MD_CTX_VP, "XCR0").field_id_raw, ATTRIBUTES_ID,
+                      MIG_DEC_KEY_ID], [0, ATTRIBUTES_ID + 1]),
+    "value": ([1], [0, U64, 1 << 64]),
+    "mask": ([U64], [0, 1]),
+    "count": ([1, 4], [0, -1]),
+    "migsc_index": ([0], [-1, lambda w, _: len(w.dst.migsc)]),
+    "abort": ([False], [True]),
+    "start": ([False, True], []),
+    "bundle": ([World.honest], [World.tampered, World.cross_stream, World.wrong_type,
+                                lambda w, _: w.other_immutable]),
+    "interrupt_after": ([None, 0, 1], [-1, 2, 3]),
+    "resume": ([False], [True]),
+}
+
+
+def values(name: str, param: str) -> tuple[list, list]:
+    """(in-range, boundary or hostile) values of one parameter of leaf ``name``."""
+    return VALUES.get(f"{name}.{param}") or VALUES[param]
+
+
+def build(world: World, name: str, value):
+    return value(world, name) if callable(value) else value
+
+
+def args(world: World, name: str, **override) -> list:
+    """Leaf ``name``'s operands, each its first in-range value or its override (built alike).
+
+    An override the leaf does not take is left out, so one serves a family of leaves.
+    """
+    return [build(world, name, override[p] if p in override else values(name, p)[0][0])
+            for p in OPERANDS[name]]
+
+
+def admitting(matrix, leaf) -> OpState:
+    """The first op_state whose matrix row admits ``leaf``, for direct placement."""
+    return next(state for state in OpState if matrix.is_allowed(state, leaf))

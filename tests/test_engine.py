@@ -9,6 +9,9 @@ import struct
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from alphabet import (BEFORE_ANY_TD, BOUNDED_CALLS, BUNDLE_LEAVES, FORGED_START, GUEST_LEAVES,
+                      LEAVES, NO_PAGE, OPERAND_WORDS, OPERANDS, PAGE, STREAM_LEAVES, SUCCEED_LEAVES,
+                      VALUES, World, admitting, args, build, bundle_type, values)
 from tdxmodel import engine, md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog
@@ -83,6 +86,9 @@ def test_build_stops_at_the_first_failing_call():
     assert td.trace[-1] == TraceStep(Leaf.TDH_VP_CREATE, state, state, tdvpr_invalid)
     assert [step.status for step in td.trace[:-1]] == [S.TDX_SUCCESS] * (len(td.trace) - 1)
     assert len(td.vps) == MAX_VCPUS_PER_TD and td.pages == {} and td.op_state is state
+    hkid_not_free, tds = S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX), dict(m.tds)
+    assert [m.build_td(TdParams(), hkid=h) for h in (-1, len(m.kot))] == [(hkid_not_free, None)] * 2
+    assert m.tds == tds  # an HKID outside the key table is refused before any TD exists
 
 
 def test_mng_init_requires_control_pages():
@@ -147,21 +153,19 @@ def test_export_state_td_requires_pause():
 
 
 def test_export_abort_restores_runnable():
-    m = TdxModule(seed=5)
-    env = standard_setup(m, num_vcpus=1)
-    assert m.tdh_export_abort(env["src"]) == S.TDX_SUCCESS
-    assert env["src"].op_state is OpState.RUNNABLE
+    w = World(5)  # the source is paused
+    assert w.m.tdh_export_abort(w.src) == S.TDX_SUCCESS
+    assert w.src.op_state is OpState.RUNNABLE
 
 
 def test_export_mem_advances_counter_even_on_abort():
-    m = TdxModule(seed=6)
-    env = standard_setup(m, num_vcpus=1)
-    migsc = env["src"].migsc[0]
+    w = World(6)  # the source is paused
+    m, src, migsc = w.m, w.src, w.src.migsc[0]
     before = migsc.iv_counter
-    status, bundle = m.tdh_export_mem(env["src"], 0x1000, abort=True)
+    status, bundle = m.tdh_export_mem(src, 0x1000, abort=True)
     assert status == S.TDX_INTERRUPTED_RESUMABLE and bundle is None
     assert migsc.iv_counter == before + 1
-    status, bundle = m.tdh_export_mem(env["src"], 0x1000)
+    status, bundle = m.tdh_export_mem(src, 0x1000)
     assert status == S.TDX_SUCCESS
     assert migsc.iv_counter == before + 2
 
@@ -290,56 +294,21 @@ def test_import_detects_tampered_ciphertext():
     assert env["dst"].op_state is OpState.FAILED_IMPORT
 
 
-def _flip_bit(bundle):
-    data = bytearray(bundle.data)
-    data[len(data) // 2] ^= 0x40
-    bundle.data = bytes(data)
-    return bundle
-
-
-def _tampered_mem_import(m, env):
-    status, page = m.tdh_export_mem(env["src"], 0x1000)
-    assert status == S.TDX_SUCCESS
-    import_to_state_import(m, env)
-    return m.tdh_import_mem(env["dst"], _flip_bit(page))
-
-
-def _tampered_td_import(m, env):
-    assert m.tdh_import_state_immutable(env["dst"], env["bundle_immutable"]) == S.TDX_SUCCESS
-    return m.tdh_import_state_td(env["dst"], _flip_bit(env["bundle_td"]))
-
-
-def _tampered_vp_import(m, env):
-    import_to_state_import(m, env)
-    return m.tdh_import_state_vp(env["dst"], 0, _flip_bit(env["bundle_vps"][0]))
-
-
-TAMPERED_IMPORTS = {
-    "immutable": lambda m, env: m.tdh_import_state_immutable(
-        env["dst"], _flip_bit(env["bundle_immutable"])
-    ),
-    "td": _tampered_td_import,
-    "vp": _tampered_vp_import,
-    "mem": _tampered_mem_import,
-}
-
-
-@pytest.mark.parametrize("leaf", sorted(TAMPERED_IMPORTS))
-def test_every_import_leaf_fails_the_td_on_a_bad_mac(leaf):
+@pytest.mark.parametrize("name", BUNDLE_LEAVES, ids=lambda name: name.rsplit("_", 1)[1])
+def test_every_import_leaf_fails_the_td_on_a_bad_mac(name):
     """An unauthenticated bundle takes the failure edge, so no second forgery is tried."""
-    m = TdxModule(seed=10)
-    env = standard_setup(m, num_vcpus=1)
-    export_blackout(m, env)
-    assert TAMPERED_IMPORTS[leaf](m, env) == S.TDX_INCORRECT_MBMD_MAC
-    assert env["dst"].op_state is OpState.FAILED_IMPORT
+    w = World(10)
+    m, dst = w.m, w.dst
+    dst.op_state = admitting(m.matrix, Leaf[name.upper()])
+    assert getattr(m, name)(dst, *args(w, name, bundle=w.tampered(name))) == S.TDX_INCORRECT_MBMD_MAC
+    assert dst.op_state is OpState.FAILED_IMPORT
     for td in m.tds.values():
         assert validate_trace(m.matrix, td.trace, True) == []
 
 
 def test_servtd_write_blocked_during_blackout():
-    m = TdxModule(seed=11)
-    env = standard_setup(m, num_vcpus=1)
-    m.tdh_export_pause(env["src"])
+    w = World(11)  # the source is paused
+    m, env = w.m, w.env
     status, _ = m.tdg_servtd_wr(env["migtd"], env["src_handle"], 0x9810000300000010, 0x1)
     assert status == S.TDX_OP_STATE_INCORRECT
     status, _ = m.tdg_servtd_rd(env["migtd"], env["src_handle"], 0x9810000300000010)
@@ -412,11 +381,8 @@ def test_full_migration_roundtrip_reproduces_catalog_fields():
 
 
 def test_import_track_requires_matching_vcpu_counts():
-    m = TdxModule(seed=14)
-    env = standard_setup(m, num_vcpus=2)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    dst = env["dst"]
+    w = World(14, num_vcpus=2)
+    m, env, dst = w.m, w.env, w.dst
     assert m.tdh_import_state_vp(dst, 0, env["bundle_vps"][0]) == S.TDX_SUCCESS
     status = m.tdh_import_track(dst, env["start_token"])
     assert status == S.TDX_SOME_VCPUS_NOT_MIGRATED  # 1 of 2 migrated
@@ -444,10 +410,9 @@ def test_fatal_td_blocks_further_calls():
 
 
 def test_locked_td_returns_busy():
-    m = TdxModule(seed=17)
-    env = standard_setup(m, num_vcpus=1)
-    env["src"].locked = True
-    status, _ = m.tdh_mng_rd(env["src"], 0x1110000300000000)
+    w = World(17)
+    w.src.locked = True
+    status, _ = w.m.tdh_mng_rd(w.src, 0x1110000300000000)
     assert S.status_class(status) == S.TDX_OPERAND_BUSY
 
 
@@ -548,55 +513,52 @@ def test_hostile_td_import_records_its_walk_and_registers(data):
 
 
 def test_servtd_access_busy_on_locked_target():
-    m = TdxModule(seed=20)
-    env = standard_setup(m, num_vcpus=1)
-    env["dst"].locked = True
-    status, _ = m.tdg_servtd_rd(env["migtd"], env["dst_handle"], 0x9810000300000010)
+    w = World(20)
+    w.dst.locked = True
+    status, _ = w.m.tdg_servtd_rd(w.migtd, w.env["dst_handle"], 0x9810000300000010)
     assert S.status_class(status) == S.TDX_OPERAND_BUSY
 
 
+def _random_call(w, rng, name):
+    """Leaf ``name``'s head and operands, each drawn from its in-range and hostile values;
+    a host leaf's head is a TD of the world, one the matrix admits it on where there is one."""
+    def draw(param):
+        return build(w, name, rng.choice(sum(values(name, param), [])))
+
+    tds = list(w.m.tds.values())
+    admitted = [td for td in tds if w.m.matrix.is_allowed(td.op_state, Leaf[name.upper()])]
+    head = ([draw("caller"), draw("handle")] if name in GUEST_LEAVES
+            else [] if name in BEFORE_ANY_TD else [rng.choice(admitted or tds)])
+    return head, [draw(param) for param in OPERANDS[name]]
+
+
 def test_fixed_mode_random_walk_safety_invariants():
-    """Random allowed-call sequences in fixed mode never produce an unsafe TD.
+    """Random calls over the whole alphabet in fixed mode never produce an unsafe TD.
 
-    Checked after every call: no TD is simultaneously debug and migratable,
-    and any TD that completed an immutable import holds import-valid
-    attributes.
+    Checked after every call: it answers a status word and raises nothing, no
+    TD is simultaneously debug and migratable, and any TD that completed an
+    immutable import holds import-valid attributes.  Every trace validates.
     """
-    from tdxmodel.td import ATTR_PERFMON, verify_td_attributes
+    from tdxmodel.td import verify_td_attributes
 
-    attr_menu = [0, ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_DEBUG | ATTR_MIGRATABLE, ATTR_PERFMON]
     import_states = {
         OpState.MEMORY_IMPORT, OpState.STATE_IMPORT, OpState.POST_IMPORT,
         OpState.LIVE_IMPORT,
     }
     for seed in (31, 32, 33):
         rng = random.Random(seed)
-        m = TdxModule(seed=seed)
-        env = standard_setup(m, num_vcpus=1)
-        targets = [env["dst"], env["src"]]
+        w = World(seed)
+        m = w.m
+        new_template(m, w.env)  # a keyed destination the immutable import can start on
         completed_import = set()
         for _ in range(120):
-            td = rng.choice(targets)
-            op = rng.randrange(5)
-            if op == 0:
-                m.tdh_mng_init(td, TdParams(
-                    attributes=rng.choice(attr_menu), xfam=rng.choice((0, 3)),
-                ))
-            elif op == 1:
-                status = m.tdh_import_state_immutable(
-                    td, env["bundle_immutable"],
-                    interrupt_after=rng.randrange(3),
-                )
-                if status == S.TDX_SUCCESS:
-                    completed_import.add(td.tdr_page)
-            elif op == 2:
-                status = m.tdh_import_state_immutable(td, env["bundle_immutable"], resume=True)
-                if status == S.TDX_SUCCESS:
-                    completed_import.add(td.tdr_page)
-            elif op == 3:
-                m.tdh_mng_wr(td, 0x1110000300000000, ATTR_DEBUG)
-            else:
-                m.tdh_import_track(td, EpochToken(start=True, epoch=1))
+            name = rng.choice(LEAVES)
+            head, operands = _random_call(w, rng, name)
+            result = getattr(m, name)(*head, *operands)
+            status = result if type(result) is int else result[0]
+            assert type(status) is int, (seed, name, result)
+            if name == "tdh_import_state_immutable" and status == S.TDX_SUCCESS:
+                completed_import.add(head[0].tdr_page)
             for candidate in m.tds.values():
                 assert not (candidate.attributes.debug and candidate.attributes.migratable)
                 if candidate.tdr_page in completed_import or candidate.op_state in import_states:
@@ -605,6 +567,33 @@ def test_fixed_mode_random_walk_safety_invariants():
                     )
         for td in m.tds.values():
             assert validate_trace(m.matrix, td.trace, True) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_module_last_is_the_step_its_call_appended_or_none(seed):
+    """After every call, ``m.last`` is the step that call appended, with its status, or None.
+
+    Every leaf is called once, in a random order with random operands; then
+    the CPUID search, which records no step either.
+    """
+    rng = random.Random(seed)
+    w = World(47)
+    m = w.m
+    for name in rng.sample(LEAVES, len(LEAVES)):
+        head, operands = _random_call(w, rng, name)
+        steps = {id(td): len(td.trace) for td in m.tds.values()}
+        result = getattr(m, name)(*head, *operands)
+        appended = [td.trace[-1] for td in m.tds.values() if len(td.trace) != steps.get(id(td), 0)]
+        if m.last is None:
+            assert appended == [], name
+        else:
+            assert len(appended) == 1 and appended[0] is m.last, name
+            assert m.last.status == (result if type(result) is int else result[0]), name
+    m.tdh_export_pause(w.src)
+    assert m.last is w.src.trace[-1]
+    m.md_next_cpuid_field(m.cpuid.field_id_for(0))
+    assert m.last is None
 
 
 def test_export_write_block_leaves_are_permission_gated():
@@ -619,11 +608,8 @@ def test_export_write_block_leaves_are_permission_gated():
 
 
 def test_vp_index_bounds_are_status_errors():
-    m = TdxModule(seed=25)
-    env = standard_setup(m, num_vcpus=1)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    dst = env["dst"]
+    w = World(25)
+    m, env, dst = w.m, w.env, w.dst
     status = m.tdh_import_state_vp(dst, 9, env["bundle_vps"][0])
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
     assert m.tdh_vp_init(env["src"], 9) == S.TDX_OP_STATE_INCORRECT  # src is paused
@@ -633,15 +619,12 @@ def test_vp_index_bounds_are_status_errors():
 
 def test_vp_create_bound_holds_on_the_build_and_the_import_path():
     refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR)
-    m = TdxModule(seed=30)
+    w = World(30)
+    m, dst = w.m, w.dst
     status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), MAX_VCPUS_PER_TD + 1, 0)
     assert status == refused
     assert len(td.vps) == td.num_vcpus == MAX_VCPUS_PER_TD
     assert td.op_state is OpState.INITIALIZED
-    env = standard_setup(m, num_vcpus=1)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    dst = env["dst"]
     num_vcpus = dst.num_vcpus
     assert dst.op_state is OpState.STATE_IMPORT and len(dst.vps) == 1
     for index in range(1, MAX_VCPUS_PER_TD):
@@ -652,10 +635,8 @@ def test_vp_create_bound_holds_on_the_build_and_the_import_path():
 
 
 def test_export_mem_refuses_a_gpa_the_td_has_no_page_at():
-    m = TdxModule(seed=31)
-    env = standard_setup(m, num_vcpus=1, num_pages=2)
-    src = env["src"]
-    migsc = src.migsc[0]
+    w = World(31)  # the source is paused
+    m, src, migsc = w.m, w.src, w.src.migsc[0]
     state, pages, counter = src.op_state, dict(src.pages), migsc.iv_counter
     missing = 0x99000
     assert missing not in pages
@@ -705,9 +686,8 @@ UNCOVERED_IDS = st.integers(0, U64).filter(
 def test_metadata_leaves_refuse_an_uncovered_field_id_naming_rdx(field_id):
     """The five metadata leaves take the field id in RDX, and name it when they refuse it."""
     refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX)
-    m = TdxModule(seed=33)
-    env = standard_setup(m, num_vcpus=1)
-    migtd, dst, handle = env["migtd"], env["dst"], env["dst_handle"]
+    w = World(33)
+    m, migtd, dst, handle = w.m, w.migtd, w.dst, w.env["dst_handle"]
     status, td = m.build_td(TdParams(attributes=ATTR_DEBUG), num_vcpus=1, num_pages=1)
     assert status == S.TDX_SUCCESS
     key, measurement = list(dst.mig_dec_key), td.measurement
@@ -727,11 +707,8 @@ def test_metadata_leaves_refuse_an_uncovered_field_id_naming_rdx(field_id):
 
 
 def test_import_track_refuses_a_vp_that_was_never_imported():
-    m = TdxModule(seed=34)
-    env = standard_setup(m, num_vcpus=1)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    dst = env["dst"]
+    w = World(34)
+    m, env, dst = w.m, w.env, w.dst
     assert m.tdh_vp_create(dst) == (S.TDX_SUCCESS, 1)
     assert m.tdh_import_state_vp(dst, 0, env["bundle_vps"][0]) == S.TDX_SUCCESS
     state = dst.op_state
@@ -810,14 +787,11 @@ def test_page_add_admits_an_aligned_private_gpa_and_a_64_bit_token(gpa, token, g
 def test_import_mem_stores_only_a_page_gpa(gpa):
     """A MEM bundle sealed with the session key still carries a GPA the page rule must admit."""
     gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
-    m = TdxModule(seed=38)
-    env = standard_setup(m, num_vcpus=1)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    dst = env["dst"]
+    w = World(38)
+    m, dst = w.m, w.dst
     state, pages = dst.op_state, dict(dst.pages)
     payload = struct.pack("<QQ", gpa, 0xAA).ljust(md.LIST_BYTES, b"\x00")
-    status = m.tdh_import_mem(dst, seal(env["key"], BundleType.MEM, [payload]))
+    status = m.tdh_import_mem(dst, seal(w.key, BundleType.MEM, [payload]))
     if gpa == 0x1000:
         assert status == S.TDX_SUCCESS and dst.pages == {**pages, gpa: 0xAA}
         return
@@ -853,14 +827,6 @@ def _gate_agrees_with_matrix(matrix, state, leaf, outcome, v1):
     if allowed:
         expected = transition(matrix, state, leaf, outcome, not m.mode.v1)
         assert m._edges[key][outcome] is expected
-
-
-# The leaves whose body is _succeed: the gate and the edge are the whole call.
-SUCCEED_LEAVES = (
-    "tdh_mr_finalize", "tdh_export_pause", "tdh_export_abort", "tdh_export_blockw",
-    "tdh_export_unblockw", "tdh_export_restore", "tdh_import_commit", "tdh_import_end",
-    "tdh_import_abort",
-)
 
 
 @pytest.mark.parametrize("v1", V1_MODES)
@@ -905,34 +871,9 @@ def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
     assert validate_trace(m.matrix, td.trace, True) == []
 
 
-# Every leaf the dispatcher gates, host and guest: TDH.MNG.CREATE and TDH.SYS.CONFIG
-# act before any TD exists.
-DISPATCHED = sorted(
-    name for name in vars(TdxModule)
-    if name.startswith(("tdh_", "tdg_")) and name not in ("tdh_mng_create", "tdh_sys_config")
-)
-
-
-def _dispatch_args(m, env, name):
-    """In-range arguments after the TD, or after the caller for a guest leaf.
-
-    A refused call never reaches its body, so one token value serves both
-    TDH.MEM.PAGE.ADD (a source page) and TDH.IMPORT.TRACK (an epoch token).
-    """
-    field_id = m.catalog.by_name(MD_CTX_VP, "XCR0").field_id_raw
-    if name.startswith("tdg_"):
-        return [env["src_handle"], field_id] + ([1] if name == "tdg_servtd_wr" else [])
-    values = {
-        "vp_index": 0, "gpa": 0x1000, "token": 1, "bundle": env["bundle_immutable"],
-        "params": TdParams(attributes=ATTR_MIGRATABLE), "field_id_raw": field_id,
-        "value": 1, "slot": 1, "servtd": env["migtd"],
-    }
-    params = list(inspect.signature(getattr(TdxModule, name)).parameters.values())[2:]
-    return [values[p.name] for p in params if p.default is inspect.Parameter.empty]
-
-
 @settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(DISPATCHED), state=st.sampled_from(list(OpState)),
+@given(name=st.sampled_from([name for name in LEAVES if name not in BEFORE_ANY_TD]),
+       state=st.sampled_from(list(OpState)),
        fatal=st.booleans(), locked=st.booleans())
 @example(name="tdg_servtd_rd", state=OpState.RUNNABLE, fatal=True, locked=False)
 @example(name="tdg_servtd_wr", state=OpState.RUNNABLE, fatal=True, locked=True)
@@ -940,16 +881,15 @@ def _dispatch_args(m, env, name):
 @example(name="tdh_vp_rd", state=OpState.RUNNABLE, fatal=False, locked=True)
 def test_every_leaf_is_refused_fatal_then_busy_then_off_the_matrix(name, state, fatal, locked):
     """Host or guest, a refused call answers one word and records one step that moves nothing."""
-    m = TdxModule(seed=45)
-    env = standard_setup(m, num_vcpus=1)
-    td, leaf = env["src"], Leaf[name.upper()]
+    w = World(45)
+    m, td, leaf = w.m, w.src, Leaf[name.upper()]
     td.op_state, td.fatal, td.locked = state, fatal, locked
     admitted = m.matrix.is_allowed(state, leaf)
     assume(fatal or locked or not admitted)
     word = S.TDX_TD_FATAL if fatal else TDR_BUSY if locked else S.TDX_OP_STATE_INCORRECT
-    head = (env["migtd"],) if name.startswith("tdg_") else (td,)
+    head = (w.migtd, w.env["src_handle"]) if name in GUEST_LEAVES else (td,)
     before, steps = _model_state(m), len(td.trace)
-    result = getattr(m, name)(*head, *_dispatch_args(m, env, name))
+    result = getattr(m, name)(*head, *args(w, name))
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert td.trace[steps:] == [TraceStep(leaf, state, state, word)]
     assert validate_trace(m.matrix, td.trace[steps:], True) == []
@@ -1015,24 +955,14 @@ def test_rekey_between_mem_exports_seals_next_bundle_under_new_key():
 
 
 def test_rekey_on_destination_applies_to_next_import():
-    m = TdxModule(seed=27)
-    env = standard_setup(m, num_vcpus=1, num_pages=2)
-    src, dst = env["src"], env["dst"]
-    _, first = m.tdh_export_mem(src, 0x1000)
-    _, second = m.tdh_export_mem(src, 0x2000)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    assert m.tdh_import_mem(dst, first) == S.TDX_SUCCESS
+    w = World(27)  # the first page's bundle imports
+    m, env, dst = w.m, w.env, w.dst
+    _, second = m.tdh_export_mem(w.src, 0x2000)
     key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
     status, _ = m.tdg_servtd_wr(env["migtd"], env["dst_handle"],
                                 key_entry.field_id_for(0), env["key"][0] ^ 1)
     assert status == S.TDX_SUCCESS
     assert m.tdh_import_mem(dst, second) == S.TDX_INCORRECT_MBMD_MAC
-
-
-def _admitting(m, leaf):
-    """The first op_state whose host matrix row admits ``leaf``, for direct placement."""
-    return next(state for state in OpState if m.matrix.is_allowed(state, leaf))
 
 
 def test_partly_written_key_is_decryption_key_not_set():
@@ -1057,15 +987,11 @@ def test_partly_written_key_is_decryption_key_not_set():
     assert m.tdh_export_state_td(td) == (unset, None)
     assert m.tdh_export_state_vp(td, 0) == (unset, None)
     # Each import is handed a bundle of its own type, so only the key refuses it.
-    imports = (
-        (Leaf.TDH_IMPORT_STATE_IMMUTABLE, m.tdh_import_state_immutable, (), BundleType.IMMUTABLE),
-        (Leaf.TDH_IMPORT_STATE_TD, m.tdh_import_state_td, (), BundleType.TD),
-        (Leaf.TDH_IMPORT_STATE_VP, m.tdh_import_state_vp, (0,), BundleType.VP),
-        (Leaf.TDH_IMPORT_MEM, m.tdh_import_mem, (), BundleType.MEM),
-    )
-    for leaf, call, vp, bundle_type in imports:
-        td.op_state = state = _admitting(m, leaf)
-        assert call(td, *vp, seal([1, 2, 3, 4], bundle_type, [])) == unset, leaf
+    for name in BUNDLE_LEAVES:
+        leaf = Leaf[name.upper()]
+        td.op_state = state = admitting(m.matrix, leaf)
+        vp = [0] if "vp_index" in OPERANDS[name] else []
+        assert getattr(m, name)(td, *vp, seal([1, 2, 3, 4], bundle_type(name), [])) == unset, leaf
         assert m.last == TraceStep(leaf, state, state, unset)
     assert migsc.iv_counter == 0 and migsc.key is None and not migsc.locked
 
@@ -1133,98 +1059,44 @@ def test_service_td_key_write_is_a_trace_step():
     assert {id(td): len(td.trace) for td in m.tds.values()} == steps
 
 
-def _at_state_import(seed):
-    m = TdxModule(seed=seed)
-    env = standard_setup(m, num_vcpus=1, num_pages=2)
-    _, env["mem"] = m.tdh_export_mem(env["src"], 0x1000)
-    export_blackout(m, env)
-    import_to_state_import(m, env)
-    assert env["dst"].op_state is OpState.STATE_IMPORT
-    return m, env
-
-
 def test_import_mem_rejects_a_state_bundle_before_decrypting():
-    m, env = _at_state_import(30)
-    dst = env["dst"]
+    w = World(30)
+    m, dst = w.m, w.dst
     pages, counter = dict(dst.pages), dst.migsc[0].iv_counter
-    assert m.tdh_import_mem(dst, env["bundle_vps"][0]) == S.TDX_INVALID_MBMD
+    assert m.tdh_import_mem(dst, w.bundles[BundleType.VP]) == S.TDX_INVALID_MBMD
     assert dst.pages == pages and dst.op_state is OpState.STATE_IMPORT
     assert dst.migsc[0].iv_counter == counter and not dst.migsc[0].locked
 
 
 def test_import_mem_busy_when_stream_held():
-    m, env = _at_state_import(31)
-    dst, migsc = env["dst"], env["dst"].migsc[0]
+    w = World(31)
+    m, src, dst, migsc = w.m, w.src, w.dst, w.dst.migsc[0]
+    _, mem = m.tdh_export_mem(src, 0x2000)  # a page the destination does not hold yet
     assert not migsc.locked
     migsc.locked = True  # another owner holds the stream
     busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
-    assert m.tdh_import_mem(dst, env["mem"]) == busy
-    assert 0x1000 not in dst.pages and dst.op_state is OpState.STATE_IMPORT
+    assert m.tdh_import_mem(dst, mem) == busy
+    assert 0x2000 not in dst.pages and dst.op_state is OpState.STATE_IMPORT
     migsc.locked = False
-    assert m.tdh_import_mem(dst, env["mem"]) == S.TDX_SUCCESS
-    assert dst.pages[0x1000] == env["src"].pages[0x1000] and not migsc.locked
-
-
-def _stream_env(seed):
-    """A destination at STATE_IMPORT holding one imported page, with every honest bundle."""
-    m, env = _at_state_import(seed)
-    assert m.tdh_import_mem(env["dst"], env["mem"]) == S.TDX_SUCCESS
-    env["bundles"] = {
-        BundleType.IMMUTABLE: env["bundle_immutable"], BundleType.TD: env["bundle_td"],
-        BundleType.VP: env["bundle_vps"][0], BundleType.MEM: env["mem"],
-    }
-    return m, env
+    assert m.tdh_import_mem(dst, mem) == S.TDX_SUCCESS
+    assert dst.pages[0x2000] == src.pages[0x2000] and not migsc.locked
 
 
 def test_import_refuses_a_bundle_sealed_for_another_stream():
-    m, env = _stream_env(34)
-    dst, migsc = env["dst"], env["dst"].migsc[0]
-    for bundle_type, bundle in env["bundles"].items():
-        lists = decrypted_lists(env, bundle)
-        other, own = (seal(env["key"], bundle_type, lists, stream_index=i) for i in (5, 0))
-        leaf, call = {
-            BundleType.IMMUTABLE: (Leaf.TDH_IMPORT_STATE_IMMUTABLE, m.tdh_import_state_immutable),
-            BundleType.TD: (Leaf.TDH_IMPORT_STATE_TD, m.tdh_import_state_td),
-            BundleType.VP: (Leaf.TDH_IMPORT_STATE_VP, lambda td, b: m.tdh_import_state_vp(td, 0, b)),
-            BundleType.MEM: (Leaf.TDH_IMPORT_MEM, m.tdh_import_mem),
-        }[bundle_type]
-        dst.op_state = state = _admitting(m, leaf)
+    w = World(34)
+    m, dst, migsc = w.m, w.dst, w.dst.migsc[0]
+    for name in BUNDLE_LEAVES:
+        leaf, call = Leaf[name.upper()], getattr(m, name)
+        own = seal(w.key, bundle_type(name), decrypted_lists(w.env, w.honest(name)))
+        dst.op_state = state = admitting(m.matrix, leaf)
         written, pages = copy.deepcopy(dst.import_written), dict(dst.pages)
         counter, history = migsc.iv_counter, list(migsc.iv_history)
-        assert call(dst, other) == S.TDX_INVALID_MBMD, leaf
+        assert call(dst, *args(w, name, bundle=w.cross_stream(name))) == S.TDX_INVALID_MBMD, leaf
         assert m.last == TraceStep(leaf, state, state, S.TDX_INVALID_MBMD)
         assert dst.import_written == written and dst.pages == pages
         assert (migsc.iv_counter, migsc.iv_history) == (counter, history) and not migsc.locked
         # The same lists sealed for the stream that opens them import.
-        assert call(dst, own) == S.TDX_SUCCESS, leaf
-
-
-def _stream_call(m, env, name, own, index):
-    """A stream leaf's operands after the TD: on stream ``index``, with its own refusal ``own``."""
-    dst = env["dst"]
-    if name == "tdh_export_mem":
-        return (0x9000 if own == "page" else 0x1000, index)
-    if name == "tdh_export_state_vp":
-        return (0, index)
-    if not name.startswith("tdh_import"):
-        return (index,)
-    bundle_type = {"tdh_import_state_immutable": BundleType.IMMUTABLE, "tdh_import_state_td":
-                   BundleType.TD, "tdh_import_state_vp": BundleType.VP,
-                   "tdh_import_mem": BundleType.MEM}[name]
-    bundles = env["bundles"]
-    if own == "type":
-        bundle = bundles[BundleType.TD if bundle_type is BundleType.MEM else BundleType.MEM]
-    elif own == "stream":
-        bundle = seal(env["key"], bundle_type, decrypted_lists(env, bundles[bundle_type]),
-                      stream_index=len(dst.migsc))
-    else:
-        bundle = bundles[bundle_type]
-    return (0, bundle, index) if name == "tdh_import_state_vp" else (bundle, index)
-
-
-STREAM_LEAVES = ("tdh_export_state_immutable", "tdh_export_state_td", "tdh_export_state_vp",
-                 "tdh_export_mem", "tdh_import_state_immutable", "tdh_import_state_td",
-                 "tdh_import_state_vp", "tdh_import_mem")
+        assert call(dst, *args(w, name, bundle=own)) == S.TDX_SUCCESS, leaf
 
 
 @settings(max_examples=200, deadline=None)
@@ -1236,10 +1108,14 @@ STREAM_LEAVES = ("tdh_export_state_immutable", "tdh_export_state_td", "tdh_expor
 @example(name="tdh_import_mem", stream="key", own="type")
 def test_a_stream_refusal_answers_before_the_leafs_own(name, stream, own):
     """No such stream, no full key, a held stream: the stream's word comes first, and nothing moves."""
-    m, env = _stream_env(35)
-    dst, migsc, leaf = env["dst"], env["dst"].migsc[0], Leaf[name.upper()]
-    args = _stream_call(m, env, name, own, len(dst.migsc) if stream == "index" else 0)
-    dst.op_state = state = _admitting(m, leaf)
+    w = World(35)
+    m, dst, migsc, leaf = w.m, w.dst, w.dst.migsc[0], Leaf[name.upper()]
+    # The leaf's own refusal, where it takes the operand: a bundle of another
+    # type or for another stream, or a GPA with no page.
+    refused = {"type": {"bundle": World.wrong_type}, "stream": {"bundle": World.cross_stream},
+               "page": {"gpa": NO_PAGE}}.get(own, {})
+    operands = args(w, name, migsc_index=len(dst.migsc) if stream == "index" else 0, **refused)
+    dst.op_state = state = admitting(m.matrix, leaf)
     if own == "eptp":
         dst.eptp_raw = 0
     if stream == "key":
@@ -1255,7 +1131,7 @@ def test_a_stream_refusal_answers_before_the_leafs_own(name, stream, own):
                 migsc.locked, migsc.key, dst.mig_dec_key_set)
 
     before, steps = snapshot(), len(dst.trace)
-    result = getattr(m, name)(dst, *args)
+    result = getattr(m, name)(dst, *operands)
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert dst.trace[steps:] == [TraceStep(leaf, state, state, word)]
     assert snapshot() == before
@@ -1399,51 +1275,23 @@ def test_build_and_import_refuse_a_walk_level_other_than_pml4_or_pml5():
 
 # --- out-of-range operands, all fixed -----------------------------------------------------
 
-# The word that refuses each bounded operand, by parameter name.
-_OPERAND_WORDS = {
-    "vp_index": S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_TDVPR),
-    "migsc_index": S.TDX_MIGRATION_STREAM_STATE_INCORRECT,
-    "hkid": S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX),
-}
-# Every public TdxModule method with a bounded operand, found from its signature:
-# (method name, the operand's parameter name).
-_BOUNDED_CALLS = sorted(
-    (name, param)
-    for name, fn in vars(TdxModule).items() if callable(fn) and not name.startswith("_")
-    for param in inspect.signature(fn).parameters if param in _OPERAND_WORDS
-)
-
-
-def _operand_env():
-    """A migratable 2-VP TD with one keyed stream, and an in-range value of each argument."""
-    m = TdxModule(seed=43)
-    env = standard_setup(m, num_vcpus=2)
-    xcr0 = m.catalog.by_name(MD_CTX_VP, "XCR0")
-    args = {
-        "vp_index": 0, "migsc_index": 0, "hkid": m.kot.free_hkids()[0], "gpa": 0x1000,
-        "bundle": env["bundle_immutable"], "field_id_raw": xcr0.field_id_raw,
-        "params": TdParams(attributes=ATTR_MIGRATABLE), "tdmr_entries": [],
-    }
-    return m, env["src"], args
-
-
 def _model_state(m):
-    tds = [(td.op_state, td.fatal, copy.deepcopy((td.td_store, td.sys_store)),
-            [copy.deepcopy(vp.store) for vp in td.vps], dict(td.pages),
-            [(migsc.iv_counter, migsc.locked) for migsc in td.migsc])
+    tds = [(td.op_state, td.fatal, [{name: list(ints) for name, ints in store.items()} for store
+                                    in (td.td_store, td.sys_store, *(vp.store for vp in td.vps))],
+            dict(td.pages), [(migsc.iv_counter, migsc.locked) for migsc in td.migsc])
            for td in m.tds.values()]
     return tds, list(m.kot.states)
 
 
 def test_bounded_calls_are_found_from_the_signatures():
-    names = {name for name, _ in _BOUNDED_CALLS}
+    names = {name for name, _ in BOUNDED_CALLS}
     assert {"tdh_mng_create", "tdh_sys_config", "tdh_vp_rd", "tdh_export_state_vp",
             "tdh_import_state_vp", "tdh_import_mem"} <= names
-    assert {param for _, param in _BOUNDED_CALLS} == set(_OPERAND_WORDS)
+    assert {param for _, param in BOUNDED_CALLS} == set(OPERAND_WORDS)
 
 
 @settings(max_examples=150, deadline=None)
-@given(call=st.sampled_from(_BOUNDED_CALLS),
+@given(call=st.sampled_from(BOUNDED_CALLS),
        offset=st.integers(-2**64, -1) | st.just(0) | st.integers(1, 2**64),
        by_keyword=st.booleans())
 @example(call=("tdh_export_state_td", "migsc_index"), offset=-1, by_keyword=False)
@@ -1457,25 +1305,20 @@ def test_out_of_range_operand_is_refused_and_changes_nothing(call, offset, by_ke
     ``offset`` below zero is the index itself; otherwise the index is that far past the end.
     """
     name, bounded = call
-    m, td, args = _operand_env()
+    w = World(43, num_vcpus=2)
+    m, td = w.m, w.src
     limit = {"vp_index": len(td.vps), "migsc_index": len(td.migsc), "hkid": len(m.kot)}[bounded]
-    args[bounded] = offset if offset < 0 else limit + offset
-    params = list(inspect.signature(getattr(TdxModule, name)).parameters.values())[1:]
-    host_leaf = params[0].name == "td"
+    index = offset if offset < 0 else limit + offset
+    passed = dict(zip(OPERANDS[name], args(w, name, **{bounded: index})))
+    host_leaf = name not in BEFORE_ANY_TD
     if host_leaf:
         leaf = Leaf[name.upper()]
-        td.op_state = state = _admitting(m, leaf)
-        params = params[1:]
-    # The arguments up to the last required or bounded one, in signature order; a
-    # defaulted parameter before it keeps its default.
-    last = max(i for i, p in enumerate(params)
-               if p.default is inspect.Parameter.empty or p.name in _OPERAND_WORDS)
-    passed = {p.name: args.get(p.name, p.default) for p in params[:last + 1]}
+        td.op_state = state = admitting(m.matrix, leaf)
     before, steps = _model_state(m), len(td.trace)
     method = getattr(m, name)
     head = (td,) if host_leaf else ()
     result = method(*head, **passed) if by_keyword else method(*head, *passed.values())
-    word = _OPERAND_WORDS[bounded]
+    word = OPERAND_WORDS[bounded]
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert _model_state(m) == before
     if host_leaf:
@@ -1498,3 +1341,83 @@ def test_bind_refuses_a_slot_outside_twelve_bits():
     assert status == S.TDX_SUCCESS and td.servtd_bindings == {(1 << 12) - 1: migtd.uuid}
     key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
     assert m.tdg_servtd_rd(migtd, handle, key_entry.field_id_for(0))[0] == S.TDX_SUCCESS
+
+
+# --- the host-call alphabet, and the fixed-mode holes it pins -----------------------------
+
+def test_every_leaf_operand_has_values_in_the_alphabet():
+    """A new leaf, or a new parameter of one, fails here until the alphabet gives it values.
+
+    A defaulted parameter's first in-range value is its default, so ``args``
+    calls a leaf as its defaults do, and every table entry names a parameter
+    some leaf takes.
+    """
+    named = set()
+    for name in LEAVES:
+        params = list(inspect.signature(getattr(TdxModule, name)).parameters.values())[1:]
+        for param in params:
+            if param.name == "td":
+                continue
+            key = f"{name}.{param.name}" if f"{name}.{param.name}" in VALUES else param.name
+            assert key in VALUES, f"{name}: no values for {param.name}"
+            named.add(key)
+            in_range, _ = values(name, param.name)
+            assert in_range, key
+            if param.default is not inspect.Parameter.empty:
+                assert in_range[0] == param.default, key
+    assert set(VALUES) == named
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a): one VP bundle imports into two VPs")
+def test_one_vp_bundle_does_not_complete_a_two_vp_import():
+    w = World(48, num_vcpus=2)
+    m, dst = w.m, w.dst
+    for vp_index in (0, 1):  # both from vCPU 0's bundle
+        m.tdh_import_state_vp(dst, *args(w, "tdh_import_state_vp", vp_index=vp_index))
+    m.tdh_import_track(dst, *args(w, "tdh_import_track"))
+    m.tdh_import_commit(dst)
+    m.tdh_import_end(dst)
+    assert dst.op_state is not OpState.RUNNABLE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): an older MEM bundle rolls a page back")
+def test_an_older_mem_bundle_does_not_roll_a_page_back():
+    w = World(49)
+    m, src, dst = w.m, w.src, w.dst
+    older = w.honest("tdh_import_mem")  # imported once already
+    src.pages[PAGE] ^= 1  # the page changes after its first export
+    status, newer = m.tdh_export_mem(src, *args(w, "tdh_export_mem"))
+    assert status == S.TDX_SUCCESS
+    for bundle in (newer, older, older):
+        m.tdh_import_mem(dst, *args(w, "tdh_import_mem", bundle=bundle))
+    assert dst.pages[PAGE] == src.pages[PAGE]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a forged start token completes an import")
+def test_a_forged_start_token_does_not_complete_an_import():
+    w = World(50)
+    m, dst = w.m, w.dst
+    assert m.tdh_import_state_vp(dst, *args(w, "tdh_import_state_vp")) == S.TDX_SUCCESS
+    m.tdh_import_track(dst, *args(w, "tdh_import_track", token=FORGED_START))
+    m.tdh_import_commit(dst)
+    m.tdh_import_end(dst)
+    assert dst.op_state is not OpState.RUNNABLE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a source aborts an export already completed")
+def test_a_migrated_td_has_one_runnable_copy():
+    w = World(51)
+    assert finish_import(w.m, w.env) == S.TDX_SUCCESS and w.dst.op_state is OpState.RUNNABLE
+    w.m.tdh_export_abort(w.src)
+    assert w.src.op_state is not OpState.RUNNABLE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: a resume takes another TD's bundle")
+def test_an_interrupted_import_resumes_only_its_own_bundle():
+    w = World(52)
+    m, dst = w.m, new_template(w.m, w.env)["dst"]
+    name = "tdh_import_state_immutable"
+    status = m.tdh_import_state_immutable(dst, *args(w, name, interrupt_after=0))
+    assert status == S.TDX_INTERRUPTED_RESUMABLE
+    status = m.tdh_import_state_immutable(dst, *args(w, name, bundle=w.other_immutable, resume=True))
+    assert status != S.TDX_SUCCESS, S.status_str(status)

@@ -17,6 +17,7 @@ from tdxmodel import status as S
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tdxmodel"
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # module.name -> why it stays although the program never reads it.
 ALLOWED = {
@@ -29,10 +30,10 @@ ALLOWED = {
 }
 
 
-def _definitions() -> dict[str, ast.AST]:
+def _definitions(paths) -> dict[str, ast.AST]:
     """module.name -> the top-level statement that binds it (imports excluded)."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 found[f"{path.stem}.{node.name}"] = node
@@ -45,10 +46,10 @@ def _definitions() -> dict[str, ast.AST]:
     return found
 
 
-def _reads() -> set[str]:
-    """Every name loaded in src/ or perfbench/, less a definition's reads of itself."""
+def _reads(paths) -> set[str]:
+    """Every name loaded in the files, less a definition's reads of itself."""
     names = set()
-    for path in READERS:
+    for path in paths:
         tree = ast.parse(path.read_text())
         owner = {}
         for node in tree.body:
@@ -68,9 +69,9 @@ def _reads() -> set[str]:
 
 
 def _unread() -> list[str]:
-    reads = _reads()
+    reads = _reads(READERS)
     return sorted(
-        qualified for qualified, node in _definitions().items()
+        qualified for qualified, node in _definitions(sorted(PACKAGE.glob("*.py"))).items()
         if qualified.split(".", 1)[1] not in reads
         and not getattr(node, "decorator_list", None)
         and qualified.split(".", 1)[1] not in tdxmodel.__all__
@@ -84,6 +85,17 @@ def test_every_top_level_name_is_read_or_allowed():
     # An entry whose name is gone, or is read after all, must leave the list.
     stale = sorted(set(ALLOWED) - set(unread))
     assert not stale, "allowed but read or gone: " + ", ".join(stale)
+
+
+def test_every_private_test_helper_is_read():
+    """In ``tests/`` a private top-level name that no test module reads is dead."""
+    reads = _reads(TESTS)
+    unread = sorted(
+        qualified for qualified in _definitions(TESTS)
+        if (name := qualified.split(".", 1)[1]).startswith("_") and not name.startswith("__")
+        and name not in reads
+    )
+    assert not unread, "no test reads " + ", ".join(unread)
 
 
 def _status_names_src_uses(prefix: str) -> set[str]:
