@@ -296,11 +296,11 @@ class CpuidLookup:
     def field_id_for(self, index: int) -> int:
         return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, index)
 
-    def index_of_field_id(self, raw: int) -> int:
+    def index_of_field_id(self, raw: int) -> Optional[int]:
+        """The table slot a CPUID field id names, or None for any other id or one past the table."""
         fid = decode_field_id(raw)
-        if fid.class_code != CPUID_CLASS_CODE or fid.context_code != MD_CTX_TD:
-            raise ValueError(f"not a cpuid field id: {raw:#x}")
-        return fid.field_code
+        in_class = fid.class_code == CPUID_CLASS_CODE and fid.context_code == MD_CTX_TD
+        return fid.field_code if in_class and fid.field_code < MAX_NUM_CPUID_LOOKUP else None
 
 
 def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, read_before_check: bool) -> int:
@@ -310,9 +310,12 @@ def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, read_before_check: 
     reading it and never reads out of range; the pre-fix one
     (read_before_check) reads first and checks the bound only once the loop
     stops, so a search starting at the final table slot touches one index
-    past the array.
+    past the array.  An id that names no slot answers MD_FIELD_ID_NA with no read.
     """
-    index = lookup.index_of_field_id(field_id_raw) + 1
+    index = lookup.index_of_field_id(field_id_raw)
+    if index is None:
+        return MD_FIELD_ID_NA
+    index += 1
     while ((read_before_check or index < MAX_NUM_CPUID_LOOKUP)
            and not lookup.read(index).valid_entry):
         index += 1

@@ -293,6 +293,8 @@ class TdxModule:
         # The trace step of the most recent call, or None when it recorded none.
         self.last: Optional[TraceStep] = None
 
+    digest = TdComplex.digest  # one digest of state, for a module or a bare TD
+
     # -- plumbing ----------------------------------------------------------
 
     def alloc_page(self) -> int:
@@ -344,13 +346,14 @@ class TdxModule:
     ) -> int:
         if td.tdcx_count < TdComplex.MIN_TDCX_PAGES:
             return TDX_TDCX_NUM_INCORRECT
+        # v1's fixed variant keeps the configuration only once the filters pass too.
+        kept = {} if self.mode.v1 else {name: list(v) for name, v in td.td_store.items()}
         status = read_and_set_td_configurations(td, params, self.mode.v1)
+        if status == TDX_SUCCESS:
+            status = init_event_filters(td, event_filtering, event_filters_num,
+                                        event_filters or [], self.mode.bug3)
         if status != TDX_SUCCESS:
-            return status, "failure"
-        status = init_event_filters(
-            td, event_filtering, event_filters_num, event_filters or [], self.mode.bug3
-        )
-        if status != TDX_SUCCESS:
+            td.td_store.update(kept)
             return status, "failure"
         virtual_tsc = self.catalog.by_name(MD_CTX_TD, "VIRTUAL_TSC")
         td.write_element_raw(virtual_tsc, 0, td.tsc_frequency * 0x40)
@@ -421,7 +424,7 @@ class TdxModule:
         vp = td.vps[vp_index]
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
-        if not sept_walk_ok(td) or not vp.values(xcr0)[0] & XCR0_X87:
+        if not sept_walk_ok(td) or not vp.store.get(xcr0.name, [0])[0] & XCR0_X87:
             td.fatal = True
             return TDX_TD_FATAL
         return TDX_SUCCESS, "success"
@@ -705,9 +708,12 @@ class TdxModule:
                     migsc.interrupted_state.cursor = i + 1
                     return TDX_INTERRUPTED_RESUMABLE, "interrupted"
 
-            if migsc.interrupted_state.status != TDX_SUCCESS:
-                step.ext_err_info = tuple(migsc.interrupted_state.ext_err_info)
-                return as_fatal(migsc.interrupted_state.status), "failure"
+            # Complete, whatever its word: the resume state goes with the call.
+            latched = replace(migsc.interrupted_state)
+            migsc.interrupted_state.reset()
+            if latched.status != TDX_SUCCESS:
+                step.ext_err_info = tuple(latched.ext_err_info)
+                return as_fatal(latched.status), "failure"
 
             if not self.mode.bug2:
                 ctx_codes = {contexts(i) for i in range(len(lists))}
@@ -715,8 +721,6 @@ class TdxModule:
                 if missing:
                     step.ext_err_info = (missing[0].field_id_raw, 0)
                     return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
-
-            migsc.interrupted_state.reset()
             return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_IMPORT_STATE_IMMUTABLE)

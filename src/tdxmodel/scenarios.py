@@ -222,17 +222,22 @@ def standard_setup(m: TdxModule, num_vcpus: int = 1, num_pages: int = 2) -> dict
     """Build a migratable source TD, a destination template, and exchange the MSK."""
     status, src = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus, num_pages)
     assert status == S.TDX_SUCCESS, S.status_str(status)
+    env = migration_env(m, src)
+    status, bundle = m.tdh_export_state_immutable(src)
+    assert status == S.TDX_SUCCESS
+    env["bundle_immutable"] = bundle
+    return env
+
+
+def migration_env(m: TdxModule, src) -> dict:
+    """A migration TD bound to ``src`` on a new stream, the key written, and a template TD."""
     migtd = m.new_servtd()
     m.tdh_mig_stream_create(src)
     _, src_handle = m.tdh_servtd_bind(src, 0, migtd)
     key = [m.rng.getrandbits(64) | 1 for _ in range(4)]
     _write_key(m, migtd, src_handle, key)
-
     env = {"src": src, "migtd": migtd, "src_handle": src_handle, "key": key}
     env.update(new_template(m, env))
-    status, bundle = m.tdh_export_state_immutable(src)
-    assert status == S.TDX_SUCCESS
-    env["bundle_immutable"] = bundle
     return env
 
 

@@ -11,6 +11,8 @@ the session key, ...) are typed properties over the same store.
 from __future__ import annotations
 
 import bisect
+import hashlib
+import marshal
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from typing import Optional
@@ -437,6 +439,52 @@ class TdComplex:
             f"fatal: {int(self.fatal)}",
         ]
         return "\n".join(lines)
+
+    def digest(self) -> dict[str, str]:
+        """A digest of each store by its path, such as ``tds[0x102].td_store``; TdxModule's too."""
+        stores = {}
+        for name, value in _state(self).items():
+            if type(value) is dict and value and all(hasattr(v, "digest") for v in value.values()):
+                for page, td in value.items():  # the TDs, each by its TDR page
+                    stores.update({f"{name}[{page:#x}].{k}": d for k, d in td.digest().items()})
+            else:  # marshal's version 2 writes no back-references: equal values, equal bytes
+                stores[name] = hashlib.sha1(marshal.dumps(_canonical(value), 2)).hexdigest()
+        return stores
+
+
+# What TdComplex.digest leaves out: class -> attribute -> why it is not state.
+NOT_STATE = {
+    "TdxModule": {"last": "a log", "catalog": "a table all modules share", "matrix": "the same",
+                  "_edges": "the matrix, compiled", "mode": "fixed configuration",
+                  "start_import": "set from mode", "_codec_mode": "set from mode"},
+    "TdComplex": {"trace": "a log", "_session_key": "a cache of td_store's MIG_DEC_KEY",
+                  "_session_key_from": "the MIG_DEC_KEY that cache was built from"},
+    "MigStreamContext": {"key": "the TD's MIG_DEC_KEY, which each hold of the stream installs"},
+    "CpuidLookup": {"access_log": "a log"}, "MigrationSessionKey": {"aead": "a cipher of the key"},
+}
+_PLAIN = {int, bool, str, bytes, type(None)}
+
+
+def _state(obj) -> dict:
+    """The attributes of ``obj`` but the NOT_STATE ones of its class or a base."""
+    skip = {name for cls in type(obj).__mro__ for name in NOT_STATE.get(cls.__name__, ())}
+    return {name: value for name, value in vars(obj).items() if name not in skip}
+
+
+def _canonical(value):
+    """``value`` as plain values and lists: sets and dicts sorted, enums named, objects' state."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, dict):  # plain keys, and unique: the items sort by key
+        return [(key, _canonical(v)) for key, v in sorted(value.items())]
+    if isinstance(value, set):  # of plain members
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return value if {*map(type, value)} <= _PLAIN else [_canonical(v) for v in value]
+    getstate = getattr(value, "getstate", None)  # a random.Random's
+    return getstate() if getstate else (type(value).__name__, _canonical(_state(value)))
 
 
 # The rule of each TD-configuration field, by name: check(value, gpaw,

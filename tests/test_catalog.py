@@ -3,9 +3,11 @@
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel.catalog import (
     CONTEXT_NAMES,
+    CPUID_CLASS_CODE,
     MAX_NUM_CPUID_LOOKUP,
     CpuidLookup,
     FieldCatalog,
@@ -227,3 +229,30 @@ def test_next_cpuid_interior_step(mode):
     result = next_cpuid_entry(lookup, lookup.field_id_for(0), mode == "vulnerable")
     assert result == lookup.field_id_for(1)
     assert lookup.oob_accesses() == []
+
+
+_CPUID_IDS = st.integers(0, FULL) | st.integers(0, 2 * MAX_NUM_CPUID_LOOKUP).map(
+    CpuidLookup().field_id_for)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_id=_CPUID_IDS, bug4=st.booleans())
+@example(field_id=0, bug4=False)
+@example(field_id=1 << 63, bug4=True)
+@example(field_id=0xDEADBEEF, bug4=False)
+@example(field_id=CpuidLookup().field_id_for(MAX_NUM_CPUID_LOOKUP - 1), bug4=True)
+@example(field_id=CpuidLookup().field_id_for(5000), bug4=True)
+def test_cpuid_search_answers_an_int_for_every_64_bit_id(field_id, bug4):
+    """Any id answers a word; one that names no slot answers MD_FIELD_ID_NA with no table read.
+
+    Only bug4's search from the last slot reads out of bounds, one index past the table.
+    """
+    m = TdxModule(EngineMode(bug4=bug4))
+    result = m.md_next_cpuid_field(field_id)
+    assert type(result) is int
+    fid = decode_field_id(field_id)
+    in_class = (fid.context_code, fid.class_code) == (MD_CTX_TD, CPUID_CLASS_CODE)
+    if not in_class or fid.field_code >= MAX_NUM_CPUID_LOOKUP:
+        assert (result, m.cpuid.access_log) == (MD_FIELD_ID_NA, [])
+    last = in_class and fid.field_code == MAX_NUM_CPUID_LOOKUP - 1
+    assert m.cpuid.oob_accesses() == ([MAX_NUM_CPUID_LOOKUP] if bug4 and last else [])

@@ -1,7 +1,6 @@
 """Engine flows: build ordering, interruptible imports, exports, and round-trips."""
 
 import ast
-import copy
 import inspect
 import random
 import struct
@@ -30,6 +29,7 @@ from tdxmodel.scenarios import (
     export_blackout,
     finish_import,
     import_to_state_import,
+    migration_env,
     new_template,
     seal,
     standard_setup,
@@ -209,7 +209,7 @@ IMMUTABLE_LISTS = 3  # SYS, then two TD lists: the immutable bundle of a standar
 
 
 def _immutable_import(mode, seed, broken, interrupt_after):
-    """(words, op_state, td_store, import_written) of an immutable import and its resume."""
+    """(words, module digest) of an immutable import and its resume."""
     m = TdxModule(mode, seed=seed)
     env = standard_setup(m, num_vcpus=1)
     dst, bundle = env["dst"], env["bundle_immutable"]
@@ -221,7 +221,7 @@ def _immutable_import(mode, seed, broken, interrupt_after):
     words = [m.tdh_import_state_immutable(dst, bundle, interrupt_after=interrupt_after)]
     if words[0] == S.TDX_INTERRUPTED_RESUMABLE:
         words.append(m.tdh_import_state_immutable(dst, bundle, resume=True))
-    return words, dst.op_state, copy.deepcopy(dst.td_store), copy.deepcopy(dst.import_written)
+    return words, m.digest()
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,9 +535,10 @@ def _random_call(w, rng, name):
 def test_fixed_mode_random_walk_safety_invariants():
     """Random calls over the whole alphabet in fixed mode never produce an unsafe TD.
 
-    Checked after every call: it answers a status word and raises nothing, no
-    TD is simultaneously debug and migratable, and any TD that completed an
-    immutable import holds import-valid attributes.  Every trace validates.
+    Checked after every call: it answers a status word and raises nothing, a
+    refusal changes no store but its designed writes, no TD is simultaneously
+    debug and migratable, and any TD that completed an immutable import holds
+    import-valid attributes.  Every trace validates.
     """
     from tdxmodel.td import verify_td_attributes
 
@@ -554,9 +555,11 @@ def test_fixed_mode_random_walk_safety_invariants():
         for _ in range(120):
             name = rng.choice(LEAVES)
             head, operands = _random_call(w, rng, name)
+            before = m.digest()
             result = getattr(m, name)(*head, *operands)
             status = result if type(result) is int else result[0]
             assert type(status) is int, (seed, name, result)
+            _refusal_law(name, status, before, m)
             if name == "tdh_import_state_immutable" and status == S.TDX_SUCCESS:
                 completed_import.add(head[0].tdr_page)
             for candidate in m.tds.values():
@@ -637,18 +640,16 @@ def test_vp_create_bound_holds_on_the_build_and_the_import_path():
 def test_export_mem_refuses_a_gpa_the_td_has_no_page_at():
     w = World(31)  # the source is paused
     m, src, migsc = w.m, w.src, w.src.migsc[0]
-    state, pages, counter = src.op_state, dict(src.pages), migsc.iv_counter
+    state, before, counter = src.op_state, m.digest(), migsc.iv_counter
     missing = 0x99000
-    assert missing not in pages
+    assert missing not in src.pages
     refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
     for abort in (False, True):
         assert m.tdh_export_mem(src, missing, abort=abort) == (refused, None)
         assert m.last == TraceStep(Leaf.TDH_EXPORT_MEM, state, state, refused)
     # The stream guard still answers first.
     assert m.tdh_export_mem(src, missing, 1) == (S.TDX_MIGRATION_STREAM_STATE_INCORRECT, None)
-    assert src.pages == pages and src.op_state is state
-    assert migsc.iv_counter == counter and len(migsc.iv_history) == counter
-    assert not migsc.locked
+    assert m.digest() == before and len(migsc.iv_history) == counter
     status, bundle = m.tdh_export_mem(src, 0x1000)
     assert status == S.TDX_SUCCESS and bundle.mbmd.iv_counter == counter + 1
 
@@ -789,7 +790,7 @@ def test_import_mem_stores_only_a_page_gpa(gpa):
     gpa_invalid = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
     w = World(38)
     m, dst = w.m, w.dst
-    state, pages = dst.op_state, dict(dst.pages)
+    state, pages, before = dst.op_state, dict(dst.pages), m.digest()
     payload = struct.pack("<QQ", gpa, 0xAA).ljust(md.LIST_BYTES, b"\x00")
     status = m.tdh_import_mem(dst, seal(w.key, BundleType.MEM, [payload]))
     if gpa == 0x1000:
@@ -797,7 +798,7 @@ def test_import_mem_stores_only_a_page_gpa(gpa):
         return
     assert status == gpa_invalid
     assert m.last == TraceStep(Leaf.TDH_IMPORT_MEM, state, state, gpa_invalid)
-    assert dst.pages == pages and dst.op_state is state and not dst.fatal
+    assert m.digest() == before
 
 
 def test_mr_extend_refuses_a_gpa_the_td_has_no_page_at():
@@ -888,13 +889,13 @@ def test_every_leaf_is_refused_fatal_then_busy_then_off_the_matrix(name, state, 
     assume(fatal or locked or not admitted)
     word = S.TDX_TD_FATAL if fatal else TDR_BUSY if locked else S.TDX_OP_STATE_INCORRECT
     head = (w.migtd, w.env["src_handle"]) if name in GUEST_LEAVES else (td,)
-    before, steps = _model_state(m), len(td.trace)
+    before, steps = m.digest(), len(td.trace)
     result = getattr(m, name)(*head, *args(w, name))
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert td.trace[steps:] == [TraceStep(leaf, state, state, word)]
     assert validate_trace(m.matrix, td.trace[steps:], True) == []
     assert m.last is td.trace[-1]
-    assert _model_state(m) == before
+    assert m.digest() == before
 
 
 @settings(max_examples=400, deadline=None)
@@ -1062,10 +1063,9 @@ def test_service_td_key_write_is_a_trace_step():
 def test_import_mem_rejects_a_state_bundle_before_decrypting():
     w = World(30)
     m, dst = w.m, w.dst
-    pages, counter = dict(dst.pages), dst.migsc[0].iv_counter
+    before = m.digest()
     assert m.tdh_import_mem(dst, w.bundles[BundleType.VP]) == S.TDX_INVALID_MBMD
-    assert dst.pages == pages and dst.op_state is OpState.STATE_IMPORT
-    assert dst.migsc[0].iv_counter == counter and not dst.migsc[0].locked
+    assert m.digest() == before and dst.op_state is OpState.STATE_IMPORT
 
 
 def test_import_mem_busy_when_stream_held():
@@ -1089,12 +1089,10 @@ def test_import_refuses_a_bundle_sealed_for_another_stream():
         leaf, call = Leaf[name.upper()], getattr(m, name)
         own = seal(w.key, bundle_type(name), decrypted_lists(w.env, w.honest(name)))
         dst.op_state = state = admitting(m.matrix, leaf)
-        written, pages = copy.deepcopy(dst.import_written), dict(dst.pages)
-        counter, history = migsc.iv_counter, list(migsc.iv_history)
+        before = m.digest()
         assert call(dst, *args(w, name, bundle=w.cross_stream(name))) == S.TDX_INVALID_MBMD, leaf
         assert m.last == TraceStep(leaf, state, state, S.TDX_INVALID_MBMD)
-        assert dst.import_written == written and dst.pages == pages
-        assert (migsc.iv_counter, migsc.iv_history) == (counter, history) and not migsc.locked
+        assert m.digest() == before and not migsc.locked
         # The same lists sealed for the stream that opens them import.
         assert call(dst, *args(w, name, bundle=own)) == S.TDX_SUCCESS, leaf
 
@@ -1124,17 +1122,11 @@ def test_a_stream_refusal_answers_before_the_leafs_own(name, stream, own):
     word = {"index": S.TDX_MIGRATION_STREAM_STATE_INCORRECT,
             "key": S.TDX_MIGRATION_DECRYPTION_KEY_NOT_SET,
             "held": S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)}[stream]
-
-    def snapshot():
-        return (dst.op_state, dst.fatal, dst.export_count, dict(dst.pages),
-                copy.deepcopy(dst.import_written), migsc.iv_counter, list(migsc.iv_history),
-                migsc.locked, migsc.key, dst.mig_dec_key_set)
-
-    before, steps = snapshot(), len(dst.trace)
+    before, key, steps = m.digest(), migsc.key, len(dst.trace)
     result = getattr(m, name)(dst, *operands)
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert dst.trace[steps:] == [TraceStep(leaf, state, state, word)]
-    assert snapshot() == before
+    assert m.digest() == before and migsc.key is key  # the digest leaves the key's cache out
 
 
 def test_each_stream_step_has_one_home():
@@ -1218,15 +1210,7 @@ def _honest_round_trip(m, src):
     Returns the destination's op_state after the first call that does not succeed,
     or after import end.
     """
-    migtd = m.new_servtd()
-    m.tdh_mig_stream_create(src)
-    _, handle = m.tdh_servtd_bind(src, 0, migtd)
-    env = {"src": src, "migtd": migtd, "key": [m.rng.getrandbits(64) | 1 for _ in range(4)]}
-    key_entry = m.catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
-    for i, quadword in enumerate(env["key"]):
-        status, _ = m.tdg_servtd_wr(migtd, handle, key_entry.field_id_for(0) + i, quadword)
-        assert status == S.TDX_SUCCESS
-    env.update(new_template(m, env))
+    env = migration_env(m, src)
     export_blackout(m, env)
     mem = [m.tdh_export_mem(src, gpa)[1] for gpa in list(src.pages)]
     dst = env["dst"]
@@ -1275,14 +1259,6 @@ def test_build_and_import_refuse_a_walk_level_other_than_pml4_or_pml5():
 
 # --- out-of-range operands, all fixed -----------------------------------------------------
 
-def _model_state(m):
-    tds = [(td.op_state, td.fatal, [{name: list(ints) for name, ints in store.items()} for store
-                                    in (td.td_store, td.sys_store, *(vp.store for vp in td.vps))],
-            dict(td.pages), [(migsc.iv_counter, migsc.locked) for migsc in td.migsc])
-           for td in m.tds.values()]
-    return tds, list(m.kot.states)
-
-
 def test_bounded_calls_are_found_from_the_signatures():
     names = {name for name, _ in BOUNDED_CALLS}
     assert {"tdh_mng_create", "tdh_sys_config", "tdh_vp_rd", "tdh_export_state_vp",
@@ -1314,13 +1290,13 @@ def test_out_of_range_operand_is_refused_and_changes_nothing(call, offset, by_ke
     if host_leaf:
         leaf = Leaf[name.upper()]
         td.op_state = state = admitting(m.matrix, leaf)
-    before, steps = _model_state(m), len(td.trace)
+    before, steps = m.digest(), len(td.trace)
     method = getattr(m, name)
     head = (td,) if host_leaf else ()
     result = method(*head, **passed) if by_keyword else method(*head, *passed.values())
     word = OPERAND_WORDS[bounded]
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
-    assert _model_state(m) == before
+    assert m.digest() == before
     if host_leaf:
         assert td.trace[steps:] == [TraceStep(leaf, state, state, word)]
     else:
@@ -1421,3 +1397,69 @@ def test_an_interrupted_import_resumes_only_its_own_bundle():
     assert status == S.TDX_INTERRUPTED_RESUMABLE
     status = m.tdh_import_state_immutable(dst, *args(w, name, bundle=w.other_immutable, resume=True))
     assert status != S.TDX_SUCCESS, S.status_str(status)
+
+
+# --- the refusal law: a refused call changes no store ---------------------------------------
+
+# (leaf, word) -> (the stores a call refused with that word may change, why).
+# A refusal no row names leaves every store of TdxModule.digest() as it was.
+DESIGNED_WRITES = {
+    ("tdh_export_mem", S.TDX_INTERRUPTED_RESUMABLE):
+        ({"migsc"}, "an aborted export spends its IV, so no IV seals two payloads"),
+    ("tdh_import_state_immutable", S.TDX_INTERRUPTED_RESUMABLE):
+        ({"op_state", "td_store", "sys_store", "import_written", "migsc"},
+         "an interrupted import keeps the lists it wrote and the cursor it resumes from"),
+    ("tdh_vp_enter", S.TDX_TD_FATAL):
+        ({"fatal"}, "a SEPT walk from an unusable EPTP, or an xcr0 without x87, is the "
+                    "machine-check or #GP(0) analog: the TD goes fatal"),
+    **{(name, S.TDX_INCORRECT_MBMD_MAC):
+       ({"op_state"}, "a bundle that fails its MAC moves the TD to FAILED_IMPORT")
+       for name in BUNDLE_LEAVES},
+}
+
+
+def _refusal_law(name, status, before, m):
+    """The law for one call of leaf ``name`` that answered ``status``; ``before`` is the digest."""
+    if status == S.TDX_SUCCESS:
+        return
+    after = m.digest()
+    changed = sorted(path for path in before.keys() | after.keys()
+                     if before.get(path) != after.get(path))
+    allowed = DESIGNED_WRITES.get((name, status), (set(),))[0]
+    assert {path.rsplit(".", 1)[-1] for path in changed} <= allowed, (
+        f"{name} answered {S.status_str(status)} and changed {changed}")
+
+
+@st.composite
+def _any_call(draw):
+    """A leaf, its target (src or dst) and raw operands, each from all of its alphabet values."""
+    name = draw(st.sampled_from(LEAVES))
+
+    def pick(param):
+        return draw(st.sampled_from(sum(values(name, param), [])))
+
+    head = (pick("caller"), pick("handle")) if name in GUEST_LEAVES else ()
+    return name, draw(st.sampled_from(["src", "dst"])), head, tuple(map(pick, OPERANDS[name]))
+
+
+_PERFMON = TdParams(attributes=ATTR_PERFMON)
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_any_call())
+# A refused init wrote the TD configuration: a zero filter, a count below zero, a filter short.
+@example(call=("tdh_mng_init", "src", (), (_PERFMON, True, 1, [0])))
+@example(call=("tdh_mng_init", "src", (), (_PERFMON, True, -1, None)))
+@example(call=("tdh_mng_init", "dst", (), (_PERFMON, True, 2, [EventFilter(1, 1).raw])))
+def test_a_refused_call_changes_no_store_but_its_designed_writes(call):
+    """All fixed, on a fresh world, with the target placed where the matrix admits the leaf."""
+    name, target, head, operands = call
+    w = World(53)
+    td = getattr(w, target)
+    if name not in BEFORE_ANY_TD:
+        td.op_state = admitting(w.m.matrix, Leaf[name.upper()])
+    head = [build(w, name, v) for v in head] or ([] if name in BEFORE_ANY_TD else [td])
+    operands = [build(w, name, v) for v in operands]  # before the digest: a value may build a TD
+    before = w.m.digest()
+    result = getattr(w.m, name)(*head, *operands)
+    _refusal_law(name, result if type(result) is int else result[0], before, w.m)

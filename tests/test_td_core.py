@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from alphabet import World
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog, MigClass
@@ -23,6 +24,7 @@ from tdxmodel.td import (
     MAX_HP_LOCK_TIMEOUT_USEC,
     MAX_VCPUS_PER_TD,
     MIN_HP_LOCK_TIMEOUT_USEC,
+    NOT_STATE,
     TD_CONFIG_RULES,
     TYPED_TD_FIELDS,
     VIRT_TSC_FREQUENCY_MAX,
@@ -887,9 +889,7 @@ def _run_sink_case(sink_cls, catalog, mode, case):
             for name, field_index, values, combined in payload:
                 entry = catalog.by_name(ctx, name)
                 outcomes.append(sink.write_field(entry, field_index, list(values), combined))
-    stores = (td.td_store, td.sys_store, [vp.store for vp in td.vps])
-    return (outcomes, stores, td.import_written, td._mig_dec_key_written,
-            td.gpaw)
+    return outcomes, td.digest()
 
 
 def _eptp_list():
@@ -963,10 +963,6 @@ def _mng_wr_td(catalog):
     return m, td
 
 
-def _stores(td):
-    return {name: list(values) for name, values in td.td_store.items()}
-
-
 def test_mng_wr_writes_the_addressed_element(writable_catalog):
     m, td = _mng_wr_td(writable_catalog)
     td_uuid = writable_catalog.by_name(MD_CTX_TD, "TD_UUID")
@@ -1004,11 +1000,11 @@ def test_mng_wr_refused_value_changes_nothing(writable_catalog):
     m, td = _mng_wr_td(writable_catalog)
     for name, value in (("HP_LOCK_TIMEOUT", MIN_HP_LOCK_TIMEOUT_USEC - 1),
                         ("ATTRIBUTES", ATTR_MIGRATABLE | ATTR_DEBUG), ("TSC_FREQUENCY", 0)):
-        before, op_state = _stores(td), td.op_state
+        before, op_state = m.digest(), td.op_state
         entry = writable_catalog.by_name(MD_CTX_TD, name)
         status = m.tdh_mng_wr(td, entry.field_id_for(0), value)
         assert status == S.TDX_METADATA_FIELD_VALUE_NOT_VALID, name
-        assert _stores(td) == before
+        assert m.digest() == before
         assert (m.last.status, m.last.after, td.op_state) == (status, op_state, op_state)
 
 
@@ -1254,3 +1250,34 @@ def test_sequence_pack_matches_per_element_packer(elements, header_raw):
             seq.to_bytes()
     else:
         assert seq.to_bytes() == want
+
+
+# --- the state digest --------------------------------------------------------------------------
+
+def test_every_name_the_digest_leaves_out_is_an_attribute_of_its_class():
+    """NOT_STATE cannot go stale: a name it leaves out that its class no longer has fails here."""
+    w = World(54)
+    holders = {"TdxModule": w.m, "TdComplex": w.dst, "CpuidLookup": w.m.cpuid,
+               "MigStreamContext": w.dst.migsc[0], "MigrationSessionKey": w.dst.migsc[0].key}
+    for holder, names in NOT_STATE.items():
+        for name in names:
+            assert name in vars(holders[holder]), f"{holder}.{name}"
+
+
+def test_the_digest_sees_a_store_no_list_names():
+    """A scratch subclass's new store is in the digest, alone and in a module; its log is not."""
+
+    class ScratchTd(TdComplex):
+        def __init__(self, tdr_page, hkid):
+            super().__init__(tdr_page, hkid)
+            self.ledger = {}
+
+    m = TdxModule(seed=5)
+    td = m.tds[0x200] = ScratchTd(0x200, 3)
+    before, alone = m.digest(), td.digest()
+    td.trace.append("a step")
+    assert (m.digest(), td.digest()) == (before, alone)
+    td.ledger[1] = {2}
+    assert [path for path, value in td.digest().items() if alone.get(path) != value] == ["ledger"]
+    assert [path for path, value in m.digest().items() if before.get(path) != value] == [
+        "tds[0x200].ledger"]
