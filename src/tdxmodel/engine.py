@@ -379,11 +379,10 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_VP_INIT)
     def tdh_vp_init(self, td: TdComplex, vp_index: int) -> int:
-        vp = td.vps[vp_index]
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
-        vp.values(xcr0)[0] = td.xfam | XCR0_X87
+        td.write_element_raw(xcr0, 0, td.xfam | XCR0_X87, vp_index)
         deadline = self.catalog.by_name(MD_CTX_VP, "TSC_DEADLINE")
-        vp.values(deadline)[0] = 0
+        td.write_element_raw(deadline, 0, 0, vp_index)
         return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_MEM_SEPT_ADD)
@@ -421,10 +420,9 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_VP_ENTER)
     def tdh_vp_enter(self, td: TdComplex, vp_index: int) -> int:
-        vp = td.vps[vp_index]
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
-        if not sept_walk_ok(td) or not vp.store.get(xcr0.name, [0])[0] & XCR0_X87:
+        if not sept_walk_ok(td) or not td.read_element(xcr0, 0, vp_index) & XCR0_X87:
             td.fatal = True
             return TDX_TD_FATAL
         return TDX_SUCCESS, "success"

@@ -314,24 +314,24 @@ class ParseArena:
     the arena itself return zeros.
 
     The log is stored compactly, one ``(offset, length)`` tuple per read in
-    read order.  ``reads`` is a read-only property that builds a fresh
-    ``ReadRecord`` list from it on each access; ``read_count``, ``oob_reads``
-    and ``max_oob_span`` use the tuples directly.
+    read order; ``reads`` builds a fresh ``ReadRecord`` list from it on each
+    access.  Both logging calls keep the farthest out-of-bounds span as they
+    log, so ``max_oob_span`` answers at once and ``oob_reads`` scans the log
+    only if there is one.
 
     The list is kept as immutable bytes, zero-padded to 4KB; a whole 4KB
     ``bytes`` list is kept as given, with no copy.  The full image (the list,
     then the sentinel regions, hashed once at import) is built on the first
     read that runs past the list, on the first ``plant``, or on the first
-    access to ``buffer``, which is that image.  Until then no read has run
-    past the list, so ``oob_reads`` and ``max_oob_span`` answer at once.
+    access to ``buffer``, which is that image.
 
-    ``read`` logs one read, and ``log_u64s`` a run of 8-byte reads as the
-    ``(offset, 8)`` records ``read`` would log one by one.  ``read`` returns a
-    copy of exactly ``length`` bytes: ``bytes`` sliced from the list for a read
-    inside it, a ``bytearray`` sliced from the image once that is built,
-    zero-padded only past the arena end; ``peek_u64s`` decodes a run served
-    the same way, unlogged.  Offsets count from the list start and are never
-    negative, and lengths are positive.
+    ``read`` logs one read, and ``log_u64s`` a run of 8-byte reads (with a
+    mask re-read heading each field, if asked) as ``read`` would one by one.
+    ``read`` returns a copy of exactly ``length`` bytes: ``bytes`` sliced from
+    the list for a read inside it, a ``bytearray`` sliced from the image once
+    that is built, zero-padded only past the arena end; ``peek_u64s`` decodes
+    a run served the same way, unlogged.  Offsets count from the list start
+    and are never negative, and lengths and counts are positive.
     """
 
     REGIONS = (
@@ -348,6 +348,7 @@ class ParseArena:
         self._bytes = bytes(list_bytes).ljust(LIST_BYTES, b"\x00")
         self._image: Optional[bytearray] = None
         self._log: list[tuple[int, int]] = []
+        self._oob_span = 0
         for offset, value in (plants or {}).items():
             self.plant(offset, value)
 
@@ -390,6 +391,8 @@ class ParseArena:
         this first such read, and zero-padded if it runs past the arena end.
         """
         self._log.append((offset, length))
+        if offset >= LIST_BYTES and offset + length - LIST_BYTES > self._oob_span:
+            self._oob_span = offset + length - LIST_BYTES
         chunk = self._bytes[offset : offset + length]
         if len(chunk) < length:
             chunk = self.buffer[offset : offset + length]
@@ -408,12 +411,26 @@ class ParseArena:
             data, offset = self.buffer[offset:end].ljust(end - offset, b"\x00"), 0
         return list(_u64s(count).unpack_from(data, offset))
 
-    def log_u64s(self, offset: int, count: int) -> None:
-        """Log ``count`` 8-byte reads from ``offset`` on, as ``read`` would one by one."""
+    def log_u64s(self, offset: int, count: int, mask_at: Optional[int] = None,
+                 stride: int = 1) -> None:
+        """Log ``count`` 8-byte reads from ``offset`` on, as ``read`` would one by one.
+
+        With ``mask_at``, the reads come in groups of ``stride`` slots, and the
+        first read of each group is at ``mask_at`` instead of its own slot: the
+        pre-fix walk's per-field mask re-read, ahead of the field's values.
+        """
         end = offset + count * ELEMENT_BYTES
-        if end > LIST_BYTES:
-            self.buffer  # builds the image: without one, oob_reads answers "none"
-        self._log += zip(range(offset, end, ELEMENT_BYTES), repeat(ELEMENT_BYTES))
+        offsets = range(offset, end, ELEMENT_BYTES)
+        last = end - ELEMENT_BYTES  # the farthest read
+        if mask_at is not None:
+            offsets = list(offsets)
+            offsets[::stride] = [mask_at] * len(offsets[::stride])
+            last = max(offsets[0], *offsets[-2:])  # one of the last two slots is read in place
+        if last + ELEMENT_BYTES > LIST_BYTES:
+            self.buffer  # builds the image, as a read past the list would
+            if last >= LIST_BYTES:
+                self._oob_span = max(self._oob_span, last + ELEMENT_BYTES - LIST_BYTES)
+        self._log += zip(offsets, repeat(ELEMENT_BYTES))
 
     @property
     def reads(self) -> list[ReadRecord]:
@@ -428,7 +445,7 @@ class ParseArena:
         return int.from_bytes(self.read(offset, 8), "little")
 
     def oob_reads(self) -> list[ReadRecord]:
-        if self._image is None:
+        if not self._oob_span:
             return []
         return [
             ReadRecord(offset, length, True)
@@ -438,10 +455,7 @@ class ParseArena:
 
     def max_oob_span(self) -> int:
         """Bytes past the list end reached by the farthest out-of-bounds read."""
-        if self._image is None:
-            return 0
-        return max((offset + length - LIST_BYTES for offset, length in self._log
-                    if offset >= LIST_BYTES), default=0)
+        return self._oob_span
 
 
 # An arena image before any list is copied in: a zero list region, then the
@@ -598,13 +612,13 @@ def write_sequence(
     ends near the list boundary drives buff_size through zero and the walk
     continues into the sentinel regions.
 
-    The walk runs per catalog entry and reads the entry's values once.  Unless
-    the mask is re-read per field, the entry's fields are one run: how many fit
-    is computed up front, the sizes are settled once, and the run is decoded
-    with one ``peek_u64s`` and logged with one ``log_u64s``, up to the field
-    whose refusal ends the walk; sink calls and skips stay one per field.
-    ``lkp`` is advanced, and the class-change check made, only after an entry's
-    last field; on every exit ``lkp`` stands where a per-field walk leaves it.
+    The walk runs per catalog entry in both placements: how many fields fit
+    is settled first (pre-fix, by the per-field wrapping deduction), then the
+    run is decoded with one ``peek_u64s`` and logged with one ``log_u64s``,
+    mask re-reads placed, up to a refusal or the overflowing field's mask
+    re-read; sink calls and skips stay one per field.  ``lkp`` is advanced,
+    and the class-change check made, only after an entry's last field; on
+    every exit ``lkp`` stands where a per-field walk leaves it.
 
     A field of an entry that is not importable is passed over; one refused as
     not writable is skipped and recorded through ``sink.record_skip``; any
@@ -614,23 +628,25 @@ def write_sequence(
         ext_err_info[0] = lkp.field_id_raw
         return LIST_OVERFLOW, 0
 
-    read = arena.read
-    from_bytes = int.from_bytes
     buff_size = (buff_size - SEQUENCE_HEADER_BYTES) & 0xFFFFFFFF
     elements_base = seq_off + SEQUENCE_HEADER_BYTES
     sequence_idx = 0
     wr_mask = 0xFFFFFFFFFFFFFFFF
+    # A mask re-read takes the slot ahead of each field's values: 1 in the pre-fix placement.
+    slot = int(mode.loop_underflow and fid.write_mask_valid)
+    mask_at = elements_base if slot else None
 
-    if not mode.loop_underflow and fid.write_mask_valid:
+    if slot:
+        wr_mask = arena.peek_u64s(elements_base, 1)[0]
+    elif fid.write_mask_valid:
         # Post-fix placement: consume the mask element once, before the loop.
         if buff_size < ELEMENT_BYTES:
             ext_err_info[0] = lkp.field_id_raw
             return LIST_OVERFLOW, sequence_idx
-        wr_mask = from_bytes(read(elements_base, 8), "little")
+        wr_mask = arena.read_u64(elements_base)
         sequence_idx += 1
         buff_size -= ELEMENT_BYTES
 
-    reread_mask = mode.loop_underflow and fid.write_mask_valid
     write_field = sink.write_field
     entry = lkp.entry
     field_index = lkp.field_index
@@ -640,70 +656,54 @@ def write_sequence(
         num_of_elem = entry.num_of_elem
         field_bytes = num_of_elem * ELEMENT_BYTES
         last_index = entry.num_of_fields - 1
-        writes = entry.importable
-        import_mask = entry.import_mask
         first = field_index
         stop = min(last_index + 1, first + fields_left)
         fields_left -= stop - first
 
-        if reread_mask:
-            # Pre-fix placement, the finding: a per-field mask re-read and wrapping deduction.
-            for field_index in range(first, stop):
-                wr_mask = from_bytes(read(elements_base, 8), "little")
-                sequence_idx += 1
+        if slot:
+            # Pre-fix placement, the finding: a per-field wrapping deduction of the mask.
+            fit = first
+            while fit < stop:
                 buff_size = (buff_size - ELEMENT_BYTES) & 0xFFFFFFFF
                 if buff_size < field_bytes:
-                    lkp.field_index = field_index
-                    ext_err_info[0] = lkp.field_id_raw
-                    return LIST_OVERFLOW, sequence_idx
-                if writes:
-                    combined = wr_mask & import_mask
-                    if combined == 0:
-                        status = TDX_METADATA_FIELD_NOT_WRITABLE
-                    else:
-                        offset = elements_base + sequence_idx * ELEMENT_BYTES
-                        if num_of_elem == 1:  # most fields; skips the comprehension's frame
-                            values = [from_bytes(read(offset, 8), "little")]
-                        else:
-                            values = [from_bytes(read(at, 8), "little")
-                                      for at in range(offset, offset + field_bytes, ELEMENT_BYTES)]
-                        status = write_field(entry, field_index, values, combined)
-                    if status != TDX_SUCCESS:
-                        if status != TDX_METADATA_FIELD_NOT_WRITABLE:
-                            lkp.field_index = field_index
-                            ext_err_info[0] = lkp.field_id_raw
-                            return status, sequence_idx
-                        sink.record_skip(entry, field_index)
-                buff_size = (buff_size - field_bytes) & 0xFFFFFFFF
-                sequence_idx += num_of_elem
+                    break
+                buff_size -= field_bytes
+                fit += 1
         else:
-            # One run: the fields that fit are decoded, walked and logged, then the sizes settled.
             fit = min(stop, first + buff_size // field_bytes)
-            combined = wr_mask & import_mask
-            if writes and combined == 0:
-                for field_index in range(first, fit):
-                    sink.record_skip(entry, field_index)
-            elif writes:
-                offset = elements_base + sequence_idx * ELEMENT_BYTES
-                run = arena.peek_u64s(offset, (fit - first) * num_of_elem)
-                at = 0
-                for field_index in range(first, fit):
-                    status = write_field(entry, field_index, run[at : at + num_of_elem], combined)
-                    at += num_of_elem
-                    if status != TDX_SUCCESS:
-                        if status != TDX_METADATA_FIELD_NOT_WRITABLE:
-                            arena.log_u64s(offset, at)
-                            lkp.field_index = field_index
-                            ext_err_info[0] = lkp.field_id_raw
-                            return status, sequence_idx + at - num_of_elem
-                        sink.record_skip(entry, field_index)
-                arena.log_u64s(offset, at)
             buff_size -= (fit - first) * field_bytes
-            sequence_idx += (fit - first) * num_of_elem
-            if fit < stop:
-                lkp.field_index = fit
-                ext_err_info[0] = lkp.field_id_raw
-                return LIST_OVERFLOW, sequence_idx
+
+        # One run: the fields that fit are decoded, written and logged.
+        stride = slot + num_of_elem
+        offset = elements_base + sequence_idx * ELEMENT_BYTES
+        combined = wr_mask & entry.import_mask
+        logged = slot  # reads logged per field
+        if entry.importable and combined == 0:
+            for field_index in range(first, fit):
+                sink.record_skip(entry, field_index)
+        elif entry.importable:
+            logged = stride
+            run = arena.peek_u64s(offset, (fit - first) * stride)
+            at = slot
+            for field_index in range(first, fit):
+                status = write_field(entry, field_index, run[at : at + num_of_elem], combined)
+                at += stride
+                if status != TDX_SUCCESS:
+                    if status != TDX_METADATA_FIELD_NOT_WRITABLE:
+                        arena.log_u64s(offset, at - slot, mask_at, stride)
+                        lkp.field_index = field_index
+                        ext_err_info[0] = lkp.field_id_raw
+                        return status, sequence_idx + at - stride
+                    sink.record_skip(entry, field_index)
+        sequence_idx += (fit - first) * stride
+        overflow = fit < stop
+        count = (fit - first) * logged + overflow * slot  # with the overflowing field's mask
+        if count:
+            arena.log_u64s(offset, count, mask_at, logged)
+        if overflow:
+            lkp.field_index = fit
+            ext_err_info[0] = lkp.field_id_raw
+            return LIST_OVERFLOW, sequence_idx + slot
 
         if stop <= last_index:
             # The sequence ended inside this entry.

@@ -382,7 +382,7 @@ def _v2(m: TdxModule, r: Recorder) -> dict:
     copied = walks2[0][0].peek_u64s(4096, 1024)[::2] if walks2 else []
     xbuff = m.catalog.by_name(MD_CTX_VP, "XBUFF")
     r.check("out-of-bounds qwords copied into attacker-readable XBUFF state",
-            walks2 and dst2.vps[0].values(xbuff)[:512] == copied and any(copied), True)
+            walks2 and dst2.read_values(xbuff, 0)[:512] == copied and any(copied), True)
     r.check("no out-of-bounds arena reads logged",
             all(not a.oob_reads() for a, _ in walks + walks2), False)
     return env
@@ -606,7 +606,7 @@ def _bug9(m: TdxModule, r: Recorder) -> dict:
         m.tdh_import_state_vp(dst, 0, crafted),
         SUCCESS, fixed=FATAL_VALUE_NOT_VALID,
     )
-    r.check("invalid private GPA accepted and stored", dst.vps[0].values(vapic)[0] == bogus_gpa, True)
+    r.check("invalid private GPA accepted and stored", dst.read_values(vapic, 0)[0] == bogus_gpa, True)
     r.check("import failed and the TD is quarantined in FAILED_IMPORT",
             dst.op_state is OpState.FAILED_IMPORT, False)
     return env

@@ -258,11 +258,6 @@ class VcpuState:
     index: int
     store: dict = dc_field(default_factory=dict)
 
-    def values(self, entry: FieldEntry) -> list[int]:
-        if entry.name not in self.store:
-            self.store[entry.name] = [0] * entry.code_span
-        return self.store[entry.name]
-
 
 @dataclass
 class TdParams:
@@ -357,16 +352,23 @@ class TdComplex:
 
     # -- generic metadata store ------------------------------------------
 
-    def _scope_values(self, entry: FieldEntry, vp_index: Optional[int]) -> list[int]:
+    def _scope_store(self, entry: FieldEntry, vp_index: Optional[int]) -> dict:
+        """The store that holds the entry: the VP's, the TD's or the system's."""
         if entry.context_code == MD_CTX_VP:
-            return self.vps[vp_index].values(entry)
-        store = self.sys_store if entry.context_code == MD_CTX_SYS else self.td_store
-        if entry.name not in store:
-            store[entry.name] = [0] * entry.code_span
-        return store[entry.name]
+            return self.vps[vp_index].store
+        return self.sys_store if entry.context_code == MD_CTX_SYS else self.td_store
+
+    def _scope_values(self, entry: FieldEntry, vp_index: Optional[int]) -> list[int]:
+        """The entry's stored values to write into, made zero on first use."""
+        store = self._scope_store(entry, vp_index)
+        return store.get(entry.name) or store.setdefault(entry.name, [0] * entry.code_span)
+
+    def read_values(self, entry: FieldEntry, vp_index: Optional[int] = None) -> list[int]:
+        """The entry's stored values, or zeros for one never stored; a read stores nothing."""
+        return self._scope_store(entry, vp_index).get(entry.name) or [0] * entry.code_span
 
     def read_element(self, entry: FieldEntry, position: int, vp_index: Optional[int] = None) -> int:
-        return self._scope_values(entry, vp_index)[position]
+        return self.read_values(entry, vp_index)[position]
 
     def write_element_raw(self, entry: FieldEntry, position: int, value: int,
                           vp_index: Optional[int] = None) -> None:
@@ -735,7 +737,7 @@ class TdExportSource:
         if entry.context_code == MD_CTX_SYS and self.sys_store is not None:
             values = self.sys_store.get(entry.name, [0] * entry.code_span)
         else:
-            values = self.td._scope_values(entry, self.vp_index)
+            values = self.td.read_values(entry, self.vp_index)
         base = field_index * entry.num_of_elem
         mask = entry.export_mask
         return [v & mask for v in values[base : base + count * entry.num_of_elem]]

@@ -342,7 +342,7 @@ def test_full_migration_roundtrip_reproduces_catalog_fields():
         src.write_element_raw(td_epoch, 0, rng.getrandbits(64))
         xbuff = m.catalog.by_name(MD_CTX_VP, "XBUFF")
         for vp in src.vps:
-            values = vp.values(xbuff)
+            values = src._scope_values(xbuff, vp.index)
             for i in rng.sample(range(1536), 16):
                 values[i] = rng.getrandbits(64)
 

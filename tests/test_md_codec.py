@@ -265,15 +265,24 @@ def test_fixed_mode_stops_crafted_walk_without_oob(catalog, sink):
     assert not arena.oob_reads()
 
 
-def test_pure_loop_underflow_with_valid_header(catalog, sink):
-    # Valid list header; only the in-loop mask deduction wraps the 32-bit size.
+def _loop_underflow_list():
+    """A valid list header; only the in-loop mask deduction wraps the 32-bit size."""
     pad = MdSequence(make_sequence_header(MD_CTX_VP, 0x12, 0, num_fields=505), [0] * 505)
     cr2 = MdSequence(make_sequence_header(MD_CTX_VP, 0x11, 0x28), [0])
     tail = MdSequence(
         make_sequence_header(MD_CTX_VP, 0x12, 505, num_fields=512, write_mask_valid=True),
         [0xFFFFFFFFFFFFFFFF, 0xAAAA],
     )
-    data = build_list([pad, cr2, tail]).to_bytes()
+    return build_list([pad, cr2, tail]).to_bytes()
+
+
+def _with_buff_size(data, size):
+    """``data`` with its list header's size field set to ``size``."""
+    return size.to_bytes(2, "little") + data[2:]
+
+
+def test_pure_loop_underflow_with_valid_header(catalog, sink):
+    data = _loop_underflow_list()
 
     vulnerable = WriteMode(header_underflow=False, loop_underflow=True)
     arena = ParseArena(data)
@@ -479,6 +488,19 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_VALUE_NOT_VALID})
     # Under header_underflow a run crosses the list end into the sentinel regions.
     @example(case=(MD_CTX_TD, list_header_underflow_list()), refusals={})
+    # The oob_sweep shapes: the crafted walk at its shortest and longest.  The walk
+    # enters the crafted sequence with 61,457 bytes left, so no n wraps the mask
+    # deduction there ...
+    @example(case=(MD_CTX_VP, crafted_vp_list(extra_oob_header=True, num_fields=1)), refusals={})
+    @example(case=(MD_CTX_VP, crafted_vp_list(extra_oob_header=True, num_fields=512)),
+             refusals={})
+    # ... until its size field is 4104: then n = 2, the first n whose mask deduction
+    # wraps, drives the deduction through zero at the second field.
+    @example(case=(MD_CTX_VP, _with_buff_size(crafted_vp_list(extra_oob_header=True,
+                                                              num_fields=2), 4104)),
+             refusals={})
+    # A valid list header, and the deduction wraps inside the tail sequence.
+    @example(case=(MD_CTX_VP, _loop_underflow_list()), refusals={})
     def check(case, refusals):
         ctx, data = case
         expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode, refusals)
@@ -492,8 +514,9 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
 def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
     # The walk logs through the two logging calls alone: each read call logs
     # its one read, and each log_u64s call the element reads its run stands
-    # for.  Nothing may reach the log another way, and no call may log a read
-    # that the walk then takes back.
+    # for, each mask re-read it places at mask_at included.  Nothing may reach
+    # the log another way, and no call may log a read that the walk then takes
+    # back.
     real_read = ParseArena.read
     real_log_u64s = ParseArena.log_u64s
     calls = []
@@ -502,9 +525,10 @@ def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
         calls.append((offset, length))
         return real_read(arena, offset, length)
 
-    def counting_log_u64s(arena, offset, count):
-        calls.extend((offset + 8 * k, 8) for k in range(count))
-        return real_log_u64s(arena, offset, count)
+    def counting_log_u64s(arena, offset, count, mask_at=None, stride=1):
+        calls.extend((mask_at if mask_at is not None and k % stride == 0 else offset + 8 * k, 8)
+                     for k in range(count))
+        return real_log_u64s(arena, offset, count, mask_at, stride)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -625,7 +649,10 @@ def arena_runs(draw):
     plants=st.none() | st.dictionaries(st.integers(0, ARENA_BYTES - 8),
                                        st.integers(0, 2**64 - 1), max_size=3),
     reads=st.lists(st.tuples(arena_reads(), st.just(False))
-                   | st.tuples(arena_runs(), st.just(True)), max_size=8),
+                   | st.tuples(arena_runs(), st.just(True))
+                   | st.tuples(arena_runs(), st.tuples(arena_runs().map(lambda run: run[0]),
+                                                       st.integers(1, 4))),
+                   max_size=8),
 )
 @example(data=bytes(range(256)) * 16, as_bytearray=False, plants=None,
          reads=[((0, 8), False), ((4088, 8), False)])
@@ -633,10 +660,19 @@ def arena_runs(draw):
          reads=[((4092, 8), False), ((4096, 8), False)])
 @example(data=bytes(range(256)) * 16, as_bytearray=False, plants=None,
          reads=[((8, 511), True), ((4080, 3), True), ((ARENA_BYTES - 8, 2), True)])
+# The crafted walk's shape: the mask re-read at 4088 heads each field, the values run
+# past the list, and the last slot is the overflowing field's mask re-read.
+@example(data=bytes(range(256)) * 16, as_bytearray=False, plants=None,
+         reads=[((4080, 7), (4088, 2)), ((4096, 3), (4088, 1)), ((8, 4), (ARENA_BYTES, 3))])
+# A lone mask re-read: the run's own slot, past the list, is not read.
+@example(data=b"", as_bytearray=False, plants=None, reads=[((4104, 1), (0, 2))])
 def test_lazy_arena_matches_the_eager_reference(data, as_bytearray, plants, reads):
     # Each read is ((offset, length), False), one read call; or ((offset, count), True),
     # a run of count 8-byte elements, logged with log_u64s and decoded with peek_u64s,
-    # which the reference reads element by element.
+    # which the reference reads element by element; or ((offset, count), (mask_at,
+    # stride)), such a run whose every stride-th element, from the first, is read at
+    # mask_at instead.  The summaries must match the reference's full scans after
+    # every draw.
     given_bytes = bytearray(data) if as_bytearray else data
     arena = ParseArena(given_bytes, plants)
     reference = EagerArena(data, plants)
@@ -646,23 +682,30 @@ def test_lazy_arena_matches_the_eager_reference(data, as_bytearray, plants, read
     spans = []
     for (offset, size), run in reads:
         if run:
-            expected = [int.from_bytes(reference.read(at, 8), "little")
-                        for at in range(offset, offset + 8 * size, 8)]
-            arena.log_u64s(offset, size)
+            mask_at, stride = (None, 1) if run is True else run
+            logged = [mask_at if mask_at is not None and k % stride == 0 else offset + 8 * k
+                      for k in range(size)]
+            for at in logged:
+                reference.read(at, 8)
+            arena.log_u64s(offset, size, mask_at, stride)
             assert arena.oob_reads() == reference.oob_reads()  # logged alone, before any peek
-            assert arena.peek_u64s(offset, size) == expected
-            spans.append((offset, 8 * size))
+            assert arena.peek_u64s(offset, size) == [reference.peek_u64(at) for at in
+                                                     range(offset, offset + 8 * size, 8)]
+            spans += [(offset, 8 * size)] + [(at, 8) for at in logged]
         else:
             got = arena.read(offset, size)
             assert bytes(got) == bytes(reference.read(offset, size))
             assert len(got) == size
             spans.append((offset, size))
+        assert arena.read_count == len(reference._log)
+        assert arena.oob_reads() == reference.oob_reads()
+        assert arena.max_oob_span() == reference.max_oob_span()
     assert arena._log == reference._log
     assert arena.reads == reference.reads
     assert arena.read_count == len(reference._log)
     assert arena.oob_reads() == reference.oob_reads()
     assert arena.max_oob_span() == reference.max_oob_span()
-    # The image is built only by a plant or a read or run past the list.
+    # The image is built only by a plant, or by a read, run or peek past the list.
     past_list = any(offset + length > md.LIST_BYTES for offset, length in spans)
     assert (arena._image is None) == (not plants and not past_list)
 

@@ -1281,3 +1281,18 @@ def test_the_digest_sees_a_store_no_list_names():
     assert [path for path, value in td.digest().items() if alone.get(path) != value] == ["ledger"]
     assert [path for path, value in m.digest().items() if before.get(path) != value] == [
         "tds[0x200].ledger"]
+
+
+def test_a_read_of_a_field_never_stored_stores_nothing():
+    """Reading a field no call has written answers 0 and leaves every store as it was."""
+    m = TdxModule(seed=9)
+    status, td = m.build_td(TdParams(attributes=ATTR_DEBUG))
+    assert status == S.TDX_SUCCESS
+    cr2 = m.catalog.by_name(MD_CTX_VP, "CR2")
+    td_epoch = m.catalog.by_name(MD_CTX_TD, "TD_EPOCH")
+    assert cr2.name not in td.vps[0].store and td_epoch.name not in td.td_store
+    before = m.digest()
+    assert m.tdh_vp_rd(td, 0, cr2.field_id_for(0)) == (S.TDX_SUCCESS, 0)
+    assert m.tdh_mng_rd(td, td_epoch.field_id_for(0)) == (S.TDX_SUCCESS, [0])
+    assert TdExportSource(td, 0).read_field(cr2, 0) == [0]
+    assert m.digest() == before
