@@ -487,13 +487,31 @@ class WriteMode:
 
 
 class MetadataSink(Protocol):
-    """Destination for imported field values (a TD, or a plain dict in tests)."""
+    """Destination for imported field values (a TD, or a plain dict in tests).
+
+    The walk stores a field run with its class's ``write_fields(entry, first,
+    values, combined_mask)``, the fields' values back to back; it returns the
+    word and index of the first field refused, or TDX_SUCCESS and the index
+    past the run.  A class without one gets the module's, a ``write_field`` per field.
+    """
 
     def write_field(self, entry, field_index: int, values: list[int], combined_mask: int) -> int:
         """Store values for one field; returns a status word."""
 
     def record_skip(self, entry, field_index: int) -> None:
         """Note a field the walk passed over because the sink refused it as not writable."""
+
+
+def write_fields(sink: MetadataSink, entry, first: int, values: list[int],
+                 combined_mask: int) -> tuple[int, int]:
+    """The run call of a sink that has none: its ``write_field`` per field, up to a refusal."""
+    write_field, num_of_elem = sink.write_field, entry.num_of_elem
+    for at in range(0, len(values), num_of_elem):
+        status = write_field(entry, first, values[at : at + num_of_elem], combined_mask)
+        if status != TDX_SUCCESS:
+            return status, first
+        first += 1
+    return TDX_SUCCESS, first
 
 
 class LookupIterator:
@@ -616,7 +634,8 @@ def write_sequence(
     is settled first (pre-fix, by the per-field wrapping deduction), then the
     run is decoded with one ``peek_u64s`` and logged with one ``log_u64s``,
     mask re-reads placed, up to a refusal or the overflowing field's mask
-    re-read; sink calls and skips stay one per field.  ``lkp`` is advanced,
+    re-read; the sink gets the run, mask slots dropped, in one ``write_fields``
+    call (again from the field after each one it skips).  ``lkp`` is advanced,
     and the class-change check made, only after an entry's last field; on
     every exit ``lkp`` stands where a per-field walk leaves it.
 
@@ -647,7 +666,7 @@ def write_sequence(
         sequence_idx += 1
         buff_size -= ELEMENT_BYTES
 
-    write_field = sink.write_field
+    write_run = getattr(type(sink), "write_fields", write_fields)
     entry = lkp.entry
     field_index = lkp.field_index
     fields_left = fid.num_fields
@@ -684,17 +703,21 @@ def write_sequence(
         elif entry.importable:
             logged = stride
             run = arena.peek_u64s(offset, (fit - first) * stride)
-            at = slot
-            for field_index in range(first, fit):
-                status = write_field(entry, field_index, run[at : at + num_of_elem], combined)
-                at += stride
-                if status != TDX_SUCCESS:
-                    if status != TDX_METADATA_FIELD_NOT_WRITABLE:
-                        arena.log_u64s(offset, at - slot, mask_at, stride)
-                        lkp.field_index = field_index
-                        ext_err_info[0] = lkp.field_id_raw
-                        return status, sequence_idx + at - stride
-                    sink.record_skip(entry, field_index)
+            if slot:
+                del run[::stride]  # the mask re-reads: the sink gets the values alone
+            while field_index < fit:
+                values = run[(field_index - first) * num_of_elem :] if field_index > first else run
+                status, field_index = write_run(sink, entry, field_index, values, combined)
+                if status == TDX_SUCCESS:
+                    break
+                at = slot + (field_index - first + 1) * stride  # past the refused field
+                if status != TDX_METADATA_FIELD_NOT_WRITABLE:
+                    arena.log_u64s(offset, at - slot, mask_at, stride)
+                    lkp.field_index = field_index
+                    ext_err_info[0] = lkp.field_id_raw
+                    return status, sequence_idx + at - stride
+                sink.record_skip(entry, field_index)
+                field_index += 1
         sequence_idx += (fit - first) * stride
         overflow = fit < stop
         count = (fit - first) * logged + overflow * slot  # with the overflowing field's mask

@@ -177,11 +177,12 @@ def crafted_vp_list(extra_oob_header: bool, num_fields: int = 512) -> bytes:
 
     Layout: two filler sequences end exactly at offset 4080, then an n-field
     write-mask sequence whose header and mask element are the last in-bounds
-    16 bytes.  list_buff_size=1 drives the header-residue wrap, and the
-    per-field mask deduction keeps the walk going past the list: 16 bytes per
-    field, 8KB at the 512-field maximum.  With the extra out-of-place header
-    (one more claimed sequence) the walk's next header read ends exactly
-    16 * num_fields bytes past the list end.
+    16 bytes.  list_buff_size=1 drives the header-residue wrap, which alone
+    carries the walk past the list, 8 bytes a field (4KB at 512 fields); the
+    pre-fix mask re-read takes a slot a field too, 16 bytes (8KB), and its
+    32-bit deduction never wraps here.  With the extra out-of-place header the
+    next header read ends 16 * num_fields bytes past the list end (with the
+    header wrap alone, 8 * num_fields + 8).
     """
     filler1 = MdSequence(md.make_sequence_header(MD_CTX_VP, 0x12, 0, num_fields=506), [0] * 506)
     filler2 = MdSequence(md.make_sequence_header(MD_CTX_VP, 0x11, 0x28), [0])

@@ -646,16 +646,14 @@ class TdImportSink:
     ``gpa_checks`` is bug-9's switch: False is the pre-fix code, which stores
     private-GPA fields without validity checks.
 
-    The sink works per catalog entry.  When the walk hands it a field of a new
-    entry it looks up that entry's value checks and binds the entry's storage:
-    the TD, SYS or VP value list and the sets each stored position is marked
-    in (the entry's written positions, and those ``TdComplex.store_marks``
-    names for the list).  An entry with no checks is bound at once, since
-    nothing can refuse its fields, and each value is stored straight into the
-    bound list: ``v & mask``, plus the stored bits outside the mask unless the
-    entry has special write handling.  An entry with checks is bound only once
-    a field passes them, and a checked field is stored as checked; a refused
-    field binds nothing, so it leaves no store entry behind.
+    The sink works per catalog entry, a field run (``write_fields``) at a
+    time; ``write_field`` is a run of one.  On a new entry it looks up the
+    entry's value checks and binds its storage: the value list and the sets a
+    stored position is marked in (the ledger, and ``TdComplex.store_marks``'s).
+    An unchecked entry is bound at once, and a run is stored with one slice
+    assignment: ``v & mask``, plus the stored bits outside the mask unless the
+    entry has special write handling.  A checked entry is checked, bound and
+    stored field by field; a refused field ends the run and binds nothing.
     """
 
     def __init__(
@@ -676,27 +674,34 @@ class TdImportSink:
 
     def write_field(self, entry: FieldEntry, field_index: int, values: list[int],
                     combined_mask: int) -> int:
+        return self.write_fields(entry, field_index, values, combined_mask)[0]
+
+    def write_fields(self, entry: FieldEntry, first: int, values: list[int],
+                     combined_mask: int) -> tuple[int, int]:
         if entry is not self._entry:
             self._enter(entry)
-        store = self._values
+        num_of_elem, checks = entry.num_of_elem, self._checks
         # A field with special write handling is stored as masked (as checked,
         # where it has checks); any other keeps its stored bits outside the mask.
         keep = 0 if self._overwrite else ~combined_mask & U64
-        if self._checks:
-            values = [v & combined_mask for v in values]
-            for check in self._checks:
-                if not check(self, values):
-                    return TDX_METADATA_FIELD_VALUE_NOT_VALID
-            if store is None:
-                store = self._bind(entry)
-            combined_mask = U64  # stored as checked, not masked again
-        position = field_index * entry.num_of_elem
-        for value in values:
-            store[position] = (value & combined_mask) | (store[position] & keep)
+        mask = U64 if checks else combined_mask  # a checked field is not masked again
+        step = num_of_elem if checks else max(len(values), 1)  # a checked entry field by field
+        for at in range(0, len(values), step):
+            part = values[at : at + step]
+            if checks:
+                part = [v & combined_mask for v in part]
+                if not all(check(self, part) for check in checks):
+                    return TDX_METADATA_FIELD_VALUE_NOT_VALID, first + at // num_of_elem
+                if self._values is None:
+                    self._bind(entry)
+            start = first * num_of_elem + at
+            end = start + len(part)
+            if keep or mask != U64:  # values are 64-bit: a full mask with no kept bits is a copy
+                part = [(v & mask) | (s & keep) for v, s in zip(part, self._values[start:end])]
+            self._values[start:end] = part
             for marks in self._marks:
-                marks.add(position)
-            position += 1
-        return TDX_SUCCESS
+                marks.update(range(start, end))
+        return TDX_SUCCESS, first + -(-len(values) // num_of_elem)
 
     def _enter(self, entry: FieldEntry) -> None:
         """Start on a new entry: look up its value checks, and bind its storage if it has none."""

@@ -394,6 +394,24 @@ class CallLogSink:
         self.calls.append(("skip", entry.name, field_index))
 
 
+class RunCallLogSink(CallLogSink):
+    """A CallLogSink taking each field run in one call, logged as the fields it reached."""
+
+    def write_field(self, entry, field_index, values, combined_mask):
+        raise AssertionError("the walk hands a run sink whole runs")
+
+    def write_fields(self, entry, first, values, combined_mask):
+        n = entry.num_of_elem
+        assert values and len(values) % n == 0
+        for index in range(first, first + len(values) // n):
+            at = (index - first) * n
+            self.calls.append(("write", entry.name, index, tuple(values[at : at + n]), combined_mask))
+            status = self.refusals.get(index % 7, S.TDX_SUCCESS)
+            if status != S.TDX_SUCCESS:
+                return status, index
+        return S.TDX_SUCCESS, first + len(values) // n
+
+
 U64_VALUES = st.integers(0, 2**64 - 1)
 
 
@@ -439,9 +457,9 @@ def import_lists(draw, catalog):
     return ctx, (header.to_bytes() + body).ljust(md.LIST_BYTES, b"\x00")
 
 
-def _walk_with(write_sequence, catalog, ctx, data, mode, refusals):
+def _walk_with(write_sequence, catalog, ctx, data, mode, refusals, sink_cls=CallLogSink):
     arena = ParseArena(data)
-    sink = CallLogSink(refusals)
+    sink = sink_cls(refusals)
     positions = []
 
     def recording(*args):
@@ -486,6 +504,9 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_NOT_WRITABLE})
     # A value refusal at field 3 of the same run ends the walk: the log stops after field 3.
     @example(case=_one_run_list(catalog), refusals={3: S.TDX_METADATA_FIELD_VALUE_NOT_VALID})
+    # NOT_WRITABLE at the run's first and last fields (0 and 7): a run sink is called
+    # again from field 1, and not again after field 7.
+    @example(case=_one_run_list(catalog), refusals={0: S.TDX_METADATA_FIELD_NOT_WRITABLE})
     # Under header_underflow a run crosses the list end into the sentinel regions.
     @example(case=(MD_CTX_TD, list_header_underflow_list()), refusals={})
     # The oob_sweep shapes: the crafted walk at its shortest and longest.  The walk
@@ -504,8 +525,9 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     def check(case, refusals):
         ctx, data = case
         expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode, refusals)
-        got = _walk_with(kernel, catalog, ctx, data, mode, refusals)
-        assert got == expected
+        # Through the per-field default, and through a sink's own run call, expanded per field.
+        for sink_cls in (CallLogSink, RunCallLogSink):
+            assert _walk_with(kernel, catalog, ctx, data, mode, refusals, sink_cls) == expected
 
     check()
 

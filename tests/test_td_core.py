@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog, MigClass
 from tdxmodel.engine import TdxModule
 from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, WriteMode
+from tdxmodel.scenarios import collect_sequences, decrypted_lists
 from tdxmodel.td import (
     ATTR_DEBUG,
     ATTR_MIGRATABLE,
@@ -844,14 +846,23 @@ def _metadata_list(draw, catalog, ctx):
 
 @st.composite
 def _direct_writes(draw, catalog, ctx):
-    """write_field calls made outside a walk, by entry name."""
+    """Sink calls made outside a walk: (entry, field index, values, mask, run).
+
+    A call with ``run`` False is one ``write_field``; with ``run`` True it is a
+    ``write_fields`` run of whole fields, which the reference takes field by field.
+    """
     writes = []
     for _ in range(draw(st.integers(1, 6))):
         entry = draw(st.sampled_from(catalog.entries_for(ctx)))
-        length = draw(st.sampled_from([1, entry.num_of_elem]))
+        field_index = draw(st.integers(0, entry.num_of_fields - 1))
+        run = draw(st.booleans())
+        if run:
+            length = draw(st.integers(1, min(24, entry.num_of_fields - field_index))) * entry.num_of_elem
+        else:
+            length = draw(st.sampled_from([1, entry.num_of_elem]))
         values = draw(st.lists(_FIELD_VALUES, min_size=length, max_size=length))
         combined = draw(st.sampled_from([U64, entry.import_mask or U64]) | st.integers(1, U64))
-        writes.append((entry.name, draw(st.integers(0, entry.num_of_fields - 1)), values, combined))
+        writes.append((entry, field_index, values, combined, run))
     return writes
 
 
@@ -886,9 +897,12 @@ def _run_sink_case(sink_cls, catalog, mode, case):
                                    sink, mode)
             outcomes.append(result)
         else:
-            for name, field_index, values, combined in payload:
-                entry = catalog.by_name(ctx, name)
-                outcomes.append(sink.write_field(entry, field_index, list(values), combined))
+            for entry, field_index, values, combined, run in payload:
+                if run:  # the sink's own run call, or the per-field default
+                    write_run = getattr(type(sink), "write_fields", md.write_fields)
+                    outcomes.append(write_run(sink, entry, field_index, list(values), combined))
+                else:
+                    outcomes.append(sink.write_field(entry, field_index, list(values), combined))
     return outcomes, td.digest()
 
 
@@ -917,6 +931,58 @@ def _masked_run_lists(catalog):
     return walks
 
 
+def _replay_runs(catalog):
+    """The replay workload's heavy runs, whole: XBUFF's 1,536 fields and X2APIC_IDS' 576.
+
+    Each entry is written all ones, then again under a partial mask: XBUFF has
+    special write handling and drops the bits outside the mask, X2APIC_IDS keeps them.
+    """
+    ops = []
+    for ctx, name in ((MD_CTX_VP, "XBUFF"), (MD_CTX_TD, "X2APIC_IDS")):
+        entry = catalog.by_name(ctx, name)
+        masked = [0x1234_5678_9ABC_DEF0 + i for i in range(entry.num_of_fields)]
+        ops.append(("write", ctx, [(entry, 0, [U64] * entry.num_of_fields, U64, True),
+                                   (entry, 0, masked, 0xFFFF_0000, True)]))
+    return ops
+
+
+def _gpa_refused_mid_run(catalog):
+    """bug-9's refusal inside a run: the sixth of eight fields holds a GPA above the guest width.
+
+    No shipped entry with checks has more than one field, so a private-GPA copy
+    of X2APIC_IDS stands in, written under a partial mask so the kept bits count.
+    """
+    vapic = catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
+    entry = dataclasses.replace(catalog.by_name(MD_CTX_TD, "X2APIC_IDS"), attributes=vapic.attributes)
+    assert entry.gpa_private
+    values = [0x1000 * (i + 1) for i in range(8)]
+    values[5] = 0xFFFF_8000_0000_0000
+    return [("write", MD_CTX_TD, [(entry, 0, [0x7FFF_FFFF_FFFF] * 8, U64, True),
+                                  (entry, 0, values, 0xFFFF_FFFF_0000_0000 | 0xF000, True)])]
+
+
+def _bug9_walk(catalog):
+    """bug-9's walk: an XBUFF run, then L2_VAPIC_GPA holding a GPA above the guest width."""
+    xbuff = catalog.by_name(MD_CTX_VP, "XBUFF")
+    vapic = catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
+    seqs = [
+        md.MdSequence(md.make_sequence_header(MD_CTX_VP, xbuff.class_code, xbuff.field_code,
+                                              num_fields=300), list(range(300))),
+        md.MdSequence(md.make_sequence_header(MD_CTX_VP, vapic.class_code, vapic.field_code),
+                      [0xFFFF_8000_0000_0000]),
+    ]
+    return [("walk", MD_CTX_VP, md.build_list(seqs).to_bytes())]
+
+
+def _mask_slot_run(catalog):
+    """A 400-field XBUFF sequence with a partial write mask: a mask-slot run in the pre-fix placement."""
+    xbuff = catalog.by_name(MD_CTX_VP, "XBUFF")
+    header = md.make_sequence_header(MD_CTX_VP, xbuff.class_code, xbuff.field_code,
+                                     num_fields=400, write_mask_valid=True)
+    seq = md.MdSequence(header, [0xFFFF_0000] + [0x1111_2222_3333_4444 * (i % 7) for i in range(400)])
+    return [("walk", MD_CTX_VP, md.build_list([seq]).to_bytes())]
+
+
 _WALK_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=2)]
 
 
@@ -932,10 +998,19 @@ def test_entry_bound_sink_matches_per_element_reference(catalog, mode):
     @example(case=(False, False, _masked_run_lists(catalog)))
     # A special-handling entry with no checks, after a plain one, drops the bits outside the mask.
     @example(case=(False, False, [("write", MD_CTX_TD, [
-        ("TD_EPOCH", 0, [U64], U64),
-        ("MIG_DEC_KEY", 0, [U64] * 4, U64),
-        ("MIG_DEC_KEY", 0, [0x1234, 1, 2, 3], 0xFFFF_0000),
+        (catalog.by_name(MD_CTX_TD, "TD_EPOCH"), 0, [U64], U64, False),
+        (catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY"), 0, [U64] * 4, U64, False),
+        (catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY"), 0, [0x1234, 1, 2, 3], 0xFFFF_0000, False),
     ])]))
+    # The replay shapes: whole 1,536- and 576-field runs under a partial mask; a
+    # GPA refused inside a run, and in a walk after an XBUFF run (bug-9), each
+    # with and without the checks; and a pre-fix mask-slot run.
+    @example(case=(False, False, _replay_runs(catalog)))
+    @example(case=(True, False, _gpa_refused_mid_run(catalog)))
+    @example(case=(False, False, _gpa_refused_mid_run(catalog)))
+    @example(case=(True, False, _bug9_walk(catalog)))
+    @example(case=(False, False, _bug9_walk(catalog)))
+    @example(case=(False, False, _mask_slot_run(catalog)))
     def check(case):
         expected = _run_sink_case(_ReferenceImportSink, catalog, mode, case)
         assert _run_sink_case(TdImportSink, catalog, mode, case) == expected
@@ -1296,3 +1371,36 @@ def test_a_read_of_a_field_never_stored_stores_nothing():
     assert m.tdh_mng_rd(td, td_epoch.field_id_for(0)) == (S.TDX_SUCCESS, [0])
     assert TdExportSource(td, 0).read_field(cr2, 0) == [0]
     assert m.digest() == before
+
+
+def test_an_honest_vp_import_stores_each_xbuff_sequence_with_one_run_call():
+    """The walk hands TdImportSink each XBUFF sequence whole, in one write_fields call.
+
+    XBUFF's 1,536 fields span several lists, one sequence in each; no field
+    goes through write_field.
+    """
+    w = World(28)
+    xbuff = w.m.catalog.by_name(MD_CTX_VP, "XBUFF")
+    bundle = w.env["bundle_vps"][0]
+    headers = [md.decode_field_id(seq.header_raw)
+               for seq in collect_sequences(decrypted_lists(w.env, bundle))]
+    sequences = [(xbuff.field_index_of(fid.field_code), fid.num_fields) for fid in headers
+                 if fid.class_code == xbuff.class_code and xbuff.covers(fid.field_code)]
+    runs, fields = [], []
+    write_fields, write_field = TdImportSink.write_fields, TdImportSink.write_field
+
+    def logged_write_fields(sink, entry, first, values, combined_mask):
+        if entry is xbuff:
+            runs.append((first, len(values)))
+        return write_fields(sink, entry, first, values, combined_mask)
+
+    def logged_write_field(sink, entry, *args):
+        fields.append(entry.name)
+        return write_field(sink, entry, *args)
+
+    with mock.patch.object(TdImportSink, "write_fields", logged_write_fields), \
+            mock.patch.object(TdImportSink, "write_field", logged_write_field):
+        assert w.m.tdh_import_state_vp(w.dst, 0, bundle) == S.TDX_SUCCESS
+    assert fields == []
+    assert runs == sequences
+    assert len(runs) > 1 and sum(count for _, count in runs) == xbuff.num_of_fields
