@@ -274,18 +274,17 @@ class CpuidLookup:
     table = _CPUID_TABLE
 
     def __init__(self):
-        self.access_log: list[tuple[int, bool]] = []
+        self.access_log: list[int] = []  # each index read, in read order
 
     def __len__(self) -> int:
         return len(self.table)
 
     def read(self, index: int) -> CpuidLookupEntry:
-        oob = index >= MAX_NUM_CPUID_LOOKUP
-        self.access_log.append((index, oob))
-        return self.OOB_SENTINEL if oob else self.table[index]
+        self.access_log.append(index)
+        return self.OOB_SENTINEL if index >= MAX_NUM_CPUID_LOOKUP else self.table[index]
 
     def oob_accesses(self) -> list[int]:
-        return [index for index, oob in self.access_log if oob]
+        return [index for index in self.access_log if index >= MAX_NUM_CPUID_LOOKUP]
 
     def lookup_index(self, leaf: int, subleaf: int) -> int:
         for i, entry in enumerate(self.table):

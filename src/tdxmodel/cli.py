@@ -40,6 +40,8 @@ def parse_key(text: str) -> MigrationSessionKey:
         quadwords = [int(p, 16) for p in parts]
     except ValueError as exc:
         raise CliError(f"bad key quadword: {exc}") from exc
+    if not all(0 <= q <= U64 for q in quadwords):
+        raise CliError("bad key quadword: each is 64-bit")
     return MigrationSessionKey.from_quadwords(quadwords)
 
 

@@ -346,9 +346,9 @@ class TdxModule:
     ) -> int:
         if td.tdcx_count < TdComplex.MIN_TDCX_PAGES:
             return TDX_TDCX_NUM_INCORRECT
-        # v1's fixed variant keeps the configuration only once the filters pass too.
+        # v1's fixed variant is one transaction: a refused init restores td_store.
         kept = {} if self.mode.v1 else {name: list(v) for name, v in td.td_store.items()}
-        status = read_and_set_td_configurations(td, params, self.mode.v1)
+        status = read_and_set_td_configurations(td, params)
         if status == TDX_SUCCESS:
             status = init_event_filters(td, event_filtering, event_filters_num,
                                         event_filters or [], self.mode.bug3)

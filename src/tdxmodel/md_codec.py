@@ -298,13 +298,6 @@ def patch_element(lists: list[bytearray], field_id: int, element: int, value: in
     return False
 
 
-@dataclass
-class ReadRecord:
-    offset: int
-    length: int
-    oob: bool
-
-
 class ParseArena:
     """Bounded byte arena: the list at offset 0, labeled sentinels after it.
 
@@ -313,11 +306,10 @@ class ParseArena:
     fact that adjacent stack data is readable rather than faulting.  Reads past
     the arena itself return zeros.
 
-    The log is stored compactly, one ``(offset, length)`` tuple per read in
-    read order; ``reads`` builds a fresh ``ReadRecord`` list from it on each
-    access.  Both logging calls keep the farthest out-of-bounds span as they
-    log, so ``max_oob_span`` answers at once and ``oob_reads`` scans the log
-    only if there is one.
+    ``reads`` is the log and the only read record: one ``(offset, length)``
+    tuple per read, in read order.  Both logging calls keep the farthest
+    out-of-bounds span as they log, so ``max_oob_span`` answers at once and
+    ``oob_reads`` scans the log only if there is one.
 
     The list is kept as immutable bytes, zero-padded to 4KB; a whole 4KB
     ``bytes`` list is kept as given, with no copy.  The full image (the list,
@@ -347,7 +339,7 @@ class ParseArena:
         # What reads slice: the list until the image is built, then the image.
         self._bytes = bytes(list_bytes).ljust(LIST_BYTES, b"\x00")
         self._image: Optional[bytearray] = None
-        self._log: list[tuple[int, int]] = []
+        self.reads: list[tuple[int, int]] = []
         self._oob_span = 0
         for offset, value in (plants or {}).items():
             self.plant(offset, value)
@@ -390,7 +382,7 @@ class ParseArena:
         back short ran past the list: it is served from the image, built on
         this first such read, and zero-padded if it runs past the arena end.
         """
-        self._log.append((offset, length))
+        self.reads.append((offset, length))
         if offset >= LIST_BYTES and offset + length - LIST_BYTES > self._oob_span:
             self._oob_span = offset + length - LIST_BYTES
         chunk = self._bytes[offset : offset + length]
@@ -430,28 +422,16 @@ class ParseArena:
             self.buffer  # builds the image, as a read past the list would
             if last >= LIST_BYTES:
                 self._oob_span = max(self._oob_span, last + ELEMENT_BYTES - LIST_BYTES)
-        self._log += zip(offsets, repeat(ELEMENT_BYTES))
-
-    @property
-    def reads(self) -> list[ReadRecord]:
-        """Every logged read, in read order."""
-        return [ReadRecord(offset, length, offset >= LIST_BYTES) for offset, length in self._log]
-
-    @property
-    def read_count(self) -> int:
-        return len(self._log)
+        self.reads += zip(offsets, repeat(ELEMENT_BYTES))
 
     def read_u64(self, offset: int) -> int:
         return int.from_bytes(self.read(offset, 8), "little")
 
-    def oob_reads(self) -> list[ReadRecord]:
+    def oob_reads(self) -> list[tuple[int, int]]:
+        """The logged reads that start at or past the list end, in read order."""
         if not self._oob_span:
             return []
-        return [
-            ReadRecord(offset, length, True)
-            for offset, length in self._log
-            if offset >= LIST_BYTES
-        ]
+        return [read for read in self.reads if read[0] >= LIST_BYTES]
 
     def max_oob_span(self) -> int:
         """Bytes past the list end reached by the farthest out-of-bounds read."""

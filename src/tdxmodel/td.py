@@ -3,9 +3,11 @@
 Each operation that a finding touches exists in vulnerable and fixed variants
 selected by a bool argument named for what it switches (True is the pre-fix
 code): the vulnerable variant mutates state before all validation has passed
-(or never rolls back), the fixed variant is transactional.  Metadata lives in flat per-scope stores keyed by field
-name; the TD fields the rest of the model consults by name (attributes, xfam,
-the session key, ...) are typed properties over the same store.
+(or never rolls back), the fixed variant is transactional; the TD
+configuration's fixed transaction is TdxModule.tdh_mng_init's rollback.
+Metadata lives in flat per-scope stores keyed by field name; the TD fields
+the rest of the model consults by name (attributes, xfam, the session key,
+...) are typed properties over the same store.
 """
 
 from __future__ import annotations
@@ -534,36 +536,27 @@ def sept_walk_ok(td: TdComplex) -> bool:
     return ((raw >> 3) & 0x7) in (LVL_PML4, LVL_PML5) and (raw >> 12) & ((1 << 40) - 1) != 0
 
 
-def read_and_set_td_configurations(td: TdComplex, params: TdParams, write_early: bool) -> int:
+def read_and_set_td_configurations(td: TdComplex, params: TdParams) -> int:
     """Admit each host-supplied TD field through TD_CONFIG_RULES, in order, and store it.
 
-    The vulnerable variant (write_early) stores each field as soon as its own
-    check passes and never rolls back, so a later refusal (for example xfam)
-    leaves the earlier stores in place with the op_state untouched.  The fixed
-    variant stores nothing until every check has passed.
+    NUM_VCPUS is zeroed first, and each field is stored as soon as its own
+    check passes, so a refusal (for example xfam) leaves the earlier stores in
+    place: v1's pre-fix write-before-check.  The fixed init's transaction is
+    TdxModule.tdh_mng_init's rollback of td_store, not anything here.
     """
-    staged = [
+    td.num_vcpus = 0
+    for name, value in (
         ("ATTRIBUTES", params.attributes),
         ("XFAM", params.xfam),
         ("EPTP", EptpControls(ept_pwl=params.ept_pwl).raw),
         ("GPAW", int(params.gpaw)),  # after EPTP, whose check reads it
         ("TSC_FREQUENCY", params.tsc_frequency),
         ("HP_LOCK_TIMEOUT", params.hp_lock_timeout),
-    ]
-    if write_early:
-        td.num_vcpus = 0
-    admitted = []
-    for name, value in staged:
+    ):
         value = admit_td_config(td, name, value, params.gpaw, importing=False)
         if value is None:
             return with_operand(TDX_OPERAND_INVALID, TD_CONFIG_RULES[name][1])
-        if write_early:
-            td.td_store[name][0] = value
-        admitted.append((name, value))
-    if not write_early:
-        td.num_vcpus = 0
-        for name, value in admitted:
-            td.td_store[name][0] = value
+        td.td_store[name][0] = value
     return TDX_SUCCESS
 
 

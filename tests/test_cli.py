@@ -7,12 +7,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdxmodel.cli import build_parser, main
 from tdxmodel.envelope import Mbmd
 from tdxmodel.engine import TdxModule
 from tdxmodel.scenarios import all_scenarios, standard_setup
+from tdxmodel.td import U64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -250,6 +251,11 @@ def _encrypt(tmp, key, *extra):
                    str(tmp / "fz.mbmd"), str(tmp / "fz.data"), *extra)
 
 
+def _decrypt(tmp, key):
+    return run_cli("bundle", "decrypt", key, str(tmp / "imm.mbmd"), str(tmp / "imm.data"),
+                   str(tmp / "fz.plain"))
+
+
 def _edit(tmp, key, *extra):
     return run_cli("bundle", "edit", key, str(tmp / "imm.mbmd"), str(tmp / "imm.data"),
                    str(tmp / "fz.mbmd"), str(tmp / "fz.data"), *extra)
@@ -310,6 +316,22 @@ def test_bundle_encrypt_integer_fuzz(plain_bundle, stream_index, iv_counter):
     tmp, key = plain_bundle
     code, out = _encrypt(tmp, key, f"--stream-index={stream_index}", f"--iv-counter={iv_counter}")
     assert code in (0, 2), out
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadwords=st.lists(st.integers(0, 1 << 80), min_size=4, max_size=4))
+@example(quadwords=[U64, 1, 1, 1])
+@example(quadwords=[1, 1, 1, U64 + 1])
+def test_bundle_key_quadword_fuzz(plain_bundle, quadwords):
+    """A key quadword past 64 bits is a usage error, before any file is read."""
+    tmp, key = plain_bundle
+    text = "-".join(f"{q:x}" for q in quadwords)
+    for command in (_encrypt, _decrypt, _edit):
+        code, out = command(tmp, text)
+        if max(quadwords) > U64:
+            assert code == 2 and out.startswith("error: bad key quadword"), out
+        else:
+            assert code in (0, 1), out
 
 
 @settings(max_examples=100, deadline=None)

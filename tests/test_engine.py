@@ -401,21 +401,6 @@ def test_non_start_token_keeps_state():
     assert env["dst"].op_state is OpState.MEMORY_IMPORT
 
 
-def test_fatal_td_blocks_further_calls():
-    m = TdxModule(EngineMode(bug2=True), seed=16)
-    _, td = m.tdh_mng_create(hkid=0)
-    td.op_state = OpState.MEMORY_IMPORT  # direct placement for the gate test
-    td.fatal = True
-    assert m.tdh_mem_sept_add(td, 0x1000) == S.TDX_TD_FATAL
-
-
-def test_locked_td_returns_busy():
-    w = World(17)
-    w.src.locked = True
-    status, _ = w.m.tdh_mng_rd(w.src, 0x1110000300000000)
-    assert S.status_class(status) == S.TDX_OPERAND_BUSY
-
-
 def test_mig_dec_key_readable_only_on_debug_td():
     m = TdxModule(seed=18)
     env = standard_setup(m, num_vcpus=1)
@@ -510,13 +495,6 @@ def test_hostile_td_import_records_its_walk_and_registers(data):
             assert step.ext_err_info[0] in TD_FIELD_IDS
         else:
             assert step.ext_err_info == tuple(result.ext_err_info)
-
-
-def test_servtd_access_busy_on_locked_target():
-    w = World(20)
-    w.dst.locked = True
-    status, _ = w.m.tdg_servtd_rd(w.migtd, w.env["dst_handle"], 0x9810000300000010)
-    assert S.status_class(status) == S.TDX_OPERAND_BUSY
 
 
 def _random_call(w, rng, name):
@@ -880,6 +858,9 @@ def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
 @example(name="tdg_servtd_wr", state=OpState.RUNNABLE, fatal=True, locked=True)
 @example(name="tdg_servtd_wr", state=OpState.PAUSED_EXPORT, fatal=False, locked=False)
 @example(name="tdh_vp_rd", state=OpState.RUNNABLE, fatal=False, locked=True)
+@example(name="tdh_mem_sept_add", state=OpState.MEMORY_IMPORT, fatal=True, locked=False)
+@example(name="tdh_mng_rd", state=OpState.PAUSED_EXPORT, fatal=False, locked=True)
+@example(name="tdg_servtd_rd", state=OpState.STATE_IMPORT, fatal=False, locked=True)
 def test_every_leaf_is_refused_fatal_then_busy_then_off_the_matrix(name, state, fatal, locked):
     """Host or guest, a refused call answers one word and records one step that moves nothing."""
     w = World(45)

@@ -39,8 +39,8 @@ def test_arena_logs_and_flags_reads():
     arena.read_u64(0)
     arena.read_u64(4088)
     arena.read_u64(4096)
-    flags = [r.oob for r in arena.reads]
-    assert flags == [False, False, True]
+    assert arena.reads == [(0, 8), (4088, 8), (4096, 8)]
+    assert arena.oob_reads() == [(4096, 8)]
     assert arena.max_oob_span() == 8
 
 
@@ -56,7 +56,7 @@ def test_arena_plant_and_reads_past_buffer():
     arena = ParseArena(b"", plants={12280: LEAK_SENTINEL})
     assert arena.peek_u64s(12280, 1) == [LEAK_SENTINEL]
     assert arena.read_u64(len(arena.buffer) + 64) == 0
-    assert arena.reads[-1].oob
+    assert arena.reads == arena.oob_reads() == [(len(arena.buffer) + 64, 8)]
 
 
 @pytest.mark.parametrize("back", [0, 1, 5, 8])
@@ -66,7 +66,7 @@ def test_arena_read_at_or_across_the_end_is_zero_padded_and_logged_once(back):
     data = arena.read(end - back, 8)
     assert data == bytes(arena.buffer[end - back:]) + bytes(8 - back)
     assert len(data) == 8
-    assert arena.reads == [md.ReadRecord(end - back, 8, True)]
+    assert arena.reads == arena.oob_reads() == [(end - back, 8)]
 
 
 # --- list container ----------------------------------------------------------
@@ -133,7 +133,7 @@ def test_fixed_mode_rejects_every_out_of_range_size_after_one_header_read(catalo
         result = md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, DictSink(),
                                WriteMode.fixed())
         assert result == md.WriteResult(status=md.LIST_OVERFLOW), size
-        assert arena._log == [(0, 8)], size
+        assert arena.reads == [(0, 8)], size
         assert arena.oob_reads() == [], size
 
 
@@ -245,17 +245,14 @@ def test_vulnerable_walk_matches_wrap_oracle_bit_for_bit(catalog, num_fields):
     arena = ParseArena(data, plants={plant_at: LEAK_SENTINEL})
     result = md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, sink,
                            WriteMode.vulnerable())
-    assert [(r.offset, r.length) for r in arena.reads] == _oracle_read_offsets(num_fields)
+    oracle = _oracle_read_offsets(num_fields)
+    assert arena.reads == oracle
     assert result.ext_err_info[0] == LEAK_SENTINEL
     assert S.status_class(result.status) == S.TDX_METADATA_FIELD_ID_INCORRECT
     assert result.status & 0xFFFF0000 == 0xFFFF0000  # operand 0xffff
     assert arena.max_oob_span() == 16 * num_fields
-    reads = arena.reads
-    assert reads == [md.ReadRecord(o, n, o >= md.LIST_BYTES)
-                     for o, n in _oracle_read_offsets(num_fields)]
-    assert arena.read_count == len(reads)
-    assert arena.oob_reads() == [r for r in reads if r.oob]
-    assert arena.max_oob_span() == max(r.offset + r.length for r in reads) - md.LIST_BYTES
+    assert arena.oob_reads() == [(o, n) for o, n in oracle if o >= md.LIST_BYTES]
+    assert arena.max_oob_span() == max(o + n for o, n in oracle) - md.LIST_BYTES
 
 
 def test_fixed_mode_stops_crafted_walk_without_oob(catalog, sink):
@@ -311,10 +308,8 @@ def test_fixed_mode_never_reads_oob_on_fuzzed_lists(catalog):
         arena = ParseArena(data)
         md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, DictSink(), WriteMode.fixed())
         assert not arena.oob_reads()
-        reads = arena.reads
-        assert reads[0] == md.ReadRecord(0, 8, False)  # the list header comes first
-        assert arena.read_count == len(reads)
-        assert arena.oob_reads() == [r for r in reads if r.oob]
+        assert arena.reads[0] == (0, 8)  # the list header comes first
+        assert arena.oob_reads() == [(o, n) for o, n in arena.reads if o >= md.LIST_BYTES]
         assert arena.max_oob_span() == 0
 
 
@@ -566,7 +561,7 @@ def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
         with mock.patch.object(ParseArena, "read", counting_read), \
                 mock.patch.object(ParseArena, "log_u64s", counting_log_u64s):
             md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, CallLogSink(refusals), mode)
-        assert calls == arena._log
+        assert calls == arena.reads
 
     check()
 
@@ -598,7 +593,7 @@ class EagerArena:
         buf = bytearray(md._BLANK_ARENA)
         buf[: len(list_bytes)] = list_bytes
         self.buffer = buf
-        self._log = []
+        self.reads = []
         for offset, value in (plants or {}).items():
             self.plant(offset, value)
 
@@ -609,27 +604,21 @@ class EagerArena:
         self.buffer[offset:end] = value.to_bytes(8, "little")
 
     def read(self, offset, length):
-        self._log.append((offset, length))
+        self.reads.append((offset, length))
         chunk = self.buffer[offset : offset + length]
         if len(chunk) < length:
             chunk += bytes(length - len(chunk))
         return chunk
-
-    @property
-    def reads(self):
-        return [md.ReadRecord(offset, length, offset >= md.LIST_BYTES)
-                for offset, length in self._log]
 
     def peek_u64(self, offset):
         chunk = bytes(self.buffer[offset : offset + 8])
         return int.from_bytes(chunk + b"\x00" * (8 - len(chunk)), "little")
 
     def oob_reads(self):
-        return [md.ReadRecord(offset, length, True)
-                for offset, length in self._log if offset >= md.LIST_BYTES]
+        return [(offset, length) for offset, length in self.reads if offset >= md.LIST_BYTES]
 
     def max_oob_span(self):
-        return max((offset + length - md.LIST_BYTES for offset, length in self._log
+        return max((offset + length - md.LIST_BYTES for offset, length in self.reads
                     if offset >= md.LIST_BYTES), default=0)
 
 
@@ -719,12 +708,10 @@ def test_lazy_arena_matches_the_eager_reference(data, as_bytearray, plants, read
             assert bytes(got) == bytes(reference.read(offset, size))
             assert len(got) == size
             spans.append((offset, size))
-        assert arena.read_count == len(reference._log)
+        assert arena.reads == reference.reads
         assert arena.oob_reads() == reference.oob_reads()
         assert arena.max_oob_span() == reference.max_oob_span()
-    assert arena._log == reference._log
     assert arena.reads == reference.reads
-    assert arena.read_count == len(reference._log)
     assert arena.oob_reads() == reference.oob_reads()
     assert arena.max_oob_span() == reference.max_oob_span()
     # The image is built only by a plant, or by a read, run or peek past the list.

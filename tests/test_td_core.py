@@ -87,12 +87,28 @@ def _fresh_td():
     return td
 
 
+def _fixed_init(td, params):
+    """v1 fixed: the TD configuration through tdh_mng_init, whose rollback is its transaction.
+
+    The TD is UNINITIALIZED and holds its control pages, so the gate admits the
+    call.  A refusal must leave the TD's digest unchanged.  A successful init also
+    writes VIRTUAL_TSC after the configuration; that store is checked and taken
+    out, so the stores compare with the configuration alone.
+    """
+    td.tdcx_count = TdComplex.MIN_TDCX_PAGES
+    before = td.digest()
+    status = TdxModule().tdh_mng_init(td, params)
+    if status == S.TDX_SUCCESS:
+        assert td.td_store.pop("VIRTUAL_TSC")[:2] == [td.tsc_frequency * 0x40, 0]
+    else:
+        assert td.digest() == before
+    return status
+
+
 def test_vulnerable_init_leaves_partial_state_on_xfam_failure():
     td = _fresh_td()
     td.num_vcpus = 5
-    status = read_and_set_td_configurations(
-        td, TdParams(attributes=ATTR_DEBUG, xfam=0), True
-    )
+    status = read_and_set_td_configurations(td, TdParams(attributes=ATTR_DEBUG, xfam=0))
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
     assert td.attributes.debug          # already written, never restored
     assert td.num_vcpus == 0            # zeroed before the checks
@@ -101,9 +117,7 @@ def test_vulnerable_init_leaves_partial_state_on_xfam_failure():
 def test_fixed_init_is_transactional():
     td = _fresh_td()
     td.num_vcpus = 5
-    status = read_and_set_td_configurations(
-        td, TdParams(attributes=ATTR_DEBUG, xfam=0), False
-    )
+    status = _fixed_init(td, TdParams(attributes=ATTR_DEBUG, xfam=0))
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
     assert td.attributes.raw == 0
     assert td.num_vcpus == 5
@@ -112,7 +126,8 @@ def test_fixed_init_is_transactional():
 @pytest.mark.parametrize("mode", ["vulnerable", "fixed"])
 def test_valid_params_accepted(mode):
     td = _fresh_td()
-    status = read_and_set_td_configurations(td, TdParams(attributes=ATTR_MIGRATABLE), mode == "vulnerable")
+    init = read_and_set_td_configurations if mode == "vulnerable" else _fixed_init
+    status = init(td, TdParams(attributes=ATTR_MIGRATABLE))
     assert status == S.TDX_SUCCESS
     assert td.attributes.migratable
     assert sept_walk_ok(td)
@@ -232,7 +247,7 @@ def test_rule_table_build_matches_the_two_body_reference(write_early):
             # same point, after the same stores.
             refused = dataclasses.replace(params, gpaw=True, ept_pwl=LVL_PML4)
             want = _reference_read_and_set_td_configurations(reference, refused, write_early)
-        status = read_and_set_td_configurations(td, params, write_early)
+        status = (read_and_set_td_configurations if write_early else _fixed_init)(td, params)
         hp_in_range = MIN_HP_LOCK_TIMEOUT_USEC <= params.hp_lock_timeout <= MAX_HP_LOCK_TIMEOUT_USEC
         if hp_in_range or want != S.TDX_SUCCESS:
             assert status == want
@@ -251,9 +266,9 @@ def test_rule_table_build_matches_the_two_body_reference(write_early):
 
 def test_build_checks_the_packed_walk_level():
     """ept_pwl is judged as the 3-bit field it is stored in: 8 packs to level 0."""
-    for write_early in (True, False):
+    for init in (read_and_set_td_configurations, _fixed_init):
         td = _configured_td()
-        status = read_and_set_td_configurations(td, TdParams(gpaw=True, ept_pwl=8), write_early)
+        status = init(td, TdParams(gpaw=True, ept_pwl=8))
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
         assert td.hp_lock_timeout == _PRIOR["HP_LOCK_TIMEOUT"]
 
@@ -278,11 +293,11 @@ _PARAMS_OTHER = {
 def test_every_params_field_feeds_a_stored_field():
     assert set(_PARAMS_OTHER) == {f.name for f in dataclasses.fields(TdParams)}
     base = _configured_td()
-    assert read_and_set_td_configurations(base, _PARAMS_BASE, False) == S.TDX_SUCCESS
+    assert _fixed_init(base, _PARAMS_BASE) == S.TDX_SUCCESS
     for name, other in _PARAMS_OTHER.items():
         td = _configured_td()
         params = dataclasses.replace(_PARAMS_BASE, **{name: other})
-        assert read_and_set_td_configurations(td, params, False) == S.TDX_SUCCESS, name
+        assert _fixed_init(td, params) == S.TDX_SUCCESS, name
         assert td.td_store != base.td_store, name
 
 

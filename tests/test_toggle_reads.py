@@ -19,7 +19,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "tdxmodel"
 TWO_READS = {
     "v1": {
         "engine.TdxModule.__init__": "compiles the gate's edge table under the START_IMPORT rule",
-        "engine.TdxModule.tdh_mng_init": "runs the TD configuration that writes before it checks",
+        "engine.TdxModule.tdh_mng_init": "chooses whether a refused init is rolled back",
     },
 }
 
