@@ -28,6 +28,7 @@ from . import md_codec as md
 from .catalog import CpuidLookup, MigClass, bundled_catalog, next_cpuid_entry
 from .envelope import (
     BundleType,
+    InterruptedState,
     Mbmd,
     MigStreamContext,
     decrypt_bundle,
@@ -580,7 +581,7 @@ class TdxModule:
     def _dump(self, context_code: int, kinds: tuple[MigClass, ...], source) -> list[bytes]:
         """The context's entries of the given migration classes, dumped as whole lists."""
         entries = [e for e in self.catalog.entries_for(context_code) if e.mig_export in kinds]
-        return [l.to_bytes() for l in md.dump_lists(self.catalog, context_code, entries, source)]
+        return [l.to_bytes() for l in md.dump_lists(context_code, entries, source)]
 
     @_leaf(Leaf.TDH_EXPORT_STATE_IMMUTABLE, _nothing)
     def tdh_export_state_immutable(
@@ -652,14 +653,13 @@ class TdxModule:
 
     # -- import side -----------------------------------------------------------
 
-    # Per state bundle: the context of its list i, and the migration classes
-    # whose required fields the import must have written in full.
+    # Per state bundle: its contexts, the first for list 0 and the last for every
+    # later list, and the migration classes whose required fields the import must
+    # have written in full in each of them.
     _STATE_BUNDLES = {
-        BundleType.IMMUTABLE: (
-            lambda i: MD_CTX_SYS if i == 0 else MD_CTX_TD, frozenset({MigClass.MB})
-        ),
-        BundleType.TD: (lambda i: MD_CTX_TD, frozenset({MigClass.ME})),
-        BundleType.VP: (lambda i: MD_CTX_VP, frozenset({MigClass.ME})),
+        BundleType.IMMUTABLE: ((MD_CTX_SYS, MD_CTX_TD), frozenset({MigClass.MB})),
+        BundleType.TD: ((MD_CTX_TD,), frozenset({MigClass.ME})),
+        BundleType.VP: ((MD_CTX_VP,), frozenset({MigClass.ME})),
     }
 
     def _import_lists(
@@ -672,11 +672,12 @@ class TdxModule:
         interrupt_after: Optional[int] = None,
         resume: bool = False,
     ):
-        """Shared body of the state-import leaves: interrupt, latch, and completion logic.
+        """Shared body of the state-import leaves: interrupt, first failure and completion.
 
         The call is interrupted after list ``interrupt_after``, unless that is
         the bundle's last list.  Each walk and a fatal completion's
-        ext_err_info go on the call's step.
+        ext_err_info go on the call's step.  A completion checks the required
+        fields of every context of the bundle type, whichever lists it carried.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
         with _stream(td, migsc_index) as migsc:
@@ -687,35 +688,33 @@ class TdxModule:
                 return lists
 
             if not resume:
-                migsc.interrupted_state.reset()
+                migsc.interrupted_state = InterruptedState()
                 td.import_written = {}
-            cursor = migsc.interrupted_state.cursor if resume else 0
+            state = migsc.interrupted_state
             step = self.last
             codec_mode = self._codec_mode
             gpa_checks = not self.mode.bug9
 
-            for i in range(cursor, len(lists)):
+            for i in range(state.cursor if resume else 0, len(lists)):
                 arena = ParseArena(lists[i], plants=self.arena_plants)
-                ctx = contexts(i)
+                ctx = contexts[-1] if i else contexts[0]
                 sink = TdImportSink(td, vp_index=vp_index, gpa_checks=gpa_checks)
                 result = md.write_list(self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode)
                 step.walks += ((arena, result),)
-                if result.status != TDX_SUCCESS:
-                    migsc.interrupted_state.latch(result.status, result.ext_err_info)
+                if result.status != TDX_SUCCESS and state.failed is None:
+                    state.failed = result
                 if i == interrupt_after and i + 1 < len(lists):
-                    migsc.interrupted_state.cursor = i + 1
+                    state.cursor = i + 1
                     return TDX_INTERRUPTED_RESUMABLE, "interrupted"
 
             # Complete, whatever its word: the resume state goes with the call.
-            latched = replace(migsc.interrupted_state)
-            migsc.interrupted_state.reset()
-            if latched.status != TDX_SUCCESS:
-                step.ext_err_info = tuple(latched.ext_err_info)
-                return as_fatal(latched.status), "failure"
+            migsc.interrupted_state = InterruptedState()
+            if state.failed:
+                step.ext_err_info = tuple(state.failed.ext_err_info)
+                return as_fatal(state.failed.status), "failure"
 
             if not self.mode.bug2:
-                ctx_codes = {contexts(i) for i in range(len(lists))}
-                missing = td.missing_required(self.catalog, ctx_codes, required_kinds, vp_index)
+                missing = td.missing_required(self.catalog, set(contexts), required_kinds, vp_index)
                 if missing:
                     step.ext_err_info = (missing[0].field_id_raw, 0)
                     return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"

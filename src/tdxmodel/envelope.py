@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional
 
-from .md_codec import LIST_BYTES
+from .md_codec import LIST_BYTES, WriteResult
 from .status import (
     OPERAND_ID_MIGSC,
     TDX_INCORRECT_MBMD_MAC,
@@ -132,21 +132,14 @@ class Mbmd:
 
 @dataclass
 class InterruptedState:
-    """First-failure latch plus the resume cursor for an interruptible import."""
+    """An interruptible import's resume cursor, and the first of its walks that failed.
 
-    status: int = TDX_SUCCESS
-    ext_err_info: list[int] = dc_field(default_factory=lambda: [0, 0])
+    ``failed`` is that walk's WriteResult as the walk returned it; a completion
+    answers its status and ext_err_info, and a new state replaces this one.
+    """
+
     cursor: int = 0
-
-    def latch(self, status: int, ext_err_info: list[int]) -> None:
-        if self.status == TDX_SUCCESS:
-            self.status = status
-            self.ext_err_info = list(ext_err_info)
-
-    def reset(self) -> None:
-        self.status = TDX_SUCCESS
-        self.ext_err_info = [0, 0]
-        self.cursor = 0
+    failed: Optional[WriteResult] = None
 
 
 class MigStreamContext:

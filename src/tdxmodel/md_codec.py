@@ -494,35 +494,9 @@ def write_fields(sink: MetadataSink, entry, first: int, values: list[int],
     return TDX_SUCCESS, first
 
 
-class LookupIterator:
-    """Walks catalog entries in table order, one field at a time."""
-
-    def __init__(self, catalog, context_code: int, entry, field_index: int = 0):
-        self.catalog = catalog
-        self.context_code = context_code
-        self.entry = entry
-        self.field_index = field_index
-
-    @property
-    def field_id_raw(self) -> int:
-        if self.entry is None:
-            return MD_FIELD_ID_NA
-        return self.entry.field_id_for(self.field_index)
-
-    def advance(self) -> None:
-        if self.entry is None:
-            return
-        if self.field_index + 1 < self.entry.num_of_fields:
-            self.field_index += 1
-        else:
-            self.entry = self.catalog.next_entry_after(self.context_code, self.entry)
-            self.field_index = 0
-
-
 @dataclass
 class WriteResult:
     status: int = TDX_SUCCESS
-    next_field_raw: int = MD_FIELD_ID_NA
     ext_err_info: list[int] = dc_field(default_factory=lambda: [0, 0])
     initial_remaining: int = 0
 
@@ -537,8 +511,11 @@ def write_list(
 ) -> WriteResult:
     """Import one metadata list from the arena into the sink.
 
-    Returns a status plus the raw out-of-place header in ext_err_info[0] on a
-    context-code mismatch, carrying the sequence index in the low status word.
+    A refusal names a field id in ext_err_info[0]: the raw out-of-place
+    header on a context-code or catalog miss, with the sequence index in the
+    low status word; the ``at`` of a sequence walk that fails; and on a
+    residue refusal, the ``at`` of the last sequence walked (MD_FIELD_ID_NA
+    before the first).
     """
     result = WriteResult()
     list_buff_size, num_sequences, _ = _LIST_HEADER.unpack(arena.read(0, LIST_HEADER_BYTES))
@@ -552,13 +529,13 @@ def write_list(
     remaining = (list_buff_size - LIST_HEADER_BYTES) & 0xFFFF
     result.initial_remaining = remaining
     seq_off = LIST_HEADER_BYTES
+    at = MD_FIELD_ID_NA
 
     for i in range(num_sequences):
         if not mode.header_underflow and remaining < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
             # Post-fix walks check the residue before touching the next header,
             # so a lying num_sequences cannot push a read past the list.
-            result.ext_err_info[0] = result.next_field_raw
-            result.status = LIST_OVERFLOW
+            result.status, result.ext_err_info[0] = LIST_OVERFLOW, at
             return result
         header_raw = arena.read_u64(seq_off)
         fid = decode_field_id(header_raw)
@@ -567,27 +544,17 @@ def write_list(
             result.ext_err_info[0] = header_raw
             result.status = with_l2_details(TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, i)
             return result
-        lkp = LookupIterator(catalog, context_code, entry, entry.field_index_of(fid.field_code))
 
-        status, elements_read = write_sequence(
-            arena,
-            seq_off,
-            fid,
-            header_raw,
-            remaining,
-            lkp,
-            sink,
-            mode,
-            result.ext_err_info,
+        status, elements_read, at = write_sequence(
+            arena, seq_off, fid, header_raw, remaining, catalog, entry, sink, mode
         )
         if status != TDX_SUCCESS:
-            result.status = status
+            result.status, result.ext_err_info[0] = status, at
             return result
 
         consumed = SEQUENCE_HEADER_BYTES + elements_read * ELEMENT_BYTES
         remaining = (remaining - consumed) & 0xFFFF
         seq_off += consumed
-        result.next_field_raw = lkp.field_id_raw
 
     return result
 
@@ -598,12 +565,19 @@ def write_sequence(
     fid: MdFieldId,
     header_raw: int,
     buff_size: int,
-    lkp: LookupIterator,
+    catalog,
+    entry,
     sink: MetadataSink,
     mode: WriteMode,
-    ext_err_info: list[int],
-) -> tuple[int, int]:
-    """Import one sequence; returns (status, elements_read).
+) -> tuple[int, int, int]:
+    """Import one sequence, from the field ``fid`` names; returns (status, elements_read, at).
+
+    ``entry`` is the catalog entry that holds that field.
+    ``at`` is the field id where the walk stops: the refused or overflowing
+    field; on success the field after the sequence, which is the next
+    entry's first field when the sequence ends an entry, or MD_FIELD_ID_NA
+    past the context's last entry; or ``header_raw`` when the sequence would
+    cross into another class.  It is the walk's one position.
 
     buff_size is 32-bit arithmetic.  In the pre-fix variant the write-mask
     element is re-read and deducted on every loop iteration, so a sequence that
@@ -615,18 +589,19 @@ def write_sequence(
     run is decoded with one ``peek_u64s`` and logged with one ``log_u64s``,
     mask re-reads placed, up to a refusal or the overflowing field's mask
     re-read; the sink gets the run, mask slots dropped, in one ``write_fields``
-    call (again from the field after each one it skips).  ``lkp`` is advanced,
-    and the class-change check made, only after an entry's last field; on
-    every exit ``lkp`` stands where a per-field walk leaves it.
+    call (again from the field after each one it skips).  The next entry is
+    looked up, and the class-change check made, only after an entry's last
+    field.
 
     A field of an entry that is not importable is passed over; one refused as
     not writable is skipped and recorded through ``sink.record_skip``; any
     other refusal ends the walk.
     """
+    field_index = entry.field_index_of(fid.field_code)
     if buff_size < SEQUENCE_HEADER_BYTES + ELEMENT_BYTES:
-        ext_err_info[0] = lkp.field_id_raw
-        return LIST_OVERFLOW, 0
+        return LIST_OVERFLOW, 0, entry.field_id_for(field_index)
 
+    # At least one element is left, so the post-fix mask element always fits.
     buff_size = (buff_size - SEQUENCE_HEADER_BYTES) & 0xFFFFFFFF
     elements_base = seq_off + SEQUENCE_HEADER_BYTES
     sequence_idx = 0
@@ -639,16 +614,11 @@ def write_sequence(
         wr_mask = arena.peek_u64s(elements_base, 1)[0]
     elif fid.write_mask_valid:
         # Post-fix placement: consume the mask element once, before the loop.
-        if buff_size < ELEMENT_BYTES:
-            ext_err_info[0] = lkp.field_id_raw
-            return LIST_OVERFLOW, sequence_idx
         wr_mask = arena.read_u64(elements_base)
         sequence_idx += 1
         buff_size -= ELEMENT_BYTES
 
     write_run = getattr(type(sink), "write_fields", write_fields)
-    entry = lkp.entry
-    field_index = lkp.field_index
     fields_left = fid.num_fields
     while True:
         # Per-entry values; they change only when the walk crosses an entry.
@@ -690,12 +660,10 @@ def write_sequence(
                 status, field_index = write_run(sink, entry, field_index, values, combined)
                 if status == TDX_SUCCESS:
                     break
-                at = slot + (field_index - first + 1) * stride  # past the refused field
+                past = slot + (field_index - first + 1) * stride  # past the refused field
                 if status != TDX_METADATA_FIELD_NOT_WRITABLE:
-                    arena.log_u64s(offset, at - slot, mask_at, stride)
-                    lkp.field_index = field_index
-                    ext_err_info[0] = lkp.field_id_raw
-                    return status, sequence_idx + at - stride
+                    arena.log_u64s(offset, past - slot, mask_at, stride)
+                    return status, sequence_idx + past - stride, entry.field_id_for(field_index)
                 sink.record_skip(entry, field_index)
                 field_index += 1
         sequence_idx += (fit - first) * stride
@@ -704,25 +672,16 @@ def write_sequence(
         if count:
             arena.log_u64s(offset, count, mask_at, logged)
         if overflow:
-            lkp.field_index = fit
-            ext_err_info[0] = lkp.field_id_raw
-            return LIST_OVERFLOW, sequence_idx + slot
+            return LIST_OVERFLOW, sequence_idx + slot, entry.field_id_for(fit)
+        if stop <= last_index:  # the sequence ended inside this entry
+            return TDX_SUCCESS, sequence_idx, entry.field_id_for(stop)
 
-        if stop <= last_index:
-            # The sequence ended inside this entry.
-            lkp.field_index = stop
-            break
-        lkp.field_index = last_index
-        lkp.advance()
+        following = catalog.next_entry_after(entry.context_code, entry)
         if not fields_left:
-            break
-        if lkp.entry is None or lkp.entry.class_code != entry.class_code:
-            ext_err_info[0] = header_raw
-            return TDX_METADATA_FIELD_ID_INCORRECT, sequence_idx
-        entry = lkp.entry
-        field_index = 0
-
-    return TDX_SUCCESS, sequence_idx
+            return TDX_SUCCESS, sequence_idx, following.first_field_id if following else MD_FIELD_ID_NA
+        if following is None or following.class_code != entry.class_code:
+            return TDX_METADATA_FIELD_ID_INCORRECT, sequence_idx, header_raw
+        entry, field_index = following, 0
 
 
 class MetadataSource(Protocol):
@@ -740,7 +699,7 @@ class ExportError(ValueError):
     """A selected field is not exportable."""
 
 
-def dump_lists(catalog, context_code: int, entries, source: MetadataSource) -> list[MdList]:
+def dump_lists(context_code: int, entries, source: MetadataSource) -> list[MdList]:
     """Serialize the selected entries to canonical lists.
 
     Fields are packed greedily: a sequence never exceeds 512 fields and never

@@ -1,31 +1,41 @@
-"""One alphabet of host calls: every leaf, values for each of its operands, and a world to call it in.
+"""One alphabet of host calls: every public call, values for each of its operands, and a world to call it in.
 
-The leaves are the public ``tdh_*``/``tdg_*`` methods of ``TdxModule``, found from the class and
-its signatures.  ``VALUES`` is a plain table, with no hypothesis.  A callable value is built as
-``value(world, leaf name)`` only when it is used, so a second TD costs only the calls that draw it.
+The calls are the public methods of ``TdxModule``, found from the class and its signatures, less
+``OUT_OF_WALK``'s, each named with its reason; the leaves are its ``tdh_*``/``tdg_*`` ones.
+``VALUES`` is a plain table, with no hypothesis.  A callable value is built as ``value(world, leaf
+name)`` only when it is used, so a second TD costs only the calls that draw it.
 """
 
 import functools
 import inspect
 
 from tdxmodel import status as S
-from tdxmodel.catalog import bundled_catalog
+from tdxmodel.catalog import CPUID_CLASS_CODE, MAX_NUM_CPUID_LOOKUP, bundled_catalog
 from tdxmodel.engine import Bundle, EpochToken, Servtd, TdxModule
 from tdxmodel.envelope import BundleType
-from tdxmodel.md_codec import MD_CTX_VP
+from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP, make_sequence_header
 from tdxmodel.scenarios import ATTRIBUTES_ID, MIG_DEC_KEY_ID, decrypted_lists, export_blackout
 from tdxmodel.scenarios import import_to_state_import, seal, standard_setup
 from tdxmodel.states import OpState
 from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, TDMR_ENTRY_ALIGNMENT, U64
 from tdxmodel.td import EventFilter, TdParams
 
-LEAVES = tuple(sorted(name for name in vars(TdxModule) if name.startswith(("tdh_", "tdg_"))))
-_PARAMS = {n: list(inspect.signature(getattr(TdxModule, n)).parameters)[1:] for n in LEAVES}
-# The leaves a service TD calls as (caller, handle, ...), and the calls that act before any TD exists.
+PUBLIC = tuple(sorted(name for name in vars(TdxModule) if not name.startswith("_")))
+# The public methods the walk leaves out, each with its reason.
+OUT_OF_WALK = {
+    "alloc_page": "takes no operand: it hands out the next page number",
+    "new_servtd": "takes no operand: it draws a service TD from the module's seed",
+    "digest": "takes no operand and changes nothing: the walk reads it around every call",
+    "build_td": "a composite of leaves, each of which the walk calls on its own",
+}
+WALKED = tuple(name for name in PUBLIC if name not in OUT_OF_WALK)
+LEAVES = tuple(name for name in WALKED if name.startswith(("tdh_", "tdg_")))
+_PARAMS = {n: list(inspect.signature(getattr(TdxModule, n)).parameters)[1:] for n in WALKED}
+# The leaves a service TD calls as (caller, handle, ...), and the calls that take no TD.
 GUEST_LEAVES = tuple(name for name in LEAVES if _PARAMS[name][0] == "caller")
-BEFORE_ANY_TD = tuple(name for name in LEAVES if _PARAMS[name][0] not in ("td", "caller"))
-# Each leaf's operands: its parameters after the TD, after (caller, handle), or all of them.
-OPERANDS = {n: tuple(_PARAMS[n][2 if n in GUEST_LEAVES else n not in BEFORE_ANY_TD:]) for n in LEAVES}
+BEFORE_ANY_TD = tuple(name for name in WALKED if _PARAMS[name][:1] not in (["td"], ["caller"]))
+# Each call's operands: its parameters after the TD, after (caller, handle), or all of them.
+OPERANDS = {n: tuple(_PARAMS[n][2 if n in GUEST_LEAVES else n not in BEFORE_ANY_TD:]) for n in WALKED}
 # The leaves whose body is TdxModule._succeed: the gate and the edge are the whole call.
 SUCCEED_LEAVES = tuple(n for n in LEAVES if inspect.unwrap(getattr(TdxModule, n)) is TdxModule._succeed)
 STREAM_LEAVES = tuple(name for name in LEAVES if "migsc_index" in OPERANDS[name])
@@ -45,8 +55,8 @@ def bundle_type(name: str) -> BundleType:  # a stream leaf's, from the last word
 class World:
     """A paused migratable source and a keyed destination at STATE_IMPORT holding one page."""
 
-    def __init__(self, seed: int, num_vcpus: int = 1):
-        self.m = m = TdxModule(seed=seed)
+    def __init__(self, seed: int, num_vcpus: int = 1, mode=None):
+        self.m = m = TdxModule(mode, seed=seed)
         self.env = env = standard_setup(m, num_vcpus, num_pages=2)
         self.src, self.dst, self.migtd, self.key = env["src"], env["dst"], env["migtd"], env["key"]
         _, mem = m.tdh_export_mem(self.src, PAGE)
@@ -78,6 +88,10 @@ class World:
         return seal(self.key, BundleType.IMMUTABLE, decrypted_lists(other, other["bundle_immutable"]))
 
 
+def _cpuid_id(slot: int) -> int:
+    return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, slot)
+
+
 FORGED_START, NON_START = EpochToken(start=True, epoch=0), EpochToken(start=False, epoch=5)
 STRANGER = Servtd(uuid=(1, 2, 3, 4))  # a service TD the module never issued
 
@@ -106,6 +120,9 @@ VALUES = {
     # A VP, a TD and a key field; then ids no catalog entry covers.
     "field_id_raw": ([bundled_catalog().by_name(MD_CTX_VP, "XCR0").field_id_raw, ATTRIBUTES_ID,
                       MIG_DEC_KEY_ID], [0, ATTRIBUTES_ID + 1]),
+    # The CPUID table's first and last slots; then the slot past it, and an id of another class.
+    "md_next_cpuid_field.field_id_raw": ([_cpuid_id(0), _cpuid_id(MAX_NUM_CPUID_LOOKUP - 1)],
+                                         [_cpuid_id(MAX_NUM_CPUID_LOOKUP), ATTRIBUTES_ID]),
     "value": ([1], [0, U64, 1 << 64]),
     "mask": ([U64], [0, 1]),
     "count": ([1, 4], [0, -1]),

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from alphabet import (BEFORE_ANY_TD, BOUNDED_CALLS, BUNDLE_LEAVES, FORGED_START, GUEST_LEAVES,
                       LEAVES, NO_PAGE, OPERAND_WORDS, OPERANDS, PAGE, STREAM_LEAVES, SUCCEED_LEAVES,
-                      VALUES, World, admitting, args, build, bundle_type, values)
+                      OUT_OF_WALK, PUBLIC, VALUES, WALKED, World, admitting, args, build, bundle_type,
+                      values)
 from tdxmodel import engine, md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog
@@ -436,6 +437,53 @@ def test_latched_error_surfaces_first_failure():
     assert env["dst"].op_state is OpState.FAILED_IMPORT
 
 
+def _subset_import(bundle_type, kept):
+    """(honest list count, word, destination) of a fixed-mode import of the honest lists whose
+    indexes are in ``kept``, sealed as one bundle, at the point of a round trip where it goes."""
+    m = TdxModule(seed=23)
+    env = standard_setup(m, num_vcpus=1)
+    export_blackout(m, env)
+    dst = env["dst"]
+    honest = {BundleType.IMMUTABLE: env["bundle_immutable"], BundleType.TD: env["bundle_td"],
+              BundleType.VP: env["bundle_vps"][0]}[bundle_type]
+    if bundle_type is not BundleType.IMMUTABLE:
+        assert m.tdh_import_state_immutable(dst, env["bundle_immutable"]) == S.TDX_SUCCESS
+    if bundle_type is BundleType.VP:
+        assert m.tdh_import_state_td(dst, env["bundle_td"]) == S.TDX_SUCCESS
+        m.tdh_vp_create(dst)
+        m.tdh_vp_addcx(dst, 0)
+    lists = decrypted_lists(env, honest)
+    bundle = seal(env["key"], bundle_type, [item for i, item in enumerate(lists) if i in kept])
+    leaf = {BundleType.IMMUTABLE: m.tdh_import_state_immutable, BundleType.TD: m.tdh_import_state_td,
+            BundleType.VP: lambda td, b: m.tdh_import_state_vp(td, 0, b)}[bundle_type]
+    return len(lists), leaf(dst, bundle), dst
+
+
+STATE_BUNDLE_TYPES = [BundleType.IMMUTABLE, BundleType.TD, BundleType.VP]
+
+
+@settings(max_examples=30, deadline=None)
+@given(bundle_type=st.sampled_from(STATE_BUNDLE_TYPES), kept=st.frozensets(st.integers(0, 4)))
+@example(bundle_type=BundleType.IMMUTABLE, kept=frozenset())
+@example(bundle_type=BundleType.IMMUTABLE, kept=frozenset({0}))  # the SYS list alone
+@example(bundle_type=BundleType.TD, kept=frozenset())
+@example(bundle_type=BundleType.VP, kept=frozenset())
+@example(bundle_type=BundleType.VP, kept=frozenset(range(5)))
+def test_a_state_import_completes_only_with_every_honest_list(bundle_type, kept):
+    """A bundle that leaves out any honest list is refused fatally, the empty bundle too.
+
+    Each honest list holds a required entry, or part of one, of a context of
+    the bundle type.  So only the whole set completes, whichever contexts the
+    lists it carries cover.
+    """
+    count, status, dst = _subset_import(bundle_type, kept)
+    if set(range(count)) <= kept:
+        assert status == S.TDX_SUCCESS
+    else:
+        assert status & S.TDX_FATAL_FLAG_MASK, hex(status)
+        assert dst.op_state is OpState.FAILED_IMPORT
+
+
 def test_fatal_step_reports_its_own_registers():
     m = TdxModule(seed=19)
     env = standard_setup(m, num_vcpus=1)
@@ -498,25 +546,50 @@ def test_hostile_td_import_records_its_walk_and_registers(data):
 
 
 def _random_call(w, rng, name):
-    """Leaf ``name``'s head and operands, each drawn from its in-range and hostile values;
+    """Call ``name``'s head and operands, each drawn from its in-range and hostile values;
     a host leaf's head is a TD of the world, one the matrix admits it on where there is one."""
     def draw(param):
         return build(w, name, rng.choice(sum(values(name, param), [])))
 
-    tds = list(w.m.tds.values())
-    admitted = [td for td in tds if w.m.matrix.is_allowed(td.op_state, Leaf[name.upper()])]
-    head = ([draw("caller"), draw("handle")] if name in GUEST_LEAVES
-            else [] if name in BEFORE_ANY_TD else [rng.choice(admitted or tds)])
+    if name in GUEST_LEAVES:
+        head = [draw("caller"), draw("handle")]
+    elif name in BEFORE_ANY_TD:
+        head = []
+    else:
+        tds = list(w.m.tds.values())
+        admitted = [td for td in tds if w.m.matrix.is_allowed(td.op_state, Leaf[name.upper()])]
+        head = [rng.choice(admitted or tds)]
     return head, [draw(param) for param in OPERANDS[name]]
+
+
+WALK_SEEDS = (31, 32, 33)
+
+
+def _random_walk(mode, seed, after_call):
+    """120 random calls over the whole walked alphabet; ``after_call(m, name, head, result,
+    before)`` runs after each, with the module digest from before it.  Returns the module."""
+    rng = random.Random(seed)
+    w = World(seed, mode=mode)
+    m = w.m
+    new_template(m, w.env)  # a keyed destination the immutable import can start on
+    for _ in range(120):
+        name = rng.choice(WALKED)
+        head, operands = _random_call(w, rng, name)
+        before = m.digest()
+        result = getattr(m, name)(*head, *operands)
+        assert type(result if type(result) is int else result[0]) is int, (seed, name, result)
+        after_call(m, name, head, result, before)
+    return m
 
 
 def test_fixed_mode_random_walk_safety_invariants():
     """Random calls over the whole alphabet in fixed mode never produce an unsafe TD.
 
-    Checked after every call: it answers a status word and raises nothing, a
-    refusal changes no store but its designed writes, no TD is simultaneously
-    debug and migratable, and any TD that completed an immutable import holds
-    import-valid attributes.  Every trace validates.
+    Checked after every call: it answers an int and raises nothing; a leaf's
+    refusal changes no store but its designed writes, and any other call
+    changes no store at all; no TD is simultaneously debug and migratable, and
+    any TD that completed an immutable import holds import-valid attributes.
+    Every trace validates.
     """
     from tdxmodel.td import verify_td_attributes
 
@@ -524,20 +597,17 @@ def test_fixed_mode_random_walk_safety_invariants():
         OpState.MEMORY_IMPORT, OpState.STATE_IMPORT, OpState.POST_IMPORT,
         OpState.LIVE_IMPORT,
     }
-    for seed in (31, 32, 33):
-        rng = random.Random(seed)
-        w = World(seed)
-        m = w.m
-        new_template(m, w.env)  # a keyed destination the immutable import can start on
+    called = set()
+    for seed in WALK_SEEDS:
         completed_import = set()
-        for _ in range(120):
-            name = rng.choice(LEAVES)
-            head, operands = _random_call(w, rng, name)
-            before = m.digest()
-            result = getattr(m, name)(*head, *operands)
+
+        def check(m, name, head, result, before):
+            called.add(name)
             status = result if type(result) is int else result[0]
-            assert type(status) is int, (seed, name, result)
-            _refusal_law(name, status, before, m)
+            if name in LEAVES:
+                _refusal_law(name, status, before, m)
+            else:
+                assert m.digest() == before, name
             if name == "tdh_import_state_immutable" and status == S.TDX_SUCCESS:
                 completed_import.add(head[0].tdr_page)
             for candidate in m.tds.values():
@@ -546,8 +616,17 @@ def test_fixed_mode_random_walk_safety_invariants():
                     assert verify_td_attributes(candidate.attributes, importing=True), (
                         seed, candidate.snapshot(),
                     )
+
+        m = _random_walk(EngineMode(), seed, check)
         for td in m.tds.values():
             assert validate_trace(m.matrix, td.trace, True) == []
+    assert called == set(WALKED)  # the seeds reach every call of the alphabet
+
+
+def test_vulnerable_mode_random_walk_answers_every_call():
+    """The same walk with every toggle vulnerable: each call answers an int and none raises."""
+    for seed in WALK_SEEDS:
+        _random_walk(EngineMode.all_vulnerable(), seed, lambda *_: None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1303,14 +1382,17 @@ def test_bind_refuses_a_slot_outside_twelve_bits():
 # --- the host-call alphabet, and the fixed-mode holes it pins -----------------------------
 
 def test_every_leaf_operand_has_values_in_the_alphabet():
-    """A new leaf, or a new parameter of one, fails here until the alphabet gives it values.
+    """A new public method, or a new parameter of one, fails here until the alphabet gives it
+    values or ``OUT_OF_WALK`` names why the walk leaves the method out.
 
     A defaulted parameter's first in-range value is its default, so ``args``
     calls a leaf as its defaults do, and every table entry names a parameter
     some leaf takes.
     """
+    assert set(OUT_OF_WALK) <= set(PUBLIC) and all(OUT_OF_WALK.values())
+    assert set(WALKED) == set(PUBLIC) - set(OUT_OF_WALK) and "md_next_cpuid_field" in WALKED
     named = set()
-    for name in LEAVES:
+    for name in WALKED:
         params = list(inspect.signature(getattr(TdxModule, name)).parameters.values())[1:]
         for param in params:
             if param.name == "td":

@@ -12,7 +12,6 @@ from tdxmodel import status as S
 from tdxmodel.md_codec import (
     MD_CTX_TD,
     MD_CTX_VP,
-    LookupIterator,
     MdListHeader,
     MdSequence,
     ParseArena,
@@ -160,28 +159,28 @@ def _sequence_walk(catalog, sink, body: bytes, remaining: int, mode: WriteMode,
     header_raw = arena.read_u64(0)
     fid = decode_field_id(header_raw)
     entry = catalog.find_entry(ctx, fid)
-    lkp = LookupIterator(catalog, ctx, entry, entry.field_index_of(fid.field_code))
-    ext = [0, 0]
-    status, elements_read = md.write_sequence(
-        arena, 0, fid, header_raw, remaining, lkp, sink, mode, ext
+    status, elements_read, at = md.write_sequence(
+        arena, 0, fid, header_raw, remaining, catalog, entry, sink, mode
     )
-    return status, elements_read, arena, ext
+    return status, elements_read, arena, at
 
 
 def test_exact_fit_single_field(catalog, sink):
     seq = MdSequence(make_sequence_header(MD_CTX_VP, 0x11, 0x20), [0x7])  # XCR0
-    status, elements_read, arena, _ = _sequence_walk(
+    status, elements_read, arena, at = _sequence_walk(
         catalog, sink, seq.to_bytes(), 16, WriteMode.fixed()
     )
     assert status == S.TDX_SUCCESS
     assert elements_read == 1
+    assert at == catalog.by_name(MD_CTX_VP, "CR2").field_id_raw  # the next entry's first field
     assert sink.values[("XCR0", 0)] == [0x7]
 
 
 def test_sequence_too_small_is_overflow(catalog, sink):
     seq = MdSequence(make_sequence_header(MD_CTX_VP, 0x11, 0x20), [0x7])
-    status, _, _, _ = _sequence_walk(catalog, sink, seq.to_bytes(), 15, WriteMode.fixed())
+    status, _, _, at = _sequence_walk(catalog, sink, seq.to_bytes(), 15, WriteMode.fixed())
     assert S.status_class(status) == S.TDX_METADATA_LIST_OVERFLOW
+    assert at == seq.header_raw  # XCR0 itself, the field that does not fit
 
 
 def test_zero_write_mask_skip_is_recorded_in_vulnerable_mode(catalog):
@@ -211,9 +210,9 @@ def test_sequence_cannot_cross_classes(catalog, sink):
     seq = MdSequence(
         make_sequence_header(MD_CTX_VP, 0x11, 0x30, num_fields=2), [1, 2]
     )
-    status, _, _, ext = _sequence_walk(catalog, sink, seq.to_bytes(), 4000, WriteMode.fixed())
+    status, _, _, at = _sequence_walk(catalog, sink, seq.to_bytes(), 4000, WriteMode.fixed())
     assert status == S.TDX_METADATA_FIELD_ID_INCORRECT
-    assert ext[0] == seq.header_raw
+    assert at == seq.header_raw
 
 
 # --- the crafted underflow walks -------------------------------------------------
@@ -315,12 +314,20 @@ def test_fixed_mode_never_reads_oob_on_fuzzed_lists(catalog):
 
 # --- the walk kernel against the per-field reference -------------------------------
 
-def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, sink, mode,
-                              ext_err_info):
-    """The per-field walk write_sequence replaced, kept as the oracle for it."""
+def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, catalog, entry, sink,
+                              mode):
+    """The per-field walk write_sequence replaced, kept as the oracle for it.
+
+    Its position is (entry, field_index), stepped one field at a time; each
+    exit reads ``at`` off it, or returns the header on a class change.
+    """
+    field_index = entry.field_index_of(fid.field_code)
+
+    def at():
+        return md.MD_FIELD_ID_NA if entry is None else entry.field_id_for(field_index)
+
     if buff_size < md.SEQUENCE_HEADER_BYTES + md.ELEMENT_BYTES:
-        ext_err_info[0] = lkp.field_id_raw
-        return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), 0
+        return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), 0, at()
 
     num_fields = fid.num_fields
     buff_size = (buff_size - md.SEQUENCE_HEADER_BYTES) & 0xFFFFFFFF
@@ -330,22 +337,19 @@ def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, s
 
     if not mode.loop_underflow and fid.write_mask_valid:
         if buff_size < md.ELEMENT_BYTES:
-            ext_err_info[0] = lkp.field_id_raw
-            return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+            return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx, at()
         wr_mask = arena.read_u64(elements_base)
         sequence_idx += 1
         buff_size -= md.ELEMENT_BYTES
 
     for i in range(num_fields):
-        entry = lkp.entry
         if mode.loop_underflow and fid.write_mask_valid:
             wr_mask = arena.read_u64(elements_base)
             sequence_idx += 1
             buff_size = (buff_size - md.ELEMENT_BYTES) & 0xFFFFFFFF
 
         if buff_size < entry.num_of_elem * md.ELEMENT_BYTES:
-            ext_err_info[0] = lkp.field_id_raw
-            return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx
+            return S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0), sequence_idx, at()
 
         if entry.importable:
             combined = wr_mask & entry.import_mask
@@ -356,22 +360,56 @@ def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, lkp, s
                     arena.read_u64(elements_base + (sequence_idx + k) * md.ELEMENT_BYTES)
                     for k in range(entry.num_of_elem)
                 ]
-                status = sink.write_field(entry, lkp.field_index, values, combined)
+                status = sink.write_field(entry, field_index, values, combined)
             if status != S.TDX_SUCCESS:
                 if status != S.TDX_METADATA_FIELD_NOT_WRITABLE:
-                    ext_err_info[0] = lkp.field_id_raw
-                    return status, sequence_idx
-                sink.record_skip(entry, lkp.field_index)
+                    return status, sequence_idx, at()
+                sink.record_skip(entry, field_index)
 
         buff_size = (buff_size - entry.num_of_elem * md.ELEMENT_BYTES) & 0xFFFFFFFF
         sequence_idx += entry.num_of_elem
-        prev_class = lkp.entry.class_code
-        lkp.advance()
-        if i < num_fields - 1 and (lkp.entry is None or lkp.entry.class_code != prev_class):
-            ext_err_info[0] = header_raw
-            return S.TDX_METADATA_FIELD_ID_INCORRECT, sequence_idx
+        prev_class = entry.class_code
+        if field_index + 1 < entry.num_of_fields:
+            field_index += 1
+        else:
+            entry, field_index = catalog.next_entry_after(entry.context_code, entry), 0
+        if i < num_fields - 1 and (entry is None or entry.class_code != prev_class):
+            return S.TDX_METADATA_FIELD_ID_INCORRECT, sequence_idx, header_raw
 
-    return S.TDX_SUCCESS, sequence_idx
+    return S.TDX_SUCCESS, sequence_idx, at()
+
+
+def _reference_write_list(catalog, ctx, arena, sink, mode):
+    """The list walk around the reference sequence walk, kept apart from write_list as the
+    oracle for write_list's own exits; returns the result and each sequence walk's tuple."""
+    result, walks = md.WriteResult(), []
+    header = MdListHeader.from_bytes(arena.read(0, 8))
+    overflow = S.with_l2_details(S.TDX_METADATA_LIST_OVERFLOW, 0xFFFF, 0)
+    if not mode.header_underflow and not 8 <= header.list_buff_size <= md.LIST_BYTES:
+        result.status = overflow
+        return result, walks
+    remaining = result.initial_remaining = (header.list_buff_size - 8) % 2**16
+    offset, at = 8, md.MD_FIELD_ID_NA  # at: where the last walk stopped
+    for i in range(header.num_sequences):
+        if not mode.header_underflow and remaining < 16:
+            result.status, result.ext_err_info[0] = overflow, at
+            break
+        header_raw = arena.read_u64(offset)
+        fid = decode_field_id(header_raw)
+        entry = catalog.find_entry(ctx, fid) if fid.context_code == ctx else None
+        if entry is None:
+            result.status = S.with_l2_details(S.TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, i)
+            result.ext_err_info[0] = header_raw
+            break
+        walks.append(_reference_write_sequence(arena, offset, fid, header_raw, remaining,
+                                               catalog, entry, sink, mode))
+        status, elements_read, at = walks[-1]
+        if status != S.TDX_SUCCESS:
+            result.status, result.ext_err_info[0] = status, at
+            break
+        remaining = (remaining - 8 - 8 * elements_read) % 2**16
+        offset += 8 + 8 * elements_read
+    return result, walks
 
 
 class CallLogSink:
@@ -452,27 +490,53 @@ def import_lists(draw, catalog):
     return ctx, (header.to_bytes() + body).ljust(md.LIST_BYTES, b"\x00")
 
 
-def _walk_with(write_sequence, catalog, ctx, data, mode, refusals, sink_cls=CallLogSink):
+def _walk_with(kernel, catalog, ctx, data, mode, refusals, sink_cls=CallLogSink):
+    """One walk of ``data``: write_list, each write_sequence call's returned tuple recorded,
+    if ``kernel``, else the reference; its result, reads, OOB span, sink calls and walks."""
     arena = ParseArena(data)
     sink = sink_cls(refusals)
-    positions = []
+    if not kernel:
+        result, walks = _reference_write_list(catalog, ctx, arena, sink, mode)
+        return result, arena.reads, arena.oob_reads(), arena.max_oob_span(), sink.calls, walks
+    walks, write_sequence = [], md.write_sequence
 
     def recording(*args):
-        out = write_sequence(*args)
-        lkp = args[5]
-        positions.append((out, lkp.entry, lkp.field_index))
-        return out
+        walks.append(write_sequence(*args))
+        return walks[-1]
 
     with mock.patch.object(md, "write_sequence", recording):
         result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, arena, sink, mode)
-    return result, arena.reads, arena.oob_reads(), arena.max_oob_span(), sink.calls, positions
+    return result, arena.reads, arena.oob_reads(), arena.max_oob_span(), sink.calls, walks
 
 
-def _one_run_list(catalog):
-    """A VP list whose one sequence covers fields 0-7 of one importable entry, one run."""
-    entry = catalog.by_name(MD_CTX_VP, "L2_MSR_BITMAPS")
-    header = make_sequence_header(MD_CTX_VP, entry.class_code, entry.field_code, num_fields=8)
-    return MD_CTX_VP, build_list([MdSequence(header, [0x100 + i for i in range(8)])]).to_bytes()
+def _one_run_list(catalog, name="L2_MSR_BITMAPS", first=0, num_fields=8, claimed=1):
+    """A VP list whose one sequence covers ``num_fields`` fields of one entry from ``first``,
+    one run; its header claims ``claimed`` sequences, so past one the residue is refused."""
+    entry = catalog.by_name(MD_CTX_VP, name)
+    header = make_sequence_header(MD_CTX_VP, entry.class_code, entry.field_code + first,
+                                  num_fields=num_fields)
+    data = build_list([MdSequence(header, [0x100 + i for i in range(num_fields)])]).to_bytes()
+    return MD_CTX_VP, data[:2] + claimed.to_bytes(2, "little") + data[4:]
+
+
+# The three fields a residue refusal can name: one inside an entry, the next
+# entry's first field, and MD_FIELD_ID_NA past the context's last entry.
+RESIDUE_CASES = [
+    (("L2_MSR_BITMAPS", 0, 8), lambda c: c.by_name(MD_CTX_VP, "L2_MSR_BITMAPS").field_id_for(8)),
+    (("XCR0", 0, 1), lambda c: c.by_name(MD_CTX_VP, "CR2").field_id_raw),
+    (("L2_MSR_BITMAPS", 504, 8), lambda c: md.MD_FIELD_ID_NA),
+]
+
+
+@pytest.mark.parametrize("sequence,named", RESIDUE_CASES, ids=["inside", "next_entry", "na"])
+def test_a_residue_refusal_names_where_the_last_sequence_stopped(catalog, sequence, named):
+    ctx, data = _one_run_list(catalog, *sequence, claimed=2)
+    sink = DictSink()
+    result = md.write_list(catalog, ctx, md.MD_FIELD_ID_NA, ParseArena(data), sink,
+                           WriteMode.fixed())
+    assert result.status == md.LIST_OVERFLOW
+    assert result.ext_err_info == [named(catalog), 0]
+    assert len(sink.values) == sequence[2]  # the sequence itself was stored
 
 
 ALL_MODES = [WriteMode(*flags) for flags in itertools.product([False, True], repeat=2)]
@@ -486,8 +550,6 @@ MODE_CASES = [(mode, only_skips) for mode in ALL_MODES for only_skips in (True, 
 
 @pytest.mark.parametrize("mode,only_skips", MODE_CASES)
 def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
-    kernel = md.write_sequence
-
     @settings(max_examples=40, deadline=None)
     @given(
         case=import_lists(catalog),
@@ -502,6 +564,11 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     # NOT_WRITABLE at the run's first and last fields (0 and 7): a run sink is called
     # again from field 1, and not again after field 7.
     @example(case=_one_run_list(catalog), refusals={0: S.TDX_METADATA_FIELD_NOT_WRITABLE})
+    # The header claims a second sequence: the post-fix walk refuses the residue, naming
+    # a field inside the entry, the next entry's first field, or MD_FIELD_ID_NA.
+    @example(case=_one_run_list(catalog, "L2_MSR_BITMAPS", 0, 8, claimed=2), refusals={})
+    @example(case=_one_run_list(catalog, "XCR0", 0, 1, claimed=2), refusals={})
+    @example(case=_one_run_list(catalog, "L2_MSR_BITMAPS", 504, 8, claimed=2), refusals={})
     # Under header_underflow a run crosses the list end into the sentinel regions.
     @example(case=(MD_CTX_TD, list_header_underflow_list()), refusals={})
     # The oob_sweep shapes: the crafted walk at its shortest and longest.  The walk
@@ -519,10 +586,10 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
     @example(case=(MD_CTX_VP, _loop_underflow_list()), refusals={})
     def check(case, refusals):
         ctx, data = case
-        expected = _walk_with(_reference_write_sequence, catalog, ctx, data, mode, refusals)
+        expected = _walk_with(False, catalog, ctx, data, mode, refusals)
         # Through the per-field default, and through a sink's own run call, expanded per field.
         for sink_cls in (CallLogSink, RunCallLogSink):
-            assert _walk_with(kernel, catalog, ctx, data, mode, refusals, sink_cls) == expected
+            assert _walk_with(True, catalog, ctx, data, mode, refusals, sink_cls) == expected
 
     check()
 
@@ -739,8 +806,8 @@ class MapSource:
         ]
 
 
-def test_dump_empty_selection_is_header_only(catalog):
-    lists = md.dump_lists(catalog, MD_CTX_TD, [], MapSource())
+def test_dump_empty_selection_is_header_only():
+    lists = md.dump_lists(MD_CTX_TD, [], MapSource())
     assert len(lists) == 1
     assert lists[0].header.list_buff_size == 8
     assert lists[0].to_bytes() == MdListHeader(8, 0).to_bytes().ljust(4096, b"\x00")
@@ -756,7 +823,7 @@ def test_dump_then_import_is_identity(catalog):
     for entry in entries:
         for position in range(entry.code_span):
             values[(entry.name, position)] = rng.getrandbits(64)
-    lists = md.dump_lists(catalog, MD_CTX_TD, entries, MapSource(values))
+    lists = md.dump_lists(MD_CTX_TD, entries, MapSource(values))
     sink = DictSink()
     for item in lists:
         arena = ParseArena(item.to_bytes())
@@ -772,7 +839,7 @@ def test_dump_then_import_is_identity(catalog):
 
 def test_dump_splits_wide_entries_across_lists(catalog):
     entry = catalog.by_name(MD_CTX_VP, "XBUFF")
-    lists = md.dump_lists(catalog, MD_CTX_VP, [entry], MapSource())
+    lists = md.dump_lists(MD_CTX_VP, [entry], MapSource())
     total_fields = 0
     for item in lists:
         for seq in item.sequences:
@@ -795,7 +862,7 @@ def test_parse_rejects_truncated_sequences():
 def test_dump_rejects_non_exportable_selection(catalog):
     entry = catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")  # export mask 0
     with pytest.raises(md.ExportError, match="MIG_DEC_KEY"):
-        md.dump_lists(catalog, MD_CTX_TD, [entry], MapSource())
+        md.dump_lists(MD_CTX_TD, [entry], MapSource())
 
 
 def test_sequence_size_cap_matches_field_count_cap():

@@ -1321,8 +1321,8 @@ def test_dump_with_run_reads_matches_per_field_source(catalog, data):
             else:
                 td._scope_values(entry, 0)[:] = values
     vp_index = 0 if ctx == MD_CTX_VP else None
-    got = md.dump_lists(catalog, ctx, entries, TdExportSource(td, vp_index, sys_store))
-    want = md.dump_lists(catalog, ctx, entries, _PerFieldSource(td, vp_index, sys_store))
+    got = md.dump_lists(ctx, entries, TdExportSource(td, vp_index, sys_store))
+    want = md.dump_lists(ctx, entries, _PerFieldSource(td, vp_index, sys_store))
     assert [item.to_bytes() for item in got] == [_pack_per_element(item) for item in want]
 
 

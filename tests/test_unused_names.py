@@ -6,6 +6,9 @@ Imports alone do not count, and neither do ``status.py``'s ``globals()`` name
 tables.  A decorated function is read by its decorator, and a name in
 ``tdxmodel.__all__`` is the package's public surface.  Anything else must be on
 the allow-list below, with its reason.
+
+Every parameter of a function in ``src/tdxmodel`` is read by its body, too,
+unless it is spelled ``_`` or is on the second allow-list.
 """
 
 import ast
@@ -96,6 +99,64 @@ def test_every_private_test_helper_is_read():
         and name not in reads
     )
     assert not unread, "no test reads " + ", ".join(unread)
+
+
+PROTOCOL_STUB = "a Protocol method stub: it states the signature its implementations take"
+LEAF_OPERAND = "a leaf operand the ABI gives: the leaf wrapper gates the call on it, the body need not"
+
+# module.function.param -> why the function keeps a parameter it never reads.
+ALLOWED_PARAMS = {
+    "engine.TdxModule._succeed.td": LEAF_OPERAND,
+    "engine.TdxModule.tdh_export_track.td": LEAF_OPERAND,
+    "engine.TdxModule.tdh_vp_addcx.td": LEAF_OPERAND,
+    "engine.TdxModule.tdh_vp_addcx.vp_index": LEAF_OPERAND + "; it bounds-checks vp_index by name",
+    "envelope.MigStreamContext.__exit__.exc": "the context-manager protocol's exception triple",
+    **{f"md_codec.{stub}.{param}": PROTOCOL_STUB for stub, params in (
+        ("MetadataSink.write_field", ("entry", "field_index", "values", "combined_mask")),
+        ("MetadataSink.record_skip", ("entry", "field_index")),
+        ("MetadataSource.read_field", ("entry", "field_index", "count"))) for param in params},
+    "md_codec.write_list.expected_raw": "perfbench passes it by position (ROADMAP item 7 drops it)",
+    "td.TD_CONFIG_RULES.<lambda>.gpaw": "every TD_CONFIG_RULES check takes (value, gpaw, importing)",
+    "td.TdImportSink.record_skip.field_index": "MetadataSink's record_skip signature; the ledger "
+                                               "keys a skip by its entry alone",
+}
+
+
+def _unread_params() -> list[str]:
+    """module.function.param of each parameter in ``src/`` that its function never loads."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                spec = child.args
+                params = [a.arg for a in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                                          spec.vararg, spec.kwarg) if a]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                loads = {n.id for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.extend(f"{name}.{p}" for p in params
+                              if p not in loads and p not in ("self", "cls", "_"))
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.Assign) and isinstance(node, ast.Module):
+                visit(child, f"{prefix}{'.'.join(map(ast.unparse, child.targets))}.")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return sorted(set(unread))
+
+
+def test_every_parameter_is_read_or_allowed():
+    unread = _unread_params()
+    extra = sorted(set(unread) - set(ALLOWED_PARAMS))
+    assert not extra, "no body reads " + ", ".join(extra)
+    stale = sorted(set(ALLOWED_PARAMS) - set(unread))
+    assert not stale, "allowed but read or gone: " + ", ".join(stale)
 
 
 def _status_names_src_uses(prefix: str) -> set[str]:
