@@ -2,8 +2,9 @@
 
 The shipped catalog is a curated desk-scale subset loaded from a versioned
 data file; every field a reproduced finding touches is present with its
-published masks and flags.  Entries within a class are ordered by field code,
-which the next-entry iteration relies on.
+published masks and flags.  The data file keeps all 21 published columns of
+each row; an entry keeps only the columns the model reads.  Entries within a
+class are ordered by field code, which the next-entry iteration relies on.
 
 Each entry's raw field id is decoded once, when the entry is built, so a
 lookup compares plain integer codes and walks never decode catalog ids.
@@ -50,19 +51,15 @@ class FieldEntry:
     field_id_raw: int
     num_of_fields: int
     num_of_elem: int
-    offset: int
     attributes: int
     prod_rd_mask: int
     prod_wr_mask: int
     dbg_rd_mask: int
     dbg_wr_mask: int
-    guest_rd_mask: int
-    guest_wr_mask: int
     migtd_rd_mask: int
     migtd_wr_mask: int
     export_mask: int
     import_mask: int
-    special_rd_handling: bool
     special_wr_handling: bool
     mig_export: MigClass
     mig_import: MigClass
@@ -119,19 +116,15 @@ def _parse_line(line: str) -> FieldEntry:
         field_id_raw=int(parts[2], 16),
         num_of_fields=int(parts[3]),
         num_of_elem=int(parts[4]),
-        offset=int(parts[5], 16),
         attributes=int(parts[6], 16),
         prod_rd_mask=int(parts[7], 16),
         prod_wr_mask=int(parts[8], 16),
         dbg_rd_mask=int(parts[9], 16),
         dbg_wr_mask=int(parts[10], 16),
-        guest_rd_mask=int(parts[11], 16),
-        guest_wr_mask=int(parts[12], 16),
         migtd_rd_mask=int(parts[13], 16),
         migtd_wr_mask=int(parts[14], 16),
         export_mask=int(parts[15], 16),
         import_mask=int(parts[16], 16),
-        special_rd_handling=parts[17] == "1",
         special_wr_handling=parts[18] == "1",
         mig_export=MigClass(parts[19]),
         mig_import=MigClass(parts[20]),
@@ -221,7 +214,6 @@ def bundled_catalog() -> FieldCatalog:
 # --- CPUID lookup array -----------------------------------------------------
 
 MAX_NUM_CPUID_LOOKUP = 79
-CPUID_CONFIG_NULL_IDX = 0xFFFFFFFF
 CPUID_CLASS_CODE = 0x0F
 
 
@@ -230,30 +222,15 @@ class CpuidLookupEntry:
     leaf: int
     subleaf: int
     valid_entry: bool
-    fixed1: tuple[int, int, int, int]
-    fixed0_or_dynamic: tuple[int, int, int, int]
-    config_index: int
 
 
 # 78 synthetic rows (valid flag alternating) plus the published last row,
-# built once: the rows are frozen, so every lookup shares this tuple.
+# built once: the rows are frozen, so every lookup shares this tuple.  A row
+# keeps only what the model reads: its (leaf, subleaf) key and its valid flag.
 _CPUID_TABLE = tuple(
-    CpuidLookupEntry(
-        leaf=0x40000000 + i, subleaf=0, valid_entry=(i % 2 == 1),
-        fixed1=(0, 0, 0, 0), fixed0_or_dynamic=(0, 0, 0, 0),
-        config_index=CPUID_CONFIG_NULL_IDX,
-    )
+    CpuidLookupEntry(leaf=0x40000000 + i, subleaf=0, valid_entry=(i % 2 == 1))
     for i in range(MAX_NUM_CPUID_LOOKUP - 1)
-) + (
-    CpuidLookupEntry(
-        leaf=0x80000002,
-        subleaf=0xFFFFFFFF,
-        valid_entry=True,
-        fixed1=(0x65746E49, 0x58204454, 0x6C202020, 0x0),
-        fixed0_or_dynamic=(0x9A8B91B6, 0xA7DFBBAB, 0x93DFDFDF, 0xFFFFFFFF),
-        config_index=CPUID_CONFIG_NULL_IDX,
-    ),
-)
+) + (CpuidLookupEntry(leaf=0x80000002, subleaf=0xFFFFFFFF, valid_entry=True),)
 
 
 class CpuidLookup:
@@ -266,11 +243,7 @@ class CpuidLookup:
     terminates after exactly one out-of-bounds step.
     """
 
-    OOB_SENTINEL = CpuidLookupEntry(
-        leaf=0xDEADBEEF, subleaf=0xDEADBEEF, valid_entry=True,
-        fixed1=(0, 0, 0, 0), fixed0_or_dynamic=(0, 0, 0, 0),
-        config_index=CPUID_CONFIG_NULL_IDX,
-    )
+    OOB_SENTINEL = CpuidLookupEntry(leaf=0xDEADBEEF, subleaf=0xDEADBEEF, valid_entry=True)
     table = _CPUID_TABLE
 
     def __init__(self):

@@ -136,7 +136,6 @@ class Bundle:
 @dataclass
 class EpochToken:
     start: bool
-    epoch: int
 
 
 @dataclass
@@ -289,7 +288,6 @@ class TdxModule:
         self.tds: dict[int, TdComplex] = {}
         self.sys_store: dict = {name: [value] for name, value in SYS_DEFAULTS.items()}
         self._next_page = 0x100
-        self._next_epoch = 0
         self.arena_plants: dict[int, int] = {}
         # The trace step of the most recent call, or None when it recorded none.
         self.last: Optional[TraceStep] = None
@@ -371,7 +369,7 @@ class TdxModule:
             td.num_vcpus += 1
             x2apic = self.catalog.by_name(MD_CTX_TD, "X2APIC_IDS")
             td.write_element_raw(x2apic, index, index)
-        td.vps.append(VcpuState(index=index))
+        td.vps.append(VcpuState())
         return TDX_SUCCESS, "success", index
 
     @_leaf(Leaf.TDH_VP_ADDCX)
@@ -641,9 +639,7 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
-        self._next_epoch += 1
-        token = EpochToken(start=start, epoch=self._next_epoch)
-        return TDX_SUCCESS, "success", token
+        return TDX_SUCCESS, "success", EpochToken(start=start)
 
     # Write-block bookkeeping: permission-checked, no desk-scale state.
     tdh_export_abort = _leaf(Leaf.TDH_EXPORT_ABORT)(_succeed)

@@ -116,7 +116,6 @@ class ScenarioRun:
     name: str
     mode: str
     ok: bool
-    verdict: str
     transcript: str
     module: TdxModule
     env: dict
@@ -343,7 +342,7 @@ def _v1(m: TdxModule, r: Recorder) -> dict:
     r.step("tdh_mng_rd dst MIG_DEC_KEY --count=4", status, SUCCESS, fixed=NOT_READABLE)
     r.step(
         "tdh_import_track dst (start token)",
-        m.tdh_import_track(dst, EpochToken(start=True, epoch=1)),
+        m.tdh_import_track(dst, EpochToken(start=True)),
         SUCCESS, fixed=VCPUS_NOT_MIGRATED,
     )
     r.check("destination ATTRIBUTES is 0x1 (debug)", attrs == [1], True)
@@ -466,7 +465,7 @@ def _bug2(m: TdxModule, r: Recorder) -> dict:
     )
     r.step(
         "tdh_import_track dst3 (start token, no VPs imported)",
-        m.tdh_import_track(dst3, EpochToken(start=True, epoch=99)),
+        m.tdh_import_track(dst3, EpochToken(start=True)),
         SUCCESS, fixed=OP_STATE_INCORRECT,
     )
     status = m.tdh_import_state_immutable(dst4, b_export)
@@ -651,4 +650,4 @@ def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
         *lines,
         f"verdict: {verdict}",
     ]) + "\n"
-    return ScenarioRun(scenario.name, mode, ok, verdict, transcript, module, env)
+    return ScenarioRun(scenario.name, mode, ok, transcript, module, env)

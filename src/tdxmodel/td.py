@@ -257,7 +257,6 @@ def break_binding_handle(handle: int, servtd_uuid_q0: int) -> tuple[int, int]:
 
 @dataclass
 class VcpuState:
-    index: int
     store: dict = dc_field(default_factory=dict)
 
 

@@ -92,7 +92,7 @@ def _cpuid_id(slot: int) -> int:
     return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, slot)
 
 
-FORGED_START, NON_START = EpochToken(start=True, epoch=0), EpochToken(start=False, epoch=5)
+FORGED_START, NON_START = EpochToken(start=True), EpochToken(start=False)
 STRANGER = Servtd(uuid=(1, 2, 3, 4))  # a service TD the module never issued
 
 # Parameter name -> (in-range values, boundary or hostile values).  A leaf's own

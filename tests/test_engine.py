@@ -342,8 +342,8 @@ def test_full_migration_roundtrip_reproduces_catalog_fields():
         td_epoch = m.catalog.by_name(MD_CTX_TD, "TD_EPOCH")
         src.write_element_raw(td_epoch, 0, rng.getrandbits(64))
         xbuff = m.catalog.by_name(MD_CTX_VP, "XBUFF")
-        for vp in src.vps:
-            values = src._scope_values(xbuff, vp.index)
+        for vp_index in range(len(src.vps)):
+            values = src._scope_values(xbuff, vp_index)
             for i in rng.sample(range(1536), 16):
                 values[i] = rng.getrandbits(64)
 
@@ -397,7 +397,7 @@ def test_non_start_token_keeps_state():
     env = standard_setup(m, num_vcpus=1)
     status = m.tdh_import_state_immutable(env["dst"], env["bundle_immutable"])
     assert status == S.TDX_SUCCESS
-    status = m.tdh_import_track(env["dst"], EpochToken(start=False, epoch=5))
+    status = m.tdh_import_track(env["dst"], EpochToken(start=False))
     assert status == S.TDX_SUCCESS
     assert env["dst"].op_state is OpState.MEMORY_IMPORT
 
@@ -656,17 +656,6 @@ def test_module_last_is_the_step_its_call_appended_or_none(seed):
     assert m.last is None
 
 
-def test_export_write_block_leaves_are_permission_gated():
-    m = TdxModule(seed=24)
-    env = standard_setup(m, num_vcpus=1)
-    assert m.tdh_export_blockw(env["src"]) == S.TDX_SUCCESS      # LIVE_EXPORT
-    assert m.tdh_export_unblockw(env["src"]) == S.TDX_SUCCESS
-    assert m.tdh_export_restore(env["src"]) == S.TDX_OP_STATE_INCORRECT  # RUNNABLE only
-    m.tdh_export_abort(env["src"])
-    assert m.tdh_export_restore(env["src"]) == S.TDX_SUCCESS
-    assert m.tdh_export_blockw(env["src"]) == S.TDX_OP_STATE_INCORRECT
-
-
 def test_vp_index_bounds_are_status_errors():
     w = World(25)
     m, env, dst = w.m, w.env, w.dst
@@ -907,28 +896,6 @@ def test_succeed_leaves_step_along_the_matrix_from_every_state(matrix, v1):
                 assert td.trace == [TraceStep(leaf, state, state, S.TDX_OP_STATE_INCORRECT)]
 
 
-@pytest.mark.parametrize("flag,refusal", [("fatal", S.TDX_TD_FATAL), ("locked", TDR_BUSY)])
-def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
-    m = TdxModule(seed=26)
-    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1)
-    assert status == S.TDX_SUCCESS and td.op_state is OpState.RUNNABLE
-    setattr(td, flag, True)
-    calls = (
-        (Leaf.TDH_EXPORT_PAUSE, lambda: m.tdh_export_pause(td), refusal),
-        (Leaf.TDH_EXPORT_STATE_IMMUTABLE, lambda: m.tdh_export_state_immutable(td),
-         (refusal, None)),
-        # No RUNNABLE row: the fatal and busy checks answer before the row's.
-        (Leaf.TDH_IMPORT_END, lambda: m.tdh_import_end(td), refusal),
-    )
-    for leaf, call, answer in calls:
-        steps = len(td.trace)
-        assert call() == answer
-        assert td.op_state is OpState.RUNNABLE
-        assert td.trace[steps:] == [TraceStep(leaf, OpState.RUNNABLE, OpState.RUNNABLE, refusal)]
-        assert m.last is td.trace[-1]
-    assert validate_trace(m.matrix, td.trace, True) == []
-
-
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from([name for name in LEAVES if name not in BEFORE_ANY_TD]),
        state=st.sampled_from(list(OpState)),
@@ -940,6 +907,13 @@ def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
 @example(name="tdh_mem_sept_add", state=OpState.MEMORY_IMPORT, fatal=True, locked=False)
 @example(name="tdh_mng_rd", state=OpState.PAUSED_EXPORT, fatal=False, locked=True)
 @example(name="tdg_servtd_rd", state=OpState.STATE_IMPORT, fatal=False, locked=True)
+@example(name="tdh_export_pause", state=OpState.RUNNABLE, fatal=True, locked=False)
+@example(name="tdh_export_pause", state=OpState.RUNNABLE, fatal=False, locked=True)
+@example(name="tdh_export_state_immutable", state=OpState.RUNNABLE, fatal=True, locked=False)
+@example(name="tdh_export_state_immutable", state=OpState.RUNNABLE, fatal=False, locked=True)
+# No RUNNABLE row: the fatal and busy checks answer before the row's.
+@example(name="tdh_import_end", state=OpState.RUNNABLE, fatal=True, locked=False)
+@example(name="tdh_import_end", state=OpState.RUNNABLE, fatal=False, locked=True)
 def test_every_leaf_is_refused_fatal_then_busy_then_off_the_matrix(name, state, fatal, locked):
     """Host or guest, a refused call answers one word and records one step that moves nothing."""
     w = World(45)

@@ -38,7 +38,7 @@ def test_scenario_matrix(name, mode):
     run = run_scenario(SCENARIOS[name], mode, seed=7)
     assert run.ok, run.transcript
     expected = "EXPLOITED" if mode == "vulnerable" else "NOT EXPLOITABLE"
-    assert run.verdict == expected
+    assert run.transcript.splitlines()[-1] == f"verdict: {expected}"
     assert "op_state traces: valid" in run.transcript
 
 

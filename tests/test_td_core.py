@@ -674,7 +674,7 @@ def test_sink_xcr0_requires_x87(catalog):
     from tdxmodel.td import VcpuState
 
     td = _fresh_td()
-    td.vps.append(VcpuState(0))
+    td.vps.append(VcpuState())
     sink = TdImportSink(td, vp_index=0, gpa_checks=False)
     xcr0 = catalog.by_name(MD_CTX_VP, "XCR0")
     assert sink.write_field(xcr0, 0, [0x6], 2**64 - 1) == S.TDX_METADATA_FIELD_VALUE_NOT_VALID
@@ -897,7 +897,7 @@ def _sink_cases(draw, catalog):
 def _sink_td(gpaw):
     td = _fresh_td()
     td.gpaw = int(gpaw)
-    td.vps.append(VcpuState(0))
+    td.vps.append(VcpuState())
     return td
 
 
@@ -1214,7 +1214,7 @@ def _ledger_cases(draw, catalog):
 
 def _ledger_td():
     td = _sink_td(False)
-    td.vps.append(VcpuState(1))
+    td.vps.append(VcpuState())
     return td
 
 

@@ -9,6 +9,11 @@ the allow-list below, with its reason.
 
 Every parameter of a function in ``src/tdxmodel`` is read by its body, too,
 unless it is spelled ``_`` or is on the second allow-list.
+
+Every field a ``@dataclass`` in ``src/tdxmodel`` declares is read, with no
+allow-list: ``src/tdxmodel`` or ``perfbench/`` loads it as an attribute, or
+spells its name in a string constant, as ``getattr`` tables such as
+``FIELD_ID_LAYOUT`` do.
 """
 
 import ast
@@ -157,6 +162,31 @@ def test_every_parameter_is_read_or_allowed():
     assert not extra, "no body reads " + ", ".join(extra)
     stale = sorted(set(ALLOWED_PARAMS) - set(unread))
     assert not stale, "allowed but read or gone: " + ", ".join(stale)
+
+
+def _dataclass_fields() -> dict[str, str]:
+    """module.Class.field -> field name, for every field a ``@dataclass`` in ``src/`` declares."""
+    fields = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+                fields.update({f"{path.stem}.{node.name}.{stmt.target.id}": stmt.target.id
+                               for stmt in node.body
+                               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)})
+    return fields
+
+
+def test_every_dataclass_field_is_read():
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = sorted(qualified for qualified, name in _dataclass_fields().items() if name not in read)
+    assert not unread, "nothing reads the field " + ", ".join(unread)
 
 
 def _status_names_src_uses(prefix: str) -> set[str]:
