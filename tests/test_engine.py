@@ -656,6 +656,17 @@ def test_module_last_is_the_step_its_call_appended_or_none(seed):
     assert m.last is None
 
 
+def test_export_write_block_leaves_are_permission_gated():
+    m = TdxModule(seed=24)
+    env = standard_setup(m, num_vcpus=1)
+    assert m.tdh_export_blockw(env["src"]) == S.TDX_SUCCESS      # LIVE_EXPORT
+    assert m.tdh_export_unblockw(env["src"]) == S.TDX_SUCCESS
+    assert m.tdh_export_restore(env["src"]) == S.TDX_OP_STATE_INCORRECT  # RUNNABLE only
+    m.tdh_export_abort(env["src"])
+    assert m.tdh_export_restore(env["src"]) == S.TDX_SUCCESS
+    assert m.tdh_export_blockw(env["src"]) == S.TDX_OP_STATE_INCORRECT
+
+
 def test_vp_index_bounds_are_status_errors():
     w = World(25)
     m, env, dst = w.m, w.env, w.dst
@@ -894,6 +905,28 @@ def test_succeed_leaves_step_along_the_matrix_from_every_state(matrix, v1):
                 assert status == S.TDX_OP_STATE_INCORRECT
                 assert td.op_state is state
                 assert td.trace == [TraceStep(leaf, state, state, S.TDX_OP_STATE_INCORRECT)]
+
+
+@pytest.mark.parametrize("flag,refusal", [("fatal", S.TDX_TD_FATAL), ("locked", TDR_BUSY)])
+def test_fatal_or_locked_td_is_refused_by_a_real_leaf(flag, refusal):
+    m = TdxModule(seed=26)
+    status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1)
+    assert status == S.TDX_SUCCESS and td.op_state is OpState.RUNNABLE
+    setattr(td, flag, True)
+    calls = (
+        (Leaf.TDH_EXPORT_PAUSE, lambda: m.tdh_export_pause(td), refusal),
+        (Leaf.TDH_EXPORT_STATE_IMMUTABLE, lambda: m.tdh_export_state_immutable(td),
+         (refusal, None)),
+        # No RUNNABLE row: the fatal and busy checks answer before the row's.
+        (Leaf.TDH_IMPORT_END, lambda: m.tdh_import_end(td), refusal),
+    )
+    for leaf, call, answer in calls:
+        steps = len(td.trace)
+        assert call() == answer
+        assert td.op_state is OpState.RUNNABLE
+        assert td.trace[steps:] == [TraceStep(leaf, OpState.RUNNABLE, OpState.RUNNABLE, refusal)]
+        assert m.last is td.trace[-1]
+    assert validate_trace(m.matrix, td.trace, True) == []
 
 
 @settings(max_examples=300, deadline=None)
