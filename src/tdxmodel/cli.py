@@ -205,13 +205,13 @@ def cmd_state(args, out) -> int:
         out.write(td.snapshot() + "\n")
         return 0
 
-    module = TdxModule(seed=args.seed)
-    status, td = module.tdh_mng_create(hkid=module.kot.free_hkids()[0])
-    if status != S.TDX_SUCCESS:
-        out.write(f"create failed: {S.status_str(status)}\n")
-        return 1
+    _, td = TdxModule(seed=args.seed).tdh_mng_create(hkid=0)  # a fresh module's HKIDs are free
     out.write(td.snapshot() + "\n")
     return 0
+
+
+# The handler of each subcommand; argparse requires one of them.
+COMMANDS = {"bundle": cmd_bundle, "scenario": cmd_scenario, "state": cmd_state}
 
 
 @functools.cache
@@ -289,17 +289,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "bundle":
-            return cmd_bundle(args, out)
-        if args.command == "scenario":
-            return cmd_scenario(args, out)
-        if args.command == "state":
-            return cmd_state(args, out)
+        return COMMANDS[args.command](args, out)
     except (CliError, ValueError) as exc:
         out.write(f"error: {exc}\n")
         return 2
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

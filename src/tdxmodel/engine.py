@@ -217,9 +217,10 @@ def _leaf(leaf: Leaf, returns=None):
     does not have; otherwise the body runs.  It returns a bare status,
     (status, outcome) or, for a leaf given ``returns``, (status, outcome,
     value); an outcome moves the op_state along the admitted matrix row, and a
-    bare status leaves it in place.  A leaf given ``returns`` answers (status,
-    value), where ``returns()`` is the value that goes with a bare status, a
-    refused call's included.
+    bare status leaves it in place.  A bare TD_FATAL freezes the TD: the gate
+    refuses every later call with TD_FATAL.  A leaf given ``returns`` answers
+    (status, value), where ``returns()`` is the value that goes with a bare
+    status, a refused call's included.
     """
     def wrap(body):
         takes_vp = list(inspect.signature(body).parameters)[2:3] == ["vp_index"]
@@ -239,6 +240,8 @@ def _leaf(leaf: Leaf, returns=None):
             else:
                 result = body(self, td, *args, **kwargs)
             if type(result) is not tuple:
+                if result == TDX_TD_FATAL:
+                    td.fatal = True
                 step.status = result
                 td.trace.append(step)
                 return result if returns is None else (result, returns())
@@ -389,7 +392,6 @@ class TdxModule:
         if gpa & PAGE_GPA_BITS[not td.gpaw]:
             return GPA_INVALID
         if not sept_walk_ok(td):
-            td.fatal = True
             return TDX_TD_FATAL
         return TDX_SUCCESS, "success"
 
@@ -401,7 +403,6 @@ class TdxModule:
         if not 0 <= token <= U64:
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R9)
         if not sept_walk_ok(td):
-            td.fatal = True
             return TDX_TD_FATAL
         td.pages[gpa] = token
         return TDX_SUCCESS, "success"
@@ -422,7 +423,6 @@ class TdxModule:
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
         if not sept_walk_ok(td) or not td.read_element(xcr0, 0, vp_index) & XCR0_X87:
-            td.fatal = True
             return TDX_TD_FATAL
         return TDX_SUCCESS, "success"
 
@@ -434,11 +434,8 @@ class TdxModule:
         hkid: Optional[int] = None,
     ) -> tuple[int, Optional[TdComplex]]:
         """Composite build sequence, stopping at the first failing call."""
-        if hkid is None:
-            free = self.kot.free_hkids()
-            if not free:
-                return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX), None
-            hkid = free[0]
+        if hkid is None:  # the first free HKID; with none free, one past the table, refused
+            hkid = (self.kot.free_hkids() or [len(self.kot)])[0]
         status, td = self.tdh_mng_create(hkid)
         if status != TDX_SUCCESS:
             return status, None
@@ -495,14 +492,8 @@ class TdxModule:
     @_leaf(Leaf.TDG_SERVTD_RD, int)
     def tdg_servtd_rd(self, td: TdComplex, field_id_raw: int) -> tuple[int, int]:
         """Read target-TD metadata from a bound service TD."""
-        fid = md.decode_field_id(field_id_raw)
-        entry = self.catalog.find_entry(MD_CTX_TD, fid)
-        if entry is None:
-            return FIELD_ID_INVALID
-        if entry.migtd_rd_mask == 0:
-            return TDX_METADATA_FIELD_NOT_READABLE
-        position = fid.field_code - entry.field_code
-        return TDX_SUCCESS, "success", td.read_element(entry, position) & entry.migtd_rd_mask
+        status, values = self._read(td, MD_CTX_TD, field_id_raw, mask="migtd_rd_mask")
+        return (status, "success", values[0]) if values else status
 
     @_leaf(Leaf.TDG_SERVTD_WR, int)
     def tdg_servtd_wr(
@@ -521,24 +512,33 @@ class TdxModule:
         td.write_element_raw(entry, position, (value & combined) | (previous & ~combined & U64))
         return TDX_SUCCESS, "success", previous
 
+    def _read(self, td: TdComplex, context_code: int, field_id_raw: int, count: int = 1,
+              mask: Optional[str] = None, vp_index: Optional[int] = None) -> tuple[int, list[int]]:
+        """The read leaves' body: ``count`` fields from the id on, each under the entry's ``mask``.
+
+        ``mask`` names a FieldEntry mask, by default the host's (the debug one on a debug TD).
+        A field no entry covers, or a zero mask, ends the read: its word, and the values read.
+        """
+        mask = mask or ("dbg_rd_mask" if td.attributes.debug else "prod_rd_mask")
+        fid = md.decode_field_id(field_id_raw)
+        values = []
+        for code in range(fid.field_code, fid.field_code + count):
+            entry = self.catalog.find_entry(context_code, replace(fid, field_code=code))
+            if entry is None:
+                return FIELD_ID_INVALID, values
+            if (bits := getattr(entry, mask)) == 0:
+                return TDX_METADATA_FIELD_NOT_READABLE, values
+            values.append(td.read_element(entry, code - entry.field_code, vp_index) & bits)
+        return TDX_SUCCESS, values
+
     # -- host metadata access -------------------------------------------------
 
     @_leaf(Leaf.TDH_MNG_RD, list)
     def tdh_mng_rd(self, td: TdComplex, field_id_raw: int, count: int = 1) -> tuple[int, list[int]]:
         if count < 1:
             return FIELD_ID_INVALID
-        values = []
-        fid = md.decode_field_id(field_id_raw)
-        code = fid.field_code
-        for i in range(count):
-            entry = self.catalog.find_entry(MD_CTX_TD, replace(fid, field_code=code + i))
-            if entry is None:
-                return FIELD_ID_INVALID, None, values
-            mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
-            if mask == 0:
-                return TDX_METADATA_FIELD_NOT_READABLE, None, values
-            values.append(td.read_element(entry, (code + i) - entry.field_code) & mask)
-        return TDX_SUCCESS, "success", values
+        status, values = self._read(td, MD_CTX_TD, field_id_raw, count)
+        return status, "success" if status == TDX_SUCCESS else None, values
 
     @_leaf(Leaf.TDH_MNG_WR)
     def tdh_mng_wr(self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64) -> int:
@@ -564,15 +564,8 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_VP_RD, int)
     def tdh_vp_rd(self, td: TdComplex, vp_index: int, field_id_raw: int) -> tuple[int, int]:
-        fid = md.decode_field_id(field_id_raw)
-        entry = self.catalog.find_entry(MD_CTX_VP, fid)
-        if entry is None:
-            return FIELD_ID_INVALID
-        mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
-        if mask == 0:
-            return TDX_METADATA_FIELD_NOT_READABLE
-        value = td.read_element(entry, fid.field_code - entry.field_code, vp_index) & mask
-        return TDX_SUCCESS, "success", value
+        status, values = self._read(td, MD_CTX_VP, field_id_raw, vp_index=vp_index)
+        return (status, "success", values[0]) if values else status
 
     # -- export side -----------------------------------------------------------
 
@@ -749,7 +742,6 @@ class TdxModule:
             if type(migsc) is int:
                 return migsc
             if not sept_walk_ok(td):
-                td.fatal = True
                 return TDX_TD_FATAL
             lists = _open(migsc, bundle, BundleType.MEM)
         if type(lists) is not list:

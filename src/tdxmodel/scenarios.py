@@ -281,20 +281,17 @@ def import_to_state_import(m: TdxModule, env: dict, dst=None) -> None:
 
 
 def finish_import(m: TdxModule, env: dict, dst=None) -> int:
+    """Import each VP's bundle, then track, commit and end: the first word that is not success."""
     dst = dst or env["dst"]
-    for i in range(len(env["src"].vps)):
-        status = m.tdh_import_state_vp(dst, i, env["bundle_vps"][i])
-        if status != S.TDX_SUCCESS:
-            return status
-    for call in (
-        lambda: m.tdh_import_track(dst, env["start_token"]),
-        lambda: m.tdh_import_commit(dst),
-        lambda: m.tdh_import_end(dst),
-    ):
-        status = call()
-        if status != S.TDX_SUCCESS:
-            return status
-    return S.TDX_SUCCESS
+
+    def calls():
+        for i in range(len(env["src"].vps)):
+            yield m.tdh_import_state_vp(dst, i, env["bundle_vps"][i])
+        yield m.tdh_import_track(dst, env["start_token"])
+        yield m.tdh_import_commit(dst)
+        yield m.tdh_import_end(dst)
+
+    return next((status for status in calls() if status != S.TDX_SUCCESS), S.TDX_SUCCESS)
 
 
 def decrypted_lists(env: dict, bundle: Bundle) -> list[bytes]:

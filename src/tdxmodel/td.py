@@ -116,39 +116,38 @@ def check_gpa_validity(gpa: int, gpaw: bool) -> bool:
     return not gpa & PRIVATE_GPA_BITS[not gpaw]
 
 
+class _Packed:
+    """A record packed into 64 bits by its class's LAYOUT: one (field, shift, width)
+    row per bit range, low bits first.  Both ways, each field is cut to its width."""
+
+    @property
+    def raw(self) -> int:
+        raw = 0
+        for name, shift, width in self.LAYOUT:
+            raw |= (getattr(self, name) & ((1 << width) - 1)) << shift
+        return raw
+
+    @classmethod
+    def from_raw(cls, raw: int):
+        return cls(**{name: raw >> shift & (1 << width) - 1 for name, shift, width in cls.LAYOUT})
+
+
 @dataclass
-class EptpControls:
+class EptpControls(_Packed):
     """Extended-page-table pointer fields packed into a 64-bit value."""
 
     ept_ps_mt: int = 6          # paging-structure memory type (WB)
     ept_pwl: int = LVL_PML4     # page-walk level, levels minus one
-    enable_ad_bits: bool = False
-    enable_sss_control: bool = False
+    enable_ad_bits: int = 0
+    enable_sss_control: int = 0
     base_pa: int = 0            # 4KB page number of the root structure
 
-    @property
-    def raw(self) -> int:
-        return (
-            (self.ept_ps_mt & 0x7)
-            | ((self.ept_pwl & 0x7) << 3)
-            | (int(self.enable_ad_bits) << 6)
-            | (int(self.enable_sss_control) << 7)
-            | ((self.base_pa & ((1 << 40) - 1)) << 12)
-        )
-
-    @classmethod
-    def from_raw(cls, raw: int) -> "EptpControls":
-        return cls(
-            ept_ps_mt=raw & 0x7,
-            ept_pwl=(raw >> 3) & 0x7,
-            enable_ad_bits=bool(raw & (1 << 6)),
-            enable_sss_control=bool(raw & (1 << 7)),
-            base_pa=(raw >> 12) & ((1 << 40) - 1),
-        )
+    LAYOUT = (("ept_ps_mt", 0, 3), ("ept_pwl", 3, 3), ("enable_ad_bits", 6, 1),
+              ("enable_sss_control", 7, 1), ("base_pa", 12, 40))
 
 
 @dataclass
-class EventFilter:
+class EventFilter(_Packed):
     """One allow-list entry for guest perfmon event selection."""
 
     event_select: int = 0
@@ -157,25 +156,8 @@ class EventFilter:
     umask_mask: int = 0xFFFF
     reserved_0: int = 0
 
-    @property
-    def raw(self) -> int:
-        return (
-            (self.event_select & 0xFF)
-            | ((self.umask & 0xFFFF) << 8)
-            | ((self.negative & 1) << 24)
-            | ((self.umask_mask & 0xFFFF) << 32)
-            | ((self.reserved_0 & 0xFFFF) << 48)
-        )
-
-    @classmethod
-    def from_raw(cls, raw: int) -> "EventFilter":
-        return cls(
-            event_select=raw & 0xFF,
-            umask=(raw >> 8) & 0xFFFF,
-            negative=(raw >> 24) & 1,
-            umask_mask=(raw >> 32) & 0xFFFF,
-            reserved_0=(raw >> 48) & 0xFFFF,
-        )
+    LAYOUT = (("event_select", 0, 8), ("umask", 8, 16), ("negative", 24, 1),
+              ("umask_mask", 32, 16), ("reserved_0", 48, 16))
 
     @property
     def internal(self) -> int:

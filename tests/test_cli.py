@@ -9,9 +9,11 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tdxmodel import md_codec as md
 from tdxmodel.cli import build_parser, main
 from tdxmodel.envelope import Mbmd
 from tdxmodel.engine import TdxModule
+from tdxmodel.md_codec import MD_CTX_TD
 from tdxmodel.scenarios import all_scenarios, standard_setup
 from tdxmodel.td import U64
 
@@ -349,3 +351,47 @@ def test_bundle_edit_integer_fuzz(plain_bundle, iv_step, field_id, element, valu
     if code == 0:
         # A resealed bundle never reuses the original's IV.
         assert Mbmd.from_bytes((tmp / "fz.mbmd").read_bytes()).iv_counter > original
+
+
+def test_bundle_parse_prints_a_write_mask_and_an_unknown_id(tmp_path):
+    with_mask = md.make_sequence_header(MD_CTX_TD, 0x11, 0, write_mask_valid=True)  # ATTRIBUTES
+    unknown = md.make_sequence_header(MD_CTX_TD, 0x3E, 0, num_fields=2)  # a class no entry has
+    sequences = [md.MdSequence(with_mask, [0xFF, 0x20000001]), md.MdSequence(unknown, [1, 2])]
+    (tmp_path / "plain.data").write_bytes(md.build_list(sequences).to_bytes())
+    code, out = run_cli("bundle", "parse", str(tmp_path / "plain.data"))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  write_mask: 0xff",
+        "  td-scope metadata: identifier: 0x1110000300000000, name: ATTRIBUTES, num_of_fields: 1, "
+        "num_of_elem: 1, contents: 0x20000001",
+        "  identifier: 0x3e10004300000000, name: UNKNOWN, fields: 2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("bundle", "decrypt", "0xzz-0x1-0x1-0x1", "{mbmd}", "{data}", "{tmp}/out.data"),
+         "error: bad key quadword: invalid literal for int() with base 16: '0xzz'"),
+        (("bundle", "decrypt", "{key}", "{mbmd}", "{data}", "{tmp}/no-such-dir/out.data"),
+         "error: cannot write {tmp}/no-such-dir/out.data: No such file or directory"),
+        (("bundle", "parse", "{mbmd}"), "error: data is not a whole number of 4KB lists"),
+        (("bundle", "edit", "{key}", "{mbmd}", "{data}", "{tmp}/e.mbmd", "{tmp}/e.data",
+          "--set", "0x1110000300000000:0"),
+         "error: bad --set spec '0x1110000300000000:0', expected FIELD_ID:ELEM:VALUE"),
+        (("state", "dump", "--scenario", "nope"), "error: unknown scenario 'nope'"),
+    ],
+    ids=["non-hex-key", "missing-directory", "partial-list", "malformed-set", "unknown-scenario"],
+)
+def test_a_refused_command_exits_2_with_one_error_line(bundle_files, argv, error):
+    tmp, key = bundle_files
+    names = {"tmp": tmp, "key": key, "mbmd": tmp / "imm.mbmd", "data": tmp / "imm.data"}
+    code, out = run_cli(*(arg.format(**names) for arg in argv))
+    assert (code, out) == (2, error.format(**names) + "\n")
+
+
+def test_argparse_exits_become_return_codes(capsys):
+    assert main(["nope"]) == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: tdxmodel")

@@ -1,6 +1,7 @@
 """Engine flows: build ordering, interruptible imports, exports, and round-trips."""
 
 import ast
+import dataclasses
 import inspect
 import random
 import struct
@@ -25,6 +26,7 @@ from tdxmodel.engine import (
 from tdxmodel.envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
+    MIG_DEC_KEY_ID,
     crafted_vp_list,
     decrypted_lists,
     export_blackout,
@@ -61,6 +63,7 @@ from tdxmodel.td import (
     XFAM_FIXED1,
     EptpControls,
     EventFilter,
+    KotState,
     TdAttributes,
     TdComplex,
     TdParams,
@@ -1471,6 +1474,10 @@ def test_an_interrupted_import_resumes_only_its_own_bundle():
 
 # --- the refusal law: a refused call changes no store ---------------------------------------
 
+# The leaves that walk the SEPT, and answer TD_FATAL from an EPTP the walk cannot use.
+SEPT_LEAVES = tuple(name for name in LEAVES
+                    if "sept_walk_ok(td)" in inspect.getsource(getattr(TdxModule, name)))
+
 # (leaf, word) -> (the stores a call refused with that word may change, why).
 # A refusal no row names leaves every store of TdxModule.digest() as it was.
 DESIGNED_WRITES = {
@@ -1479,9 +1486,10 @@ DESIGNED_WRITES = {
     ("tdh_import_state_immutable", S.TDX_INTERRUPTED_RESUMABLE):
         ({"op_state", "td_store", "sys_store", "import_written", "migsc"},
          "an interrupted import keeps the lists it wrote and the cursor it resumes from"),
-    ("tdh_vp_enter", S.TDX_TD_FATAL):
-        ({"fatal"}, "a SEPT walk from an unusable EPTP, or an xcr0 without x87, is the "
-                    "machine-check or #GP(0) analog: the TD goes fatal"),
+    **{(name, S.TDX_TD_FATAL):
+       ({"fatal"}, "a SEPT walk from an unusable EPTP, or an xcr0 without x87, is the "
+                   "machine-check or #GP(0) analog: the TD goes fatal")
+       for name in SEPT_LEAVES},
     **{(name, S.TDX_INCORRECT_MBMD_MAC):
        ({"op_state"}, "a bundle that fails its MAC moves the TD to FAILED_IMPORT")
        for name in BUNDLE_LEAVES},
@@ -1533,3 +1541,144 @@ def test_a_refused_call_changes_no_store_but_its_designed_writes(call):
     before = w.m.digest()
     result = getattr(w.m, name)(*head, *operands)
     _refusal_law(name, result if type(result) is int else result[0], before, w.m)
+
+
+# --- the SEPT-walk freeze --------------------------------------------------------------------
+
+# An EPTP the SEPT walk refuses: a level other than PML4 or PML5, or root page 0.
+UNWALKABLE = st.integers(0, U64).filter(
+    lambda raw: (raw >> 3) & 7 not in (LVL_PML4, LVL_PML5) or (raw >> 12) & ((1 << 40) - 1) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SEPT_LEAVES), eptp=UNWALKABLE)
+@example(name="tdh_mem_page_add", eptp=0)
+@example(name="tdh_import_mem", eptp=0)
+@example(name="tdh_import_mem", eptp=EptpControls(ept_pwl=2, base_pa=0x55).raw)
+def test_a_sept_walk_from_an_unusable_eptp_freezes_the_td(name, eptp):
+    """Each SEPT-walking leaf, admitted, answers TD_FATAL and changes only ``fatal``; then the gate
+    refuses the TD with TD_FATAL."""
+    w = World(55)
+    m, dst, leaf = w.m, w.dst, Leaf[name.upper()]
+    dst.op_state = state = admitting(m.matrix, leaf)
+    dst.eptp_raw = eptp
+    operands = args(w, name)
+    before = m.digest()
+    assert getattr(m, name)(dst, *operands) == S.TDX_TD_FATAL
+    assert dst.fatal and m.last is dst.trace[-1]
+    assert m.last == TraceStep(leaf, state, state, S.TDX_TD_FATAL)
+    after = m.digest()
+    changed = {path for path in before if before[path] != after[path]}
+    assert changed == {f"tds[{dst.tdr_page:#x}].fatal"}
+    _refusal_law(name, S.TDX_TD_FATAL, before, m)
+    assert getattr(m, name)(dst, *operands) == S.TDX_TD_FATAL
+    assert dst.trace[-1] == TraceStep(leaf, state, state, S.TDX_TD_FATAL) and m.digest() == after
+
+
+# --- the three read leaves share one body ------------------------------------------------------
+
+# The three bodies as they were written before they shared TdxModule._read, as the leaf answers.
+def _mng_rd_before(m, td, field_id_raw, count):
+    if count < 1:
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX), []
+    values = []
+    fid = md.decode_field_id(field_id_raw)
+    code = fid.field_code
+    for i in range(count):
+        entry = m.catalog.find_entry(MD_CTX_TD, dataclasses.replace(fid, field_code=code + i))
+        if entry is None:
+            return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX), values
+        mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
+        if mask == 0:
+            return S.TDX_METADATA_FIELD_NOT_READABLE, values
+        values.append(td.read_element(entry, (code + i) - entry.field_code) & mask)
+    return S.TDX_SUCCESS, values
+
+
+def _vp_rd_before(m, td, vp_index, field_id_raw):
+    fid = md.decode_field_id(field_id_raw)
+    entry = m.catalog.find_entry(MD_CTX_VP, fid)
+    if entry is None:
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX), 0
+    mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
+    if mask == 0:
+        return S.TDX_METADATA_FIELD_NOT_READABLE, 0
+    value = td.read_element(entry, fid.field_code - entry.field_code, vp_index) & mask
+    return S.TDX_SUCCESS, value
+
+
+def _servtd_rd_before(m, td, field_id_raw):
+    fid = md.decode_field_id(field_id_raw)
+    entry = m.catalog.find_entry(MD_CTX_TD, fid)
+    if entry is None:
+        return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX), 0
+    if entry.migtd_rd_mask == 0:
+        return S.TDX_METADATA_FIELD_NOT_READABLE, 0
+    position = fid.field_code - entry.field_code
+    return S.TDX_SUCCESS, td.read_element(entry, position) & entry.migtd_rd_mask
+
+
+# The shipped catalog with every other entry of each context unreadable: its three read masks zero.
+# No shipped TD entry has a zero service-TD read mask.
+_UNREADABLE = FieldCatalog([
+    dataclasses.replace(e, prod_rd_mask=0, dbg_rd_mask=0, migtd_rd_mask=0) if i % 2 else e
+    for ctx in (md.MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP)
+    for i, e in enumerate(_CATALOG.entries_for(ctx))
+])
+_READ_IDS = sorted({*sum(values("tdh_mng_rd", "field_id_raw"), []),
+                    *(e.field_id_for(0) + k for ctx in (MD_CTX_TD, MD_CTX_VP)
+                      for e in _CATALOG.entries_for(ctx) for k in (0, e.code_span - 1))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["tdh_mng_rd", "tdh_vp_rd", "tdg_servtd_rd"]),
+       field_id=st.sampled_from(_READ_IDS) | st.integers(0, U64),
+       count=st.integers(0, 4), debug=st.booleans(), unreadable=st.booleans())
+@example(name="tdg_servtd_rd", field_id=_UNREADABLE.entries_for(MD_CTX_TD)[1].field_id_for(0),
+         count=1, debug=False, unreadable=True)
+@example(name="tdh_mng_rd", field_id=_UNREADABLE.entries_for(MD_CTX_TD)[0].field_id_for(0),
+         count=4, debug=True, unreadable=True)
+@example(name="tdh_mng_rd", field_id=MIG_DEC_KEY_ID, count=4, debug=True, unreadable=False)
+@example(name="tdh_vp_rd", field_id=_CATALOG.by_name(MD_CTX_VP, "XCR0").field_id_raw, count=1,
+         debug=False, unreadable=False)
+def test_the_read_leaves_answer_as_their_three_bodies_did(name, field_id, count, debug, unreadable):
+    """tdh_mng_rd, tdh_vp_rd and tdg_servtd_rd, each admitted: the same word, values and step."""
+    w = World(56)
+    m, td, leaf = w.m, w.dst, Leaf[name.upper()]
+    if unreadable:
+        m.catalog = _UNREADABLE
+    if debug:
+        td.attributes = TdAttributes(td.attributes.raw | ATTR_DEBUG)
+    td.op_state = state = admitting(m.matrix, leaf)
+    call, before = {
+        "tdh_mng_rd": (lambda: m.tdh_mng_rd(td, field_id, count),
+                       lambda: _mng_rd_before(m, td, field_id, count)),
+        "tdh_vp_rd": (lambda: m.tdh_vp_rd(td, 0, field_id),
+                      lambda: _vp_rd_before(m, td, 0, field_id)),
+        "tdg_servtd_rd": (lambda: m.tdg_servtd_rd(w.migtd, w.env["dst_handle"], field_id),
+                          lambda: _servtd_rd_before(m, td, field_id)),
+    }[name]
+    expected = before()
+    assert call() == expected
+    after = m._edges[state, leaf]["success"] if expected[0] == S.TDX_SUCCESS else state
+    assert m.last == TraceStep(leaf, state, after, expected[0]) and m.last is td.trace[-1]
+
+
+def test_build_with_no_free_hkid_is_refused_by_mng_create():
+    """build_td has no word of its own: tdh_mng_create refuses the HKID past the table."""
+    m = TdxModule(seed=57)
+    assert m.build_td(TdParams())[0] == S.TDX_SUCCESS and m.last is not None
+    for hkid in m.kot.free_hkids():
+        assert m.kot.claim(hkid, KotState.HKID_RESERVED)
+    before = m.digest()
+    assert m.build_td(TdParams()) == (S.with_operand(S.TDX_HKID_NOT_FREE, S.OPERAND_ID_RCX), None)
+    assert m.last is None and m.digest() == before
+
+
+def test_finish_import_answers_the_word_that_refused_it():
+    """A second finish of one import is refused at its first VP import, from RUNNABLE."""
+    w = World(58)
+    assert finish_import(w.m, w.env) == S.TDX_SUCCESS and w.dst.op_state is OpState.RUNNABLE
+    assert finish_import(w.m, w.env) == S.TDX_OP_STATE_INCORRECT
+    assert w.m.last == TraceStep(Leaf.TDH_IMPORT_STATE_VP, OpState.RUNNABLE, OpState.RUNNABLE,
+                                 S.TDX_OP_STATE_INCORRECT)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from tdxmodel import status as S
 from tdxmodel.engine import FINDING_TOGGLES, EngineMode, TdxModule
-from tdxmodel.scenarios import all_scenarios, replay, run_scenario
+from tdxmodel.scenarios import Scenario, all_scenarios, replay, run_scenario
+from tdxmodel.states import Leaf, OpState, TraceStep
+from tdxmodel.td import TdParams
 
 SCENARIOS = all_scenarios()
 
@@ -109,3 +112,22 @@ def test_fixed_module_against_vulnerable_expectations_prints_each_mismatch():
         "[!] exactly one out-of-bounds index access (index 79): no (expected yes)",
         "[!] no out-of-bounds index accesses: yes (expected no)",
     ]
+
+
+def _off_the_matrix(m, r):
+    """A play that leaves its TD one step the matrix forbids: TDH.IMPORT.STATE.TD from RUNNABLE."""
+    status, td = m.build_td(TdParams())
+    r.step("build_td td", status, S.TDX_SUCCESS)
+    td.trace.append(TraceStep(Leaf.TDH_IMPORT_STATE_TD, OpState.RUNNABLE, OpState.RUNNABLE,
+                              S.TDX_SUCCESS))
+    return {"td": td}
+
+
+@pytest.mark.parametrize("mode", ["vulnerable", "fixed"])
+def test_a_trace_violation_alone_is_a_mismatch(mode):
+    run = run_scenario(Scenario("off-the-matrix", "a forbidden step", (), _off_the_matrix), mode)
+    assert run.ok is False
+    lines = run.transcript.splitlines()
+    assert lines[-2:] == ["trace violation: TDH_IMPORT_STATE_TD not allowed in RUNNABLE",
+                          "verdict: MISMATCH"]
+    assert "op_state traces: valid" not in lines and not any("MISMATCH:" in l for l in lines)

@@ -333,6 +333,47 @@ def test_walk_precheck_reads_the_packed_controls(raw):
     assert sept_walk_ok(td) is expected
 
 
+# The two packed records' raw and from_raw as they were written out before their layout tables.
+def _eptp_raw_before(c):
+    return ((c.ept_ps_mt & 0x7) | ((c.ept_pwl & 0x7) << 3) | (int(c.enable_ad_bits) << 6)
+            | (int(c.enable_sss_control) << 7) | ((c.base_pa & ((1 << 40) - 1)) << 12))
+
+
+def _eptp_from_raw_before(raw):
+    return EptpControls(ept_ps_mt=raw & 0x7, ept_pwl=(raw >> 3) & 0x7,
+                        enable_ad_bits=bool(raw & (1 << 6)),
+                        enable_sss_control=bool(raw & (1 << 7)),
+                        base_pa=(raw >> 12) & ((1 << 40) - 1))
+
+
+def _filter_raw_before(f):
+    return ((f.event_select & 0xFF) | ((f.umask & 0xFFFF) << 8) | ((f.negative & 1) << 24)
+            | ((f.umask_mask & 0xFFFF) << 32) | ((f.reserved_0 & 0xFFFF) << 48))
+
+
+def _filter_from_raw_before(raw):
+    return EventFilter(event_select=raw & 0xFF, umask=(raw >> 8) & 0xFFFF, negative=(raw >> 24) & 1,
+                       umask_mask=(raw >> 32) & 0xFFFF, reserved_0=(raw >> 48) & 0xFFFF)
+
+
+# Values inside every field's width and far beyond it, negative ones included.
+_ANY_WIDTH = st.integers(0, 0xFF) | st.integers(-(1 << 70), 1 << 70)
+
+
+@given(controls=st.builds(EptpControls, ept_ps_mt=_ANY_WIDTH, ept_pwl=_ANY_WIDTH,
+                          enable_ad_bits=st.booleans(), enable_sss_control=st.booleans(),
+                          base_pa=_ANY_WIDTH),
+       event_filter=st.builds(EventFilter, event_select=_ANY_WIDTH, umask=_ANY_WIDTH,
+                              negative=_ANY_WIDTH, umask_mask=_ANY_WIDTH, reserved_0=_ANY_WIDTH),
+       raw=_U64S)
+def test_layout_tables_pack_as_the_unrolled_reference(controls, event_filter, raw):
+    assert controls.raw == _eptp_raw_before(controls)
+    assert EptpControls.from_raw(raw) == _eptp_from_raw_before(raw)
+    assert event_filter.raw == _filter_raw_before(event_filter)
+    assert EventFilter.from_raw(raw) == _filter_from_raw_before(raw)
+    assert EptpControls.from_raw(controls.raw).raw == controls.raw
+
+
 def test_session_key_follows_every_mig_dec_key_change(catalog):
     td = _fresh_td()
     key_entry = catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")

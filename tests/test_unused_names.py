@@ -19,6 +19,7 @@ spells its name in a string constant, as ``getattr`` tables such as
 import ast
 import pathlib
 
+import trace_lines
 import tdxmodel
 from tdxmodel import status as S
 
@@ -218,3 +219,21 @@ def test_every_status_word_src_uses_renders_by_name():
     for name in operands:
         word = S.with_operand(S.TDX_OPERAND_INVALID, getattr(S, name))
         assert S.status_str(word).endswith(f"TDX_OPERAND_INVALID : {name}")
+
+
+def test_the_line_tracer_counts_every_statement_and_each_allowed_line_exists():
+    """``tests/trace_lines.py`` checks the lines tier-1 runs: it counts a line of each statement.
+
+    A docstring and a ``global`` or ``nonlocal`` declaration compile to no code.  An
+    allow-list entry whose text is gone from its file would allow nothing.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        counted = trace_lines.executable_lines(path)
+        for node in ast.walk(ast.parse(path.read_text())):
+            declaration = isinstance(node, (ast.Global, ast.Nonlocal))
+            docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            if isinstance(node, ast.stmt) and not docstring and not declaration:
+                lines = range(node.lineno, node.end_lineno + 1)
+                assert any(line in counted for line in lines), f"{path.name}:{node.lineno}"
+    for key in trace_lines.ALLOWED:
+        assert trace_lines.allowed_lines(key), f"no line of {key[0]} is {key[1:]}"
