@@ -6,8 +6,9 @@ published masks and flags.  The data file keeps all 21 published columns of
 each row; an entry keeps only the columns the model reads.  Entries within a
 class are ordered by field code, which the next-entry iteration relies on.
 
-Each entry's raw field id is decoded once, when the entry is built, so a
-lookup compares plain integer codes and walks never decode catalog ids.
+Each entry's raw field id is decoded once, when the entry is built, and the
+catalog indexes every code an entry covers, so a lookup is one dict probe and
+walks never decode catalog ids.
 """
 
 from __future__ import annotations
@@ -63,13 +64,15 @@ class FieldEntry:
     special_wr_handling: bool
     mig_export: MigClass
     mig_import: MigClass
-    # Decoded from field_id_raw once, in __post_init__, with field 0's
-    # canonical id and the private-GPA flag; derived, so they take no part in
-    # equality, hashing or repr.
+    # Set once, in __post_init__: the codes decoded from field_id_raw, field 0's
+    # canonical id, the private-GPA flag, the number of field codes covered and
+    # the import flag.  Derived, so they take no part in equality, hashing or repr.
     class_code: int = dc_field(init=False, compare=False, repr=False)
     field_code: int = dc_field(init=False, compare=False, repr=False)
     first_field_id: int = dc_field(init=False, compare=False, repr=False)
     gpa_private: bool = dc_field(init=False, compare=False, repr=False)
+    code_span: int = dc_field(init=False, compare=False, repr=False)
+    importable: bool = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         fid = decode_field_id(self.field_id_raw)
@@ -81,14 +84,8 @@ class FieldEntry:
         object.__setattr__(self, "first_field_id", first)
         private_gpa = ATTR_GPA | ATTR_PRIVATE
         object.__setattr__(self, "gpa_private", self.attributes & private_gpa == private_gpa)
-
-    @property
-    def code_span(self) -> int:
-        return self.num_of_fields * self.num_of_elem
-
-    @property
-    def importable(self) -> bool:
-        return self.mig_import is not MigClass.NONE
+        object.__setattr__(self, "code_span", self.num_of_fields * self.num_of_elem)
+        object.__setattr__(self, "importable", self.mig_import is not MigClass.NONE)
 
     @property
     def exportable(self) -> bool:
@@ -140,6 +137,10 @@ class FieldCatalog:
             self._by_context.setdefault(entry.context_code, []).append(entry)
         self._validate()
         self._by_name = {(e.context_code, e.name): e for e in entries}
+        # Each (context, class, field) code an entry covers; _validate refused
+        # overlaps, so no code names two entries.
+        self._by_code = {(e.context_code, e.class_code, code): e for e in entries
+                         for code in range(e.field_code, e.field_code + e.code_span)}
         # Each entry's successor in its context, keyed by its unique (class,
         # field) position: no search that compares whole entries.
         self._next = {(ctx, e.class_code, e.field_code): after
@@ -182,12 +183,9 @@ class FieldCatalog:
     def find_entry(
         self, context_code: int, field_id: Union[MdFieldId, int]
     ) -> Optional[FieldEntry]:
-        """Exact (class_code, field_code) match within the context's table."""
+        """The context's entry covering the id's (class_code, field_code), by one index lookup."""
         fid = decode_field_id(field_id) if isinstance(field_id, int) else field_id
-        for entry in self._by_context.get(context_code, ()):
-            if entry.class_code == fid.class_code and entry.covers(fid.field_code):
-                return entry
-        return None
+        return self._by_code.get((context_code, fid.class_code, fid.field_code))
 
     def next_entry_after(self, context_code: int, entry: FieldEntry) -> Optional[FieldEntry]:
         return self._next[(context_code, entry.class_code, entry.field_code)]

@@ -79,7 +79,7 @@ class EncodingError(ValueError):
     """A field id subfield is out of range or a reserved range is nonzero."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MdFieldId:
     """Unpacked view of a 64-bit metadata field identifier, fields in FIELD_ID_LAYOUT order."""
 
@@ -125,8 +125,13 @@ def encode_field_id(parts: MdFieldId) -> int:
     return parts.to_raw()
 
 
+@functools.lru_cache(maxsize=1024)
 def decode_field_id(raw: int) -> MdFieldId:
-    """Lossless unpack; reserved bit contents are preserved and reported."""
+    """Lossless unpack; reserved bit contents are preserved and reported.
+
+    Cached, bounded as hostile lists carry arbitrary headers: every call with
+    one raw returns one shared frozen instance, to ``replace``, never mutate.
+    """
     return MdFieldId(*[(raw >> shift) & mask for shift, mask in _UNPACK])
 
 

@@ -16,7 +16,7 @@ in fixed mode unless the check names a ``fixed`` value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import md_codec as md
@@ -155,8 +155,7 @@ def zero_mask_entry(sequences: list[MdSequence], catalog: FieldCatalog,
     for seq in sequences:
         fid = md.decode_field_id(seq.header_raw)
         if fid.class_code == target.class_code and target.covers(fid.field_code):
-            fid.write_mask_valid = 1
-            out.append(MdSequence(fid.to_raw(), [0] + list(seq.elements)))
+            out.append(MdSequence(replace(fid, write_mask_valid=1).to_raw(), [0, *seq.elements]))
         else:
             out.append(seq)
     return out

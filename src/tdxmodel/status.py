@@ -43,6 +43,7 @@ OPERAND_ID_R8 = 8
 OPERAND_ID_R9 = 9
 OPERAND_ID_ATTRIBUTES = 64
 OPERAND_ID_XFAM = 65
+OPERAND_ID_EXEC_CONTROLS = 66
 OPERAND_ID_EPTP_CONTROLS = 67
 OPERAND_ID_TSC_FREQUENCY = 70
 OPERAND_ID_TDR = 128

@@ -26,6 +26,7 @@ from .states import LifecycleState, OpState
 from .status import (
     OPERAND_ID_ATTRIBUTES,
     OPERAND_ID_EPTP_CONTROLS,
+    OPERAND_ID_EXEC_CONTROLS,
     OPERAND_ID_METADATA_FIELD,
     OPERAND_ID_RCX,
     OPERAND_ID_TSC_FREQUENCY,
@@ -476,9 +477,10 @@ def _canonical(value):
 # importing) and the operand id a build refusal names.  The build path, the
 # import sink and tdh_mng_wr all admit these fields through admit_td_config.
 TD_CONFIG_RULES = {
-    "ATTRIBUTES": (lambda v, gpaw, importing: verify_td_attributes(TdAttributes(v), importing),
-                   OPERAND_ID_ATTRIBUTES),
+    "ATTRIBUTES": (lambda v, gpaw, importing: 0 <= v <= U64
+                   and verify_td_attributes(TdAttributes(v), importing), OPERAND_ID_ATTRIBUTES),
     "XFAM": (lambda v, *_: check_xfam(v), OPERAND_ID_XFAM),
+    "GPAW": (lambda v, *_: v in (0, 1), OPERAND_ID_EXEC_CONTROLS),  # TD_PARAMS' one GPAW bit
     # The walk is four or five levels deep, and five where GPAW widens the GPA.
     "EPTP": (lambda v, gpaw, _: (LVL_PML5 if gpaw else LVL_PML4)
              <= EptpControls.from_raw(v).ept_pwl <= LVL_PML5, OPERAND_ID_EPTP_CONTROLS),

@@ -17,7 +17,7 @@ from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP, make_sequence_header
 from tdxmodel.scenarios import ATTRIBUTES_ID, MIG_DEC_KEY_ID, decrypted_lists, export_blackout
 from tdxmodel.scenarios import import_to_state_import, seal, standard_setup
 from tdxmodel.states import OpState
-from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, TDMR_ENTRY_ALIGNMENT, U64
+from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, LVL_PML5, TDMR_ENTRY_ALIGNMENT, U64
 from tdxmodel.td import EventFilter, TdParams
 
 PUBLIC = tuple(sorted(name for name in vars(TdxModule) if not name.startswith("_")))
@@ -107,7 +107,10 @@ VALUES = {
                [lambda w, _: w.env["dst_handle"] + (1 << 30)]),
     "params": ([TdParams(attributes=ATTR_MIGRATABLE), TdParams(), TdParams(attributes=ATTR_DEBUG)],
                [TdParams(attributes=ATTR_DEBUG | ATTR_MIGRATABLE), TdParams(attributes=ATTR_PERFMON),
-                TdParams(attributes=ATTR_DEBUG, xfam=0), TdParams(ept_pwl=0)]),
+                TdParams(attributes=ATTR_DEBUG, xfam=0), TdParams(ept_pwl=0),
+                # Past a field's width: ATTRIBUTES outside 64 bits, GPAW not one bit.
+                TdParams(attributes=(1 << 64) | ATTR_MIGRATABLE),
+                TdParams(attributes=ATTR_MIGRATABLE - (1 << 64)), TdParams(gpaw=5, ept_pwl=LVL_PML5)]),
     "event_filtering": ([False, True], []),
     "event_filters_num": ([0, 1], [-1, 2]),
     "event_filters": ([None, [EventFilter(event_select=1, umask=1).raw]], [[0]]),

@@ -12,6 +12,7 @@ from tdxmodel.catalog import (
     CpuidLookup,
     FieldCatalog,
     MigClass,
+    bundled_catalog,
     next_cpuid_entry,
 )
 from tdxmodel.engine import EngineMode, TdxModule
@@ -20,6 +21,7 @@ from tdxmodel.md_codec import (
     MD_CTX_TD,
     MD_CTX_VP,
     MD_FIELD_ID_NA,
+    MdFieldId,
     decode_field_id,
 )
 from tdxmodel.scenarios import all_scenarios, replay
@@ -179,6 +181,59 @@ def test_entry_built_twice_is_equal_and_hashes_equal():
         assert first is not second
         assert first == second
         assert hash(first) == hash(second)
+
+
+# --- find_entry against the scan it replaced -----------------------------------------
+
+def _scan_find_entry(catalog, context_code, class_code, field_code):
+    """The context's first entry of the class covering the code: find_entry as a linear scan."""
+    for entry in catalog.entries_for(context_code):
+        if entry.class_code == class_code and entry.covers(field_code):
+            return entry
+    return None
+
+
+_ROW = " 0x0 0x0 0x0 0x0 0x0 0x0 0x0 0x0 0x0 0x0 0x0 0x0 0 0 MB MB"
+# A catalog loaded from text: one TD class of adjacent spans and a gap, multi-element
+# fields, and a SYS and a VP entry at codes the TD class also covers.
+_LOADED = FieldCatalog.load("\n".join(row + _ROW for row in [
+    "sys S 0x1100000300000000 1 1", "td A 0x1110000300000000 2 1", "td B 0x1110000300000002 2 2",
+    "td C 0x1110000300000008 1 4", "td D 0x3F10000300FFFFFE 1 1", "vp E 0x1120000300000001 3 1",
+]))
+_CATALOGS = {"bundled": bundled_catalog(), "loaded": _LOADED}
+
+
+def _probe_codes(catalog, class_code):
+    """Code 0, and each code inside, just before and just past each span of the class in any context."""
+    codes = {0}
+    for entry in (e for ctx in CONTEXTS for e in catalog.entries_for(ctx)):
+        if entry.class_code == class_code:
+            codes.update(range(max(entry.field_code - 1, 0), entry.field_code + entry.code_span + 1))
+    return sorted(codes)
+
+
+@pytest.mark.parametrize("name", _CATALOGS)
+def test_find_entry_answers_as_the_linear_scan(name):
+    catalog = _CATALOGS[name]
+    for class_code in range(64):
+        for code in _probe_codes(catalog, class_code):
+            for ctx in CONTEXTS:
+                want = _scan_find_entry(catalog, ctx, class_code, code)
+                fid = MdFieldId(field_code=code, context_code=ctx, class_code=class_code)
+                assert catalog.find_entry(ctx, fid) is want, (name, ctx, class_code, code)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_CATALOGS)), raw=st.integers(0, FULL), ctx=st.integers(0, 7),
+       data=st.data())
+def test_find_entry_of_any_raw_id_answers_as_the_linear_scan(name, raw, ctx, data):
+    """Whatever a raw id's other bits, its lookup is the scan's, at a probe code of its class."""
+    catalog = _CATALOGS[name]
+    class_code = decode_field_id(raw).class_code
+    code = data.draw(st.sampled_from(_probe_codes(catalog, class_code)))
+    raw = raw & ~((1 << 24) - 1) | code
+    want = _scan_find_entry(catalog, ctx, class_code, code)
+    assert catalog.find_entry(ctx, raw) is want
 
 
 # --- CPUID lookup ---------------------------------------------------------------

@@ -177,6 +177,10 @@ def test_layout_table_decodes_as_the_unrolled_reference(raw):
     assert fid.has_reserved_bits == any(expected[name] for name in REFERENCE_RESERVED)
     assert fid.to_raw() == _reference_to_raw(expected) == raw
     assert _outcome(encode_field_id, fid) == _outcome(_reference_encode, expected)
+    # Decodes share one instance per raw, so no caller may change it.
+    assert decode_field_id(raw) == fid
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fid.write_mask_valid = 1
 
 
 # Each subfield drawn in range and a little outside it, both sides.

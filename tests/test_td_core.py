@@ -273,6 +273,37 @@ def test_build_checks_the_packed_walk_level():
         assert td.hp_lock_timeout == _PRIOR["HP_LOCK_TIMEOUT"]
 
 
+# Host values past a field's width: ATTRIBUTES outside 64 bits, GPAW other than its one bit.
+_WIDE_PARAMS = st.builds(
+    TdParams,
+    attributes=st.sampled_from([0, ATTR_MIGRATABLE, (1 << 64) | ATTR_MIGRATABLE,
+                                ATTR_MIGRATABLE - (1 << 64), -1]) | st.integers(-(1 << 66), 1 << 66),
+    gpaw=st.sampled_from([False, True, 2, 5, -1]),
+    ept_pwl=st.sampled_from([LVL_PML4, LVL_PML5]),
+)
+
+
+@pytest.mark.parametrize("write_early", [True, False], ids=["vulnerable", "fixed"])
+@settings(max_examples=150, deadline=None)
+@given(params=_WIDE_PARAMS)
+@example(params=TdParams(attributes=(1 << 64) | ATTR_MIGRATABLE))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE - (1 << 64)))
+@example(params=TdParams(gpaw=5, ept_pwl=LVL_PML5))
+def test_a_build_stores_each_params_field_within_its_width(write_early, params):
+    """ATTRIBUTES is stored as 64 bits and GPAW as one bit, or the build refuses the field."""
+    td = _configured_td()
+    status = (read_and_set_td_configurations if write_early else _fixed_init)(td, params)
+    assert all(0 <= v <= U64 for values in td.td_store.values() for v in values)
+    assert td.gpaw in (0, 1)
+    if not 0 <= params.attributes <= U64:
+        assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_ATTRIBUTES)
+    elif int(params.gpaw) not in (0, 1) and verify_td_attributes(TdAttributes(params.attributes),
+                                                                 False):
+        # The walk-level check before GPAW's reads any such GPAW as set: only PML5 passes it.
+        word = S.OPERAND_ID_EXEC_CONTROLS if params.ept_pwl == LVL_PML5 else S.OPERAND_ID_EPTP_CONTROLS
+        assert status == S.with_operand(S.TDX_OPERAND_INVALID, word)
+
+
 def test_every_rule_names_a_special_handling_entry(catalog):
     """The sink applies a rule only to a flagged entry, so an unflagged or misspelt key is dead."""
     for name in TD_CONFIG_RULES:
@@ -843,6 +874,9 @@ class _ReferenceImportSink:
                 return bad
         elif name == "XCR0":
             if not value & XCR0_X87:
+                return bad
+        elif name == "GPAW":
+            if value not in (0, 1):
                 return bad
         return S.TDX_SUCCESS
 
