@@ -20,13 +20,13 @@ import hashlib
 import inspect
 import random
 import struct
-from contextlib import nullcontext
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Optional
 
 from . import md_codec as md
 from .catalog import CpuidLookup, MigClass, bundled_catalog, next_cpuid_entry
 from .envelope import (
+    STREAM_BUSY,
     BundleType,
     InterruptedState,
     Mbmd,
@@ -170,21 +170,25 @@ def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
     }
 
 
-def _stream(td: TdComplex, index: int) -> nullcontext | MigStreamContext:
-    """Hold the stream ``index`` names for one ``with`` block, keyed with the TD's session key.
+def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
+    """The stream ``index`` names, keyed with the TD's session key, or the word refusing it.
 
-    The block gets the held stream or the word refusing it, which changes
-    nothing: no such stream, then no full key, then another owner holds it.
+    A refusal changes nothing: no such stream, then no full key, then a stream
+    another owner holds (``locked``, which only that owner sets).
     """
     if not 0 <= index < len(td.migsc):
-        return nullcontext(TDX_MIGRATION_STREAM_STATE_INCORRECT)
+        return TDX_MIGRATION_STREAM_STATE_INCORRECT
     if not td.mig_dec_key_set:
-        return nullcontext(TDX_MIGRATION_DECRYPTION_KEY_NOT_SET)
-    return td.migsc[index].hold(td.session_key)
+        return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
+    migsc = td.migsc[index]
+    if migsc.locked:
+        return STREAM_BUSY
+    migsc.key = td.session_key
+    return migsc
 
 
 def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> list | int | tuple:
-    """The lists a bundle opens to on the held stream, or the leaf's answer.
+    """The lists a bundle opens to on the stream, or the leaf's answer.
 
     A bundle of another type or sealed for another stream is INVALID_MBMD with
     no edge, before it is decrypted; one that does not open takes the failure edge.
@@ -197,7 +201,7 @@ def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> l
 
 
 def _seal(migsc: MigStreamContext, bundle_type: BundleType, lists: list[bytes]) -> Bundle:
-    """Seal whole lists on the held stream, under the key its guard installed."""
+    """Seal whole lists on the stream, under the key ``_stream`` installed."""
     return Bundle(*encrypt_bundle(migsc, bundle_type, lists))
 
 
@@ -582,26 +586,26 @@ class TdxModule:
             return TDX_TD_NOT_MIGRATABLE
         if td.export_count >= MAX_EXPORT_COUNT:
             return TDX_MAX_EXPORTS_EXCEEDED
-        with _stream(td, migsc_index) as migsc:
-            if type(migsc) is int:
-                return migsc
-            # Counted before the dump so the bundle carries the lineage's tally.
-            td.export_count += 1
-            source = TdExportSource(td, sys_store=self.sys_store)
-            lists = self._dump(MD_CTX_SYS, tuple(MigClass), source) + self._dump(
-                MD_CTX_TD, (MigClass.MB, MigClass.MBO), source)
-            return TDX_SUCCESS, "success", _seal(migsc, BundleType.IMMUTABLE, lists)
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
+        # Counted before the dump so the bundle carries the lineage's tally.
+        td.export_count += 1
+        source = TdExportSource(td, sys_store=self.sys_store)
+        lists = self._dump(MD_CTX_SYS, tuple(MigClass), source) + self._dump(
+            MD_CTX_TD, (MigClass.MB, MigClass.MBO), source)
+        return TDX_SUCCESS, "success", _seal(migsc, BundleType.IMMUTABLE, lists)
 
     tdh_export_pause = _leaf(Leaf.TDH_EXPORT_PAUSE)(_succeed)
 
     def _export_mutable(self, td: TdComplex, migsc_index: int, context_code: int,
                         bundle_type: BundleType, vp_index: Optional[int] = None):
         """Shared body of the mutable-state export leaves: seal the context's ME entries."""
-        with _stream(td, migsc_index) as migsc:
-            if type(migsc) is int:
-                return migsc
-            lists = self._dump(context_code, (MigClass.ME,), TdExportSource(td, vp_index))
-            return TDX_SUCCESS, "success", _seal(migsc, bundle_type, lists)
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
+        lists = self._dump(context_code, (MigClass.ME,), TdExportSource(td, vp_index))
+        return TDX_SUCCESS, "success", _seal(migsc, bundle_type, lists)
 
     @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
     def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
@@ -618,17 +622,17 @@ class TdxModule:
         self, td: TdComplex, gpa: int, migsc_index: int = 0, abort: bool = False
     ) -> tuple[int, Optional[Bundle]]:
         """Export one page; the IV counter advances even when the call aborts."""
-        with _stream(td, migsc_index) as migsc:
-            if type(migsc) is int:
-                return migsc
-            if gpa not in td.pages:
-                return GPA_INVALID
-            if abort:
-                # Increment the counter first so an aborted call never reuses an IV.
-                migsc.next_iv()
-                return TDX_INTERRUPTED_RESUMABLE
-            payload = _GPA_TOKEN.pack(gpa, td.pages[gpa]) + _MEM_PAD
-            return TDX_SUCCESS, "success", _seal(migsc, BundleType.MEM, [payload])
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
+        if gpa not in td.pages:
+            return GPA_INVALID
+        if abort:
+            # Increment the counter first so an aborted call never reuses an IV.
+            migsc.next_iv()
+            return TDX_INTERRUPTED_RESUMABLE
+        payload = _GPA_TOKEN.pack(gpa, td.pages[gpa]) + _MEM_PAD
+        return TDX_SUCCESS, "success", _seal(migsc, BundleType.MEM, [payload])
 
     @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
@@ -669,45 +673,45 @@ class TdxModule:
         fields of every context of the bundle type, whichever lists it carried.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
-        with _stream(td, migsc_index) as migsc:
-            if type(migsc) is int:
-                return migsc
-            lists = _open(migsc, bundle, bundle_type)
-            if type(lists) is not list:
-                return lists
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
+        lists = _open(migsc, bundle, bundle_type)
+        if type(lists) is not list:
+            return lists
 
-            if not resume:
-                migsc.interrupted_state = InterruptedState()
-                td.import_written = {}
-            state = migsc.interrupted_state
-            step = self.last
-            codec_mode = self._codec_mode
-            gpa_checks = not self.mode.bug9
-
-            for i in range(state.cursor if resume else 0, len(lists)):
-                arena = ParseArena(lists[i], plants=self.arena_plants)
-                ctx = contexts[-1] if i else contexts[0]
-                sink = TdImportSink(td, vp_index=vp_index, gpa_checks=gpa_checks)
-                result = md.write_list(self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode)
-                step.walks += ((arena, result),)
-                if result.status != TDX_SUCCESS and state.failed is None:
-                    state.failed = result
-                if i == interrupt_after and i + 1 < len(lists):
-                    state.cursor = i + 1
-                    return TDX_INTERRUPTED_RESUMABLE, "interrupted"
-
-            # Complete, whatever its word: the resume state goes with the call.
+        if not resume:
             migsc.interrupted_state = InterruptedState()
-            if state.failed:
-                step.ext_err_info = tuple(state.failed.ext_err_info)
-                return as_fatal(state.failed.status), "failure"
+            td.import_written = {}
+        state = migsc.interrupted_state
+        step = self.last
+        codec_mode = self._codec_mode
+        gpa_checks = not self.mode.bug9
 
-            if not self.mode.bug2:
-                missing = td.missing_required(self.catalog, set(contexts), required_kinds, vp_index)
-                if missing:
-                    step.ext_err_info = (missing[0].field_id_raw, 0)
-                    return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
-            return TDX_SUCCESS, "success"
+        for i in range(state.cursor if resume else 0, len(lists)):
+            arena = ParseArena(lists[i], plants=self.arena_plants)
+            ctx = contexts[-1] if i else contexts[0]
+            sink = TdImportSink(td, vp_index=vp_index, gpa_checks=gpa_checks)
+            result = md.write_list(self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode)
+            step.walks += ((arena, result),)
+            if result.status != TDX_SUCCESS and state.failed is None:
+                state.failed = result
+            if i == interrupt_after and i + 1 < len(lists):
+                state.cursor = i + 1
+                return TDX_INTERRUPTED_RESUMABLE, "interrupted"
+
+        # Complete, whatever its word: the resume state goes with the call.
+        migsc.interrupted_state = InterruptedState()
+        if state.failed:
+            step.ext_err_info = tuple(state.failed.ext_err_info)
+            return as_fatal(state.failed.status), "failure"
+
+        if not self.mode.bug2:
+            missing = td.missing_required(self.catalog, set(contexts), required_kinds, vp_index)
+            if missing:
+                step.ext_err_info = (missing[0].field_id_raw, 0)
+                return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
+        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_IMPORT_STATE_IMMUTABLE)
     def tdh_import_state_immutable(
@@ -738,12 +742,12 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_IMPORT_MEM)
     def tdh_import_mem(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
-        with _stream(td, migsc_index) as migsc:
-            if type(migsc) is int:
-                return migsc
-            if not sept_walk_ok(td):
-                return TDX_TD_FATAL
-            lists = _open(migsc, bundle, BundleType.MEM)
+        migsc = _stream(td, migsc_index)
+        if type(migsc) is int:
+            return migsc
+        if not sept_walk_ok(td):
+            return TDX_TD_FATAL
+        lists = _open(migsc, bundle, BundleType.MEM)
         if type(lists) is not list:
             return lists
         gpa, token = _GPA_TOKEN.unpack_from(lists[0])

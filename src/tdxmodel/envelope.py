@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import struct
-from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Optional
@@ -143,7 +142,7 @@ class InterruptedState:
 
 
 class MigStreamContext:
-    """Per-stream crypto and resume state; one logical owner (``locked``) at a time."""
+    """Per-stream crypto and resume state; only an outside owner sets ``locked``, as for a TD."""
 
     def __init__(self, stream_index: int, key: Optional[MigrationSessionKey] = None):
         self.stream_index = stream_index
@@ -152,27 +151,6 @@ class MigStreamContext:
         self.interrupted_state = InterruptedState()
         self.locked = False
         self.iv_history: list[bytes] = []
-
-    def hold(self, key: Optional[MigrationSessionKey]) -> "MigStreamContext | nullcontext":
-        """Guard one call's use of the stream: ``with stream.hold(key) as held:``.
-
-        ``held`` is STREAM_BUSY when another owner holds the stream, which is
-        then left as it was: no IV spent, no key installed.  Otherwise it is the
-        stream itself, which carries ``key`` and stays held until the block ends.
-        The guard is plain methods, not a generator, because a 4096-page round
-        trip passes through it about 8k times.
-        """
-        if self.locked:
-            return nullcontext(STREAM_BUSY)
-        self.key = key
-        return self
-
-    def __enter__(self) -> "MigStreamContext":
-        self.locked = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.locked = False
 
     def next_iv(self) -> bytes:
         """Advance the counter and return the fresh 96-bit IV.

@@ -445,7 +445,7 @@ NOT_STATE = {
                   "start_import": "set from mode", "_codec_mode": "set from mode"},
     "TdComplex": {"trace": "a log", "_session_key": "a cache of td_store's MIG_DEC_KEY",
                   "_session_key_from": "the MIG_DEC_KEY that cache was built from"},
-    "MigStreamContext": {"key": "the TD's MIG_DEC_KEY, which each hold of the stream installs"},
+    "MigStreamContext": {"key": "the TD's MIG_DEC_KEY, which ``_stream`` installs before each use"},
     "CpuidLookup": {"access_log": "a log"}, "MigrationSessionKey": {"aead": "a cipher of the key"},
 }
 _PLAIN = {int, bool, str, bytes, type(None)}

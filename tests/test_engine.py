@@ -23,7 +23,8 @@ from tdxmodel.engine import (
     EpochToken,
     TdxModule,
 )
-from tdxmodel.envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
+from tdxmodel.envelope import (STREAM_BUSY, BundleType, MigrationSessionKey, MigStreamContext,
+                               decrypt_bundle)
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
     MIG_DEC_KEY_ID,
@@ -1073,6 +1074,7 @@ def test_export_state_td_and_vp_busy_when_stream_held():
     src = env["src"]
     migsc = src.migsc[0]
     busy = S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
+    assert busy == STREAM_BUSY
     # A second immutable export starts from RUNNABLE (direct placement).
     src.op_state = OpState.RUNNABLE
     counter, exports = migsc.iv_counter, src.export_count
@@ -1200,8 +1202,11 @@ def test_a_stream_refusal_answers_before_the_leafs_own(name, stream, own):
 
 
 def test_each_stream_step_has_one_home():
-    """Only _stream holds a stream, only _open decrypts and only _seal encrypts."""
-    homes = {"hold": "_stream", "decrypt_bundle": "_open", "encrypt_bundle": "_seal"}
+    """Only _stream refuses a held stream, only _open decrypts and only _seal encrypts.
+
+    No engine code sets a stream's ``locked``: only an outside owner does.
+    """
+    homes = {"STREAM_BUSY": "_stream", "decrypt_bundle": "_open", "encrypt_bundle": "_seal"}
     uses = []
 
     def visit(node, owner):
@@ -1213,8 +1218,11 @@ def test_each_stream_step_has_one_home():
             visit(child, child.name if is_def else owner)
 
     with open(engine.__file__) as source:
-        visit(ast.parse(source.read()), None)
+        tree = ast.parse(source.read())
+    visit(tree, None)
     assert sorted(uses) == sorted(homes.items())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "locked" and isinstance(node.ctx, ast.Store)]
 
 
 def test_vp_rd_refuses_a_vp_the_td_does_not_have():

@@ -17,7 +17,6 @@ from tdxmodel import status as S
 from tdxmodel.envelope import (
     LIST_BYTES,
     MBMD_BYTES,
-    STREAM_BUSY,
     BundleType,
     Mbmd,
     MigrationSessionKey,
@@ -184,38 +183,6 @@ def test_reencrypting_same_page_never_repeats_ciphertext():
         _, ciphertext = encrypt_bundle(ctx, BundleType.MEM, page)
         assert ciphertext not in seen
         seen.add(ciphertext)
-
-
-def test_context_is_single_owner():
-    ctx = fresh_ctx()
-    with ctx.hold(ctx.key) as first:
-        with ctx.hold(ctx.key) as second:
-            assert first is ctx
-            assert second == STREAM_BUSY
-    with ctx.hold(ctx.key) as again:
-        assert again is ctx
-
-
-def test_hold_keys_the_stream_or_refuses_a_held_one():
-    assert STREAM_BUSY == S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)
-    ctx = MigStreamContext(0)
-    key = MigrationSessionKey(bytes(range(32)))
-    with ctx.hold(key) as busy:
-        assert busy is ctx and ctx.locked and ctx.key is key
-        with ctx.hold(None) as inner:
-            assert inner == STREAM_BUSY and ctx.key is key
-        assert ctx.locked  # the refused inner block leaves the outer holder in place
-    assert not ctx.locked
-    # Another owner's hold is never released by a refused block.
-    ctx.locked = True
-    with ctx.hold(None) as busy:
-        assert busy == STREAM_BUSY
-    assert ctx.locked and ctx.key is key
-    ctx.locked = False
-    with pytest.raises(RuntimeError):
-        with ctx.hold(key):
-            raise RuntimeError("the body fails")
-    assert not ctx.locked and ctx.iv_counter == 0
 
 
 # Runs in a fresh interpreter, so nothing an earlier test imported is loaded.

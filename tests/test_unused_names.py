@@ -116,7 +116,6 @@ ALLOWED_PARAMS = {
     "engine.TdxModule.tdh_export_track.td": LEAF_OPERAND,
     "engine.TdxModule.tdh_vp_addcx.td": LEAF_OPERAND,
     "engine.TdxModule.tdh_vp_addcx.vp_index": LEAF_OPERAND + "; it bounds-checks vp_index by name",
-    "envelope.MigStreamContext.__exit__.exc": "the context-manager protocol's exception triple",
     **{f"md_codec.{stub}.{param}": PROTOCOL_STUB for stub, params in (
         ("MetadataSink.write_field", ("entry", "field_index", "values", "combined_mask")),
         ("MetadataSink.record_skip", ("entry", "field_index")),
