@@ -482,7 +482,7 @@ TD_CONFIG_RULES = {
     "XFAM": (lambda v, *_: check_xfam(v), OPERAND_ID_XFAM),
     "GPAW": (lambda v, *_: v in (0, 1), OPERAND_ID_EXEC_CONTROLS),  # TD_PARAMS' one GPAW bit
     # The walk is four or five levels deep, and five where GPAW widens the GPA.
-    "EPTP": (lambda v, gpaw, _: (LVL_PML5 if gpaw else LVL_PML4)
+    "EPTP": (lambda v, gpaw, _: 0 <= v <= U64 and (LVL_PML5 if gpaw else LVL_PML4)
              <= EptpControls.from_raw(v).ept_pwl <= LVL_PML5, OPERAND_ID_EPTP_CONTROLS),
     "NUM_VCPUS": (lambda v, *_: 0 < v <= MAX_VCPUS_PER_TD, OPERAND_ID_METADATA_FIELD),
     "TSC_FREQUENCY": (lambda v, *_: VIRT_TSC_FREQUENCY_MIN <= v <= VIRT_TSC_FREQUENCY_MAX,
@@ -531,7 +531,8 @@ def read_and_set_td_configurations(td: TdComplex, params: TdParams) -> int:
     for name, value in (
         ("ATTRIBUTES", params.attributes),
         ("XFAM", params.xfam),
-        ("EPTP", EptpControls(ept_pwl=params.ept_pwl).raw),
+        # A walk level wider than its 3 bits packs as -1, which the EPTP rule refuses.
+        ("EPTP", EptpControls(ept_pwl=params.ept_pwl).raw if 0 <= params.ept_pwl <= 7 else -1),
         ("GPAW", int(params.gpaw)),  # after EPTP, whose check reads it
         ("TSC_FREQUENCY", params.tsc_frequency),
         ("HP_LOCK_TIMEOUT", params.hp_lock_timeout),
@@ -552,11 +553,12 @@ def init_event_filters(
 ) -> int:
     """Install the guest perfmon event allow list from TD_PARAMS' 32-entry array.
 
-    An entry past the end of ``entries`` reads as zero, an illegal filter.  The
-    vulnerable variant (count_first) assigns the filter count before the
-    validation loop and bails out mid-array on the first bad entry, leaving
-    stale, unsorted, or never-initialized slots covered by the count.  The fixed
-    variant validates into a scratch buffer and zeroes everything on failure.
+    An entry past the end of ``entries`` reads as zero, an illegal filter, and
+    one outside 64 bits is illegal too.  The vulnerable variant (count_first)
+    assigns the filter count before the validation loop and bails out mid-array
+    on the first bad entry, leaving stale, unsorted, or never-initialized slots
+    covered by the count.  The fixed variant validates into a scratch buffer and
+    zeroes everything on failure.
     """
     if not (event_filtering and td.attributes.perfmon):
         return TDX_SUCCESS
@@ -568,7 +570,7 @@ def init_event_filters(
     filters = td.event_filters if count_first else [0] * MAX_EVENT_FILTERS
     for i in range(count):
         entry = EventFilter.from_raw(entries[i])
-        if not entry.legal:
+        if not (0 <= entries[i] <= U64 and entry.legal):
             status = with_operand(TDX_EVENT_FILTER_INVALID, i)
         elif i != 0 and filters[i - 1] >= entry.internal:
             status = with_operand(TDX_EVENT_FILTER_ORDER_INVALID, i)

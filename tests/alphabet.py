@@ -110,10 +110,13 @@ VALUES = {
                 TdParams(attributes=ATTR_DEBUG, xfam=0), TdParams(ept_pwl=0),
                 # Past a field's width: ATTRIBUTES outside 64 bits, GPAW not one bit.
                 TdParams(attributes=(1 << 64) | ATTR_MIGRATABLE),
-                TdParams(attributes=ATTR_MIGRATABLE - (1 << 64)), TdParams(gpaw=5, ept_pwl=LVL_PML5)]),
+                TdParams(attributes=ATTR_MIGRATABLE - (1 << 64)), TdParams(gpaw=5, ept_pwl=LVL_PML5),
+                # A walk level outside its 3 bits.
+                *(TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=p) for p in (12, -4, 11))]),
     "event_filtering": ([False, True], []),
     "event_filters_num": ([0, 1], [-1, 2]),
-    "event_filters": ([None, [EventFilter(event_select=1, umask=1).raw]], [[0]]),
+    "event_filters": ([None, [EventFilter(event_select=1, umask=1).raw]],
+                      [[0], [(1 << 64) | EventFilter(event_select=1, umask=1).raw]]),
     "vp_index": ([0], [-1, lambda w, _: len(w.dst.vps)]),
     "gpa": ([PAGE], [PAGE + 1, 1 << 47, NO_PAGE]),  # unaligned, shared, no page
     "token": ([1], [-1, U64 + 1]),

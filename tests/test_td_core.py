@@ -265,7 +265,7 @@ def test_rule_table_build_matches_the_two_body_reference(write_early):
 
 
 def test_build_checks_the_packed_walk_level():
-    """ept_pwl is judged as the 3-bit field it is stored in: 8 packs to level 0."""
+    """ept_pwl must fit the 3-bit field it is stored in: 8 does not, so the EPTP rule refuses it."""
     for init in (read_and_set_td_configurations, _fixed_init):
         td = _configured_td()
         status = init(td, TdParams(gpaw=True, ept_pwl=8))
@@ -273,13 +273,15 @@ def test_build_checks_the_packed_walk_level():
         assert td.hp_lock_timeout == _PRIOR["HP_LOCK_TIMEOUT"]
 
 
-# Host values past a field's width: ATTRIBUTES outside 64 bits, GPAW other than its one bit.
+# Host values past a field's width: ATTRIBUTES outside 64 bits, GPAW other than its one bit,
+# a walk level outside its 3 bits.
 _WIDE_PARAMS = st.builds(
     TdParams,
     attributes=st.sampled_from([0, ATTR_MIGRATABLE, (1 << 64) | ATTR_MIGRATABLE,
                                 ATTR_MIGRATABLE - (1 << 64), -1]) | st.integers(-(1 << 66), 1 << 66),
     gpaw=st.sampled_from([False, True, 2, 5, -1]),
-    ept_pwl=st.sampled_from([LVL_PML4, LVL_PML5]),
+    ept_pwl=st.sampled_from([LVL_PML4, LVL_PML5, LVL_PML4 + 8, LVL_PML5 + 8, -4])
+    | st.integers(-(1 << 66), 1 << 66),
 )
 
 
@@ -289,14 +291,23 @@ _WIDE_PARAMS = st.builds(
 @example(params=TdParams(attributes=(1 << 64) | ATTR_MIGRATABLE))
 @example(params=TdParams(attributes=ATTR_MIGRATABLE - (1 << 64)))
 @example(params=TdParams(gpaw=5, ept_pwl=LVL_PML5))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=12))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=-4))
+@example(params=TdParams(attributes=ATTR_MIGRATABLE, ept_pwl=11))
 def test_a_build_stores_each_params_field_within_its_width(write_early, params):
-    """ATTRIBUTES is stored as 64 bits and GPAW as one bit, or the build refuses the field."""
+    """ATTRIBUTES is stored as 64 bits, GPAW as one bit and the walk level as given in its
+    3 bits, or the build refuses the field."""
     td = _configured_td()
     status = (read_and_set_td_configurations if write_early else _fixed_init)(td, params)
     assert all(0 <= v <= U64 for values in td.td_store.values() for v in values)
     assert td.gpaw in (0, 1)
+    if status == S.TDX_SUCCESS:
+        assert EptpControls.from_raw(td.eptp_raw).ept_pwl == params.ept_pwl
     if not 0 <= params.attributes <= U64:
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_ATTRIBUTES)
+    elif not 0 <= params.ept_pwl <= 7 and verify_td_attributes(TdAttributes(params.attributes),
+                                                               False):
+        assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
     elif int(params.gpaw) not in (0, 1) and verify_td_attributes(TdAttributes(params.attributes),
                                                                  False):
         # The walk-level check before GPAW's reads any such GPAW as set: only PML5 passes it.
@@ -546,6 +557,20 @@ def test_valid_filters_install_and_search_agrees_with_linear_scan():
 def test_no_filters_means_nothing_allowed():
     td = _perfmon_td()
     assert not is_event_allowed(td, 1, 1)
+
+
+@pytest.mark.parametrize("count_first", [True, False], ids=["vulnerable", "fixed"])
+@settings(max_examples=100, deadline=None)
+@given(legal=st.integers(0, 4), entry=st.integers(1 << 64, 1 << 70) | st.integers(-(1 << 70), -1))
+@example(legal=0, entry=(1 << 64) | EventFilter(event_select=1, umask=1).raw)
+@example(legal=2, entry=(1 << 64) | EventFilter(event_select=9, umask=1).raw)
+def test_a_filter_entry_outside_64_bits_is_refused(count_first, legal, entry):
+    """After ``legal`` sorted legal entries, one outside 64 bits is the first illegal filter."""
+    td = _perfmon_td()
+    entries = [EventFilter(event_select=k + 1, umask=1).raw for k in range(legal)] + [entry]
+    status = init_event_filters(td, True, len(entries), entries, count_first)
+    assert status == S.with_operand(S.TDX_EVENT_FILTER_INVALID, legal)
+    assert all(0 <= f <= 0xFFFF for f in td.event_filters)
 
 
 def test_filtering_requires_perfmon():
