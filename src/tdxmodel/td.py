@@ -553,12 +553,11 @@ def init_event_filters(
 ) -> int:
     """Install the guest perfmon event allow list from TD_PARAMS' 32-entry array.
 
-    An entry past the end of ``entries`` reads as zero, an illegal filter, and
-    one outside 64 bits is illegal too.  The vulnerable variant (count_first)
-    assigns the filter count before the validation loop and bails out mid-array
-    on the first bad entry, leaving stale, unsorted, or never-initialized slots
-    covered by the count.  The fixed variant validates into a scratch buffer and
-    zeroes everything on failure.
+    An entry past the end of ``entries`` reads as zero, an illegal filter, as is one
+    outside 64 bits.  The vulnerable variant (count_first) assigns the filter count
+    before the validation loop and bails out mid-array on the first bad entry, leaving
+    stale, unsorted, or never-initialized slots covered by the count.  The fixed
+    variant validates into a scratch buffer and zeroes everything on failure.
     """
     if not (event_filtering and td.attributes.perfmon):
         return TDX_SUCCESS
