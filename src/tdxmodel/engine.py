@@ -145,9 +145,12 @@ class Servtd:
 
 # The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
 TDVPR_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
-# The word for a metadata field id no catalog entry covers, or a read count
-# below 1: the metadata leaves take the field id, and with it the count, in RDX.
+# The word for a metadata field id outside 64 bits or no catalog entry covers, or a
+# read count below 1: the metadata leaves take the field id, and with it the count, in RDX.
 FIELD_ID_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RDX)
+# The words for a metadata write's field id (RDX), value (R8) and mask (R9) outside 64 bits.
+_WIDE_WRITE_WORDS = (FIELD_ID_INVALID, with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R8),
+                     with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R9))
 # The word for a page GPA (RCX) no rule admits, and for a GPA the TD has no page at.
 GPA_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
 # A page's (gpa, token) as measured and as a MEM bundle carries it, zero-padded
@@ -504,26 +507,40 @@ class TdxModule:
         self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64
     ) -> tuple[int, int]:
         """Write target-TD metadata from a bound service TD; returns old contents."""
+        target = self._write_target(field_id_raw, value, mask, "migtd_wr_mask")
+        if type(target) is int:
+            return target
+        entry, position, combined = target
+        previous = td.read_element(entry, position)
+        td.write_element_raw(entry, position, (value & combined) | (previous & ~combined & U64))
+        return TDX_SUCCESS, "success", previous
+
+    def _write_target(self, field_id_raw: int, value: int, mask: int, wr_mask: str) -> tuple | int:
+        """The TD entry, field position and combined mask a write names, or the word refusing it:
+        an operand outside 64 bits, then a field no entry covers, then no bit both masks let."""
+        for operand, word in zip((field_id_raw, value, mask), _WIDE_WRITE_WORDS):
+            if not 0 <= operand <= U64:
+                return word
         fid = md.decode_field_id(field_id_raw)
         entry = self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
             return FIELD_ID_INVALID
-        combined = mask & entry.migtd_wr_mask
+        combined = mask & getattr(entry, wr_mask)
         if combined == 0:
             return TDX_METADATA_FIELD_NOT_WRITABLE
-        position = fid.field_code - entry.field_code
-        previous = td.read_element(entry, position)
-        td.write_element_raw(entry, position, (value & combined) | (previous & ~combined & U64))
-        return TDX_SUCCESS, "success", previous
+        return entry, fid.field_code - entry.field_code, combined
 
     def _read(self, td: TdComplex, context_code: int, field_id_raw: int, count: int = 1,
               mask: Optional[str] = None, vp_index: Optional[int] = None) -> tuple[int, list[int]]:
         """The read leaves' body: ``count`` fields from the id on, each under the entry's ``mask``.
 
         ``mask`` names a FieldEntry mask, by default the host's (the debug one on a debug TD).
-        A field no entry covers, or a zero mask, ends the read: its word, and the values read.
+        An id outside 64 bits, a field no entry covers, or a zero mask ends the read:
+        its word, and the values read.
         """
         mask = mask or ("dbg_rd_mask" if td.attributes.debug else "prod_rd_mask")
+        if not 0 <= field_id_raw <= U64:
+            return FIELD_ID_INVALID, []
         fid = md.decode_field_id(field_id_raw)
         values = []
         for code in range(fid.field_code, fid.field_code + count):
@@ -546,15 +563,11 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MNG_WR)
     def tdh_mng_wr(self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64) -> int:
-        fid = md.decode_field_id(field_id_raw)
-        entry = self.catalog.find_entry(MD_CTX_TD, fid)
-        if entry is None:
-            return FIELD_ID_INVALID
-        wr_mask = entry.dbg_wr_mask if td.attributes.debug else entry.prod_wr_mask
-        combined = mask & wr_mask
-        if combined == 0:
-            return TDX_METADATA_FIELD_NOT_WRITABLE
-        position = fid.field_code - entry.field_code
+        wr_mask = "dbg_wr_mask" if td.attributes.debug else "prod_wr_mask"
+        target = self._write_target(field_id_raw, value, mask, wr_mask)
+        if type(target) is int:
+            return target
+        entry, position, combined = target
         # Special-handling fields drop the stored bits outside the mask; others keep them.
         value &= combined
         if not entry.special_wr_handling:

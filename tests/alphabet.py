@@ -123,14 +123,15 @@ VALUES = {
     "tdh_import_track.token": ([lambda w, _: w.env["start_token"]], [FORGED_START, NON_START]),
     "slot": ([1], [-1, 1 << 12]),
     "servtd": ([lambda w, _: w.migtd], [STRANGER]),
-    # A VP, a TD and a key field; then ids no catalog entry covers.
+    # A VP, a TD and a key field; then ids no catalog entry covers, and ids outside 64 bits.
     "field_id_raw": ([bundled_catalog().by_name(MD_CTX_VP, "XCR0").field_id_raw, ATTRIBUTES_ID,
-                      MIG_DEC_KEY_ID], [0, ATTRIBUTES_ID + 1]),
+                      MIG_DEC_KEY_ID], [0, ATTRIBUTES_ID + 1, ATTRIBUTES_ID | 1 << 64,
+                                        ATTRIBUTES_ID - (1 << 64), MIG_DEC_KEY_ID | 1 << 64]),
     # The CPUID table's first and last slots; then the slot past it, and an id of another class.
     "md_next_cpuid_field.field_id_raw": ([_cpuid_id(0), _cpuid_id(MAX_NUM_CPUID_LOOKUP - 1)],
                                          [_cpuid_id(MAX_NUM_CPUID_LOOKUP), ATTRIBUTES_ID]),
-    "value": ([1], [0, U64, 1 << 64]),
-    "mask": ([U64], [0, 1]),
+    "value": ([1], [0, U64, 1 << 64, -1]),
+    "mask": ([U64], [0, 1, -1]),
     "count": ([1, 4], [0, -1]),
     "migsc_index": ([0], [-1, lambda w, _: len(w.dst.migsc)]),
     "abort": ([False], [True]),

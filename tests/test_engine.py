@@ -27,6 +27,7 @@ from tdxmodel.envelope import (STREAM_BUSY, BundleType, MigrationSessionKey, Mig
                                decrypt_bundle)
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
+    ATTRIBUTES_ID,
     MIG_DEC_KEY_ID,
     crafted_vp_list,
     decrypted_lists,
@@ -1667,9 +1668,47 @@ def test_the_read_leaves_answer_as_their_three_bodies_did(name, field_id, count,
                           lambda: _servtd_rd_before(m, td, field_id)),
     }[name]
     expected = before()
+    if not 0 <= field_id <= U64:  # the shared body refuses an id outside its register first
+        expected = (S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX),
+                    [] if name == "tdh_mng_rd" else 0)
     assert call() == expected
     after = m._edges[state, leaf]["success"] if expected[0] == S.TDX_SUCCESS else state
     assert m.last == TraceStep(leaf, state, after, expected[0]) and m.last is td.trace[-1]
+
+
+# The register each metadata operand travels in, as the word refusing a value outside its 64 bits.
+_REGISTER_WORDS = {"field_id_raw": S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX),
+                   "value": S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_R8),
+                   "mask": S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_R9)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["tdh_mng_rd", "tdh_vp_rd", "tdg_servtd_rd", "tdh_mng_wr",
+                             "tdg_servtd_wr"]),
+       operand=st.sampled_from(sorted(_REGISTER_WORDS)),
+       raw=st.sampled_from([-1, 1 << 64]) | st.integers(1 << 64, 1 << 70)
+       | st.integers(-(1 << 70), -1))
+@example(name="tdh_mng_rd", operand="field_id_raw", raw=ATTRIBUTES_ID | 1 << 64)
+@example(name="tdh_mng_rd", operand="field_id_raw", raw=ATTRIBUTES_ID - (1 << 64))
+@example(name="tdg_servtd_wr", operand="field_id_raw", raw=MIG_DEC_KEY_ID | 1 << 64)
+@example(name="tdg_servtd_wr", operand="value", raw=(1 << 64) | 7)
+@example(name="tdg_servtd_wr", operand="value", raw=-1)
+@example(name="tdg_servtd_wr", operand="mask", raw=-1)
+def test_a_metadata_operand_outside_64_bits_is_refused_with_its_register(name, operand, raw):
+    """A field id (RDX), or a write's value (R8) or mask (R9), outside its 64-bit register:
+    that register's word, a step with no edge, and no store changed."""
+    assume(operand in OPERANDS[name])
+    w = World(59)
+    m, td, leaf = w.m, w.dst, Leaf[name.upper()]
+    td.op_state = state = admitting(m.matrix, leaf)
+    head = [w.migtd, w.env["dst_handle"]] if name in GUEST_LEAVES else [td]
+    operands = args(w, name, **{"field_id_raw": MIG_DEC_KEY_ID, operand: raw})
+    before = m.digest()
+    result = getattr(m, name)(*head, *operands)
+    word = _REGISTER_WORDS[operand]
+    assert (result if type(result) is int else result[0]) == word, S.status_str(word)
+    assert m.last == TraceStep(leaf, state, state, word) and m.last is td.trace[-1]
+    assert m.digest() == before
 
 
 def test_build_with_no_free_hkid_is_refused_by_mng_create():
