@@ -375,10 +375,9 @@ class ParseArena:
     def plant(self, offset: int, value: int) -> None:
         """Place an 8-byte little-endian sentinel value at an arena offset."""
         buffer = self.buffer
-        end = offset + 8
-        if end > len(buffer):
+        if not 0 <= offset <= len(buffer) - 8:
             raise ValueError("plant outside arena")
-        buffer[offset:end] = value.to_bytes(8, "little")
+        buffer[offset : offset + 8] = value.to_bytes(8, "little")
 
     def read(self, offset: int, length: int) -> bytes | bytearray:
         """Log one read and return a copy of exactly ``length`` bytes.

@@ -47,6 +47,8 @@ REFUSALS = {
     "arena-region-unknown": (lambda: md.ParseArena(b"").region_span("heap"), KeyError, "heap"),
     "plant-past-arena": (lambda: md.ParseArena(b"", plants={1 << 20: 1}), ValueError,
                          "plant outside arena"),
+    "plant-before-arena": (lambda: md.ParseArena(b"", plants={-8: 1}), ValueError,
+                           "plant outside arena"),
     "catalog-ranges-overlap": (
         lambda: FieldCatalog([_TD_UUID, dataclasses.replace(
             _TD_UUID, name="OVERLAP", field_id_raw=_TD_UUID.field_id_raw + 1)]),

@@ -650,6 +650,26 @@ def test_planting_in_one_arena_leaves_others_untouched():
 ARENA_BYTES = len(md._BLANK_ARENA)
 
 
+@settings(max_examples=200, deadline=None)
+@given(offset=st.integers(-ARENA_BYTES, ARENA_BYTES + 16), value=U64_VALUES)
+@example(offset=-8, value=LEAK_SENTINEL)
+@example(offset=-1, value=LEAK_SENTINEL)
+@example(offset=ARENA_BYTES - 8, value=LEAK_SENTINEL)
+@example(offset=ARENA_BYTES - 7, value=LEAK_SENTINEL)
+def test_a_plant_lands_inside_the_arena_or_raises(offset, value):
+    """A plant raises, changing nothing, or leaves the image 16,384 bytes long with the
+    value at its offset."""
+    arena = ParseArena(bytes(md.LIST_BYTES))
+    before = bytes(arena.buffer)
+    try:
+        arena.plant(offset, value)
+    except ValueError:
+        assert not 0 <= offset <= ARENA_BYTES - 8 and arena.buffer == before
+        return
+    assert len(arena.buffer) == ARENA_BYTES == 16384
+    assert arena.buffer[offset : offset + 8] == value.to_bytes(8, "little")
+
+
 class EagerArena:
     """Reference arena: the whole image copied at construction, every read
     sliced from it, and ``oob_reads``/``max_oob_span`` scanning the whole log."""
@@ -666,7 +686,7 @@ class EagerArena:
 
     def plant(self, offset, value):
         end = offset + 8
-        if end > len(self.buffer):
+        if offset < 0 or end > len(self.buffer):
             raise ValueError("plant outside arena")
         self.buffer[offset:end] = value.to_bytes(8, "little")
 
