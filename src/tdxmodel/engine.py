@@ -145,7 +145,7 @@ class Servtd:
 
 # The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
 TDVPR_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
-# The word for a metadata field id outside 64 bits or no catalog entry covers, or a
+# The word for a metadata field id outside 64 bits or not covered by a catalog entry, or a
 # read count below 1: the metadata leaves take the field id, and with it the count, in RDX.
 FIELD_ID_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RDX)
 # The words for a metadata write's field id (RDX), value (R8) and mask (R9) outside 64 bits.
