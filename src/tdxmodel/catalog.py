@@ -267,9 +267,9 @@ class CpuidLookup:
         return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, index)
 
     def index_of_field_id(self, raw: int) -> Optional[int]:
-        """The table slot a CPUID field id names, or None for any other id or one past the table."""
+        """The slot a 64-bit CPUID field id names; None for any other id or one past the table."""
         fid = decode_field_id(raw)
-        in_class = fid.class_code == CPUID_CLASS_CODE and fid.context_code == MD_CTX_TD
+        in_class = (fid.class_code, fid.context_code, raw >> 64) == (CPUID_CLASS_CODE, MD_CTX_TD, 0)
         return fid.field_code if in_class and fid.field_code < MAX_NUM_CPUID_LOOKUP else None
 
 

@@ -699,12 +699,11 @@ class TdxModule:
         state = migsc.interrupted_state
         step = self.last
         codec_mode = self._codec_mode
-        gpa_checks = not self.mode.bug9
+        sink = TdImportSink(td, vp_index=vp_index, gpa_checks=not self.mode.bug9)
 
         for i in range(state.cursor if resume else 0, len(lists)):
             arena = ParseArena(lists[i], plants=self.arena_plants)
             ctx = contexts[-1] if i else contexts[0]
-            sink = TdImportSink(td, vp_index=vp_index, gpa_checks=gpa_checks)
             result = md.write_list(self.catalog, ctx, MD_FIELD_ID_NA, arena, sink, codec_mode)
             step.walks += ((arena, result),)
             if result.status != TDX_SUCCESS and state.failed is None:

@@ -113,8 +113,6 @@ class Scenario:
 
 @dataclass
 class ScenarioRun:
-    name: str
-    mode: str
     ok: bool
     transcript: str
     module: TdxModule
@@ -646,4 +644,4 @@ def run_scenario(scenario: Scenario, mode: str, seed: int = 7) -> ScenarioRun:
         *lines,
         f"verdict: {verdict}",
     ]) + "\n"
-    return ScenarioRun(scenario.name, mode, ok, transcript, module, env)
+    return ScenarioRun(ok, transcript, module, env)

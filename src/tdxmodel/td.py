@@ -204,7 +204,8 @@ class Kot:
 
 def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
                             leak_on_error: bool) -> int:
-    """Reserve the module's HKID, then validate the TDMR entry addresses.
+    """Reserve the module's HKID, then validate the TDMR entry addresses: each is
+    aligned and within 64 bits.
 
     The pre-fix error path (leak_on_error) leaves the reservation in place,
     so repeated failing calls drain the table.  The fixed variant restores
@@ -213,7 +214,7 @@ def sys_config_reserve_hkid(kot: Kot, hkid: int, tdmr_entries: list[int],
     if not kot.claim(hkid, KotState.HKID_RESERVED):
         return with_operand(TDX_HKID_NOT_FREE, OPERAND_ID_RCX)
     for address in tdmr_entries:
-        if address % TDMR_ENTRY_ALIGNMENT:
+        if not 0 <= address <= U64 or address % TDMR_ENTRY_ALIGNMENT:
             if not leak_on_error:
                 kot.states[hkid] = KotState.HKID_FREE
             return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RCX)
@@ -356,15 +357,23 @@ class TdComplex:
 
     def write_element_raw(self, entry: FieldEntry, position: int, value: int,
                           vp_index: Optional[int] = None) -> None:
-        """Store a value with no special handling; a key quadword counts as written."""
-        values = self._scope_values(entry, vp_index)
-        values[position] = value & U64
-        for marks in self.store_marks(values):
-            marks.add(position)
+        """Store a value with no special handling."""
+        self.store(entry, position, [value & U64], vp_index)
 
-    def store_marks(self, values: list[int]) -> tuple[set[int], ...]:
-        """The sets a store into ``values`` marks: a MIG_DEC_KEY quadword counts as written."""
-        return (self._mig_dec_key_written,) if values is self.td_store["MIG_DEC_KEY"] else ()
+    def store(self, entry: FieldEntry, start: int, values: list[int],
+              vp_index: Optional[int] = None, ledger: Optional[set[int]] = None) -> None:
+        """Store ``values`` from position ``start``: the one store that marks positions written.
+
+        They are marked in ``ledger``, an import's, if one is given, and a
+        MIG_DEC_KEY quadword counts as written.
+        """
+        stored = self._scope_values(entry, vp_index)
+        written = range(start, start + len(values))
+        stored[start : written.stop] = values
+        if ledger is not None:
+            ledger.update(written)
+        if stored is self.td_store["MIG_DEC_KEY"]:
+            self._mig_dec_key_written.update(written)
 
     @property
     def mig_dec_key_set(self) -> bool:
@@ -603,19 +612,8 @@ def is_event_allowed(td: TdComplex, event_select: int, umask: int) -> bool:
     return index < len(live) and live[index] == key
 
 
-def _check_config(sink: "TdImportSink", values: list[int]) -> bool:
-    """Admit the field through TD_CONFIG_RULES; the admitted value is what gets stored."""
-    values[0] = admit_td_config(sink.td, sink._entry.name, values[0], sink.td.gpaw, importing=True)
-    return values[0] is not None
-
-
-def _check_gpas(sink: "TdImportSink", values: list[int]) -> bool:
-    gpaw = sink.td.gpaw
-    return all(check_gpa_validity(value, gpaw) for value in values)
-
-
 class TdImportSink:
-    """Metadata sink bound to one TD scope for one import operation.
+    """Metadata sink for one TD scope in one import operation; it keeps no state between calls.
 
     Applies the per-field special write handling (verification on the way in,
     through TD_CONFIG_RULES for the TD-configuration fields) and records each
@@ -623,14 +621,13 @@ class TdImportSink:
     ``gpa_checks`` is bug-9's switch: False is the pre-fix code, which stores
     private-GPA fields without validity checks.
 
-    The sink works per catalog entry, a field run (``write_fields``) at a
-    time; ``write_field`` is a run of one.  On a new entry it looks up the
-    entry's value checks and binds its storage: the value list and the sets a
-    stored position is marked in (the ledger, and ``TdComplex.store_marks``'s).
-    An unchecked entry is bound at once, and a run is stored with one slice
-    assignment: ``v & mask``, plus the stored bits outside the mask unless the
-    entry has special write handling.  A checked entry is checked, bound and
-    stored field by field; a refused field ends the run and binds nothing.
+    The sink takes a field run of one catalog entry (``write_fields``) at a
+    time; ``write_field`` is a run of one.  Each call works out the entry's
+    checks, kept bits and mask, and stores through ``TdComplex.store``, which
+    marks the positions in the ledger.  An unchecked run is stored at once:
+    ``v & mask``, plus the stored bits outside the mask unless the entry has
+    special write handling.  A checked entry is checked and stored field by
+    field; a refused field ends the run.  A run of no values stores nothing.
     """
 
     def __init__(
@@ -643,11 +640,6 @@ class TdImportSink:
         self.td = td
         self.vp_index = vp_index
         self.gpa_checks = gpa_checks
-        self._entry: Optional[FieldEntry] = None
-        self._checks: tuple = ()
-        self._overwrite = False
-        self._values: Optional[list[int]] = None
-        self._marks: tuple[set[int], ...] = ()
 
     def write_field(self, entry: FieldEntry, field_index: int, values: list[int],
                     combined_mask: int) -> int:
@@ -655,54 +647,33 @@ class TdImportSink:
 
     def write_fields(self, entry: FieldEntry, first: int, values: list[int],
                      combined_mask: int) -> tuple[int, int]:
-        if entry is not self._entry:
-            self._enter(entry)
-        num_of_elem, checks = entry.num_of_elem, self._checks
-        # A field with special write handling is stored as masked (as checked,
-        # where it has checks); any other keeps its stored bits outside the mask.
-        keep = 0 if self._overwrite else ~combined_mask & U64
-        mask = U64 if checks else combined_mask  # a checked field is not masked again
-        step = num_of_elem if checks else max(len(values), 1)  # a checked entry field by field
+        td, num_of_elem = self.td, entry.num_of_elem
+        gpas = entry.gpa_private and self.gpa_checks
+        config = entry.special_wr_handling and entry.name in TD_CONFIG_RULES
+        # A field with special write handling is stored as masked (as admitted,
+        # where it has a rule); any other keeps its stored bits outside the mask.
+        keep = 0 if entry.special_wr_handling else ~combined_mask & U64
+        step = num_of_elem if gpas or config else max(len(values), 1)  # checked: field by field
         for at in range(0, len(values), step):
-            part = values[at : at + step]
-            if checks:
-                part = [v & combined_mask for v in part]
-                if not all(check(self, part) for check in checks):
-                    return TDX_METADATA_FIELD_VALUE_NOT_VALID, first + at // num_of_elem
-                if self._values is None:
-                    self._bind(entry)
+            part = [v & combined_mask for v in values[at : at + step]]
+            if config:  # the value TD_CONFIG_RULES admits is what gets stored
+                part[0] = admit_td_config(td, entry.name, part[0], td.gpaw, importing=True)
+            if part[0] is None or gpas and not all(check_gpa_validity(v, td.gpaw) for v in part):
+                return TDX_METADATA_FIELD_VALUE_NOT_VALID, first + at // num_of_elem
             start = first * num_of_elem + at
-            end = start + len(part)
-            if keep or mask != U64:  # values are 64-bit: a full mask with no kept bits is a copy
-                part = [(v & mask) | (s & keep) for v, s in zip(part, self._values[start:end])]
-            self._values[start:end] = part
-            for marks in self._marks:
-                marks.update(range(start, end))
+            if keep:
+                stored = td.read_values(entry, self.vp_index)[start : start + len(part)]
+                part = [v | (s & keep) for v, s in zip(part, stored)]
+            td.store(entry, start, part, self.vp_index, self._ledger(entry))
         return TDX_SUCCESS, first + -(-len(values) // num_of_elem)
 
-    def _enter(self, entry: FieldEntry) -> None:
-        """Start on a new entry: look up its value checks, and bind its storage if it has none."""
-        checks = []
-        if entry.gpa_private and self.gpa_checks:
-            checks.append(_check_gpas)
-        if entry.special_wr_handling and entry.name in TD_CONFIG_RULES:
-            checks.append(_check_config)
-        self._entry = entry
-        self._checks = tuple(checks)
-        self._overwrite = entry.special_wr_handling
-        self._values = None if checks else self._bind(entry)
-
-    def _bind(self, entry: FieldEntry) -> list[int]:
-        """Bind the entry's storage: at once if it has no checks, else when a field passes them."""
-        td = self.td
-        store = self._values = td._scope_values(entry, self.vp_index)
-        ledger = td.import_written.setdefault(td.ledger_key(entry, self.vp_index), set())
-        self._marks = (ledger, *td.store_marks(store))
-        return store
+    def _ledger(self, entry: FieldEntry) -> set[int]:
+        """The entry's positions this import has written: made present, with none, on first use."""
+        return self.td.import_written.setdefault(self.td.ledger_key(entry, self.vp_index), set())
 
     def record_skip(self, entry: FieldEntry, field_index: int) -> None:
         """A skipped field makes its entry present in the ledger with nothing written."""
-        self.td.import_written.setdefault(self.td.ledger_key(entry, self.vp_index), set())
+        self._ledger(entry)
 
 
 class TdExportSource:

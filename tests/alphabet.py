@@ -101,7 +101,8 @@ STRANGER = Servtd(uuid=(1, 2, 3, 4))  # a service TD the module never issued
 VALUES = {
     "hkid": ([lambda w, _: w.m.kot.free_hkids()[0]],
              [-1, lambda w, _: len(w.m.kot), lambda w, _: w.src.hkid]),
-    "tdmr_entries": ([[], [TDMR_ENTRY_ALIGNMENT]], [[1]]),
+    "tdmr_entries": ([[], [TDMR_ENTRY_ALIGNMENT]],  # misaligned, then outside 64 bits
+                     [[1], [TDMR_ENTRY_ALIGNMENT | 1 << 64], [-TDMR_ENTRY_ALIGNMENT]]),
     "caller": ([lambda w, _: w.migtd], [STRANGER]),
     "handle": ([lambda w, _: w.env["dst_handle"], lambda w, _: w.env["src_handle"]],
                [lambda w, _: w.env["dst_handle"] + (1 << 30)]),
@@ -127,9 +128,11 @@ VALUES = {
     "field_id_raw": ([bundled_catalog().by_name(MD_CTX_VP, "XCR0").field_id_raw, ATTRIBUTES_ID,
                       MIG_DEC_KEY_ID], [0, ATTRIBUTES_ID + 1, ATTRIBUTES_ID | 1 << 64,
                                         ATTRIBUTES_ID - (1 << 64), MIG_DEC_KEY_ID | 1 << 64]),
-    # The CPUID table's first and last slots; then the slot past it, and an id of another class.
+    # The CPUID table's first and last slots; then the slot past it, an id of another class,
+    # and slot 0's id outside 64 bits.
     "md_next_cpuid_field.field_id_raw": ([_cpuid_id(0), _cpuid_id(MAX_NUM_CPUID_LOOKUP - 1)],
-                                         [_cpuid_id(MAX_NUM_CPUID_LOOKUP), ATTRIBUTES_ID]),
+                                         [_cpuid_id(MAX_NUM_CPUID_LOOKUP), ATTRIBUTES_ID,
+                                          _cpuid_id(0) | 1 << 64, _cpuid_id(0) - (1 << 64)]),
     "value": ([1], [0, U64, 1 << 64, -1]),
     "mask": ([U64], [0, 1, -1]),
     "count": ([1, 4], [0, -1]),

@@ -316,3 +316,17 @@ def test_cpuid_search_answers_an_int_for_every_64_bit_id(field_id, bug4):
         assert (result, m.cpuid.access_log) == (MD_FIELD_ID_NA, [])
     last = in_class and fid.field_code == MAX_NUM_CPUID_LOOKUP - 1
     assert m.cpuid.oob_accesses() == ([MAX_NUM_CPUID_LOOKUP] if bug4 and last else [])
+
+
+@settings(max_examples=50, deadline=None)
+@given(slot=st.integers(0, MAX_NUM_CPUID_LOOKUP), high=st.integers(-3, 3).filter(bool),
+       bug4=st.booleans())
+# Slot 0's id with bit 64 set, and less 2**64: both once answered slot 1's id.
+@example(slot=0, high=1, bug4=False)
+@example(slot=0, high=-1, bug4=True)
+def test_cpuid_search_answers_na_for_an_id_outside_64_bits(slot, high, bug4):
+    """An id outside [0, 2**64) names no slot, whatever its low 64 bits: MD_FIELD_ID_NA, no read."""
+    m = TdxModule(EngineMode(bug4=bug4))
+    before = m.digest()
+    assert m.md_next_cpuid_field(m.cpuid.field_id_for(slot) + (high << 64)) == MD_FIELD_ID_NA
+    assert (m.cpuid.access_log, m.digest()) == ([], before)

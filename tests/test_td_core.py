@@ -12,7 +12,7 @@ from alphabet import World
 from tdxmodel import md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog, MigClass
-from tdxmodel.engine import TdxModule
+from tdxmodel.engine import EngineMode, TdxModule
 from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, WriteMode
 from tdxmodel.scenarios import collect_sequences, decrypted_lists
 from tdxmodel.td import (
@@ -27,6 +27,7 @@ from tdxmodel.td import (
     MAX_VCPUS_PER_TD,
     MIN_HP_LOCK_TIMEOUT_USEC,
     NOT_STATE,
+    TDMR_ENTRY_ALIGNMENT,
     TD_CONFIG_RULES,
     TYPED_TD_FIELDS,
     VIRT_TSC_FREQUENCY_MAX,
@@ -694,6 +695,27 @@ def test_reserving_taken_hkid_fails():
     assert S.status_class(status) == S.TDX_HKID_NOT_FREE
 
 
+_TDMR_ADDRESSES = st.integers(-2**65, 2**65) | st.integers(-2**56, 2**56).map(
+    lambda page: page * TDMR_ENTRY_ALIGNMENT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(address=_TDMR_ADDRESSES, bug8=st.booleans())
+# Aligned, but outside 64 bits: both once answered TDX_SUCCESS and kept the HKID.
+@example(address=TDMR_ENTRY_ALIGNMENT | 1 << 64, bug8=False)
+@example(address=-TDMR_ENTRY_ALIGNMENT, bug8=False)
+@example(address=-TDMR_ENTRY_ALIGNMENT, bug8=True)
+def test_sys_config_admits_only_aligned_64_bit_tdmr_entries(address, bug8):
+    """Any other entry answers OPERAND_INVALID naming RCX, as a misaligned one does: the fixed
+    error path frees the HKID, bug-8's leaks it."""
+    m = TdxModule(EngineMode(bug8=bug8))
+    admitted = 0 <= address < 1 << 64 and address % TDMR_ENTRY_ALIGNMENT == 0
+    refused = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RCX)
+    assert m.tdh_sys_config(1, [TDMR_ENTRY_ALIGNMENT, address]) == (
+        S.TDX_SUCCESS if admitted else refused)
+    assert m.kot.states[1] is (KotState.HKID_RESERVED if admitted or bug8 else KotState.HKID_FREE)
+
+
 @given(hkid=st.integers(-2**64, 2**64), taken=st.sets(st.integers(0, 7)),
        state=st.sampled_from([KotState.HKID_RESERVED, KotState.HKID_ASSIGNED]))
 def test_claim_moves_only_a_free_hkid_of_the_table(hkid, taken, state):
@@ -790,6 +812,24 @@ def test_sink_accounting_feeds_required_check(catalog):
     sink.write_field(attrs, 0, [ATTR_MIGRATABLE], 2**64 - 1)
     missing = td.missing_required(catalog, {MD_CTX_TD}, {MigClass.MB}, None)
     assert "ATTRIBUTES" not in {e.name for e in missing}
+
+
+def test_a_sink_stores_into_the_tds_current_list_and_ledger(catalog):
+    """One sink, one entry, two calls; between them the TD's lists are replaced, as
+    tdh_mng_init's rollback replaces them, and so is its ledger.  Each call's store
+    lands in the lists and the ledger the TD holds at that call."""
+    td = _fresh_td()
+    sink = TdImportSink(td, gpa_checks=False)
+    for name in ("TD_EPOCH", "MIG_DEC_KEY"):  # a plain entry, and a special one with no rule
+        entry = catalog.by_name(MD_CTX_TD, name)
+        span = range(entry.code_span)
+        for value in (1, 2):
+            td.td_store.update({k: list(v) for k, v in td.td_store.items()})
+            td.import_written = {}
+            assert sink.write_fields(entry, 0, [value] * len(span), U64) == (S.TDX_SUCCESS, 1)
+            assert td.read_values(entry) == [value] * len(span)
+            assert td.import_written == {td.ledger_key(entry, None): set(span)}
+    assert td.mig_dec_key_set and td.session_key.to_quadwords() == [2] * 4
 
 
 def test_snapshot_mentions_key_fields():
