@@ -119,10 +119,6 @@ class EngineMode:
             if not isinstance(value, bool):
                 raise TypeError(f"{name} must be a bool, not {value!r}")
 
-    @classmethod
-    def all_vulnerable(cls) -> "EngineMode":
-        return cls(**dict.fromkeys(FINDING_TOGGLES, True))
-
 
 FINDING_TOGGLES = tuple(f.name for f in dc_fields(EngineMode))
 
@@ -206,6 +202,14 @@ def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> l
 def _seal(migsc: MigStreamContext, bundle_type: BundleType, lists: list[bytes]) -> Bundle:
     """Seal whole lists on the stream, under the key ``_stream`` installed."""
     return Bundle(*encrypt_bundle(migsc, bundle_type, lists))
+
+
+def seal_for(td: TdComplex, bundle_type: BundleType, lists: list[bytes], migsc_index: int = 0) -> Bundle:
+    """Seal lists as the sending end of the TD's stream ``migsc_index`` would: under the TD's
+    session key, at the counter that stream opens next (its first, on a stream the TD lacks)."""
+    sender = MigStreamContext(migsc_index, td.session_key)
+    sender.iv_counter = td.migsc[migsc_index].last_opened if migsc_index < len(td.migsc) else 0
+    return _seal(sender, bundle_type, lists)
 
 
 def _nothing() -> None:
@@ -723,6 +727,7 @@ class TdxModule:
             if missing:
                 step.ext_err_info = (missing[0].field_id_raw, 0)
                 return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
+        migsc.last_opened = bundle.mbmd.iv_counter
         return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_IMPORT_STATE_IMMUTABLE)
@@ -765,6 +770,7 @@ class TdxModule:
         gpa, token = _GPA_TOKEN.unpack_from(lists[0])
         if gpa & PAGE_GPA_BITS[not td.gpaw]:
             return GPA_INVALID
+        migsc.last_opened = bundle.mbmd.iv_counter
         td.pages[gpa] = token
         return TDX_SUCCESS, "success"
 

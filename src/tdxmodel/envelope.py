@@ -78,9 +78,6 @@ class MigrationSessionKey:
             raise ValueError("session key is four quadwords")
         return cls(b"".join(q.to_bytes(8, "little") for q in quadwords))
 
-    def to_quadwords(self) -> list[int]:
-        return [int.from_bytes(self.key[i : i + 8], "little") for i in range(0, 32, 8)]
-
     @classmethod
     def generate(cls, rng: random.Random) -> "MigrationSessionKey":
         return cls(rng.randbytes(MSK_BYTES))
@@ -148,6 +145,7 @@ class MigStreamContext:
         self.stream_index = stream_index
         self.key = key
         self.iv_counter = 0
+        self.last_opened = 0  # the counter of the last bundle an import on it completed with
         self.interrupted_state = InterruptedState()
         self.locked = False
         self.iv_history: list[bytes] = []

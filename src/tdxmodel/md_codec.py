@@ -364,14 +364,6 @@ class ParseArena:
         tile = hashlib.sha256(name.encode()).digest()
         return (tile * (size // len(tile) + 1))[:size]
 
-    def region_span(self, name: str) -> tuple[int, int]:
-        off = LIST_BYTES
-        for region, size in self.REGIONS:
-            if region == name:
-                return off, off + size
-            off += size
-        raise KeyError(name)
-
     def plant(self, offset: int, value: int) -> None:
         """Place an 8-byte little-endian sentinel value at an arena offset."""
         buffer = self.buffer

@@ -22,14 +22,8 @@ from typing import Callable, Optional
 from . import md_codec as md
 from . import status as S
 from .catalog import FieldCatalog
-from .engine import Bundle, EngineMode, EpochToken, TdxModule
-from .envelope import (
-    BundleType,
-    MigrationSessionKey,
-    MigStreamContext,
-    decrypt_bundle,
-    encrypt_bundle,
-)
+from .engine import Bundle, EngineMode, EpochToken, TdxModule, seal_for
+from .envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
 from .md_codec import MD_CTX_TD, MD_CTX_VP, MdSequence
 from .states import OpState, validate_trace
 from .td import (
@@ -159,15 +153,6 @@ def zero_mask_entry(sequences: list[MdSequence], catalog: FieldCatalog,
     return out
 
 
-def seal(key_qwords: list[int], bundle_type: BundleType, lists_bytes: list[bytes],
-         stream_index: int = 0, iv_counter: int = 0x1000) -> Bundle:
-    """Encrypt attacker-crafted lists with the known session key."""
-    ctx = MigStreamContext(stream_index, MigrationSessionKey.from_quadwords(key_qwords))
-    ctx.iv_counter = iv_counter
-    mbmd, ciphertext = encrypt_bundle(ctx, bundle_type, lists_bytes)
-    return Bundle(mbmd, ciphertext)
-
-
 def crafted_vp_list(extra_oob_header: bool, num_fields: int = 512) -> bytes:
     """The malicious vp-state list: an underflowing write-mask walk at the tail.
 
@@ -250,11 +235,14 @@ def new_template(m: TdxModule, env: dict) -> dict:
     return {"dst": dst, "dst_handle": handle}
 
 
-def export_blackout(m: TdxModule, env: dict) -> None:
-    """Pause the source and capture the mutable TD and per-VP bundles."""
+def export_blackout(m: TdxModule, env: dict, pages=()) -> None:
+    """Export the page at each GPA of ``pages`` (LIVE_EXPORT), then pause the source and export
+    its mutable TD and per-VP state (PAUSED_EXPORT): the matrix's order."""
     src = env["src"]
     if "bundle_immutable" not in env:
         _, env["bundle_immutable"] = m.tdh_export_state_immutable(src)
+    env["bundle_mem"] = [m.tdh_export_mem(src, gpa)[1] for gpa in pages]
+    assert None not in env["bundle_mem"], "a page export failed"
     status = m.tdh_export_pause(src)
     assert status == S.TDX_SUCCESS
     _, env["bundle_td"] = m.tdh_export_state_td(src)
@@ -265,16 +253,21 @@ def export_blackout(m: TdxModule, env: dict) -> None:
     _, env["start_token"] = m.tdh_export_track(src, start=True)
 
 
-def import_to_state_import(m: TdxModule, env: dict, dst=None) -> None:
-    """Benign import of the immutable and mutable-TD bundles, VPs created."""
+def import_to_state_import(m: TdxModule, env: dict, dst=None, mem=()) -> int:
+    """Import the immutable bundle, the MEM bundles of ``mem`` (MEMORY_IMPORT), then the
+    mutable-TD bundle, and create the VPs: the first word that is not success."""
     dst = dst or env["dst"]
-    status = m.tdh_import_state_immutable(dst, env["bundle_immutable"])
-    assert status == S.TDX_SUCCESS, S.status_str(status)
-    status = m.tdh_import_state_td(dst, env["bundle_td"])
-    assert status == S.TDX_SUCCESS, S.status_str(status)
-    for i in range(len(env["src"].vps)):
-        m.tdh_vp_create(dst)
-        m.tdh_vp_addcx(dst, i)
+
+    def calls():
+        yield m.tdh_import_state_immutable(dst, env["bundle_immutable"])
+        for bundle in mem:
+            yield m.tdh_import_mem(dst, bundle)
+        yield m.tdh_import_state_td(dst, env["bundle_td"])
+        for i in range(len(env["src"].vps)):
+            yield m.tdh_vp_create(dst)[0]
+            yield m.tdh_vp_addcx(dst, i)
+
+    return next((status for status in calls() if status != S.TDX_SUCCESS), S.TDX_SUCCESS)
 
 
 def finish_import(m: TdxModule, env: dict, dst=None) -> int:
@@ -294,7 +287,7 @@ def finish_import(m: TdxModule, env: dict, dst=None) -> int:
 def decrypted_lists(env: dict, bundle: Bundle) -> list[bytes]:
     ctx = MigStreamContext(0, MigrationSessionKey.from_quadwords(env["key"]))
     status, lists = decrypt_bundle(ctx, bundle.mbmd, bundle.data)
-    assert status == S.TDX_SUCCESS
+    assert status == S.TDX_SUCCESS, S.status_str(status)
     return lists
 
 
@@ -350,21 +343,19 @@ def _v1(m: TdxModule, r: Recorder) -> dict:
 def _v2(m: TdxModule, r: Recorder) -> dict:
     env = standard_setup(m, num_vcpus=1)
     export_blackout(m, env)
-    import_to_state_import(m, env)
+    assert import_to_state_import(m, env) == SUCCESS
     dst, dst2 = env["dst"], new_template(m, env)["dst"]
-    import_to_state_import(m, env, dst=dst2)
-    option1 = seal(env["key"], BundleType.VP, [crafted_vp_list(extra_oob_header=True)])
-    option2 = seal(env["key"], BundleType.VP, [crafted_vp_list(extra_oob_header=False)])
+    assert import_to_state_import(m, env, dst=dst2) == SUCCESS
     m.arena_plants = {LEAK_SENTINEL_OFFSET: LEAK_SENTINEL}
 
     r.step(
         "tdh_import_state_vp dst (crafted bundle, option 1: register exfil)",
-        m.tdh_import_state_vp(dst, 0, option1),
+        m.tdh_import_state_vp(dst, 0, seal_for(dst, BundleType.VP, [crafted_vp_list(True)])),
         FATAL_FIELD_ID_INCORRECT, fixed=FATAL_LIST_OVERFLOW,
     )
     r.step(
         "tdh_import_state_vp dst2 (crafted bundle, option 2: exfil via XBUFF)",
-        m.tdh_import_state_vp(dst2, 0, option2),
+        m.tdh_import_state_vp(dst2, 0, seal_for(dst2, BundleType.VP, [crafted_vp_list(False)])),
         FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
     )
     walks, walks2 = dst.trace[-1].walks, dst2.trace[-1].walks
@@ -389,11 +380,10 @@ def _bug1(m: TdxModule, r: Recorder) -> dict:
     dst = env["dst"]
     status = m.tdh_import_state_immutable(dst, env["bundle_immutable"])
     assert status == S.TDX_SUCCESS
-    crafted = seal(env["key"], BundleType.TD, [list_header_underflow_list()])
 
     r.step(
         "tdh_import_state_td dst (list_buff_size = 0)",
-        m.tdh_import_state_td(dst, crafted),
+        m.tdh_import_state_td(dst, seal_for(dst, BundleType.TD, [list_header_underflow_list()])),
         FATAL_REQUIRED_MISSING, fixed=FATAL_LIST_OVERFLOW,
     )
     arena, walk = dst.trace[-1].walks[0]
@@ -407,7 +397,7 @@ def _bug1(m: TdxModule, r: Recorder) -> dict:
 def _bug2(m: TdxModule, r: Recorder) -> dict:
     env = standard_setup(m, num_vcpus=1)
     export_blackout(m, env)
-    catalog, key = m.catalog, env["key"]
+    catalog = m.catalog
     imm_lists = decrypted_lists(env, env["bundle_immutable"])
     vp_lists = decrypted_lists(env, env["bundle_vps"][0])
 
@@ -417,25 +407,22 @@ def _bug2(m: TdxModule, r: Recorder) -> dict:
 
     td_seqs = collect_sequences(imm_lists[1:])
     eptp_skip = [imm_lists[0]] + repack(zero_mask_entry(td_seqs, catalog, MD_CTX_TD, "EPTP"))
-    b_eptp = seal(key, BundleType.IMMUTABLE, eptp_skip)
-
     vp_seqs = collect_sequences(vp_lists)
-    b_xcr0 = seal(key, BundleType.VP, repack(zero_mask_entry(vp_seqs, catalog, MD_CTX_VP, "XCR0")))
+    xcr0_skip = repack(zero_mask_entry(vp_seqs, catalog, MD_CTX_VP, "XCR0"))
 
     value_seqs = td_seqs
     for name in ("NUM_VCPUS", "TSC_FREQUENCY", "HP_LOCK_TIMEOUT"):
         value_seqs = zero_mask_entry(value_seqs, catalog, MD_CTX_TD, name)
-    b_values = seal(key, BundleType.IMMUTABLE, [imm_lists[0]] + repack(value_seqs))
+    values_skip = [imm_lists[0]] + repack(value_seqs)
 
     export_lists = [bytearray(data) for data in [imm_lists[0]] + repack(td_seqs)]
     export_count = catalog.by_name(MD_CTX_TD, "EXPORT_COUNT").field_id_for(0)
     patched = md.patch_element(export_lists, export_count, 0, 0x80000000)
     assert patched
-    b_export = seal(key, BundleType.IMMUTABLE, [bytes(d) for d in export_lists])
 
     r.step(
         "tdh_import_state_immutable dst (EPTP skipped via zero write mask)",
-        m.tdh_import_state_immutable(dst, b_eptp),
+        m.tdh_import_state_immutable(dst, seal_for(dst, BundleType.IMMUTABLE, eptp_skip)),
         SUCCESS, fixed=FATAL_REQUIRED_MISSING,
     )
     r.step(
@@ -443,10 +430,10 @@ def _bug2(m: TdxModule, r: Recorder) -> dict:
         m.tdh_mem_sept_add(dst, 0x1000),
         TD_FATAL, fixed=OP_STATE_INCORRECT,
     )
-    import_to_state_import(m, env, dst=dst2)
+    assert import_to_state_import(m, env, dst=dst2) == SUCCESS
     r.step(
         "tdh_import_state_vp dst2 (XCR0 skipped via zero write mask)",
-        m.tdh_import_state_vp(dst2, 0, b_xcr0),
+        m.tdh_import_state_vp(dst2, 0, seal_for(dst2, BundleType.VP, xcr0_skip)),
         SUCCESS, fixed=FATAL_REQUIRED_MISSING,
     )
     m.tdh_import_track(dst2, env["start_token"])
@@ -454,7 +441,7 @@ def _bug2(m: TdxModule, r: Recorder) -> dict:
     r.step("tdh_vp_enter dst2 vp0", m.tdh_vp_enter(dst2, 0), TD_FATAL, fixed=OP_STATE_INCORRECT)
     r.step(
         "tdh_import_state_immutable dst3 (NUM_VCPUS/TSC_FREQUENCY/HP_LOCK_TIMEOUT skipped)",
-        m.tdh_import_state_immutable(dst3, b_values),
+        m.tdh_import_state_immutable(dst3, seal_for(dst3, BundleType.IMMUTABLE, values_skip)),
         SUCCESS, fixed=FATAL_REQUIRED_MISSING,
     )
     r.step(
@@ -462,7 +449,7 @@ def _bug2(m: TdxModule, r: Recorder) -> dict:
         m.tdh_import_track(dst3, EpochToken(start=True)),
         SUCCESS, fixed=OP_STATE_INCORRECT,
     )
-    status = m.tdh_import_state_immutable(dst4, b_export)
+    status = m.tdh_import_state_immutable(dst4, seal_for(dst4, BundleType.IMMUTABLE, export_lists))
     if status == S.TDX_SUCCESS:
         m.tdh_import_state_td(dst4, env["bundle_td"])
         m.tdh_vp_create(dst4)
@@ -586,18 +573,17 @@ def _bug9(m: TdxModule, r: Recorder) -> dict:
     bogus_gpa = 0xFFFF_8000_0000_0000  # above the 48-bit guest width
     env = standard_setup(m, num_vcpus=1)
     export_blackout(m, env)
-    import_to_state_import(m, env)
+    assert import_to_state_import(m, env) == SUCCESS
     dst = env["dst"]
     vp_seqs = collect_sequences(decrypted_lists(env, env["bundle_vps"][0]))
     vapic = m.catalog.by_name(MD_CTX_VP, "L2_VAPIC_GPA")
     vp_seqs.append(
         MdSequence(md.make_sequence_header(MD_CTX_VP, vapic.class_code, vapic.field_code), [bogus_gpa])
     )
-    crafted = seal(env["key"], BundleType.VP, repack(vp_seqs))
 
     r.step(
         "tdh_import_state_vp dst (L2_VAPIC_GPA = non-canonical private GPA)",
-        m.tdh_import_state_vp(dst, 0, crafted),
+        m.tdh_import_state_vp(dst, 0, seal_for(dst, BundleType.VP, repack(vp_seqs))),
         SUCCESS, fixed=FATAL_VALUE_NOT_VALID,
     )
     r.check("invalid private GPA accepted and stored", dst.read_values(vapic, 0)[0] == bogus_gpa, True)

@@ -11,11 +11,11 @@ import inspect
 
 from tdxmodel import status as S
 from tdxmodel.catalog import CPUID_CLASS_CODE, MAX_NUM_CPUID_LOOKUP, bundled_catalog
-from tdxmodel.engine import Bundle, EpochToken, Servtd, TdxModule
+from tdxmodel.engine import Bundle, EpochToken, Servtd, TdxModule, seal_for
 from tdxmodel.envelope import BundleType
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP, make_sequence_header
 from tdxmodel.scenarios import ATTRIBUTES_ID, MIG_DEC_KEY_ID, decrypted_lists, export_blackout
-from tdxmodel.scenarios import import_to_state_import, seal, standard_setup
+from tdxmodel.scenarios import import_to_state_import, standard_setup
 from tdxmodel.states import OpState
 from tdxmodel.td import ATTR_DEBUG, ATTR_MIGRATABLE, ATTR_PERFMON, LVL_PML5, TDMR_ENTRY_ALIGNMENT, U64
 from tdxmodel.td import EventFilter, TdParams
@@ -59,33 +59,34 @@ class World:
         self.m = m = TdxModule(mode, seed=seed)
         self.env = env = standard_setup(m, num_vcpus, num_pages=2)
         self.src, self.dst, self.migtd, self.key = env["src"], env["dst"], env["migtd"], env["key"]
-        _, mem = m.tdh_export_mem(self.src, PAGE)
-        export_blackout(m, env)
-        import_to_state_import(m, env)
-        assert m.tdh_import_mem(self.dst, mem) == S.TDX_SUCCESS
+        export_blackout(m, env, pages=[PAGE])
+        assert import_to_state_import(m, env, mem=env["bundle_mem"]) == S.TDX_SUCCESS
+        # The source's bundle of each type, as exported: the destination opened all but the VP one.
         self.bundles = dict(zip(BundleType, (env["bundle_immutable"], env["bundle_td"],
-                                             env["bundle_vps"][0], mem)))
+                                             env["bundle_vps"][0], env["bundle_mem"][0])))
 
-    def honest(self, name: str) -> Bundle:
-        return self.bundles[bundle_type(name)]
+    def honest(self, name: str, migsc_index: int = 0) -> Bundle:  # resealed for the next counter
+        lists = decrypted_lists(self.env, self.bundles[bundle_type(name)])
+        return seal_for(self.dst, bundle_type(name), lists, migsc_index)
 
     def tampered(self, name: str) -> Bundle:  # one ciphertext bit flipped
-        data = bytearray(self.honest(name).data)
+        bundle = self.honest(name)
+        data = bytearray(bundle.data)
         data[len(data) // 2] ^= 0x40
-        return Bundle(self.honest(name).mbmd, bytes(data))
+        return Bundle(bundle.mbmd, bytes(data))
 
     def cross_stream(self, name: str) -> Bundle:  # sealed for a stream the destination lacks
-        lists = decrypted_lists(self.env, self.honest(name))
-        return seal(self.key, bundle_type(name), lists, stream_index=len(self.dst.migsc))
+        return self.honest(name, len(self.dst.migsc))
 
     def wrong_type(self, name: str) -> Bundle:  # the TD bundle for a MEM leaf, else the MEM one
         return self.bundles[BundleType.TD if bundle_type(name) is BundleType.MEM else BundleType.MEM]
 
     @functools.cached_property
     def other_immutable(self) -> Bundle:
-        """A second source's (one VP more) immutable lists, sealed under this world's key."""
+        """A second source's (one VP more) immutable lists, sealed for the destination."""
         other = standard_setup(self.m, len(self.src.vps) + 1)
-        return seal(self.key, BundleType.IMMUTABLE, decrypted_lists(other, other["bundle_immutable"]))
+        lists = decrypted_lists(other, other["bundle_immutable"])
+        return seal_for(self.dst, BundleType.IMMUTABLE, lists)
 
 
 def _cpuid_id(slot: int) -> int:

@@ -317,16 +317,9 @@ def test_criterion_12_end_to_end_roundtrip():
     module = TdxModule(seed=0xE2E)
     env = standard_setup(module, num_vcpus=2, num_pages=4)
     src = env["src"]
-    export_blackout(module, env)
-    mem_bundles = []
-    for gpa in src.pages:
-        status, bundle = module.tdh_export_mem(src, gpa)
-        assert status == S.TDX_SUCCESS
-        mem_bundles.append(bundle)
+    export_blackout(module, env, pages=list(src.pages))
     dst = env["dst"]
-    import_to_state_import(module, env)
-    for bundle in mem_bundles:
-        assert module.tdh_import_mem(dst, bundle) == S.TDX_SUCCESS
+    assert import_to_state_import(module, env, mem=env["bundle_mem"]) == S.TDX_SUCCESS
     assert finish_import(module, env) == S.TDX_SUCCESS
     assert dst.op_state is OpState.RUNNABLE
 

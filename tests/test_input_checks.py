@@ -44,7 +44,6 @@ REFUSALS = {
                                   "sequence header outside list_buff_size"),
     "arena-over-4kb": (lambda: md.ParseArena(bytes(md.LIST_BYTES + 1)), ValueError,
                        "list larger than 4KB"),
-    "arena-region-unknown": (lambda: md.ParseArena(b"").region_span("heap"), KeyError, "heap"),
     "plant-past-arena": (lambda: md.ParseArena(b"", plants={1 << 20: 1}), ValueError,
                          "plant outside arena"),
     "plant-before-arena": (lambda: md.ParseArena(b"", plants={-8: 1}), ValueError,

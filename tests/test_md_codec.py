@@ -30,6 +30,10 @@ from tdxmodel.scenarios import (
 
 from conftest import DictSink
 
+# Each sentinel region's (start, end) in the arena: the regions follow the list in REGIONS order.
+_STARTS = itertools.accumulate([size for _, size in ParseArena.REGIONS], initial=md.LIST_BYTES)
+REGION_SPANS = {name: (start, start + size) for (name, size), start in zip(ParseArena.REGIONS, _STARTS)}
+
 
 # --- arena -------------------------------------------------------------------
 
@@ -45,7 +49,7 @@ def test_arena_logs_and_flags_reads():
 
 def test_arena_sentinels_self_identify():
     arena = ParseArena(b"")
-    start, end = arena.region_span("shadow_stack")
+    start, end = REGION_SPANS["shadow_stack"]
     pattern = ParseArena.region_pattern("shadow_stack", end - start)
     assert bytes(arena.buffer[start:end]) == pattern
     assert bytes(arena.buffer[start:end]) != ParseArena.region_pattern("canary", end - start)
@@ -638,7 +642,7 @@ def test_every_logged_read_is_one_read_call(catalog, mode, only_skips):
 def test_planting_in_one_arena_leaves_others_untouched():
     first = ParseArena(b"")
     second = ParseArena(b"")
-    offsets = [first.region_span(name)[0] for name, _ in ParseArena.REGIONS]
+    offsets = [start for start, _ in REGION_SPANS.values()]
     before = [second.peek_u64s(offset, 1)[0] for offset in offsets]
     for offset in offsets:
         first.plant(offset, LEAK_SENTINEL)
@@ -805,8 +809,7 @@ def test_lazy_arena_matches_the_eager_reference(data, as_bytearray, plants, read
     past_list = any(offset + length > md.LIST_BYTES for offset, length in spans)
     assert (arena._image is None) == (not plants and not past_list)
 
-    starts = [0, md.LIST_BYTES - 4] + [arena.region_span(name)[0]
-                                        for name, _ in ParseArena.REGIONS]
+    starts = [0, md.LIST_BYTES - 4] + [start for start, _ in REGION_SPANS.values()]
     assert [arena.peek_u64s(at, 1)[0] for at in starts] == [reference.peek_u64(at) for at in starts]
     assert arena.buffer == reference.buffer
     assert arena.oob_reads() == reference.oob_reads()

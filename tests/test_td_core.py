@@ -13,6 +13,7 @@ from tdxmodel import md_codec as md
 from tdxmodel import status as S
 from tdxmodel.catalog import FieldCatalog, MigClass
 from tdxmodel.engine import EngineMode, TdxModule
+from tdxmodel.envelope import MigrationSessionKey
 from tdxmodel.md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP, WriteMode
 from tdxmodel.scenarios import collect_sequences, decrypted_lists
 from tdxmodel.td import (
@@ -423,12 +424,12 @@ def test_session_key_follows_every_mig_dec_key_change(catalog):
     for i, quadword in enumerate((1, 2, 3, 4)):
         td.write_element_raw(key_entry, i, quadword)
     key = td.session_key
-    assert key.to_quadwords() == [1, 2, 3, 4]
+    assert key == MigrationSessionKey.from_quadwords([1, 2, 3, 4])
     assert td.session_key is key  # built once per key value
     td.write_element_raw(key_entry, 3, 5)
-    assert td.session_key.to_quadwords() == [1, 2, 3, 5]
+    assert td.session_key == MigrationSessionKey.from_quadwords([1, 2, 3, 5])
     td.mig_dec_key[0] = 9  # a direct store is seen too
-    assert td.session_key.to_quadwords() == [9, 2, 3, 5]
+    assert td.session_key == MigrationSessionKey.from_quadwords([9, 2, 3, 5])
 
 
 # The typed property that reads each TD_store field, as a list of its quadwords.
@@ -829,7 +830,7 @@ def test_a_sink_stores_into_the_tds_current_list_and_ledger(catalog):
             assert sink.write_fields(entry, 0, [value] * len(span), U64) == (S.TDX_SUCCESS, 1)
             assert td.read_values(entry) == [value] * len(span)
             assert td.import_written == {td.ledger_key(entry, None): set(span)}
-    assert td.mig_dec_key_set and td.session_key.to_quadwords() == [2] * 4
+    assert td.mig_dec_key_set and td.session_key == MigrationSessionKey.from_quadwords([2] * 4)
 
 
 def test_snapshot_mentions_key_fields():
@@ -1238,6 +1239,20 @@ def test_mng_wr_refused_value_changes_nothing(writable_catalog):
         assert (m.last.status, m.last.after, td.op_state) == (status, op_state, op_state)
 
 
+def test_mng_wr_takes_the_debug_write_mask_on_a_debug_td(catalog):
+    epoch = catalog.by_name(MD_CTX_TD, "TD_EPOCH")
+    for prod, dbg in ((U64, 0), (0, U64)):
+        m = TdxModule(seed=5)
+        m.catalog = FieldCatalog([dataclasses.replace(e, prod_wr_mask=prod, dbg_wr_mask=dbg)
+                                  if e is epoch else e for ctx in (MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP)
+                                  for e in catalog.entries_for(ctx)])
+        for debug in (False, True):
+            status, td = m.build_td(TdParams(attributes=ATTR_DEBUG if debug else ATTR_MIGRATABLE))
+            assert status == S.TDX_SUCCESS
+            want = S.TDX_SUCCESS if (dbg if debug else prod) else S.TDX_METADATA_FIELD_NOT_WRITABLE
+            assert m.tdh_mng_wr(td, epoch.field_id_for(0), 1) == want, (prod, dbg, debug)
+
+
 def test_mng_wr_marks_key_quadwords_and_records_no_import(writable_catalog):
     m, td = _mng_wr_td(writable_catalog)
     key = writable_catalog.by_name(MD_CTX_TD, "MIG_DEC_KEY")
@@ -1245,7 +1260,7 @@ def test_mng_wr_marks_key_quadwords_and_records_no_import(writable_catalog):
     for i in range(4):
         assert m.tdh_mng_wr(td, key.field_id_for(0) + i, i + 1) == S.TDX_SUCCESS
         assert td._mig_dec_key_written == set(range(i + 1))
-    assert td.session_key.to_quadwords() == [1, 2, 3, 4]
+    assert td.session_key == MigrationSessionKey.from_quadwords([1, 2, 3, 4])
     assert td.import_written == {}
 
 

@@ -13,6 +13,13 @@ only in a subprocess), that no test ran.  It exits 1 if such a line is not on
 exit code if the suite failed; else 0.  It takes about 2.5 times the
 suite's own time.
 
+Over the same run it records which fields of each ``@dataclass`` in the
+package are read, by hooking each such class's ``__getattribute__`` until all
+its fields have been read.  A read counts when the reading frame is code in
+``src/tdxmodel`` or ``perfbench/``: not a test, and not the methods
+``dataclasses`` generates.  It exits 1 if a field was never read so, and
+there is no allow-list for that.
+
 ``ALLOWED`` is keyed by (file, stripped line text), or by (file, function,
 text) where the text repeats in the file, and each entry says why no input
 reaches the line.  ``tests/test_unused_names.py`` checks in tier-1 that each
@@ -20,6 +27,8 @@ entry still names a line, and that every statement of the package but a
 docstring or a declaration is a line the tracer counts.
 """
 
+import dataclasses
+import importlib
 import pathlib
 import sys
 import threading
@@ -27,6 +36,7 @@ import threading
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tdxmodel"
 UNTRACED = ("__main__.py",)  # it runs only as ``python -m tdxmodel``, in a subprocess
+READERS = (f"{PACKAGE}/", f"{ROOT / 'perfbench'}/")  # the code whose field reads count
 
 # (file, [function,] stripped line text) -> why no input reaches the line.  Every line of the
 # package runs in tier-1 now, so it is empty.
@@ -74,6 +84,31 @@ def _tracer(seen: dict):
     return call
 
 
+def dataclass_fields() -> dict[type, set[str]]:
+    """Each ``@dataclass`` the package defines -> the names of its fields."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in UNTRACED:
+            module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+            found.update({cls: {f.name for f in dataclasses.fields(cls)} for cls in vars(module).values()
+                          if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                          and cls.__module__ == module.__name__})
+    return found
+
+
+def watch_field_reads(unread: dict[type, set[str]]) -> None:
+    """Take each field from ``unread`` once ``READERS`` code reads it; a class left with no
+    unread field gets its own attribute lookup back."""
+    for cls, names in unread.items():
+        def getattribute(self, name, cls=cls, names=names, lookup=cls.__getattribute__):
+            if name in names and sys._getframe(1).f_code.co_filename.startswith(READERS):
+                names.discard(name)
+                if not names:
+                    del cls.__getattribute__
+            return lookup(self, name)
+        cls.__getattribute__ = getattribute
+
+
 class _NoDatabase:
     """A pytest plugin: no saved example replays, and no deadline a traced example could miss."""
 
@@ -90,6 +125,8 @@ def main() -> int:
     trace = _tracer(seen)
     threading.settrace(trace)
     sys.settrace(trace)
+    unread = dataclass_fields()
+    watch_field_reads(unread)
     import pytest
 
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
@@ -119,7 +156,12 @@ def main() -> int:
     ran_anyway = sorted({allowed[place] for place in set(allowed) - set(unrun)})
     for key in ran_anyway:
         print(f"allowed but run: {key}")
-    return 1 if stray or ran_anyway else 0
+    never_read = sorted(f"{cls.__module__}.{cls.__qualname__}.{name}"
+                        for cls, names in unread.items() for name in names)
+    print(f"{len(never_read)} dataclass fields no code in src/tdxmodel or perfbench/ read:")
+    for field in never_read:
+        print(f"  {field}  <- not allowed")
+    return 1 if stray or ran_anyway or never_read else 0
 
 
 if __name__ == "__main__":
