@@ -26,7 +26,8 @@ from tdxmodel.td import ATTR_MIGRATABLE, TdParams
 
 @contextlib.contextmanager
 def opens_in_order():
-    real, last = engine._open, {}  # id(stream) -> (stream, the last counter it opened)
+    # id(stream) -> (the stream, kept so its id is not reused; the last counter it opened)
+    real, last = engine._open, {}
 
     def checked(migsc, bundle, bundle_type):
         lists = real(migsc, bundle, bundle_type)
