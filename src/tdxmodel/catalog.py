@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from importlib import resources
-from typing import Optional, Union
+from typing import Optional
 
 from .md_codec import (
     MD_CTX_SYS,
@@ -25,6 +25,7 @@ from .md_codec import (
     MD_CTX_VP,
     MD_FIELD_ID_NA,
     MdFieldId,
+    admit_field_id,
     decode_field_id,
     make_sequence_header,
 )
@@ -180,11 +181,8 @@ class FieldCatalog:
     def by_name(self, context_code: int, name: str) -> FieldEntry:
         return self._by_name[(context_code, name)]
 
-    def find_entry(
-        self, context_code: int, field_id: Union[MdFieldId, int]
-    ) -> Optional[FieldEntry]:
+    def find_entry(self, context_code: int, fid: MdFieldId) -> Optional[FieldEntry]:
         """The context's entry covering the id's (class_code, field_code), by one index lookup."""
-        fid = decode_field_id(field_id) if isinstance(field_id, int) else field_id
         return self._by_code.get((context_code, fid.class_code, fid.field_code))
 
     def next_entry_after(self, context_code: int, entry: FieldEntry) -> Optional[FieldEntry]:
@@ -266,12 +264,6 @@ class CpuidLookup:
     def field_id_for(self, index: int) -> int:
         return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, index)
 
-    def index_of_field_id(self, raw: int) -> Optional[int]:
-        """The slot a 64-bit CPUID field id names; None for any other id or one past the table."""
-        fid = decode_field_id(raw)
-        in_class = (fid.class_code, fid.context_code, raw >> 64) == (CPUID_CLASS_CODE, MD_CTX_TD, 0)
-        return fid.field_code if in_class and fid.field_code < MAX_NUM_CPUID_LOOKUP else None
-
 
 def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, read_before_check: bool) -> int:
     """Next valid CPUID lookup position after field_id, or MD_FIELD_ID_NA.
@@ -280,12 +272,13 @@ def next_cpuid_entry(lookup: CpuidLookup, field_id_raw: int, read_before_check: 
     reading it and never reads out of range; the pre-fix one
     (read_before_check) reads first and checks the bound only once the loop
     stops, so a search starting at the final table slot touches one index
-    past the array.  An id that names no slot answers MD_FIELD_ID_NA with no read.
+    past the array.  An id ``admit_field_id`` refuses as a TD id, or one that
+    names no slot of the CPUID class, answers MD_FIELD_ID_NA with no read.
     """
-    index = lookup.index_of_field_id(field_id_raw)
-    if index is None:
+    fid = admit_field_id(field_id_raw, MD_CTX_TD)
+    if fid is None or fid.class_code != CPUID_CLASS_CODE or fid.field_code >= MAX_NUM_CPUID_LOOKUP:
         return MD_FIELD_ID_NA
-    index += 1
+    index = fid.field_code + 1
     while ((read_before_check or index < MAX_NUM_CPUID_LOOKUP)
            and not lookup.read(index).valid_entry):
         index += 1

@@ -141,7 +141,7 @@ class Servtd:
 
 # The word for a VP index the TD has no VP at, and for a VP past MAX_VCPUS_PER_TD.
 TDVPR_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_TDVPR)
-# The word for a metadata field id outside 64 bits or not covered by a catalog entry, or a
+# The word for a metadata field id not admitted or not covered by a catalog entry, or a
 # read count below 1: the metadata leaves take the field id, and with it the count, in RDX.
 FIELD_ID_INVALID = with_operand(TDX_OPERAND_INVALID, OPERAND_ID_RDX)
 # The words for a metadata write's field id (RDX), value (R8) and mask (R9) outside 64 bits.
@@ -189,11 +189,12 @@ def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
 def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> list | int | tuple:
     """The lists a bundle opens to on the stream, or the leaf's answer.
 
-    A bundle of another type or sealed for another stream is INVALID_MBMD with
-    no edge, before it is decrypted; one that does not open takes the failure edge.
+    A bundle of another type or stream, or a MEM bundle not of one list, is INVALID_MBMD
+    with no edge, before it is decrypted; one that does not open takes the failure edge.
     """
     mbmd = bundle.mbmd
-    if mbmd.bundle_type is not bundle_type or mbmd.stream_index != migsc.stream_index:
+    if (mbmd.bundle_type is not bundle_type or mbmd.stream_index != migsc.stream_index
+            or bundle_type is BundleType.MEM and mbmd.payload_size != md.LIST_BYTES):
         return TDX_INVALID_MBMD
     status, lists = decrypt_bundle(migsc, mbmd, bundle.data)
     return lists if status == TDX_SUCCESS else (status, "failure")
@@ -521,12 +522,12 @@ class TdxModule:
 
     def _write_target(self, field_id_raw: int, value: int, mask: int, wr_mask: str) -> tuple | int:
         """The TD entry, field position and combined mask a write names, or the word refusing it:
-        an operand outside 64 bits, then a field no entry covers, then no bit both masks let."""
+        an operand outside 64 bits, then an id not admitted or covered, then no bit both masks let."""
         for operand, word in zip((field_id_raw, value, mask), _WIDE_WRITE_WORDS):
             if not 0 <= operand <= U64:
                 return word
-        fid = md.decode_field_id(field_id_raw)
-        entry = self.catalog.find_entry(MD_CTX_TD, fid)
+        fid = md.admit_field_id(field_id_raw, MD_CTX_TD)
+        entry = fid and self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
             return FIELD_ID_INVALID
         combined = mask & getattr(entry, wr_mask)
@@ -539,13 +540,13 @@ class TdxModule:
         """The read leaves' body: ``count`` fields from the id on, each under the entry's ``mask``.
 
         ``mask`` names a FieldEntry mask, by default the host's (the debug one on a debug TD).
-        An id outside 64 bits, a field no entry covers, or a zero mask ends the read:
-        its word, and the values read.
+        A count below 1 or an id ``admit_field_id`` refuses reads nothing; a field no entry
+        covers or a zero mask ends the read: its word, and the values read.
         """
         mask = mask or ("dbg_rd_mask" if td.attributes.debug else "prod_rd_mask")
-        if not 0 <= field_id_raw <= U64:
+        fid = md.admit_field_id(field_id_raw, context_code) if count > 0 else None
+        if fid is None:
             return FIELD_ID_INVALID, []
-        fid = md.decode_field_id(field_id_raw)
         values = []
         for code in range(fid.field_code, fid.field_code + count):
             entry = self.catalog.find_entry(context_code, replace(fid, field_code=code))
@@ -560,8 +561,6 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MNG_RD, list)
     def tdh_mng_rd(self, td: TdComplex, field_id_raw: int, count: int = 1) -> tuple[int, list[int]]:
-        if count < 1:
-            return FIELD_ID_INVALID
         status, values = self._read(td, MD_CTX_TD, field_id_raw, count)
         return status, "success" if status == TDX_SUCCESS else None, values
 

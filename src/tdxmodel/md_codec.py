@@ -135,6 +135,14 @@ def decode_field_id(raw: int) -> MdFieldId:
     return MdFieldId(*[(raw >> shift) & mask for shift, mask in _UNPACK])
 
 
+def admit_field_id(raw: int, context_code: int) -> Optional[MdFieldId]:
+    """A handed id, decoded, if it fits 64 bits, sets no reserved bit and names the context."""
+    if not 0 <= raw < 1 << 64:
+        return None
+    fid = decode_field_id(raw)
+    return None if fid.has_reserved_bits or fid.context_code != context_code else fid
+
+
 @functools.cache
 def make_sequence_header(
     context_code: int,
@@ -507,10 +515,10 @@ def write_list(
 ) -> WriteResult:
     """Import one metadata list from the arena into the sink.
 
-    A refusal names a field id in ext_err_info[0]: the raw out-of-place
-    header on a context-code or catalog miss, with the sequence index in the
-    low status word; the ``at`` of a sequence walk that fails; and on a
-    residue refusal, the ``at`` of the last sequence walked (MD_FIELD_ID_NA
+    A refusal names a field id in ext_err_info[0]: the raw header that
+    ``admit_field_id`` refuses or no catalog entry covers, with the sequence
+    index in the low status word; the ``at`` of a sequence walk that fails; and
+    on a residue refusal, the ``at`` of the last sequence walked (MD_FIELD_ID_NA
     before the first).
     """
     result = WriteResult()
@@ -534,8 +542,8 @@ def write_list(
             result.status, result.ext_err_info[0] = LIST_OVERFLOW, at
             return result
         header_raw = arena.read_u64(seq_off)
-        fid = decode_field_id(header_raw)
-        entry = catalog.find_entry(context_code, fid) if fid.context_code == context_code else None
+        fid = admit_field_id(header_raw, context_code)
+        entry = fid and catalog.find_entry(context_code, fid)
         if entry is None:
             result.ext_err_info[0] = header_raw
             result.status = with_l2_details(TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, i)

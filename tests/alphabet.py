@@ -93,6 +93,14 @@ def _cpuid_id(slot: int) -> int:
     return make_sequence_header(MD_CTX_TD, CPUID_CLASS_CODE, slot)
 
 
+def _vp_id(name: str) -> int:
+    return bundled_catalog().by_name(MD_CTX_VP, name).field_id_raw
+
+
+XCR0_ID = _vp_id("XCR0")
+RESERVED_BITS = (24, 47, 55, 62)  # the lowest bit of each reserved range of a field id
+
+
 FORGED_START, NON_START = EpochToken(start=True), EpochToken(start=False)
 STRANGER = Servtd(uuid=(1, 2, 3, 4))  # a service TD the module never issued
 
@@ -125,15 +133,22 @@ VALUES = {
     "tdh_import_track.token": ([lambda w, _: w.env["start_token"]], [FORGED_START, NON_START]),
     "slot": ([1], [-1, 1 << 12]),
     "servtd": ([lambda w, _: w.migtd], [STRANGER]),
-    # A VP, a TD and a key field; then ids no catalog entry covers, and ids outside 64 bits.
-    "field_id_raw": ([bundled_catalog().by_name(MD_CTX_VP, "XCR0").field_id_raw, ATTRIBUTES_ID,
-                      MIG_DEC_KEY_ID], [0, ATTRIBUTES_ID + 1, ATTRIBUTES_ID | 1 << 64,
-                                        ATTRIBUTES_ID - (1 << 64), MIG_DEC_KEY_ID | 1 << 64]),
+    # The TD leaves': a TD and a key field; then ids no catalog entry covers, ids outside 64
+    # bits, a covered id with a bit set in each reserved range, and a VP id.
+    "field_id_raw": ([ATTRIBUTES_ID, MIG_DEC_KEY_ID],
+                     [0, ATTRIBUTES_ID + 1, ATTRIBUTES_ID | 1 << 64, ATTRIBUTES_ID - (1 << 64),
+                      MIG_DEC_KEY_ID | 1 << 64, *(ATTRIBUTES_ID | 1 << b for b in RESERVED_BITS),
+                      MIG_DEC_KEY_ID | 1 << 24, XCR0_ID]),
+    # tdh_vp_rd's: two VP fields; then the same hostile kinds, and a TD id.
+    "tdh_vp_rd.field_id_raw": ([XCR0_ID, _vp_id("CR2")],
+                               [0, XCR0_ID + 1, XCR0_ID | 1 << 64, XCR0_ID - (1 << 64),
+                                *(XCR0_ID | 1 << b for b in RESERVED_BITS), ATTRIBUTES_ID]),
     # The CPUID table's first and last slots; then the slot past it, an id of another class,
-    # and slot 0's id outside 64 bits.
+    # slot 0's id outside 64 bits, and slot 0's id with a reserved bit set.
     "md_next_cpuid_field.field_id_raw": ([_cpuid_id(0), _cpuid_id(MAX_NUM_CPUID_LOOKUP - 1)],
                                          [_cpuid_id(MAX_NUM_CPUID_LOOKUP), ATTRIBUTES_ID,
-                                          _cpuid_id(0) | 1 << 64, _cpuid_id(0) - (1 << 64)]),
+                                          _cpuid_id(0) | 1 << 64, _cpuid_id(0) - (1 << 64),
+                                          _cpuid_id(0) | 1 << 24]),
     "value": ([1], [0, U64, 1 << 64, -1]),
     "mask": ([U64], [0, 1, -1]),
     "count": ([1, 4], [0, -1]),

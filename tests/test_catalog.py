@@ -31,7 +31,7 @@ CONTEXTS = (MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP)
 
 
 def test_find_attributes_entry(catalog):
-    entry = catalog.find_entry(MD_CTX_TD, 0x1110000300000000)
+    entry = catalog.find_entry(MD_CTX_TD, decode_field_id(0x1110000300000000))
     assert entry.name == "ATTRIBUTES"
     assert entry.special_wr_handling is True
     assert entry.export_mask == FULL and entry.import_mask == FULL
@@ -39,7 +39,7 @@ def test_find_attributes_entry(catalog):
 
 
 def test_find_xbuff_entry(catalog):
-    entry = catalog.find_entry(MD_CTX_VP, 0x1220000300000000)
+    entry = catalog.find_entry(MD_CTX_VP, decode_field_id(0x1220000300000000))
     assert entry.name == "XBUFF"
     assert entry.num_of_fields == 1536
     assert entry.num_of_elem == 1
@@ -50,7 +50,7 @@ def test_find_xbuff_entry(catalog):
 
 
 def test_eptp_entry_kept_verbatim(catalog):
-    entry = catalog.find_entry(MD_CTX_TD, 0x111000300000004)
+    entry = catalog.find_entry(MD_CTX_TD, decode_field_id(0x111000300000004))
     assert entry.name == "EPTP"
     assert entry.field_id_raw == 0x111000300000004
     assert entry.import_mask == 0xFFF0000000000FFF
@@ -59,7 +59,7 @@ def test_eptp_entry_kept_verbatim(catalog):
 
 
 def test_x2apic_entry(catalog):
-    entry = catalog.find_entry(MD_CTX_TD, 0x9C10000200000000)
+    entry = catalog.find_entry(MD_CTX_TD, decode_field_id(0x9C10000200000000))
     assert entry.name == "X2APIC_IDS"
     assert entry.num_of_fields == 576
     assert entry.import_mask == 0xFFFFFFFFF
@@ -67,7 +67,7 @@ def test_x2apic_entry(catalog):
 
 
 def test_mig_dec_key_entry(catalog):
-    entry = catalog.find_entry(MD_CTX_TD, 0x9810000300000010)
+    entry = catalog.find_entry(MD_CTX_TD, decode_field_id(0x9810000300000010))
     assert entry.name == "MIG_DEC_KEY"
     assert entry.num_of_elem == 4
     assert entry.prod_rd_mask == 0       # host readable only on a debug TD
@@ -75,7 +75,7 @@ def test_mig_dec_key_entry(catalog):
     assert entry.migtd_wr_mask == FULL
     # quadword ids ...10 through ...13 land inside the same entry
     for i in range(4):
-        assert catalog.find_entry(MD_CTX_TD, 0x9810000300000010 + i) is entry
+        assert catalog.find_entry(MD_CTX_TD, decode_field_id(0x9810000300000010 + i)) is entry
 
 
 @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ def test_finding_sourced_entries_present(catalog, name, ctx):
 
 
 def test_unknown_field_not_found(catalog):
-    assert catalog.find_entry(MD_CTX_TD, 0x3F100003000000AA) is None
+    assert catalog.find_entry(MD_CTX_TD, decode_field_id(0x3F100003000000AA)) is None
 
 
 def test_next_entry_ordering(catalog):
@@ -114,7 +114,8 @@ def test_next_entry_of_attributes_matches_fixture_file(catalog):
         if line.strip() and not line.startswith("#") and line.split()[0] == "td"
     ]
     expected = names[names.index("ATTRIBUTES") + 1]
-    successor = catalog.next_entry_after(MD_CTX_TD, catalog.find_entry(MD_CTX_TD, 0x1110000300000000))
+    attributes = catalog.find_entry(MD_CTX_TD, decode_field_id(0x1110000300000000))
+    successor = catalog.next_entry_after(MD_CTX_TD, attributes)
     assert successor.name == expected
 
 
@@ -233,7 +234,7 @@ def test_find_entry_of_any_raw_id_answers_as_the_linear_scan(name, raw, ctx, dat
     code = data.draw(st.sampled_from(_probe_codes(catalog, class_code)))
     raw = raw & ~((1 << 24) - 1) | code
     want = _scan_find_entry(catalog, ctx, class_code, code)
-    assert catalog.find_entry(ctx, raw) is want
+    assert catalog.find_entry(ctx, decode_field_id(raw)) is want
 
 
 # --- CPUID lookup ---------------------------------------------------------------
@@ -302,8 +303,10 @@ _CPUID_IDS = st.integers(0, FULL) | st.integers(0, 2 * MAX_NUM_CPUID_LOOKUP).map
 @example(field_id=0xDEADBEEF, bug4=False)
 @example(field_id=CpuidLookup().field_id_for(MAX_NUM_CPUID_LOOKUP - 1), bug4=True)
 @example(field_id=CpuidLookup().field_id_for(5000), bug4=True)
+@example(field_id=CpuidLookup().field_id_for(MAX_NUM_CPUID_LOOKUP - 1) | 1 << 24, bug4=True)
 def test_cpuid_search_answers_an_int_for_every_64_bit_id(field_id, bug4):
-    """Any id answers a word; one that names no slot answers MD_FIELD_ID_NA with no table read.
+    """Any id answers a word; one with a reserved bit set or that names no slot answers
+    MD_FIELD_ID_NA with no table read.
 
     Only bug4's search from the last slot reads out of bounds, one index past the table.
     """
@@ -311,7 +314,8 @@ def test_cpuid_search_answers_an_int_for_every_64_bit_id(field_id, bug4):
     result = m.md_next_cpuid_field(field_id)
     assert type(result) is int
     fid = decode_field_id(field_id)
-    in_class = (fid.context_code, fid.class_code) == (MD_CTX_TD, CPUID_CLASS_CODE)
+    in_class = (fid.context_code, fid.class_code, fid.has_reserved_bits) == (
+        MD_CTX_TD, CPUID_CLASS_CODE, False)
     if not in_class or fid.field_code >= MAX_NUM_CPUID_LOOKUP:
         assert (result, m.cpuid.access_log) == (MD_FIELD_ID_NA, [])
     last = in_class and fid.field_code == MAX_NUM_CPUID_LOOKUP - 1

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import functools
 import inspect
+import pathlib
 import random
 import struct
 
@@ -16,7 +17,7 @@ from alphabet import (BEFORE_ANY_TD, BOUNDED_CALLS, BUNDLE_LEAVES, FORGED_START,
                       values)
 from tdxmodel import engine, md_codec as md
 from tdxmodel import status as S
-from tdxmodel.catalog import FieldCatalog
+from tdxmodel.catalog import CPUID_CLASS_CODE, MAX_NUM_CPUID_LOOKUP, CpuidLookup, FieldCatalog
 from tdxmodel.engine import (
     OUTCOMES,
     TDR_BUSY,
@@ -730,7 +731,8 @@ def test_mng_rd_refuses_a_count_below_one(count):
 # A field id that no catalog entry covers, in either metadata context.
 _CATALOG = FieldCatalog.load()
 UNCOVERED_IDS = st.integers(0, U64).filter(
-    lambda raw: all(_CATALOG.find_entry(ctx, raw) is None for ctx in (MD_CTX_TD, MD_CTX_VP))
+    lambda raw: all(_CATALOG.find_entry(ctx, md.decode_field_id(raw)) is None
+                    for ctx in (MD_CTX_TD, MD_CTX_VP))
 )
 
 
@@ -1624,6 +1626,7 @@ _UNREADABLE = FieldCatalog([
     for i, e in enumerate(_CATALOG.entries_for(ctx))
 ])
 _READ_IDS = sorted({*sum(values("tdh_mng_rd", "field_id_raw"), []),
+                    *sum(values("tdh_vp_rd", "field_id_raw"), []),
                     *(e.field_id_for(0) + k for ctx in (MD_CTX_TD, MD_CTX_VP)
                       for e in _CATALOG.entries_for(ctx) for k in (0, e.code_span - 1))})
 
@@ -1639,6 +1642,9 @@ _READ_IDS = sorted({*sum(values("tdh_mng_rd", "field_id_raw"), []),
 @example(name="tdh_mng_rd", field_id=MIG_DEC_KEY_ID, count=4, debug=True, unreadable=False)
 @example(name="tdh_vp_rd", field_id=_CATALOG.by_name(MD_CTX_VP, "XCR0").field_id_raw, count=1,
          debug=False, unreadable=False)
+@example(name="tdh_mng_rd", field_id=ATTRIBUTES_ID | 1 << 55, count=1, debug=False,
+         unreadable=False)
+@example(name="tdh_vp_rd", field_id=ATTRIBUTES_ID, count=1, debug=True, unreadable=False)
 def test_the_read_leaves_answer_as_their_three_bodies_did(name, field_id, count, debug, unreadable):
     """tdh_mng_rd, tdh_vp_rd and tdg_servtd_rd, each admitted: the same word, values and step."""
     w = World(56)
@@ -1657,7 +1663,11 @@ def test_the_read_leaves_answer_as_their_three_bodies_did(name, field_id, count,
                           lambda: _servtd_rd_before(m, td, field_id)),
     }[name]
     expected = before()
-    if not 0 <= field_id <= U64:  # the shared body refuses an id outside its register first
+    # The shared body refuses first an id outside its register, with a reserved bit set
+    # (bits 24-31, 47-49, 55 and 62), or of another context than the leaf's.
+    context = MD_CTX_VP if name == "tdh_vp_rd" else MD_CTX_TD
+    reserved = 0xFF << 24 | 0b111 << 47 | 1 << 55 | 1 << 62
+    if not 0 <= field_id <= U64 or field_id & reserved or field_id >> 52 & 0b111 != context:
         expected = (S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX),
                     [] if name == "tdh_mng_rd" else 0)
     assert call() == expected
@@ -1698,6 +1708,139 @@ def test_a_metadata_operand_outside_64_bits_is_refused_with_its_register(name, o
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert m.last == TraceStep(leaf, state, state, word) and m.last is td.trace[-1]
     assert m.digest() == before
+
+
+# --- one admission rule for every field id ---------------------------------------------------
+
+# Each caller handed a field id: the context it admits, the call on a World's destination, and
+# the answer for an id it cannot use.
+_FIELD_ID_INVALID = S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX)
+_ID_CALLERS = {
+    "tdh_mng_rd": (MD_CTX_TD, lambda w, raw: w.m.tdh_mng_rd(w.dst, raw), (_FIELD_ID_INVALID, [])),
+    "tdh_mng_wr": (MD_CTX_TD, lambda w, raw: w.m.tdh_mng_wr(w.dst, raw, 7), _FIELD_ID_INVALID),
+    "tdh_vp_rd": (MD_CTX_VP, lambda w, raw: w.m.tdh_vp_rd(w.dst, 0, raw), (_FIELD_ID_INVALID, 0)),
+    "tdg_servtd_rd": (MD_CTX_TD, lambda w, raw: w.m.tdg_servtd_rd(w.migtd, w.env["dst_handle"], raw),
+                      (_FIELD_ID_INVALID, 0)),
+    "tdg_servtd_wr": (MD_CTX_TD,
+                      lambda w, raw: w.m.tdg_servtd_wr(w.migtd, w.env["dst_handle"], raw, 7),
+                      (_FIELD_ID_INVALID, 0)),
+    "md_next_cpuid_field": (MD_CTX_TD, lambda w, raw: w.m.md_next_cpuid_field(raw),
+                            md.MD_FIELD_ID_NA),
+}
+_CPUID_ID = CpuidLookup().field_id_for
+# The ids drawn ids start from: each TD and VP entry's first field, and the CPUID table's ends.
+_BASE_IDS = [e.field_id_for(0) for ctx in (MD_CTX_TD, MD_CTX_VP) for e in _CATALOG.entries_for(ctx)]
+_BASE_IDS += [_CPUID_ID(0), _CPUID_ID(MAX_NUM_CPUID_LOOKUP - 2), _CPUID_ID(MAX_NUM_CPUID_LOOKUP - 1)]
+
+
+@st.composite
+def _field_ids(draw):
+    """A base id with up to two FIELD_ID_LAYOUT subfields redrawn over their whole width, the
+    reserved ranges and the context code among them; then perhaps moved outside 64 bits."""
+    raw = draw(st.sampled_from(_BASE_IDS))
+    for _, shift, width in draw(st.lists(st.sampled_from(md.FIELD_ID_LAYOUT), max_size=2)):
+        raw = raw & ~(((1 << width) - 1) << shift) | draw(st.integers(0, (1 << width) - 1)) << shift
+    return raw + draw(st.sampled_from([0, 0, 1 << 64, -(1 << 64)]))
+
+
+def _answer_and_lookups(call):
+    """The call's answer, and each field id it looked up in a catalog."""
+    looked_up, find_entry = [], FieldCatalog.find_entry
+
+    def spy(catalog, context_code, fid):
+        looked_up.append(fid)
+        return find_entry(catalog, context_code, fid)
+
+    FieldCatalog.find_entry = spy
+    try:
+        return call(), looked_up
+    finally:
+        FieldCatalog.find_entry = find_entry
+
+
+_TSC_FREQUENCY_ID = _CATALOG.by_name(MD_CTX_TD, "TSC_FREQUENCY").field_id_raw
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw=_field_ids(), debug=st.booleans())
+@example(raw=ATTRIBUTES_ID | 1 << 24, debug=False)
+@example(raw=ATTRIBUTES_ID | 1 << 47, debug=False)
+@example(raw=ATTRIBUTES_ID | 1 << 55, debug=False)
+@example(raw=ATTRIBUTES_ID | 1 << 62, debug=False)
+@example(raw=MIG_DEC_KEY_ID | 1 << 24, debug=False)
+@example(raw=_CATALOG.by_name(MD_CTX_VP, "XCR0").field_id_raw, debug=False)
+@example(raw=_CATALOG.by_name(MD_CTX_VP, "CR2").field_id_raw, debug=False)
+@example(raw=_TSC_FREQUENCY_ID, debug=True)
+@example(raw=_CPUID_ID(0) | 1 << 24, debug=False)
+def test_a_field_id_gets_past_admission_exactly_by_the_one_rule(raw, debug):
+    """The five metadata leaves and the CPUID search admit an id exactly when it fits 64 bits,
+    sets no reserved bit (24-31, 47-49, 55, 62) and names the caller's context.  An admitted
+    id is looked up, and a leaf refuses it only if no entry covers it; a refused id answers the
+    caller's word, records the step it records for any such word, and changes no store."""
+    reserved = 0xFF << 24 | 0b111 << 47 | 1 << 55 | 1 << 62
+    w = World(63)
+    m, td = w.m, w.dst
+    if debug:
+        td.attributes = TdAttributes(td.attributes.raw | ATTR_DEBUG)
+    for name, (context, call, refused) in _ID_CALLERS.items():
+        admitted = 0 <= raw <= U64 and not raw & reserved and raw >> 52 & 0b111 == context
+        leaf = Leaf.__members__.get(name.upper())
+        if leaf:
+            td.op_state = state = admitting(m.matrix, leaf)
+        before, steps, reads = m.digest(), len(td.trace), len(m.cpuid.access_log)
+        answer, looked_up = _answer_and_lookups(lambda: call(w, raw))
+        if not leaf:  # the CPUID search: past admission, an id of the class finds a next slot
+            slot, class_code = raw & 0xFFFFFF, raw >> 56 & 0x3F
+            in_table = class_code == CPUID_CLASS_CODE and slot < MAX_NUM_CPUID_LOOKUP - 1
+            assert (answer != md.MD_FIELD_ID_NA) == (admitted and in_table), name
+        elif admitted:
+            covered = _CATALOG.find_entry(context, md.decode_field_id(raw)) is not None
+            word = answer if type(answer) is int else answer[0]
+            assert looked_up and (word != _FIELD_ID_INVALID) == covered, name
+        if admitted:
+            continue
+        assert answer == refused and not looked_up, name
+        assert m.digest() == before, name
+        if leaf:
+            assert td.trace[steps:] == [TraceStep(leaf, state, state, _FIELD_ID_INVALID)], name
+            assert m.last is td.trace[-1]
+        else:
+            assert m.last is None and len(m.cpuid.access_log) == reads
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_a_mem_bundle_not_of_one_list_is_refused_before_it_opens(count, monkeypatch):
+    """A MEM bundle holds one page: one sealed over no list or two is INVALID_MBMD with no edge,
+    before decryption, and changes no store."""
+    w = World(64)
+    m, dst = w.m, w.dst
+    page = decrypted_lists(w.env, w.bundles[BundleType.MEM])
+    bundle = seal_for(dst, BundleType.MEM, page * count)
+    dst.op_state = state = admitting(m.matrix, Leaf.TDH_IMPORT_MEM)
+    before, steps = m.digest(), len(dst.trace)
+    monkeypatch.setattr(engine, "decrypt_bundle", None)  # a call would raise TypeError
+    assert m.tdh_import_mem(dst, bundle) == S.TDX_INVALID_MBMD
+    assert dst.trace[steps:] == [TraceStep(Leaf.TDH_IMPORT_MEM, state, state, S.TDX_INVALID_MBMD)]
+    assert m.digest() == before
+
+
+def test_field_id_admission_has_one_home():
+    """engine.py decodes no field id itself, and only the four places handed one admit it."""
+    calls = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", None) or getattr(child.func, "id", None)
+                calls.append((module, name, owner))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if is_def else owner)
+
+    for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert not [call for call in calls if call[:2] == ("engine.py", "decode_field_id")]
+    assert sorted(owner for _, name, owner in calls if name == "admit_field_id") == [
+        "_read", "_write_target", "next_cpuid_entry", "write_list"]
 
 
 def test_build_with_no_free_hkid_is_refused_by_mng_create():

@@ -148,6 +148,26 @@ def test_context_mismatch_reports_header_and_index(catalog, sink):
     assert result.ext_err_info[0] == seq.header_raw
 
 
+def _reserved_bit_list(bit: int) -> bytes:
+    """A VP list of two XCR0 sequences, the second's header with reserved bit ``bit`` set."""
+    xcr0 = make_sequence_header(MD_CTX_VP, 0x11, 0x20)
+    return build_list([MdSequence(xcr0, [7]), MdSequence(xcr0 | 1 << bit, [9])]).to_bytes()
+
+
+@pytest.mark.parametrize("mode", [WriteMode.fixed(), WriteMode.vulnerable()],
+                         ids=["fixed", "vulnerable"])
+@pytest.mark.parametrize("bit", [24, 47, 55, 62])
+def test_a_header_with_a_reserved_bit_is_refused_like_a_context_miss(catalog, sink, mode, bit):
+    """The second sequence's header is covered but for one reserved bit: the walk refuses it at
+    sequence 1, names it, and reads nothing past it."""
+    arena = ParseArena(_reserved_bit_list(bit))
+    result = md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, sink, mode)
+    assert result.status == S.with_l2_details(S.TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, 1)
+    assert result.ext_err_info[0] == make_sequence_header(MD_CTX_VP, 0x11, 0x20) | 1 << bit
+    assert arena.reads[-1] == (24, 8) and max(offset for offset, _ in arena.reads) == 24
+    assert sink.values == {("XCR0", 0): [7]}
+
+
 def test_unknown_field_is_field_id_incorrect(catalog, sink):
     seq = MdSequence(make_sequence_header(MD_CTX_TD, 0x3F, 0x99), [1])
     arena = ParseArena(build_list([seq]).to_bytes())
@@ -383,6 +403,10 @@ def _reference_write_sequence(arena, seq_off, fid, header_raw, buff_size, catalo
     return S.TDX_SUCCESS, sequence_idx, at()
 
 
+# A field id's reserved bits: 24-31, 47-49, 55 and 62.
+_RESERVED_BITS = 0xFF << 24 | 0b111 << 47 | 1 << 55 | 1 << 62
+
+
 def _reference_write_list(catalog, ctx, arena, sink, mode):
     """The list walk around the reference sequence walk, kept apart from write_list as the
     oracle for write_list's own exits; returns the result and each sequence walk's tuple."""
@@ -400,7 +424,8 @@ def _reference_write_list(catalog, ctx, arena, sink, mode):
             break
         header_raw = arena.read_u64(offset)
         fid = decode_field_id(header_raw)
-        entry = catalog.find_entry(ctx, fid) if fid.context_code == ctx else None
+        admitted = fid.context_code == ctx and not header_raw & _RESERVED_BITS
+        entry = catalog.find_entry(ctx, fid) if admitted else None
         if entry is None:
             result.status = S.with_l2_details(S.TDX_METADATA_FIELD_ID_INCORRECT, 0xFFFF, i)
             result.ext_err_info[0] = header_raw
@@ -477,6 +502,8 @@ def import_lists(draw, catalog):
                 context_code=ctx,
                 class_code=entry.class_code,
             ).to_raw()
+            if draw(st.integers(0, 9)) == 0:  # a reserved bit set: refused like a context miss
+                header_raw |= 1 << draw(st.sampled_from([24, 47, 55, 62]))
             elements = num_fields * entry.num_of_elem
             if wmv:
                 value = draw(st.sampled_from([0, 2**64 - 1, entry.import_mask]) | U64_VALUES)
@@ -588,6 +615,8 @@ def test_walk_kernel_matches_per_field_reference(catalog, mode, only_skips):
              refusals={})
     # A valid list header, and the deduction wraps inside the tail sequence.
     @example(case=(MD_CTX_VP, _loop_underflow_list()), refusals={})
+    # The second header is covered but for a reserved bit: refused at sequence 1.
+    @example(case=(MD_CTX_VP, _reserved_bit_list(47)), refusals={})
     def check(case, refusals):
         ctx, data = case
         expected = _walk_with(False, catalog, ctx, data, mode, refusals)
