@@ -77,7 +77,8 @@ def print_lists(lists: list[bytes], catalog: FieldCatalog, out) -> None:
         for seq in parsed.sequences:
             fid = md.decode_field_id(seq.header_raw)
             scope = CONTEXT_CODES.get(fid.context_code, "?")
-            entry = catalog.find_entry(fid.context_code, fid)
+            admitted = md.admit_field_id(seq.header_raw, fid.context_code)
+            entry = catalog.find_entry(fid.context_code, admitted) if admitted else None
             elements = list(seq.elements)
             if fid.write_mask_valid and elements:
                 out.write(f"  write_mask: {hex(elements.pop(0))}\n")
@@ -116,8 +117,7 @@ def cmd_bundle(args, out) -> int:
 
     # decrypt and edit: open the sealed bundle first.
     mbmd = Mbmd.from_bytes(_read(args.mbmd))
-    ctx = MigStreamContext(mbmd.stream_index, key)
-    status, lists = decrypt_bundle(ctx, mbmd, _read(args.data))
+    status, lists = decrypt_bundle(key, mbmd, _read(args.data))
     if status != S.TDX_SUCCESS:
         out.write(f"decrypt failed: {S.status_str(status)}\n")
         return 1
@@ -153,9 +153,8 @@ def _seal(args, key: MigrationSessionKey, stream_index: int, iv_counter: int,
         raise CliError(f"stream index must be in 0..{STREAM_INDEX_MAX}")
     if not 0 <= iv_counter <= IV_COUNTER_MAX:
         raise CliError(f"iv counter must be in 0..{IV_COUNTER_MAX}")
-    ctx = MigStreamContext(stream_index, key)
-    ctx.iv_counter = iv_counter
-    mbmd, ciphertext = encrypt_bundle(ctx, bundle_type, lists)
+    stream = MigStreamContext(stream_index, iv_counter)
+    mbmd, ciphertext = encrypt_bundle(stream, bundle_type, lists, key)
     _write(args.out_mbmd, mbmd.to_bytes())
     _write(args.out_data, ciphertext)
     return mbmd

@@ -170,7 +170,7 @@ def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
 
 
 def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
-    """The stream ``index`` names, keyed with the TD's session key, or the word refusing it.
+    """The stream ``index`` names, or the word refusing it.
 
     A refusal changes nothing: no such stream, then no full key, then a stream
     another owner holds (``locked``, which only that owner sets).
@@ -182,12 +182,12 @@ def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
     migsc = td.migsc[index]
     if migsc.locked:
         return STREAM_BUSY
-    migsc.key = td.session_key
     return migsc
 
 
-def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> list | int | tuple:
-    """The lists a bundle opens to on the stream, or the leaf's answer.
+def _open(td: TdComplex, migsc: MigStreamContext, bundle: Bundle,
+          bundle_type: BundleType) -> list | int | tuple:
+    """The lists a bundle opens to on the TD's stream, under its session key, or the leaf's answer.
 
     A bundle of another type or stream, or a MEM bundle not of one list, is INVALID_MBMD
     with no edge, before it is decrypted; one that does not open takes the failure edge.
@@ -196,21 +196,20 @@ def _open(migsc: MigStreamContext, bundle: Bundle, bundle_type: BundleType) -> l
     if (mbmd.bundle_type is not bundle_type or mbmd.stream_index != migsc.stream_index
             or bundle_type is BundleType.MEM and mbmd.payload_size != md.LIST_BYTES):
         return TDX_INVALID_MBMD
-    status, lists = decrypt_bundle(migsc, mbmd, bundle.data)
+    status, lists = decrypt_bundle(td.session_key, mbmd, bundle.data)
     return lists if status == TDX_SUCCESS else (status, "failure")
 
 
-def _seal(migsc: MigStreamContext, bundle_type: BundleType, lists: list[bytes]) -> Bundle:
-    """Seal whole lists on the stream, under the key ``_stream`` installed."""
-    return Bundle(*encrypt_bundle(migsc, bundle_type, lists))
+def _seal(td: TdComplex, migsc: MigStreamContext, bundle_type: BundleType, lists: list[bytes]) -> Bundle:
+    """Seal whole lists on the stream, under the TD's session key."""
+    return Bundle(*encrypt_bundle(migsc, bundle_type, lists, td.session_key))
 
 
 def seal_for(td: TdComplex, bundle_type: BundleType, lists: list[bytes], migsc_index: int = 0) -> Bundle:
     """Seal lists as the sending end of the TD's stream ``migsc_index`` would: under the TD's
     session key, at the counter that stream opens next (its first, on a stream the TD lacks)."""
-    sender = MigStreamContext(migsc_index, td.session_key)
-    sender.iv_counter = td.migsc[migsc_index].last_opened if migsc_index < len(td.migsc) else 0
-    return _seal(sender, bundle_type, lists)
+    start = td.migsc[migsc_index].last_opened if migsc_index < len(td.migsc) else 0
+    return _seal(td, MigStreamContext(migsc_index, start), bundle_type, lists)
 
 
 def _nothing() -> None:
@@ -610,7 +609,7 @@ class TdxModule:
         source = TdExportSource(td, sys_store=self.sys_store)
         lists = self._dump(MD_CTX_SYS, tuple(MigClass), source) + self._dump(
             MD_CTX_TD, (MigClass.MB, MigClass.MBO), source)
-        return TDX_SUCCESS, "success", _seal(migsc, BundleType.IMMUTABLE, lists)
+        return TDX_SUCCESS, "success", _seal(td, migsc, BundleType.IMMUTABLE, lists)
 
     tdh_export_pause = _leaf(Leaf.TDH_EXPORT_PAUSE)(_succeed)
 
@@ -621,7 +620,7 @@ class TdxModule:
         if type(migsc) is int:
             return migsc
         lists = self._dump(context_code, (MigClass.ME,), TdExportSource(td, vp_index))
-        return TDX_SUCCESS, "success", _seal(migsc, bundle_type, lists)
+        return TDX_SUCCESS, "success", _seal(td, migsc, bundle_type, lists)
 
     @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
     def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
@@ -648,7 +647,7 @@ class TdxModule:
             migsc.next_iv()
             return TDX_INTERRUPTED_RESUMABLE
         payload = _GPA_TOKEN.pack(gpa, td.pages[gpa]) + _MEM_PAD
-        return TDX_SUCCESS, "success", _seal(migsc, BundleType.MEM, [payload])
+        return TDX_SUCCESS, "success", _seal(td, migsc, BundleType.MEM, [payload])
 
     @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
@@ -692,7 +691,7 @@ class TdxModule:
         migsc = _stream(td, migsc_index)
         if type(migsc) is int:
             return migsc
-        lists = _open(migsc, bundle, bundle_type)
+        lists = _open(td, migsc, bundle, bundle_type)
         if type(lists) is not list:
             return lists
 
@@ -763,7 +762,7 @@ class TdxModule:
             return migsc
         if not sept_walk_ok(td):
             return TDX_TD_FATAL
-        lists = _open(migsc, bundle, BundleType.MEM)
+        lists = _open(td, migsc, bundle, BundleType.MEM)
         if type(lists) is not list:
             return lists
         gpa, token = _GPA_TOKEN.unpack_from(lists[0])

@@ -13,7 +13,6 @@ The MAC is the GCM tag; associated data is the record with the MAC zeroed.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -57,7 +56,7 @@ class MigrationSessionKey:
     sealed or opened under it.  The AES-GCM bindings load with the first key,
     not with this module, so a process that only parses lists never maps them;
     ``decrypt_bundle`` catches the ``InvalidTag`` bound here, which is safe
-    because it refuses a stream with no key before it opens anything.
+    because it opens only under a key, so a key was built first.
     """
 
     key: bytes
@@ -77,10 +76,6 @@ class MigrationSessionKey:
         if len(quadwords) != 4:
             raise ValueError("session key is four quadwords")
         return cls(b"".join(q.to_bytes(8, "little") for q in quadwords))
-
-    @classmethod
-    def generate(cls, rng: random.Random) -> "MigrationSessionKey":
-        return cls(rng.randbytes(MSK_BYTES))
 
 
 @dataclass(slots=True)
@@ -139,12 +134,11 @@ class InterruptedState:
 
 
 class MigStreamContext:
-    """Per-stream crypto and resume state; only an outside owner sets ``locked``, as for a TD."""
+    """Per-stream IV counter and resume state; only an outside owner sets ``locked``, as for a TD."""
 
-    def __init__(self, stream_index: int, key: Optional[MigrationSessionKey] = None):
+    def __init__(self, stream_index: int, iv_counter: int = 0):
         self.stream_index = stream_index
-        self.key = key
-        self.iv_counter = 0
+        self.iv_counter = iv_counter
         self.last_opened = 0  # the counter of the last bundle an import on it completed with
         self.interrupted_state = InterruptedState()
         self.locked = False
@@ -166,16 +160,15 @@ def encrypt_bundle(
     ctx: MigStreamContext,
     bundle_type: BundleType,
     lists: list[bytes],
+    key: MigrationSessionKey,
 ) -> tuple[Mbmd, bytes]:
-    """Seal whole 4KB lists into (record, ciphertext).
+    """Seal whole 4KB lists under ``key`` into (record, ciphertext).
 
     The counter advances once per bundle, and the record names the IV used.
     """
     for item in lists:
         if len(item) != LIST_BYTES:
             raise ValueError("payload must be whole 4KB lists")
-    if ctx.key is None:
-        raise ValueError("stream context has no session key")
     plaintext = b"".join(lists)
     iv = ctx.next_iv()
     size, stream_index, counter = len(plaintext), ctx.stream_index, ctx.iv_counter
@@ -185,28 +178,26 @@ def encrypt_bundle(
     # The AAD is Mbmd.aad() of the record below.  AESGCM.encrypt returns
     # ciphertext || tag and a bundle keeps the ciphertext alone as bytes, so
     # splitting the tag off costs one copy.
-    sealed = ctx.key.aead.encrypt(iv, plaintext, head + ZERO_MAC)
+    sealed = key.aead.encrypt(iv, plaintext, head + ZERO_MAC)
     return Mbmd(bundle_type, size, stream_index, counter, sealed[-16:]), sealed[:-16]
 
 
 def decrypt_bundle(
-    ctx: MigStreamContext,
+    key: MigrationSessionKey,
     mbmd: Mbmd,
     ciphertext: bytes,
 ) -> tuple[int, Optional[list[bytes]]]:
-    """Authenticated open; the MAC covers the record before any plaintext is out.
+    """Authenticated open under ``key``; the MAC covers the record before any plaintext is out.
 
     Returns (status, lists).  A MAC mismatch surfaces as a status word, the
     model analog of the production fatal-error path.
     """
-    if ctx.key is None:
-        raise ValueError("stream context has no session key")
     if mbmd.payload_size != len(ciphertext) or mbmd.payload_size % LIST_BYTES != 0:
         return TDX_INVALID_MBMD, None
     iv = _IV.pack(mbmd.stream_index, mbmd.iv_counter)
     try:
         # AESGCM.decrypt takes ciphertext || tag as one buffer: one copy.
-        plaintext = ctx.key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
+        plaintext = key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
     except InvalidTag:
         return TDX_INCORRECT_MBMD_MAC, None
     if len(plaintext) == LIST_BYTES:

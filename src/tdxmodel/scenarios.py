@@ -23,7 +23,7 @@ from . import md_codec as md
 from . import status as S
 from .catalog import FieldCatalog
 from .engine import Bundle, EngineMode, EpochToken, TdxModule, seal_for
-from .envelope import BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle
+from .envelope import BundleType, MigrationSessionKey, decrypt_bundle
 from .md_codec import MD_CTX_TD, MD_CTX_VP, MdSequence
 from .states import OpState, validate_trace
 from .td import (
@@ -285,8 +285,8 @@ def finish_import(m: TdxModule, env: dict, dst=None) -> int:
 
 
 def decrypted_lists(env: dict, bundle: Bundle) -> list[bytes]:
-    ctx = MigStreamContext(0, MigrationSessionKey.from_quadwords(env["key"]))
-    status, lists = decrypt_bundle(ctx, bundle.mbmd, bundle.data)
+    """A bundle's lists, opened under the key set-up gave: a TD's own key may since be rewritten."""
+    status, lists = decrypt_bundle(MigrationSessionKey.from_quadwords(env["key"]), bundle.mbmd, bundle.data)
     assert status == S.TDX_SUCCESS, S.status_str(status)
     return lists
 

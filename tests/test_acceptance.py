@@ -13,6 +13,7 @@ from tdxmodel import status as S
 from tdxmodel.catalog import CpuidLookup, next_cpuid_entry
 from tdxmodel.engine import EngineMode, TdxModule
 from tdxmodel.envelope import (
+    MSK_BYTES,
     BundleType,
     Mbmd,
     MigrationSessionKey,
@@ -185,25 +186,25 @@ def test_criterion_05_state_matrix_conformance(matrix):
 
 def test_criterion_06_crypto():
     rng = random.Random(0xC6)
-    key = MigrationSessionKey.generate(rng)
+    key = MigrationSessionKey(rng.randbytes(MSK_BYTES))
 
     # AEAD round-trip on 10^3 random bundles.
-    ctx = MigStreamContext(0, key)
+    ctx = MigStreamContext(0)
     for _ in range(1_000):
         lists = [rng.randbytes(4096) for _ in range(rng.randrange(1, 3))]
-        mbmd, ciphertext = encrypt_bundle(ctx, BundleType.MEM, lists)
-        status, out = decrypt_bundle(ctx, mbmd, ciphertext)
+        mbmd, ciphertext = encrypt_bundle(ctx, BundleType.MEM, lists, key)
+        status, out = decrypt_bundle(key, mbmd, ciphertext)
         assert status == S.TDX_SUCCESS and out == lists
 
     # 100% detection of single-bit flips in the ciphertext and the record.
-    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, [rng.randbytes(4096)])
+    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, [rng.randbytes(4096)], key)
     detected = 0
     trials = 0
     for _ in range(256):
         flipped = bytearray(ciphertext)
         bit = rng.randrange(len(flipped) * 8)
         flipped[bit // 8] ^= 1 << (bit % 8)
-        status, _ = decrypt_bundle(ctx, mbmd, bytes(flipped))
+        status, _ = decrypt_bundle(key, mbmd, bytes(flipped))
         trials += 1
         detected += status != S.TDX_SUCCESS
     record = mbmd.to_bytes()
@@ -216,18 +217,18 @@ def test_criterion_06_crypto():
         except ValueError:
             detected += 1  # structurally rejected
             continue
-        status, _ = decrypt_bundle(ctx, tampered, ciphertext)
+        status, _ = decrypt_bundle(key, tampered, ciphertext)
         detected += status != S.TDX_SUCCESS
     assert detected == trials
 
     # IV multiset over 10^4 mixed encrypt/abort operations has no duplicates.
-    ctx = MigStreamContext(1, key)
+    ctx = MigStreamContext(1)
     payload = [rng.randbytes(4096)]
     for _ in range(10_000):
         if rng.random() < 0.5:
             ctx.next_iv()
         else:
-            encrypt_bundle(ctx, BundleType.MEM, payload)
+            encrypt_bundle(ctx, BundleType.MEM, payload, key)
     assert len(ctx.iv_history) == len(set(ctx.iv_history))
     _report(6, f"10^3 AEAD round-trips, {trials}/{trials} bit flips detected, 10^4 IVs unique")
 

@@ -366,6 +366,12 @@ def test_bundle_parse_prints_a_write_mask_and_an_unknown_id(tmp_path):
         "num_of_elem: 1, contents: 0x20000001",
         "  identifier: 0x3e10004300000000, name: UNKNOWN, fields: 2",
     ]
+    # XCR0's VP id with reserved bit 24 set: the walk refuses the header, so it names no entry.
+    hostile = md.MdSequence(0x1120000300000020 | 1 << 24, [7])
+    (tmp_path / "plain.data").write_bytes(md.build_list([hostile]).to_bytes())
+    code, out = run_cli("bundle", "parse", str(tmp_path / "plain.data"))
+    assert code == 0
+    assert out.splitlines()[1:] == ["  identifier: 0x1120000301000020, name: UNKNOWN, fields: 1"]
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from tdxmodel.engine import (
     TdxModule,
     seal_for,
 )
-from tdxmodel.envelope import STREAM_BUSY, BundleType
+from tdxmodel.envelope import STREAM_BUSY, BundleType, MigStreamContext
 from tdxmodel.md_codec import MD_CTX_TD, MD_CTX_VP
 from tdxmodel.scenarios import (
     ATTRIBUTES_ID,
@@ -1056,7 +1056,7 @@ def test_partly_written_key_is_decryption_key_not_set():
         vp = [0] if "vp_index" in OPERANDS[name] else []
         assert getattr(m, name)(td, *vp, seal_for(td, bundle_type(name), [])) == unset, leaf
         assert m.last == TraceStep(leaf, state, state, unset)
-    assert migsc.iv_counter == 0 and migsc.key is None and not migsc.locked
+    assert migsc.iv_counter == 0 and not migsc.locked
 
 
 def test_export_state_td_and_vp_busy_when_stream_held():
@@ -1184,17 +1184,18 @@ def test_a_stream_refusal_answers_before_the_leafs_own(name, stream, own):
     word = {"index": S.TDX_MIGRATION_STREAM_STATE_INCORRECT,
             "key": S.TDX_MIGRATION_DECRYPTION_KEY_NOT_SET,
             "held": S.with_operand(S.TDX_OPERAND_BUSY, S.OPERAND_ID_MIGSC)}[stream]
-    before, key, steps = m.digest(), migsc.key, len(dst.trace)
+    before, steps = m.digest(), len(dst.trace)
     result = getattr(m, name)(dst, *operands)
     assert (result if type(result) is int else result[0]) == word, S.status_str(word)
     assert dst.trace[steps:] == [TraceStep(leaf, state, state, word)]
-    assert m.digest() == before and migsc.key is key  # the digest leaves the key's cache out
+    assert m.digest() == before
 
 
 def test_each_stream_step_has_one_home():
     """Only _stream refuses a held stream, only _open decrypts and only _seal encrypts.
 
-    No engine code sets a stream's ``locked``: only an outside owner does.
+    No engine code sets a stream's ``locked``: only an outside owner does.  No
+    engine code stores a ``key`` and a stream has none: the TD's key has one home.
     """
     homes = {"STREAM_BUSY": "_stream", "decrypt_bundle": "_open", "encrypt_bundle": "_seal"}
     uses = []
@@ -1212,7 +1213,8 @@ def test_each_stream_step_has_one_home():
     visit(tree, None)
     assert sorted(uses) == sorted(homes.items())
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                and node.attr == "locked" and isinstance(node.ctx, ast.Store)]
+                and node.attr in ("locked", "key") and isinstance(node.ctx, ast.Store)]
+    assert "key" not in vars(MigStreamContext(0))
 
 
 def test_vp_rd_refuses_a_vp_the_td_does_not_have():
@@ -1840,7 +1842,7 @@ def test_field_id_admission_has_one_home():
         visit(ast.parse(path.read_text()), path.name, None)
     assert not [call for call in calls if call[:2] == ("engine.py", "decode_field_id")]
     assert sorted(owner for _, name, owner in calls if name == "admit_field_id") == [
-        "_read", "_write_target", "next_cpuid_entry", "write_list"]
+        "_read", "_write_target", "next_cpuid_entry", "print_lists", "write_list"]
 
 
 def test_build_with_no_free_hkid_is_refused_by_mng_create():

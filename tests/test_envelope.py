@@ -17,6 +17,7 @@ from tdxmodel import status as S
 from tdxmodel.envelope import (
     LIST_BYTES,
     MBMD_BYTES,
+    MSK_BYTES,
     BundleType,
     Mbmd,
     MigrationSessionKey,
@@ -27,9 +28,10 @@ from tdxmodel.envelope import (
 )
 
 
-def fresh_ctx(seed=1, stream_index=0, **kwargs):
-    rng = random.Random(seed)
-    return MigStreamContext(stream_index, MigrationSessionKey.generate(rng), **kwargs)
+def fresh_ctx(seed=1, stream_index=0):
+    """A new stream, and a session key drawn from ``seed``."""
+    key = MigrationSessionKey(random.Random(seed).randbytes(MSK_BYTES))
+    return MigStreamContext(stream_index), key
 
 
 def some_lists(rng, count=2):
@@ -41,12 +43,6 @@ def test_key_quadword_roundtrip():
     key = MigrationSessionKey.from_quadwords(quadwords)
     assert len(key.key) == 32
     assert [int.from_bytes(key.key[i : i + 8], "little") for i in range(0, 32, 8)] == quadwords
-
-
-def test_key_generation_is_seed_deterministic():
-    first = MigrationSessionKey.generate(random.Random(5))
-    second = MigrationSessionKey.generate(random.Random(5))
-    assert first.key == second.key
 
 
 def test_mbmd_record_layout():
@@ -83,30 +79,30 @@ def test_session_key_is_immutable():
 
 def test_roundtrip():
     rng = random.Random(2)
-    ctx = fresh_ctx()
+    ctx, key = fresh_ctx()
     lists = some_lists(rng, 3)
-    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.IMMUTABLE, lists)
-    status, out = decrypt_bundle(ctx, mbmd, ciphertext)
+    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.IMMUTABLE, lists, key)
+    status, out = decrypt_bundle(key, mbmd, ciphertext)
     assert status == S.TDX_SUCCESS
     assert out == lists
 
 
 def test_same_plaintext_twice_differs():
     rng = random.Random(3)
-    ctx = fresh_ctx()
+    ctx, key = fresh_ctx()
     lists = some_lists(rng, 1)
-    _, first = encrypt_bundle(ctx, BundleType.TD, lists)
-    _, second = encrypt_bundle(ctx, BundleType.TD, lists)
+    _, first = encrypt_bundle(ctx, BundleType.TD, lists, key)
+    _, second = encrypt_bundle(ctx, BundleType.TD, lists, key)
     assert first != second  # distinct IVs
 
 
 def test_ciphertext_bit_flip_detected():
     rng = random.Random(4)
-    ctx = fresh_ctx()
-    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, some_lists(rng, 1))
+    ctx, key = fresh_ctx()
+    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, some_lists(rng, 1), key)
     tampered = bytearray(ciphertext)
     tampered[100] ^= 0x10
-    status, out = decrypt_bundle(ctx, mbmd, bytes(tampered))
+    status, out = decrypt_bundle(key, mbmd, bytes(tampered))
     assert status == S.TDX_INCORRECT_MBMD_MAC
     assert out is None
 
@@ -118,23 +114,23 @@ def test_ciphertext_bit_flip_detected():
 ])
 def test_mbmd_field_tamper_detected(field, delta):
     rng = random.Random(5)
-    ctx = fresh_ctx()
-    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, some_lists(rng, 1))
+    ctx, key = fresh_ctx()
+    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, some_lists(rng, 1), key)
     setattr(mbmd, field, delta)
-    status, _ = decrypt_bundle(ctx, mbmd, ciphertext)
+    status, _ = decrypt_bundle(key, mbmd, ciphertext)
     assert status == S.TDX_INCORRECT_MBMD_MAC
 
 
 def test_payload_size_mismatch_is_invalid_mbmd():
     rng = random.Random(6)
-    ctx = fresh_ctx()
-    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, some_lists(rng, 1))
-    status, _ = decrypt_bundle(ctx, mbmd, ciphertext + b"\x00" * 4096)
+    ctx, key = fresh_ctx()
+    mbmd, ciphertext = encrypt_bundle(ctx, BundleType.TD, some_lists(rng, 1), key)
+    status, _ = decrypt_bundle(key, mbmd, ciphertext + b"\x00" * 4096)
     assert status == S.TDX_INVALID_MBMD
 
 
 def test_counter_starts_at_zero_and_ivs_step_by_one():
-    ctx = fresh_ctx(stream_index=7)
+    ctx, _ = fresh_ctx(stream_index=7)
     assert ctx.iv_counter == 0
     first = ctx.next_iv()
     second = ctx.next_iv()
@@ -144,11 +140,11 @@ def test_counter_starts_at_zero_and_ivs_step_by_one():
 
 
 def test_counter_advances_even_when_output_discarded():
-    ctx = fresh_ctx()
+    ctx, key = fresh_ctx()
     ctx.next_iv()  # aborted operation: output never used
     before = ctx.iv_counter
     rng = random.Random(7)
-    mbmd, _ = encrypt_bundle(ctx, BundleType.MEM, some_lists(rng, 1))
+    mbmd, _ = encrypt_bundle(ctx, BundleType.MEM, some_lists(rng, 1), key)
     assert before == 1
     assert mbmd.iv_counter == 2
 
@@ -156,31 +152,31 @@ def test_counter_advances_even_when_output_discarded():
 def test_counter_advances_once_per_bundle():
     rng = random.Random(8)
     lists = some_lists(rng, 3)
-    per_bundle = fresh_ctx()
-    encrypt_bundle(per_bundle, BundleType.IMMUTABLE, lists)
+    per_bundle, key = fresh_ctx()
+    encrypt_bundle(per_bundle, BundleType.IMMUTABLE, lists, key)
     assert per_bundle.iv_counter == 1
 
 
 def test_iv_multiset_has_no_duplicates_across_encrypt_and_abort():
     rng = random.Random(9)
-    ctx = fresh_ctx()
+    ctx, key = fresh_ctx()
     payload = some_lists(rng, 1)
     for _ in range(2000):
         if rng.random() < 0.5:
             ctx.next_iv()  # abort path
         else:
-            encrypt_bundle(ctx, BundleType.MEM, payload)
+            encrypt_bundle(ctx, BundleType.MEM, payload, key)
     assert len(ctx.iv_history) == len(set(ctx.iv_history))
 
 
 def test_reencrypting_same_page_never_repeats_ciphertext():
     # The ciphertext-comparison oracle: same page, same key, fresh counter.
     rng = random.Random(10)
-    ctx = fresh_ctx()
+    ctx, key = fresh_ctx()
     page = some_lists(rng, 1)
     seen = set()
     for _ in range(64):
-        _, ciphertext = encrypt_bundle(ctx, BundleType.MEM, page)
+        _, ciphertext = encrypt_bundle(ctx, BundleType.MEM, page, key)
         assert ciphertext not in seen
         seen.add(ciphertext)
 
@@ -203,11 +199,11 @@ codes = [main(argv, io.StringIO()) for argv in (
 )]
 loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "cryptography")
 from tdxmodel.envelope import (
-    BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle, encrypt_bundle,
+    MSK_BYTES, BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle, encrypt_bundle,
 )
-ctx = MigStreamContext(0, MigrationSessionKey.generate(random.Random(1)))
-mbmd, data = encrypt_bundle(ctx, BundleType.MEM, [bytes(4096)])
-status, lists = decrypt_bundle(ctx, mbmd, bytes([data[0] ^ 1]) + data[1:])
+key = MigrationSessionKey(random.Random(1).randbytes(MSK_BYTES))
+mbmd, data = encrypt_bundle(MigStreamContext(0), BundleType.MEM, [bytes(4096)], key)
+status, lists = decrypt_bundle(key, mbmd, bytes([data[0] ^ 1]) + data[1:])
 print(json.dumps({"codes": codes, "loaded": loaded, "status": status, "lists": lists}))
 """
 
@@ -227,9 +223,9 @@ def test_codec_only_run_loads_no_aead_and_the_first_key_catches_a_bad_tag(tmp_pa
 
 
 def test_rejects_partial_lists():
-    ctx = fresh_ctx()
+    ctx, key = fresh_ctx()
     with pytest.raises(ValueError):
-        encrypt_bundle(ctx, BundleType.TD, [b"\x00" * 100])
+        encrypt_bundle(ctx, BundleType.TD, [b"\x00" * 100], key)
 
 
 # --- differential: the one-pass seal against the envelope it replaced -------------
@@ -238,13 +234,11 @@ def _reference_make_iv(stream_index, counter):
     return stream_index.to_bytes(4, "little") + counter.to_bytes(8, "little")
 
 
-def _reference_encrypt_bundle(ctx, bundle_type, lists):
+def _reference_encrypt_bundle(ctx, bundle_type, lists, key):
     """The earlier seal: next_iv inline, the record built, its AAD packed, then the MAC set."""
     for item in lists:
         if len(item) != LIST_BYTES:
             raise ValueError("payload must be whole 4KB lists")
-    if ctx.key is None:
-        raise ValueError("stream context has no session key")
     plaintext = b"".join(lists)
     ctx.iv_counter += 1
     iv = _reference_make_iv(ctx.stream_index, ctx.iv_counter)
@@ -255,20 +249,18 @@ def _reference_encrypt_bundle(ctx, bundle_type, lists):
         stream_index=ctx.stream_index,
         iv_counter=ctx.iv_counter,
     )
-    sealed = ctx.key.aead.encrypt(iv, plaintext, mbmd.aad())
+    sealed = key.aead.encrypt(iv, plaintext, mbmd.aad())
     ciphertext, tag = sealed[:-16], sealed[-16:]
     mbmd.mac = tag
     return mbmd, ciphertext
 
 
-def _reference_decrypt_bundle(ctx, mbmd, ciphertext):
-    if ctx.key is None:
-        raise ValueError("stream context has no session key")
+def _reference_decrypt_bundle(key, mbmd, ciphertext):
     if mbmd.payload_size != len(ciphertext) or mbmd.payload_size % LIST_BYTES != 0:
         return S.TDX_INVALID_MBMD, None
     iv = _reference_make_iv(mbmd.stream_index, mbmd.iv_counter)
     try:
-        plaintext = ctx.key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
+        plaintext = key.aead.decrypt(iv, ciphertext + mbmd.mac, mbmd.aad())
     except InvalidTag:
         return S.TDX_INCORRECT_MBMD_MAC, None
     lists = [plaintext[i : i + LIST_BYTES] for i in range(0, len(plaintext), LIST_BYTES)]
@@ -325,19 +317,19 @@ def test_seal_and_open_match_the_reference_envelope(
     key_seed, stream_index, counter, bundle_type, list_seeds, tamper
 ):
     lists = [random.Random(seed).randbytes(LIST_BYTES) for seed in list_seeds]
-    ctx, ref_ctx = (fresh_ctx(key_seed, stream_index) for _ in range(2))
+    (ctx, key), (ref_ctx, ref_key) = (fresh_ctx(key_seed, stream_index) for _ in range(2))
     ctx.iv_counter = ref_ctx.iv_counter = counter
 
-    mbmd, ciphertext = encrypt_bundle(ctx, bundle_type, lists)
-    ref_mbmd, ref_ciphertext = _reference_encrypt_bundle(ref_ctx, bundle_type, lists)
+    mbmd, ciphertext = encrypt_bundle(ctx, bundle_type, lists, key)
+    ref_mbmd, ref_ciphertext = _reference_encrypt_bundle(ref_ctx, bundle_type, lists, ref_key)
     assert mbmd.to_bytes() == ref_mbmd.to_bytes() and mbmd == ref_mbmd
     assert type(ciphertext) is bytes and ciphertext == ref_ciphertext
     assert ctx.iv_counter == ref_ctx.iv_counter == counter + 1
     assert ctx.iv_history == ref_ctx.iv_history == [_IV.pack(stream_index, counter + 1)]
     assert _IV.pack(stream_index, counter + 1) == _reference_make_iv(stream_index, counter + 1)
 
-    opened = decrypt_bundle(ctx, *_tampered(mbmd, ciphertext, tamper))
-    assert opened == _reference_decrypt_bundle(ref_ctx, *_tampered(mbmd, ciphertext, tamper))
+    opened = decrypt_bundle(key, *_tampered(mbmd, ciphertext, tamper))
+    assert opened == _reference_decrypt_bundle(ref_key, *_tampered(mbmd, ciphertext, tamper))
     if tamper is None:
         assert opened == (S.TDX_SUCCESS, lists)
 

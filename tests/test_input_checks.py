@@ -11,8 +11,7 @@ from tdxmodel import md_codec as md
 from tdxmodel.catalog import CpuidLookup, FieldCatalog, bundled_catalog
 from tdxmodel.cli import main
 from tdxmodel.engine import TdxModule
-from tdxmodel.envelope import (BundleType, MigrationSessionKey, MigStreamContext, decrypt_bundle,
-                               encrypt_bundle)
+from tdxmodel.envelope import MigrationSessionKey
 from tdxmodel.md_codec import MD_CTX_TD, MdListHeader, MdSequence
 from tdxmodel.scenarios import decrypted_lists, standard_setup
 from tdxmodel.states import Leaf, OpState, PermissionMatrix, bundled_matrix, transition
@@ -23,11 +22,6 @@ _ROW = "host LIVE_EXPORT TDH_EXPORT_PAUSE PAUSED_EXPORT - prose"
 
 def _header_only(size: int, sequences: int) -> bytes:
     return MdListHeader(size, sequences).to_bytes().ljust(md.LIST_BYTES, b"\0")
-
-
-def _sealed_mbmd():
-    keyed = MigStreamContext(0, MigrationSessionKey.from_quadwords([1, 2, 3, 4]))
-    return encrypt_bundle(keyed, BundleType.TD, [bytes(md.LIST_BYTES)])[0]
 
 
 # What is refused, the call that refuses it, and the error it raises.
@@ -63,12 +57,6 @@ REFUSALS = {
                           "session key must be 32 bytes"),
     "session-key-three-quadwords": (lambda: MigrationSessionKey.from_quadwords([1, 2, 3]),
                                     ValueError, "session key is four quadwords"),
-    "seal-without-key": (lambda: encrypt_bundle(MigStreamContext(0), BundleType.TD,
-                                                [bytes(md.LIST_BYTES)]),
-                         ValueError, "stream context has no session key"),
-    "open-without-key": (lambda: decrypt_bundle(MigStreamContext(0), _sealed_mbmd(),
-                                                bytes(md.LIST_BYTES)),
-                         ValueError, "stream context has no session key"),
 }
 
 

@@ -29,8 +29,8 @@ def opens_in_order():
     # id(stream) -> (the stream, kept so its id is not reused; the last counter it opened)
     real, last = engine._open, {}
 
-    def checked(migsc, bundle, bundle_type):
-        lists = real(migsc, bundle, bundle_type)
+    def checked(td, migsc, bundle, bundle_type):
+        lists = real(td, migsc, bundle, bundle_type)
         if type(lists) is list:
             counter, previous = bundle.mbmd.iv_counter, last.get(id(migsc), (migsc, 0))[1]
             resumed = counter == previous and migsc.interrupted_state.cursor

@@ -1503,7 +1503,7 @@ def test_every_name_the_digest_leaves_out_is_an_attribute_of_its_class():
     """NOT_STATE cannot go stale: a name it leaves out that its class no longer has fails here."""
     w = World(54)
     holders = {"TdxModule": w.m, "TdComplex": w.dst, "CpuidLookup": w.m.cpuid,
-               "MigStreamContext": w.dst.migsc[0], "MigrationSessionKey": w.dst.migsc[0].key}
+               "MigrationSessionKey": w.dst.session_key}
     for holder, names in NOT_STATE.items():
         for name in names:
             assert name in vars(holders[holder]), f"{holder}.{name}"
