@@ -245,9 +245,6 @@ class CpuidLookup:
     def __init__(self):
         self.access_log: list[int] = []  # each index read, in read order
 
-    def __len__(self) -> int:
-        return len(self.table)
-
     def read(self, index: int) -> CpuidLookupEntry:
         self.access_log.append(index)
         return self.OOB_SENTINEL if index >= MAX_NUM_CPUID_LOOKUP else self.table[index]

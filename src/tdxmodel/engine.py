@@ -76,6 +76,8 @@ from .status import (
     with_operand,
 )
 from .td import (
+    ATTR_DEBUG,
+    ATTR_MIGRATABLE,
     BINDING_SLOT_BITS,
     MAX_EXPORT_COUNT,
     MAX_VCPUS_PER_TD,
@@ -288,7 +290,7 @@ SYS_DEFAULTS = {
 class TdxModule:
     """One platform's module instance: registry, KOT, and API dispatch."""
 
-    def __init__(self, mode: Optional[EngineMode] = None, seed: int = 0, kot_size: int = 64):
+    def __init__(self, mode: Optional[EngineMode] = None, seed: int = 0):
         self.mode = mode or EngineMode()
         self.catalog = bundled_catalog()
         self.matrix = bundled_matrix()
@@ -296,7 +298,7 @@ class TdxModule:
         self.start_import = not self.mode.v1
         self._edges = _edge_table(self.matrix, self.start_import)
         self._codec_mode = WriteMode(header_underflow=self.mode.bug1, loop_underflow=self.mode.v2)
-        self.kot = Kot(kot_size)
+        self.kot = Kot()
         self.cpuid = CpuidLookup()
         self.rng = random.Random(seed)
         self.tds: dict[int, TdComplex] = {}
@@ -542,7 +544,7 @@ class TdxModule:
         A count below 1 or an id ``admit_field_id`` refuses reads nothing; a field no entry
         covers or a zero mask ends the read: its word, and the values read.
         """
-        mask = mask or ("dbg_rd_mask" if td.attributes.debug else "prod_rd_mask")
+        mask = mask or ("dbg_rd_mask" if td.attributes & ATTR_DEBUG else "prod_rd_mask")
         fid = md.admit_field_id(field_id_raw, context_code) if count > 0 else None
         if fid is None:
             return FIELD_ID_INVALID, []
@@ -565,7 +567,7 @@ class TdxModule:
 
     @_leaf(Leaf.TDH_MNG_WR)
     def tdh_mng_wr(self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64) -> int:
-        wr_mask = "dbg_wr_mask" if td.attributes.debug else "prod_wr_mask"
+        wr_mask = "dbg_wr_mask" if td.attributes & ATTR_DEBUG else "prod_wr_mask"
         target = self._write_target(field_id_raw, value, mask, wr_mask)
         if type(target) is int:
             return target
@@ -597,7 +599,7 @@ class TdxModule:
     def tdh_export_state_immutable(
         self, td: TdComplex, migsc_index: int = 0
     ) -> tuple[int, Optional[Bundle]]:
-        if not td.attributes.migratable:
+        if not td.attributes & ATTR_MIGRATABLE:
             return TDX_TD_NOT_MIGRATABLE
         if td.export_count >= MAX_EXPORT_COUNT:
             return TDX_MAX_EXPORTS_EXCEEDED

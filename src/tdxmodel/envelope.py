@@ -171,15 +171,12 @@ def encrypt_bundle(
             raise ValueError("payload must be whole 4KB lists")
     plaintext = b"".join(lists)
     iv = ctx.next_iv()
-    size, stream_index, counter = len(plaintext), ctx.stream_index, ctx.iv_counter
-    head = _RECORD_HEAD.pack(
-        MBMD_MAGIC, MBMD_VERSION, bundle_type._value_, size, stream_index, counter
-    )
-    # The AAD is Mbmd.aad() of the record below.  AESGCM.encrypt returns
-    # ciphertext || tag and a bundle keeps the ciphertext alone as bytes, so
-    # splitting the tag off costs one copy.
-    sealed = key.aead.encrypt(iv, plaintext, head + ZERO_MAC)
-    return Mbmd(bundle_type, size, stream_index, counter, sealed[-16:]), sealed[:-16]
+    mbmd = Mbmd(bundle_type, len(plaintext), ctx.stream_index, ctx.iv_counter)
+    # AESGCM.encrypt returns ciphertext || tag and a bundle keeps the
+    # ciphertext alone as bytes, so splitting the tag off costs one copy.
+    sealed = key.aead.encrypt(iv, plaintext, mbmd.aad())
+    mbmd.mac = sealed[-16:]
+    return mbmd, sealed[:-16]
 
 
 def decrypt_bundle(

@@ -20,8 +20,6 @@ from .status import TDR_BUSY, TDX_OP_STATE_INCORRECT, TDX_TD_FATAL, StatusError
 class LifecycleState(Enum):
     TD_HKID_ASSIGNED = "TD_HKID_ASSIGNED"
     TD_KEYS_CONFIGURED = "TD_KEYS_CONFIGURED"
-    TD_BLOCKED = "TD_BLOCKED"
-    TD_TEARDOWN = "TD_TEARDOWN"
 
 
 class OpState(Enum):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from typing import Optional
 
-from .catalog import FieldCatalog, FieldEntry, MigClass
+from .catalog import FieldCatalog, FieldEntry, MigClass, bundled_catalog
 from .envelope import MigrationSessionKey
 from .md_codec import MD_CTX_SYS, MD_CTX_TD, MD_CTX_VP
 from .states import LifecycleState, OpState
@@ -72,31 +72,11 @@ BINDING_SLOT_BITS = 12
 BINDING_PAGE_BITS = 40
 
 
-@dataclass
-class TdAttributes:
-    raw: int = 0
-
-    @property
-    def debug(self) -> bool:
-        return bool(self.raw & ATTR_DEBUG)
-
-    @property
-    def migratable(self) -> bool:
-        return bool(self.raw & ATTR_MIGRATABLE)
-
-    @property
-    def perfmon(self) -> bool:
-        return bool(self.raw & ATTR_PERFMON)
-
-
-def verify_td_attributes(attrs: TdAttributes, importing: bool) -> bool:
+def verify_td_attributes(attributes: int, importing: bool) -> bool:
     """A migratable TD cannot be a debug or perfmon TD; imports must be migratable."""
-    if attrs.migratable:
-        if attrs.debug or attrs.perfmon:
-            return False
-    elif importing:
-        return False
-    return True
+    if attributes & ATTR_MIGRATABLE:
+        return not attributes & (ATTR_DEBUG | ATTR_PERFMON)
+    return not importing
 
 
 def check_xfam(xfam: int) -> bool:
@@ -176,7 +156,6 @@ class KotState(Enum):
     HKID_FREE = "HKID_FREE"
     HKID_RESERVED = "HKID_RESERVED"
     HKID_ASSIGNED = "HKID_ASSIGNED"
-    HKID_FLUSHED = "HKID_FLUSHED"
 
 
 class Kot:
@@ -256,13 +235,10 @@ class TdParams:
     hp_lock_timeout: int = 1_000_000
 
 
-# The TD fields the model also reads by name, with their quadword counts (as
-# in the catalog).  td_store is their only home; each has a typed property.
-TYPED_TD_FIELDS = {
-    "ATTRIBUTES": 1, "XFAM": 1, "GPAW": 1, "EPTP": 1, "NUM_VCPUS": 1,
-    "TSC_FREQUENCY": 1, "HP_LOCK_TIMEOUT": 1, "EXPORT_COUNT": 1,
-    "TD_UUID": 4, "MIG_DEC_KEY": 4,
-}
+# The TD fields the model also reads by name.  td_store is their only home,
+# each sized as its catalog entry; each has a typed property.
+TYPED_TD_FIELDS = ("ATTRIBUTES", "XFAM", "GPAW", "EPTP", "NUM_VCPUS", "TSC_FREQUENCY",
+                   "HP_LOCK_TIMEOUT", "EXPORT_COUNT", "TD_UUID", "MIG_DEC_KEY")
 
 
 def _td_field(name: str) -> property:
@@ -275,11 +251,6 @@ def _td_field(name: str) -> property:
         td.td_store[name][0] = value
 
     return property(get, put)
-
-
-def _td_quadwords(name: str) -> property:
-    """The stored quadwords of a multi-quadword TD field: a store into the list writes it."""
-    return property(lambda td: td.td_store[name])
 
 
 class TdComplex:
@@ -303,7 +274,9 @@ class TdComplex:
         self.vps: list[VcpuState] = []
         self.migsc: list = []
         self.sys_store: dict = {}
-        self.td_store: dict = {name: [0] * span for name, span in TYPED_TD_FIELDS.items()}
+        catalog = bundled_catalog()
+        self.td_store: dict = {name: [0] * catalog.by_name(MD_CTX_TD, name).code_span
+                               for name in TYPED_TD_FIELDS}
         self.pages: dict[int, int] = {}
         self.measurement = b""
         self.tdcx_count = 0
@@ -316,6 +289,7 @@ class TdComplex:
 
     # -- typed TD fields over td_store -------------------------------------
 
+    attributes = _td_field("ATTRIBUTES")
     xfam = _td_field("XFAM")
     gpaw = _td_field("GPAW")
     eptp_raw = _td_field("EPTP")
@@ -323,17 +297,7 @@ class TdComplex:
     tsc_frequency = _td_field("TSC_FREQUENCY")
     hp_lock_timeout = _td_field("HP_LOCK_TIMEOUT")
     export_count = _td_field("EXPORT_COUNT")
-
-    @property
-    def attributes(self) -> TdAttributes:
-        return TdAttributes(self.td_store["ATTRIBUTES"][0])
-
-    @attributes.setter
-    def attributes(self, attrs: TdAttributes) -> None:
-        self.td_store["ATTRIBUTES"][0] = attrs.raw
-
-    td_uuid = _td_quadwords("TD_UUID")
-    mig_dec_key = _td_quadwords("MIG_DEC_KEY")  # a store into the list rekeys the TD
+    td_uuid = property(lambda td: td.td_store["TD_UUID"])  # the stored list: a store into it writes
 
     # -- generic metadata store ------------------------------------------
 
@@ -421,9 +385,9 @@ class TdComplex:
             f"tdr_pa: {hex(self.tdr_page << 12)} hkid: {hex(self.hkid)}",
             f"lifecycle: {self.lifecycle.value}",
             f"op_state: {self.op_state.value}",
-            f"attributes: {hex(self.attributes.raw)}"
-            + (" (debug)" if self.attributes.debug else "")
-            + (" (migratable)" if self.attributes.migratable else ""),
+            f"attributes: {hex(self.attributes)}"
+            + (" (debug)" if self.attributes & ATTR_DEBUG else "")
+            + (" (migratable)" if self.attributes & ATTR_MIGRATABLE else ""),
             f"xfam: {hex(self.xfam)}",
             f"gpaw: {int(self.gpaw)} eptp: {hex(self.eptp_raw)}",
             f"num_vcpus: {self.num_vcpus} num_migrated_vcpus: {self.num_migrated_vcpus}",
@@ -486,7 +450,7 @@ def _canonical(value):
 # import sink and tdh_mng_wr all admit these fields through admit_td_config.
 TD_CONFIG_RULES = {
     "ATTRIBUTES": (lambda v, gpaw, importing: 0 <= v <= U64
-                   and verify_td_attributes(TdAttributes(v), importing), OPERAND_ID_ATTRIBUTES),
+                   and verify_td_attributes(v, importing), OPERAND_ID_ATTRIBUTES),
     "XFAM": (lambda v, *_: check_xfam(v), OPERAND_ID_XFAM),
     "GPAW": (lambda v, *_: v in (0, 1), OPERAND_ID_EXEC_CONTROLS),  # TD_PARAMS' one GPAW bit
     # The walk is four or five levels deep, and five where GPAW widens the GPA.
@@ -567,7 +531,7 @@ def init_event_filters(
     stale, unsorted, or never-initialized slots covered by the count.  The fixed
     variant validates into a scratch buffer and zeroes everything on failure.
     """
-    if not (event_filtering and td.attributes.perfmon):
+    if not (event_filtering and td.attributes & ATTR_PERFMON):
         return TDX_SUCCESS
     if not 0 <= count <= MAX_EVENT_FILTERS:
         return with_operand(TDX_EVENT_FILTER_INVALID, 0)

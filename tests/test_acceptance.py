@@ -243,7 +243,6 @@ def test_criterion_07_event_filters():
         ATTR_PERFMON,
         EventFilter,
         MAX_EVENT_FILTERS,
-        TdAttributes,
         TdComplex,
         init_event_filters,
         is_event_allowed,
@@ -252,7 +251,7 @@ def test_criterion_07_event_filters():
     rng = random.Random(0xB3)
     for _ in range(1_000):
         td = TdComplex(1, 1)
-        td.attributes = TdAttributes(ATTR_PERFMON)
+        td.attributes = ATTR_PERFMON
         count = rng.randrange(1, MAX_EVENT_FILTERS)
         internals = sorted(rng.sample(range(1, 0x10000), count))
         filters = [
@@ -270,10 +269,11 @@ def test_criterion_08_hkid_exhaustion():
     assert "all KOT entries left HKID_RESERVED (no TD creatable): yes" in vulnerable.transcript
     fixed = _run("bug-8-hkid-exhaustion", "fixed")
     assert "free-entry count conserved across failing calls: yes" in fixed.transcript
-    module = TdxModule(EngineMode(), kot_size=16)
-    for hkid in range(16):
+    module = TdxModule(EngineMode())
+    size = len(module.kot)
+    for hkid in range(size):
         module.tdh_sys_config(hkid, [0x1001])
-        assert module.kot.free_count() == 16
+        assert module.kot.free_count() == size
     _report(8, "K failing sys_config calls: zero free (vulnerable), conserved (fixed)")
 
 

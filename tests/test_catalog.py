@@ -260,7 +260,7 @@ def test_bug4_access_logs_stay_per_module():
 
 def test_cpuid_table_shape():
     lookup = CpuidLookup()
-    assert len(lookup) == 79
+    assert len(lookup.table) == 79
     assert MAX_NUM_CPUID_LOOKUP == 79
     last = lookup.table[78]
     assert (last.leaf, last.subleaf) == (0x80000002, 0xFFFFFFFF)

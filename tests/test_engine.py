@@ -68,7 +68,6 @@ from tdxmodel.td import (
     EptpControls,
     EventFilter,
     KotState,
-    TdAttributes,
     TdComplex,
     TdParams,
 )
@@ -191,7 +190,7 @@ def test_import_interrupt_and_resume_cursor():
     status = m.tdh_import_state_immutable(dst, env["bundle_immutable"], resume=True)
     assert status == S.TDX_SUCCESS
     assert dst.op_state is OpState.MEMORY_IMPORT
-    assert dst.attributes.migratable
+    assert dst.attributes & ATTR_MIGRATABLE
 
 
 def test_import_walks_split_between_interrupted_and_resumed_steps():
@@ -609,7 +608,7 @@ def test_fixed_mode_random_walk_safety_invariants():
             if name == "tdh_import_state_immutable" and status == S.TDX_SUCCESS:
                 completed_import.add(head[0].tdr_page)
             for candidate in m.tds.values():
-                assert not (candidate.attributes.debug and candidate.attributes.migratable)
+                assert not (candidate.attributes & ATTR_DEBUG and candidate.attributes & ATTR_MIGRATABLE)
                 if candidate.tdr_page in completed_import or candidate.op_state in import_states:
                     assert verify_td_attributes(candidate.attributes, importing=True), (
                         seed, candidate.snapshot(),
@@ -747,7 +746,7 @@ def test_metadata_leaves_refuse_an_uncovered_field_id_naming_rdx(field_id):
     m, migtd, dst, handle = w.m, w.migtd, w.dst, w.env["dst_handle"]
     status, td = m.build_td(TdParams(attributes=ATTR_DEBUG), num_vcpus=1, num_pages=1)
     assert status == S.TDX_SUCCESS
-    key, measurement = list(dst.mig_dec_key), td.measurement
+    key, measurement = list(dst.td_store["MIG_DEC_KEY"]), td.measurement
     calls = [
         (dst, lambda: m.tdg_servtd_rd(migtd, handle, field_id), (refused, 0)),
         (dst, lambda: m.tdg_servtd_wr(migtd, handle, field_id, 1), (refused, 0)),
@@ -760,7 +759,7 @@ def test_metadata_leaves_refuse_an_uncovered_field_id_naming_rdx(field_id):
         assert call() == expected
         assert target.trace[-1] is m.last
         assert m.last.status == refused and target.op_state is state
-    assert dst.mig_dec_key == key and td.measurement == measurement
+    assert dst.td_store["MIG_DEC_KEY"] == key and td.measurement == measurement
 
 
 def test_import_track_refuses_a_vp_that_was_never_imported():
@@ -1265,7 +1264,7 @@ def _holding(m, params):
     """A TD built from valid parameters, then given ``params``' configuration directly."""
     status, td = m.build_td(TdParams(attributes=ATTR_MIGRATABLE), num_vcpus=1, num_pages=2)
     assert status == S.TDX_SUCCESS
-    td.attributes = TdAttributes(params.attributes)
+    td.attributes = params.attributes
     td.xfam = params.xfam
     td.gpaw = int(params.gpaw)
     td.eptp_raw = EptpControls(ept_pwl=params.ept_pwl, base_pa=td.sept_root_pa).raw
@@ -1590,7 +1589,7 @@ def _mng_rd_before(m, td, field_id_raw, count):
         entry = m.catalog.find_entry(MD_CTX_TD, dataclasses.replace(fid, field_code=code + i))
         if entry is None:
             return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX), values
-        mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
+        mask = entry.dbg_rd_mask if td.attributes & ATTR_DEBUG else entry.prod_rd_mask
         if mask == 0:
             return S.TDX_METADATA_FIELD_NOT_READABLE, values
         values.append(td.read_element(entry, (code + i) - entry.field_code) & mask)
@@ -1602,7 +1601,7 @@ def _vp_rd_before(m, td, vp_index, field_id_raw):
     entry = m.catalog.find_entry(MD_CTX_VP, fid)
     if entry is None:
         return S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_RDX), 0
-    mask = entry.dbg_rd_mask if td.attributes.debug else entry.prod_rd_mask
+    mask = entry.dbg_rd_mask if td.attributes & ATTR_DEBUG else entry.prod_rd_mask
     if mask == 0:
         return S.TDX_METADATA_FIELD_NOT_READABLE, 0
     value = td.read_element(entry, fid.field_code - entry.field_code, vp_index) & mask
@@ -1654,7 +1653,7 @@ def test_the_read_leaves_answer_as_their_three_bodies_did(name, field_id, count,
     if unreadable:
         m.catalog = _UNREADABLE
     if debug:
-        td.attributes = TdAttributes(td.attributes.raw | ATTR_DEBUG)
+        td.attributes |= ATTR_DEBUG
     td.op_state = state = admitting(m.matrix, leaf)
     call, before = {
         "tdh_mng_rd": (lambda: m.tdh_mng_rd(td, field_id, count),
@@ -1783,7 +1782,7 @@ def test_a_field_id_gets_past_admission_exactly_by_the_one_rule(raw, debug):
     w = World(63)
     m, td = w.m, w.dst
     if debug:
-        td.attributes = TdAttributes(td.attributes.raw | ATTR_DEBUG)
+        td.attributes |= ATTR_DEBUG
     for name, (context, call, refused) in _ID_CALLERS.items():
         admitted = 0 <= raw <= U64 and not raw & reserved and raw >> 52 & 0b111 == context
         leaf = Leaf.__members__.get(name.upper())

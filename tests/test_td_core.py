@@ -40,7 +40,6 @@ from tdxmodel.td import (
     EventFilter,
     Kot,
     KotState,
-    TdAttributes,
     TdComplex,
     TdExportSource,
     TdImportSink,
@@ -63,22 +62,22 @@ from tdxmodel.td import (
 
 # --- attributes -----------------------------------------------------------------
 
-def test_migratable_import_is_legal():
-    assert verify_td_attributes(TdAttributes(ATTR_MIGRATABLE), importing=True)
-
-
-def test_debug_rejected_on_import():
-    assert not verify_td_attributes(TdAttributes(ATTR_DEBUG), importing=True)
-
-
-def test_debug_allowed_when_not_migratable_outside_import():
-    assert verify_td_attributes(TdAttributes(ATTR_DEBUG), importing=False)
-
-
-def test_migratable_excludes_debug_and_perfmon():
-    assert not verify_td_attributes(TdAttributes(ATTR_MIGRATABLE | ATTR_DEBUG), False)
-    assert not verify_td_attributes(TdAttributes(ATTR_MIGRATABLE | ATTR_PERFMON), False)
-    assert verify_td_attributes(TdAttributes(ATTR_MIGRATABLE), False)
+@given(attributes=st.integers(0, 2**64 - 1), importing=st.booleans())
+@example(attributes=ATTR_MIGRATABLE, importing=True)
+@example(attributes=ATTR_DEBUG, importing=True)
+@example(attributes=ATTR_DEBUG, importing=False)
+@example(attributes=ATTR_MIGRATABLE | ATTR_DEBUG, importing=False)
+@example(attributes=ATTR_MIGRATABLE | ATTR_PERFMON, importing=False)
+@example(attributes=ATTR_MIGRATABLE, importing=False)
+@example(attributes=ATTR_MIGRATABLE | ATTR_SEPT_VE_DISABLE, importing=True)
+@example(attributes=ATTR_SEPT_VE_DISABLE, importing=True)
+def test_migratable_excludes_debug_and_perfmon(attributes, importing):
+    """The ABI's rule: a migratable TD is neither a debug nor a perfmon TD, and an
+    import must be migratable.  No other bit of ATTRIBUTES plays a part."""
+    migratable = bool(attributes & ATTR_MIGRATABLE)
+    debug, perfmon = bool(attributes & ATTR_DEBUG), bool(attributes & ATTR_PERFMON)
+    legal = not (migratable and (debug or perfmon)) and (migratable or not importing)
+    assert verify_td_attributes(attributes, importing) is legal
 
 
 # --- init transaction --------------------------------------------------------------
@@ -112,7 +111,7 @@ def test_vulnerable_init_leaves_partial_state_on_xfam_failure():
     td.num_vcpus = 5
     status = read_and_set_td_configurations(td, TdParams(attributes=ATTR_DEBUG, xfam=0))
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
-    assert td.attributes.debug          # already written, never restored
+    assert td.attributes & ATTR_DEBUG   # already written, never restored
     assert td.num_vcpus == 0            # zeroed before the checks
 
 
@@ -121,7 +120,7 @@ def test_fixed_init_is_transactional():
     td.num_vcpus = 5
     status = _fixed_init(td, TdParams(attributes=ATTR_DEBUG, xfam=0))
     assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_XFAM)
-    assert td.attributes.raw == 0
+    assert td.attributes == 0
     assert td.num_vcpus == 5
 
 
@@ -131,7 +130,7 @@ def test_valid_params_accepted(mode):
     init = read_and_set_td_configurations if mode == "vulnerable" else _fixed_init
     status = init(td, TdParams(attributes=ATTR_MIGRATABLE))
     assert status == S.TDX_SUCCESS
-    assert td.attributes.migratable
+    assert td.attributes & ATTR_MIGRATABLE
     assert sept_walk_ok(td)
 
 
@@ -158,7 +157,7 @@ def _reference_read_and_set_td_configurations(td, params, write_early):
 
     It checks no HP_LOCK_TIMEOUT; the rule table does.
     """
-    attrs = TdAttributes(params.attributes)
+    attrs = params.attributes
     eptp = EptpControls(ept_pwl=params.ept_pwl)
 
     if write_early:
@@ -307,11 +306,9 @@ def test_a_build_stores_each_params_field_within_its_width(write_early, params):
         assert EptpControls.from_raw(td.eptp_raw).ept_pwl == params.ept_pwl
     if not 0 <= params.attributes <= U64:
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_ATTRIBUTES)
-    elif not 0 <= params.ept_pwl <= 7 and verify_td_attributes(TdAttributes(params.attributes),
-                                                               False):
+    elif not 0 <= params.ept_pwl <= 7 and verify_td_attributes(params.attributes, False):
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, S.OPERAND_ID_EPTP_CONTROLS)
-    elif int(params.gpaw) not in (0, 1) and verify_td_attributes(TdAttributes(params.attributes),
-                                                                 False):
+    elif int(params.gpaw) not in (0, 1) and verify_td_attributes(params.attributes, False):
         # The walk-level check before GPAW's reads any such GPAW as set: only PML5 passes it.
         word = S.OPERAND_ID_EXEC_CONTROLS if params.ept_pwl == LVL_PML5 else S.OPERAND_ID_EPTP_CONTROLS
         assert status == S.with_operand(S.TDX_OPERAND_INVALID, word)
@@ -428,13 +425,13 @@ def test_session_key_follows_every_mig_dec_key_change(catalog):
     assert td.session_key is key  # built once per key value
     td.write_element_raw(key_entry, 3, 5)
     assert td.session_key == MigrationSessionKey.from_quadwords([1, 2, 3, 5])
-    td.mig_dec_key[0] = 9  # a direct store is seen too
+    td.td_store["MIG_DEC_KEY"][0] = 9  # a direct store is seen too
     assert td.session_key == MigrationSessionKey.from_quadwords([9, 2, 3, 5])
 
 
 # The typed property that reads each TD_store field, as a list of its quadwords.
 _TYPED_VIEWS = {
-    "ATTRIBUTES": lambda td: [td.attributes.raw],
+    "ATTRIBUTES": lambda td: [td.attributes],
     "XFAM": lambda td: [td.xfam],
     "GPAW": lambda td: [td.gpaw],
     "EPTP": lambda td: [td.eptp_raw],
@@ -443,14 +440,16 @@ _TYPED_VIEWS = {
     "HP_LOCK_TIMEOUT": lambda td: [td.hp_lock_timeout],
     "EXPORT_COUNT": lambda td: [td.export_count],
     "TD_UUID": lambda td: list(td.td_uuid),
-    "MIG_DEC_KEY": lambda td: list(td.mig_dec_key),
+    "MIG_DEC_KEY": lambda td: [int.from_bytes(td.session_key.key[i : i + 8], "little")
+                                for i in range(0, 32, 8)],
 }
 
 
 def test_typed_fields_match_the_catalog(catalog):
     assert set(_TYPED_VIEWS) == set(TYPED_TD_FIELDS)
-    for name, span in TYPED_TD_FIELDS.items():
-        assert catalog.by_name(MD_CTX_TD, name).code_span == span
+    td = _fresh_td()
+    for name in TYPED_TD_FIELDS:
+        assert len(td.td_store[name]) == catalog.by_name(MD_CTX_TD, name).code_span
 
 
 @given(name=st.sampled_from(sorted(TYPED_TD_FIELDS)), value=st.integers(0, 2**64 - 1),
@@ -469,7 +468,7 @@ def test_typed_fields_read_the_same_store_as_raw_elements(catalog, name, value, 
 
 def test_typed_setters_write_the_store(catalog):
     td = _fresh_td()
-    td.attributes = TdAttributes(ATTR_MIGRATABLE)
+    td.attributes = ATTR_MIGRATABLE
     td.td_uuid[:] = (1, 2, 3, 4)
     td.num_vcpus = 7
     assert td.read_element(catalog.by_name(MD_CTX_TD, "ATTRIBUTES"), 0) == ATTR_MIGRATABLE
@@ -492,7 +491,7 @@ def test_gpa_validity():
 
 def _perfmon_td():
     td = _fresh_td()
-    td.attributes = TdAttributes(ATTR_PERFMON)
+    td.attributes = ATTR_PERFMON
     return td
 
 
@@ -588,7 +587,7 @@ def _reference_init_event_filters(td, event_filtering, count, entries, count_fir
     It indexes ``entries`` by the count, so a short list raises IndexError, and it
     accepts a negative count.
     """
-    if not (event_filtering and td.attributes.perfmon):
+    if not (event_filtering and td.attributes & ATTR_PERFMON):
         return S.TDX_SUCCESS
     if count > MAX_EVENT_FILTERS:
         return S.with_operand(S.TDX_EVENT_FILTER_INVALID, 0)
@@ -629,7 +628,7 @@ _FILTER_ENTRIES = st.builds(
 
 def _filter_td(perfmon, prior):
     td = _fresh_td()
-    td.attributes = TdAttributes(ATTR_PERFMON if perfmon else 0)
+    td.attributes = ATTR_PERFMON if perfmon else 0
     td.event_filters, td.event_filters_num = list(prior), len([v for v in prior if v])
     return td
 
@@ -721,8 +720,9 @@ def test_sys_config_admits_only_aligned_64_bit_tdmr_entries(address, bug8):
        state=st.sampled_from([KotState.HKID_RESERVED, KotState.HKID_ASSIGNED]))
 def test_claim_moves_only_a_free_hkid_of_the_table(hkid, taken, state):
     kot = Kot(8)
-    for i in taken:
-        kot.states[i] = KotState.HKID_FLUSHED
+    other = KotState.HKID_ASSIGNED if state is KotState.HKID_RESERVED else KotState.HKID_RESERVED
+    for i in taken:  # the state not drawn: a claim that overwrote a taken entry shows
+        kot.states[i] = other
     before = list(kot.states)
     claimed = kot.claim(hkid, state)
     assert claimed == (0 <= hkid < 8 and hkid not in taken)
@@ -776,7 +776,7 @@ def test_sink_special_handlers_validate(catalog):
     assert sink.write_field(attrs, 0, [ATTR_DEBUG], 2**64 - 1) == \
         S.TDX_METADATA_FIELD_VALUE_NOT_VALID
     assert sink.write_field(attrs, 0, [ATTR_MIGRATABLE], 2**64 - 1) == S.TDX_SUCCESS
-    assert td.attributes.migratable
+    assert td.attributes & ATTR_MIGRATABLE
 
     tsc = catalog.by_name(MD_CTX_TD, "TSC_FREQUENCY")
     assert sink.write_field(tsc, 0, [401], 2**64 - 1) == S.TDX_METADATA_FIELD_VALUE_NOT_VALID
@@ -835,7 +835,7 @@ def test_a_sink_stores_into_the_tds_current_list_and_ledger(catalog):
 
 def test_snapshot_mentions_key_fields():
     td = _fresh_td()
-    td.attributes = TdAttributes(ATTR_DEBUG)
+    td.attributes = ATTR_DEBUG
     text = td.snapshot()
     assert "op_state: UNINITIALIZED" in text
     assert "(debug)" in text
@@ -916,7 +916,7 @@ class _ReferenceImportSink:
             return S.TDX_SUCCESS
         name, value, bad = entry.name, values[0], S.TDX_METADATA_FIELD_VALUE_NOT_VALID
         if name == "ATTRIBUTES":
-            if not verify_td_attributes(TdAttributes(value), self.is_import):
+            if not verify_td_attributes(value, self.is_import):
                 return bad
         elif name == "XFAM":
             if not check_xfam(value):
@@ -1266,7 +1266,7 @@ def test_mng_wr_marks_key_quadwords_and_records_no_import(writable_catalog):
 
 def _reference_mng_wr(td, entry, position, value, mask):
     """tdh_mng_wr's write of one element, through the per-element reference."""
-    wr_mask = entry.dbg_wr_mask if td.attributes.debug else entry.prod_wr_mask
+    wr_mask = entry.dbg_wr_mask if td.attributes & ATTR_DEBUG else entry.prod_wr_mask
     if mask & wr_mask == 0:
         return S.TDX_METADATA_FIELD_NOT_WRITABLE
     sink = _ReferenceImportSink(td, is_import=False)

@@ -14,6 +14,10 @@ Every field a ``@dataclass`` in ``src/tdxmodel`` declares is read, with no
 allow-list: ``src/tdxmodel`` or ``perfbench/`` loads it as an attribute, or
 spells its name in a string constant, as ``getattr`` tables such as
 ``FIELD_ID_LAYOUT`` do.
+
+Every name a class body in ``src/tdxmodel`` binds (a method, property, class
+constant or enum member) is used, with no allow-list either; see
+``test_every_class_member_is_used``.
 """
 
 import ast
@@ -187,6 +191,70 @@ def test_every_dataclass_field_is_read():
                 read.add(node.value)
     unread = sorted(qualified for qualified, name in _dataclass_fields().items() if name not in read)
     assert not unread, "nothing reads the field " + ", ".join(unread)
+
+
+def _member_uses() -> set[str]:
+    """The names ``src/`` or ``perfbench/`` code loads outside the definition of the same
+    name, and its string constants but an enum member's own value."""
+    used = set()
+    for path in READERS:
+        tree = ast.parse(path.read_text())
+        around, own_values = {}, set()  # node id -> names of the defs around it
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for inner in ast.walk(node):
+                    around.setdefault(id(inner), set()).add(node.name)
+            if isinstance(node, ast.ClassDef):
+                own_values |= {id(stmt.value) for stmt in node.body if isinstance(stmt, ast.Assign)
+                               and isinstance(stmt.value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = getattr(node, "id", None) or node.attr
+            elif isinstance(node, ast.Constant) and type(node.value) is str:
+                name = None if id(node) in own_values else node.value
+            else:
+                continue
+            if name not in around.get(id(node), ()):
+                used.add(name)
+    return used
+
+
+def _unused_members() -> list[str]:
+    """module.Class.name of each name a class body in ``src/`` binds that nothing uses."""
+    data = {word for path in (PACKAGE / "data").glob("*.txt") for word in path.read_text().split()}
+    used = _member_uses()
+    members = {}  # module.Class.name -> (name, the enum value it is bound to, if a string)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    bound = {stmt.name: None}
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    value = getattr(stmt.value, "value", None)
+                    bound = {t.id: value if type(value) is str else None for t in ast.walk(stmt)
+                             if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+                else:
+                    continue
+                members.update({f"{path.stem}.{cls.name}.{n}": (n, v) for n, v in bound.items()})
+    leaves = {key.rsplit(".", 1)[1] for key in members if key.startswith("engine.TdxModule.")}
+    return sorted(
+        key for key, (name, value) in members.items()
+        if name not in used and name not in data and value not in data
+        and not (name.startswith("__") and name.endswith("__"))
+        and not name.startswith(("tdh_", "tdg_"))
+        and not (key.startswith("states.Leaf.") and name.lower() in leaves)
+    )
+
+
+def test_every_class_member_is_used():
+    """A member counts as used when ``src/`` or ``perfbench/`` code reads it (by name or
+    attribute, outside its own definition) or spells it as a string, as the tracer wraps
+    by name; when it or its enum value is in a ``data/*.txt`` table; when it is a dunder
+    or a ``tdh_``/``tdg_`` leaf; or when it is a ``Leaf`` member naming a TdxModule method."""
+    unused = _unused_members()
+    assert not unused, "nothing uses " + ", ".join(unused)
 
 
 def _status_names_src_uses(prefix: str) -> set[str]:
