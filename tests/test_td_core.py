@@ -62,10 +62,19 @@ from tdxmodel.td import (
 
 # --- attributes -----------------------------------------------------------------
 
+def test_migratable_import_is_legal():
+    assert verify_td_attributes(ATTR_MIGRATABLE, importing=True)
+
+
+def test_debug_rejected_on_import():
+    assert not verify_td_attributes(ATTR_DEBUG, importing=True)
+
+
+def test_debug_allowed_when_not_migratable_outside_import():
+    assert verify_td_attributes(ATTR_DEBUG, importing=False)
+
+
 @given(attributes=st.integers(0, 2**64 - 1), importing=st.booleans())
-@example(attributes=ATTR_MIGRATABLE, importing=True)
-@example(attributes=ATTR_DEBUG, importing=True)
-@example(attributes=ATTR_DEBUG, importing=False)
 @example(attributes=ATTR_MIGRATABLE | ATTR_DEBUG, importing=False)
 @example(attributes=ATTR_MIGRATABLE | ATTR_PERFMON, importing=False)
 @example(attributes=ATTR_MIGRATABLE, importing=False)
