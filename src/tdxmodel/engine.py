@@ -3,14 +3,17 @@
 A TdxModule instance plays the role of one platform's module: it owns the key
 ownership table, the TD registry, and the permission matrix, and dispatches
 API calls one at a time.  Per-finding behavior toggles select vulnerable or
-fixed variants independently, defaulting to all fixed.
+fixed variants independently, defaulting to all fixed.  A leaf body that
+returns has succeeded, and what it returns is the leaf's value; every other
+answer is a raised ``StatusError``, which only the dispatcher turns into a
+status word, an op_state edge and a trace step.
 
 Interrupt storms are replaced by one list index on the immutable import
 (``interrupt_after``), so an exploit's "interrupt the import after the second
 list" step is an exact, replayable event; ``resume=True`` continues it from the
-next list.  The TD and VP state imports run whole.  Every call appends to the
-owning TD's op-state trace, which scenario runs validate against the
-permission-matrix fixture.
+next list, and only with the bundle it interrupted.  The TD and VP state
+imports run whole.  Every call appends to the owning TD's op-state trace, which
+scenario runs validate against the permission-matrix fixture.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .status import (
     TDX_TDCX_NUM_INCORRECT,
     TDX_TD_FATAL,
     TDX_TD_NOT_MIGRATABLE,
+    StatusError,
     as_fatal,
     with_operand,
 )
@@ -171,35 +175,37 @@ def _edge_table(matrix: PermissionMatrix, start_import: bool) -> dict:
     }
 
 
-def _stream(td: TdComplex, index: int) -> MigStreamContext | int:
-    """The stream ``index`` names, or the word refusing it.
+def _stream(td: TdComplex, index: int) -> MigStreamContext:
+    """The stream ``index`` names; a refusal raises its word and changes nothing.
 
-    A refusal changes nothing: no such stream, then no full key, then a stream
-    another owner holds (``locked``, which only that owner sets).
+    The refusals: no such stream, then no full key, then a stream another owner
+    holds (``locked``, which only that owner sets).
     """
     if not 0 <= index < len(td.migsc):
-        return TDX_MIGRATION_STREAM_STATE_INCORRECT
+        raise StatusError(TDX_MIGRATION_STREAM_STATE_INCORRECT)
     if not td.mig_dec_key_set:
-        return TDX_MIGRATION_DECRYPTION_KEY_NOT_SET
+        raise StatusError(TDX_MIGRATION_DECRYPTION_KEY_NOT_SET)
     migsc = td.migsc[index]
     if migsc.locked:
-        return STREAM_BUSY
+        raise StatusError(STREAM_BUSY)
     return migsc
 
 
 def _open(td: TdComplex, migsc: MigStreamContext, bundle: Bundle,
-          bundle_type: BundleType) -> list | int | tuple:
-    """The lists a bundle opens to on the TD's stream, under its session key, or the leaf's answer.
+          bundle_type: BundleType) -> list:
+    """The lists a bundle opens to on the TD's stream, under its session key.
 
-    A bundle of another type or stream, or a MEM bundle not of one list, is INVALID_MBMD
+    A bundle of another type or stream, or a MEM bundle not of one list, raises INVALID_MBMD
     with no edge, before it is decrypted; one that does not open takes the failure edge.
     """
     mbmd = bundle.mbmd
     if (mbmd.bundle_type is not bundle_type or mbmd.stream_index != migsc.stream_index
             or bundle_type is BundleType.MEM and mbmd.payload_size != md.LIST_BYTES):
-        return TDX_INVALID_MBMD
+        raise StatusError(TDX_INVALID_MBMD)
     status, lists = decrypt_bundle(td.session_key, mbmd, bundle.data)
-    return lists if status == TDX_SUCCESS else (status, "failure")
+    if status != TDX_SUCCESS:
+        raise StatusError(status, "failure")
+    return lists
 
 
 def _seal(td: TdComplex, migsc: MigStreamContext, bundle_type: BundleType, lists: list[bytes]) -> Bundle:
@@ -215,7 +221,7 @@ def seal_for(td: TdComplex, bundle_type: BundleType, lists: list[bytes], migsc_i
 
 
 def _nothing() -> None:
-    """The value a (status, value) leaf returns with a bare status."""
+    """The value a (status, value) leaf answers with a raised word that carries none."""
 
 
 def _leaf(leaf: Leaf, returns=None):
@@ -227,13 +233,13 @@ def _leaf(leaf: Leaf, returns=None):
     The step is built first, as ``module.last``, for the body to record on.
     The gate refuses a fatal or locked TD, a call with no matrix row and,
     where the body's first operand after the TD is ``vp_index``, a VP the TD
-    does not have; otherwise the body runs.  It returns a bare status,
-    (status, outcome) or, for a leaf given ``returns``, (status, outcome,
-    value); an outcome moves the op_state along the admitted matrix row, and a
-    bare status leaves it in place.  A bare TD_FATAL freezes the TD: the gate
-    refuses every later call with TD_FATAL.  A leaf given ``returns`` answers
-    (status, value), where ``returns()`` is the value that goes with a bare
-    status, a refused call's included.
+    does not have; otherwise the body runs.  A body that returns has succeeded:
+    it takes the success edge, and what it returns is the leaf's value.  Every
+    other answer, the gate's included, is a raised StatusError: its status, its
+    edge (none leaves the op_state in place) and its value.  A TD_FATAL answer
+    freezes the TD: the gate refuses every later call with TD_FATAL.  A leaf
+    given ``returns`` answers (status, value), where ``returns()`` is the value
+    of an answer that carries none; any other leaf answers its status.
     """
     def wrap(body):
         takes_vp = list(inspect.signature(body).parameters)[2:3] == ["vp_index"]
@@ -242,28 +248,26 @@ def _leaf(leaf: Leaf, returns=None):
             self.last = step = TraceStep(leaf, before, before, TDX_SUCCESS)
             # One lookup both admits the call and fixes where each outcome lands.
             edges = self._edges.get((before, leaf))
-            if td.fatal:
-                result = TDX_TD_FATAL
-            elif td.locked:
-                result = TDR_BUSY
-            elif edges is None:
-                result = TDX_OP_STATE_INCORRECT
-            elif takes_vp and not 0 <= (args[0] if args else kwargs["vp_index"]) < len(td.vps):
-                result = TDVPR_INVALID
-            else:
-                result = body(self, td, *args, **kwargs)
-            if type(result) is not tuple:
-                if result == TDX_TD_FATAL:
+            try:
+                if td.fatal:
+                    raise StatusError(TDX_TD_FATAL)
+                if td.locked:
+                    raise StatusError(TDR_BUSY)
+                if edges is None:
+                    raise StatusError(TDX_OP_STATE_INCORRECT)
+                if takes_vp and not 0 <= (args[0] if args else kwargs["vp_index"]) < len(td.vps):
+                    raise StatusError(TDVPR_INVALID)
+                value = body(self, td, *args, **kwargs)
+                status, outcome = TDX_SUCCESS, "success"
+            except StatusError as answer:
+                status, outcome, value = answer.status, answer.outcome, answer.value
+                if status == TDX_TD_FATAL:
                     td.fatal = True
-                step.status = result
-                td.trace.append(step)
-                return result if returns is None else (result, returns())
-            status, outcome = result[0], result[1]
             if outcome is not None:
                 td.op_state = step.after = edges[outcome]
             step.status = status
             td.trace.append(step)
-            return status if returns is None else (status, result[2])
+            return status if returns is None else (status, returns() if value is None else value)
         if not leaf.guest:
             return functools.wraps(body)(dispatch)
         def guest(self, caller: Servtd, handle: int, *args, **kwargs):
@@ -322,9 +326,8 @@ class TdxModule:
         self.rng.getrandbits(64)  # the service TD's info hash: drawn for every later td_uuid
         return Servtd(uuid=uuid)
 
-    def _succeed(self, td: TdComplex) -> tuple[int, str]:
+    def _succeed(self, td: TdComplex) -> int:
         """A leaf with no desk-scale state of its own: the gate and the edge are the call."""
-        return TDX_SUCCESS, "success"
 
     # -- lifecycle and build -------------------------------------------------
 
@@ -341,14 +344,12 @@ class TdxModule:
     @_leaf(Leaf.TDH_MNG_KEY_CONFIG)
     def tdh_mng_key_config(self, td: TdComplex) -> int:
         if td.lifecycle is not LifecycleState.TD_HKID_ASSIGNED:
-            return TDX_LIFECYCLE_STATE_INCORRECT
+            raise StatusError(TDX_LIFECYCLE_STATE_INCORRECT)
         td.lifecycle = LifecycleState.TD_KEYS_CONFIGURED
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_MNG_ADDCX)
     def tdh_mng_addcx(self, td: TdComplex) -> int:
         td.tdcx_count += 1
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_MNG_INIT)
     def tdh_mng_init(
@@ -360,7 +361,7 @@ class TdxModule:
         event_filters: Optional[list[int]] = None,
     ) -> int:
         if td.tdcx_count < TdComplex.MIN_TDCX_PAGES:
-            return TDX_TDCX_NUM_INCORRECT
+            raise StatusError(TDX_TDCX_NUM_INCORRECT)
         # v1's fixed variant is one transaction: a refused init restores td_store.
         kept = {} if self.mode.v1 else {name: list(v) for name, v in td.td_store.items()}
         status = read_and_set_td_configurations(td, params)
@@ -369,28 +370,27 @@ class TdxModule:
                                         event_filters or [], self.mode.bug3)
         if status != TDX_SUCCESS:
             td.td_store.update(kept)
-            return status, "failure"
+            raise StatusError(status, "failure")
         virtual_tsc = self.catalog.by_name(MD_CTX_TD, "VIRTUAL_TSC")
         td.write_element_raw(virtual_tsc, 0, td.tsc_frequency * 0x40)
         td.write_element_raw(virtual_tsc, 1, 0)
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_VP_CREATE, _nothing)
     def tdh_vp_create(self, td: TdComplex) -> tuple[int, Optional[int]]:
         index = len(td.vps)
         if index >= MAX_VCPUS_PER_TD:
-            return TDVPR_INVALID
+            raise StatusError(TDVPR_INVALID)
         if td.op_state is OpState.INITIALIZED:
             # Build path: the vcpu counter tracks created VPs.
             td.num_vcpus += 1
             x2apic = self.catalog.by_name(MD_CTX_TD, "X2APIC_IDS")
             td.write_element_raw(x2apic, index, index)
         td.vps.append(VcpuState())
-        return TDX_SUCCESS, "success", index
+        return index
 
     @_leaf(Leaf.TDH_VP_ADDCX)
     def tdh_vp_addcx(self, td: TdComplex, vp_index: int) -> int:
-        return TDX_SUCCESS, "success"
+        """Adding a VP's TDCX page changes no desk-scale state: the gate is the call."""
 
     @_leaf(Leaf.TDH_VP_INIT)
     def tdh_vp_init(self, td: TdComplex, vp_index: int) -> int:
@@ -398,36 +398,32 @@ class TdxModule:
         td.write_element_raw(xcr0, 0, td.xfam | XCR0_X87, vp_index)
         deadline = self.catalog.by_name(MD_CTX_VP, "TSC_DEADLINE")
         td.write_element_raw(deadline, 0, 0, vp_index)
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_MEM_SEPT_ADD)
     def tdh_mem_sept_add(self, td: TdComplex, gpa: int) -> int:
         if gpa & PAGE_GPA_BITS[not td.gpaw]:
-            return GPA_INVALID
+            raise StatusError(GPA_INVALID)
         if not sept_walk_ok(td):
-            return TDX_TD_FATAL
-        return TDX_SUCCESS, "success"
+            raise StatusError(TDX_TD_FATAL)
 
     @_leaf(Leaf.TDH_MEM_PAGE_ADD)
     def tdh_mem_page_add(self, td: TdComplex, gpa: int, token: int) -> int:
         # A private GPA on a 4 KB boundary, and a source page (R9) of 64 bits.
         if gpa & PAGE_GPA_BITS[not td.gpaw]:
-            return GPA_INVALID
+            raise StatusError(GPA_INVALID)
         if not 0 <= token <= U64:
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R9)
+            raise StatusError(with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R9))
         if not sept_walk_ok(td):
-            return TDX_TD_FATAL
+            raise StatusError(TDX_TD_FATAL)
         td.pages[gpa] = token
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_MR_EXTEND)
     def tdh_mr_extend(self, td: TdComplex, gpa: int) -> int:
         if gpa not in td.pages:
-            return GPA_INVALID
+            raise StatusError(GPA_INVALID)
         td.measurement = hashlib.sha384(
             td.measurement + _GPA_TOKEN.pack(gpa, td.pages[gpa])
         ).digest()
-        return TDX_SUCCESS, "success"
 
     tdh_mr_finalize = _leaf(Leaf.TDH_MR_FINALIZE)(_succeed)
 
@@ -436,8 +432,7 @@ class TdxModule:
         xcr0 = self.catalog.by_name(MD_CTX_VP, "XCR0")
         # Loading a guest xcr0 without x87 raises #GP(0) inside the module.
         if not sept_walk_ok(td) or not td.read_element(xcr0, 0, vp_index) & XCR0_X87:
-            return TDX_TD_FATAL
-        return TDX_SUCCESS, "success"
+            raise StatusError(TDX_TD_FATAL)
 
     def build_td(
         self,
@@ -479,17 +474,15 @@ class TdxModule:
     @_leaf(Leaf.TDH_MIG_STREAM_CREATE)
     def tdh_mig_stream_create(self, td: TdComplex) -> int:
         td.migsc.append(MigStreamContext(stream_index=len(td.migsc)))
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_SERVTD_BIND, _nothing)
     def tdh_servtd_bind(
         self, td: TdComplex, slot: int, servtd: Servtd
     ) -> tuple[int, Optional[int]]:
         if not 0 <= slot < 1 << BINDING_SLOT_BITS:
-            return with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R8)
+            raise StatusError(with_operand(TDX_OPERAND_INVALID, OPERAND_ID_R8))
         td.servtd_bindings[slot] = servtd.uuid
-        handle = make_binding_handle(slot, td.tdr_page, servtd.uuid[0])
-        return TDX_SUCCESS, "success", handle
+        return make_binding_handle(slot, td.tdr_page, servtd.uuid[0])
 
     def _servtd_locate(self, handle: int, caller_uuid: tuple) -> TdComplex | int:
         """The TD the handle binds the caller to, or the word refusing it (bug6 picks the word)."""
@@ -505,73 +498,65 @@ class TdxModule:
     @_leaf(Leaf.TDG_SERVTD_RD, int)
     def tdg_servtd_rd(self, td: TdComplex, field_id_raw: int) -> tuple[int, int]:
         """Read target-TD metadata from a bound service TD."""
-        status, values = self._read(td, MD_CTX_TD, field_id_raw, mask="migtd_rd_mask")
-        return (status, "success", values[0]) if values else status
+        return self._read(td, MD_CTX_TD, field_id_raw, mask="migtd_rd_mask")[0]
 
     @_leaf(Leaf.TDG_SERVTD_WR, int)
     def tdg_servtd_wr(
         self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64
     ) -> tuple[int, int]:
         """Write target-TD metadata from a bound service TD; returns old contents."""
-        target = self._write_target(field_id_raw, value, mask, "migtd_wr_mask")
-        if type(target) is int:
-            return target
-        entry, position, combined = target
+        entry, position, combined = self._write_target(field_id_raw, value, mask, "migtd_wr_mask")
         previous = td.read_element(entry, position)
         td.write_element_raw(entry, position, (value & combined) | (previous & ~combined & U64))
-        return TDX_SUCCESS, "success", previous
+        return previous
 
-    def _write_target(self, field_id_raw: int, value: int, mask: int, wr_mask: str) -> tuple | int:
-        """The TD entry, field position and combined mask a write names, or the word refusing it:
+    def _write_target(self, field_id_raw: int, value: int, mask: int, wr_mask: str) -> tuple:
+        """The TD entry, field position and combined mask a write names, or a raised refusal:
         an operand outside 64 bits, then an id not admitted or covered, then no bit both masks let."""
         for operand, word in zip((field_id_raw, value, mask), _WIDE_WRITE_WORDS):
             if not 0 <= operand <= U64:
-                return word
+                raise StatusError(word)
         fid = md.admit_field_id(field_id_raw, MD_CTX_TD)
         entry = fid and self.catalog.find_entry(MD_CTX_TD, fid)
         if entry is None:
-            return FIELD_ID_INVALID
+            raise StatusError(FIELD_ID_INVALID)
         combined = mask & getattr(entry, wr_mask)
         if combined == 0:
-            return TDX_METADATA_FIELD_NOT_WRITABLE
+            raise StatusError(TDX_METADATA_FIELD_NOT_WRITABLE)
         return entry, fid.field_code - entry.field_code, combined
 
     def _read(self, td: TdComplex, context_code: int, field_id_raw: int, count: int = 1,
-              mask: Optional[str] = None, vp_index: Optional[int] = None) -> tuple[int, list[int]]:
+              mask: Optional[str] = None, vp_index: Optional[int] = None) -> list[int]:
         """The read leaves' body: ``count`` fields from the id on, each under the entry's ``mask``.
 
         ``mask`` names a FieldEntry mask, by default the host's (the debug one on a debug TD).
         A count below 1 or an id ``admit_field_id`` refuses reads nothing; a field no entry
-        covers or a zero mask ends the read: its word, and the values read.
+        covers or a zero mask ends the read: it raises its word, with the values read, if any.
         """
         mask = mask or ("dbg_rd_mask" if td.attributes & ATTR_DEBUG else "prod_rd_mask")
         fid = md.admit_field_id(field_id_raw, context_code) if count > 0 else None
         if fid is None:
-            return FIELD_ID_INVALID, []
+            raise StatusError(FIELD_ID_INVALID)
         values = []
         for code in range(fid.field_code, fid.field_code + count):
             entry = self.catalog.find_entry(context_code, replace(fid, field_code=code))
             if entry is None:
-                return FIELD_ID_INVALID, values
+                raise StatusError(FIELD_ID_INVALID, value=values or None)
             if (bits := getattr(entry, mask)) == 0:
-                return TDX_METADATA_FIELD_NOT_READABLE, values
+                raise StatusError(TDX_METADATA_FIELD_NOT_READABLE, value=values or None)
             values.append(td.read_element(entry, code - entry.field_code, vp_index) & bits)
-        return TDX_SUCCESS, values
+        return values
 
     # -- host metadata access -------------------------------------------------
 
     @_leaf(Leaf.TDH_MNG_RD, list)
     def tdh_mng_rd(self, td: TdComplex, field_id_raw: int, count: int = 1) -> tuple[int, list[int]]:
-        status, values = self._read(td, MD_CTX_TD, field_id_raw, count)
-        return status, "success" if status == TDX_SUCCESS else None, values
+        return self._read(td, MD_CTX_TD, field_id_raw, count)
 
     @_leaf(Leaf.TDH_MNG_WR)
     def tdh_mng_wr(self, td: TdComplex, field_id_raw: int, value: int, mask: int = U64) -> int:
         wr_mask = "dbg_wr_mask" if td.attributes & ATTR_DEBUG else "prod_wr_mask"
-        target = self._write_target(field_id_raw, value, mask, wr_mask)
-        if type(target) is int:
-            return target
-        entry, position, combined = target
+        entry, position, combined = self._write_target(field_id_raw, value, mask, wr_mask)
         # Special-handling fields drop the stored bits outside the mask; others keep them.
         value &= combined
         if not entry.special_wr_handling:
@@ -579,14 +564,12 @@ class TdxModule:
         else:
             value = admit_td_config(td, entry.name, value, td.gpaw, importing=False)
             if value is None:
-                return TDX_METADATA_FIELD_VALUE_NOT_VALID
+                raise StatusError(TDX_METADATA_FIELD_VALUE_NOT_VALID)
         td.write_element_raw(entry, position, value)
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_VP_RD, int)
     def tdh_vp_rd(self, td: TdComplex, vp_index: int, field_id_raw: int) -> tuple[int, int]:
-        status, values = self._read(td, MD_CTX_VP, field_id_raw, vp_index=vp_index)
-        return (status, "success", values[0]) if values else status
+        return self._read(td, MD_CTX_VP, field_id_raw, vp_index=vp_index)[0]
 
     # -- export side -----------------------------------------------------------
 
@@ -600,18 +583,16 @@ class TdxModule:
         self, td: TdComplex, migsc_index: int = 0
     ) -> tuple[int, Optional[Bundle]]:
         if not td.attributes & ATTR_MIGRATABLE:
-            return TDX_TD_NOT_MIGRATABLE
+            raise StatusError(TDX_TD_NOT_MIGRATABLE)
         if td.export_count >= MAX_EXPORT_COUNT:
-            return TDX_MAX_EXPORTS_EXCEEDED
+            raise StatusError(TDX_MAX_EXPORTS_EXCEEDED)
         migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
         # Counted before the dump so the bundle carries the lineage's tally.
         td.export_count += 1
         source = TdExportSource(td, sys_store=self.sys_store)
         lists = self._dump(MD_CTX_SYS, tuple(MigClass), source) + self._dump(
             MD_CTX_TD, (MigClass.MB, MigClass.MBO), source)
-        return TDX_SUCCESS, "success", _seal(td, migsc, BundleType.IMMUTABLE, lists)
+        return _seal(td, migsc, BundleType.IMMUTABLE, lists)
 
     tdh_export_pause = _leaf(Leaf.TDH_EXPORT_PAUSE)(_succeed)
 
@@ -619,10 +600,8 @@ class TdxModule:
                         bundle_type: BundleType, vp_index: Optional[int] = None):
         """Shared body of the mutable-state export leaves: seal the context's ME entries."""
         migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
         lists = self._dump(context_code, (MigClass.ME,), TdExportSource(td, vp_index))
-        return TDX_SUCCESS, "success", _seal(td, migsc, bundle_type, lists)
+        return _seal(td, migsc, bundle_type, lists)
 
     @_leaf(Leaf.TDH_EXPORT_STATE_TD, _nothing)
     def tdh_export_state_td(self, td: TdComplex, migsc_index: int = 0) -> tuple[int, Optional[Bundle]]:
@@ -640,20 +619,18 @@ class TdxModule:
     ) -> tuple[int, Optional[Bundle]]:
         """Export one page; the IV counter advances even when the call aborts."""
         migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
         if gpa not in td.pages:
-            return GPA_INVALID
+            raise StatusError(GPA_INVALID)
         if abort:
             # Increment the counter first so an aborted call never reuses an IV.
             migsc.next_iv()
-            return TDX_INTERRUPTED_RESUMABLE
+            raise StatusError(TDX_INTERRUPTED_RESUMABLE)
         payload = _GPA_TOKEN.pack(gpa, td.pages[gpa]) + _MEM_PAD
-        return TDX_SUCCESS, "success", _seal(td, migsc, BundleType.MEM, [payload])
+        return _seal(td, migsc, BundleType.MEM, [payload])
 
     @_leaf(Leaf.TDH_EXPORT_TRACK, _nothing)
     def tdh_export_track(self, td: TdComplex, start: bool = False) -> tuple[int, Optional[EpochToken]]:
-        return TDX_SUCCESS, "success", EpochToken(start=start)
+        return EpochToken(start=start)
 
     # Write-block bookkeeping: permission-checked, no desk-scale state.
     tdh_export_abort = _leaf(Leaf.TDH_EXPORT_ABORT)(_succeed)
@@ -685,17 +662,16 @@ class TdxModule:
         """Shared body of the state-import leaves: interrupt, first failure and completion.
 
         The call is interrupted after list ``interrupt_after``, unless that is
-        the bundle's last list.  Each walk and a fatal completion's
-        ext_err_info go on the call's step.  A completion checks the required
-        fields of every context of the bundle type, whichever lists it carried.
+        the bundle's last list, and a resume takes only the bundle it interrupted.
+        Each walk and a fatal completion's ext_err_info go on the call's step.  A
+        completion checks the required fields of every context of the bundle type,
+        whichever lists it carried.
         """
         contexts, required_kinds = self._STATE_BUNDLES[bundle_type]
         migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
+        if resume and bundle.mbmd != migsc.interrupted_state.mbmd:
+            raise StatusError(TDX_INVALID_MBMD)
         lists = _open(td, migsc, bundle, bundle_type)
-        if type(lists) is not list:
-            return lists
 
         if not resume:
             migsc.interrupted_state = InterruptedState()
@@ -713,22 +689,21 @@ class TdxModule:
             if result.status != TDX_SUCCESS and state.failed is None:
                 state.failed = result
             if i == interrupt_after and i + 1 < len(lists):
-                state.cursor = i + 1
-                return TDX_INTERRUPTED_RESUMABLE, "interrupted"
+                state.cursor, state.mbmd = i + 1, bundle.mbmd
+                raise StatusError(TDX_INTERRUPTED_RESUMABLE, "interrupted")
 
         # Complete, whatever its word: the resume state goes with the call.
         migsc.interrupted_state = InterruptedState()
         if state.failed:
             step.ext_err_info = tuple(state.failed.ext_err_info)
-            return as_fatal(state.failed.status), "failure"
+            raise StatusError(as_fatal(state.failed.status), "failure")
 
         if not self.mode.bug2:
             missing = td.missing_required(self.catalog, set(contexts), required_kinds, vp_index)
             if missing:
                 step.ext_err_info = (missing[0].field_id_raw, 0)
-                return as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure"
+                raise StatusError(as_fatal(TDX_REQUIRED_METADATA_FIELD_MISSING), "failure")
         migsc.last_opened = bundle.mbmd.iv_counter
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_IMPORT_STATE_IMMUTABLE)
     def tdh_import_state_immutable(
@@ -739,49 +714,41 @@ class TdxModule:
         interrupt_after: Optional[int] = None,
         resume: bool = False,
     ) -> int:
-        return self._import_lists(
+        self._import_lists(
             td, bundle, migsc_index, BundleType.IMMUTABLE,
             interrupt_after=interrupt_after, resume=resume,
         )
 
     @_leaf(Leaf.TDH_IMPORT_STATE_TD)
     def tdh_import_state_td(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
-        return self._import_lists(td, bundle, migsc_index, BundleType.TD)
+        self._import_lists(td, bundle, migsc_index, BundleType.TD)
 
     @_leaf(Leaf.TDH_IMPORT_STATE_VP)
     def tdh_import_state_vp(
         self, td: TdComplex, vp_index: int, bundle: Bundle, migsc_index: int = 0
     ) -> int:
-        result = self._import_lists(td, bundle, migsc_index, BundleType.VP, vp_index=vp_index)
-        if result == (TDX_SUCCESS, "success"):
-            td.num_migrated_vcpus += 1
-        return result
+        self._import_lists(td, bundle, migsc_index, BundleType.VP, vp_index=vp_index)
+        td.num_migrated_vcpus += 1
 
     @_leaf(Leaf.TDH_IMPORT_MEM)
     def tdh_import_mem(self, td: TdComplex, bundle: Bundle, migsc_index: int = 0) -> int:
         migsc = _stream(td, migsc_index)
-        if type(migsc) is int:
-            return migsc
         if not sept_walk_ok(td):
-            return TDX_TD_FATAL
-        lists = _open(td, migsc, bundle, BundleType.MEM)
-        if type(lists) is not list:
-            return lists
-        gpa, token = _GPA_TOKEN.unpack_from(lists[0])
+            raise StatusError(TDX_TD_FATAL)
+        gpa, token = _GPA_TOKEN.unpack_from(_open(td, migsc, bundle, BundleType.MEM)[0])
         if gpa & PAGE_GPA_BITS[not td.gpaw]:
-            return GPA_INVALID
+            raise StatusError(GPA_INVALID)
         migsc.last_opened = bundle.mbmd.iv_counter
         td.pages[gpa] = token
-        return TDX_SUCCESS, "success"
 
     @_leaf(Leaf.TDH_IMPORT_TRACK)
     def tdh_import_track(self, td: TdComplex, token: EpochToken) -> int:
         if not token.start:
-            return TDX_SUCCESS
+            # A non-start token answers SUCCESS and takes no edge (ROADMAP item 11 replaces it).
+            raise StatusError(TDX_SUCCESS)
         # The only completion gate: the migrated, created and declared vcpu counts agree.
         if not td.num_migrated_vcpus == len(td.vps) == td.num_vcpus:
-            return TDX_SOME_VCPUS_NOT_MIGRATED
-        return TDX_SUCCESS, "success"
+            raise StatusError(TDX_SOME_VCPUS_NOT_MIGRATED)
 
     tdh_import_commit = _leaf(Leaf.TDH_IMPORT_COMMIT)(_succeed)
     tdh_import_end = _leaf(Leaf.TDH_IMPORT_END)(_succeed)

@@ -123,7 +123,8 @@ class Mbmd:
 
 @dataclass
 class InterruptedState:
-    """An interruptible import's resume cursor, and the first of its walks that failed.
+    """An interruptible import's resume cursor, the first of its walks that failed, and the
+    Mbmd of the bundle it interrupted, the only one a resume takes.
 
     ``failed`` is that walk's WriteResult as the walk returned it; a completion
     answers its status and ext_err_info, and a new state replaces this one.
@@ -131,6 +132,7 @@ class InterruptedState:
 
     cursor: int = 0
     failed: Optional[WriteResult] = None
+    mbmd: Optional[Mbmd] = None
 
 
 class MigStreamContext:

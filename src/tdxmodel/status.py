@@ -99,8 +99,9 @@ def status_str(status: int) -> str:
 
 
 class StatusError(Exception):
-    """Carries a status word across internal call boundaries."""
+    """A leaf's answer other than success: its status word, the op_state edge it takes
+    (``"failure"`` or ``"interrupted"``; None leaves the op_state in place) and its value."""
 
-    def __init__(self, status: int):
+    def __init__(self, status: int, outcome=None, value=None):
         super().__init__(status_str(status))
-        self.status = status
+        self.status, self.outcome, self.value = status, outcome, value

@@ -424,9 +424,10 @@ _PLAIN = {int, bool, str, bytes, type(None)}
 
 
 def _state(obj) -> dict:
-    """The attributes of ``obj`` but the NOT_STATE ones of its class or a base."""
+    """The attributes (or slots) of ``obj`` but the NOT_STATE ones of its class or a base."""
     skip = {name for cls in type(obj).__mro__ for name in NOT_STATE.get(cls.__name__, ())}
-    return {name: value for name, value in vars(obj).items() if name not in skip}
+    return {name: getattr(obj, name) for name in getattr(obj, "__slots__", None) or vars(obj)
+            if name not in skip}
 
 
 def _canonical(value):
