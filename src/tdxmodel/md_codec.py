@@ -319,10 +319,12 @@ class ParseArena:
     fact that adjacent stack data is readable rather than faulting.  Reads past
     the arena itself return zeros.
 
-    ``reads`` is the log and the only read record: one ``(offset, length)``
-    tuple per read, in read order.  Both logging calls keep the farthest
-    out-of-bounds span as they log, so ``max_oob_span`` answers at once and
-    ``oob_reads`` scans the log only if there is one.
+    The log keeps one record per logging call, led by where its farthest read starts:
+    ``read``'s ``(offset, length)``, or a ``log_u64s`` run of 8-byte reads (a mask
+    re-read heading each field, if asked) as ``(farthest, offset, count, mask_at,
+    stride)``.  ``reads`` expands the log into a fresh list on each access, one ``(offset,
+    length)`` per read in read order, that callers must not mutate.  ``max_oob_span`` is
+    kept as the log grows; ``oob_reads`` expands only the records that read past the list.
 
     The list is kept as immutable bytes, zero-padded to 4KB; a whole 4KB
     ``bytes`` list is kept as given, with no copy.  The full image (the list,
@@ -330,8 +332,6 @@ class ParseArena:
     read that runs past the list, on the first ``plant``, or on the first
     access to ``buffer``, which is that image.
 
-    ``read`` logs one read, and ``log_u64s`` a run of 8-byte reads (with a
-    mask re-read heading each field, if asked) as ``read`` would one by one.
     ``read`` returns a copy of exactly ``length`` bytes: ``bytes`` sliced from
     the list for a read inside it, a ``bytearray`` sliced from the image once
     that is built, zero-padded only past the arena end; ``peek_u64s`` decodes
@@ -352,7 +352,7 @@ class ParseArena:
         # What reads slice: the list until the image is built, then the image.
         self._bytes = bytes(list_bytes).ljust(LIST_BYTES, b"\x00")
         self._image: Optional[bytearray] = None
-        self.reads: list[tuple[int, int]] = []
+        self._log: list[tuple] = []
         self._oob_span = 0
         for offset, value in (plants or {}).items():
             self.plant(offset, value)
@@ -386,7 +386,7 @@ class ParseArena:
         back short ran past the list: it is served from the image, built on
         this first such read, and zero-padded if it runs past the arena end.
         """
-        self.reads.append((offset, length))
+        self._log.append((offset, length))
         if offset >= LIST_BYTES and offset + length - LIST_BYTES > self._oob_span:
             self._oob_span = offset + length - LIST_BYTES
         chunk = self._bytes[offset : offset + length]
@@ -409,24 +409,25 @@ class ParseArena:
 
     def log_u64s(self, offset: int, count: int, mask_at: Optional[int] = None,
                  stride: int = 1) -> None:
-        """Log ``count`` 8-byte reads from ``offset`` on, as ``read`` would one by one.
+        """Log ``count`` 8-byte reads from ``offset`` on, as one record ``reads`` expands.
 
         With ``mask_at``, the reads come in groups of ``stride`` slots, and the
         first read of each group is at ``mask_at`` instead of its own slot: the
         pre-fix walk's per-field mask re-read, ahead of the field's values.
         """
-        end = offset + count * ELEMENT_BYTES
-        offsets = range(offset, end, ELEMENT_BYTES)
-        last = end - ELEMENT_BYTES  # the farthest read
-        if mask_at is not None:
-            offsets = list(offsets)
-            offsets[::stride] = [mask_at] * len(offsets[::stride])
-            last = max(offsets[0], *offsets[-2:])  # one of the last two slots is read in place
+        # The farthest read: the mask re-read, or the last slot that is read in place.
+        last = max([offset + k * ELEMENT_BYTES for k in (count - 2, count - 1)
+                    if k >= 0 and (mask_at is None or k % stride)] + [mask_at or 0])
+        self._log.append((last, offset, count, mask_at, stride))
         if last + ELEMENT_BYTES > LIST_BYTES:
             self.buffer  # builds the image, as a read past the list would
             if last >= LIST_BYTES:
                 self._oob_span = max(self._oob_span, last + ELEMENT_BYTES - LIST_BYTES)
-        self.reads += zip(offsets, repeat(ELEMENT_BYTES))
+
+    @property
+    def reads(self) -> list[tuple[int, int]]:
+        """Every logged read, one ``(offset, length)`` each, in read order: a fresh list."""
+        return [read for record in self._log for read in _expand(record)]
 
     def read_u64(self, offset: int) -> int:
         return int.from_bytes(self.read(offset, 8), "little")
@@ -435,11 +436,23 @@ class ParseArena:
         """The logged reads that start at or past the list end, in read order."""
         if not self._oob_span:
             return []
-        return [read for read in self.reads if read[0] >= LIST_BYTES]
+        return [read for record in self._log if record[0] >= LIST_BYTES
+                for read in _expand(record) if read[0] >= LIST_BYTES]
 
     def max_oob_span(self) -> int:
         """Bytes past the list end reached by the farthest out-of-bounds read."""
         return self._oob_span
+
+
+def _expand(record: tuple) -> Iterable[tuple[int, int]]:
+    """The ``(offset, length)`` reads a log record stands for, in read order."""
+    if len(record) == 2:
+        return (record,)
+    _, offset, count, mask_at, stride = record
+    offsets = list(range(offset, offset + count * ELEMENT_BYTES, ELEMENT_BYTES))
+    if mask_at is not None:
+        offsets[::stride] = [mask_at] * len(offsets[::stride])
+    return zip(offsets, repeat(ELEMENT_BYTES))
 
 
 # An arena image before any list is copied in: a zero list region, then the

@@ -103,5 +103,7 @@ class StatusError(Exception):
     (``"failure"`` or ``"interrupted"``; None leaves the op_state in place) and its value."""
 
     def __init__(self, status: int, outcome=None, value=None):
-        super().__init__(status_str(status))
         self.status, self.outcome, self.value = status, outcome, value
+
+    def __str__(self) -> str:
+        return status_str(self.status)  # formatted only when read: dispatch never reads it

@@ -278,6 +278,30 @@ def test_vulnerable_walk_matches_wrap_oracle_bit_for_bit(catalog, num_fields):
     assert arena.max_oob_span() == max(o + n for o, n in oracle) - md.LIST_BYTES
 
 
+def test_a_walk_logs_each_run_as_one_record(catalog):
+    # The longest crafted walk reads 1,536 elements, yet its log holds no more
+    # records than its read and log_u64s calls, and expanding it changes nothing.
+    calls = []
+
+    def counted(real):
+        def call(arena, *args):
+            calls.append(args)
+            return real(arena, *args)
+        return call
+
+    arena = ParseArena(crafted_vp_list(extra_oob_header=True, num_fields=512),
+                       plants={4088 + 16 * 512: LEAK_SENTINEL})
+    with mock.patch.object(ParseArena, "read", counted(ParseArena.read)), \
+            mock.patch.object(ParseArena, "log_u64s", counted(ParseArena.log_u64s)):
+        md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, DictSink(),
+                      WriteMode.vulnerable())
+    log = list(arena._log)
+    assert len(log) == 8 <= len(calls)
+    assert len(arena.reads) == 1536 == len(_oracle_read_offsets(512))
+    assert arena.max_oob_span() == 8192
+    assert arena.reads == arena.reads and arena._log == log
+
+
 def test_fixed_mode_stops_crafted_walk_without_oob(catalog, sink):
     arena = ParseArena(crafted_vp_list(extra_oob_header=True))
     result = md.write_list(catalog, MD_CTX_VP, md.MD_FIELD_ID_NA, arena, sink, WriteMode.fixed())

@@ -21,6 +21,7 @@ from tdxmodel.status import (
     TDX_SUCCESS,
     TDX_TD_FATAL,
     StatusError,
+    status_str,
     with_operand,
 )
 
@@ -137,6 +138,14 @@ def test_disallowed_leaf_is_op_state_incorrect(matrix):
     with pytest.raises(StatusError) as err:
         transition(matrix, OpState.RUNNABLE, Leaf.TDH_IMPORT_STATE_TD, "success")
     assert err.value.status == TDX_OP_STATE_INCORRECT
+
+
+@pytest.mark.parametrize("word", [TDX_OP_STATE_INCORRECT, TDX_TD_FATAL])
+def test_a_status_error_reads_as_its_word(word):
+    """The message is formatted when read, and reads as the console renders the word:
+    a named class with its operand, or a bare hex word with no name."""
+    assert str(StatusError(word)) == status_str(word)
+    assert str(StatusError(word, "failure", 7)) == status_str(word)
 
 
 def _reachable_states(matrix, mode):
